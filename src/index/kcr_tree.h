@@ -8,8 +8,7 @@
 //
 // Given a (candidate) query keyword set q' and a score threshold s — in the
 // keyword-adaption module, s is a missing object's score under q' — the node
-// summary bounds how many objects below the node out-rank the missing object
-// (DESIGN.md D5):
+// summary bounds how many objects below the node out-rank the missing object:
 //
 //   Let c be the number of q'-keywords an object contains,
 //       T = Σ_{t ∈ q'} count(t) (match incidences below the node).

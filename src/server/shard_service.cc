@@ -396,27 +396,52 @@ HttpResponse ShardService::HandleCount(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 16)) return BadBody(in);
+  struct Spec {
+    Query query;
+    ObjectId target;
+    double target_score;
+    uint8_t method;
+  };
+  std::vector<Spec> specs;
+  specs.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    Spec spec;
+    spec.query = shardrpc::GetQuery(&in);
+    spec.target = in.GetU32();
+    spec.target_score = in.GetF64();
+    spec.method = in.GetU8();
+    if (!in.ok()) return BadBody(in);
+    if (spec.method != static_cast<uint8_t>(CountMethod::kScan) &&
+        spec.method != static_cast<uint8_t>(CountMethod::kSetR)) {
+      return HttpResponse::Error(400, "unknown count method");
+    }
+    specs.push_back(std::move(spec));
+  }
+  if (!in.AtEnd()) return BadBody(in);
+
+  // Every scan spec shares one pass over the store.
+  std::vector<ScanTarget> scans;
+  for (const Spec& spec : specs) {
+    if (spec.method == static_cast<uint8_t>(CountMethod::kScan)) {
+      scans.push_back(ScanTarget{&spec.query, spec.target_score, spec.target});
+    }
+  }
+  const std::vector<size_t> scanned =
+      ShardScanOutscoring(view_, info_.dist_norm, scans);
   BufWriter out;
   out.PutVarU64(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const Query query = shardrpc::GetQuery(&in);
-    const ObjectId target = in.GetU32();
-    const double target_score = in.GetF64();
-    const uint8_t method = in.GetU8();
-    if (!in.ok()) return BadBody(in);
-    const Scorer scorer(corpus_->store(), query, info_.dist_norm);
-    uint64_t above = 0;
-    if (method == static_cast<uint8_t>(CountMethod::kScan)) {
-      above = ShardScanOutscoring(view_, scorer, target_score, target);
-    } else if (method == static_cast<uint8_t>(CountMethod::kSetR)) {
-      above = CountOutscoring(corpus_->store(), corpus_->setr(), scorer,
-                              target_score, target, view_.to_global);
+  size_t next_scan = 0;
+  for (const Spec& spec : specs) {
+    uint64_t above;
+    if (spec.method == static_cast<uint8_t>(CountMethod::kScan)) {
+      above = scanned[next_scan++];
     } else {
-      return HttpResponse::Error(400, "unknown count method");
+      const Scorer scorer(corpus_->store(), spec.query, info_.dist_norm);
+      above = CountOutscoring(corpus_->store(), corpus_->setr(), scorer,
+                              spec.target_score, spec.target, view_.to_global);
     }
     out.PutU64(above);
   }
-  if (!in.AtEnd()) return BadBody(in);
   return Binary(out);
 }
 
@@ -608,19 +633,37 @@ HttpResponse ShardService::HandleProbeRefine(const HttpRequest& req) {
   }
 
   std::lock_guard<std::mutex> lock(session->mu);
-  const KeywordAdaptStats before = session->stats;
-  BufWriter out;
-  out.PutVarU64(count);
+  // The whole request is validated before any refiner moves: a rejected
+  // request leaves the session exactly as it was.
+  std::vector<ShardRankRefiner*> refiners;
+  refiners.reserve(count);
+  std::vector<char> listed(session->members.size(), 0);
   for (uint64_t i = 0; i < count; ++i) {
     const uint32_t m = in.GetVarU32();
-    if (!in.ok() || m >= session->members.size()) return BadBody(in);
-    ShardRankRefiner& refiner = *session->members[m]->refiner;
-    if (!refiner.resolved()) refiner.RefineLevel();
-    out.PutU64(refiner.count_lower());
-    out.PutU64(refiner.count_upper());
-    out.PutU8(refiner.resolved() ? 1 : 0);
+    if (!in.ok()) return BadBody(in);
+    if (m >= session->members.size()) {
+      return HttpResponse::Error(
+          400, "probe member " + std::to_string(m) + " out of range");
+    }
+    if (listed[m]) {
+      return HttpResponse::Error(
+          400, "probe member " + std::to_string(m) + " listed twice");
+    }
+    listed[m] = 1;
+    refiners.push_back(&*session->members[m]->refiner);
   }
   if (!in.AtEnd()) return BadBody(in);
+
+  const KeywordAdaptStats before = session->stats;
+  ShardRankRefiner::RefineLevel(refiners);
+
+  BufWriter out;
+  out.PutVarU64(count);
+  for (const ShardRankRefiner* refiner : refiners) {
+    out.PutU64(refiner->count_lower());
+    out.PutU64(refiner->count_upper());
+    out.PutU8(refiner->resolved() ? 1 : 0);
+  }
   out.PutU64(session->stats.kcr_nodes_expanded - before.kcr_nodes_expanded);
   out.PutU64(session->stats.objects_scored - before.objects_scored);
   return Binary(out);

@@ -106,7 +106,8 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   // used in both modes: exact ranking of one object is cache-friendly O(n),
   // and measurement shows the KcR bounds prune too weakly for popular query
   // keywords to beat it (the bounds earn their keep pruning *candidates*,
-  // where no exact rank is needed at all — see EXPERIMENTS.md E8/E10).
+  // where no exact rank is needed at all — bench/bench_kw_adapt.cc sweeps
+  // bound-and-prune against the scan baseline and counts the pruning).
   // All missing objects go through one batched fan-out. ---
   auto exact_rank_of = [&](const Query& q) {
     std::vector<OracleTargetSpec> specs;

@@ -1,5 +1,10 @@
 #include "src/whynot/shard_primitives.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <functional>
+
 #include "src/query/ranking.h"
 #include "src/whynot/preference_adjustment.h"
 
@@ -20,20 +25,156 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
   events->push_back(wx);
 }
 
+/// Objects decoded per block by ShardScanOutscoring: about one KcR-tree
+/// leaf, so a scan's scratch stays as small as a refinement level's.
+constexpr ObjectId kScanBlock = 64;
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Jaccard from the set sizes, exactly as KeywordSet::Jaccard computes it.
+double JaccardOf(size_t inter, size_t qlen, size_t len) {
+  const size_t uni = qlen + len - inter;
+  if (uni == 0) return 0.0;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
 }  // namespace
 
-size_t ShardScanOutscoring(const OracleShardView& view, const Scorer& scorer,
-                           double target_score, ObjectId target_global) {
-  size_t above = 0;
-  for (const SpatialObject& o : view.store->objects()) {
-    const ObjectId gid =
-        view.to_global != nullptr ? (*view.to_global)[o.id] : o.id;
-    if (gid == target_global) continue;
-    if (OutranksTarget(scorer.Score(o), gid, target_score, target_global)) {
-      ++above;
+// --- OutrankKernel -----------------------------------------------------------
+
+OutrankKernel::OutrankKernel(const OracleShardView& view,
+                             const std::vector<const Scorer*>& scorers)
+    : view_(&view) {
+  for (const Scorer* scorer : scorers) {
+    const KeywordSet& doc = scorer->query().doc;
+    terms_.insert(terms_.end(), doc.begin(), doc.end());
+  }
+  std::sort(terms_.begin(), terms_.end());
+  terms_.erase(std::unique(terms_.begin(), terms_.end()), terms_.end());
+  words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
+  for (TermId t : terms_) filter_[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
+
+  members_.reserve(scorers.size());
+  member_masks_.assign(scorers.size() * words_, 0);
+  for (size_t m = 0; m < scorers.size(); ++m) {
+    const Query& q = scorers[m]->query();
+    const Shape shape{q.loc, q.w.ws, scorers[m]->dist_norm()};
+    // Shapes are told apart by their bits: equal doubles with different
+    // bits (±0) must not share a spatial column.
+    size_t si = 0;
+    while (si < shapes_.size() &&
+           !(Bits(shapes_[si].loc.x) == Bits(shape.loc.x) &&
+             Bits(shapes_[si].loc.y) == Bits(shape.loc.y) &&
+             Bits(shapes_[si].ws) == Bits(shape.ws) &&
+             Bits(shapes_[si].dist_norm) == Bits(shape.dist_norm))) {
+      ++si;
+    }
+    if (si == shapes_.size()) shapes_.push_back(shape);
+    members_.push_back(Member{si, q.doc.size(), q.w.wt});
+    for (TermId t : q.doc) {
+      const size_t bit =
+          std::lower_bound(terms_.begin(), terms_.end(), t) - terms_.begin();
+      member_masks_[m * words_ + bit / 64] |= uint64_t{1} << (bit % 64);
     }
   }
+}
+
+void OutrankKernel::Resize(size_t count) {
+  gid_.resize(count);
+  len_.resize(count);
+  masks_.assign(count * words_, 0);
+  spatial_.resize(count * shapes_.size());
+}
+
+void OutrankKernel::Decode(size_t i, ObjectId local) {
+  const SpatialObject& o = view_->store->Get(local);
+  gid_[i] = view_->to_global != nullptr ? (*view_->to_global)[local] : local;
+  len_[i] = static_cast<uint32_t>(o.doc.size());
+  uint64_t* mask = &masks_[i * words_];
+  auto t = terms_.begin();
+  for (TermId id : o.doc) {
+    // Most object keywords are outside the union: one filter probe rejects
+    // them before the search.
+    if ((filter_[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
+    t = std::lower_bound(t, terms_.end(), id);
+    if (t == terms_.end()) break;
+    if (*t == id) {
+      const size_t bit = t - terms_.begin();
+      mask[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
+  // ws · (1 − SDist): the left operand of Scorer::Score's sum.
+  double* spatial = &spatial_[i * shapes_.size()];
+  for (const Shape& shape : shapes_) {
+    *spatial++ =
+        shape.ws *
+        (1.0 - NormalizedSpatialDistance(o.loc, shape.loc, shape.dist_norm));
+  }
+}
+
+void OutrankKernel::DecodeLeaf(const KcRTree::Node& leaf) {
+  Resize(leaf.entries.size());
+  for (size_t i = 0; i < leaf.entries.size(); ++i) {
+    Decode(i, leaf.entries[i].id);
+  }
+}
+
+void OutrankKernel::DecodeRange(ObjectId first, ObjectId last) {
+  Resize(last - first);
+  for (ObjectId id = first; id < last; ++id) Decode(id - first, id);
+}
+
+double OutrankKernel::Score(size_t m, size_t i) const {
+  const Member& member = members_[m];
+  const uint64_t* object_mask = &masks_[i * words_];
+  const uint64_t* member_mask = &member_masks_[m * words_];
+  size_t inter = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    inter += std::popcount(object_mask[w] & member_mask[w]);
+  }
+  return spatial_[i * shapes_.size() + member.shape] +
+         member.wt * JaccardOf(inter, member.qlen, len_[i]);
+}
+
+size_t OutrankKernel::CountOutranking(size_t m, double target_score,
+                                      ObjectId target, size_t* scored) const {
+  size_t above = 0;
+  size_t skipped = 0;
+  for (size_t i = 0; i < gid_.size(); ++i) {
+    if (gid_[i] == target) {
+      ++skipped;
+      continue;
+    }
+    if (OutranksTarget(Score(m, i), gid_[i], target_score, target)) ++above;
+  }
+  *scored += gid_.size() - skipped;
   return above;
+}
+
+std::vector<size_t> ShardScanOutscoring(
+    const OracleShardView& view, double dist_norm,
+    const std::vector<ScanTarget>& targets) {
+  if (targets.empty()) return {};
+  std::vector<Scorer> scorers;
+  scorers.reserve(targets.size());
+  std::vector<const Scorer*> members;
+  members.reserve(targets.size());
+  for (const ScanTarget& t : targets) {
+    scorers.emplace_back(*view.store, *t.query, dist_norm);
+    members.push_back(&scorers.back());
+  }
+  OutrankKernel kernel(view, members);
+  std::vector<size_t> counts(targets.size(), 0);
+  size_t scored = 0;  // Callers count a scan as the whole store per target.
+  const ObjectId n = static_cast<ObjectId>(view.store->size());
+  for (ObjectId first = 0; first < n; first += kScanBlock) {
+    kernel.DecodeRange(first, std::min<ObjectId>(n, first + kScanBlock));
+    for (size_t m = 0; m < targets.size(); ++m) {
+      counts[m] += kernel.CountOutranking(m, targets[m].target_score,
+                                          targets[m].target, &scored);
+    }
+  }
+  return counts;
 }
 
 // --- ShardPlane --------------------------------------------------------------
@@ -110,31 +251,72 @@ ShardRankRefiner::ShardRankRefiner(const OracleShardView& view,
   PushNode(tree.root(), tree.node(tree.root()));
 }
 
-void ShardRankRefiner::RefineLevel() {
-  if (frontier_.empty()) return;
+void ShardRankRefiner::ExpandInner() {
   const KcRTree& tree = *view_->kcr;
   std::vector<Frontier> previous;
   previous.swap(frontier_);
+  leaves_.clear();
   sum_lower_ = 0;
   sum_upper_ = 0;
   for (const Frontier& f : previous) {
     const auto& node = tree.node(f.node);
     ++stats_->kcr_nodes_expanded;
     if (node.is_leaf) {
-      for (const auto& e : node.entries) {
-        const ObjectId gid =
-            view_->to_global != nullptr ? (*view_->to_global)[e.id] : e.id;
-        if (gid == target_) continue;
-        ++stats_->objects_scored;
-        if (OutranksTarget(scorer_->Score(e.id), gid, target_score_,
-                           target_)) {
-          ++exact_;
-        }
-      }
-    } else {
-      for (const auto& e : node.entries) {
-        PushNode(e.id, tree.node(e.id));
-      }
+      leaves_.push_back(f.node);
+      continue;
+    }
+    for (const auto& e : node.entries) PushNode(e.id, tree.node(e.id));
+  }
+  std::sort(leaves_.begin(), leaves_.end());
+}
+
+void ShardRankRefiner::RefineLevel(
+    const std::vector<ShardRankRefiner*>& refiners) {
+  // Phase 1: inner nodes, per refiner. A repeated refiner is expanded once:
+  // a second ExpandInner would drop the leaves the first one opened.
+  std::vector<ShardRankRefiner*> opened;
+  for (ShardRankRefiner* r : refiners) {
+    if (r->resolved() || r->in_level_) continue;
+    r->in_level_ = true;
+    r->ExpandInner();
+    if (!r->leaves_.empty()) opened.push_back(r);
+  }
+  for (ShardRankRefiner* r : refiners) r->in_level_ = false;
+  if (opened.empty()) return;
+
+  // Phase 2: every opened leaf once, in node order (a k-way merge of the
+  // refiners' sorted leaf lists), decoded once and counted for each refiner
+  // that opened it. Kernel member i is opened[i].
+  std::vector<const Scorer*> scorers;
+  scorers.reserve(opened.size());
+  for (const ShardRankRefiner* r : opened) scorers.push_back(r->scorer_);
+  const OracleShardView& view = *opened.front()->view_;
+  OutrankKernel kernel(view, scorers);
+
+  using Cursor = std::pair<KcRTree::NodeId, size_t>;  // (leaf, member).
+  std::vector<Cursor> heap;
+  std::vector<size_t> next(opened.size(), 1);
+  heap.reserve(opened.size());
+  for (size_t i = 0; i < opened.size(); ++i) {
+    assert(opened[i]->view_ == &view && "refiners must share one shard view");
+    heap.emplace_back(opened[i]->leaves_.front(), i);
+  }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  KcRTree::NodeId decoded = KcRTree::kNoNode;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [leaf, i] = heap.back();
+    heap.pop_back();
+    if (leaf != decoded) {
+      kernel.DecodeLeaf(view.kcr->node(leaf));
+      decoded = leaf;
+    }
+    ShardRankRefiner& r = *opened[i];
+    r.exact_ += kernel.CountOutranking(i, r.target_score_, r.target_,
+                                       &r.stats_->objects_scored);
+    if (next[i] < r.leaves_.size()) {
+      heap.emplace_back(r.leaves_[next[i]++], i);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
     }
   }
 }

@@ -17,6 +17,7 @@
 #ifndef YASK_WHYNOT_SHARD_PRIMITIVES_H_
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -40,11 +41,91 @@ struct OracleShardView {
   const std::vector<ObjectId>* to_global = nullptr;
 };
 
-/// Tie-aware scan count of objects in one shard outscoring the target:
-/// score > target_score, or == with global id < target_global (D6). The
-/// target itself (present in exactly one shard) is skipped by global id.
-size_t ShardScanOutscoring(const OracleShardView& view, const Scorer& scorer,
-                           double target_score, ObjectId target_global);
+/// The one shard-side loop that counts the objects outranking a target. It
+/// is bound to a list of members, each a scorer (candidate query + SDist
+/// normaliser) over the view's store, and works on small blocks of objects
+/// (one KcR-tree leaf, or one slice of a scan). A block is decoded ONCE for
+/// every member: per object its global id, |o.doc|, a bitmask over the
+/// union of the members' query keywords (several 64-bit words when the
+/// union exceeds 64), and ws·(1 − SDist) per distinct (loc, ws, dist_norm)
+/// query shape. A member's score of a decoded object is then
+///
+///   spatial + wt · inter / (|q'| + |o.doc| − inter),
+///   inter = popcount(object mask & member mask),
+///
+/// the same IEEE operations on the same operands as Scorer::Score, so every
+/// score is bit-identical to it (the build disables FMA contraction, which
+/// could fuse the final multiply-add differently in the two places).
+/// Scratch is sized to the largest block decoded; nothing scales with the
+/// store.
+class OutrankKernel {
+ public:
+  /// `scorers` must be bound to `view.store` (the kernel copies what it
+  /// needs from them); `view` must outlive the kernel.
+  OutrankKernel(const OracleShardView& view,
+                const std::vector<const Scorer*>& scorers);
+
+  /// Replaces the decoded block with a leaf's objects / local ids
+  /// [first, last).
+  void DecodeLeaf(const KcRTree::Node& leaf);
+  void DecodeRange(ObjectId first, ObjectId last);
+
+  size_t decoded() const { return gid_.size(); }
+  ObjectId global_id(size_t i) const { return gid_[i]; }
+
+  /// Member `m`'s score of decoded object `i`.
+  double Score(size_t m, size_t i) const;
+
+  /// Tie-aware count of decoded objects outranking a target of member `m`
+  /// scoring `target_score` (D6 order on GLOBAL ids); the target itself is
+  /// skipped, every other object adds one to `*scored`.
+  size_t CountOutranking(size_t m, double target_score, ObjectId target,
+                         size_t* scored) const;
+
+ private:
+  struct Shape {
+    Point loc;
+    double ws = 0.0;
+    double dist_norm = 0.0;
+  };
+  struct Member {
+    size_t shape = 0;
+    size_t qlen = 0;  // |q'.doc|.
+    double wt = 0.0;
+  };
+
+  void Resize(size_t count);
+  void Decode(size_t i, ObjectId local);
+
+  const OracleShardView* view_;
+  std::vector<TermId> terms_;  // Sorted union of the members' keywords.
+  uint64_t filter_[4] = {};    // Bit t % 256 set for every t in terms_.
+  size_t words_ = 1;           // 64-bit mask words per object / member.
+  std::vector<Shape> shapes_;
+  std::vector<Member> members_;
+  std::vector<uint64_t> member_masks_;  // members_.size() × words_.
+  // The decoded block, one column per field.
+  std::vector<ObjectId> gid_;
+  std::vector<uint32_t> len_;
+  std::vector<uint64_t> masks_;  // decoded() × words_.
+  std::vector<double> spatial_;  // decoded() × shapes_.size(), object-major.
+};
+
+/// One target of a shard scan: the query it is ranked under and its score.
+struct ScanTarget {
+  const Query* query = nullptr;
+  double target_score = 0.0;
+  ObjectId target = kInvalidObject;  // Global id.
+};
+
+/// Tie-aware scan counts of the objects in one shard outscoring each
+/// target under `dist_norm`: score > target_score, or == with global id <
+/// target (D6). A target (present in at most one shard) is skipped by
+/// global id. One pass over the store serves every target through
+/// OutrankKernel.
+std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
+                                        double dist_norm,
+                                        const std::vector<ScanTarget>& targets);
 
 /// One shard's Eqn. (3) score-plane state for one query: the plane points
 /// (basic mode) or a ScorePlaneIndex over them (optimized mode), with the
@@ -104,11 +185,17 @@ class ShardRankRefiner {
   size_t count_upper() const { return exact_ + sum_upper_; }
   bool resolved() const { return frontier_.empty() || sum_lower_ == sum_upper_; }
 
-  /// Descends the whole frontier one tree level ("when traversing the
-  /// KcR-tree downwards, we get tighter bounds", §3.3): every frontier node
-  /// is replaced by its children's bounds, leaves by exact tie-aware counts.
-  /// No-op when resolved.
-  void RefineLevel();
+  /// Descends every listed refiner's frontier one tree level ("when
+  /// traversing the KcR-tree downwards, we get tighter bounds", §3.3): each
+  /// frontier node is replaced by its children's bounds, each leaf by its
+  /// exact tie-aware count. Resolved refiners are no-ops; all refiners must
+  /// share one shard view. Refiners should be distinct: a repeated one is
+  /// refined once, not once per listing. Two phases: inner nodes expand per
+  /// refiner, then the opened leaves are walked once in node order, each
+  /// decoded once by an OutrankKernel over the batch and counted for every
+  /// refiner that opened it. Counts, bounds and work counters equal those of
+  /// refining each refiner on its own.
+  static void RefineLevel(const std::vector<ShardRankRefiner*>& refiners);
 
  private:
   struct Frontier {
@@ -116,6 +203,9 @@ class ShardRankRefiner {
     CountBounds bounds;
   };
 
+  /// Phase 1 of a level: replaces every inner frontier node by its
+  /// children's bounds and moves the frontier leaves to `leaves_`, sorted.
+  void ExpandInner();
   void PushNode(KcRTree::NodeId id, const KcRTree::Node& node);
 
   const OracleShardView* view_;
@@ -124,6 +214,8 @@ class ShardRankRefiner {
   double target_score_;
   KeywordAdaptStats* stats_;
   std::vector<Frontier> frontier_;
+  std::vector<KcRTree::NodeId> leaves_;  // Reused across levels.
+  bool in_level_ = false;  // Set only during RefineLevel's phase 1.
   size_t exact_ = 0;
   size_t sum_lower_ = 0;
   size_t sum_upper_ = 0;

@@ -180,8 +180,9 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
 /// query copy plus one ShardRankRefiner per shard; rank interval of a member
 /// = 1 + elementwise sum of its shard count intervals. RefineLevel descends
 /// every listed member's open frontiers in ONE fan-out (each shard task
-/// walks all members), so the pool — or, remotely, the wire — is hit once
-/// per level instead of once per (member, level). Members live behind
+/// runs ShardRankRefiner::RefineLevel over all listed members, decoding
+/// each opened leaf once), so the pool — or, remotely, the wire — is hit
+/// once per level instead of once per (member, level). Members live behind
 /// unique_ptrs: the per-shard scorers point into the member's query copy,
 /// which therefore must never move.
 class ContextRankProbeBatch : public RankProbeBatch {
@@ -271,10 +272,12 @@ class ContextRankProbeBatch : public RankProbeBatch {
       }
     }
     ForShards(*ctx_, active, [&](size_t s) {
+      std::vector<ShardRankRefiner*> refiners;
+      refiners.reserve(members.size());
       for (size_t m : members) {
-        ShardRankRefiner& r = *members_[m]->refiners[s];
-        if (!r.resolved()) r.RefineLevel();
+        refiners.push_back(members_[m]->refiners[s].get());
       }
+      ShardRankRefiner::RefineLevel(refiners);
     });
   }
 
@@ -391,9 +394,10 @@ size_t ContextWhyNotOracle::OutscoringCount(const Query& query,
   const size_t n = ctx_.views.size();
   std::vector<size_t> counts(n, 0);
   ForEachShard(ctx_, [&](size_t s) {
-    const Scorer scorer(*ctx_.views[s].store, query, ctx_.dist_norm);
-    counts[s] =
-        ShardScanOutscoring(ctx_.views[s], scorer, target_score, global_id);
+    counts[s] = ShardScanOutscoring(ctx_.views[s], ctx_.dist_norm,
+                                    {ScanTarget{&query, target_score,
+                                                global_id}})
+                    .front();
   });
   size_t above = 0;
   for (size_t s = 0; s < n; ++s) {
@@ -408,22 +412,18 @@ std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
     KeywordAdaptStats* stats) const {
   // Target scores are resolved up front (the target of a spec need not live
   // in any particular shard), then one fan-out scans every spec per shard.
-  std::vector<double> target_scores;
-  target_scores.reserve(specs.size());
+  std::vector<ScanTarget> targets;
+  targets.reserve(specs.size());
   for (const OracleTargetSpec& spec : specs) {
-    target_scores.push_back(
-        ScorePartsOf(*spec.query, ctx_.dist_norm, Object(spec.target)).score);
+    targets.push_back(ScanTarget{
+        spec.query,
+        ScorePartsOf(*spec.query, ctx_.dist_norm, Object(spec.target)).score,
+        spec.target});
   }
   const size_t n = ctx_.views.size();
-  std::vector<std::vector<size_t>> counts(n,
-                                          std::vector<size_t>(specs.size()));
+  std::vector<std::vector<size_t>> counts(n);
   ForEachShard(ctx_, [&](size_t s) {
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const Scorer scorer(*ctx_.views[s].store, *specs[i].query,
-                          ctx_.dist_norm);
-      counts[s][i] = ShardScanOutscoring(ctx_.views[s], scorer,
-                                         target_scores[i], specs[i].target);
-    }
+    counts[s] = ShardScanOutscoring(ctx_.views[s], ctx_.dist_norm, targets);
   });
   std::vector<size_t> total(specs.size(), 0);
   for (size_t s = 0; s < n; ++s) {

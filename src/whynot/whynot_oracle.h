@@ -151,7 +151,8 @@ class RankProbeBatch {
   virtual size_t upper(size_t i) const = 0;
   virtual bool resolved(size_t i) const = 0;
   /// Descends every listed member's open frontiers one level in one fan-out.
-  /// Members already resolved are no-ops.
+  /// Members already resolved are no-ops. Listed members must be distinct
+  /// (a remote shard answers a repeated index with 400).
   virtual void RefineLevel(const std::vector<size_t>& members) = 0;
 };
 
