@@ -3,33 +3,35 @@
 // Boots 1/2/4 ShardService instances (the yask_shard_server core) over a
 // partitioned benchmark dataset, connects a RemoteCorpus coordinator, and
 // runs the /query + /whynot workload through the wire — measuring what the
-// network hop costs and what the batched oracle calls buy back.
+// network hop costs and how many round-trips a why-not answer takes.
 //
 // Exactness gates (non-zero exit on any failure, like bench_sharded):
 //   * every remote top-k result and why-not answer must be BIT-identical to
 //     the unsharded reference engine (which PR 2/3 already gate against the
 //     in-process sharded layout);
-//   * batched keyword adaption must issue exactly one probe-refine fan-out
-//     per refinement level (stats.probe_fanouts == stats.refine_levels);
-//   * per question, the batched search must spend no more wire round-trips
-//     than the per-probe search it replaces;
-//   * the batched Eqn. (3) sweep (segment CountAboveBatch fan-outs) must
-//     return the byte-same refinement with identical crossing/candidate
-//     counters as the per-event sweep, in no more round-trips per question.
+//   * keyword adaption must issue exactly one probe-refine fan-out per
+//     refinement level (stats.probe_fanouts == stats.refine_levels);
+//   * round-trip accounting, from each shard's own per-route request
+//     counts: the Eqn. (3) sweep sends no per-pair /shard/plane/count and
+//     exactly one /shard/plane/count_batch per sweep fan-out to every
+//     shard; Eqn. (4) closes every probe session it opens, and sends each
+//     shard at most one /shard/probe/refine per probe fan-out, at least one
+//     per fan-out over all shards (a shard whose frontiers for every listed
+//     member are closed is skipped). Per-pair or per-probe traffic breaks
+//     these counts and fails the run.
 //
-// The headline numbers: HTTP round-trips per why-not answer, before and
-// after batching — for the Eqn. (4) probes (KeywordAdaptOptions::
-// batch_probes) and the Eqn. (3) weight sweep (PreferenceAdjustOptions::
-// batch_sweep) — the quantity that dominates remote why-not latency once
-// shards leave the coordinator's address space.
+// The headline numbers: HTTP round-trips per why-not answer for the
+// Eqn. (4) probes and the Eqn. (3) weight sweep — the quantity that
+// dominates remote why-not latency once shards leave the coordinator's
+// address space.
 //
 //   $ ./bench_remote_shards [--n=50000] [--queries=40] [--questions=10]
 //                           [--json=BENCH_remote_shards.json]
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -147,14 +149,40 @@ struct RemoteRun {
   size_t shards = 0;
   double topk_ms_per_query = 0.0;
   double whynot_ms_per_question = 0.0;
-  double batched_rt_per_question = 0.0;    // Round-trips, keyword adaption.
-  double perprobe_rt_per_question = 0.0;
-  double sweep_batched_rt_per_question = 0.0;  // Round-trips, Eqn. (3) sweep.
-  double sweep_perevent_rt_per_question = 0.0;
+  double kw_rt_per_question = 0.0;     // Round-trips, keyword adaption.
+  double sweep_rt_per_question = 0.0;  // Round-trips, Eqn. (3) sweep.
   bool exact = true;
-  bool fanout_gate = true;  // probe_fanouts == refine_levels (batched).
-  bool batching_gate = true;  // batched round-trips <= per-probe.
-  bool sweep_gate = true;  // batched sweep round-trips <= per-event.
+  bool fanout_gate = true;  // probe_fanouts == refine_levels.
+  bool kw_rt_gate = true;     // Probe route counts match the counters.
+  bool sweep_rt_gate = true;  // Plane route counts match the counters.
+};
+
+/// Requests each shard has served so far on the shardrpc routes the why-not
+/// algorithms use, read from the shard's own per-route request histogram.
+struct RouteCounts {
+  std::map<std::string, std::vector<uint64_t>> served;
+
+  static RouteCounts Take(const ShardFleet& fleet) {
+    RouteCounts counts;
+    for (const char* route :
+         {shardrpc::kProbeOpenPath, shardrpc::kProbeRefinePath,
+          shardrpc::kProbeClosePath, shardrpc::kPlaneCountPath,
+          shardrpc::kPlaneCountBatchPath}) {
+      for (const auto& service : fleet.services) {
+        counts.served[route].push_back(
+            service->metrics()
+                .GetHistogram("yask_shard_request_ms", {{"endpoint", route}})
+                ->count());
+      }
+    }
+    return counts;
+  }
+
+  /// Requests shard `s` served on `route` between `before` and this.
+  uint64_t Since(const RouteCounts& before, const char* route,
+                 size_t s) const {
+    return served.at(route)[s] - before.served.at(route)[s];
+  }
 };
 
 bool SamePreference(const RefinedPreferenceQuery& a,
@@ -228,9 +256,8 @@ int main(int argc, char** argv) {
     expected_answers.push_back(std::move(answer).value());
   }
 
-  std::printf("%-10s %10s %12s %14s %14s %15s %16s  %s\n", "shards",
-              "topk ms/q", "whynot ms/q", "kw rt batched", "kw rt perprobe",
-              "sweep rt batched", "sweep rt perevent", "gates");
+  std::printf("%-10s %10s %12s %14s %16s  %s\n", "shards", "topk ms/q",
+              "whynot ms/q", "kw rt/question", "sweep rt/question", "gates");
   std::vector<RemoteRun> runs;
   for (const size_t shards : {1, 2, 4}) {
     const ShardedCorpus sharded = ShardedCorpus::Partition(
@@ -271,27 +298,16 @@ int main(int argc, char** argv) {
       run.whynot_ms_per_question = timer.ElapsedMillis() / questions.size();
     }
 
-    // (c) The round-trip meter: keyword adaption with the batched seam vs
-    // the per-probe seam it replaces, both over the wire, both gated to the
-    // same refined query.
-    uint64_t batched_rt = 0;
-    uint64_t perprobe_rt = 0;
+    // (c) The keyword-adaption round-trip meter, gated to the unsharded
+    // refinement and to the probe traffic its counters predict.
+    uint64_t kw_rt = 0;
     for (const Question& q : questions) {
-      KeywordAdaptOptions batched;
-      batched.batch_probes = true;
-      KeywordAdaptOptions perprobe;
-      perprobe.batch_probes = false;
-
-      uint64_t before = remote.total_requests();
-      auto rb = AdaptKeywords(oracle, q.query, q.missing, batched);
-      const uint64_t rb_rt = remote.total_requests() - before;
-      before = remote.total_requests();
-      auto rp = AdaptKeywords(oracle, q.query, q.missing, perprobe);
-      const uint64_t rp_rt = remote.total_requests() - before;
-      batched_rt += rb_rt;
-      perprobe_rt += rp_rt;
-
-      if (!rb.ok() || !rp.ok() || !SameRefinement(*rb, *rp)) {
+      const uint64_t requests = remote.total_requests();
+      const RouteCounts before = RouteCounts::Take(fleet);
+      auto rb = AdaptKeywords(oracle, q.query, q.missing);
+      const RouteCounts after = RouteCounts::Take(fleet);
+      kw_rt += remote.total_requests() - requests;
+      if (!rb.ok()) {
         run.exact = false;
         continue;
       }
@@ -302,65 +318,63 @@ int main(int argc, char** argv) {
       if (rb->stats.probe_fanouts != rb->stats.refine_levels) {
         run.fanout_gate = false;
       }
-      if (rb_rt > rp_rt) run.batching_gate = false;
+      uint64_t refines = 0;
+      for (size_t s = 0; s < shards; ++s) {
+        const uint64_t shard_refines =
+            after.Since(before, shardrpc::kProbeRefinePath, s);
+        if (after.Since(before, shardrpc::kProbeOpenPath, s) !=
+                after.Since(before, shardrpc::kProbeClosePath, s) ||
+            shard_refines > rb->stats.probe_fanouts) {
+          run.kw_rt_gate = false;
+        }
+        refines += shard_refines;
+      }
+      if (refines < rb->stats.probe_fanouts) run.kw_rt_gate = false;
     }
-    run.batched_rt_per_question =
-        static_cast<double>(batched_rt) / questions.size();
-    run.perprobe_rt_per_question =
-        static_cast<double>(perprobe_rt) / questions.size();
+    run.kw_rt_per_question = static_cast<double>(kw_rt) / questions.size();
 
-    // (d) The Eqn. (3) sweep round-trip meter: the speculative segment sweep
-    // (CountAboveBatch, one /shard/plane/count_batch per segment) vs the
-    // per-event sweep it replaces (one /shard/plane/count per candidate
-    // weight per anchor), both over the wire, both gated to the byte-same
-    // refinement with identical crossing/candidate counters.
-    uint64_t sweep_batched_rt = 0;
-    uint64_t sweep_perevent_rt = 0;
+    // (d) The Eqn. (3) sweep round-trip meter: the segment sweep holds one
+    // plane session per shard and ships every segment as one
+    // /shard/plane/count_batch — gated to the unsharded refinement and to
+    // exactly the count requests its counters predict.
+    uint64_t sweep_rt = 0;
     for (const Question& q : questions) {
-      PreferenceAdjustOptions batched;
-      batched.batch_sweep = true;
-      PreferenceAdjustOptions perevent;
-      perevent.batch_sweep = false;
-
-      uint64_t before = remote.total_requests();
-      auto rb = AdjustPreference(oracle, q.query, q.missing, batched);
-      const uint64_t rb_rt = remote.total_requests() - before;
-      before = remote.total_requests();
-      auto rp = AdjustPreference(oracle, q.query, q.missing, perevent);
-      const uint64_t rp_rt = remote.total_requests() - before;
-      sweep_batched_rt += rb_rt;
-      sweep_perevent_rt += rp_rt;
-
-      if (!rb.ok() || !rp.ok() || !SamePreference(*rb, *rp)) {
+      const uint64_t requests = remote.total_requests();
+      const RouteCounts before = RouteCounts::Take(fleet);
+      auto rb = AdjustPreference(oracle, q.query, q.missing);
+      const RouteCounts after = RouteCounts::Take(fleet);
+      sweep_rt += remote.total_requests() - requests;
+      if (!rb.ok()) {
         run.exact = false;
         continue;
       }
-      auto local = AdjustPreference(baseline.store(), q.query, q.missing,
-                                    perevent);
+      auto local = AdjustPreference(baseline.store(), q.query, q.missing);
       if (!local.ok() || !SamePreference(*rb, *local)) run.exact = false;
-      if (rb_rt > rp_rt) run.sweep_gate = false;
+      for (size_t s = 0; s < shards; ++s) {
+        if (after.Since(before, shardrpc::kPlaneCountPath, s) != 0 ||
+            after.Since(before, shardrpc::kPlaneCountBatchPath, s) !=
+                rb->stats.sweep_fanouts) {
+          run.sweep_rt_gate = false;
+        }
+      }
     }
-    run.sweep_batched_rt_per_question =
-        static_cast<double>(sweep_batched_rt) / questions.size();
-    run.sweep_perevent_rt_per_question =
-        static_cast<double>(sweep_perevent_rt) / questions.size();
+    run.sweep_rt_per_question =
+        static_cast<double>(sweep_rt) / questions.size();
 
-    std::printf(
-        "%-10zu %10.2f %12.2f %14.1f %14.1f %15.1f %16.1f  %s%s%s%s\n",
-        shards, run.topk_ms_per_query, run.whynot_ms_per_question,
-        run.batched_rt_per_question, run.perprobe_rt_per_question,
-        run.sweep_batched_rt_per_question, run.sweep_perevent_rt_per_question,
-        run.exact ? "exact" : "EXACTNESS BUG",
-        run.fanout_gate ? "" : " FANOUT BUG",
-        run.batching_gate ? "" : " BATCHING BUG",
-        run.sweep_gate ? "" : " SWEEP BUG");
+    std::printf("%-10zu %10.2f %12.2f %14.1f %16.1f  %s%s%s%s\n", shards,
+                run.topk_ms_per_query, run.whynot_ms_per_question,
+                run.kw_rt_per_question, run.sweep_rt_per_question,
+                run.exact ? "exact" : "EXACTNESS BUG",
+                run.fanout_gate ? "" : " FANOUT BUG",
+                run.kw_rt_gate ? "" : " KW ROUND-TRIP BUG",
+                run.sweep_rt_gate ? "" : " SWEEP ROUND-TRIP BUG");
     runs.push_back(run);
   }
 
   bool all_ok = true;
   for (const RemoteRun& r : runs) {
-    all_ok = all_ok && r.exact && r.fanout_gate && r.batching_gate &&
-             r.sweep_gate;
+    all_ok = all_ok && r.exact && r.fanout_gate && r.kw_rt_gate &&
+             r.sweep_rt_gate;
   }
 
   JsonValue context = JsonValue::MakeObject();
@@ -377,25 +391,9 @@ int main(int argc, char** argv) {
   if (!runs.empty()) {
     const RemoteRun& last = runs.back();
     context.Set("kw_roundtrips_batched_4_shards",
-                JsonValue(last.batched_rt_per_question));
-    context.Set("kw_roundtrips_perprobe_4_shards",
-                JsonValue(last.perprobe_rt_per_question));
-    context.Set(
-        "kw_roundtrip_reduction_4_shards",
-        JsonValue(last.batched_rt_per_question > 0.0
-                      ? last.perprobe_rt_per_question /
-                            last.batched_rt_per_question
-                      : 0.0));
+                JsonValue(last.kw_rt_per_question));
     context.Set("sweep_roundtrips_batched_4_shards",
-                JsonValue(last.sweep_batched_rt_per_question));
-    context.Set("sweep_roundtrips_perevent_4_shards",
-                JsonValue(last.sweep_perevent_rt_per_question));
-    context.Set(
-        "sweep_roundtrip_reduction_4_shards",
-        JsonValue(last.sweep_batched_rt_per_question > 0.0
-                      ? last.sweep_perevent_rt_per_question /
-                            last.sweep_batched_rt_per_question
-                      : 0.0));
+                JsonValue(last.sweep_rt_per_question));
   }
 
   JsonValue benches = JsonValue::MakeArray();
@@ -416,13 +414,9 @@ int main(int argc, char** argv) {
     bench_row("remote_shards/topk" + tag, r.topk_ms_per_query, "ms");
     bench_row("remote_shards/whynot" + tag, r.whynot_ms_per_question, "ms");
     bench_row("remote_shards/kw_roundtrips_batched" + tag,
-              r.batched_rt_per_question, "roundtrips");
-    bench_row("remote_shards/kw_roundtrips_perprobe" + tag,
-              r.perprobe_rt_per_question, "roundtrips");
+              r.kw_rt_per_question, "roundtrips");
     bench_row("remote_shards/sweep_roundtrips_batched" + tag,
-              r.sweep_batched_rt_per_question, "roundtrips");
-    bench_row("remote_shards/sweep_roundtrips_perevent" + tag,
-              r.sweep_perevent_rt_per_question, "roundtrips");
+              r.sweep_rt_per_question, "roundtrips");
   }
 
   JsonValue doc = JsonValue::MakeObject();
@@ -437,6 +431,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
 
   // Gate hard: a remote tier that answers differently, or that quietly
-  // regresses to per-probe round-trips, must fail the run.
+  // spends round-trips its counters do not predict (per-pair or per-probe
+  // traffic), must fail the run.
   return all_ok ? 0 : 1;
 }

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     if (arg == "--version") {
       // Machine-readable build identity: the rolling-upgrade CI job asserts
       // every process in the fleet runs the expected sha, and operators
-      // check protocol compatibility before a mixed-version cutover.
+      // check that every shard speaks a version inside this range.
       std::printf("yask_server_demo %s shardrpc=%u..%u\n", BuildGitSha(),
                   shardrpc::kMinSupportedProtocolVersion,
                   shardrpc::kProtocolVersion);

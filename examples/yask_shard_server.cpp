@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
-      // Build identity + the shardrpc protocol range this binary speaks.
-      // The rolling-upgrade CI job compares this across the fleet; a
-      // coordinator accepts any replica whose version overlaps its range.
+      // Build identity + the shardrpc range a coordinator of this build
+      // accepts. The shard itself speaks the upper bound; the rolling-upgrade
+      // CI job compares this across the fleet.
       std::printf("yask_shard_server %s shardrpc=%u..%u\n", BuildGitSha(),
                   shardrpc::kMinSupportedProtocolVersion,
                   shardrpc::kProtocolVersion);

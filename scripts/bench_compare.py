@@ -140,10 +140,10 @@ def main(argv):
         lines.append("")
 
     # Round-trip rollup: the batching trajectory (Eqn. (3) sweep segments and
-    # Eqn. (4) probe levels vs their unbatched twins) in one table. These rows
-    # come from exactness-gated benches whose binaries already fail on any
-    # batched-vs-unbatched divergence or round-trip regression, so here they
-    # are reported, not re-gated.
+    # Eqn. (4) probe levels) in one table. These rows come from
+    # exactness-gated benches whose binaries already fail on any divergence
+    # or on round-trips their own counters do not predict, so here they are
+    # reported, not re-gated.
     trips = []
     for bench in sorted(current):
         for name, (value, unit) in sorted(current[bench].items()):

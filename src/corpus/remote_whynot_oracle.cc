@@ -249,13 +249,6 @@ size_t RemoteShardOracle::Rank(const Query& query, ObjectId global_id) const {
          1;
 }
 
-size_t RemoteShardOracle::OutscoringCount(const Query& query,
-                                          ObjectId global_id,
-                                          KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&query, global_id}};
-  return OutscoringCountBatch(specs, stats)[0];
-}
-
 std::vector<size_t> RemoteShardOracle::OutscoringCountBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
@@ -277,14 +270,6 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
         oracle_(oracle),
         query_(query),
         optimized_(mode == PrefAdjustMode::kOptimized) {
-    // The batch route is v3; with any older shard in the fleet the session
-    // falls back to the per-pair route (the base-class CountAboveBatch loop)
-    // and advertises segment size 1 so the sweep doesn't speculate for
-    // nothing.
-    batch_route_ = true;
-    for (size_t s = 0; s < corpus->num_shards(); ++s) {
-      batch_route_ = batch_route_ && corpus->meta(s).protocol_version >= 3;
-    }
     BufWriter req;
     shardrpc::PutQuery(&req, *query);
     req.PutU8(optimized_ ? 1 : 0);
@@ -308,50 +293,10 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
     return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
   }
 
-  size_t CountAbove(double w, const PlanePoint& anchor,
-                    PreferenceAdjustStats* stats) const override {
-    BufWriter req;
-    req.PutU64(0);  // Session slot, stamped by the channel.
-    req.PutF64(w);
-    shardrpc::PutPlanePoint(&req, anchor);
-    const std::string body = req.data();
-    const size_t n = channels_.size();
-    std::vector<size_t> counts(n, 0);
-    std::vector<size_t> nodes(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      // Open failed on every replica: the epoch is already bumped; re-asking
-      // would just burn one doomed round-trip per sweep event.
-      if (!channels_[s]->live()) return;
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCountPath, body,
-                             /*mutates=*/false);
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      counts[s] = in.GetU64();
-      nodes[s] = in.GetU64();
-      if (!in.ok()) corpus_->RecordError(in.status());
-    });
-    size_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      total += counts[s];
-      stats->index_nodes_visited += nodes[s];
-    }
-    if (!optimized_) ++stats->full_rescans;  // One logical dataset rescan.
-    return total;
-  }
-
   std::vector<size_t> CountAboveBatch(
       const std::vector<double>& weights,
       const std::vector<PlanePoint>& anchors,
       PreferenceAdjustStats* stats) const override {
-    if (!batch_route_) {
-      // Pre-v3 shard in the fleet: per-pair /shard/plane/count calls (the
-      // base-class loop over CountAbove) — identical counts, more trips.
-      return ScorePlaneSession::CountAboveBatch(weights, anchors, stats);
-    }
     BufWriter req;
     req.PutU64(0);  // Session slot, stamped by the channel.
     req.PutVarU64(weights.size());
@@ -400,7 +345,6 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
   }
 
   size_t PreferredSweepBatch() const override {
-    if (!batch_route_) return 1;  // No batch route: speculation buys nothing.
     // The fleet's slowest shard gates every fan-out, so IT sets how much a
     // saved round-trip is worth.
     size_t batch = 1;
@@ -455,7 +399,6 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
   const WhyNotOracle* oracle_;
   const Query* query_;
   bool optimized_;
-  bool batch_route_ = true;  // Every shard speaks shardrpc v3+.
   // mutable: channels fail over (re-open + re-pin) inside const sweeps.
   mutable std::vector<std::unique_ptr<ShardSessionChannel>> channels_;
 };
@@ -619,14 +562,6 @@ std::unique_ptr<ScorePlaneSession> RemoteShardOracle::PrepareScorePlane(
     const Query& query, PrefAdjustMode mode) const {
   return std::make_unique<RemoteScorePlaneSession>(corpus_, this, &query,
                                                    mode);
-}
-
-std::unique_ptr<RankProbe> RemoteShardOracle::ProbeRank(
-    const Query& candidate, ObjectId global_id,
-    KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&candidate, global_id}};
-  return std::make_unique<BatchOfOneProbe>(
-      std::make_unique<RemoteRankProbeBatch>(corpus_, this, specs, stats));
 }
 
 std::unique_ptr<RankProbeBatch> RemoteShardOracle::ProbeRankBatch(

@@ -13,9 +13,11 @@
 //     (candidate, missing) pairs of a chunk;
 //   * ProbeRankBatch: one /shard/probe/open per shard, then ONE
 //     /shard/probe/refine per shard per refinement level across all live
-//     candidates — instead of one round-trip per probe per level;
+//     candidates;
 //   * the Eqn. (3) weight sweep holds one server-side plane session per
-//     shard and pays one round-trip per sweep event.
+//     shard and pays one /shard/plane/count_batch round-trip per shard per
+//     sweep SEGMENT (every candidate weight × missing object of the
+//     segment; the segment size adapts to the observed RPC latency).
 //
 // Failure model: every stateless fan-out rides ReplicaSet::Call, which
 // fails over to a sibling replica mid-call; the plane/probe sessions are
@@ -38,8 +40,8 @@
 
 namespace yask {
 
-/// The corpus must outlive the oracle. ProbeRank/ProbeRankBatch require
-/// every remote shard to carry its KcR-tree (corpus.has_kcr()).
+/// The corpus must outlive the oracle. ProbeRankBatch requires every remote
+/// shard to carry its KcR-tree (corpus.has_kcr()).
 class RemoteShardOracle : public WhyNotOracle {
  public:
   explicit RemoteShardOracle(const RemoteCorpus& corpus)
@@ -56,16 +58,11 @@ class RemoteShardOracle : public WhyNotOracle {
   }
 
   size_t Rank(const Query& query, ObjectId global_id) const override;
-  size_t OutscoringCount(const Query& query, ObjectId global_id,
-                         KeywordAdaptStats* stats) const override;
   std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
-  std::unique_ptr<RankProbe> ProbeRank(const Query& candidate,
-                                       ObjectId global_id,
-                                       KeywordAdaptStats* stats) const override;
   std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
@@ -73,7 +70,7 @@ class RemoteShardOracle : public WhyNotOracle {
   const RemoteCorpus& corpus() const { return *corpus_; }
 
  private:
-  /// Batched /shard/count fan-out shared by Rank / OutscoringCount(Batch).
+  /// Batched /shard/count fan-out shared by Rank / OutscoringCountBatch.
   std::vector<size_t> CountFanout(const std::vector<OracleTargetSpec>& specs,
                                   uint8_t method) const;
 

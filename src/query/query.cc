@@ -16,6 +16,11 @@ double Weights::PenaltyNormalizer() const {
 }
 
 Status Query::Validate() const {
+  // A non-finite coordinate has no distance to anything: it would reach
+  // scoring as inf/NaN and the result-cache key as a distinct bit pattern.
+  if (!std::isfinite(loc.x) || !std::isfinite(loc.y)) {
+    return Status::InvalidArgument("query location must be finite");
+  }
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (!(w.ws > 0.0 && w.ws < 1.0) || !(w.wt > 0.0 && w.wt < 1.0)) {
     return Status::InvalidArgument("weights must lie strictly in (0, 1)");

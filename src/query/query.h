@@ -40,8 +40,8 @@ struct Query {
   uint32_t k = 10;
   Weights w;
 
-  /// Validates the paper's constraints: k >= 1, 0 < ws,wt < 1, ws + wt = 1
-  /// (within fp tolerance), non-empty keyword set.
+  /// Validates the paper's constraints: finite location, k >= 1,
+  /// 0 < ws,wt < 1, ws + wt = 1 (within fp tolerance), non-empty keyword set.
   Status Validate() const;
 
   std::string ToString(const Vocabulary& vocab) const;

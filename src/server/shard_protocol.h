@@ -53,15 +53,16 @@ namespace shardrpc {
 /// grows GET /shard/trace (+ /metrics). A server must TOLERATE the header's
 /// absence — untraced requests are served identically.
 /// v3: adds POST /shard/plane/count_batch (K weights × A anchors per
-/// request — the Eqn. (3) sweep-segment batch). Purely additive: every v2
-/// route is unchanged, so a v3 coordinator serves a v2 shard by falling
-/// back to per-pair /shard/plane/count, and a v3 shard serves a v2
-/// coordinator verbatim.
+/// request — the Eqn. (3) sweep-segment batch). The coordinator's weight
+/// sweep speaks only this route, so the coordinator requires v3 shards.
 inline constexpr uint32_t kProtocolVersion = 3;
 
-/// Oldest shard-server version this coordinator still speaks (v3 only added
-/// a route, so v2 servers remain fully usable minus the batch fast path).
-inline constexpr uint32_t kMinSupportedProtocolVersion = 2;
+/// Oldest shard-server version this coordinator speaks. One version: the
+/// coordinator refuses older shards, and also any shard newer than its own
+/// kProtocolVersion, so a protocol bump cannot be rolled in replica by
+/// replica — the coordinator and its fleet move to the new version together
+/// (docs/operations.md, "Protocol upgrades").
+inline constexpr uint32_t kMinSupportedProtocolVersion = 3;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -71,6 +72,8 @@ inline constexpr char kFindPath[] = "/shard/find";
 inline constexpr char kTopKPath[] = "/shard/topk";
 inline constexpr char kCountPath[] = "/shard/count";
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
+/// One (weight, anchor) pair. Still served; the coordinator's sweep sends
+/// every segment as one count_batch instead.
 inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 /// v3+. Request: u64 session slot, varu64 K + K raw-F64 weights, varu64 A +
 /// A plane points. Response: varu64 K*A + K*A u64 counts (row-major, weight

@@ -293,7 +293,8 @@ HttpResponse ShardService::HandleHealth(const HttpRequest&) {
   out.Set("protocol_version",
           JsonValue(static_cast<size_t>(shardrpc::kProtocolVersion)));
   // Build identity for rolling upgrades: which binary this replica runs and
-  // which shardrpc range it speaks (same shape as the coordinator's).
+  // the shardrpc range a coordinator of this build accepts (same shape as
+  // the coordinator's; this replica speaks protocol_version, the maximum).
   JsonValue build = JsonValue::MakeObject();
   build.Set("git_sha", JsonValue(std::string(BuildGitSha())));
   build.Set("shardrpc_min", JsonValue(static_cast<size_t>(

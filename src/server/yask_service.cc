@@ -1,6 +1,7 @@
 #include "src/server/yask_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -19,11 +20,14 @@ namespace yask {
 
 namespace {
 
-/// Range-checked double -> integer conversions for client-supplied JSON
-/// numbers (a bare static_cast from a negative or huge double is UB).
+/// Checked double -> integer conversions for client-supplied JSON numbers:
+/// a value outside the type's range (a bare static_cast from a negative or
+/// huge double is UB) or with a fractional part (which a cast would
+/// silently truncate: "k": 2.5 is not k = 2) is rejected.
 bool ToUint32(double v, uint32_t* out) {
   if (!(v >= 0.0 && v <= static_cast<double>(
-                             std::numeric_limits<uint32_t>::max()))) {
+                             std::numeric_limits<uint32_t>::max())) ||
+      std::trunc(v) != v) {
     return false;
   }
   *out = static_cast<uint32_t>(v);
@@ -31,7 +35,9 @@ bool ToUint32(double v, uint32_t* out) {
 }
 
 bool ToUint64(double v, uint64_t* out) {
-  if (!(v >= 0.0 && v < 18446744073709551616.0)) return false;
+  if (!(v >= 0.0 && v < 18446744073709551616.0) || std::trunc(v) != v) {
+    return false;
+  }
   *out = static_cast<uint64_t>(v);
   return true;
 }
@@ -684,7 +690,7 @@ HttpResponse YaskService::HandleQuery(const HttpRequest& req) {
   q.doc = LookupKeywords(in.Get("keywords").as_string(), vocab());
   q.k = 10;
   if (in.Get("k").is_number() && !ToUint32(in.Get("k").as_number(), &q.k)) {
-    return HttpResponse::Error(400, "k out of range");
+    return HttpResponse::Error(400, "k must be a non-negative integer");
   }
   q.w = options_.system_weights;  // §3.2: w is a server-side parameter.
   if (Status s = q.Validate(); !s.ok()) {
@@ -831,7 +837,8 @@ HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
     if (v.is_number()) {
       uint32_t id = 0;
       if (!ToUint32(v.as_number(), &id)) {
-        return HttpResponse::Error(400, "missing object id out of range");
+        return HttpResponse::Error(
+            400, "missing object id must be a non-negative integer");
       }
       missing.push_back(id);
     } else if (v.is_string()) {

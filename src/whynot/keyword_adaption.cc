@@ -167,83 +167,15 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     if (better) best = Best{doc, rank, pen, delta_doc, rank_exact};
   };
 
-  // --- Candidate evaluators. Both offer a candidate to the running best
-  // exactly when its true penalty is at most the best so far, and every cut
-  // is strict, so the final winner is independent of the evaluation
-  // schedule — which is what lets the batched path regroup the work without
-  // changing the answer. ---
-
-  // Per-candidate bound-and-prune (the per-probe legacy path, kept for the
-  // before/after round-trip comparison of bench_remote_shards): one rank
-  // probe per missing object, refining the widest probe one level per
-  // oracle call.
-  auto evaluate_with_probes = [&](const KeywordSet& cand,
-                                  const Query& cand_query, size_t e,
-                                  double floor) {
-    std::vector<std::unique_ptr<RankProbe>> probes;
-    probes.reserve(m_ids.size());
-    for (ObjectId id : m_ids) {
-      probes.push_back(oracle.ProbeRank(cand_query, id, &stats));
-    }
-    while (true) {
-      size_t rank_lb = 0;
-      size_t rank_ub = 0;
-      for (const auto& p : probes) {
-        rank_lb = std::max(rank_lb, p->lower());
-        rank_ub = std::max(rank_ub, p->upper());
-      }
-      // Penalty interval from the rank interval. The cut is STRICT: a
-      // candidate whose penalty lower bound merely ties the best keeps
-      // refining until the ∆k pins, so exact-tie candidates always reach
-      // offer_best and its layout-independent tie order — bounds tighten
-      // differently over different shard layouts, and a >= cut here would
-      // let that difference decide ties.
-      const double pen_lb = k_term_of_rank_lb(rank_lb) + floor;
-      if (pen_lb > best.penalty.value) {
-        ++stats.candidates_pruned_bounds;
-        return;
-      }
-      const size_t dk_lb = rank_lb > query.k ? rank_lb - query.k : 0;
-      const size_t dk_ub = rank_ub > query.k ? rank_ub - query.k : 0;
-      if (dk_lb == dk_ub) {
-        // Penalty pinned exactly (∆k equal at both ends).
-        ++stats.candidates_resolved;
-        offer_best(cand, rank_ub, e, penalty_from_rank(e, rank_ub),
-                   /*rank_exact=*/rank_lb == rank_ub);
-        return;
-      }
-      // Refine the missing object driving the upper rank the hardest by
-      // one tree level.
-      RankProbe* widest = nullptr;
-      for (const auto& p : probes) {
-        if (p->resolved()) continue;
-        if (widest == nullptr || p->upper() > widest->upper()) {
-          widest = p.get();
-        }
-      }
-      if (widest == nullptr) {
-        // All resolved yet ∆k interval not collapsed: ranks are exact now.
-        ++stats.candidates_resolved;
-        offer_best(cand, rank_ub, e, penalty_from_rank(e, rank_ub),
-                   /*rank_exact=*/true);
-        return;
-      }
-      {
-        ScopedSpan span("kw/refine_level", "probes=1");
-        widest->RefineLevel();
-      }
-      ++stats.probe_fanouts;
-      ++stats.refine_levels;
-    }
-  };
-
-  // Batched bound-and-prune over one chunk of candidates: a single
+  // --- Bound-and-prune over one chunk of candidates: a single
   // ProbeRankBatch covers every (candidate, missing object) pair, and every
   // refinement level is ONE oracle fan-out across all still-live candidates
-  // — one round-trip per shard per level on a remote oracle, instead of one
-  // per probe per level.
-  auto evaluate_chunk_batched = [&](std::vector<KeywordSet>& chunk, size_t e,
-                                    double floor) {
+  // — one round-trip per shard per level on a remote oracle, however many
+  // candidates are in flight. A candidate reaches offer_best exactly when
+  // its true penalty is at most the best so far, and every cut is strict,
+  // so the final winner is independent of how candidates are chunked. ---
+  auto evaluate_chunk = [&](std::vector<KeywordSet>& chunk, size_t e,
+                            double floor) {
     const size_t m = m_ids.size();
     std::vector<Query> cand_queries;
     cand_queries.reserve(chunk.size());
@@ -291,8 +223,12 @@ Result<RefinedKeywordQuery> AdaptKeywords(
           rank_ub = std::max(rank_ub, batch->upper(i));
           all_resolved = all_resolved && batch->resolved(i);
         }
-        // Same strict cut / exact-pin rules as the per-probe path (see the
-        // comment there); only the regrouping of the refinement differs.
+        // Penalty interval from the rank interval. The cut is STRICT: a
+        // candidate whose penalty lower bound merely ties the best keeps
+        // refining until the ∆k pins, so exact-tie candidates always reach
+        // offer_best and its layout-independent tie order — bounds tighten
+        // differently over different shard layouts, and a >= cut here would
+        // let that difference decide ties.
         const double pen_lb = k_term_of_rank_lb(rank_lb) + floor;
         if (pen_lb > best.penalty.value) {
           ++stats.candidates_pruned_bounds;
@@ -303,6 +239,8 @@ Result<RefinedKeywordQuery> AdaptKeywords(
         const size_t dk_lb = rank_lb > query.k ? rank_lb - query.k : 0;
         const size_t dk_ub = rank_ub > query.k ? rank_ub - query.k : 0;
         if (dk_lb == dk_ub || all_resolved) {
+          // Penalty pinned exactly (∆k equal at both ends), or every rank is
+          // exact now.
           ++stats.candidates_resolved;
           offer_best(cand_queries[c].doc, rank_ub, e,
                      penalty_from_rank(e, rank_ub),
@@ -345,7 +283,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     chunk.clear();
     auto flush_chunk = [&] {
       if (chunk.empty()) return;
-      evaluate_chunk_batched(chunk, e, floor_of(e));
+      evaluate_chunk(chunk, e, floor_of(e));
       chunk.clear();
     };
     for (KeywordSet& cand : level_candidates) {
@@ -360,30 +298,10 @@ Result<RefinedKeywordQuery> AdaptKeywords(
       // STRICT, like every other cut: a candidate whose floor merely TIES
       // the best may still win offer_best's deterministic tie order
       // (smaller ∆doc, then smaller keyword ids), so it must be evaluated.
-      // A >= cut here would let evaluation order decide exact ties — the
-      // per-probe and batched schedules would return different (equally
-      // optimal) refinements.
+      // A >= cut here would let evaluation order decide exact ties — two
+      // chunk sizes would return different (equally optimal) refinements.
       if (floor > best.penalty.value) {
         ++stats.candidates_pruned_floor;
-        continue;
-      }
-
-      if (!options.batch_probes) {
-        Query cand_query = query;
-        cand_query.doc = cand;
-        if (!use_tree) {
-          // Basic: exact ranks by full scans.
-          size_t rank = 0;
-          for (ObjectId id : m_ids) {
-            rank = std::max(
-                rank, oracle.OutscoringCount(cand_query, id, &stats) + 1);
-          }
-          ++stats.candidates_resolved;
-          offer_best(cand, rank, e, penalty_from_rank(e, rank),
-                     /*rank_exact=*/true);
-        } else {
-          evaluate_with_probes(cand, cand_query, e, floor);
-        }
         continue;
       }
 

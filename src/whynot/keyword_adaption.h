@@ -53,17 +53,14 @@ struct KeywordAdaptOptions {
   /// result is the best among the generated candidates and
   /// `stats.truncated` is set.
   size_t max_candidates = 500000;
-  /// Level-synchronous batched search (default): the candidates of one edit
-  /// distance share ONE rank-probe batch, refined with one oracle fan-out
-  /// per refinement level across all live candidates — the round-trip shape
-  /// that makes remote shards affordable. Off = the per-probe search (one
-  /// oracle call per candidate per level), kept for comparison benchmarks.
-  /// The refined query is bit-identical either way: the search only ever
+  /// Candidates per probe batch. The search is level-synchronous: the
+  /// candidates of one chunk share ONE rank-probe batch, refined with one
+  /// oracle fan-out per refinement level across all live candidates — the
+  /// round-trip shape that makes remote shards affordable. The size bounds
+  /// batch memory (each in-flight candidate holds per-shard refiner
+  /// frontiers) and never changes the refined query: the search only ever
   /// cuts candidates whose penalty lower bound strictly exceeds the best, so
-  /// the winner does not depend on the probing schedule.
-  bool batch_probes = true;
-  /// Candidates per probe batch (bounds batch memory: each in-flight
-  /// candidate holds per-shard refiner frontiers). 0 = unbounded.
+  /// the winner does not depend on the chunking. 0 = unbounded.
   size_t probe_batch_size = 128;
 };
 
@@ -76,12 +73,10 @@ struct KeywordAdaptStats {
   size_t kcr_nodes_expanded = 0;
   size_t objects_scored = 0;            // Exact score evaluations.
   /// Rank-probe refinement fan-outs issued (each is one RankProbeBatch::
-  /// RefineLevel — one round-trip per shard on a remote oracle). Unbatched,
-  /// every per-probe RefineLevel counts one.
+  /// RefineLevel — at most one round-trip per shard on a remote oracle).
   size_t probe_fanouts = 0;
-  /// Refinement levels processed. Batched search issues exactly one fan-out
-  /// per level (probe_fanouts == refine_levels); the per-probe search issues
-  /// one per live probe per level.
+  /// Refinement levels processed, summed over probe batches. The search
+  /// issues exactly one fan-out per level: probe_fanouts == refine_levels.
   size_t refine_levels = 0;
   bool truncated = false;               // max_candidates hit.
 };

@@ -115,31 +115,18 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   anchors.reserve(m_ids.size());
   for (ObjectId id : m_ids) anchors.push_back(session->Anchor(id));
 
-  // Tie-aware rank-minus-one of anchor at weight w, mode-appropriate. Each
-  // call is one oracle fan-out (one round-trip per shard behind a remote
-  // oracle) — the meter sweep_fanouts counts.
-  auto count_above = [&](double w, const PlanePoint& anchor) -> size_t {
-    ++stats.sweep_fanouts;
-    return session->CountAbove(w, anchor, &stats);
-  };
-  // The batched twin: every (weight, anchor) pair of ONE fan-out, counts
-  // indexed [wi * anchors.size() + a]. Bit-identical counts to count_above —
-  // only the trip count differs.
+  // Tie-aware rank-minus-one of every anchor at every weight of `ws`, in ONE
+  // oracle fan-out (one round-trip per shard behind a remote oracle) — the
+  // meter sweep_fanouts counts. Counts are indexed [wi * anchors.size() + a].
   auto count_batch = [&](const std::vector<double>& ws) -> std::vector<size_t> {
     ++stats.sweep_fanouts;
     return session->CountAboveBatch(ws, anchors, &stats);
   };
 
-  // --- Step 1: R(M, q) under the original weights. ---
+  // --- Step 1: R(M, q) under the original weights; one fan-out covers every
+  // anchor. ---
   size_t r0 = 0;
-  if (options.batch_sweep) {
-    // One fan-out covers every anchor.
-    for (const size_t c : count_batch({w0})) r0 = std::max(r0, c + 1);
-  } else {
-    for (const PlanePoint& a : anchors) {
-      r0 = std::max(r0, count_above(w0, a) + 1);
-    }
-  }
+  for (const size_t c : count_batch({w0})) r0 = std::max(r0, c + 1);
   out.original_rank = r0;
   if (r0 <= query.k) {
     out.refined_rank = r0;
@@ -193,98 +180,72 @@ Result<RefinedPreferenceQuery> AdjustPreference(
     return a < b;
   });
 
-  if (!options.batch_sweep) {
-    // Per-event reference sweep: one fan-out per candidate weight per
-    // anchor. Kept verbatim — the batched sweep below must return
-    // byte-identical refinements to THIS loop, and the parity tests compare
-    // the two.
-    auto evaluate = [&](double w) {
-      if (w < kMinW || w > kMaxW) return;
-      size_t rank = 0;
-      for (const PlanePoint& a : anchors) {
-        rank = std::max(rank, count_above(w, a) + 1);
-      }
-      ++stats.candidates_evaluated;
-      best.Offer(w, rank, PreferencePenalty(lambda, query, Weights::FromWs(w),
-                                            r0, rank));
-    };
-
-    for (double we : events) {
-      if (floor_of(we) >= best.penalty().value) break;  // Further are worse.
-      evaluate(we);
-      if (we <= w0) evaluate(we - kStepPastCrossing);
-      if (we >= w0) evaluate(we + kStepPastCrossing);
+  // The sweep speculatively fetches the counts of the next SEGMENT of
+  // nearest-to-w0 events in one CountAboveBatch fan-out, then consumes them
+  // in event order. The segment size never changes the answer:
+  //   * each count is the same partition-sum in every layout (the seam's
+  //     contract), offered to `best` in event order with the same penalty
+  //     arithmetic, so `best` evolves identically;
+  //   * the ∆w floor is monotone in the nearest-first event order, and it
+  //     is RE-CHECKED per event while consuming — counts fetched past the
+  //     cut are discarded deterministically, never offered;
+  //   * candidates outside (kMinW, kMaxW) are dropped when the segment is
+  //     built, so candidates_evaluated counts the same evaluations.
+  const size_t num_anchors = anchors.size();
+  auto offer = [&](double w, const std::vector<size_t>& counts, size_t base) {
+    size_t rank = 0;
+    for (size_t a = 0; a < num_anchors; ++a) {
+      rank = std::max(rank, counts[base + a] + 1);
     }
-  } else {
-    // Batched sweep: speculatively fetch the counts of the next SEGMENT of
-    // nearest-to-w0 events in one CountAboveBatch fan-out, then consume them
-    // in the exact per-event order. Bit-identity with the loop above:
-    //   * each count is the same partition-sum double-for-double (the seam's
-    //     contract), offered to `best` in the same order with the same
-    //     penalty arithmetic, so `best` evolves identically;
-    //   * the ∆w floor is monotone in the nearest-first event order, and it
-    //     is RE-CHECKED per event while consuming — counts fetched past the
-    //     cut are discarded deterministically, never offered;
-    //   * candidates outside (kMinW, kMaxW) are dropped when the segment is
-    //     built, exactly where evaluate() would have skipped them, so
-    //     candidates_evaluated counts the same evaluations.
-    const size_t num_anchors = anchors.size();
-    auto offer = [&](double w, const std::vector<size_t>& counts,
-                     size_t base) {
-      size_t rank = 0;
-      for (size_t a = 0; a < num_anchors; ++a) {
-        rank = std::max(rank, counts[base + a] + 1);
-      }
-      ++stats.candidates_evaluated;
-      best.Offer(w, rank, PreferencePenalty(lambda, query, Weights::FromWs(w),
-                                            r0, rank));
-    };
+    ++stats.candidates_evaluated;
+    best.Offer(w, rank, PreferencePenalty(lambda, query, Weights::FromWs(w),
+                                          r0, rank));
+  };
 
-    size_t next = 0;
-    std::vector<double> weights;        // Segment candidates, per-event order.
-    std::vector<size_t> event_starts;   // Candidate span of each event.
-    while (next < events.size()) {
-      if (floor_of(events[next]) >= best.penalty().value) break;
-      // Segment size: the session's latency-adaptive preference (remote
-      // oracles scale it with the shard RPC EWMA; in-process ones say 1),
-      // unless the caller pinned it.
-      size_t batch = options.sweep_batch_size != 0
-                         ? options.sweep_batch_size
-                         : session->PreferredSweepBatch();
-      if (batch == 0) batch = 1;
-      const size_t seg_end = std::min(events.size(), next + batch);
+  size_t next = 0;
+  std::vector<double> weights;       // Segment candidates, in event order.
+  std::vector<size_t> event_starts;  // Candidate span of each event.
+  while (next < events.size()) {
+    if (floor_of(events[next]) >= best.penalty().value) break;
+    // Segment size: the session's latency-adaptive preference (remote
+    // oracles scale it with the shard RPC EWMA; in-process ones say 1),
+    // unless the caller pinned it.
+    size_t batch = options.sweep_batch_size != 0
+                       ? options.sweep_batch_size
+                       : session->PreferredSweepBatch();
+    if (batch == 0) batch = 1;
+    const size_t seg_end = std::min(events.size(), next + batch);
 
-      weights.clear();
-      event_starts.assign(seg_end - next + 1, 0);
-      for (size_t e = next; e < seg_end; ++e) {
-        const double we = events[e];
-        event_starts[e - next] = weights.size();
-        auto push = [&](double w) {
-          if (w >= kMinW && w <= kMaxW) weights.push_back(w);
-        };
-        push(we);
-        if (we <= w0) push(we - kStepPastCrossing);
-        if (we >= w0) push(we + kStepPastCrossing);
-      }
-      event_starts[seg_end - next] = weights.size();
-
-      std::vector<size_t> counts;
-      if (!weights.empty()) counts = count_batch(weights);
-
-      bool cut = false;
-      for (size_t e = next; e < seg_end; ++e) {
-        if (floor_of(events[e]) >= best.penalty().value) {
-          cut = true;  // Over-fetched counts past the cut: discarded.
-          break;
-        }
-        for (size_t ci = event_starts[e - next];
-             ci < event_starts[e - next + 1]; ++ci) {
-          offer(weights[ci], counts, ci * num_anchors);
-        }
-      }
-      if (cut) break;
-      next = seg_end;
+    weights.clear();
+    event_starts.assign(seg_end - next + 1, 0);
+    for (size_t e = next; e < seg_end; ++e) {
+      const double we = events[e];
+      event_starts[e - next] = weights.size();
+      auto push = [&](double w) {
+        if (w >= kMinW && w <= kMaxW) weights.push_back(w);
+      };
+      push(we);
+      if (we <= w0) push(we - kStepPastCrossing);
+      if (we >= w0) push(we + kStepPastCrossing);
     }
+    event_starts[seg_end - next] = weights.size();
+
+    std::vector<size_t> counts;
+    if (!weights.empty()) counts = count_batch(weights);
+
+    bool cut = false;
+    for (size_t e = next; e < seg_end; ++e) {
+      if (floor_of(events[e]) >= best.penalty().value) {
+        cut = true;  // Over-fetched counts past the cut: discarded.
+        break;
+      }
+      for (size_t ci = event_starts[e - next];
+           ci < event_starts[e - next + 1]; ++ci) {
+        offer(weights[ci], counts, ci * num_anchors);
+      }
+    }
+    if (cut) break;
+    next = seg_end;
   }
 
   // --- Step 5: materialise the best refinement. ---

@@ -61,15 +61,13 @@ struct PreferenceAdjustOptions {
   /// The λ of Eqn. (3): weight of the ∆k term versus the ∆w term.
   double lambda = 0.5;
   PrefAdjustMode mode = PrefAdjustMode::kOptimized;
-  /// Evaluate the Step-4 sweep in speculative nearest-to-w0 segments via
-  /// ScorePlaneSession::CountAboveBatch (one oracle fan-out per segment)
-  /// instead of one fan-out per candidate weight. The refinement and the
-  /// crossing/candidate counters are bit-identical either way: the ∆w floor
-  /// is monotone in the nearest-first event order, so the floor cut is
+  /// Events per speculative Step-4 segment: the sweep fetches the counts of
+  /// the next `sweep_batch_size` nearest-to-w0 events in one
+  /// ScorePlaneSession::CountAboveBatch fan-out. The refinement and the
+  /// crossing/candidate counters do not depend on it: the ∆w floor is
+  /// monotone in the nearest-first event order, so the floor cut is
   /// re-applied while consuming a segment and over-fetched results past the
-  /// cut are discarded deterministically.
-  bool batch_sweep = true;
-  /// Events per speculative segment. 0 = ask the session
+  /// cut are discarded deterministically. 0 = ask the session
   /// (ScorePlaneSession::PreferredSweepBatch — latency-adaptive for remote
   /// oracles, 1 for in-process ones, where speculation buys nothing).
   size_t sweep_batch_size = 0;

@@ -79,45 +79,6 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
     return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
   }
 
-  size_t CountAbove(double w, const PlanePoint& anchor,
-                    PreferenceAdjustStats* stats) const override {
-    const size_t n = planes_.size();
-    const double threshold = anchor.ScoreAt(w);
-
-    // This sits on the weight sweep's innermost loop (one call per crossing
-    // event per anchor): the single-shard layout — every legacy caller —
-    // must stay allocation-free like the code it replaced, and the
-    // multi-shard fan-out reuses per-session scratch.
-    if (n == 1) {
-      size_t count;
-      if (ctx_->shard_busy_ms == nullptr) {
-        count = planes_[0]->CountAbove(w, threshold, anchor,
-                                       &stats->index_nodes_visited);
-      } else {
-        Timer timer;
-        count = planes_[0]->CountAbove(w, threshold, anchor,
-                                       &stats->index_nodes_visited);
-        (*ctx_->shard_busy_ms)[0] += timer.ElapsedMillis();
-      }
-      if (!optimized_) ++stats->full_rescans;
-      return count;
-    }
-
-    count_scratch_.assign(n, 0);
-    node_scratch_.assign(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
-      count_scratch_[s] =
-          planes_[s]->CountAbove(w, threshold, anchor, &node_scratch_[s]);
-    });
-    size_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      total += count_scratch_[s];
-      stats->index_nodes_visited += node_scratch_[s];
-    }
-    if (!optimized_) ++stats->full_rescans;  // One logical dataset rescan.
-    return total;
-  }
-
   std::vector<size_t> CountAboveBatch(
       const std::vector<double>& weights,
       const std::vector<PlanePoint>& anchors,
@@ -125,8 +86,8 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
     const size_t n = planes_.size();
     const size_t pairs = weights.size() * anchors.size();
     // ONE fan-out for the whole (weights × anchors) grid: each shard task
-    // counts every pair, and per-pair totals are the same partition-sums
-    // CountAbove computes — bit-identical merges, one pool dispatch.
+    // counts every pair, and each pair's total is an exact partition-sum —
+    // bit-identical in every layout, one pool dispatch.
     std::vector<std::vector<size_t>> counts(n);
     std::vector<size_t> nodes(n, 0);
     ForEachShard(*ctx_, [&](size_t s) {
@@ -138,8 +99,7 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
       for (size_t i = 0; i < pairs; ++i) total[i] += counts[s][i];
       stats->index_nodes_visited += nodes[s];
     }
-    // One logical dataset rescan per (weight, anchor) pair, mirroring the
-    // per-call accounting of CountAbove in basic mode.
+    // One logical dataset rescan per (weight, anchor) pair in basic mode.
     if (!optimized_) stats->full_rescans += pairs;
     return total;
   }
@@ -167,11 +127,6 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
   const Query* query_;
   bool optimized_;
   std::vector<std::unique_ptr<ShardPlane>> planes_;
-  // Fan-out scratch (a session serves one algorithm invocation on one
-  // thread; only the per-shard tasks inside one fan-out run concurrently,
-  // each touching its own slot).
-  mutable std::vector<size_t> count_scratch_;
-  mutable std::vector<size_t> node_scratch_;
 };
 
 // --- Rank probes -------------------------------------------------------------
@@ -213,8 +168,7 @@ class ContextRankProbeBatch : public RankProbeBatch {
     }
     // One fan-out builds every member's per-shard refiner (a root-node bound
     // computation each). A batch of one is built inline: its per-shard cost
-    // is far below the pool's dispatch + latch cost, and single probes are
-    // created once per candidate per missing object — a hot loop.
+    // is far below the pool's dispatch + latch cost.
     auto build_shard = [&](size_t s) {
       for (const auto& member : members_) {
         member->refiners[s] = std::make_unique<ShardRankRefiner>(
@@ -296,69 +250,7 @@ class ContextRankProbeBatch : public RankProbeBatch {
   KeywordAdaptStats* stats_;
 };
 
-/// The base-class fallback batch: independent per-spec probes, refined one
-/// by one. Semantically identical to the fan-out batches, just without the
-/// shared round-trips — custom oracles get batching correctness for free.
-class WrappedRankProbeBatch : public RankProbeBatch {
- public:
-  WrappedRankProbeBatch(const WhyNotOracle& oracle,
-                        const std::vector<OracleTargetSpec>& specs,
-                        KeywordAdaptStats* stats) {
-    probes_.reserve(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      probes_.push_back(oracle.ProbeRank(*spec.query, spec.target, stats));
-    }
-  }
-
-  size_t size() const override { return probes_.size(); }
-  size_t lower(size_t i) const override { return probes_[i]->lower(); }
-  size_t upper(size_t i) const override { return probes_[i]->upper(); }
-  bool resolved(size_t i) const override { return probes_[i]->resolved(); }
-  void RefineLevel(const std::vector<size_t>& members) override {
-    for (size_t m : members) {
-      if (!probes_[m]->resolved()) probes_[m]->RefineLevel();
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<RankProbe>> probes_;
-};
-
 }  // namespace
-
-// --- ScorePlaneSession defaults ----------------------------------------------
-
-std::vector<size_t> ScorePlaneSession::CountAboveBatch(
-    const std::vector<double>& weights, const std::vector<PlanePoint>& anchors,
-    PreferenceAdjustStats* stats) const {
-  std::vector<size_t> counts;
-  counts.reserve(weights.size() * anchors.size());
-  for (const double w : weights) {
-    for (const PlanePoint& anchor : anchors) {
-      counts.push_back(CountAbove(w, anchor, stats));
-    }
-  }
-  return counts;
-}
-
-// --- WhyNotOracle defaults ---------------------------------------------------
-
-std::vector<size_t> WhyNotOracle::OutscoringCountBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  std::vector<size_t> counts;
-  counts.reserve(specs.size());
-  for (const OracleTargetSpec& spec : specs) {
-    counts.push_back(OutscoringCount(*spec.query, spec.target, stats));
-  }
-  return counts;
-}
-
-std::unique_ptr<RankProbeBatch> WhyNotOracle::ProbeRankBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  return std::make_unique<WrappedRankProbeBatch>(*this, specs, stats);
-}
 
 // --- ContextWhyNotOracle -----------------------------------------------------
 
@@ -384,27 +276,6 @@ size_t ContextWhyNotOracle::Rank(const Query& query,
   size_t above = 0;
   for (size_t c : counts) above += c;
   return above + 1;
-}
-
-size_t ContextWhyNotOracle::OutscoringCount(const Query& query,
-                                            ObjectId global_id,
-                                            KeywordAdaptStats* stats) const {
-  const double target_score =
-      ScorePartsOf(query, ctx_.dist_norm, Object(global_id)).score;
-  const size_t n = ctx_.views.size();
-  std::vector<size_t> counts(n, 0);
-  ForEachShard(ctx_, [&](size_t s) {
-    counts[s] = ShardScanOutscoring(ctx_.views[s], ctx_.dist_norm,
-                                    {ScanTarget{&query, target_score,
-                                                global_id}})
-                    .front();
-  });
-  size_t above = 0;
-  for (size_t s = 0; s < n; ++s) {
-    above += counts[s];
-    stats->objects_scored += ctx_.views[s].store->size();
-  }
-  return above;
 }
 
 std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
@@ -437,14 +308,6 @@ std::unique_ptr<ScorePlaneSession> ContextWhyNotOracle::PrepareScorePlane(
     const Query& query, PrefAdjustMode mode) const {
   return std::make_unique<MultiShardScorePlaneSession>(&ctx_, this, &query,
                                                        mode);
-}
-
-std::unique_ptr<RankProbe> ContextWhyNotOracle::ProbeRank(
-    const Query& candidate, ObjectId global_id,
-    KeywordAdaptStats* stats) const {
-  const std::vector<OracleTargetSpec> specs{{&candidate, global_id}};
-  return std::make_unique<BatchOfOneProbe>(
-      std::make_unique<ContextRankProbeBatch>(&ctx_, this, specs, stats));
 }
 
 std::unique_ptr<RankProbeBatch> ContextWhyNotOracle::ProbeRankBatch(

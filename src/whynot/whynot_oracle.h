@@ -81,11 +81,6 @@ class ScorePlaneSession {
   /// its GLOBAL id (the tie-break identity everywhere in the weight sweep).
   virtual PlanePoint Anchor(ObjectId global_id) const = 0;
 
-  /// Tie-aware count of objects outscoring `anchor` at weight `w`
-  /// (rank − 1). Work counters accumulate into `stats`.
-  virtual size_t CountAbove(double w, const PlanePoint& anchor,
-                            PreferenceAdjustStats* stats) const = 0;
-
   /// Appends every crossing weight of `anchor`'s score line with another
   /// object's line inside [wlo, whi] to `events` (duplicates allowed — the
   /// caller sorts and deduplicates the merged set).
@@ -93,16 +88,21 @@ class ScorePlaneSession {
                                 double whi, std::vector<double>* events,
                                 PreferenceAdjustStats* stats) const = 0;
 
-  /// Batched CountAbove: counts[wi * anchors.size() + a] ==
-  /// CountAbove(weights[wi], anchors[a]) for every (weight, anchor) pair,
-  /// answerable in ONE fan-out (one request per shard for a remote session)
-  /// instead of one per pair. The base implementation loops; layout-aware
-  /// sessions override. Each count is the same partition-sum either way, so
-  /// results are bit-identical to per-call CountAbove.
+  /// Tie-aware counts of objects outscoring each anchor at each weight
+  /// (rank − 1): counts[wi * anchors.size() + a] is the count for
+  /// (weights[wi], anchors[a]). The whole grid is ONE fan-out (one request
+  /// per shard for a remote session). Work counters accumulate into `stats`.
   virtual std::vector<size_t> CountAboveBatch(
       const std::vector<double>& weights,
       const std::vector<PlanePoint>& anchors,
-      PreferenceAdjustStats* stats) const;
+      PreferenceAdjustStats* stats) const = 0;
+
+  /// One (weight, anchor) count — a batch of one. The algorithms never call
+  /// it; it exists for callers outside src/ that probe a single pair.
+  virtual size_t CountAbove(double w, const PlanePoint& anchor,
+                            PreferenceAdjustStats* stats) const {
+    return CountAboveBatch({w}, {anchor}, stats).front();
+  }
 
   /// How many candidate weights per CountAboveBatch this session wants the
   /// Step-4 sweep to speculate on. In-process sessions return 1 (a fan-out
@@ -156,10 +156,8 @@ class RankProbeBatch {
   virtual void RefineLevel(const std::vector<size_t>& members) = 0;
 };
 
-/// RankProbe as a batch of one — the single-probe API is everywhere a view
-/// over the batch machinery, so both paths refine through identical code
-/// (oracle implementations wrap their batch type in this to serve
-/// ProbeRank).
+/// RankProbe as a batch of one — the single-probe API is a view over the
+/// batch machinery (WhyNotOracle::ProbeRank wraps ProbeRankBatch in this).
 class BatchOfOneProbe : public RankProbe {
  public:
   explicit BatchOfOneProbe(std::unique_ptr<RankProbeBatch> batch)
@@ -194,39 +192,42 @@ class WhyNotOracle {
   /// Tie-aware exact rank of an object (D6 order), via pruned index walks.
   virtual size_t Rank(const Query& query, ObjectId global_id) const = 0;
 
-  /// Tie-aware exact count of objects outscoring `global_id` under `query`
-  /// (== Rank − 1), by full scan — the cache-friendly path the keyword model
-  /// uses for R(M, q) and for basic-mode candidate ranks.
-  virtual size_t OutscoringCount(const Query& query, ObjectId global_id,
-                                 KeywordAdaptStats* stats) const = 0;
-
   /// Builds the per-query score-plane state for Eqn. (3). `query` must
   /// outlive the returned session.
   virtual std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const = 0;
 
-  /// A rank interval for `global_id` under `candidate` (copied into the
-  /// probe). Requires the corpus to have its KcR-tree(s). `stats` must
-  /// outlive the probe (counters are flushed on destruction).
-  virtual std::unique_ptr<RankProbe> ProbeRank(
-      const Query& candidate, ObjectId global_id,
-      KeywordAdaptStats* stats) const = 0;
-
-  /// Batched OutscoringCount: one count per spec, semantically identical to
-  /// calling OutscoringCount per spec but answerable in one fan-out (one
-  /// round-trip per shard for a remote oracle). The base implementation
-  /// loops; layout-aware oracles override.
+  /// Tie-aware exact counts of objects outscoring each spec's target under
+  /// its query (== Rank − 1), by full scan — the cache-friendly path the
+  /// keyword model uses for R(M, q) and for basic-mode candidate ranks. One
+  /// fan-out for the whole batch (one round-trip per shard for a remote
+  /// oracle).
   virtual std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const;
+      KeywordAdaptStats* stats) const = 0;
 
-  /// Batched ProbeRank: one rank interval per spec, created in one fan-out
-  /// and refined level-synchronously (see RankProbeBatch). Same KcR-tree
-  /// requirement as ProbeRank; `stats` must outlive the batch. The base
-  /// implementation wraps per-spec probes; layout-aware oracles override.
+  /// One rank interval per spec, created in one fan-out and refined
+  /// level-synchronously (see RankProbeBatch). Requires the corpus to have
+  /// its KcR-tree(s). `stats` must outlive the batch (counters are flushed
+  /// on destruction).
   virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const;
+      KeywordAdaptStats* stats) const = 0;
+
+  /// Single-target views of the two batches above — batches of one. The
+  /// algorithms never call them; they exist for callers outside src/ that
+  /// ask about one (query, target) pair.
+  virtual size_t OutscoringCount(const Query& query, ObjectId global_id,
+                                 KeywordAdaptStats* stats) const {
+    const std::vector<OracleTargetSpec> specs{{&query, global_id}};
+    return OutscoringCountBatch(specs, stats).front();
+  }
+  virtual std::unique_ptr<RankProbe> ProbeRank(
+      const Query& candidate, ObjectId global_id,
+      KeywordAdaptStats* stats) const {
+    const std::vector<OracleTargetSpec> specs{{&candidate, global_id}};
+    return std::make_unique<BatchOfOneProbe>(ProbeRankBatch(specs, stats));
+  }
 };
 
 /// Everything the shared fan-out/merge implementation needs: the shard
@@ -257,13 +258,8 @@ class ContextWhyNotOracle : public WhyNotOracle {
   double dist_norm() const override { return ctx_.dist_norm; }
 
   size_t Rank(const Query& query, ObjectId global_id) const override;
-  size_t OutscoringCount(const Query& query, ObjectId global_id,
-                         KeywordAdaptStats* stats) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
-  std::unique_ptr<RankProbe> ProbeRank(const Query& candidate,
-                                       ObjectId global_id,
-                                       KeywordAdaptStats* stats) const override;
   /// One fan-out for the whole batch: each shard task scans/refines every
   /// spec, so the pool is dispatched once per call instead of once per spec.
   std::vector<size_t> OutscoringCountBatch(
@@ -289,7 +285,8 @@ class LocalWhyNotOracle : public ContextWhyNotOracle {
  public:
   LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr,
                     const KcRTree* kcr);
-  /// Over a full corpus (requires nothing; ProbeRank needs corpus.has_kcr()).
+  /// Over a full corpus (requires nothing; ProbeRankBatch needs
+  /// corpus.has_kcr()).
   explicit LocalWhyNotOracle(const Corpus& corpus);
 
   const SpatialObject& Object(ObjectId global_id) const override {

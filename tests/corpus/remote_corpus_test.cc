@@ -3,7 +3,8 @@
 // answer top-k AND the full why-not stack BIT-identically to the in-process
 // sharded layout and to the unsharded reference, at 1/2/4 shards. Also
 // covers Connect() validation (wrong endpoint count, duplicate shard,
-// unreachable host) and the error-epoch channel.
+// unreachable host, unsupported protocol version) and the error-epoch
+// channel.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "src/corpus/sharded_corpus.h"
 #include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
+#include "src/server/http_server.h"
+#include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -249,6 +252,27 @@ TEST(RemoteCorpusTest, ConnectValidatesTheFleet) {
   EXPECT_EQ(reversed->num_shards(), 2u);
   EXPECT_EQ(reversed->meta(0).shard_index, 0u);
   EXPECT_EQ(reversed->meta(1).shard_index, 1u);
+}
+
+TEST(RemoteCorpusTest, ConnectRejectsAProtocolV2Shard) {
+  // One wire-protocol version: the weight sweep speaks only the v3
+  // /shard/plane/count_batch route, so a shard server announcing v2 is
+  // refused at Connect() time instead of being served by a fallback.
+  HttpServer server(uint16_t{0}, /*num_workers=*/1);
+  server.Route("GET", shardrpc::kMetaPath, [](const HttpRequest&) {
+    shardrpc::ShardMeta meta;
+    meta.protocol_version = 2;
+    meta.object_count = 1;
+    BufWriter out;
+    shardrpc::PutShardMeta(&out, meta);
+    return HttpResponse{200, "application/octet-stream", out.data()};
+  });
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = RemoteCorpus::Connect(
+      {"127.0.0.1:" + std::to_string(server.bound_port())});
+  EXPECT_EQ(connected.status().code(), StatusCode::kFailedPrecondition)
+      << connected.status().ToString();
+  server.Stop();
 }
 
 TEST(RemoteCorpusTest, ShardFailureBumpsTheErrorEpoch) {

@@ -1,13 +1,12 @@
-// Batched Eqn. (3) sweep acceptance — the parity contract of
-// PreferenceAdjustOptions::batch_sweep: for randomized datasets, shard
+// Segmented Eqn. (3) sweep acceptance: for randomized datasets, shard
 // counts (1/2/4/8), routers, modes and segment sizes, the speculative
 // segment sweep (ScorePlaneSession::CountAboveBatch, one fan-out per
-// segment) must return BYTE-identical refinements to the per-event sweep it
-// replaces — every refined-query field, every penalty term compared with ==,
-// and identical crossing/candidate work counters. The only licensed
-// difference is sweep_fanouts: the batched sweep must spend no more count
-// fan-outs than the per-event sweep, and strictly fewer once a segment
-// covers more than one candidate.
+// segment) must return BYTE-identical refinements to the sweep with
+// segments of one event — every refined-query field, every penalty term
+// compared with ==, and identical crossing/candidate work counters — and
+// that refinement must pass the index-free reference audit
+// (tests/reference/whynot_reference.h). The only licensed difference is
+// sweep_fanouts: longer segments must spend no more count fan-outs.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +21,7 @@
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/preference_adjustment.h"
 #include "src/whynot/whynot_oracle.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -45,43 +45,43 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 /// then discarded. The refinement and the crossing/candidate counters are
 /// identical regardless; the traversal-work counters are identical only when
 /// nothing is over-fetched (segment <= 1), and >= otherwise.
-void ExpectSameRefinement(const RefinedPreferenceQuery& batched,
-                          const RefinedPreferenceQuery& per_event,
+void ExpectSameRefinement(const RefinedPreferenceQuery& segmented,
+                          const RefinedPreferenceQuery& one_event,
                           const std::string& label,
                           bool speculative = false) {
-  EXPECT_EQ(batched.already_in_result, per_event.already_in_result) << label;
-  EXPECT_EQ(batched.refined.w.ws, per_event.refined.w.ws) << label;
-  EXPECT_EQ(batched.refined.w.wt, per_event.refined.w.wt) << label;
-  EXPECT_EQ(batched.refined.k, per_event.refined.k) << label;
-  EXPECT_EQ(batched.refined.doc.ids(), per_event.refined.doc.ids()) << label;
-  EXPECT_EQ(batched.original_rank, per_event.original_rank) << label;
-  EXPECT_EQ(batched.refined_rank, per_event.refined_rank) << label;
-  EXPECT_EQ(batched.penalty.value, per_event.penalty.value) << label;
-  EXPECT_EQ(batched.penalty.k_term, per_event.penalty.k_term) << label;
-  EXPECT_EQ(batched.penalty.mod_term, per_event.penalty.mod_term) << label;
-  EXPECT_EQ(batched.penalty.delta_k, per_event.penalty.delta_k) << label;
-  EXPECT_EQ(batched.penalty.delta_w, per_event.penalty.delta_w) << label;
-  EXPECT_EQ(batched.penalty.delta_doc, per_event.penalty.delta_doc) << label;
+  EXPECT_EQ(segmented.already_in_result, one_event.already_in_result) << label;
+  EXPECT_EQ(segmented.refined.w.ws, one_event.refined.w.ws) << label;
+  EXPECT_EQ(segmented.refined.w.wt, one_event.refined.w.wt) << label;
+  EXPECT_EQ(segmented.refined.k, one_event.refined.k) << label;
+  EXPECT_EQ(segmented.refined.doc.ids(), one_event.refined.doc.ids()) << label;
+  EXPECT_EQ(segmented.original_rank, one_event.original_rank) << label;
+  EXPECT_EQ(segmented.refined_rank, one_event.refined_rank) << label;
+  EXPECT_EQ(segmented.penalty.value, one_event.penalty.value) << label;
+  EXPECT_EQ(segmented.penalty.k_term, one_event.penalty.k_term) << label;
+  EXPECT_EQ(segmented.penalty.mod_term, one_event.penalty.mod_term) << label;
+  EXPECT_EQ(segmented.penalty.delta_k, one_event.penalty.delta_k) << label;
+  EXPECT_EQ(segmented.penalty.delta_w, one_event.penalty.delta_w) << label;
+  EXPECT_EQ(segmented.penalty.delta_doc, one_event.penalty.delta_doc) << label;
   // The work the sweep does is identical — only how it is shipped differs.
-  EXPECT_EQ(batched.stats.crossings_found, per_event.stats.crossings_found)
+  EXPECT_EQ(segmented.stats.crossings_found, one_event.stats.crossings_found)
       << label;
-  EXPECT_EQ(batched.stats.candidates_evaluated,
-            per_event.stats.candidates_evaluated)
+  EXPECT_EQ(segmented.stats.candidates_evaluated,
+            one_event.stats.candidates_evaluated)
       << label;
   if (speculative) {
-    EXPECT_GE(batched.stats.index_nodes_visited,
-              per_event.stats.index_nodes_visited)
+    EXPECT_GE(segmented.stats.index_nodes_visited,
+              one_event.stats.index_nodes_visited)
         << label;
-    EXPECT_GE(batched.stats.full_rescans, per_event.stats.full_rescans)
+    EXPECT_GE(segmented.stats.full_rescans, one_event.stats.full_rescans)
         << label;
   } else {
-    EXPECT_EQ(batched.stats.index_nodes_visited,
-              per_event.stats.index_nodes_visited)
+    EXPECT_EQ(segmented.stats.index_nodes_visited,
+              one_event.stats.index_nodes_visited)
         << label;
-    EXPECT_EQ(batched.stats.full_rescans, per_event.stats.full_rescans)
+    EXPECT_EQ(segmented.stats.full_rescans, one_event.stats.full_rescans)
         << label;
   }
-  EXPECT_LE(batched.stats.sweep_fanouts, per_event.stats.sweep_fanouts)
+  EXPECT_LE(segmented.stats.sweep_fanouts, one_event.stats.sweep_fanouts)
       << label;
 }
 
@@ -91,11 +91,36 @@ struct ParityOptions {
   int trials = 4;
   PrefAdjustMode mode = PrefAdjustMode::kOptimized;
   /// Forced segment sizes to sweep besides the session default (0).
-  std::vector<size_t> segment_sizes = {0, 1, 3, 64};
+  std::vector<size_t> segment_sizes = {0, 3, 64};
+};
+
+struct Trial {
+  Query query;
+  std::vector<ObjectId> missing;
+  reference::PreferenceAudit audit;
 };
 
 void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
                           const ParityOptions& popt = {}) {
+  const double lambda = PreferenceAdjustOptions{}.lambda;
+  std::vector<Trial> trials;
+  Rng rng(query_seed);
+  for (int trial = 0; trial < popt.trials; ++trial) {
+    Query q;
+    q.loc = SampleQueryLocation(store, &rng);
+    q.doc = SampleQueryKeywords(store, 1 + trial % 3, &rng);
+    q.k = 3 + static_cast<uint32_t>(rng.NextBounded(5));
+    q.w = Weights::FromWs(rng.NextDouble(0.2, 0.8));
+    const size_t m_count = 1 + trial % 2;
+    std::vector<ObjectId> missing =
+        PickMissing(store, q, m_count, /*offset=*/2 + trial);
+    if (missing.size() != m_count) continue;
+    // The reference is layout-free: audit once, check every layout.
+    reference::PreferenceAudit audit =
+        reference::AuditPreference(store, q, missing, lambda);
+    trials.push_back(Trial{q, std::move(missing), audit});
+  }
+
   CorpusOptions options;
   options.fanout_threads = 3;  // Force the pooled fan-out path on 1-core CI.
   for (const uint32_t shards : popt.shard_counts) {
@@ -110,35 +135,29 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
         ShardedCorpus::Partition(store, std::move(router), options);
     const ShardedWhyNotOracle oracle(sharded);
 
-    Rng rng(query_seed);
-    for (int trial = 0; trial < popt.trials; ++trial) {
-      Query q;
-      q.loc = SampleQueryLocation(store, &rng);
-      q.doc = SampleQueryKeywords(store, 1 + trial % 3, &rng);
-      q.k = 3 + static_cast<uint32_t>(rng.NextBounded(5));
-      q.w = Weights::FromWs(rng.NextDouble(0.2, 0.8));
-      const size_t m_count = 1 + trial % 2;
-      const std::vector<ObjectId> missing =
-          PickMissing(store, q, m_count, /*offset=*/2 + trial);
-      if (missing.size() != m_count) continue;
-
-      PreferenceAdjustOptions per_event;
-      per_event.mode = popt.mode;
-      per_event.batch_sweep = false;
-      auto reference = AdjustPreference(oracle, q, missing, per_event);
-      ASSERT_TRUE(reference.ok())
-          << label << ": " << reference.status().ToString();
+    for (size_t t = 0; t < trials.size(); ++t) {
+      const Trial& trial = trials[t];
+      const std::string tag = label + " trial " + std::to_string(t);
+      PreferenceAdjustOptions one_event;
+      one_event.lambda = lambda;
+      one_event.mode = popt.mode;
+      one_event.sweep_batch_size = 1;
+      auto baseline =
+          AdjustPreference(oracle, trial.query, trial.missing, one_event);
+      ASSERT_TRUE(baseline.ok())
+          << tag << ": " << baseline.status().ToString();
+      reference::ExpectPreferenceAnswer(store, trial.query, trial.missing,
+                                        lambda, *baseline, trial.audit, tag);
 
       for (const size_t segment : popt.segment_sizes) {
-        PreferenceAdjustOptions batched = per_event;
-        batched.batch_sweep = true;
-        batched.sweep_batch_size = segment;
-        auto result = AdjustPreference(oracle, q, missing, batched);
+        PreferenceAdjustOptions segmented = one_event;
+        segmented.sweep_batch_size = segment;
+        auto result =
+            AdjustPreference(oracle, trial.query, trial.missing, segmented);
         ASSERT_TRUE(result.ok())
-            << label << ": " << result.status().ToString();
-        ExpectSameRefinement(*result, *reference,
-                             label + " trial " + std::to_string(trial) +
-                                 " segment " + std::to_string(segment),
+            << tag << ": " << result.status().ToString();
+        ExpectSameRefinement(*result, *baseline,
+                             tag + " segment " + std::to_string(segment),
                              /*speculative=*/segment > 1);
       }
     }
@@ -188,8 +207,8 @@ TEST(ShardedSweepParityTest, BasicModeAgrees) {
 
 TEST(ShardedSweepParityTest, TieHeavyDegenerateDataset) {
   // Exact score ties everywhere: clones at shared points with shared docs.
-  // The floor cut and the per-event tie candidates (±kStepPastCrossing) must
-  // land identically when fetched speculatively.
+  // The floor cut and the tie candidates (±kStepPastCrossing) must land
+  // identically when fetched speculatively.
   ObjectStore store;
   const TermId a = store.mutable_vocab()->Intern("a");
   const TermId b = store.mutable_vocab()->Intern("b");
@@ -236,17 +255,20 @@ TEST(ShardedSweepParityTest, LambdaExtremesAgree) {
           PickMissing(store, q, 1, /*offset=*/2 + trial);
       if (missing.empty()) continue;
 
-      PreferenceAdjustOptions per_event;
-      per_event.lambda = lambda;
-      per_event.batch_sweep = false;
-      PreferenceAdjustOptions batched = per_event;
-      batched.batch_sweep = true;
-      batched.sweep_batch_size = 7;
-      auto reference = AdjustPreference(oracle, q, missing, per_event);
-      auto result = AdjustPreference(oracle, q, missing, batched);
-      ASSERT_TRUE(reference.ok());
+      PreferenceAdjustOptions one_event;
+      one_event.lambda = lambda;
+      one_event.sweep_batch_size = 1;
+      PreferenceAdjustOptions segmented = one_event;
+      segmented.sweep_batch_size = 7;
+      auto baseline = AdjustPreference(oracle, q, missing, one_event);
+      auto result = AdjustPreference(oracle, q, missing, segmented);
+      ASSERT_TRUE(baseline.ok());
       ASSERT_TRUE(result.ok());
-      ExpectSameRefinement(*result, *reference,
+      reference::ExpectPreferenceAnswer(
+          store, q, missing, lambda, *baseline,
+          reference::AuditPreference(store, q, missing, lambda),
+          "lambda " + std::to_string(lambda));
+      ExpectSameRefinement(*result, *baseline,
                            "lambda " + std::to_string(lambda) + " trial " +
                                std::to_string(trial),
                            /*speculative=*/true);

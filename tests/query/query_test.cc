@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace yask {
 namespace {
@@ -58,6 +59,25 @@ TEST(QueryValidateTest, RejectsNonUnitSum) {
   q.k = 1;
   q.w = Weights{0.5, 0.6};
   EXPECT_FALSE(q.Validate().ok());
+}
+
+TEST(QueryValidateTest, RejectsNonFiniteLocation) {
+  // An overflowing JSON number such as 1e999 parses to +inf; no coordinate
+  // outside the finite doubles may reach scoring or a cache key.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Point loc : {Point{inf, 22.28}, Point{-inf, 22.28},
+                          Point{114.1, inf}, Point{nan, 22.28},
+                          Point{114.1, nan}}) {
+    Query q;
+    q.loc = loc;
+    q.doc = KeywordSet({0});
+    q.k = 3;
+    q.w = Weights::FromWs(0.5);
+    const Status s = q.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << loc.x << "," << loc.y;
+  }
 }
 
 TEST(QueryValidateTest, RejectsEmptyKeywords) {

@@ -426,10 +426,8 @@ TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
   // End to end on the degraded fleet (replica 1 of every shard still dead):
   // the full batched sweep — session open, segment fan-outs, floor cut —
   // must return the refinement the unsharded reference computes.
-  PreferenceAdjustOptions batched;
-  batched.batch_sweep = true;
-  auto remote_refined = AdjustPreference(oracle, query, {missing}, batched);
-  auto local_refined = AdjustPreference(store, query, {missing}, batched);
+  auto remote_refined = AdjustPreference(oracle, query, {missing});
+  auto local_refined = AdjustPreference(store, query, {missing});
   ASSERT_TRUE(remote_refined.ok()) << remote_refined.status().ToString();
   ASSERT_TRUE(local_refined.ok());
   EXPECT_EQ(remote_refined->refined.w.ws, local_refined->refined.w.ws);

@@ -98,6 +98,53 @@ TEST_F(YaskServiceTest, QueryValidationErrors) {
   EXPECT_EQ(status, 400);
 }
 
+TEST_F(YaskServiceTest, NonFiniteCoordinateIs400) {
+  // 1e999 overflows to +inf in the JSON parser; the query must be refused
+  // before it reaches the result cache or the engine.
+  for (const char* body_text :
+       {R"({"x": 1e999, "y": 22.28, "keywords": "clean comfortable", "k": 3})",
+        R"({"x": 114.15, "y": -1e999, "keywords": "clean comfortable"})"}) {
+    int status = 0;
+    auto body =
+        HttpFetch(service_->port(), "POST", "/query", body_text, &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << body_text << " -> " << *body;
+    EXPECT_EQ(body->find("query_id"), std::string::npos) << *body;
+  }
+  EXPECT_EQ(service_->cached_queries(), 0u);
+}
+
+TEST_F(YaskServiceTest, FractionalIntegersAre400) {
+  // A fraction where the API wants an integer is an error, never a silent
+  // truncation: "k": 2.5 is not k = 2, and object 3.7 is not object 3.
+  int status = 0;
+  auto body = HttpFetch(
+      service_->port(), "POST", "/query",
+      R"({"x": 114.158, "y": 22.281, "keywords": "clean comfortable", )"
+      R"("k": 2.5})",
+      &status);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(status, 400) << *body;
+
+  const JsonValue qresp = IssueQuery(3);
+  const size_t query_id =
+      static_cast<size_t>(qresp.Get("query_id").as_number());
+  const std::string id = std::to_string(query_id);
+  for (const std::string& whynot :
+       {R"({"query_id": )" + id + R"(, "missing": [3.7]})",
+        R"({"query_id": )" + id + R"(.5, "missing": [3]})"}) {
+    body = HttpFetch(service_->port(), "POST", "/whynot", whynot, &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << whynot << " -> " << *body;
+  }
+  // The integral spelling of the same request is served.
+  body = HttpFetch(service_->port(), "POST", "/whynot",
+                   R"({"query_id": )" + id + R"(, "missing": [3.0]})",
+                   &status);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(status, 200) << *body;
+}
+
 TEST_F(YaskServiceTest, WhyNotWorkflowRevivesMissingHotel) {
   const JsonValue qresp = IssueQuery(3);
   const uint64_t query_id =

@@ -9,6 +9,7 @@
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -190,27 +191,55 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   auto result = AdaptKeywords(store, tree, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
-  // No candidate within the same edit budget achieves a better rank.
-  const KeywordSet m_doc = store.Get(missing[0]).doc;
-  const KeywordSet insertable = KeywordSet::Difference(m_doc, q.doc);
-  size_t best_rank = result->original_rank;  // Pure-k fallback.
-  for (size_t e = 1; e <= 2; ++e) {
-    for (const KeywordSet& cand :
-         GenerateCandidatesAtDistance(q.doc, insertable, e)) {
-      Query cq = q;
-      cq.doc = cand;
-      Scorer scorer(store, cq);
-      const double s = scorer.Score(missing[0]);
-      size_t above = 0;
-      for (const SpatialObject& o : store.objects()) {
-        if (o.id == missing[0]) continue;
-        const double so = scorer.Score(o);
-        if (so > s || (so == s && o.id < missing[0])) ++above;
-      }
-      best_rank = std::min(best_rank, above + 1);
+  // No candidate within the same edit budget achieves a better rank: the
+  // refinement is the reference's, found by enumerating every keyword subset
+  // within two edits.
+  reference::ExpectKeywordAnswer(
+      *result,
+      reference::SolveKeywords(store, q, missing, opts.lambda,
+                               opts.max_edit_distance),
+      "lambda=1");
+  EXPECT_LE(result->refined_rank, result->original_rank);
+}
+
+TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
+  // Two candidates at ∆doc = 1 revive M inside the original k, so both cost
+  // exactly the ∆doc floor. The insertion {a, c, e} is generated first; the
+  // deletion {a} comes later but wins the lexicographic tie order. With
+  // chunks of one the winner is known before {a} is generated, and only a
+  // STRICT per-candidate floor cut lets {a} still reach the tie order.
+  ObjectStore store;
+  std::vector<TermId> t;
+  for (const char* word : {"a", "b", "c", "d", "e"}) {
+    t.push_back(store.mutable_vocab()->Intern(word));
+  }
+  const ObjectId missing =
+      store.Add(Point{0, 0}, KeywordSet({t[0], t[4]}), "m");
+  store.Add(Point{0, 0}, KeywordSet({t[2]}), "rival");
+  store.Add(Point{1, 1}, KeywordSet({t[1], t[3]}), "far");
+  KcRTree tree(&store);
+  tree.BulkLoad();
+  Query q;
+  q.loc = Point{0, 0};
+  q.doc = KeywordSet({t[0], t[2]});
+  q.k = 1;
+  const reference::KeywordAnswer want =
+      reference::SolveKeywords(store, q, {missing}, 0.5);
+  ASSERT_EQ(want.doc.ids(), std::vector<TermId>{t[0]});
+  for (const KwAdaptMode mode :
+       {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
+    for (const size_t chunk : {size_t{1}, size_t{128}}) {
+      KeywordAdaptOptions opts;
+      opts.mode = mode;
+      opts.probe_batch_size = chunk;
+      auto got = AdaptKeywords(store, tree, q, {missing}, opts);
+      ASSERT_TRUE(got.ok());
+      reference::ExpectKeywordAnswer(
+          *got, want,
+          "mode=" + std::to_string(static_cast<int>(mode)) +
+              " chunk=" + std::to_string(chunk));
     }
   }
-  EXPECT_EQ(result->refined_rank, best_rank);
 }
 
 // Basic and bound-and-prune must return identical refinements.
@@ -257,14 +286,17 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.3, 0.5, 0.7),
                        ::testing::Values(1u, 2u)));
 
-// The batched level-synchronous search must return the exact refinement the
-// per-probe search returns — the strict-cut argument makes the winner
-// independent of the probing schedule — while issuing exactly one refine
-// fan-out per refinement level (the remote round-trip gate).
-class KwBatchingAgrees
+// Every chunking of the level-synchronous search, in both modes, must
+// return exactly the refinement the index-free reference finds by
+// enumerating every keyword subset — the strict-cut argument makes the
+// winner independent of how candidates are chunked — while issuing exactly
+// one refine fan-out per refinement level (the remote round-trip gate).
+// Chunks of one and two candidates exercise the per-candidate floor cut
+// between flushes, where a non-strict cut would drop exact ties.
+class KwReferenceAgrees
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
-TEST_P(KwBatchingAgrees, BatchedEqualsPerProbe) {
+TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(250, seed);
   KcRTree tree(&store);
@@ -277,54 +309,35 @@ TEST_P(KwBatchingAgrees, BatchedEqualsPerProbe) {
     q.k = 3 + static_cast<uint32_t>(rng.NextBounded(4));
     const std::vector<ObjectId> missing = PickMissing(store, q, m_count);
     if (missing.size() != m_count) continue;
+    const reference::KeywordAnswer want =
+        reference::SolveKeywords(store, q, missing, lambda);
 
     for (const KwAdaptMode mode :
          {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
-      KeywordAdaptOptions batched;
-      batched.lambda = lambda;
-      batched.mode = mode;
-      batched.batch_probes = true;
-      KeywordAdaptOptions per_probe = batched;
-      per_probe.batch_probes = false;
-
-      auto rb = AdaptKeywords(store, tree, q, missing, batched);
-      auto rp = AdaptKeywords(store, tree, q, missing, per_probe);
-      ASSERT_TRUE(rb.ok());
-      ASSERT_TRUE(rp.ok());
-      EXPECT_EQ(rb->already_in_result, rp->already_in_result);
-      // Bit-identical, not just near: the same floating-point winner.
-      EXPECT_EQ(rb->penalty.value, rp->penalty.value)
-          << "seed=" << seed << " λ=" << lambda << " trial=" << trial;
-      EXPECT_EQ(rb->refined.doc.ids(), rp->refined.doc.ids());
-      EXPECT_EQ(rb->refined.k, rp->refined.k);
-      EXPECT_EQ(rb->original_rank, rp->original_rank);
-      EXPECT_EQ(rb->refined_rank, rp->refined_rank);
-
-      // The round-trip shape: one fan-out per refinement level when
-      // batching; the per-probe path pays one per probe per level.
-      EXPECT_EQ(rb->stats.probe_fanouts, rb->stats.refine_levels);
-      EXPECT_GE(rp->stats.probe_fanouts, rb->stats.probe_fanouts);
+      for (const size_t chunk : {size_t{1}, size_t{2}, size_t{128},
+                                 size_t{0}}) {
+        KeywordAdaptOptions opts;
+        opts.lambda = lambda;
+        opts.mode = mode;
+        opts.probe_batch_size = chunk;
+        auto got = AdaptKeywords(store, tree, q, missing, opts);
+        ASSERT_TRUE(got.ok());
+        const std::string label =
+            "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
+            " trial=" + std::to_string(trial) + " mode=" +
+            std::to_string(static_cast<int>(mode)) +
+            " chunk=" + std::to_string(chunk);
+        reference::ExpectKeywordAnswer(*got, want, label);
+        // The round-trip shape: one fan-out per refinement level.
+        EXPECT_EQ(got->stats.probe_fanouts, got->stats.refine_levels)
+            << label;
+      }
     }
-
-    // A tiny batch cap still returns the same winner (chunked levels).
-    KeywordAdaptOptions tiny;
-    tiny.lambda = lambda;
-    tiny.probe_batch_size = 2;
-    KeywordAdaptOptions unbounded;
-    unbounded.lambda = lambda;
-    unbounded.probe_batch_size = 0;
-    auto rt = AdaptKeywords(store, tree, q, missing, tiny);
-    auto ru = AdaptKeywords(store, tree, q, missing, unbounded);
-    ASSERT_TRUE(rt.ok());
-    ASSERT_TRUE(ru.ok());
-    EXPECT_EQ(rt->penalty.value, ru->penalty.value);
-    EXPECT_EQ(rt->refined.doc.ids(), ru->refined.doc.ids());
-    EXPECT_EQ(rt->refined.k, ru->refined.k);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, KwBatchingAgrees,
+    Sweep, KwReferenceAgrees,
     ::testing::Combine(::testing::Values(5, 17, 29),
                        ::testing::Values(0.3, 0.5, 0.7),
                        ::testing::Values(1u, 2u)));
@@ -366,9 +379,9 @@ TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
   EXPECT_LE(result->penalty.delta_doc, 1u);
 }
 
-// Exhaustive optimality audit: on a small dataset, enumerate EVERY candidate
-// keyword set over q.doc ∪ M.doc (all edit distances), rank by full scan,
-// and verify AdaptKeywords returns the true minimum penalty.
+// Exhaustive optimality audit: on a small dataset, the reference enumerates
+// EVERY keyword subset of q.doc ∪ M.doc and ranks by full scan; AdaptKeywords
+// must return its refinement exactly — keywords, k, ranks and penalty.
 class KwOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
@@ -396,34 +409,10 @@ TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
     opts.lambda = lambda;
     auto result = AdaptKeywords(store, tree, q, missing, opts);
     ASSERT_TRUE(result.ok());
-    if (result->already_in_result) continue;
-    const size_t r0 = result->original_rank;
-
-    // Exhaustive reference: every candidate at every edit distance.
-    KeywordSet m_doc = store.Get(missing[0]).doc;
-    const KeywordSet universe = KeywordSet::Union(q.doc, m_doc);
-    const KeywordSet insertable = KeywordSet::Difference(m_doc, q.doc);
-    double best = lambda;  // Pure-k refinement.
-    for (size_t e = 1; e <= q.doc.size() + insertable.size(); ++e) {
-      for (const KeywordSet& cand :
-           GenerateCandidatesAtDistance(q.doc, insertable, e)) {
-        Query cq = q;
-        cq.doc = cand;
-        Scorer scorer(store, cq);
-        const double s = scorer.Score(missing[0]);
-        size_t above = 0;
-        for (const SpatialObject& o : store.objects()) {
-          if (o.id == missing[0]) continue;
-          const double so = scorer.Score(o);
-          if (so > s || (so == s && o.id < missing[0])) ++above;
-        }
-        const PenaltyBreakdown pen =
-            KeywordPenalty(lambda, q, e, universe.size(), r0, above + 1);
-        best = std::min(best, pen.value);
-      }
-    }
-    EXPECT_NEAR(result->penalty.value, best, 1e-12)
-        << "seed=" << GetParam() << " trial=" << trial;
+    reference::ExpectKeywordAnswer(
+        *result, reference::SolveKeywords(store, q, missing, lambda),
+        "seed=" + std::to_string(GetParam()) +
+            " trial=" + std::to_string(trial));
   }
 }
 

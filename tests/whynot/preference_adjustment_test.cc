@@ -11,6 +11,7 @@
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -291,10 +292,12 @@ TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
   EXPECT_EQ(result->stats.full_rescans, 0u);
 }
 
-TEST(AdjustPreferenceTest, BatchedSweepMatchesPerEventSweep) {
+TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
   // The speculative segment sweep must return the byte-identical refinement
   // and identical crossing/candidate counters at every segment size — the
-  // floor cut discards over-fetched counts deterministically.
+  // floor cut discards over-fetched counts deterministically — and that
+  // refinement must pass the index-free reference audit. Segments of one
+  // event fetch exactly what the sweep evaluates, so they set the baseline.
   const ObjectStore store = MakeStore(600, 10);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
@@ -305,57 +308,65 @@ TEST(AdjustPreferenceTest, BatchedSweepMatchesPerEventSweep) {
       q.k = 4;
       const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
       if (missing.empty()) continue;
+      const std::string base_tag = "lambda=" + std::to_string(lambda) +
+                                   " trial=" + std::to_string(trial);
 
-      PreferenceAdjustOptions per_event;
-      per_event.lambda = lambda;
-      per_event.batch_sweep = false;
-      auto reference = AdjustPreference(store, q, missing, per_event);
-      ASSERT_TRUE(reference.ok());
+      PreferenceAdjustOptions one;
+      one.lambda = lambda;
+      one.sweep_batch_size = 1;
+      auto baseline = AdjustPreference(store, q, missing, one);
+      ASSERT_TRUE(baseline.ok());
+      reference::ExpectPreferenceAnswer(
+          store, q, missing, lambda, *baseline,
+          reference::AuditPreference(store, q, missing, lambda), base_tag);
 
-      for (size_t segment : {size_t{0}, size_t{1}, size_t{3}, size_t{100}}) {
-        PreferenceAdjustOptions batched = per_event;
-        batched.batch_sweep = true;
-        batched.sweep_batch_size = segment;
-        auto result = AdjustPreference(store, q, missing, batched);
+      for (size_t segment : {size_t{0}, size_t{3}, size_t{100}}) {
+        PreferenceAdjustOptions segmented = one;
+        segmented.sweep_batch_size = segment;
+        auto result = AdjustPreference(store, q, missing, segmented);
         ASSERT_TRUE(result.ok());
-        const std::string tag = "lambda=" + std::to_string(lambda) +
-                                " trial=" + std::to_string(trial) +
-                                " segment=" + std::to_string(segment);
-        EXPECT_EQ(result->refined.w.ws, reference->refined.w.ws) << tag;
-        EXPECT_EQ(result->refined.k, reference->refined.k) << tag;
-        EXPECT_EQ(result->refined_rank, reference->refined_rank) << tag;
-        EXPECT_EQ(result->penalty.value, reference->penalty.value) << tag;
+        const std::string tag =
+            base_tag + " segment=" + std::to_string(segment);
+        EXPECT_EQ(result->refined.w.ws, baseline->refined.w.ws) << tag;
+        EXPECT_EQ(result->refined.k, baseline->refined.k) << tag;
+        EXPECT_EQ(result->refined_rank, baseline->refined_rank) << tag;
+        EXPECT_EQ(result->penalty.value, baseline->penalty.value) << tag;
         EXPECT_EQ(result->stats.crossings_found,
-                  reference->stats.crossings_found)
+                  baseline->stats.crossings_found)
             << tag;
         EXPECT_EQ(result->stats.candidates_evaluated,
-                  reference->stats.candidates_evaluated)
+                  baseline->stats.candidates_evaluated)
             << tag;
         if (segment <= 1) {
-          // Segment-of-one sweeps fetch exactly what per-event evaluates.
+          // In-process sessions prefer segments of one (segment 0 = ask).
           EXPECT_EQ(result->stats.index_nodes_visited,
-                    reference->stats.index_nodes_visited)
+                    baseline->stats.index_nodes_visited)
+              << tag;
+          EXPECT_EQ(result->stats.sweep_fanouts,
+                    baseline->stats.sweep_fanouts)
               << tag;
         } else {
           // Speculation may fetch (and discard) counts past the floor cut.
           EXPECT_GE(result->stats.index_nodes_visited,
-                    reference->stats.index_nodes_visited)
+                    baseline->stats.index_nodes_visited)
+              << tag;
+          EXPECT_LE(result->stats.sweep_fanouts,
+                    baseline->stats.sweep_fanouts)
               << tag;
         }
-        // Batching never spends MORE fan-outs than per-event.
-        EXPECT_LE(result->stats.sweep_fanouts, reference->stats.sweep_fanouts)
-            << tag;
       }
     }
   }
 }
 
-TEST(AdjustPreferenceTest, BatchedSweepSavesFanouts) {
-  // With a multi-candidate segment, the sweep must actually amortize: one
-  // fan-out covers all anchors of Step 1 (instead of |M|) and each segment
-  // covers several candidates (instead of candidates × anchors fan-outs).
+TEST(AdjustPreferenceTest, SegmentedSweepSavesFanouts) {
+  // A segment covers several events in one fan-out. With segments of one,
+  // the sweep spends one Step-1 fan-out plus one per event it consumes (E);
+  // with segments of eight it must consume the same E events in exactly
+  // ⌈E/8⌉ segment fan-outs — the floor cut lands on the same event.
   const ObjectStore store = MakeStore(800, 11);
   Rng rng(23);
+  size_t checked = 0;
   for (int trial = 0; trial < 6; ++trial) {
     Query q;
     q.loc = SampleQueryLocation(store, &rng);
@@ -364,22 +375,25 @@ TEST(AdjustPreferenceTest, BatchedSweepSavesFanouts) {
     const std::vector<ObjectId> missing = PickMissing(store, q, 2);
     if (missing.size() != 2) continue;
 
-    PreferenceAdjustOptions per_event;
-    per_event.batch_sweep = false;
-    PreferenceAdjustOptions batched;
-    batched.batch_sweep = true;
-    batched.sweep_batch_size = 8;
-    auto rp = AdjustPreference(store, q, missing, per_event);
-    auto rb = AdjustPreference(store, q, missing, batched);
-    ASSERT_TRUE(rp.ok());
-    ASSERT_TRUE(rb.ok());
-    if (rb->already_in_result || rb->stats.candidates_evaluated < 4) continue;
-    EXPECT_EQ(rb->penalty.value, rp->penalty.value);
-    // Per-event spends ≥ one fan-out per (candidate, anchor) pair; batched
-    // spends ⌈candidates-ish/8⌉ segments plus one Step-1 fan-out.
-    EXPECT_LT(rb->stats.sweep_fanouts, rp->stats.sweep_fanouts / 2)
-        << "candidates=" << rb->stats.candidates_evaluated;
+    PreferenceAdjustOptions one;
+    one.sweep_batch_size = 1;
+    PreferenceAdjustOptions eight;
+    eight.sweep_batch_size = 8;
+    auto r1 = AdjustPreference(store, q, missing, one);
+    auto r8 = AdjustPreference(store, q, missing, eight);
+    ASSERT_TRUE(r1.ok());
+    ASSERT_TRUE(r8.ok());
+    if (r1->already_in_result) continue;
+    EXPECT_EQ(r8->penalty.value, r1->penalty.value);
+    const size_t events = r1->stats.sweep_fanouts - 1;
+    EXPECT_EQ(r8->stats.sweep_fanouts, 1 + (events + 7) / 8)
+        << "events consumed=" << events;
+    if (events >= 2) {
+      EXPECT_LT(r8->stats.sweep_fanouts, r1->stats.sweep_fanouts);
+      ++checked;
+    }
   }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
