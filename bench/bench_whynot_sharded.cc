@@ -9,22 +9,9 @@
 // fast-but-wrong merge fails the run (non-zero exit) rather than entering
 // the perf trajectory.
 //
-// Two timings per configuration (the bench_sharded discipline):
-//   * wall      — WhyNotEngine::Answer on this host as-is (parallel over the
-//                 corpus pool when the host has cores, inline when not).
-//   * scatter   — the scatter-gather deployment model: every shard runs its
-//                 slice of each oracle fan-out concurrently on its own
-//                 core/node, so per-question latency is the MAX of the
-//                 per-shard busy times plus everything that is coordinator
-//                 work (candidate enumeration, penalty arithmetic, merges).
-//                 Per-shard busy time is measured per fan-out task through
-//                 the oracle's instrumentation hook; no parallel hardware is
-//                 required. On a 1-core CI host this is the number that
-//                 reflects what the oracle seam buys a real deployment; on
-//                 a multicore host `wall` converges toward it.
-//
-// The speedup_4_shards_vs_1 context key reports the scatter model
-// (speedup_metric records that); wall speedups are reported alongside.
+// Each configuration is timed as wall time of WhyNotEngine::Answer on this
+// host as-is (parallel over the corpus pool when the host has cores, inline
+// when not); speedup_4_shards_vs_1 is the 1-shard over the 4-shard wall.
 //
 //   $ ./bench_whynot_sharded [--n=100000] [--questions=16]
 //                            [--json=BENCH_whynot_sharded.json]
@@ -33,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +29,6 @@
 #include "src/common/timer.h"
 #include "src/common/trace.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/server/json.h"
 #include "src/whynot/why_not_engine.h"
 
@@ -60,8 +45,7 @@ struct Question {
 
 struct ShardRun {
   size_t shards = 0;
-  double wall_ms = 0.0;     // Best-of-kReps wall for the whole workload.
-  double scatter_ms = 0.0;  // Sum over questions of the scatter-gather model.
+  double wall_ms = 0.0;  // Best-of-kReps wall for the whole workload.
   bool results_match = true;
 };
 
@@ -192,11 +176,11 @@ int main(int argc, char** argv) {
       "n=%zu objects, %zu why-not questions (k=10, 3 keywords, |M|=1..2), "
       "host cores=%u\n",
       n, workload.size(), std::thread::hardware_concurrency());
-  std::printf("%-16s %11s %9s %11s %9s  %s\n", "engine", "wall ms/q",
-              "wall q/s", "scatter ms", "sct q/s", "exact");
-  std::printf("%-16s %11.2f %9.1f %11s %9s  %s\n", "unsharded",
+  std::printf("%-16s %11s %9s  %s\n", "engine", "wall ms/q", "wall q/s",
+              "exact");
+  std::printf("%-16s %11.2f %9.1f  %s\n", "unsharded",
               baseline_ms / workload.size(),
-              1000.0 * workload.size() / baseline_ms, "-", "-", "ref");
+              1000.0 * workload.size() / baseline_ms, "ref");
 
   std::vector<ShardRun> runs;
   for (const size_t shards : {1, 2, 4}) {
@@ -205,12 +189,7 @@ int main(int argc, char** argv) {
         store, GridShardRouter::Fit(store, static_cast<uint32_t>(shards)));
     const double partition_ms = partition_timer.ElapsedMillis();
 
-    // The engine under test, with the scatter-model instrumentation wired
-    // into its oracle before the engine takes ownership.
-    std::vector<double> busy(sharded.num_shards(), 0.0);
-    auto oracle = std::make_unique<ShardedWhyNotOracle>(sharded);
-    ShardedWhyNotOracle* oracle_handle = oracle.get();
-    const WhyNotEngine engine(std::move(oracle));
+    const WhyNotEngine engine(sharded);
 
     ShardRun run;
     run.shards = shards;
@@ -223,7 +202,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    // (a) Wall time of the fan-out engine on this host.
+    // Wall time of the fan-out engine on this host.
     run.wall_ms = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
       Timer timer;
@@ -233,44 +212,12 @@ int main(int argc, char** argv) {
       }
       run.wall_ms = std::min(run.wall_ms, timer.ElapsedMillis());
     }
-
-    // (b) Scatter-gather model: per-question latency = the slowest shard's
-    // accumulated fan-out busy time plus the coordinator remainder (wall
-    // minus ALL shard busy time, clamped — on a multicore host fan-out
-    // overlap can push the raw remainder below zero). The busy-time hook is
-    // not safe under concurrent oracle calls, so stage overlap is off for
-    // this arm (the model sums per-stage busy time anyway).
-    WhyNotOptions scatter_options;
-    scatter_options.overlap_stages = false;
-    oracle_handle->set_shard_busy_ms(&busy);
-    run.scatter_ms = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      double total = 0.0;
-      for (const Question& q : workload) {
-        std::fill(busy.begin(), busy.end(), 0.0);
-        Timer timer;
-        auto answer = engine.Answer(q.query, q.missing, scatter_options);
-        const double wall = timer.ElapsedMillis();
-        if (!answer.ok()) run.results_match = false;
-        double busy_sum = 0.0;
-        double busy_max = 0.0;
-        for (double b : busy) {
-          busy_sum += b;
-          busy_max = std::max(busy_max, b);
-        }
-        total += busy_max + std::max(0.0, wall - busy_sum);
-      }
-      run.scatter_ms = std::min(run.scatter_ms, total);
-    }
-    oracle_handle->set_shard_busy_ms(nullptr);
     runs.push_back(run);
 
-    std::printf("%-16s %11.2f %9.1f %11.2f %9.1f  %s  (partition %.0f ms)\n",
+    std::printf("%-16s %11.2f %9.1f  %s  (partition %.0f ms)\n",
                 ("sharded/" + std::to_string(shards)).c_str(),
                 run.wall_ms / workload.size(),
                 1000.0 * workload.size() / run.wall_ms,
-                run.scatter_ms / workload.size(),
-                1000.0 * workload.size() / run.scatter_ms,
                 run.results_match ? "yes" : "NO — BUG", partition_ms);
   }
 
@@ -280,15 +227,12 @@ int main(int argc, char** argv) {
     if (r.shards == 1) one = &r;
     if (r.shards == 4) four = &r;
   }
-  const double scatter_speedup =
-      (one != nullptr && four != nullptr) ? one->scatter_ms / four->scatter_ms
-                                          : 0.0;
   const double wall_speedup =
       (one != nullptr && four != nullptr) ? one->wall_ms / four->wall_ms : 0.0;
   std::printf(
-      "\n4-shard vs 1-shard refinement throughput: %.2fx scatter-gather "
-      "model, %.2fx wall on this %u-core host\n",
-      scatter_speedup, wall_speedup, std::thread::hardware_concurrency());
+      "\n4-shard vs 1-shard refinement throughput: %.2fx wall on this "
+      "%u-core host\n",
+      wall_speedup, std::thread::hardware_concurrency());
 
   bool all_match = true;
   for (const ShardRun& r : runs) all_match = all_match && r.results_match;
@@ -351,12 +295,9 @@ int main(int argc, char** argv) {
   context.Set("host_hardware_concurrency",
               JsonValue(static_cast<size_t>(
                   std::thread::hardware_concurrency())));
-  context.Set("speedup_4_shards_vs_1", JsonValue(scatter_speedup));
+  context.Set("speedup_4_shards_vs_1", JsonValue(wall_speedup));
   context.Set("speedup_metric",
-              JsonValue("scatter_gather_latency_model (one core/node per "
-                        "shard; per-shard oracle fan-out tasks timed "
-                        "individually, coordinator remainder added)"));
-  context.Set("wall_speedup_4_shards_vs_1", JsonValue(wall_speedup));
+              JsonValue("wall (best-of-2 workload pass on this host)"));
   context.Set("observability_overhead_pct", JsonValue(overhead_pct));
   context.Set("results_match", JsonValue(all_match && overhead_ok));
 
@@ -379,8 +320,6 @@ int main(int argc, char** argv) {
     const std::string shard_tag = "/shards:" + std::to_string(r.shards);
     bench_row("whynot_sharded/wall" + shard_tag + suffix,
               r.wall_ms / workload.size());
-    bench_row("whynot_sharded/scatter" + shard_tag + suffix,
-              r.scatter_ms / workload.size());
   }
 
   JsonValue doc = JsonValue::MakeObject();

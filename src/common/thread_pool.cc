@@ -1,7 +1,10 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <latch>
 #include <utility>
+
+#include "src/common/trace.h"
 
 namespace yask {
 
@@ -44,6 +47,24 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
+}
+
+void FanOut(ThreadPool* pool, const std::vector<size_t>& indices,
+            const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || indices.size() <= 1) {
+    for (const size_t i : indices) fn(i);
+    return;
+  }
+  const TraceContext trace_ctx = CurrentTraceContext();
+  std::latch latch(static_cast<ptrdiff_t>(indices.size()));
+  for (const size_t i : indices) {
+    pool->Submit([&fn, &latch, trace_ctx, i] {
+      TraceContextScope scope(trace_ctx);
+      fn(i);
+      latch.count_down();
+    });
+  }
+  latch.wait();
 }
 
 }  // namespace yask

@@ -5,7 +5,8 @@
 // every query; spawning threads per query would cost more than the searches
 // themselves, so the pool keeps its workers alive for the lifetime of the
 // engine. Submit() is thread-safe — the HTTP workers of YaskService call
-// into the same pool concurrently; callers join a fan-out with std::latch.
+// into the same pool concurrently. FanOut() is the one way a layout runs a
+// per-shard step over the pool and joins it.
 
 #ifndef YASK_COMMON_THREAD_POOL_H_
 #define YASK_COMMON_THREAD_POOL_H_
@@ -47,6 +48,15 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(i) for every i in `indices` and returns once all have finished:
+/// on `pool` when there is one and more than one index (the caller blocks on
+/// a latch), inline on the calling thread otherwise. Pool tasks run under
+/// the caller's trace context, so spans they record parent under the span
+/// open at the call site. Tasks must be leaves (never wait on this pool
+/// themselves), or a caller blocked on the latch could starve the pool.
+void FanOut(ThreadPool* pool, const std::vector<size_t>& indices,
+            const std::function<void(size_t)>& fn);
 
 }  // namespace yask
 

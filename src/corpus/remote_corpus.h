@@ -339,7 +339,7 @@ class RemoteCorpus {
   /// RemoteTopKClient and RemoteShardOracle, one pool per corpus.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// Runs fn(shard_index) for every shard, on the pool when present.
+  /// Runs fn(shard_index) for every shard: FanOut over the pool.
   void ForEachShard(const std::function<void(size_t)>& fn) const;
 
   // --- Error channel (see file comment). ---
@@ -384,6 +384,7 @@ class RemoteCorpus {
   double dist_norm_ = 0.0;
   bool has_kcr_ = false;
   std::vector<uint32_t> shard_of_;  // Global id -> shard index.
+  std::vector<size_t> all_shards_;  // 0..num_shards-1, ForEachShard's list.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ErrorState> state_ = std::make_unique<ErrorState>();
 
@@ -395,10 +396,9 @@ class RemoteCorpus {
   std::unique_ptr<ObjectCache> cache_ = std::make_unique<ObjectCache>();
 };
 
-/// Threshold-broadcast fan-out top-k over remote shards — the wire twin of
-/// ShardedTopKEngine, merging bit-identically: home shard (nearest SetR root
-/// MBR) first, its k-th score broadcast as the prune threshold, per-shard
-/// rows re-sorted under the global ScoredObject order.
+/// Threshold-broadcast fan-out top-k over remote shards: FanOutTopK
+/// (src/corpus/topk_fanout.h) with one /shard/topk round-trip per shard
+/// search, so it merges bit-identically to ShardedTopKEngine.
 class RemoteTopKClient {
  public:
   explicit RemoteTopKClient(const RemoteCorpus& corpus) : corpus_(&corpus) {}

@@ -15,11 +15,12 @@
 //    is a subset of the union of those, and re-sorting the union under the
 //    ScoredObject ordering (score desc, global id asc) reproduces the
 //    unsharded result exactly — ties and all;
-//  * execution is threshold-broadcast fan-out: the query's home shard (the
-//    one whose tree MBR is nearest the query point) is searched first and
-//    its k-th score is handed to the other shards as a prune threshold,
-//    which only ever skips strictly-worse candidates — far shards usually
-//    stop at their root, so a fan-out costs about one small-tree search.
+//  * execution is threshold-broadcast fan-out (FanOutTopK, shared with the
+//    remote layout): the query's home shard (the one whose tree MBR is
+//    nearest the query point) is searched first and its k-th score is
+//    handed to the other shards as a prune threshold, which only ever skips
+//    strictly-worse candidates — far shards usually stop at their root, so
+//    a fan-out costs about one small-tree search.
 //
 // Persistence: Save() writes one snapshot file per shard (store + indexes +
 // a ShardManifest section); a shard file is the shippable unit — a remote
@@ -136,13 +137,13 @@ class ShardedCorpus {
   mutable std::unique_ptr<ThreadPool> pool_;  // Null: fan-outs run inline.
 };
 
-/// Parallel fan-out/merge top-k over a ShardedCorpus. Results are
-/// bit-identical to SetRTopKEngine over the same (unsharded) objects.
+/// Parallel fan-out/merge top-k over a ShardedCorpus: FanOutTopK over one
+/// SetRTopKEngine per shard. Results are bit-identical to SetRTopKEngine over
+/// the same (unsharded) objects.
 ///
 /// Thread-safe: concurrent Query() calls share the corpus's worker pool
 /// (also used by the sharded why-not oracle — one pool per corpus, not one
-/// per engine). The home shard is always searched on the calling thread;
-/// without a pool the thresholded fan-out runs inline, nearest shard first.
+/// per engine).
 class ShardedTopKEngine {
  public:
   explicit ShardedTopKEngine(const ShardedCorpus& corpus);

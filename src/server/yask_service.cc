@@ -201,29 +201,58 @@ YaskService::YaskService(YaskServiceOptions options)
 
 YaskService::YaskService(const Corpus& corpus, YaskServiceOptions options)
     : YaskService(options) {
-  corpus_ = &corpus;
-  engine_.emplace(corpus);
+  auto d = std::make_shared<Deployment>();
+  d->engine.emplace(corpus);
+  d->vocab = &corpus.vocab();
+  d->has_kcr = corpus.has_kcr();
+  d->find_by_name = [&corpus](const std::string& name) {
+    return corpus.store().FindByName(name);
+  };
+  d->save = [&corpus](const std::string& path) { return corpus.Save(path); };
+  deployment_ = std::move(d);
 }
 
 YaskService::YaskService(const ShardedCorpus& corpus,
                          YaskServiceOptions options)
     : YaskService(options) {
-  sharded_ = &corpus;
-  engine_.emplace(corpus);
+  auto d = std::make_shared<Deployment>();
+  d->engine.emplace(corpus);
+  d->vocab = &corpus.vocab();
+  d->has_kcr = true;
+  for (size_t s = 0; s < corpus.num_shards(); ++s) {
+    d->has_kcr = d->has_kcr && corpus.shard(s).has_kcr();
+  }
+  d->shards = corpus.num_shards();
+  d->find_by_name = [&corpus](const std::string& name) {
+    return corpus.FindByName(name);
+  };
+  d->save = [&corpus](const std::string& prefix) {
+    return corpus.Save(prefix);
+  };
+  deployment_ = std::move(d);
 }
 
 YaskService::YaskService(const RemoteCorpus& corpus,
                          YaskServiceOptions options)
     : YaskService(options) {
-  remote_mode_ = true;
   // The boot deployment (generation 1) borrows the caller's corpus; fleets
   // swapped in later via /admin/layout are owned by their deployment.
-  auto boot = std::make_shared<RemoteDeployment>();
-  boot->generation = 1;
-  boot->spec = SpecOf(corpus);
-  boot->corpus = &corpus;
-  boot->engine.emplace(std::make_unique<RemoteShardOracle>(corpus));
+  auto boot = std::make_shared<Deployment>();
+  BindRemote(corpus, boot.get());
   deployment_ = std::move(boot);
+}
+
+void YaskService::BindRemote(const RemoteCorpus& corpus,
+                             Deployment* deployment) {
+  deployment->spec = SpecOf(corpus);
+  deployment->remote = &corpus;
+  deployment->engine.emplace(std::make_unique<RemoteShardOracle>(corpus));
+  deployment->vocab = &corpus.vocab();
+  deployment->has_kcr = corpus.has_kcr();
+  deployment->shards = corpus.num_shards();
+  deployment->find_by_name = [&corpus](const std::string& name) {
+    return corpus.FindByName(name);
+  };
 }
 
 Status YaskService::Start() { return server_.Start(); }
@@ -232,12 +261,12 @@ void YaskService::Stop() { server_.Stop(); }
 
 // --- Layout deployments ------------------------------------------------------
 
-thread_local const YaskService::RemoteDeployment*
-    YaskService::tls_deployment_ = nullptr;
+thread_local const YaskService::Deployment* YaskService::tls_deployment_ =
+    nullptr;
 
 YaskService::DeploymentPin::DeploymentPin(const YaskService& service)
     : previous_(tls_deployment_) {
-  if (service.remote_mode_) {
+  {
     std::lock_guard<std::mutex> lock(service.layout_mu_);
     pinned_ = service.deployment_;
   }
@@ -246,28 +275,24 @@ YaskService::DeploymentPin::DeploymentPin(const YaskService& service)
 
 YaskService::DeploymentPin::~DeploymentPin() { tls_deployment_ = previous_; }
 
-const YaskService::RemoteDeployment* YaskService::CurrentDeployment() const {
-  if (!remote_mode_) return nullptr;
+const YaskService::Deployment& YaskService::CurrentDeployment() const {
   // Every handler runs under a DeploymentPin; the fallback covers direct
   // calls from tests or constructors (no cutover can race those).
-  if (tls_deployment_ != nullptr) return tls_deployment_;
+  if (tls_deployment_ != nullptr) return *tls_deployment_;
   std::lock_guard<std::mutex> lock(layout_mu_);
-  return deployment_.get();
+  return *deployment_;
 }
 
 const RemoteCorpus* YaskService::ActiveRemote() const {
-  const RemoteDeployment* deployment = CurrentDeployment();
-  return deployment != nullptr ? deployment->corpus : nullptr;
+  return CurrentDeployment().remote;
 }
 
 const WhyNotEngine& YaskService::Engine() const {
-  if (!remote_mode_) return *engine_;
-  return *CurrentDeployment()->engine;
+  return *CurrentDeployment().engine;
 }
 
 uint64_t YaskService::LayoutGeneration() const {
-  const RemoteDeployment* deployment = CurrentDeployment();
-  return deployment != nullptr ? deployment->generation : 0;
+  return CurrentDeployment().generation;
 }
 
 std::string YaskService::SpecOf(const RemoteCorpus& corpus) {
@@ -279,8 +304,18 @@ std::string YaskService::SpecOf(const RemoteCorpus& corpus) {
   return spec;
 }
 
+JsonValue YaskService::LayoutJson() const {
+  const Deployment& deployment = CurrentDeployment();
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("generation", JsonValue(static_cast<size_t>(deployment.generation)));
+  out.Set("spec", JsonValue(deployment.spec));
+  std::lock_guard<std::mutex> lock(layout_mu_);
+  out.Set("draining", JsonValue(draining_.size()));
+  return out;
+}
+
 std::optional<HttpResponse> YaskService::AdminGate() const {
-  if (!remote_mode_) {
+  if (ActiveRemote() == nullptr) {
     return HttpResponse::Error(
         501, "fleet admin applies to coordinator mode only (this server "
              "holds its corpus in-process)");
@@ -302,18 +337,16 @@ HttpResponse YaskService::SwapLayout(const std::string& spec) {
     return HttpResponse::Error(
         502, "new layout rejected: " + connected.status().ToString());
   }
-  auto next = std::make_shared<RemoteDeployment>();
+  auto next = std::make_shared<Deployment>();
   next->owned.emplace(std::move(connected).value());
-  next->corpus = &*next->owned;
-  next->spec = SpecOf(*next->corpus);
-  next->engine.emplace(std::make_unique<RemoteShardOracle>(*next->corpus));
+  BindRemote(*next->owned, next.get());
 
   // The new fleet must serve the SAME dataset: a cutover changes where
   // objects live, never what they are. Validated against the pinned active
   // deployment (object count, bounds, SDist normaliser); a mismatch means
   // the operator pointed the coordinator at a different corpus.
   const RemoteCorpus& active = *ActiveRemote();
-  const RemoteCorpus& incoming = *next->corpus;
+  const RemoteCorpus& incoming = *next->remote;
   if (incoming.size() != active.size() ||
       !(incoming.bounds() == active.bounds()) ||
       incoming.dist_norm() != active.dist_norm()) {
@@ -338,7 +371,7 @@ HttpResponse YaskService::SwapLayout(const std::string& spec) {
     // destroyed by reaping — it only drops the deployment wrapper.
     draining_.erase(
         std::remove_if(draining_.begin(), draining_.end(),
-                       [](const std::shared_ptr<const RemoteDeployment>& d) {
+                       [](const std::shared_ptr<const Deployment>& d) {
                          return d.use_count() == 1;
                        }),
         draining_.end());
@@ -358,18 +391,8 @@ HttpResponse YaskService::SwapLayout(const std::string& spec) {
 HttpResponse YaskService::HandleAdminLayout(const HttpRequest& req) {
   if (auto blocked = AdminGate(); blocked.has_value()) return *blocked;
   if (req.method == "GET") {
-    const RemoteDeployment* deployment = CurrentDeployment();
-    size_t draining = 0;
-    {
-      std::lock_guard<std::mutex> lock(layout_mu_);
-      draining = draining_.size();
-    }
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("generation",
-            JsonValue(static_cast<size_t>(deployment->generation)));
-    out.Set("spec", JsonValue(deployment->spec));
-    out.Set("shards", JsonValue(deployment->corpus->num_shards()));
-    out.Set("draining", JsonValue(draining));
+    JsonValue out = LayoutJson();
+    out.Set("shards", JsonValue(CurrentDeployment().shards));
     return HttpResponse::Json(out.Dump());
   }
   auto parsed = JsonValue::Parse(req.body);
@@ -555,44 +578,16 @@ HttpResponse YaskService::HandleTrace(const HttpRequest& req) {
   return HttpResponse::Json(out.Dump());
 }
 
-// --- Corpus-layout-independent accessors -------------------------------------
+// --- Serving state accessors -------------------------------------------------
 
-size_t YaskService::ObjectCount() const {
-  if (corpus_ != nullptr) return corpus_->size();
-  if (sharded_ != nullptr) return sharded_->size();
-  return ActiveRemote()->size();
-}
+size_t YaskService::ObjectCount() const { return Engine().oracle().size(); }
 
 const Vocabulary& YaskService::vocab() const {
-  if (corpus_ != nullptr) return corpus_->vocab();
-  if (sharded_ != nullptr) return sharded_->vocab();
-  return ActiveRemote()->vocab();
+  return *CurrentDeployment().vocab;
 }
 
 const SpatialObject& YaskService::ObjectAt(ObjectId global_id) const {
-  if (corpus_ != nullptr) return corpus_->store().Get(global_id);
-  if (sharded_ != nullptr) return sharded_->Object(global_id);
-  return ActiveRemote()->Object(global_id);
-}
-
-ObjectId YaskService::FindByName(const std::string& name) const {
-  if (corpus_ != nullptr) return corpus_->store().FindByName(name);
-  if (sharded_ != nullptr) return sharded_->FindByName(name);
-  return ActiveRemote()->FindByName(name);
-}
-
-TopKResult YaskService::RunTopK(const Query& query) const {
-  // The engine's oracle fans out over the shards in sharded/remote mode.
-  return Engine().TopK(query);
-}
-
-bool YaskService::HasKcr() const {
-  if (corpus_ != nullptr) return corpus_->has_kcr();
-  if (sharded_ == nullptr) return ActiveRemote()->has_kcr();
-  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-    if (!sharded_->shard(s).has_kcr()) return false;
-  }
-  return true;
+  return Engine().oracle().Object(global_id);
 }
 
 uint64_t YaskService::RemoteEpoch() const {
@@ -689,7 +684,8 @@ HttpResponse YaskService::HandleQuery(const HttpRequest& req) {
   q.loc = Point{in.Get("x").as_number(), in.Get("y").as_number()};
   q.doc = LookupKeywords(in.Get("keywords").as_string(), vocab());
   q.k = 10;
-  if (in.Get("k").is_number() && !ToUint32(in.Get("k").as_number(), &q.k)) {
+  if (in.Has("k") && (!in.Get("k").is_number() ||
+                      !ToUint32(in.Get("k").as_number(), &q.k))) {
     return HttpResponse::Error(400, "k must be a non-negative integer");
   }
   q.w = options_.system_weights;  // §3.2: w is a server-side parameter.
@@ -712,7 +708,7 @@ HttpResponse YaskService::ComputeQuery(const Query& q, uint64_t epoch,
   TopKResult result;
   {
     ScopedSpan span("query/topk", "k=" + std::to_string(q.k));
-    result = RunTopK(q);
+    result = Engine().TopK(q);
   }
   const double millis = timer.ElapsedMillis();
 
@@ -796,7 +792,7 @@ JsonValue PenaltyToJson(const PenaltyBreakdown& p) {
 
 HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
   const uint64_t epoch = RemoteEpoch();
-  if (!HasKcr()) {
+  if (!CurrentDeployment().has_kcr) {
     // Keyword adaption runs on the KcR-tree(s); a corpus deliberately built
     // without them (top-k-only deployments) cannot answer why-not. Fail the
     // request cleanly instead of letting the oracle hit a missing index.
@@ -842,19 +838,30 @@ HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
       }
       missing.push_back(id);
     } else if (v.is_string()) {
-      const ObjectId id = FindByName(v.as_string());
+      const ObjectId id = CurrentDeployment().find_by_name(v.as_string());
       if (id == kInvalidObject) {
         return HttpResponse::Error(404, "no object named " + v.as_string());
       }
       missing.push_back(id);
+    } else {
+      return HttpResponse::Error(
+          400, "missing entries must be object ids or names");
     }
   }
 
-  const double lambda = in.Get("lambda").is_number()
-                            ? in.Get("lambda").as_number()
-                            : options_.default_lambda;
+  // Optional fields take their defaults only when absent: a field present
+  // with the wrong type is a client error, not a request for the default.
+  if (in.Has("lambda") && !in.Get("lambda").is_number()) {
+    return HttpResponse::Error(400, "lambda must be a number");
+  }
+  if (in.Has("model") && !in.Get("model").is_string()) {
+    return HttpResponse::Error(
+        400, "model must be preference|keyword|both|combined");
+  }
+  const double lambda = in.Has("lambda") ? in.Get("lambda").as_number()
+                                         : options_.default_lambda;
   const std::string model =
-      in.Get("model").is_string() ? in.Get("model").as_string() : "both";
+      in.Has("model") ? in.Get("model").as_string() : "both";
 
   // /whynot is idempotent for a fixed (query_id, missing, model, lambda):
   // query ids are never reused, so the cached-query lookup above pins the
@@ -1001,7 +1008,11 @@ HttpResponse YaskService::HandleObjects(const HttpRequest& req) {
   auto it = req.query_params.find("limit");
   if (it != req.query_params.end()) {
     uint64_t v = 0;
-    if (ParseUint64(it->second, &v)) limit = static_cast<size_t>(v);
+    if (!ParseUint64(it->second, &v)) {
+      return HttpResponse::Error(400,
+                                 "limit must be a non-negative integer");
+    }
+    limit = static_cast<size_t>(v);
   }
   JsonValue arr = JsonValue::MakeArray();
   const size_t n = std::min(limit, ObjectCount());
@@ -1082,11 +1093,9 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
   out.Set("status", JsonValue("ok"));
   out.Set("objects", JsonValue(ObjectCount()));
   out.Set("vocabulary", JsonValue(vocab().size()));
-  if (sharded_ != nullptr) {
-    out.Set("shards", JsonValue(sharded_->num_shards()));
-  }
-  if (const RemoteCorpus* remote = ActiveRemote(); remote != nullptr) {
-    out.Set("shards", JsonValue(remote->num_shards()));
+  const Deployment& deployment = CurrentDeployment();
+  if (deployment.shards > 0) out.Set("shards", JsonValue(deployment.shards));
+  if (const RemoteCorpus* remote = deployment.remote; remote != nullptr) {
     JsonValue shards = JsonValue::MakeArray();
     for (size_t s = 0; s < remote->num_shards(); ++s) {
       const ReplicaSet& set = remote->replicas(s);
@@ -1125,18 +1134,7 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
     out.Set("remote_shards", std::move(shards));
     // The cutover window at a glance: which layout serves new requests and
     // how many old layouts still drain in-flight ones.
-    const RemoteDeployment* deployment = CurrentDeployment();
-    size_t draining = 0;
-    {
-      std::lock_guard<std::mutex> lock(layout_mu_);
-      draining = draining_.size();
-    }
-    JsonValue layout = JsonValue::MakeObject();
-    layout.Set("generation",
-               JsonValue(static_cast<size_t>(deployment->generation)));
-    layout.Set("spec", JsonValue(deployment->spec));
-    layout.Set("draining", JsonValue(draining));
-    out.Set("layout", std::move(layout));
+    out.Set("layout", LayoutJson());
   }
   out.Set("build", BuildInfoJson());
   // Index availability — what this deployment can actually answer. /whynot
@@ -1144,14 +1142,15 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
   // anyone hits it.
   JsonValue indexes = JsonValue::MakeObject();
   indexes.Set("setr", JsonValue(true));
-  indexes.Set("kcr", JsonValue(HasKcr()));
+  indexes.Set("kcr", JsonValue(deployment.has_kcr));
   out.Set("indexes", std::move(indexes));
-  out.Set("whynot", JsonValue(HasKcr()));
+  out.Set("whynot", JsonValue(deployment.has_kcr));
   return HttpResponse::Json(out.Dump());
 }
 
 HttpResponse YaskService::HandleSnapshot(const HttpRequest& req) {
-  if (remote_mode_) {
+  const Deployment& deployment = CurrentDeployment();
+  if (!deployment.save) {
     return HttpResponse::Error(
         501, "a coordinator holds no serving state to snapshot; snapshot "
              "the shard servers' files instead");
@@ -1176,8 +1175,7 @@ HttpResponse YaskService::HandleSnapshot(const HttpRequest& req) {
   }
 
   Timer timer;
-  Result<uint64_t> bytes =
-      corpus_ != nullptr ? corpus_->Save(path) : sharded_->Save(path);
+  Result<uint64_t> bytes = deployment.save(path);
   const double millis = timer.ElapsedMillis();
   if (!bytes.ok()) {
     return HttpResponse::Error(500, bytes.status().ToString());
@@ -1188,9 +1186,7 @@ HttpResponse YaskService::HandleSnapshot(const HttpRequest& req) {
   out.Set("path", JsonValue(path));
   out.Set("bytes", JsonValue(static_cast<size_t>(*bytes)));
   out.Set("objects", JsonValue(ObjectCount()));
-  if (sharded_ != nullptr) {
-    out.Set("shards", JsonValue(sharded_->num_shards()));
-  }
+  if (deployment.shards > 0) out.Set("shards", JsonValue(deployment.shards));
   out.Set("response_millis", JsonValue(millis));
   return HttpResponse::Json(out.Dump());
 }

@@ -9,11 +9,14 @@
 // single full replica), a ShardedCorpus (the in-process scale-out layout),
 // or a RemoteCorpus (the coordinator role: shards live in yask_shard_server
 // processes and every top-k / why-not fan-out goes over the wire through the
-// same oracle seam — see docs/architecture.md, "Remote deployment"). The
-// full HTTP contract is served in all modes and answers are bit-identical
-// across them; in remote mode each shard may be a replica set, a replica
-// failure mid-request fails over transparently (sessions are re-established
-// and replayed on a live sibling), and only a shard with NO live replica
+// same oracle seam — see docs/architecture.md, "Remote deployment"). Each
+// constructor fills one Deployment — the WhyNotEngine over its layout plus
+// the few layout facts the handlers read — and every handler serves through
+// it, so the layout choice is made once, at construction. The full HTTP
+// contract is served in all modes and answers are bit-identical across
+// them; in remote mode each shard may be a replica set, a replica failure
+// mid-request fails over transparently (sessions are re-established and
+// replayed on a live sibling), and only a shard with NO live replica
 // surfaces as 503 (the corpus error epoch is sampled around each request).
 //
 // Per §3.2, the client never supplies the weight vector: "the system ...
@@ -40,7 +43,8 @@
 //   GET  /health               -> {"status":"ok","objects":N[,"shards":S]}
 //   POST /snapshot [{"path":..}]  -> admin: serialize the warm state to disk
 //                  (one file for a Corpus, one file per shard for a
-//                  ShardedCorpus). Writes to YaskServiceOptions::
+//                  ShardedCorpus; 501 on a coordinator, which holds no
+//                  serving state). Writes to YaskServiceOptions::
 //                  snapshot_path; the body's "path" override is honoured
 //                  only when allow_snapshot_path_override is set (403
 //                  otherwise).
@@ -209,17 +213,12 @@ class YaskService {
   HttpResponse HandleAdminLayout(const HttpRequest& req);
   HttpResponse HandleAdminReplicas(const HttpRequest& req);
 
-  // --- Corpus-layout-independent serving state accessors. ---
+  // --- Serving state accessors: each reads the pinned deployment. ---
   size_t ObjectCount() const;
   const Vocabulary& vocab() const;
   /// Object by global id (in sharded mode `.id` of the result is shard-
   /// local; always use `global_id` for identity).
   const SpatialObject& ObjectAt(ObjectId global_id) const;
-  ObjectId FindByName(const std::string& name) const;
-  TopKResult RunTopK(const Query& query) const;
-  /// Whether every shard (or the one corpus) carries its KcR-tree — the
-  /// prerequisite for answering /whynot.
-  bool HasKcr() const;
 
   JsonValue ResultToJson(const TopKResult& result) const;
 
@@ -229,22 +228,37 @@ class YaskService {
   /// shard failed mid-request, so the computed payload cannot be trusted.
   std::optional<HttpResponse> RemoteFailure(uint64_t before) const;
 
-  // --- Layout deployments (zero-downtime cutover, remote mode only). ---
+  // --- Deployments: one serving layout each. ---
 
-  /// One connected remote fleet plus the engine over it. The coordinator
-  /// serves from exactly one ACTIVE deployment; POST /admin/layout connects
-  /// a new one and swaps it in, while requests already in flight keep the
-  /// deployment they started on (pinned via shared_ptr) until they finish —
-  /// the cutover window. The boot deployment borrows the constructor's
-  /// corpus; admin-connected deployments own theirs.
-  struct RemoteDeployment {
+  /// One serving layout: the engine over it plus the layout facts the
+  /// handlers read. Every constructor fills one; requests run on the active
+  /// deployment. In coordinator mode POST /admin/layout connects a new fleet
+  /// and swaps a new deployment in, while requests already in flight keep
+  /// the deployment they started on (pinned via shared_ptr) until they
+  /// finish — the cutover window. The boot deployment borrows the
+  /// constructor's corpus; admin-connected deployments own theirs.
+  struct Deployment {
     uint64_t generation = 1;
-    std::string spec;  // "host:port|...,host:port|..." — one group per shard.
+    /// Coordinator only: "host:port|...,host:port|..." — one group per shard.
+    std::string spec;
     // `owned` is declared before `engine`: the engine's oracle borrows the
     // corpus, so reverse destruction order must tear the engine down first.
     std::optional<RemoteCorpus> owned;
-    const RemoteCorpus* corpus = nullptr;  // &*owned, or the borrowed boot corpus.
+    /// The coordinator's corpus (&*owned, or the borrowed boot corpus); null
+    /// in-process. Everything remote-only — epochs, Prefetch, replica
+    /// health, trace stitching, corpus metrics, /admin — hangs off it.
+    const RemoteCorpus* remote = nullptr;
     std::optional<WhyNotEngine> engine;
+    const Vocabulary* vocab = nullptr;
+    /// Every shard (or the one corpus) carries its KcR-tree — the
+    /// prerequisite for answering /whynot.
+    bool has_kcr = false;
+    /// 0 for an unsharded Corpus (/health then omits "shards").
+    size_t shards = 0;
+    std::function<ObjectId(const std::string&)> find_by_name;
+    /// Writes the serving state under a path (POST /snapshot); empty on a
+    /// coordinator.
+    std::function<Result<uint64_t>(const std::string&)> save;
   };
 
   /// Pins the active deployment to the request thread for the request's
@@ -260,20 +274,24 @@ class YaskService {
     DeploymentPin& operator=(const DeploymentPin&) = delete;
 
    private:
-    std::shared_ptr<const RemoteDeployment> pinned_;
-    const RemoteDeployment* previous_;
+    std::shared_ptr<const Deployment> pinned_;
+    const Deployment* previous_;
   };
 
-  /// The deployment this request runs on (null in local modes).
-  const RemoteDeployment* CurrentDeployment() const;
-  /// The pinned remote corpus (null in local modes).
+  /// The deployment this request runs on.
+  const Deployment& CurrentDeployment() const;
+  /// The pinned remote corpus (null in-process).
   const RemoteCorpus* ActiveRemote() const;
-  /// The engine answering this request: the pinned deployment's in remote
-  /// mode, the service-owned one otherwise.
+  /// The engine answering this request (the pinned deployment's).
   const WhyNotEngine& Engine() const;
   /// Active layout generation (folds into result-cache keys: a cutover must
-  /// retire every response computed on the old layout). 0 in local modes.
+  /// retire every response computed on the old layout).
   uint64_t LayoutGeneration() const;
+  /// Fills `deployment` as a coordinator deployment over `corpus`.
+  static void BindRemote(const RemoteCorpus& corpus, Deployment* deployment);
+  /// {generation, spec, draining} of the pinned deployment: the body of
+  /// GET /admin/layout (which adds "shards") and /health's "layout".
+  JsonValue LayoutJson() const;
   /// Connects `spec` and swaps it in as the active deployment. Shared by
   /// /admin/layout and /admin/replicas.
   HttpResponse SwapLayout(const std::string& spec);
@@ -281,7 +299,7 @@ class YaskService {
   /// '|'-joined, shards ','-joined in shard order).
   static std::string SpecOf(const RemoteCorpus& corpus);
   /// Admin endpoints answer 403 unless enable_fleet_admin, 501 outside
-  /// remote mode; returns the blocking response or nullopt.
+  /// coordinator mode; returns the blocking response or nullopt.
   std::optional<HttpResponse> AdminGate() const;
 
   /// Caches `query`, evicting the LRU entry beyond max_cached_queries.
@@ -289,21 +307,15 @@ class YaskService {
   /// Looks a cached query up and marks it most-recently used.
   std::optional<Query> LookupCachedQuery(uint64_t id);
 
-  const Corpus* corpus_ = nullptr;          // Exactly one of corpus_/sharded_/
-  const ShardedCorpus* sharded_ = nullptr;  // remote mode is active.
-  bool remote_mode_ = false;
-  /// Local modes only: the engine whose oracle matches the corpus. Remote
-  /// mode keeps its engine inside the deployment (it must drain with it).
-  std::optional<WhyNotEngine> engine_;
-  /// Remote mode: the active deployment plus the ones still draining (kept
-  /// alive until their last in-flight request drops its pin; reaped on the
-  /// next admin call). Guarded by layout_mu_.
+  /// The active deployment plus, in coordinator mode, the ones still
+  /// draining (kept alive until their last in-flight request drops its pin;
+  /// reaped on the next admin call). Guarded by layout_mu_.
   mutable std::mutex layout_mu_;
-  std::shared_ptr<const RemoteDeployment> deployment_;
-  std::vector<std::shared_ptr<const RemoteDeployment>> draining_;
+  std::shared_ptr<const Deployment> deployment_;
+  std::vector<std::shared_ptr<const Deployment>> draining_;
   /// The request thread's pinned deployment (set by DeploymentPin). Static:
   /// a nested private type cannot appear in a namespace-scope thread_local.
-  static thread_local const RemoteDeployment* tls_deployment_;
+  static thread_local const Deployment* tls_deployment_;
   YaskServiceOptions options_;
   // Declared before server_: handlers running on server threads touch both,
   // and ~YaskService must stop those threads (server_ destroyed first)

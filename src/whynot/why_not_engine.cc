@@ -39,15 +39,15 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
   ko.lambda = options.lambda;
   ko.mode = options.kw_mode;
 
-  if (options.run_preference_adjustment && options.run_keyword_adaption &&
-      options.overlap_stages) {
+  if (options.run_preference_adjustment && options.run_keyword_adaption) {
     // Overlap the Eqn. (3) weight sweep with the Eqn. (4) probe fan-outs.
     // The two refinements share no mutable state (each opens its own oracle
     // sessions; a remote oracle's channels/health/meters are thread-safe),
-    // so the keyword search runs on a helper thread while the preference
-    // sweep runs here — a why-not question costs max(pref, kw) instead of
-    // pref + kw of wire waiting. Both finish before anything is read;
-    // errors surface preference-first like the sequential path.
+    // and both searches are internally level-synchronous, so the keyword
+    // search runs on a helper thread while the preference sweep runs here —
+    // a why-not question costs max(pref, kw) instead of pref + kw of wire
+    // waiting, with the same result bytes. Both finish before anything is
+    // read; errors surface preference-first like the one-model path.
     std::optional<Result<RefinedKeywordQuery>> kw;
     const TraceContext trace_ctx = CurrentTraceContext();
     std::thread kw_thread([&] {
@@ -64,19 +64,16 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
     answer.preference = std::move(pref).value();
     if (!kw->ok()) return kw->status();
     answer.keyword = std::move(*kw).value();
-  } else {
-    if (options.run_preference_adjustment) {
-      ScopedSpan span("whynot/preference");
-      auto refined = AdjustPreference(*oracle_, query, missing, po);
-      if (!refined.ok()) return refined.status();
-      answer.preference = std::move(refined).value();
-    }
-    if (options.run_keyword_adaption) {
-      ScopedSpan span("whynot/keyword");
-      auto refined = AdaptKeywords(*oracle_, query, missing, ko);
-      if (!refined.ok()) return refined.status();
-      answer.keyword = std::move(refined).value();
-    }
+  } else if (options.run_preference_adjustment) {
+    ScopedSpan span("whynot/preference");
+    auto refined = AdjustPreference(*oracle_, query, missing, po);
+    if (!refined.ok()) return refined.status();
+    answer.preference = std::move(refined).value();
+  } else if (options.run_keyword_adaption) {
+    ScopedSpan span("whynot/keyword");
+    auto refined = AdaptKeywords(*oracle_, query, missing, ko);
+    if (!refined.ok()) return refined.status();
+    answer.keyword = std::move(refined).value();
   }
 
   // Recommend the cheaper model; ties prefer preference adjustment (it does

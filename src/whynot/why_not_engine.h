@@ -44,14 +44,6 @@ struct WhyNotOptions {
   bool run_keyword_adaption = true;
   PrefAdjustMode pref_mode = PrefAdjustMode::kOptimized;
   KwAdaptMode kw_mode = KwAdaptMode::kBoundAndPrune;
-  /// Run the two refinements concurrently when both are requested: the
-  /// Eqn. (3) weight sweep overlaps the Eqn. (4) probe fan-outs (they share
-  /// no state — each opens its own oracle sessions — and both searches are
-  /// internally level-synchronous, so overlap changes no result bytes).
-  /// Disable for benchmarks that instrument per-shard busy time through
-  /// OracleContext::shard_busy_ms, which is not safe under concurrent
-  /// oracle calls.
-  bool overlap_stages = true;
 };
 
 /// Which model the engine recommends after comparing penalties.

@@ -1,53 +1,13 @@
 #include "src/whynot/whynot_oracle.h"
 
-#include <algorithm>
 #include <cassert>
-#include <latch>
 
-#include "src/common/timer.h"
 #include "src/corpus/corpus.h"
 #include "src/query/ranking.h"
 
 namespace yask {
 
 namespace {
-
-/// Runs fn(s) for the given shard indices — on the pool when the context
-/// has one and more than one shard is involved (the caller blocks until all
-/// complete), inline otherwise — accumulating per-shard busy time when the
-/// bench instrumentation is on. Pool tasks are leaves (they never
-/// re-submit), so a caller waiting on the latch cannot deadlock the pool.
-void ForShards(const OracleContext& ctx, const std::vector<size_t>& shards,
-               const std::function<void(size_t)>& fn) {
-  auto timed = [&](size_t s) {
-    if (ctx.shard_busy_ms == nullptr) {
-      fn(s);
-      return;
-    }
-    Timer timer;
-    fn(s);
-    (*ctx.shard_busy_ms)[s] += timer.ElapsedMillis();
-  };
-  if (ctx.pool == nullptr || shards.size() <= 1) {
-    for (size_t s : shards) timed(s);
-    return;
-  }
-  std::latch latch(static_cast<ptrdiff_t>(shards.size()));
-  for (size_t s : shards) {
-    ctx.pool->Submit([&timed, &latch, s] {
-      timed(s);
-      latch.count_down();
-    });
-  }
-  latch.wait();
-}
-
-/// ForShards over every shard view (the context caches the index list).
-void ForEachShard(const OracleContext& ctx,
-                  const std::function<void(size_t)>& fn) {
-  assert(ctx.all_shards.size() == ctx.views.size());
-  ForShards(ctx, ctx.all_shards, fn);
-}
 
 // --- Score-plane session -----------------------------------------------------
 
@@ -65,7 +25,7 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
         query_(query),
         optimized_(mode == PrefAdjustMode::kOptimized) {
     planes_.resize(ctx_->views.size());
-    ForEachShard(*ctx_, [&](size_t s) {
+    FanOut(ctx_->pool, ctx_->all_shards, [&](size_t s) {
       planes_[s] = std::make_unique<ShardPlane>(ctx_->views[s], *query_,
                                                 ctx_->dist_norm, optimized_);
     });
@@ -90,7 +50,7 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
     // bit-identical in every layout, one pool dispatch.
     std::vector<std::vector<size_t>> counts(n);
     std::vector<size_t> nodes(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
+    FanOut(ctx_->pool, ctx_->all_shards, [&](size_t s) {
       counts[s].resize(pairs);
       planes_[s]->CountAboveBatch(weights, anchors, &counts[s], &nodes[s]);
     });
@@ -110,7 +70,7 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
     const size_t n = planes_.size();
     std::vector<std::vector<double>> parts(n);
     std::vector<size_t> nodes(n, 0);
-    ForEachShard(*ctx_, [&](size_t s) {
+    FanOut(ctx_->pool, ctx_->all_shards, [&](size_t s) {
       planes_[s]->CollectCrossings(anchor, wlo, whi, &parts[s], &nodes[s]);
     });
     // Union in shard order; the caller sorts + deduplicates the merged set,
@@ -179,7 +139,7 @@ class ContextRankProbeBatch : public RankProbeBatch {
     if (members_.size() == 1) {
       for (size_t s = 0; s < n; ++s) build_shard(s);
     } else {
-      ForEachShard(*ctx_, build_shard);
+      FanOut(ctx_->pool, ctx_->all_shards, build_shard);
     }
   }
 
@@ -225,7 +185,7 @@ class ContextRankProbeBatch : public RankProbeBatch {
         }
       }
     }
-    ForShards(*ctx_, active, [&](size_t s) {
+    FanOut(ctx_->pool, active, [&](size_t s) {
       std::vector<ShardRankRefiner*> refiners;
       refiners.reserve(members.size());
       for (size_t m : members) {
@@ -266,7 +226,7 @@ size_t ContextWhyNotOracle::Rank(const Query& query,
       ScorePartsOf(query, ctx_.dist_norm, Object(global_id)).score;
   const size_t n = ctx_.views.size();
   std::vector<size_t> counts(n, 0);
-  ForEachShard(ctx_, [&](size_t s) {
+  FanOut(ctx_.pool, ctx_.all_shards, [&](size_t s) {
     const OracleShardView& view = ctx_.views[s];
     assert(view.setr != nullptr && "Rank requires the SetR-tree");
     const Scorer scorer(*view.store, query, ctx_.dist_norm);
@@ -293,7 +253,7 @@ std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
   }
   const size_t n = ctx_.views.size();
   std::vector<std::vector<size_t>> counts(n);
-  ForEachShard(ctx_, [&](size_t s) {
+  FanOut(ctx_.pool, ctx_.all_shards, [&](size_t s) {
     counts[s] = ShardScanOutscoring(ctx_.views[s], ctx_.dist_norm, targets);
   });
   std::vector<size_t> total(specs.size(), 0);

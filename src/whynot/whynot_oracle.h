@@ -241,11 +241,6 @@ struct OracleContext {
   std::vector<size_t> all_shards;
   double dist_norm = 0.0;
   ThreadPool* pool = nullptr;
-  /// Benchmark instrumentation: when non-null (size == views.size()), every
-  /// per-shard fan-out task adds its busy time here — the scatter-gather
-  /// deployment model of bench_whynot_sharded. Not safe under concurrent
-  /// oracle calls; leave null in servers.
-  std::vector<double>* shard_busy_ms = nullptr;
 };
 
 /// The shared implementation of every oracle primitive except TopK (whose
@@ -270,9 +265,6 @@ class ContextWhyNotOracle : public WhyNotOracle {
       KeywordAdaptStats* stats) const override;
 
   const ThreadPool* pool() const { return ctx_.pool; }
-  void set_shard_busy_ms(std::vector<double>* sink) {
-    ctx_.shard_busy_ms = sink;
-  }
 
  protected:
   OracleContext ctx_;

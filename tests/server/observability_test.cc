@@ -326,6 +326,30 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
   service.Stop();
 }
 
+TEST(ObservabilityTest, ShardedTopKRecordsFanoutAndMergeSpans) {
+  // The in-process sharded /query runs the same threshold-broadcast fan-out
+  // as the coordinator, so with a pool it records the same two stages.
+  const ObjectStore store = GenerateHotelDataset();
+  CorpusOptions corpus_options;
+  corpus_options.fanout_threads = 2;
+  const ShardedCorpus sharded = ShardedCorpus::Partition(
+      store, GridShardRouter::Fit(store, 4), corpus_options);
+  ASSERT_NE(sharded.pool(), nullptr);
+  YaskService service(sharded);
+  ASSERT_TRUE(service.Start().ok());
+  const Driven run = Drive(service);
+
+  const JsonValue trace = FetchTrace(service, run.query_trace_id);
+  std::multiset<std::string> names;
+  for (const JsonValue& span : trace.Get("spans").array_items()) {
+    names.insert(span.Get("name").as_string());
+  }
+  EXPECT_EQ(names.count("query/topk"), 1u);
+  EXPECT_EQ(names.count("topk/fanout"), 1u);
+  EXPECT_EQ(names.count("topk/merge"), 1u);
+  service.Stop();
+}
+
 TEST(ObservabilityTest, ZeroThresholdPinsEveryTrace) {
   const Corpus corpus = CorpusBuilder().Build(GenerateHotelDataset());
   YaskServiceOptions options;

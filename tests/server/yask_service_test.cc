@@ -145,6 +145,38 @@ TEST_F(YaskServiceTest, FractionalIntegersAre400) {
   EXPECT_EQ(status, 200) << *body;
 }
 
+TEST_F(YaskServiceTest, WronglyTypedOptionalFieldsAre400) {
+  // An optional field takes its default only when absent. Present with the
+  // wrong type it is a client error: "k": "3" must not run with k = 10, a
+  // "lambda": "0.9" must not run with the default λ.
+  int status = 0;
+  auto body = HttpFetch(
+      service_->port(), "POST", "/query",
+      R"({"x": 114.158, "y": 22.281, "keywords": "clean comfortable", )"
+      R"("k": "3"})",
+      &status);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(status, 400) << *body;
+
+  const JsonValue qresp = IssueQuery(3);
+  const std::string id = std::to_string(
+      static_cast<size_t>(qresp.Get("query_id").as_number()));
+  for (const std::string& whynot :
+       {R"({"query_id": )" + id + R"(, "missing": [5, {"a": 1}]})",
+        R"({"query_id": )" + id + R"(, "missing": [5], "lambda": "0.9"})",
+        R"({"query_id": )" + id + R"(, "missing": [5], "model": 7})"}) {
+    body = HttpFetch(service_->port(), "POST", "/whynot", whynot, &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << whynot << " -> " << *body;
+  }
+
+  for (const std::string& path : {"/objects?limit=abc", "/objects?limit=-3"}) {
+    body = HttpFetch(service_->port(), "GET", path, "", &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << path << " -> " << *body;
+  }
+}
+
 TEST_F(YaskServiceTest, WhyNotWorkflowRevivesMissingHotel) {
   const JsonValue qresp = IssueQuery(3);
   const uint64_t query_id =
