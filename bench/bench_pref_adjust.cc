@@ -8,10 +8,20 @@
 //
 // Expected shape (paper): optimized beats basic by 1-3 orders of magnitude
 // and the gap widens with N; runtimes grow mildly with k and |M|.
+//
+// Kernel rows time the optimized mode's score-plane index (TSim columns,
+// binary search per column) alone: BM_ScorePlane_Build builds it over one
+// query's plane points (the copy of the points included, their scoring
+// not), and BM_ScorePlane_CountAbove answers one tie-aware count per
+// iteration, so its time is ns per (weight, anchor) pair, over the weights
+// the sweep evaluates for MakeQuery queries.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench/bench_util.h"
+#include "src/index/score_plane_index.h"
 #include "src/whynot/preference_adjustment.h"
 
 namespace yask {
@@ -66,6 +76,86 @@ void BM_PrefAdjust_Optimized(benchmark::State& state) {
 void BM_PrefAdjust_Basic(benchmark::State& state) {
   RunAdjust(state, PrefAdjustMode::kBasic);
 }
+
+/// The plane points of 8 MakeQuery queries (3 keywords, k = 10) and each
+/// query's first missing object (PickMissing).
+struct PlaneWorkload {
+  std::vector<Query> queries;
+  std::vector<std::vector<PlanePoint>> points;
+  std::vector<ObjectId> missing;
+};
+
+PlaneWorkload MakePlaneWorkload(size_t n) {
+  const ObjectStore& store = SharedDataset(n);
+  Rng rng(7);
+  PlaneWorkload out;
+  while (out.queries.size() < 8) {
+    Query q = MakeQuery(store, &rng, 3, 10);
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1);
+    if (missing.empty()) continue;
+    out.points.push_back(BuildPlanePoints(store, q));
+    out.queries.push_back(std::move(q));
+    out.missing.push_back(missing.front());
+  }
+  return out;
+}
+
+void BM_ScorePlane_Build(benchmark::State& state) {
+  const PlaneWorkload workload =
+      MakePlaneWorkload(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    ScorePlaneIndex index(workload.points[i++ % workload.points.size()]);
+    benchmark::DoNotOptimize(index.size());
+  }
+}
+
+void BM_ScorePlane_CountAbove(benchmark::State& state) {
+  const PlaneWorkload workload =
+      MakePlaneWorkload(static_cast<size_t>(state.range(0)));
+  // Sweep-shaped pairs: per query, the missing object's anchor at w0 and at
+  // the 64 crossings of its line nearest to w0, each with the 1e-7 step
+  // past it on the far side from w0.
+  struct Pair {
+    size_t plane;
+    double w;
+    PlanePoint anchor;
+  };
+  std::vector<std::unique_ptr<ScorePlaneIndex>> indexes;
+  std::vector<Pair> pairs;
+  for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
+    const std::vector<PlanePoint>& pts = workload.points[qi];
+    indexes.push_back(std::make_unique<ScorePlaneIndex>(pts));
+    const PlanePoint anchor = pts[workload.missing[qi]];
+    const double w0 = workload.queries[qi].w.ws;
+    std::vector<double> crossings;
+    for (const PlanePoint& p : pts) {
+      const double slope = (p.x - anchor.x) - (p.y - anchor.y);
+      if (p.id == anchor.id || slope == 0.0) continue;
+      const double wx = (anchor.y - p.y) / slope;
+      if (wx > 1e-7 && wx < 1.0 - 1e-7) crossings.push_back(wx);
+    }
+    std::sort(crossings.begin(), crossings.end(), [&](double a, double b) {
+      return std::abs(a - w0) < std::abs(b - w0);
+    });
+    crossings.resize(std::min<size_t>(crossings.size(), 64));
+    pairs.push_back(Pair{qi, w0, anchor});
+    for (double wx : crossings) {
+      pairs.push_back(Pair{qi, wx, anchor});
+      pairs.push_back(Pair{qi, wx <= w0 ? wx - 1e-7 : wx + 1e-7, anchor});
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Pair& pair = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(indexes[pair.plane]->CountAbove(
+        pair.w, pair.anchor.ScoreAt(pair.w), pair.anchor.id));
+  }
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+}
+
+BENCHMARK(BM_ScorePlane_Build)->ArgName("N")->Arg(50000);
+BENCHMARK(BM_ScorePlane_CountAbove)->ArgName("N")->Arg(50000);
 
 // E4: vary k at N = 100k (optimized) / 20k (basic: quadratic, kept small).
 BENCHMARK(BM_PrefAdjust_Optimized)

@@ -1,105 +1,86 @@
 #include "src/index/score_plane_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cmath>
+#include <ranges>
+#include <unordered_map>
 
 namespace yask {
+namespace {
 
-ScorePlaneIndex::ScorePlaneIndex(std::vector<PlanePoint> points, size_t fanout)
-    : points_(std::move(points)), fanout_(fanout) {
-  assert(fanout_ >= 2);
-  if (points_.empty()) {
-    nodes_.push_back(Node{0, 0, 0, 0, 0, 0, true, 0});
-    root_ = 0;
-    return;
-  }
+/// First index i in [begin, end) where the prefix-closed `below(i)` is false.
+template <typename Below>
+uint32_t PartitionPoint(uint32_t begin, uint32_t end, Below below) {
+  return *std::ranges::partition_point(std::views::iota(begin, end), below);
+}
 
-  // STR: sort by x, slice, sort slices by y, pack leaves.
-  std::sort(points_.begin(), points_.end(),
-            [](const PlanePoint& a, const PlanePoint& b) {
-              if (a.x != b.x) return a.x < b.x;
-              return a.id < b.id;
-            });
-  const size_t n = points_.size();
-  const size_t pages = (n + fanout_ - 1) / fanout_;
-  const size_t slices =
-      static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(pages))));
-  const size_t slice_len = (n + slices - 1) / slices;
-  for (size_t s = 0; s * slice_len < n; ++s) {
-    const size_t b = s * slice_len;
-    const size_t e = std::min(b + slice_len, n);
-    std::sort(points_.begin() + b, points_.begin() + e,
-              [](const PlanePoint& a, const PlanePoint& pb) {
-                if (a.y != pb.y) return a.y < pb.y;
-                return a.id < pb.id;
-              });
-  }
-
-  // Leaf level.
-  std::vector<uint32_t> level;
-  for (size_t i = 0; i < n; i += fanout_) {
-    const size_t e = std::min(i + fanout_, n);
-    Node node;
-    node.is_leaf = true;
-    node.begin = static_cast<uint32_t>(i);
-    node.end = static_cast<uint32_t>(e);
-    node.count = static_cast<uint32_t>(e - i);
-    node.min_x = node.min_y = std::numeric_limits<double>::infinity();
-    node.max_x = node.max_y = -std::numeric_limits<double>::infinity();
-    for (size_t j = i; j < e; ++j) {
-      node.min_x = std::min(node.min_x, points_[j].x);
-      node.max_x = std::max(node.max_x, points_[j].x);
-      node.min_y = std::min(node.min_y, points_[j].y);
-      node.max_y = std::max(node.max_y, points_[j].y);
+/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
+/// order among equal x: an LSD radix sort over the bytes of an
+/// order-preserving key of x, skipping the bytes every entry shares.
+/// `xs_tmp` and `ids_tmp` are scratch for n entries.
+void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
+             size_t n) {
+  auto key = [](double x) {
+    const uint64_t bits = std::bit_cast<uint64_t>(x);
+    return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
+  };
+  for (int shift = 0; shift < 64; shift += 8) {
+    auto digit = [&](double x) { return (key(x) >> shift) & 255; };
+    size_t offsets[257] = {};
+    for (size_t i = 0; i < n; ++i) ++offsets[digit(xs[i]) + 1];
+    if (std::count(offsets, offsets + 257, n) == 1) continue;
+    for (int d = 0; d < 256; ++d) offsets[d + 1] += offsets[d];
+    for (size_t i = 0; i < n; ++i) {
+      const size_t to = offsets[digit(xs[i])]++;
+      xs_tmp[to] = xs[i];
+      ids_tmp[to] = ids[i];
     }
-    level.push_back(static_cast<uint32_t>(nodes_.size()));
-    nodes_.push_back(node);
+    std::copy_n(xs_tmp, n, xs);
+    std::copy_n(ids_tmp, n, ids);
   }
+}
 
-  // Internal levels: children of one parent are contiguous in nodes_, so we
-  // append parents after reordering children by x-centre STR style.
-  while (level.size() > 1) {
-    std::sort(level.begin(), level.end(), [&](uint32_t a, uint32_t b) {
-      const double ca = nodes_[a].min_x + nodes_[a].max_x;
-      const double cb = nodes_[b].min_x + nodes_[b].max_x;
-      if (ca != cb) return ca < cb;
-      return a < b;
-    });
-    std::vector<uint32_t> next;
-    for (size_t i = 0; i < level.size(); i += fanout_) {
-      const size_t e = std::min(i + fanout_, level.size());
-      // Children must be contiguous: copy them to the end of nodes_.
-      const uint32_t child_begin = static_cast<uint32_t>(nodes_.size());
-      for (size_t j = i; j < e; ++j) nodes_.push_back(nodes_[level[j]]);
-      Node parent;
-      parent.is_leaf = false;
-      parent.begin = child_begin;
-      parent.end = static_cast<uint32_t>(nodes_.size());
-      parent.count = 0;
-      parent.min_x = parent.min_y = std::numeric_limits<double>::infinity();
-      parent.max_x = parent.max_y = -std::numeric_limits<double>::infinity();
-      for (uint32_t j = parent.begin; j < parent.end; ++j) {
-        parent.min_x = std::min(parent.min_x, nodes_[j].min_x);
-        parent.max_x = std::max(parent.max_x, nodes_[j].max_x);
-        parent.min_y = std::min(parent.min_y, nodes_[j].min_y);
-        parent.max_y = std::max(parent.max_y, nodes_[j].max_y);
-        parent.count += nodes_[j].count;
-      }
-      next.push_back(static_cast<uint32_t>(nodes_.size()));
-      nodes_.push_back(parent);
-    }
-    level = std::move(next);
+}  // namespace
+
+ScorePlaneIndex::ScorePlaneIndex(const std::vector<PlanePoint>& points) {
+  // Columns by the bits of y (so +0 and -0 part ways), in first-seen order:
+  // their sizes, then their points, then each column sorted by x. Every
+  // array is allocated once at its final size.
+  std::unordered_map<uint64_t, uint32_t> column_of;
+  for (const PlanePoint& p : points) {
+    const auto [it, fresh] = column_of.try_emplace(
+        std::bit_cast<uint64_t>(p.y), static_cast<uint32_t>(columns_.size()));
+    if (fresh) columns_.push_back(Column{p.y, 0, 0});
+    ++columns_[it->second].end;  // A size until the offsets below.
   }
-  root_ = level.front();
+  uint32_t offset = 0;
+  uint32_t widest = 0;
+  for (Column& c : columns_) {
+    const uint32_t size = c.end;
+    widest = std::max(widest, size);
+    c.begin = c.end = offset;
+    offset += size;
+  }
+  xs_.resize(points.size());
+  ids_.resize(points.size());
+  for (const PlanePoint& p : points) {
+    const uint32_t i = columns_[column_of[std::bit_cast<uint64_t>(p.y)]].end++;
+    xs_[i] = p.x;
+    ids_[i] = p.id;
+  }
+  std::vector<double> xs_tmp(widest);
+  std::vector<ObjectId> ids_tmp(widest);
+  for (const Column& c : columns_) {
+    SortByX(&xs_[c.begin], &ids_[c.begin], xs_tmp.data(), ids_tmp.data(),
+            c.end - c.begin);
+  }
 }
 
 void ScorePlaneIndex::ForEachCrossing(
     const PlanePoint& anchor, double wlo, double whi,
     const std::function<void(const PlanePoint&)>& fn) const {
-  assert(wlo <= whi);
-  last_nodes_visited_ = 0;
-  if (points_.empty()) return;
+  assert(0.0 <= wlo && wlo <= whi);
   const double a_lo = anchor.ScoreAt(wlo);
   const double a_hi = anchor.ScoreAt(whi);
   // Slack absorbs floating-point disagreement between the endpoint sign test
@@ -107,60 +88,67 @@ void ScorePlaneIndex::ForEachCrossing(
   // never lose a borderline crossing (they re-filter by the computed weight).
   constexpr double kEps = 1e-9;
 
-  std::vector<uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& n = nodes_[stack.back()];
-    stack.pop_back();
-    ++last_nodes_visited_;
-    // Prune iff every point in the MBR keeps one strict sign (with margin)
-    // at both interval ends.
-    const bool all_above = MinScoreAt(n, wlo) > a_lo + kEps &&
-                           MinScoreAt(n, whi) > a_hi + kEps;
-    const bool all_below = MaxScoreAt(n, wlo) < a_lo - kEps &&
-                           MaxScoreAt(n, whi) < a_hi - kEps;
-    if (all_above || all_below) continue;
-    if (n.is_leaf) {
-      for (uint32_t i = n.begin; i < n.end; ++i) {
-        const PlanePoint& p = points_[i];
-        const double d_lo = p.ScoreAt(wlo) - a_lo;
-        const double d_hi = p.ScoreAt(whi) - a_hi;
-        if ((d_lo <= kEps && d_hi >= -kEps) ||
-            (d_lo >= -kEps && d_hi <= kEps)) {
-          fn(p);
-        }
-      }
-    } else {
-      for (uint32_t i = n.begin; i < n.end; ++i) stack.push_back(i);
+  size_t evals = 0;
+  for (const Column& c : columns_) {
+    auto d_lo = [&](uint32_t i) {
+      ++evals;
+      return PlanePoint{xs_[i], c.y}.ScoreAt(wlo) - a_lo;
+    };
+    auto d_hi = [&](uint32_t i) {
+      ++evals;
+      return PlanePoint{xs_[i], c.y}.ScoreAt(whi) - a_hi;
+    };
+    // Both differences are non-decreasing along the column, so each half of
+    // the per-point test (d_lo ≤ ε ∧ d_hi ≥ −ε) ∨ (d_lo ≥ −ε ∧ d_hi ≤ ε)
+    // holds on one index range: [down_begin, down_end) ∪ [up_begin, up_end).
+    // Two non-empty ranges overlap or touch (a point between them would
+    // have d_lo, or d_hi, both above ε and below −ε), so their union is one
+    // range and each point is emitted once.
+    const uint32_t down_begin = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_hi(i) < -kEps; });
+    const uint32_t down_end = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_lo(i) <= kEps; });
+    const uint32_t up_begin = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_lo(i) < -kEps; });
+    const uint32_t up_end = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_hi(i) <= kEps; });
+
+    uint32_t from = down_begin < down_end ? down_begin : c.end;
+    uint32_t to = down_begin < down_end ? down_end : c.begin;
+    if (up_begin < up_end) {
+      from = std::min(from, up_begin);
+      to = std::max(to, up_end);
     }
+    for (uint32_t i = from; i < to; ++i) fn(PlanePoint{xs_[i], c.y, ids_[i]});
   }
+  last_nodes_visited_ = evals;
 }
 
 size_t ScorePlaneIndex::CountAbove(double w, double threshold,
                                    ObjectId tie_id) const {
-  last_nodes_visited_ = 0;
-  if (points_.empty()) return 0;
+  assert(w >= 0.0);
   size_t count = 0;
-  std::vector<uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& n = nodes_[stack.back()];
-    stack.pop_back();
-    ++last_nodes_visited_;
-    if (MaxScoreAt(n, w) < threshold) continue;
-    if (MinScoreAt(n, w) > threshold) {
-      count += n.count;
+  size_t evals = 0;
+  for (const Column& c : columns_) {
+    auto score = [&](uint32_t i) {
+      ++evals;
+      return PlanePoint{xs_[i], c.y}.ScoreAt(w);
+    };
+    // Scores are non-decreasing along the column: skip a column wholly
+    // below the threshold, take one wholly above it whole.
+    if (score(c.end - 1) < threshold) continue;
+    if (score(c.begin) > threshold) {
+      count += c.end - c.begin;
       continue;
     }
-    if (n.is_leaf) {
-      for (uint32_t i = n.begin; i < n.end; ++i) {
-        const double s = points_[i].ScoreAt(w);
-        if (s > threshold || (s == threshold && points_[i].id < tie_id)) {
-          ++count;
-        }
-      }
-    } else {
-      for (uint32_t i = n.begin; i < n.end; ++i) stack.push_back(i);
+    uint32_t i = PartitionPoint(
+        c.begin, c.end, [&](uint32_t j) { return score(j) < threshold; });
+    for (; i < c.end && score(i) == threshold; ++i) {
+      if (ids_[i] < tie_id) ++count;
     }
+    count += c.end - i;
   }
+  last_nodes_visited_ = evals;
   return count;
 }
 

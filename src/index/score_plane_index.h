@@ -11,14 +11,15 @@
 // another object's line (ref [5]); the module therefore needs, per missing
 // object m and feasible interval [wlo, whi], all objects whose line crosses
 // f_m inside the interval. The paper retrieves them "using two range
-// queries"; this index serves exactly those queries: an STR-packed R-tree
-// over the P(o) points supporting
-//   * crossing queries (the two half-plane conditions merged into one
-//     traversal: a node is pruned iff every point in its MBR keeps a strict
-//     sign at both interval ends), and
-//   * above-threshold counting (rank of m at a given w).
+// queries"; this index serves exactly those queries, plus above-threshold
+// counting (rank of m at a given w), over TSim columns: the points grouped
+// by the bits of y (a Jaccard value, so few distinct ones per query), each
+// column sorted by x. Within a column the score never decreases as x grows
+// (w ≥ 0), so every query is a few exact binary searches per column
+// (docs/architecture.md, "Score-plane columns").
 //
-// The index is per-query (P(o) depends on q) and bulk-built in O(n log n).
+// The index is per-query (P(o) depends on q) and built in linear time: a
+// hash by y, then a radix sort of each column by x.
 
 #ifndef YASK_INDEX_SCORE_PLANE_INDEX_H_
 #define YASK_INDEX_SCORE_PLANE_INDEX_H_
@@ -41,57 +42,45 @@ struct PlanePoint {
   double ScoreAt(double w) const { return w * x + (1.0 - w) * y; }
 };
 
-/// A static packed R-tree over score-plane points.
+/// Score-plane points in TSim columns, each sorted by x.
 class ScorePlaneIndex {
  public:
-  /// Builds over the given points (copied); O(n log n).
-  explicit ScorePlaneIndex(std::vector<PlanePoint> points,
-                           size_t fanout = 32);
+  /// Builds over the given points. Every coordinate must be finite.
+  explicit ScorePlaneIndex(const std::vector<PlanePoint>& points);
 
-  /// Invokes `fn` for every object whose score line crosses the line through
-  /// (anchor.x, anchor.y) within the weight interval [wlo, whi], i.e. whose
-  /// score difference to the anchor changes sign (or touches zero) between
-  /// the interval ends. A small epsilon slack makes the retrieval a superset
-  /// near boundaries: callers re-filter by the crossing weight they compute
-  /// from the line coefficients. The anchor object itself, if present in the
-  /// index, trivially "crosses" everywhere and is reported too.
+  /// Invokes `fn` once for every point whose score line crosses the line
+  /// through (anchor.x, anchor.y) within the weight interval [wlo, whi]
+  /// (0 ≤ wlo ≤ whi), i.e. whose score difference to the anchor changes sign
+  /// (or touches zero) between the interval ends. A small epsilon slack
+  /// makes the retrieval a superset near boundaries: callers re-filter by
+  /// the crossing weight they compute from the line coefficients. The
+  /// anchor object itself, if present in the index, trivially "crosses"
+  /// everywhere and is reported too.
   void ForEachCrossing(const PlanePoint& anchor, double wlo, double whi,
                        const std::function<void(const PlanePoint&)>& fn) const;
 
-  /// Number of points whose score at `w` is strictly greater than
-  /// `threshold`, plus the number equal to it with id < tie_id (deterministic
-  /// rank order, DESIGN.md D6). Runs in O(log n + answer-ish) via subtree
-  /// counts.
+  /// Number of points whose score at `w` (≥ 0) is strictly greater than
+  /// `threshold`, plus the number equal to it with id < tie_id
+  /// (deterministic rank order, DESIGN.md D6). One binary search per column
+  /// plus a walk over the equal-score run.
   size_t CountAbove(double w, double threshold, ObjectId tie_id) const;
 
-  size_t size() const { return points_.size(); }
+  size_t size() const { return xs_.size(); }
 
-  /// Nodes visited by the last ForEachCrossing/CountAbove call (for the
-  /// pruning-effectiveness benchmark E10/E4).
+  /// Score evaluations (binary-search probes and tie-run points) of the last
+  /// ForEachCrossing/CountAbove call (for the pruning-effectiveness
+  /// benchmark E10/E4).
   size_t last_nodes_visited() const { return last_nodes_visited_; }
 
  private:
-  struct Node {
-    // MBR in the score plane.
-    double min_x, min_y, max_x, max_y;
-    // Leaf: [begin, end) into points_. Internal: [begin, end) into nodes_.
-    uint32_t begin, end;
-    bool is_leaf;
-    uint32_t count;  // Points in the subtree.
+  struct Column {
+    double y;
+    uint32_t begin, end;  // [begin, end) into xs_ / ids_.
   };
 
-  /// Min/max of f(w) = w*x + (1-w)*y over the node MBR (w in [0,1]).
-  static double MinScoreAt(const Node& n, double w) {
-    return w * n.min_x + (1.0 - w) * n.min_y;
-  }
-  static double MaxScoreAt(const Node& n, double w) {
-    return w * n.max_x + (1.0 - w) * n.max_y;
-  }
-
-  std::vector<PlanePoint> points_;
-  std::vector<Node> nodes_;
-  uint32_t root_ = 0;
-  size_t fanout_;
+  std::vector<Column> columns_;
+  std::vector<double> xs_;     // Column-major, ascending x within a column.
+  std::vector<ObjectId> ids_;  // Parallel to xs_.
   mutable size_t last_nodes_visited_ = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "src/server/shard_service.h"
 
 #include <algorithm>
+#include <cmath>
+#include <tuple>
 
 #include "src/common/timer.h"
 #include "src/common/version.h"
@@ -24,6 +26,14 @@ HttpResponse BadBody(const BufReader& in) {
       400, "malformed shard request: " + (in.status().ok()
                                               ? std::string("truncated")
                                               : in.status().message()));
+}
+
+/// The sweep counts at query weights, strictly inside (0, 1), and crosses
+/// within [0, 1], always from the finite plane point of a real object. The
+/// column search is exact only for w ≥ 0: anything else is refused.
+bool IsSweepWeight(double w) { return w > 0.0 && w < 1.0; }
+bool IsFinitePoint(const PlanePoint& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
 }  // namespace
@@ -93,51 +103,33 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       corpus.has_kcr() ? &corpus.kcr() : nullptr,
       info_.to_global.empty() ? nullptr : &info_.to_global};
 
-  server_.Route("GET", shardrpc::kHealthPath, Instrumented(
-      shardrpc::kHealthPath,
-      [this](const HttpRequest& r) { return HandleHealth(r); }));
-  server_.Route("GET", shardrpc::kMetaPath, Instrumented(
-      shardrpc::kMetaPath,
-      [this](const HttpRequest& r) { return HandleMeta(r); }));
-  server_.Route("GET", shardrpc::kVocabPath, Instrumented(
-      shardrpc::kVocabPath,
-      [this](const HttpRequest& r) { return HandleVocab(r); }));
-  server_.Route("POST", shardrpc::kObjectsPath, Instrumented(
-      shardrpc::kObjectsPath,
-      [this](const HttpRequest& r) { return HandleObjects(r); }));
-  server_.Route("POST", shardrpc::kFindPath, Instrumented(
-      shardrpc::kFindPath,
-      [this](const HttpRequest& r) { return HandleFind(r); }));
-  server_.Route("POST", shardrpc::kTopKPath, Instrumented(
-      shardrpc::kTopKPath,
-      [this](const HttpRequest& r) { return HandleTopK(r); }));
-  server_.Route("POST", shardrpc::kCountPath, Instrumented(
-      shardrpc::kCountPath,
-      [this](const HttpRequest& r) { return HandleCount(r); }));
-  server_.Route("POST", shardrpc::kPlaneOpenPath, Instrumented(
-      shardrpc::kPlaneOpenPath,
-      [this](const HttpRequest& r) { return HandlePlaneOpen(r); }));
-  server_.Route("POST", shardrpc::kPlaneCountPath, Instrumented(
-      shardrpc::kPlaneCountPath,
-      [this](const HttpRequest& r) { return HandlePlaneCount(r); }));
-  server_.Route("POST", shardrpc::kPlaneCountBatchPath, Instrumented(
-      shardrpc::kPlaneCountBatchPath,
-      [this](const HttpRequest& r) { return HandlePlaneCountBatch(r); }));
-  server_.Route("POST", shardrpc::kPlaneCrossingsPath, Instrumented(
-      shardrpc::kPlaneCrossingsPath,
-      [this](const HttpRequest& r) { return HandlePlaneCrossings(r); }));
-  server_.Route("POST", shardrpc::kPlaneClosePath, Instrumented(
-      shardrpc::kPlaneClosePath,
-      [this](const HttpRequest& r) { return HandlePlaneClose(r); }));
-  server_.Route("POST", shardrpc::kProbeOpenPath, Instrumented(
-      shardrpc::kProbeOpenPath,
-      [this](const HttpRequest& r) { return HandleProbeOpen(r); }));
-  server_.Route("POST", shardrpc::kProbeRefinePath, Instrumented(
-      shardrpc::kProbeRefinePath,
-      [this](const HttpRequest& r) { return HandleProbeRefine(r); }));
-  server_.Route("POST", shardrpc::kProbeClosePath, Instrumented(
-      shardrpc::kProbeClosePath,
-      [this](const HttpRequest& r) { return HandleProbeClose(r); }));
+  // Every shardrpc route is instrumented: latency and status-code series,
+  // and a shard-side span when the request carries a trace header.
+  using S = ShardService;
+  using Handler = HttpResponse (S::*)(const HttpRequest&);
+  const std::tuple<const char*, const char*, Handler> routes[] = {
+      {"GET", shardrpc::kHealthPath, &S::HandleHealth},
+      {"GET", shardrpc::kMetaPath, &S::HandleMeta},
+      {"GET", shardrpc::kVocabPath, &S::HandleVocab},
+      {"POST", shardrpc::kObjectsPath, &S::HandleObjects},
+      {"POST", shardrpc::kFindPath, &S::HandleFind},
+      {"POST", shardrpc::kTopKPath, &S::HandleTopK},
+      {"POST", shardrpc::kCountPath, &S::HandleCount},
+      {"POST", shardrpc::kPlaneOpenPath, &S::HandlePlaneOpen},
+      {"POST", shardrpc::kPlaneCountPath, &S::HandlePlaneCount},
+      {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
+      {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
+      {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
+      {"POST", shardrpc::kProbeOpenPath, &S::HandleProbeOpen},
+      {"POST", shardrpc::kProbeRefinePath, &S::HandleProbeRefine},
+      {"POST", shardrpc::kProbeClosePath, &S::HandleProbeClose},
+  };
+  for (const auto& [method, path, handler] : routes) {
+    server_.Route(method, path,
+                  Instrumented(path, [this, h = handler](const HttpRequest& r) {
+                    return (this->*h)(r);
+                  }));
+  }
   // Observability endpoints are NOT instrumented: a scrape must not perturb
   // the very series it reads, and neither carries a trace header.
   server_.Route("GET", shardrpc::kTracePath,
@@ -250,35 +242,37 @@ std::optional<ObjectId> ShardService::ToLocal(ObjectId global_id) const {
   return static_cast<ObjectId>(it - info_.to_global.begin());
 }
 
-std::shared_ptr<ShardService::PlaneSession> ShardService::FindPlane(
-    uint64_t id) const {
+template <typename Session>
+uint64_t ShardService::AddSession(SessionMap<Session>* sessions,
+                                  std::shared_ptr<Session> session,
+                                  Counter* evictions) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto it = planes_.find(id);
-  if (it == planes_.end()) return nullptr;
-  it->second->last_use = ++use_clock_;
-  return it->second;
-}
-
-std::shared_ptr<ShardService::ProbeSession> ShardService::FindProbe(
-    uint64_t id) const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto it = probes_.find(id);
-  if (it == probes_.end()) return nullptr;
-  it->second->last_use = ++use_clock_;
-  return it->second;
-}
-
-template <typename Map>
-void ShardService::EvictLeastRecentlyUsed(Map* sessions) const {
-  // Called under sessions_mu_ with size == max + 1. Evicting by LAST USE,
-  // not creation order, protects a long-running sweep's session from a
-  // burst of newer opens; the maps are small (<= max_sessions + 1), so a
-  // linear scan beats bookkeeping an intrusive LRU list here.
-  auto victim = sessions->begin();
-  for (auto it = sessions->begin(); it != sessions->end(); ++it) {
-    if (it->second->last_use < victim->second->last_use) victim = it;
+  const uint64_t id = next_session_id_++;
+  session->last_use = ++use_clock_;
+  (*sessions)[id] = std::move(session);
+  if (sessions->size() > max_sessions_) {
+    // Evicting by LAST USE, not creation order, protects a long-running
+    // sweep's session from a burst of newer opens; the maps are small
+    // (<= max_sessions + 1), so a linear scan beats bookkeeping an
+    // intrusive LRU list here.
+    auto victim = sessions->begin();
+    for (auto it = sessions->begin(); it != sessions->end(); ++it) {
+      if (it->second->last_use < victim->second->last_use) victim = it;
+    }
+    sessions->erase(victim);
+    evictions->Add();
   }
-  sessions->erase(victim);
+  return id;
+}
+
+template <typename Session>
+std::shared_ptr<Session> ShardService::FindSession(
+    const SessionMap<Session>& sessions, uint64_t id) const {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  const auto it = sessions.find(id);
+  if (it == sessions.end()) return nullptr;
+  it->second->last_use = ++use_clock_;
+  return it->second;
 }
 
 // --- Introspection -----------------------------------------------------------
@@ -453,23 +447,15 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   const Query query = shardrpc::GetQuery(&in);
   const bool optimized = in.GetU8() != 0;
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
+  if (Status s = query.Validate(); !s.ok()) {
+    return HttpResponse::Error(400, s.message());
+  }
 
   auto session = std::make_shared<PlaneSession>();
   session->plane = std::make_unique<ShardPlane>(view_, query, info_.dist_norm,
                                                 optimized);
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    id = next_session_id_++;
-    session->last_use = ++use_clock_;
-    planes_[id] = std::move(session);
-    if (planes_.size() > max_sessions_) {
-      EvictLeastRecentlyUsed(&planes_);
-      plane_evictions_->Add();
-    }
-  }
   BufWriter out;
-  out.PutU64(id);
+  out.PutU64(AddSession(&planes_, std::move(session), plane_evictions_));
   return Binary(out);
 }
 
@@ -479,7 +465,10 @@ HttpResponse ShardService::HandlePlaneCount(const HttpRequest& req) {
   const double w = in.GetF64();
   const PlanePoint anchor = shardrpc::GetPlanePoint(&in);
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
-  const std::shared_ptr<PlaneSession> session = FindPlane(id);
+  if (!IsSweepWeight(w) || !IsFinitePoint(anchor)) {
+    return HttpResponse::Error(400, "bad plane count weight or anchor");
+  }
+  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
@@ -516,7 +505,11 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   if (num_weights == 0 || num_anchors == 0) {
     return HttpResponse::Error(400, "empty plane count batch");
   }
-  const std::shared_ptr<PlaneSession> session = FindPlane(id);
+  if (!std::all_of(weights.begin(), weights.end(), IsSweepWeight) ||
+      !std::all_of(anchors.begin(), anchors.end(), IsFinitePoint)) {
+    return HttpResponse::Error(400, "bad plane count weight or anchor");
+  }
+  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
@@ -543,7 +536,10 @@ HttpResponse ShardService::HandlePlaneCrossings(const HttpRequest& req) {
   const double wlo = in.GetF64();
   const double whi = in.GetF64();
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
-  const std::shared_ptr<PlaneSession> session = FindPlane(id);
+  if (!(wlo >= 0.0 && wlo <= whi && whi <= 1.0) || !IsFinitePoint(anchor)) {
+    return HttpResponse::Error(400, "bad plane crossing interval or anchor");
+  }
+  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
@@ -603,18 +599,7 @@ HttpResponse ShardService::HandleProbeOpen(const HttpRequest& req) {
   if (!in.AtEnd()) return BadBody(in);
 
   BufWriter out;
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    id = next_session_id_++;
-    session->last_use = ++use_clock_;
-    probes_[id] = session;
-    if (probes_.size() > max_sessions_) {
-      EvictLeastRecentlyUsed(&probes_);
-      probe_evictions_->Add();
-    }
-  }
-  out.PutU64(id);
+  out.PutU64(AddSession(&probes_, session, probe_evictions_));
   for (const auto& member : session->members) {
     out.PutU64(member->refiner->count_lower());
     out.PutU64(member->refiner->count_upper());
@@ -628,7 +613,7 @@ HttpResponse ShardService::HandleProbeRefine(const HttpRequest& req) {
   const uint64_t id = in.GetU64();
   const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 1)) return BadBody(in);
-  const std::shared_ptr<ProbeSession> session = FindProbe(id);
+  const std::shared_ptr<ProbeSession> session = FindSession(probes_, id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown probe session");
   }

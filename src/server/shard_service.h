@@ -121,12 +121,18 @@ class ShardService {
     return info_.to_global.empty() ? local_id : info_.to_global[local_id];
   }
 
-  std::shared_ptr<PlaneSession> FindPlane(uint64_t id) const;
-  std::shared_ptr<ProbeSession> FindProbe(uint64_t id) const;
-  /// Drops the session with the smallest last_use (called under
-  /// sessions_mu_ when a map exceeds max_sessions_).
-  template <typename Map>
-  void EvictLeastRecentlyUsed(Map* sessions) const;
+  template <typename Session>
+  using SessionMap = std::map<uint64_t, std::shared_ptr<Session>>;
+  /// Stores `session` under a fresh id and returns it. Past max_sessions_,
+  /// the session with the smallest last_use is dropped and `evictions`
+  /// counts it.
+  template <typename Session>
+  uint64_t AddSession(SessionMap<Session>* sessions,
+                      std::shared_ptr<Session> session, Counter* evictions);
+  /// The session under `id`, stamped as just used; null when unknown.
+  template <typename Session>
+  std::shared_ptr<Session> FindSession(const SessionMap<Session>& sessions,
+                                       uint64_t id) const;
 
   const Corpus* corpus_;
   Info info_;
@@ -139,8 +145,8 @@ class ShardService {
   mutable std::mutex sessions_mu_;
   uint64_t next_session_id_ = 1;
   mutable uint64_t use_clock_ = 0;  // Recency stamp (under sessions_mu_).
-  std::map<uint64_t, std::shared_ptr<PlaneSession>> planes_;
-  std::map<uint64_t, std::shared_ptr<ProbeSession>> probes_;
+  SessionMap<PlaneSession> planes_;
+  SessionMap<ProbeSession> probes_;
   size_t max_sessions_;
   /// Capacity evictions by session kind — an evicted session forces the
   /// coordinator into a 404 reopen + replay, so silent churn here is a

@@ -15,13 +15,14 @@
 //   2. derives the feasible interval |w − w0| <= λ·‖(1,ws,wt)‖ / ((1−λ)·√2)
 //      outside which the ∆w term alone exceeds the best penalty (D3);
 //   3. finds all crossings of missing objects' lines inside the interval —
-//      via the two half-plane range queries on the ScorePlaneIndex
-//      (optimized) or by brute force (basic);
+//      via the two range queries on the ScorePlaneIndex, answered by
+//      binary searches per TSim column (optimized), or by brute force
+//      (basic);
 //   4. evaluates candidate weights nearest-to-w0 first, stopping as soon as
 //      the ∆w penalty floor alone exceeds the best penalty found; candidate
-//      ranks are computed exactly — by pruned counting on the score-plane
-//      index (optimized) or by a full rescan per candidate (the paper's
-//      basic baseline);
+//      ranks are computed exactly — by one binary search per TSim column
+//      of the score-plane index (optimized) or by a full rescan per
+//      candidate (the paper's basic baseline);
 //   5. returns the candidate with the lowest penalty; ties prefer smaller
 //      |w − w0|, then smaller w.
 //
@@ -77,7 +78,7 @@ struct PreferenceAdjustOptions {
 struct PreferenceAdjustStats {
   size_t crossings_found = 0;       // Candidate events inside the interval.
   size_t candidates_evaluated = 0;  // Penalty evaluations.
-  size_t index_nodes_visited = 0;   // ScorePlaneIndex traversal nodes.
+  size_t index_nodes_visited = 0;   // ScorePlaneIndex score evaluations.
   size_t full_rescans = 0;          // O(n) rank scans (basic mode).
   size_t sweep_fanouts = 0;         // Oracle count fan-outs in the sweep.
 };

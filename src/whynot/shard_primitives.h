@@ -128,16 +128,18 @@ std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
                                         const std::vector<ScanTarget>& targets);
 
 /// One shard's Eqn. (3) score-plane state for one query: the plane points
-/// (basic mode) or a ScorePlaneIndex over them (optimized mode), with the
-/// two per-shard primitives the weight sweep fans out — count-above and
-/// crossing collection. Plane points carry GLOBAL ids.
+/// scanned in full (basic mode, the paper's baseline) or the ScorePlaneIndex
+/// TSim columns over them (optimized mode: binary searches per column), with
+/// the two per-shard primitives the weight sweep fans out — count-above and
+/// crossing collection. Plane points carry GLOBAL ids; `nodes_visited`
+/// accumulates the index's score evaluations (optimized mode only).
 class ShardPlane {
  public:
   ShardPlane(const OracleShardView& view, const Query& query, double dist_norm,
              bool optimized);
 
   /// Tie-aware count of this shard's points outscoring `anchor` at weight
-  /// `w`. `threshold` must be anchor.ScoreAt(w) — the caller computes it
+  /// `w` ≥ 0. `threshold` must be anchor.ScoreAt(w) — the caller computes it
   /// once per sweep event so every shard compares against the same double.
   /// Allocation-free (this sits on the weight sweep's innermost loop).
   size_t CountAbove(double w, double threshold, const PlanePoint& anchor,
@@ -155,13 +157,11 @@ class ShardPlane {
                        size_t* nodes_visited) const;
 
   /// Appends every crossing weight of `anchor`'s score line with one of this
-  /// shard's lines inside [wlo, whi] to `events` (duplicates allowed — the
-  /// caller sorts and deduplicates the merged set).
+  /// shard's lines inside [wlo, whi] (0 ≤ wlo ≤ whi) to `events` (duplicates
+  /// allowed — the caller sorts and deduplicates the merged set).
   void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
                         std::vector<double>* events,
                         size_t* nodes_visited) const;
-
-  bool optimized() const { return optimized_; }
 
  private:
   bool optimized_;

@@ -1,5 +1,6 @@
 #include "src/whynot/why_not_engine.h"
 
+#include <string>
 #include <thread>
 
 #include "src/common/trace.h"
@@ -7,6 +8,31 @@
 #include "src/query/ranking.h"
 
 namespace yask {
+namespace {
+
+// Stage-span details: the work a stage did, so a slow trace explains itself.
+// Formatted only when the span records.
+void DescribeStage(ScopedSpan* span, const Result<RefinedPreferenceQuery>& r) {
+  if (!span->active() || !r.ok()) return;
+  const PreferenceAdjustStats& s = r->stats;
+  span->set_detail("crossings=" + std::to_string(s.crossings_found) +
+                   " candidates=" + std::to_string(s.candidates_evaluated) +
+                   " sweep_fanouts=" + std::to_string(s.sweep_fanouts) +
+                   " plane_evals=" + std::to_string(s.index_nodes_visited));
+}
+
+void DescribeStage(ScopedSpan* span, const Result<RefinedKeywordQuery>& r) {
+  if (!span->active() || !r.ok()) return;
+  const KeywordAdaptStats& s = r->stats;
+  const size_t pruned = s.candidates_pruned_floor + s.candidates_pruned_bounds;
+  span->set_detail("generated=" + std::to_string(s.candidates_generated) +
+                   " pruned=" + std::to_string(pruned) +
+                   " resolved=" + std::to_string(s.candidates_resolved) +
+                   " refine_levels=" + std::to_string(s.refine_levels) +
+                   " objects_scored=" + std::to_string(s.objects_scored));
+}
+
+}  // namespace
 
 WhyNotEngine::WhyNotEngine(const Corpus& corpus)
     : oracle_(std::make_unique<LocalWhyNotOracle>(corpus)) {}
@@ -54,10 +80,13 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
       TraceContextScope scope(trace_ctx);
       ScopedSpan span("whynot/keyword");
       kw.emplace(AdaptKeywords(*oracle_, query, missing, ko));
+      DescribeStage(&span, *kw);
     });
     Result<RefinedPreferenceQuery> pref = [&] {
       ScopedSpan span("whynot/preference");
-      return AdjustPreference(*oracle_, query, missing, po);
+      auto refined = AdjustPreference(*oracle_, query, missing, po);
+      DescribeStage(&span, refined);
+      return refined;
     }();
     kw_thread.join();
     if (!pref.ok()) return pref.status();
@@ -67,11 +96,13 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
   } else if (options.run_preference_adjustment) {
     ScopedSpan span("whynot/preference");
     auto refined = AdjustPreference(*oracle_, query, missing, po);
+    DescribeStage(&span, refined);
     if (!refined.ok()) return refined.status();
     answer.preference = std::move(refined).value();
   } else if (options.run_keyword_adaption) {
     ScopedSpan span("whynot/keyword");
     auto refined = AdaptKeywords(*oracle_, query, missing, ko);
+    DescribeStage(&span, refined);
     if (!refined.ok()) return refined.status();
     answer.keyword = std::move(refined).value();
   }

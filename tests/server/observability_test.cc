@@ -5,6 +5,10 @@
 //     tracing always on — instrumentation must not leak into the contract;
 //   * every layout records the same engine-level span skeleton (query/topk,
 //     whynot/*, kw/refine_level) for the same request shape;
+//   * the whynot/preference and whynot/keyword spans carry the stage's work
+//     counters as their detail, equal to WhyNotEngine::Answer's stats and,
+//     but for the per-layout fan-out and index-work counts, the same in
+//     every layout;
 //   * the remote layout additionally shows per-replica rpc spans AND
 //     shard-side child spans stitched in by the propagated trace id, with
 //     each shard span's parent being a coordinator rpc span;
@@ -15,11 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/text.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/sharded_corpus.h"
@@ -28,6 +35,7 @@
 #include "src/server/shard_service.h"
 #include "src/server/yask_service.h"
 #include "src/storage/hotel_generator.h"
+#include "src/whynot/why_not_engine.h"
 
 namespace yask {
 namespace {
@@ -152,6 +160,54 @@ std::multiset<std::string> Skeleton(const JsonValue& trace) {
   return names;
 }
 
+/// The "key=value key=value" detail of the trace's one span named `name`,
+/// parsed.
+std::map<std::string, size_t> StageFields(const JsonValue& trace,
+                                          const std::string& name) {
+  std::map<std::string, size_t> fields;
+  size_t spans = 0;
+  for (const JsonValue& span : trace.Get("spans").array_items()) {
+    if (span.Get("name").as_string() != name) continue;
+    ++spans;
+    std::istringstream detail(span.Get("detail").as_string());
+    std::string field;
+    while (detail >> field) {
+      const size_t eq = field.find('=');
+      EXPECT_NE(eq, std::string::npos) << name << ": " << field;
+      if (eq == std::string::npos) continue;
+      fields[field.substr(0, eq)] = std::stoull(field.substr(eq + 1));
+    }
+  }
+  EXPECT_EQ(spans, 1u) << name;
+  return fields;
+}
+
+std::map<std::string, size_t> FieldsOf(const PreferenceAdjustStats& s) {
+  return {{"crossings", s.crossings_found},
+          {"candidates", s.candidates_evaluated},
+          {"sweep_fanouts", s.sweep_fanouts},
+          {"plane_evals", s.index_nodes_visited}};
+}
+
+std::map<std::string, size_t> FieldsOf(const KeywordAdaptStats& s) {
+  return {{"generated", s.candidates_generated},
+          {"pruned", s.candidates_pruned_floor + s.candidates_pruned_bounds},
+          {"resolved", s.candidates_resolved},
+          {"refine_levels", s.refine_levels},
+          {"objects_scored", s.objects_scored}};
+}
+
+/// `fields` without the per-layout counts: fan-outs (a remote sweep batches
+/// its events) and index work, which runs per shard over per-shard columns
+/// and KcR-trees (plane evaluations, objects scored).
+std::map<std::string, size_t> LayoutIndependent(
+    std::map<std::string, size_t> fields) {
+  fields.erase("sweep_fanouts");
+  fields.erase("plane_evals");
+  fields.erase("objects_scored");
+  return fields;
+}
+
 TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   const ObjectStore store = GenerateHotelDataset();
 
@@ -195,6 +251,37 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   EXPECT_EQ(skeleton.count("whynot/preference"), 1u);
   EXPECT_EQ(skeleton.count("whynot/keyword"), 1u);
   EXPECT_EQ(skeleton.count("whynot/refined_topk"), 1u);
+
+  // Stage spans explain their own cost: the detail is the engine's stats for
+  // the same question (/whynot model "both" at the default λ over the
+  // /query of kQueryBody under the default system weights).
+  Query question;
+  question.loc = Point{114.158, 22.281};
+  question.doc = LookupKeywords("clean comfortable", corpus.vocab());
+  question.k = 3;
+  const auto single_answer =
+      WhyNotEngine(corpus).Answer(question, {81}, WhyNotOptions{});
+  const auto sharded_answer =
+      WhyNotEngine(sharded).Answer(question, {81}, WhyNotOptions{});
+  ASSERT_TRUE(single_answer.ok() && sharded_answer.ok());
+  ASSERT_TRUE(single_answer->preference && single_answer->keyword);
+  ASSERT_TRUE(sharded_answer->preference && sharded_answer->keyword);
+  const auto pref = StageFields(single_trace, "whynot/preference");
+  const auto kw = StageFields(single_trace, "whynot/keyword");
+  EXPECT_EQ(pref, FieldsOf(single_answer->preference->stats));
+  EXPECT_EQ(kw, FieldsOf(single_answer->keyword->stats));
+  EXPECT_GT(pref.at("plane_evals"), 0u);
+  EXPECT_GT(kw.at("objects_scored"), 0u);
+  EXPECT_EQ(StageFields(local_trace, "whynot/preference"),
+            FieldsOf(sharded_answer->preference->stats));
+  EXPECT_EQ(StageFields(local_trace, "whynot/keyword"),
+            FieldsOf(sharded_answer->keyword->stats));
+  for (const JsonValue* trace : {&local_trace, &remote_trace}) {
+    EXPECT_EQ(LayoutIndependent(StageFields(*trace, "whynot/preference")),
+              LayoutIndependent(pref));
+    EXPECT_EQ(LayoutIndependent(StageFields(*trace, "whynot/keyword")),
+              LayoutIndependent(kw));
+  }
 
   // The query trace carries the top-k stage in every layout.
   const JsonValue query_trace = FetchTrace(single, single_run.query_trace_id);
