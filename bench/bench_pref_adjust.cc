@@ -7,7 +7,10 @@
 // (E7).
 //
 // Expected shape (paper): optimized beats basic by 1-3 orders of magnitude
-// and the gap widens with N; runtimes grow mildly with k and |M|.
+// and the gap widens with N; runtimes grow mildly with k and |M|. Each
+// PrefAdjust row also reports the sweep's work over one pass of its eight
+// questions: rescans/query (full O(n) rescans, basic mode: one per
+// evaluated (weight, anchor) pair) and fanouts/query (count fan-outs).
 //
 // Kernel rows time the optimized mode's score-plane index (TSim columns,
 // binary search per column) alone: BM_ScorePlane_Build builds it over one
@@ -68,6 +71,20 @@ void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
     state.counters["crossings/query"] =
         benchmark::Counter(static_cast<double>(crossings) / runs);
   }
+  // Sweep work over exactly one pass of the workload, so these repeat
+  // whatever the iteration count.
+  size_t rescans = 0;
+  size_t fanouts = 0;
+  for (const auto& [q, missing] : workload) {
+    auto result = AdjustPreference(store, q, missing, options);
+    if (!result.ok()) continue;
+    rescans += result->stats.full_rescans;
+    fanouts += result->stats.sweep_fanouts;
+  }
+  state.counters["rescans/query"] =
+      benchmark::Counter(static_cast<double>(rescans) / workload.size());
+  state.counters["fanouts/query"] =
+      benchmark::Counter(static_cast<double>(fanouts) / workload.size());
 }
 
 void BM_PrefAdjust_Optimized(benchmark::State& state) {

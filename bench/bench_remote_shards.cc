@@ -12,9 +12,8 @@
 //   * keyword adaption must issue exactly one probe-refine fan-out per
 //     refinement level (stats.probe_fanouts == stats.refine_levels);
 //   * round-trip accounting, from each shard's own per-route request
-//     counts: the Eqn. (3) sweep sends no per-pair /shard/plane/count and
-//     exactly one /shard/plane/count_batch per sweep fan-out to every
-//     shard; Eqn. (4) closes every probe session it opens, and sends each
+//     counts: the Eqn. (3) sweep sends exactly one /shard/plane/count_batch
+//     per sweep fan-out to every shard; Eqn. (4) closes every probe session it opens, and sends each
 //     shard at most one /shard/probe/refine per probe fan-out, at least one
 //     per fan-out over all shards (a shard whose frontiers for every listed
 //     member are closed is skipped). Per-pair or per-probe traffic breaks
@@ -166,8 +165,7 @@ struct RouteCounts {
     RouteCounts counts;
     for (const char* route :
          {shardrpc::kProbeOpenPath, shardrpc::kProbeRefinePath,
-          shardrpc::kProbeClosePath, shardrpc::kPlaneCountPath,
-          shardrpc::kPlaneCountBatchPath}) {
+          shardrpc::kProbeClosePath, shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
             service->metrics()
@@ -351,9 +349,8 @@ int main(int argc, char** argv) {
       auto local = AdjustPreference(baseline.store(), q.query, q.missing);
       if (!local.ok() || !SamePreference(*rb, *local)) run.exact = false;
       for (size_t s = 0; s < shards; ++s) {
-        if (after.Since(before, shardrpc::kPlaneCountPath, s) != 0 ||
-            after.Since(before, shardrpc::kPlaneCountBatchPath, s) !=
-                rb->stats.sweep_fanouts) {
+        if (after.Since(before, shardrpc::kPlaneCountBatchPath, s) !=
+            rb->stats.sweep_fanouts) {
           run.sweep_rt_gate = false;
         }
       }

@@ -206,9 +206,6 @@ ReplicaSet::ReplicaSet(std::vector<std::unique_ptr<RemoteShard>> replicas,
   });
   metrics->AddGaugeCallback("yask_shard_rpc_ewma_ms", labels,
                             [this] { return rpc_ewma_ms(); });
-  metrics->AddGaugeCallback("yask_sweep_batch_events", labels, [this] {
-    return static_cast<double>(adaptive_sweep_batch());
-  });
 }
 
 void ReplicaSet::ObserveLatency(double ms) const {
@@ -221,11 +218,6 @@ void ReplicaSet::ObserveLatency(double ms) const {
     next = prev == 0.0 ? ms : prev + 0.2 * (ms - prev);
   } while (!rpc_ewma_ms_->compare_exchange_weak(prev, next,
                                                 std::memory_order_relaxed));
-}
-
-size_t ReplicaSet::adaptive_sweep_batch() const {
-  const double events = 8.0 + 4.0 * rpc_ewma_ms();
-  return static_cast<size_t>(std::min(256.0, std::max(8.0, events)));
 }
 
 std::string ReplicaSet::description() const {

@@ -250,12 +250,6 @@ class ReplicaSet {
   double rpc_ewma_ms() const {
     return rpc_ewma_ms_->load(std::memory_order_relaxed);
   }
-  /// How many Eqn. (3) candidate weights a Step-4 sweep segment should
-  /// speculate on against this shard: clamp(8, 256, 8 + 4·ewma_ms). The
-  /// slower the wire, the more a saved round-trip is worth relative to
-  /// over-fetched counts past the floor cut. Exposed as the
-  /// yask_sweep_batch_events gauge.
-  size_t adaptive_sweep_batch() const;
 
  private:
   /// Latency bookkeeping shared by Call/CallOn: the histogram observation

@@ -344,16 +344,6 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
     return total;
   }
 
-  size_t PreferredSweepBatch() const override {
-    // The fleet's slowest shard gates every fan-out, so IT sets how much a
-    // saved round-trip is worth.
-    size_t batch = 1;
-    for (size_t s = 0; s < corpus_->num_shards(); ++s) {
-      batch = std::max(batch, corpus_->replicas(s).adaptive_sweep_batch());
-    }
-    return batch;
-  }
-
   void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
                         std::vector<double>* events,
                         PreferenceAdjustStats* stats) const override {

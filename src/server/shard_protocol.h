@@ -72,12 +72,11 @@ inline constexpr char kFindPath[] = "/shard/find";
 inline constexpr char kTopKPath[] = "/shard/topk";
 inline constexpr char kCountPath[] = "/shard/count";
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
-/// One (weight, anchor) pair. Still served; the coordinator's sweep sends
-/// every segment as one count_batch instead.
+/// Not served; declared only because servebench/servebench.cc lists it.
 inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 /// v3+. Request: u64 session slot, varu64 K + K raw-F64 weights, varu64 A +
-/// A plane points. Response: varu64 K*A + K*A u64 counts (row-major, weight
-///-major: index wi*A + a), u64 nodes_visited.
+/// A plane points, K*A ≤ kMaxCountBatchPairs. Response: varu64 K*A + K*A u64
+/// counts (row-major, weight-major: index wi*A + a), u64 nodes_visited.
 inline constexpr char kPlaneCountBatchPath[] = "/shard/plane/count_batch";
 inline constexpr char kPlaneCrossingsPath[] = "/shard/plane/crossings";
 inline constexpr char kPlaneClosePath[] = "/shard/plane/close";

@@ -116,7 +116,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kTopKPath, &S::HandleTopK},
       {"POST", shardrpc::kCountPath, &S::HandleCount},
       {"POST", shardrpc::kPlaneOpenPath, &S::HandlePlaneOpen},
-      {"POST", shardrpc::kPlaneCountPath, &S::HandlePlaneCount},
       {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
       {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
       {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
@@ -459,33 +458,6 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   return Binary(out);
 }
 
-HttpResponse ShardService::HandlePlaneCount(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t id = in.GetU64();
-  const double w = in.GetF64();
-  const PlanePoint anchor = shardrpc::GetPlanePoint(&in);
-  if (!in.ok() || !in.AtEnd()) return BadBody(in);
-  if (!IsSweepWeight(w) || !IsFinitePoint(anchor)) {
-    return HttpResponse::Error(400, "bad plane count weight or anchor");
-  }
-  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
-  if (session == nullptr) {
-    return HttpResponse::Error(404, "unknown plane session");
-  }
-  // The same double the in-process session hands every shard.
-  const double threshold = anchor.ScoreAt(w);
-  size_t nodes = 0;
-  size_t count;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    count = session->plane->CountAbove(w, threshold, anchor, &nodes);
-  }
-  BufWriter out;
-  out.PutU64(count);
-  out.PutU64(nodes);
-  return Binary(out);
-}
-
 HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const uint64_t id = in.GetU64();
@@ -505,6 +477,12 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   if (num_weights == 0 || num_anchors == 0) {
     return HttpResponse::Error(400, "empty plane count batch");
   }
+  if (num_weights * num_anchors > kMaxCountBatchPairs) {
+    return HttpResponse::Error(
+        400, "plane count batch of " + std::to_string(num_weights) + " x " +
+                 std::to_string(num_anchors) + " pairs exceeds " +
+                 std::to_string(kMaxCountBatchPairs));
+  }
   if (!std::all_of(weights.begin(), weights.end(), IsSweepWeight) ||
       !std::all_of(anchors.begin(), anchors.end(), IsFinitePoint)) {
     return HttpResponse::Error(400, "bad plane count weight or anchor");
@@ -513,9 +491,8 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
-  // Thresholds are computed inside CountAboveBatch from the same
-  // anchor.ScoreAt(w) expression HandlePlaneCount evaluates, so each batched
-  // count is the same double-for-double computation as its per-call twin.
+  // Thresholds are computed inside CountAboveBatch from anchor.ScoreAt(w),
+  // the same double the in-process oracles hand every shard.
   std::vector<size_t> counts(weights.size() * anchors.size(), 0);
   size_t nodes = 0;
   {

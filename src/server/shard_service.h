@@ -105,7 +105,6 @@ class ShardService {
   HttpResponse HandleTopK(const HttpRequest& req);
   HttpResponse HandleCount(const HttpRequest& req);
   HttpResponse HandlePlaneOpen(const HttpRequest& req);
-  HttpResponse HandlePlaneCount(const HttpRequest& req);
   HttpResponse HandlePlaneCountBatch(const HttpRequest& req);
   HttpResponse HandlePlaneCrossings(const HttpRequest& req);
   HttpResponse HandlePlaneClose(const HttpRequest& req);

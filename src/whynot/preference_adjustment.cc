@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/query/scoring.h"
+#include "src/whynot/shard_primitives.h"
 #include "src/whynot/whynot_oracle.h"
 
 namespace yask {
@@ -90,6 +91,13 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   std::vector<ObjectId> m_ids = missing;
   std::sort(m_ids.begin(), m_ids.end());
   m_ids.erase(std::unique(m_ids.begin(), m_ids.end()), m_ids.end());
+  // One sweep event's grid (up to 3 weights × |M| anchors) must fit in one
+  // count fan-out.
+  if (3 * m_ids.size() > kMaxCountBatchPairs) {
+    return Status::InvalidArgument(
+        "missing object set too large: " + std::to_string(m_ids.size()) +
+        " distinct ids, at most " + std::to_string(kMaxCountBatchPairs / 3));
+  }
   for (ObjectId id : m_ids) {
     if (id >= oracle.size()) {
       return Status::NotFound("missing object id " + std::to_string(id) +
@@ -191,7 +199,21 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   //     cut are discarded deterministically, never offered;
   //   * candidates outside (kMinW, kMaxW) are dropped when the segment is
   //     built, so candidates_evaluated counts the same evaluations.
+  // The schedule is the same in every layout. Optimized mode doubles the
+  // segment from the session's first size (8, 16, 32, …): E consumed
+  // events cost ⌈log2(E/8 + 1)⌉ fan-outs, and the over-fetch past the cut
+  // is at most E + 8 events. Basic mode keeps one event per segment: there
+  // every over-fetched pair is a full O(n) rescan. A nonzero
+  // sweep_batch_size pins the size. Every segment's weights × anchors stay
+  // within kMaxCountBatchPairs (≥ 1 event, checked on entry).
   const size_t num_anchors = anchors.size();
+  const size_t max_segment = kMaxCountBatchPairs / (3 * num_anchors);
+  const bool doubling = options.sweep_batch_size == 0 &&
+                        options.mode == PrefAdjustMode::kOptimized;
+  size_t segment = options.sweep_batch_size;
+  if (segment == 0) segment = doubling ? session->PreferredSweepBatch() : 1;
+  segment = std::clamp<size_t>(segment, 1, max_segment);
+
   auto offer = [&](double w, const std::vector<size_t>& counts, size_t base) {
     size_t rank = 0;
     for (size_t a = 0; a < num_anchors; ++a) {
@@ -207,14 +229,8 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   std::vector<size_t> event_starts;  // Candidate span of each event.
   while (next < events.size()) {
     if (floor_of(events[next]) >= best.penalty().value) break;
-    // Segment size: the session's latency-adaptive preference (remote
-    // oracles scale it with the shard RPC EWMA; in-process ones say 1),
-    // unless the caller pinned it.
-    size_t batch = options.sweep_batch_size != 0
-                       ? options.sweep_batch_size
-                       : session->PreferredSweepBatch();
-    if (batch == 0) batch = 1;
-    const size_t seg_end = std::min(events.size(), next + batch);
+    const size_t seg_end = std::min(events.size(), next + segment);
+    if (doubling) segment = std::min(2 * segment, max_segment);
 
     weights.clear();
     event_starts.assign(seg_end - next + 1, 0);

@@ -63,14 +63,15 @@ struct PreferenceAdjustOptions {
   double lambda = 0.5;
   PrefAdjustMode mode = PrefAdjustMode::kOptimized;
   /// Events per speculative Step-4 segment: the sweep fetches the counts of
-  /// the next `sweep_batch_size` nearest-to-w0 events in one
+  /// the next segment of nearest-to-w0 events in one
   /// ScorePlaneSession::CountAboveBatch fan-out. The refinement and the
   /// crossing/candidate counters do not depend on it: the ∆w floor is
   /// monotone in the nearest-first event order, so the floor cut is
   /// re-applied while consuming a segment and over-fetched results past the
-  /// cut are discarded deterministically. 0 = ask the session
-  /// (ScorePlaneSession::PreferredSweepBatch — latency-adaptive for remote
-  /// oracles, 1 for in-process ones, where speculation buys nothing).
+  /// cut are discarded deterministically. 0 = the one schedule every layout
+  /// runs: segments double from 8 events (optimized) or stay at one event
+  /// (basic, where each over-fetched pair is a full rescan). A nonzero value
+  /// pins a fixed size — the reference the parity tests compare against.
   size_t sweep_batch_size = 0;
 };
 

@@ -191,32 +191,28 @@ ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
   }
 }
 
-size_t ShardPlane::CountAbove(double w, double threshold,
-                              const PlanePoint& anchor,
-                              size_t* nodes_visited) const {
-  if (optimized_) {
-    const size_t count = index_->CountAbove(w, threshold, anchor.id);
-    *nodes_visited += index_->last_nodes_visited();
-    return count;
-  }
-  size_t above = 0;
-  for (const PlanePoint& p : pts_) {
-    if (p.id == anchor.id) continue;
-    if (OutranksTarget(p.ScoreAt(w), p.id, threshold, anchor.id)) ++above;
-  }
-  return above;
-}
-
 void ShardPlane::CountAboveBatch(const std::vector<double>& weights,
                                  const std::vector<PlanePoint>& anchors,
                                  std::vector<size_t>* counts,
                                  size_t* nodes_visited) const {
+  // Allocation-free: this is the weight sweep's innermost loop.
   const size_t na = anchors.size();
   for (size_t wi = 0; wi < weights.size(); ++wi) {
+    const double w = weights[wi];
     for (size_t a = 0; a < na; ++a) {
-      const double threshold = anchors[a].ScoreAt(weights[wi]);
-      (*counts)[wi * na + a] =
-          CountAbove(weights[wi], threshold, anchors[a], nodes_visited);
+      const PlanePoint& anchor = anchors[a];
+      const double threshold = anchor.ScoreAt(w);
+      size_t& count = (*counts)[wi * na + a];
+      if (optimized_) {
+        count = index_->CountAbove(w, threshold, anchor.id);
+        *nodes_visited += index_->last_nodes_visited();
+        continue;
+      }
+      count = 0;
+      for (const PlanePoint& p : pts_) {
+        if (p.id == anchor.id) continue;
+        if (OutranksTarget(p.ScoreAt(w), p.id, threshold, anchor.id)) ++count;
+      }
     }
   }
 }

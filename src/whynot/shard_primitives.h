@@ -31,6 +31,11 @@
 
 namespace yask {
 
+/// Most (weight, anchor) pairs one count fan-out may ask of a shard
+/// (2^16: a 512 KiB count_batch response). A shard answers 400 above it;
+/// the Eqn. (3) sweep sizes its segments to stay within it.
+inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
+
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
 /// i.e. the unsharded layout).
@@ -138,19 +143,11 @@ class ShardPlane {
   ShardPlane(const OracleShardView& view, const Query& query, double dist_norm,
              bool optimized);
 
-  /// Tie-aware count of this shard's points outscoring `anchor` at weight
-  /// `w` ≥ 0. `threshold` must be anchor.ScoreAt(w) — the caller computes it
-  /// once per sweep event so every shard compares against the same double.
-  /// Allocation-free (this sits on the weight sweep's innermost loop).
-  size_t CountAbove(double w, double threshold, const PlanePoint& anchor,
-                    size_t* nodes_visited) const;
-
-  /// Batched CountAbove over the (weights × anchors) grid:
-  /// (*counts)[wi * anchors.size() + a] = CountAbove(weights[wi], anchors[a])
-  /// with threshold anchors[a].ScoreAt(weights[wi]) — the same expression
-  /// every caller of CountAbove evaluates, so each batched count is the same
-  /// double-for-double computation as its per-call twin. `counts` must be
-  /// pre-sized to weights.size() * anchors.size().
+  /// Tie-aware counts of this shard's points outscoring each anchor at each
+  /// weight ≥ 0 over the (weights × anchors) grid:
+  /// (*counts)[wi * anchors.size() + a] compares against the threshold
+  /// anchors[a].ScoreAt(weights[wi]) — the same double every layout
+  /// computes. `counts` must be pre-sized to weights.size() * anchors.size().
   void CountAboveBatch(const std::vector<double>& weights,
                        const std::vector<PlanePoint>& anchors,
                        std::vector<size_t>* counts,

@@ -104,11 +104,11 @@ class ScorePlaneSession {
     return CountAboveBatch({w}, {anchor}, stats).front();
   }
 
-  /// How many candidate weights per CountAboveBatch this session wants the
-  /// Step-4 sweep to speculate on. In-process sessions return 1 (a fan-out
-  /// costs microseconds; speculated work past the floor cut is pure waste);
-  /// remote sessions size the segment from observed RPC latency.
-  virtual size_t PreferredSweepBatch() const { return 1; }
+  /// Events in the Step-4 sweep's first segment (8); the sweep doubles it
+  /// from there (AdjustPreference owns the schedule, the same in every
+  /// layout). The one source of that size: no session in src/ overrides
+  /// it. Virtual only so tracing wrappers outside src/ can forward it.
+  virtual size_t PreferredSweepBatch() const { return 8; }
 };
 
 /// A progressive rank interval for one (candidate query, missing object)

@@ -44,7 +44,8 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 /// past the floor cut may be FETCHED (index nodes visited, rescans run) and
 /// then discarded. The refinement and the crossing/candidate counters are
 /// identical regardless; the traversal-work counters are identical only when
-/// nothing is over-fetched (segment <= 1), and >= otherwise.
+/// nothing is over-fetched (segments of one: pinned, or the basic-mode
+/// default), and >= otherwise.
 void ExpectSameRefinement(const RefinedPreferenceQuery& segmented,
                           const RefinedPreferenceQuery& one_event,
                           const std::string& label,
@@ -90,7 +91,7 @@ struct ParityOptions {
   bool use_hash_router = false;
   int trials = 4;
   PrefAdjustMode mode = PrefAdjustMode::kOptimized;
-  /// Forced segment sizes to sweep besides the session default (0).
+  /// Segment sizes to sweep: 0 = the default schedule, else pinned.
   std::vector<size_t> segment_sizes = {0, 3, 64};
 };
 
@@ -158,7 +159,9 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
             << tag << ": " << result.status().ToString();
         ExpectSameRefinement(*result, *baseline,
                              tag + " segment " + std::to_string(segment),
-                             /*speculative=*/segment > 1);
+                             /*speculative=*/segment > 1 ||
+                                 (segment == 0 &&
+                                  popt.mode == PrefAdjustMode::kOptimized));
       }
     }
   }

@@ -7,8 +7,7 @@
 //     whynot/*, kw/refine_level) for the same request shape;
 //   * the whynot/preference and whynot/keyword spans carry the stage's work
 //     counters as their detail, equal to WhyNotEngine::Answer's stats and,
-//     but for the per-layout fan-out and index-work counts, the same in
-//     every layout;
+//     but for the per-shard index-work counts, the same in every layout;
 //   * the remote layout additionally shows per-replica rpc spans AND
 //     shard-side child spans stitched in by the propagated trace id, with
 //     each shard span's parent being a coordinator rpc span;
@@ -197,12 +196,11 @@ std::map<std::string, size_t> FieldsOf(const KeywordAdaptStats& s) {
           {"objects_scored", s.objects_scored}};
 }
 
-/// `fields` without the per-layout counts: fan-outs (a remote sweep batches
-/// its events) and index work, which runs per shard over per-shard columns
-/// and KcR-trees (plane evaluations, objects scored).
+/// `fields` without the per-layout counts: index work, which runs per shard
+/// over per-shard columns and KcR-trees (plane evaluations, objects scored).
+/// Sweep fan-outs stay: every layout runs the same segment schedule.
 std::map<std::string, size_t> LayoutIndependent(
     std::map<std::string, size_t> fields) {
-  fields.erase("sweep_fanouts");
   fields.erase("plane_evals");
   fields.erase("objects_scored");
   return fields;
@@ -355,7 +353,6 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
            "# TYPE yask_replicas_cooling gauge",
            "# TYPE yask_cached_queries gauge",
            "# TYPE yask_shard_rpc_ewma_ms gauge",
-           "# TYPE yask_sweep_batch_events gauge",
        }) {
     EXPECT_NE(metrics.find(needle), std::string::npos) << needle;
   }
@@ -382,9 +379,7 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
     EXPECT_NE(shard_metrics.find(needle), std::string::npos) << needle;
   }
 
-  // The adaptive fan-out gauges carry real samples once traffic has flowed:
-  // the RPC EWMA is positive, and the sweep segment preference sits inside
-  // its documented clamp [8, 256].
+  // The RPC EWMA gauge carries real samples once traffic has flowed.
   const auto gauge_value = [&](const std::string& family) {
     const std::string needle = family + "{shard=\"0\"} ";
     const size_t at = metrics.find(needle);
@@ -393,8 +388,6 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
     return std::strtod(metrics.c_str() + at + needle.size(), nullptr);
   };
   EXPECT_GT(gauge_value("yask_shard_rpc_ewma_ms"), 0.0);
-  EXPECT_GE(gauge_value("yask_sweep_batch_events"), 8.0);
-  EXPECT_LE(gauge_value("yask_sweep_batch_events"), 256.0);
 
   // /health still reports the same numbers the registry exports (single
   // source of truth): zero failovers and per-replica request counts > 0.

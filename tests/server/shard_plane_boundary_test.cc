@@ -1,7 +1,8 @@
 // The shardrpc /shard/plane/* routes refuse what the weight sweep never
 // sends. A plane is opened only for a query Query::Validate accepts; a count
-// takes weights strictly inside (0, 1) and finite anchors (the column
-// search is exact only for w ≥ 0); a crossing query takes an interval
+// batch takes weights strictly inside (0, 1), finite anchors (the column
+// search is exact only for w ≥ 0) and at most kMaxCountBatchPairs
+// (weight, anchor) pairs; a crossing query takes an interval
 // 0 ≤ wlo ≤ whi ≤ 1. Each bad request answers 400, and the session still
 // answers the valid request that follows it.
 
@@ -17,6 +18,7 @@
 #include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/shard_primitives.h"
 
 namespace yask {
 namespace {
@@ -78,14 +80,6 @@ class ShardPlaneBoundaryTest : public ::testing::Test {
     return id;
   }
 
-  int CountStatus(uint64_t id, double w, const PlanePoint& anchor) {
-    BufWriter req;
-    req.PutU64(id);
-    req.PutF64(w);
-    shardrpc::PutPlanePoint(&req, anchor);
-    return Post(shardrpc::kPlaneCountPath, req.data());
-  }
-
   int CountBatchStatus(uint64_t id, const std::vector<double>& weights,
                        const std::vector<PlanePoint>& anchors) {
     BufWriter req;
@@ -136,30 +130,39 @@ TEST_F(ShardPlaneBoundaryTest, OpenRejectsAQueryValidateRejects) {
   EXPECT_EQ(OpenStatus(query_), 200);
 }
 
-TEST_F(ShardPlaneBoundaryTest, CountRejectsWeightsOutsideTheOpenInterval) {
-  const uint64_t id = Open();
-  for (const double w : {kNaN, -0.25, 0.0, 1.0, 1.5, kInf}) {
-    EXPECT_EQ(CountStatus(id, w, anchor_), 400) << "w=" << w;
-  }
-  for (const PlanePoint bad : {PlanePoint{kNaN, 0.2, 42},
-                               PlanePoint{0.5, kInf, 42},
-                               PlanePoint{-kInf, 0.2, 42}}) {
-    EXPECT_EQ(CountStatus(id, 0.5, bad), 400)
-        << "anchor (" << bad.x << ", " << bad.y << ")";
-  }
-  EXPECT_EQ(CountStatus(id, 0.5, anchor_), 200);
-}
-
 TEST_F(ShardPlaneBoundaryTest, CountBatchRejectsOneBadWeightOrAnchor) {
   const uint64_t id = Open();
-  for (const double w : {kNaN, -0.25, 0.0, 1.0}) {
+  for (const double w : {kNaN, -0.25, 0.0, 1.0, 1.5, kInf, -kInf}) {
     EXPECT_EQ(CountBatchStatus(id, {0.3, w, 0.7}, {anchor_}), 400)
         << "w=" << w;
   }
-  EXPECT_EQ(CountBatchStatus(id, {0.3, 0.7},
-                             {anchor_, PlanePoint{0.5, kNaN, 7}}),
-            400);
+  for (const PlanePoint bad :
+       {PlanePoint{0.5, kNaN, 7}, PlanePoint{kNaN, 0.2, 42},
+        PlanePoint{0.5, kInf, 42}, PlanePoint{-kInf, 0.2, 42},
+        PlanePoint{kInf, 0.2, 42}, PlanePoint{0.5, -kInf, 42}}) {
+    EXPECT_EQ(CountBatchStatus(id, {0.3, 0.7}, {anchor_, bad}), 400)
+        << "anchor (" << bad.x << ", " << bad.y << ")";
+  }
   EXPECT_EQ(CountBatchStatus(id, {0.3, 0.7}, {anchor_}), 200);
+}
+
+TEST_F(ShardPlaneBoundaryTest, CountBatchRejectsMorePairsThanTheCap) {
+  const uint64_t id = Open();
+  const auto spread = [](size_t n) {
+    std::vector<double> weights(n);
+    for (size_t i = 0; i < n; ++i) weights[i] = (i + 1.0) / (n + 1.0);
+    return weights;
+  };
+  // cap + 1 = 65537 is prime: one anchor; and a 2-D grid just past the cap.
+  EXPECT_EQ(CountBatchStatus(id, spread(kMaxCountBatchPairs + 1), {anchor_}),
+            400);
+  EXPECT_EQ(CountBatchStatus(id, spread(257),
+                             std::vector<PlanePoint>(256, anchor_)),
+            400);
+  EXPECT_EQ(CountBatchStatus(id, spread(kMaxCountBatchPairs), {anchor_}), 200);
+  EXPECT_EQ(CountBatchStatus(id, spread(kMaxCountBatchPairs / 2),
+                             {anchor_, anchor_}),
+            200);
 }
 
 TEST_F(ShardPlaneBoundaryTest, CrossingsRejectAnIntervalOutsideTheUnitRange) {

@@ -11,6 +11,7 @@
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/shard_primitives.h"
 #include "tests/reference/whynot_reference.h"
 
 namespace yask {
@@ -52,6 +53,13 @@ TEST(AdjustPreferenceTest, RejectsInvalidInput) {
   PreferenceAdjustOptions opts;
   opts.lambda = 1.5;
   EXPECT_FALSE(AdjustPreference(store, q, {1}, opts).ok());    // Bad lambda.
+  // One sweep event's grid (3 weights per distinct missing id) must fit one
+  // count fan-out; the size check precedes the id lookup.
+  std::vector<ObjectId> huge(kMaxCountBatchPairs / 3 + 1);
+  for (size_t i = 0; i < huge.size(); ++i) huge[i] = static_cast<ObjectId>(i);
+  auto too_many = AdjustPreference(store, q, huge);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdjustPreferenceTest, AlreadyInResult) {
@@ -294,10 +302,11 @@ TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
 
 TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
   // The speculative segment sweep must return the byte-identical refinement
-  // and identical crossing/candidate counters at every segment size — the
-  // floor cut discards over-fetched counts deterministically — and that
-  // refinement must pass the index-free reference audit. Segments of one
-  // event fetch exactly what the sweep evaluates, so they set the baseline.
+  // and identical crossing/candidate counters at every segment size and on
+  // the default doubling schedule (segment 0) — the floor cut discards
+  // over-fetched counts deterministically — and that refinement must pass
+  // the index-free reference audit. Segments of one event fetch exactly
+  // what the sweep evaluates, so they set the baseline.
   const ObjectStore store = MakeStore(600, 10);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
@@ -337,23 +346,12 @@ TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
         EXPECT_EQ(result->stats.candidates_evaluated,
                   baseline->stats.candidates_evaluated)
             << tag;
-        if (segment <= 1) {
-          // In-process sessions prefer segments of one (segment 0 = ask).
-          EXPECT_EQ(result->stats.index_nodes_visited,
-                    baseline->stats.index_nodes_visited)
-              << tag;
-          EXPECT_EQ(result->stats.sweep_fanouts,
-                    baseline->stats.sweep_fanouts)
-              << tag;
-        } else {
-          // Speculation may fetch (and discard) counts past the floor cut.
-          EXPECT_GE(result->stats.index_nodes_visited,
-                    baseline->stats.index_nodes_visited)
-              << tag;
-          EXPECT_LE(result->stats.sweep_fanouts,
-                    baseline->stats.sweep_fanouts)
-              << tag;
-        }
+        // Speculation may fetch (and discard) counts past the floor cut.
+        EXPECT_GE(result->stats.index_nodes_visited,
+                  baseline->stats.index_nodes_visited)
+            << tag;
+        EXPECT_LE(result->stats.sweep_fanouts, baseline->stats.sweep_fanouts)
+            << tag;
       }
     }
   }
@@ -394,6 +392,75 @@ TEST(AdjustPreferenceTest, SegmentedSweepSavesFanouts) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+/// Segment fan-outs the default optimized schedule (segments of 8, 16, 32,
+/// … events) spends to consume `events` events: ⌈log2(events/8 + 1)⌉.
+size_t DoublingSegments(size_t events) {
+  size_t segments = 0;
+  for (size_t covered = 0, size = 8; covered < events; size *= 2) {
+    covered += size;
+    ++segments;
+  }
+  return segments;
+}
+
+TEST(AdjustPreferenceTest, DefaultSweepDoublesItsSegments) {
+  // With segments of one, the sweep spends one Step-1 fan-out plus one per
+  // event it consumes (E). The default schedule consumes the same E events
+  // in exactly 1 + ⌈log2(E/8 + 1)⌉ fan-outs.
+  const ObjectStore store = MakeStore(800, 11);
+  Rng rng(23);
+  size_t doubled = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    Query q;
+    q.loc = SampleQueryLocation(store, &rng);
+    q.doc = SampleQueryKeywords(store, 2, &rng);
+    q.k = 4;
+    const std::vector<ObjectId> missing = PickMissing(store, q, 2);
+    if (missing.size() != 2) continue;
+
+    PreferenceAdjustOptions one;
+    one.sweep_batch_size = 1;
+    auto r1 = AdjustPreference(store, q, missing, one);
+    auto rd = AdjustPreference(store, q, missing);
+    ASSERT_TRUE(r1.ok());
+    ASSERT_TRUE(rd.ok());
+    if (r1->already_in_result) continue;
+    EXPECT_EQ(rd->penalty.value, r1->penalty.value);
+    const size_t events = r1->stats.sweep_fanouts - 1;
+    EXPECT_EQ(rd->stats.sweep_fanouts, 1 + DoublingSegments(events))
+        << "events consumed=" << events;
+    if (events > 8) ++doubled;  // Reached a second, doubled segment.
+  }
+  EXPECT_GT(doubled, 0u);
+}
+
+TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
+  // In basic mode every fetched pair is a full rescan, so the default
+  // schedule spends exactly what a pinned size of 1 spends.
+  const ObjectStore store = MakeStore(600, 12);
+  Rng rng(31);
+  for (int trial = 0; trial < 4; ++trial) {
+    Query q;
+    q.loc = SampleQueryLocation(store, &rng);
+    q.doc = SampleQueryKeywords(store, 2, &rng);
+    q.k = 4;
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
+    if (missing.empty()) continue;
+
+    PreferenceAdjustOptions basic;
+    basic.mode = PrefAdjustMode::kBasic;
+    PreferenceAdjustOptions pinned = basic;
+    pinned.sweep_batch_size = 1;
+    auto rb = AdjustPreference(store, q, missing, basic);
+    auto rp = AdjustPreference(store, q, missing, pinned);
+    ASSERT_TRUE(rb.ok());
+    ASSERT_TRUE(rp.ok());
+    EXPECT_EQ(rb->penalty.value, rp->penalty.value);
+    EXPECT_EQ(rb->stats.sweep_fanouts, rp->stats.sweep_fanouts);
+    EXPECT_EQ(rb->stats.full_rescans, rp->stats.full_rescans);
+  }
 }
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
