@@ -7,10 +7,6 @@
 // top-k engine and the rank computation with both bound flavours and prints
 // the node-level tightness difference.
 //
-// D5 — KcR-tree counting bounds. Reported implicitly by `bench_kw_adapt`'s
-// pruned_pct counters; here we add the node-level tightness of the
-// outscoring-count interval at different tree depths.
-//
 // Expected shape: the length-tightened bound strictly dominates; its win is
 // largest high in the tree (where intersections are empty) and for popular
 // query keywords.

@@ -1,12 +1,12 @@
 // Experiment E3 (DESIGN.md): index construction cost and footprint.
 //
 // Regenerates the index substrate comparison: STR bulk load versus repeated
-// insertion, for the plain R-tree, the SetR-tree and the KcR-tree, with the
-// per-index memory footprint as counters.
+// insertion, for the plain R-tree and the SetR-tree, with the per-index
+// memory footprint as counters.
 //
 // Expected shape: bulk load is several times faster than insertion; the
-// KcR-tree costs the most memory (keyword->count maps at every node), the
-// plain R-tree the least.
+// SetR-tree costs more memory (keyword sets at every node) than the plain
+// R-tree.
 
 #include <benchmark/benchmark.h>
 
@@ -45,7 +45,6 @@ void BuildInsert(benchmark::State& state) {
 
 void BM_Build_RTree_Bulk(benchmark::State& state) { BuildBulk<RTree>(state); }
 void BM_Build_SetR_Bulk(benchmark::State& state) { BuildBulk<SetRTree>(state); }
-void BM_Build_KcR_Bulk(benchmark::State& state) { BuildBulk<KcRTree>(state); }
 void BM_Build_RTree_Insert(benchmark::State& state) {
   BuildInsert<RTree>(state);
 }
@@ -55,7 +54,6 @@ void BM_Build_SetR_Insert(benchmark::State& state) {
 
 BENCHMARK(BM_Build_RTree_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Build_SetR_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
-BENCHMARK(BM_Build_KcR_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Build_RTree_Insert)->ArgName("N")->Arg(10000)->Arg(50000);
 BENCHMARK(BM_Build_SetR_Insert)->ArgName("N")->Arg(10000);
 

@@ -2,18 +2,25 @@
 // why-not module.
 //
 // Regenerates the ICDE'16-style sweeps behind §3.3's keyword-adaption module:
-// the KcR-tree bound-and-prune algorithm versus the basic baseline (exact
-// rank by full scan per candidate), swept over k (E8), |q.doc| and |M| (E9),
-// and dataset size N; pruning-effectiveness counters cover E10.
+// the basic baseline (exact rank by full scan per candidate) against the
+// keyword-mask column kernel (exact rank by binary search per (mask, |doc|)
+// group, docs/architecture.md), swept over k (E8), |q.doc| and |M| (E9),
+// and dataset size N (E10). Every row runs both kernels on the same
+// questions; both return the same refined queries.
 //
-// Expected shape (paper): bound-and-prune beats basic by a widening margin as
-// N and the candidate space (|q.doc| + |M.doc|) grow; most candidates die on
-// bounds without exact rank computation.
+// Expected shape: basic grows as N × candidates × |M|, the columns as one
+// O(N) build per rank fan-out plus O(groups · log N) per candidate, so the
+// columns win at every N by a margin that widens with the candidate space.
+// `objects_scored/query` counts the objects each kernel reads.
+//
+//   bench_kw_adapt --benchmark_filter='N:100000/k:10/M:2'
+//   bench_kw_adapt --benchmark_format=json --benchmark_min_time=0.05
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/whynot/keyword_adaption.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -25,7 +32,7 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
   const size_t m_count = static_cast<size_t>(state.range(2));
   const size_t query_keywords = static_cast<size_t>(state.range(3));
   const ObjectStore& store = SharedDataset(n);
-  const KcRTree& tree = SharedKcR(n);
+  const LocalWhyNotOracle oracle(SharedCorpus(n));
 
   Rng rng(11);
   std::vector<std::pair<Query, std::vector<ObjectId>>> workload;
@@ -46,17 +53,18 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
   size_t generated = 0;
   size_t pruned = 0;
   size_t resolved = 0;
+  size_t scored = 0;
   size_t runs = 0;
   for (auto _ : state) {
     const auto& [q, missing] = workload[i++ % workload.size()];
-    auto result = AdaptKeywords(store, tree, q, missing, options);
+    auto result = AdaptKeywords(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
     if (result.ok()) {
       penalty_sum += result->penalty.value;
       generated += result->stats.candidates_generated;
-      pruned += result->stats.candidates_pruned_bounds +
-                result->stats.candidates_pruned_floor;
+      pruned += result->stats.candidates_pruned_floor;
       resolved += result->stats.candidates_resolved;
+      scored += result->stats.objects_scored;
       ++runs;
     }
   }
@@ -68,48 +76,34 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
         generated == 0 ? 0.0 : 100.0 * static_cast<double>(pruned) / generated);
     state.counters["resolved/query"] =
         benchmark::Counter(static_cast<double>(resolved) / runs);
+    state.counters["objects_scored/query"] =
+        benchmark::Counter(static_cast<double>(scored) / runs);
   }
 }
 
-void BM_KwAdapt_BoundAndPrune(benchmark::State& state) {
-  RunAdapt(state, KwAdaptMode::kBoundAndPrune);
-}
 void BM_KwAdapt_Basic(benchmark::State& state) {
   RunAdapt(state, KwAdaptMode::kBasic);
 }
+void BM_KwAdapt_MaskColumns(benchmark::State& state) {
+  RunAdapt(state, KwAdaptMode::kBoundAndPrune);
+}
 
-// E8: vary k at N = 100k (bound-and-prune) / 20k (basic).
-BENCHMARK(BM_KwAdapt_BoundAndPrune)
-    ->ArgNames({"N", "k", "M", "qkw"})
-    ->Args({100000, 1, 1, 3})
-    ->Args({100000, 5, 1, 3})
-    ->Args({100000, 10, 1, 3})
-    ->Args({100000, 20, 1, 3});
-BENCHMARK(BM_KwAdapt_Basic)
-    ->ArgNames({"N", "k", "M", "qkw"})
-    ->Args({20000, 1, 1, 3})
-    ->Args({20000, 10, 1, 3});
+/// The sweep, run by both kernels.
+void Rows(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"N", "k", "M", "qkw"});
+  // E8: vary k at N = 100k.
+  for (const int64_t k : {1, 5, 10, 20}) b->Args({100000, k, 1, 3});
+  // E9 (runtime legs): vary |q.doc| and |M| at N = 100k, k = 10.
+  for (const int64_t qkw : {1, 2, 4, 5}) b->Args({100000, 10, 1, qkw});
+  for (const int64_t m : {2, 3}) b->Args({100000, 10, m, 3});
+  // E10: scalability in N.
+  for (const int64_t n : {10000, 20000, 50000, 200000}) {
+    b->Args({n, 10, 1, 3});
+  }
+}
 
-// E9 (runtime legs): vary |q.doc| and |M| at N = 100k, k = 10.
-BENCHMARK(BM_KwAdapt_BoundAndPrune)
-    ->ArgNames({"N", "k", "M", "qkw"})
-    ->Args({100000, 10, 1, 1})
-    ->Args({100000, 10, 1, 2})
-    ->Args({100000, 10, 1, 4})
-    ->Args({100000, 10, 1, 5})
-    ->Args({100000, 10, 2, 3})
-    ->Args({100000, 10, 3, 3});
-
-// E10: scalability in N (pruning counters tell the effectiveness story).
-BENCHMARK(BM_KwAdapt_BoundAndPrune)
-    ->ArgNames({"N", "k", "M", "qkw"})
-    ->Args({10000, 10, 1, 3})
-    ->Args({20000, 10, 1, 3})
-    ->Args({50000, 10, 1, 3})
-    ->Args({200000, 10, 1, 3});
-BENCHMARK(BM_KwAdapt_Basic)
-    ->ArgNames({"N", "k", "M", "qkw"})
-    ->Args({10000, 10, 1, 3});
+BENCHMARK(BM_KwAdapt_Basic)->Apply(Rows);
+BENCHMARK(BM_KwAdapt_MaskColumns)->Apply(Rows);
 
 }  // namespace
 }  // namespace bench

@@ -20,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/whynot/keyword_adaption.h"
 #include "src/whynot/preference_adjustment.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -37,7 +38,7 @@ struct Row {
 
 Row MeasureLambda(double lambda) {
   const ObjectStore& store = SharedDataset(kN);
-  const KcRTree& kcr = SharedKcR(kN);
+  const LocalWhyNotOracle oracle(SharedCorpus(kN));
   Rng rng(23);
   Row row{lambda, 0, 0, 0, 0, 0, 0};
   size_t runs = 0;
@@ -51,7 +52,7 @@ Row MeasureLambda(double lambda) {
     auto pref = AdjustPreference(store, q, missing, po);
     KeywordAdaptOptions ko;
     ko.lambda = lambda;
-    auto kw = AdaptKeywords(store, kcr, q, missing, ko);
+    auto kw = AdaptKeywords(oracle, q, missing, ko);
     if (!pref.ok() || !kw.ok() || pref->already_in_result) continue;
 
     row.pref_penalty += pref->penalty.value;

@@ -9,18 +9,15 @@
 //   * every remote top-k result and why-not answer must be BIT-identical to
 //     the unsharded reference engine (which PR 2/3 already gate against the
 //     in-process sharded layout);
-//   * keyword adaption must issue exactly one probe-refine fan-out per
-//     refinement level (stats.probe_fanouts == stats.refine_levels);
 //   * round-trip accounting, from each shard's own per-route request
 //     counts: the Eqn. (3) sweep sends exactly one /shard/plane/count_batch
-//     per sweep fan-out to every shard; Eqn. (4) closes every probe session it opens, and sends each
-//     shard at most one /shard/probe/refine per probe fan-out, at least one
-//     per fan-out over all shards (a shard whose frontiers for every listed
-//     member are closed is skipped). Per-pair or per-probe traffic breaks
-//     these counts and fails the run.
+//     per sweep fan-out to every shard, and Eqn. (4) keyword adaption sends
+//     every shard exactly one stateless /shard/probe/rank per rank fan-out
+//     (stats.probe_fanouts). Per-pair or per-candidate traffic breaks these
+//     counts and fails the run.
 //
 // The headline numbers: HTTP round-trips per why-not answer for the
-// Eqn. (4) probes and the Eqn. (3) weight sweep — the quantity that
+// Eqn. (4) rank batches and the Eqn. (3) weight sweep — the quantity that
 // dominates remote why-not latency once shards leave the coordinator's
 // address space.
 //
@@ -151,8 +148,7 @@ struct RemoteRun {
   double kw_rt_per_question = 0.0;     // Round-trips, keyword adaption.
   double sweep_rt_per_question = 0.0;  // Round-trips, Eqn. (3) sweep.
   bool exact = true;
-  bool fanout_gate = true;  // probe_fanouts == refine_levels.
-  bool kw_rt_gate = true;     // Probe route counts match the counters.
+  bool kw_rt_gate = true;     // Rank route counts match the counters.
   bool sweep_rt_gate = true;  // Plane route counts match the counters.
 };
 
@@ -164,8 +160,7 @@ struct RouteCounts {
   static RouteCounts Take(const ShardFleet& fleet) {
     RouteCounts counts;
     for (const char* route :
-         {shardrpc::kProbeOpenPath, shardrpc::kProbeRefinePath,
-          shardrpc::kProbeClosePath, shardrpc::kPlaneCountBatchPath}) {
+         {shardrpc::kProbeRankPath, shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
             service->metrics()
@@ -309,25 +304,17 @@ int main(int argc, char** argv) {
         run.exact = false;
         continue;
       }
-      auto local = AdaptKeywords(baseline.store(), baseline.kcr(), q.query,
+      auto local = AdaptKeywords(LocalWhyNotOracle(baseline), q.query,
                                  q.missing);
       if (!local.ok() || !SameRefinement(*rb, *local)) run.exact = false;
-      // One fan-out per refinement level — the batching contract.
-      if (rb->stats.probe_fanouts != rb->stats.refine_levels) {
-        run.fanout_gate = false;
-      }
-      uint64_t refines = 0;
+      // One /shard/probe/rank per shard per rank fan-out — the batching
+      // contract.
       for (size_t s = 0; s < shards; ++s) {
-        const uint64_t shard_refines =
-            after.Since(before, shardrpc::kProbeRefinePath, s);
-        if (after.Since(before, shardrpc::kProbeOpenPath, s) !=
-                after.Since(before, shardrpc::kProbeClosePath, s) ||
-            shard_refines > rb->stats.probe_fanouts) {
+        if (after.Since(before, shardrpc::kProbeRankPath, s) !=
+            rb->stats.probe_fanouts) {
           run.kw_rt_gate = false;
         }
-        refines += shard_refines;
       }
-      if (refines < rb->stats.probe_fanouts) run.kw_rt_gate = false;
     }
     run.kw_rt_per_question = static_cast<double>(kw_rt) / questions.size();
 
@@ -358,11 +345,10 @@ int main(int argc, char** argv) {
     run.sweep_rt_per_question =
         static_cast<double>(sweep_rt) / questions.size();
 
-    std::printf("%-10zu %10.2f %12.2f %14.1f %16.1f  %s%s%s%s\n", shards,
+    std::printf("%-10zu %10.2f %12.2f %14.1f %16.1f  %s%s%s\n", shards,
                 run.topk_ms_per_query, run.whynot_ms_per_question,
                 run.kw_rt_per_question, run.sweep_rt_per_question,
                 run.exact ? "exact" : "EXACTNESS BUG",
-                run.fanout_gate ? "" : " FANOUT BUG",
                 run.kw_rt_gate ? "" : " KW ROUND-TRIP BUG",
                 run.sweep_rt_gate ? "" : " SWEEP ROUND-TRIP BUG");
     runs.push_back(run);
@@ -370,8 +356,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   for (const RemoteRun& r : runs) {
-    all_ok = all_ok && r.exact && r.fanout_gate && r.kw_rt_gate &&
-             r.sweep_rt_gate;
+    all_ok = all_ok && r.exact && r.kw_rt_gate && r.sweep_rt_gate;
   }
 
   JsonValue context = JsonValue::MakeObject();

@@ -120,12 +120,9 @@ int main(int argc, char** argv) {
               1000.0 * workload.size() / baseline_ms, "-", "-", "ref");
 
   std::vector<ShardRun> runs;
-  CorpusOptions shard_options;
-  shard_options.build_kcr_tree = false;  // Top-k needs only the SetR-trees.
   for (const size_t shards : {1, 2, 4, 8}) {
     const ShardedCorpus sharded = ShardedCorpus::Partition(
-        store, GridShardRouter::Fit(store, static_cast<uint32_t>(shards)),
-        shard_options);
+        store, GridShardRouter::Fit(store, static_cast<uint32_t>(shards)));
     const ShardedTopKEngine engine(sharded);
 
     ShardRun run;

@@ -16,7 +16,6 @@
 
 #include "src/corpus/corpus.h"
 #include "src/index/inverted_index.h"
-#include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
@@ -41,17 +40,15 @@ inline DatasetSpec SharedDatasetSpec(size_t n) {
 }
 
 /// The benchmark corpus family: the shared dataset plus its SetR-tree, as
-/// one owned Corpus. Heavier indexes (KcR-tree, plain R-tree, inverted) stay
-/// in their own lazy caches below so a bench only pays for what it uses.
+/// one owned Corpus. Heavier indexes (plain R-tree, inverted) stay in their
+/// own lazy caches below so a bench only pays for what it uses.
 inline const Corpus& SharedCorpus(size_t n) {
   static std::map<size_t, std::unique_ptr<Corpus>>* cache =
       new std::map<size_t, std::unique_ptr<Corpus>>();
   auto it = cache->find(n);
   if (it == cache->end()) {
-    CorpusOptions options;
-    options.build_kcr_tree = false;
     it = cache
-             ->emplace(n, std::make_unique<Corpus>(CorpusBuilder(options).Build(
+             ->emplace(n, std::make_unique<Corpus>(CorpusBuilder().Build(
                               GenerateDataset(SharedDatasetSpec(n)))))
              .first;
   }
@@ -63,18 +60,6 @@ inline const ObjectStore& SharedDataset(size_t n) {
 }
 
 inline const SetRTree& SharedSetR(size_t n) { return SharedCorpus(n).setr(); }
-
-inline const KcRTree& SharedKcR(size_t n) {
-  static std::map<size_t, std::unique_ptr<KcRTree>>* cache =
-      new std::map<size_t, std::unique_ptr<KcRTree>>();
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    auto tree = std::make_unique<KcRTree>(&SharedDataset(n));
-    tree->BulkLoad();
-    it = cache->emplace(n, std::move(tree)).first;
-  }
-  return *it->second;
-}
 
 inline const RTree& SharedRTree(size_t n) {
   static std::map<size_t, std::unique_ptr<RTree>>* cache =

@@ -1,7 +1,7 @@
 // Experiment E12: distributed why-not over the rank-oracle seam.
 //
 // Partitions the shared benchmark dataset into 1/2/4 spatial-grid shards
-// (KcR-trees included — keyword adaption runs on them) and answers the same
+// and answers the same
 // randomized why-not workload through WhyNotEngine over each ShardedCorpus.
 // Every sharded answer is cross-checked field-by-field against the
 // unsharded WhyNotEngine — explanations, both refined queries, the
@@ -143,15 +143,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The unsharded baseline engine and the reference answers. The shared
-  // bench corpus skips the KcR-tree, so this harness builds its own.
+  // The unsharded baseline engine and the reference answers.
   Timer setup_timer;
   const Corpus baseline =
       CorpusBuilder().Build(GenerateDataset(SharedDatasetSpec(n)));
   const ObjectStore& store = baseline.store();
   const WhyNotEngine reference(baseline);
   const std::vector<Question> workload = MakeWorkload(store, num_questions);
-  std::printf("built unsharded corpus (n=%zu, KcR included) in %.0f ms\n", n,
+  std::printf("built unsharded corpus (n=%zu) in %.0f ms\n", n,
               setup_timer.ElapsedMillis());
 
   std::vector<WhyNotAnswer> expected;

@@ -4,7 +4,7 @@
 //   dataset_tool hotels <out.tsv>                the 539-hotel demo dataset
 //   dataset_tool stats <file.tsv>                corpus statistics
 //   dataset_tool build-snapshot <in.tsv> <out.snap>   TSV -> binary snapshot
-//                                                (store + SetR/KcR/inverted)
+//                                                (store + SetR/inverted)
 //   dataset_tool build-shards <in.tsv> <prefix> <shards>   TSV -> one
 //                                                snapshot file per shard
 //                                                (<prefix>.shard-<i>.snap)

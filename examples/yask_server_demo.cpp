@@ -136,11 +136,6 @@ int main(int argc, char** argv) {
         "connected %zu remote shard(s), %zu objects, vocab %zu in %.0f ms\n",
         remote->num_shards(), remote->size(), remote->vocab().size(),
         timer.ElapsedMillis());
-    if (!remote->has_kcr()) {
-      std::fprintf(stderr,
-                   "warning: some remote shards lack their KcR-tree — "
-                   "/whynot will answer 501 (see /health for which)\n");
-    }
   } else if (shards > 1) {
     if (!snapshot_path.empty()) {
       Timer timer;

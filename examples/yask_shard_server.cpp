@@ -2,19 +2,13 @@
 // snapshot file (the shippable unit ShardedCorpus::Save / `dataset_tool
 // build-shards` writes) and serves the shard RPC surface — /shard/topk with
 // threshold broadcast plus the four why-not oracle seams (outscoring counts,
-// rank-of-object, Eqn. (3) score-plane sessions, Eqn. (4) rank-probe
-// batches) — to a coordinator running `yask_server_demo --remote-shards`.
-//
-// Index policy (fail fast, not 501-at-query-time): the snapshot is expected
-// to CARRY its indexes. A file without the KcR section cannot serve why-not
-// refinement, so by default the server refuses to start and says how to fix
-// it; pass --rebuild-indexes to rebuild missing indexes from the object
-// table at boot, or --topk-only to knowingly serve /shard/topk alone
-// (/health reports the gap, the coordinator's /whynot answers 501 naming
-// this shard).
+// rank-of-object, Eqn. (3) score-plane sessions, Eqn. (4) rank batches) —
+// to a coordinator running `yask_server_demo --remote-shards`. Every shard
+// serves why-not: the only index it needs is the SetR-tree, rebuilt at boot
+// if the file lacks it.
 //
 //   $ ./yask_shard_server --snapshot state.shard-0.snap [--port P]
-//                         [--workers N] [--rebuild-indexes] [--topk-only]
+//                         [--workers N]
 //
 // A standalone (unsharded) snapshot is accepted too and served as shard 0
 // of 1 — a one-process "remote" deployment for smoke tests.
@@ -38,8 +32,6 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   uint16_t port = 0;
   size_t workers = 8;
-  bool rebuild_indexes = false;
-  bool topk_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
@@ -56,15 +48,10 @@ int main(int argc, char** argv) {
       port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--workers" && i + 1 < argc) {
       workers = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--rebuild-indexes") {
-      rebuild_indexes = true;
-    } else if (arg == "--topk-only") {
-      topk_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s --snapshot <shard.snap> [--port P] "
-                   "[--workers N] [--rebuild-indexes] [--topk-only] "
-                   "[--version]\n",
+                   "[--workers N] [--version]\n",
                    argv[0]);
       return 2;
     }
@@ -77,37 +64,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Adopt-only by default: a shard server should serve what the file
-  // carries, not quietly spend minutes re-indexing — unless asked.
-  CorpusOptions options;
-  options.build_kcr_tree = rebuild_indexes;
   Timer timer;
   std::unique_ptr<ShardManifest> manifest;
   Result<Corpus> corpus =
-      CorpusBuilder(options).FromSnapshot(snapshot_path, &manifest);
+      CorpusBuilder().FromSnapshot(snapshot_path, &manifest);
   if (!corpus.ok()) {
     std::fprintf(stderr, "%s: cannot load snapshot %s: %s\n", argv[0],
                  snapshot_path.c_str(),
                  corpus.status().ToString().c_str());
     return 1;
   }
-  if (!corpus->has_kcr() && !topk_only) {
-    // The satellite contract: a snapshot missing the KcR section needed for
-    // /whynot fails FAST with a clear error, instead of crashing a probe or
-    // silently answering 501 later.
-    std::fprintf(
-        stderr,
-        "%s: snapshot %s has no KcR-tree section — the coordinator could "
-        "not answer /whynot through this shard.\n"
-        "  * rebuild the shard files with their indexes: dataset_tool "
-        "build-shards\n"
-        "  * or rebuild at boot: %s --snapshot %s --rebuild-indexes\n"
-        "  * or serve top-k only, knowingly: %s --snapshot %s --topk-only\n",
-        argv[0], snapshot_path.c_str(), argv[0], snapshot_path.c_str(),
-        argv[0], snapshot_path.c_str());
-    return 1;
-  }
-
   const ShardService::Info info =
       manifest != nullptr ? ShardService::InfoFromManifest(*manifest)
                           : ShardService::StandaloneInfo(*corpus);
@@ -121,11 +87,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "yask_shard_server: shard %u/%u (%zu objects, kcr=%s) from %s in "
-      "%.0f ms, listening on 127.0.0.1:%u\n",
+      "yask_shard_server: shard %u/%u (%zu objects) from %s in %.0f ms, "
+      "listening on 127.0.0.1:%u\n",
       info.shard_index, info.shard_count, corpus->size(),
-      corpus->has_kcr() ? "yes" : "NO (top-k only)", snapshot_path.c_str(),
-      timer.ElapsedMillis(), service.port());
+      snapshot_path.c_str(), timer.ElapsedMillis(), service.port());
   std::fflush(stdout);
 
   while (true) {

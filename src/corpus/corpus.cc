@@ -6,8 +6,7 @@ namespace yask {
 
 Result<uint64_t> Corpus::Save(const std::string& path,
                               const ShardManifest* shard) const {
-  return WriteSnapshot(path, *store_, setr_.get(), kcr_.get(),
-                       inverted_.get(), shard);
+  return WriteSnapshot(path, *store_, setr_.get(), inverted_.get(), shard);
 }
 
 Corpus CorpusBuilder::Build(ObjectStore store) const {
@@ -16,11 +15,6 @@ Corpus CorpusBuilder::Build(ObjectStore store) const {
   corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
                                             options_.rtree);
   corpus.setr_->BulkLoad();
-  if (options_.build_kcr_tree) {
-    corpus.kcr_ = std::make_unique<KcRTree>(corpus.store_.get(),
-                                            options_.rtree);
-    corpus.kcr_->BulkLoad();
-  }
   if (options_.build_inverted_index) {
     corpus.inverted_ = std::make_unique<InvertedIndex>(*corpus.store_);
   }
@@ -41,13 +35,6 @@ Result<Corpus> CorpusBuilder::FromSnapshot(
     corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
                                               options_.rtree);
     corpus.setr_->BulkLoad();
-  }
-  if (bundle->kcr != nullptr) {
-    corpus.kcr_ = std::move(bundle->kcr);
-  } else if (options_.build_kcr_tree) {
-    corpus.kcr_ = std::make_unique<KcRTree>(corpus.store_.get(),
-                                            options_.rtree);
-    corpus.kcr_->BulkLoad();
   }
   corpus.inverted_ = std::move(bundle->inverted);
   if (corpus.inverted_ == nullptr && options_.build_inverted_index) {

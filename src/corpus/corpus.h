@@ -3,8 +3,8 @@
 //
 // Before this layer existed, every binary that wanted to serve queries —
 // the server demo, each benchmark, the integration tests, YaskService —
-// hand-assembled the same five pieces (ObjectStore + Vocabulary + SetR-tree
-// + KcR-tree + inverted index) and wired them together with borrowed
+// hand-assembled the same pieces (ObjectStore + Vocabulary + SetR-tree +
+// inverted index) and wired them together with borrowed
 // references. A Corpus owns all of it: the store (which owns the shared
 // vocabulary) plus the indexes built over it, with stable addresses (the
 // store lives behind a unique_ptr, so moving a Corpus never invalidates the
@@ -24,7 +24,6 @@
 
 #include "src/common/status.h"
 #include "src/index/inverted_index.h"
-#include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/snapshot/snapshot_codec.h"
@@ -34,9 +33,8 @@ namespace yask {
 
 /// What CorpusBuilder builds (and what Save() persists).
 struct CorpusOptions {
-  /// The SetR-tree is mandatory (the top-k engine runs on it); the KcR-tree
-  /// powers keyword adaption and the inverted index the baseline engine.
-  bool build_kcr_tree = true;
+  /// The SetR-tree is mandatory (the top-k engine runs on it); the inverted
+  /// index powers the baseline engine.
   bool build_inverted_index = false;
   RTreeOptions rtree;
   /// Worker threads of the fan-out pool a ShardedCorpus built with these
@@ -59,10 +57,6 @@ class Corpus {
   const ObjectStore& store() const { return *store_; }
   const Vocabulary& vocab() const { return store_->vocab(); }
   const SetRTree& setr() const { return *setr_; }
-
-  bool has_kcr() const { return kcr_ != nullptr; }
-  /// Requires has_kcr().
-  const KcRTree& kcr() const { return *kcr_; }
 
   /// Null unless built with build_inverted_index or restored from a snapshot
   /// that contained one.
@@ -88,7 +82,6 @@ class Corpus {
 
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
-  std::unique_ptr<KcRTree> kcr_;
   std::unique_ptr<InvertedIndex> inverted_;
 };
 
@@ -112,7 +105,8 @@ class CorpusBuilder {
 
   /// Restores a corpus from a snapshot file (standalone or per-shard).
   /// Indexes present in the file are adopted; the SetR-tree (always) and the
-  /// KcR-tree (when options ask for it) are rebuilt if the file lacks them.
+  /// inverted index (when options ask for it) are rebuilt if the file lacks
+  /// them.
   /// When `manifest_out` is non-null, a per-shard file's manifest is moved
   /// there (callers that expect a standalone file can reject it).
   Result<Corpus> FromSnapshot(

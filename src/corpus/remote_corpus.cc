@@ -144,7 +144,7 @@ bool SameShardIdentity(const shardrpc::ShardMeta& a,
                        const shardrpc::ShardMeta& b) {
   return a.shard_index == b.shard_index && a.shard_count == b.shard_count &&
          a.object_count == b.object_count && a.dist_norm == b.dist_norm &&
-         a.global_bounds == b.global_bounds && a.has_kcr == b.has_kcr &&
+         a.global_bounds == b.global_bounds &&
          a.setr_empty == b.setr_empty &&
          a.setr_root_mbr == b.setr_root_mbr && a.global_ids == b.global_ids;
 }
@@ -391,7 +391,7 @@ Result<std::string> ReplicaSet::CallOn(size_t r, const std::string& method,
                                        std::string_view body) const {
   // Session placement may land on a pending replica: validate before any
   // session state is built on it. Surface failures as Unavailable so the
-  // session owner runs its normal failover + replay.
+  // session owner runs its normal failover + re-open.
   if (Status v = EnsureValidated(r); !v.ok()) {
     if (v.code() == StatusCode::kUnavailable) MarkFailure(r);
     return Status::Unavailable(v.message());
@@ -581,10 +581,6 @@ Result<RemoteCorpus> RemoteCorpus::Connect(
 
   corpus.bounds_ = corpus.metas_[0].global_bounds;
   corpus.dist_norm_ = corpus.metas_[0].dist_norm;
-  corpus.has_kcr_ = true;
-  for (const shardrpc::ShardMeta& meta : corpus.metas_) {
-    corpus.has_kcr_ = corpus.has_kcr_ && meta.has_kcr;
-  }
 
   // The shared vocabulary: fetched once — every shard serialises the same
   // instance (the partitioner shares it), so shard 0's copy is THE copy.
@@ -621,13 +617,6 @@ Result<RemoteCorpus> RemoteCorpus::Connect(
   return corpus;
 }
 
-std::vector<uint32_t> RemoteCorpus::shards_without_kcr() const {
-  std::vector<uint32_t> missing;
-  for (uint32_t s = 0; s < metas_.size(); ++s) {
-    if (!metas_[s].has_kcr) missing.push_back(s);
-  }
-  return missing;
-}
 
 void RemoteCorpus::ForEachShard(const std::function<void(size_t)>& fn) const {
   // Pool workers inherit the submitter's trace context: the rpc spans a

@@ -34,9 +34,9 @@
 // pays no per-call checkout and idle sockets stay warm. Per-call deadlines
 // and retry-on-another-channel apply to transport errors only — HTTP error
 // statuses are semantic and surface immediately. Server-side session
-// state (Eqn. (3) plane sessions, Eqn. (4) probe batches) is replica-sticky;
-// its failover — re-establish on a live replica and REPLAY to the same level
-// — lives with the sessions in src/corpus/remote_whynot_oracle.cc. Failures
+// state (Eqn. (3) plane sessions) is replica-sticky; its failover —
+// re-establish on a live replica — lives with the sessions in
+// src/corpus/remote_whynot_oracle.cc. Failures
 // that exhaust a whole ReplicaSet bump the corpus's error epoch, which
 // YaskService samples around each request to turn a mid-algorithm shard
 // failure into a clean 503 (the why-not oracle interface has no error
@@ -198,7 +198,7 @@ class ReplicaSet {
                            std::string_view body) const;
 
   /// One RPC pinned to a replica — session traffic, where the server-side
-  /// state is replica-sticky and the CALLER owns failover + replay. Health
+  /// state is replica-sticky and the CALLER owns failover + re-open. Health
   /// is still tracked (wire failure -> cooldown).
   Result<std::string> CallOn(size_t r, const std::string& method,
                              const std::string& path,
@@ -306,10 +306,6 @@ class RemoteCorpus {
   const Vocabulary& vocab() const { return *vocab_; }
   const Rect& bounds() const { return bounds_; }
   double dist_norm() const { return dist_norm_; }
-  /// Every shard carries its KcR-tree (the /whynot prerequisite).
-  bool has_kcr() const { return has_kcr_; }
-  /// Shards lacking the KcR-tree (for precise error messages).
-  std::vector<uint32_t> shards_without_kcr() const;
 
   const shardrpc::ShardMeta& meta(size_t shard) const { return metas_[shard]; }
   ReplicaSet& replicas(size_t shard) const { return *shards_[shard]; }
@@ -351,8 +347,8 @@ class RemoteCorpus {
   /// The corpus-side metrics registry: every replica/shard meter above
   /// lives here; the coordinator's GET /metrics appends its render.
   const MetricsRegistry& metrics() const { return *metrics_; }
-  /// Session replays (remote why-not sessions re-established and replayed
-  /// on a live replica after a kill) — bumped by ShardSessionChannel.
+  /// Session replays (remote plane sessions re-established on a live
+  /// replica after a kill) — bumped by ShardSessionChannel.
   Counter* session_replays() const { return session_replays_; }
 
  private:
@@ -376,7 +372,6 @@ class RemoteCorpus {
   std::unique_ptr<Vocabulary> vocab_;
   Rect bounds_ = Rect::Empty();
   double dist_norm_ = 0.0;
-  bool has_kcr_ = false;
   std::vector<uint32_t> shard_of_;  // Global id -> shard index.
   std::vector<size_t> all_shards_;  // 0..num_shards-1, ForEachShard's list.
   std::unique_ptr<ThreadPool> pool_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "src/server/shard_protocol.h"
 
@@ -9,34 +10,34 @@ namespace yask {
 
 namespace {
 
-/// Encodes one /shard/count request for the given specs (target scores are
-/// resolved coordinator-side — a spec's target need not live on the shard
-/// being asked).
+/// Encodes one /shard/count (with a method byte per spec) or
+/// /shard/probe/rank (without) request for the given specs. Target scores
+/// are resolved coordinator-side — a spec's target need not live on the
+/// shard being asked.
 std::string EncodeCountRequest(const std::vector<OracleTargetSpec>& specs,
                                const std::vector<double>& target_scores,
-                               uint8_t method) {
+                               std::optional<shardrpc::CountMethod> method) {
   BufWriter req;
   req.PutVarU64(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     shardrpc::PutQuery(&req, *specs[i].query);
     req.PutU32(specs[i].target);
     req.PutF64(target_scores[i]);
-    req.PutU8(method);
+    if (method.has_value()) req.PutU8(static_cast<uint8_t>(*method));
   }
   return req.data();
 }
 
 // --- Session failover channel ------------------------------------------------
 
-/// One shard's server-side session (Eqn. (3) plane or Eqn. (4) probe batch)
-/// with mid-request failover. The session is replica-sticky: it lives on ONE
-/// replica of the shard's ReplicaSet. When a session call fails on the wire —
-/// or the replica restarted and answers 404 for an id it no longer knows —
-/// the channel re-opens the session on a live replica (possibly the restarted
-/// one), REPLAYS the state-mutating calls already applied so the fresh
-/// session reaches the same refinement level, and re-issues the failed call.
-/// Because every replica boots from the same snapshot, the replayed session
-/// is byte-identical to the lost one, and the caller never sees the kill.
+/// One shard's server-side Eqn. (3) plane session with mid-request failover.
+/// The session is replica-sticky: it lives on ONE replica of the shard's
+/// ReplicaSet. When a session call fails on the wire — or the replica
+/// restarted and answers 404 for an id it no longer knows — the channel
+/// re-opens the session on a live replica (possibly the restarted one) and
+/// re-issues the failed call. Session calls never change the session, and
+/// every replica boots from the same snapshot, so the re-opened session is
+/// byte-identical to the lost one, and the caller never sees the kill.
 ///
 /// Every session request body leads with an 8-byte session-id slot the
 /// channel stamps per attempt. Not thread-safe (one logical why-not question
@@ -66,10 +67,8 @@ class ShardSessionChannel {
   const Status& last_error() const { return last_error_; }
 
   /// One session call; `body` leads with 8 bytes the channel overwrites with
-  /// the session id. `mutates` records the body for replay after failover
-  /// (probe refines advance server-side frontiers; plane calls are pure).
-  /// Errors only when no replica can serve the session.
-  Result<std::string> Call(const char* path, std::string body, bool mutates) {
+  /// the session id. Errors only when no replica can serve the session.
+  Result<std::string> Call(const char* path, std::string body) {
     if (!live()) {
       return Status::Unavailable("shard " + set().description() +
                                  ": no live session");
@@ -84,7 +83,6 @@ class ShardSessionChannel {
       StampSession(&body, session_);
       Result<std::string> raw = set().CallOn(replica_, "POST", path, body);
       if (raw.ok()) {
-        if (mutates) replay_.push_back({path, body});
         if (failed_over) set().NoteFailover();
         return raw;
       }
@@ -128,7 +126,7 @@ class ShardSessionChannel {
     std::memcpy(body->data(), &session, sizeof(session));
   }
 
-  /// Opens on some not-yet-tried replica and replays the mutation history.
+  /// Opens on some not-yet-tried replica.
   bool Reopen(std::vector<bool>* tried) {
     session_ = 0;
     for (;;) {
@@ -152,25 +150,8 @@ class ShardSessionChannel {
       last_error_ = Status::InvalidArgument("bad session-open response");
       return false;
     }
-    // Replay, in order, what the lost session had already applied. The
-    // responses repeat bounds the coordinator has already merged (replicas
-    // are deterministic twins), so they are dropped — and NOT re-counted in
-    // any stats: the logical work happened once.
-    for (const ReplayEntry& entry : replay_) {
-      std::string body = entry.body;
-      StampSession(&body, id);
-      Result<std::string> replayed =
-          set().CallOn(r, "POST", entry.path, body);
-      if (!replayed.ok()) {
-        last_error_ = replayed.status();
-        BufWriter close;
-        close.PutU64(id);
-        (void)set().CallOn(r, "POST", close_path_, close.data());
-        return false;
-      }
-    }
-    // A re-open after the first success IS a session replay: the lost
-    // session was re-established (history re-applied) on a live replica.
+    // A re-open after the first success is what the session-replay counter
+    // counts: the lost session was re-established on a live replica.
     if (opened_once_) corpus_->session_replays()->Add();
     opened_once_ = true;
     session_ = id;
@@ -179,17 +160,11 @@ class ShardSessionChannel {
     return true;
   }
 
-  struct ReplayEntry {
-    const char* path;
-    std::string body;  // Session slot re-stamped at replay time.
-  };
-
   const RemoteCorpus* corpus_;
   size_t shard_;
   const char* open_path_;
   const char* close_path_;
   std::string open_body_;
-  std::vector<ReplayEntry> replay_;
   size_t replica_ = 0;
   uint64_t session_ = 0;
   bool opened_once_ = false;
@@ -200,7 +175,8 @@ class ShardSessionChannel {
 }  // namespace
 
 std::vector<size_t> RemoteShardOracle::CountFanout(
-    const std::vector<OracleTargetSpec>& specs, uint8_t method) const {
+    const std::vector<OracleTargetSpec>& specs, const char* path,
+    std::optional<shardrpc::CountMethod> method) const {
   std::vector<double> target_scores;
   target_scores.reserve(specs.size());
   for (const OracleTargetSpec& spec : specs) {
@@ -213,8 +189,7 @@ std::vector<size_t> RemoteShardOracle::CountFanout(
   const size_t n = corpus_->num_shards();
   std::vector<std::vector<size_t>> counts(n);
   corpus_->ForEachShard([&](size_t s) {
-    Result<std::string> raw =
-        corpus_->replicas(s).Call("POST", shardrpc::kCountPath, body);
+    Result<std::string> raw = corpus_->replicas(s).Call("POST", path, body);
     if (!raw.ok()) {
       corpus_->RecordError(raw.status());
       return;
@@ -222,14 +197,17 @@ std::vector<size_t> RemoteShardOracle::CountFanout(
     BufReader in(raw->data(), raw->size());
     const uint64_t count = in.GetVarU64();
     if (count != specs.size()) {
-      corpus_->RecordError(
-          Status::InvalidArgument("bad /shard/count response"));
+      corpus_->RecordError(Status::InvalidArgument(
+          std::string("bad ") + path + " response"));
       return;
     }
     counts[s].reserve(count);
     for (uint64_t i = 0; i < count; ++i) counts[s].push_back(in.GetU64());
-    if (!in.ok()) {
-      corpus_->RecordError(in.status());
+    if (!in.ok() || !in.AtEnd()) {
+      corpus_->RecordError(in.ok() ? Status::InvalidArgument(
+                                         std::string("trailing bytes in ") +
+                                         path + " response")
+                                   : in.status());
       counts[s].clear();
     }
   });
@@ -244,8 +222,8 @@ std::vector<size_t> RemoteShardOracle::CountFanout(
 
 size_t RemoteShardOracle::Rank(const Query& query, ObjectId global_id) const {
   const std::vector<OracleTargetSpec> specs{{&query, global_id}};
-  return CountFanout(specs,
-                     static_cast<uint8_t>(shardrpc::CountMethod::kSetR))[0] +
+  return CountFanout(specs, shardrpc::kCountPath,
+                     shardrpc::CountMethod::kSetR)[0] +
          1;
 }
 
@@ -253,8 +231,8 @@ std::vector<size_t> RemoteShardOracle::OutscoringCountBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += corpus_->size() * specs.size();
-  return CountFanout(specs,
-                     static_cast<uint8_t>(shardrpc::CountMethod::kScan));
+  return CountFanout(specs, shardrpc::kCountPath,
+                     shardrpc::CountMethod::kScan);
 }
 
 // --- Score-plane sessions ----------------------------------------------------
@@ -313,8 +291,7 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
     corpus_->ForEachShard([&](size_t s) {
       if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
       Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCountBatchPath, body,
-                             /*mutates=*/false);
+          channels_[s]->Call(shardrpc::kPlaneCountBatchPath, body);
       if (!raw.ok()) {
         corpus_->RecordError(raw.status());
         return;
@@ -359,8 +336,7 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
     corpus_->ForEachShard([&](size_t s) {
       if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
       Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kPlaneCrossingsPath, body,
-                             /*mutates=*/false);
+          channels_[s]->Call(shardrpc::kPlaneCrossingsPath, body);
       if (!raw.ok()) {
         corpus_->RecordError(raw.status());
         return;
@@ -393,159 +369,6 @@ class RemoteScorePlaneSession : public ScorePlaneSession {
   mutable std::vector<std::unique_ptr<ShardSessionChannel>> channels_;
 };
 
-// --- Rank-probe batches ------------------------------------------------------
-
-class RemoteRankProbeBatch : public RankProbeBatch {
- public:
-  RemoteRankProbeBatch(const RemoteCorpus* corpus, const WhyNotOracle* oracle,
-                       const std::vector<OracleTargetSpec>& specs,
-                       KeywordAdaptStats* stats)
-      : corpus_(corpus), stats_(stats), members_(specs.size()) {
-    // Target scores resolve coordinator-side, then ONE open per shard
-    // creates every member's refiner there.
-    BufWriter req;
-    req.PutVarU64(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      const double target_score =
-          ScorePartsOf(*spec.query, corpus_->dist_norm(),
-                       oracle->Object(spec.target))
-              .score;
-      shardrpc::PutQuery(&req, *spec.query);
-      req.PutU32(spec.target);
-      req.PutF64(target_score);
-    }
-    const std::string body = req.data();
-
-    const size_t n = corpus_->num_shards();
-    shards_.resize(n);
-    channels_.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      shards_[s].members.resize(specs.size());
-      channels_.push_back(std::make_unique<ShardSessionChannel>(
-          *corpus, s, shardrpc::kProbeOpenPath, shardrpc::kProbeClosePath));
-    }
-    corpus_->ForEachShard([&](size_t s) {
-      if (!channels_[s]->Open(body)) {
-        corpus_->RecordError(channels_[s]->last_error());
-        return;
-      }
-      const std::string& resp = channels_[s]->open_response();
-      BufReader in(resp.data(), resp.size());
-      in.GetU64();  // Session id — the channel's concern.
-      for (MemberBounds& member : shards_[s].members) {
-        member.lower = in.GetU64();
-        member.upper = in.GetU64();
-        member.resolved = in.GetU8() != 0;
-      }
-      if (!in.ok()) {
-        corpus_->RecordError(in.status());
-        // Back to the pinned-zero defaults: a half-parsed member with
-        // resolved=false would make the refinement loop spin forever on a
-        // shard that can no longer answer (the request 503s via the epoch).
-        channels_[s]->Close();
-        shards_[s].members.assign(shards_[s].members.size(), MemberBounds{});
-      }
-    });
-  }
-
-  size_t size() const override { return members_; }
-
-  size_t lower(size_t i) const override {
-    size_t sum = 0;
-    for (const ShardState& shard : shards_) sum += shard.members[i].lower;
-    return sum + 1;
-  }
-  size_t upper(size_t i) const override {
-    size_t sum = 0;
-    for (const ShardState& shard : shards_) sum += shard.members[i].upper;
-    return sum + 1;
-  }
-  bool resolved(size_t i) const override {
-    for (const ShardState& shard : shards_) {
-      if (!shard.members[i].resolved) return false;
-    }
-    return true;
-  }
-
-  void RefineLevel(const std::vector<size_t>& members) override {
-    const size_t n = shards_.size();
-    std::vector<uint64_t> kcr_deltas(n, 0);
-    std::vector<uint64_t> scored_deltas(n, 0);
-    corpus_->ForEachShard([&](size_t s) {
-      ShardState& shard = shards_[s];
-      if (!channels_[s]->live()) return;  // Open failed; epoch already bumped.
-      // Only the members with an open frontier on THIS shard are sent.
-      std::vector<size_t> wanted;
-      for (size_t m : members) {
-        if (!shard.members[m].resolved) wanted.push_back(m);
-      }
-      if (wanted.empty()) return;
-      BufWriter req;
-      req.PutU64(0);  // Session slot, stamped by the channel.
-      req.PutVarU64(wanted.size());
-      for (size_t m : wanted) req.PutVarU32(static_cast<uint32_t>(m));
-      // mutates=true: a refine advances the server-side frontiers, so it
-      // joins the channel's replay log — a later failover re-runs the whole
-      // history on the fresh replica before anything new is asked of it.
-      Result<std::string> raw =
-          channels_[s]->Call(shardrpc::kProbeRefinePath, req.data(),
-                             /*mutates=*/true);
-      // Any failure (every replica down) pins the asked members on this
-      // shard: bounds stop narrowing but resolved() becomes true, so the
-      // caller's refinement loop TERMINATES and the request surfaces the
-      // bumped epoch as a 503 — instead of re-issuing a doomed RPC (or
-      // spinning) forever.
-      auto pin_wanted = [&] {
-        for (size_t m : wanted) shard.members[m].resolved = true;
-      };
-      if (!raw.ok()) {
-        corpus_->RecordError(raw.status());
-        pin_wanted();
-        return;
-      }
-      BufReader in(raw->data(), raw->size());
-      const uint64_t count = in.GetVarU64();
-      if (count != wanted.size()) {
-        corpus_->RecordError(
-            Status::InvalidArgument("bad /shard/probe/refine response"));
-        pin_wanted();
-        return;
-      }
-      for (size_t m : wanted) {
-        shard.members[m].lower = in.GetU64();
-        shard.members[m].upper = in.GetU64();
-        shard.members[m].resolved = in.GetU8() != 0;
-      }
-      kcr_deltas[s] = in.GetU64();
-      scored_deltas[s] = in.GetU64();
-      if (!in.ok()) {
-        corpus_->RecordError(in.status());
-        pin_wanted();
-      }
-    });
-    for (size_t s = 0; s < n; ++s) {
-      stats_->kcr_nodes_expanded += kcr_deltas[s];
-      stats_->objects_scored += scored_deltas[s];
-    }
-  }
-
- private:
-  struct MemberBounds {
-    uint64_t lower = 0;
-    uint64_t upper = 0;
-    bool resolved = true;  // A failed shard contributes a pinned zero.
-  };
-  struct ShardState {
-    std::vector<MemberBounds> members;
-  };
-
-  const RemoteCorpus* corpus_;
-  KeywordAdaptStats* stats_;
-  size_t members_;
-  std::vector<ShardState> shards_;
-  std::vector<std::unique_ptr<ShardSessionChannel>> channels_;
-};
-
 }  // namespace
 
 std::unique_ptr<ScorePlaneSession> RemoteShardOracle::PrepareScorePlane(
@@ -557,7 +380,11 @@ std::unique_ptr<ScorePlaneSession> RemoteShardOracle::PrepareScorePlane(
 std::unique_ptr<RankProbeBatch> RemoteShardOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
-  return std::make_unique<RemoteRankProbeBatch>(corpus_, this, specs, stats);
+  stats->objects_scored += corpus_->size();
+  std::vector<size_t> ranks =
+      CountFanout(specs, shardrpc::kProbeRankPath, std::nullopt);
+  for (size_t& rank : ranks) ++rank;
+  return std::make_unique<ExactRankBatch>(std::move(ranks));
 }
 
 }  // namespace yask

@@ -2,7 +2,7 @@
 // RemoteShardOracle: the WhyNotOracle seam over the wire — every per-shard
 // primitive becomes one RPC per shard against yask_shard_server processes,
 // merged with exactly the discipline of ShardedWhyNotOracle (counts sum,
-// crossing sets union + sort + dedupe, KcR intervals sum elementwise).
+// crossing sets union + sort + dedupe).
 // Because the shard servers run the same per-shard code
 // (src/whynot/shard_primitives.h) and every double rides the wire as raw
 // bits, a coordinator's /whynot answers are byte-identical to the
@@ -11,20 +11,19 @@
 // Round-trip shape per why-not question (what the batch APIs buy):
 //   * OutscoringCountBatch: one /shard/count per shard for ALL
 //     (candidate, missing) pairs of a chunk;
-//   * ProbeRankBatch: one /shard/probe/open per shard, then ONE
-//     /shard/probe/refine per shard per refinement level across all live
-//     candidates;
+//   * ProbeRankBatch: ONE stateless /shard/probe/rank per shard for all
+//     (candidate, missing) pairs of a chunk, answered exactly;
 //   * the Eqn. (3) weight sweep holds one server-side plane session per
 //     shard and pays one /shard/plane/count_batch round-trip per shard per
 //     sweep SEGMENT (every candidate weight × missing object of the
-//     segment; the segment size adapts to the observed RPC latency).
+//     segment).
 //
 // Failure model: every stateless fan-out rides ReplicaSet::Call, which
-// fails over to a sibling replica mid-call; the plane/probe sessions are
+// fails over to a sibling replica mid-call; the plane sessions are
 // replica-sticky id-keyed server-side state, so their failover re-opens the
-// session on a live replica and REPLAYS the applied refine history before
-// re-issuing the failed call (see ShardSessionChannel in the .cc) — a killed
-// replica costs latency, never correctness. Only when every replica of a
+// session on a live replica before re-issuing the failed call (see
+// ShardSessionChannel in the .cc) — a killed replica costs latency, never
+// correctness. Only when every replica of a
 // shard is gone does the wire failure bump the owning RemoteCorpus's error
 // epoch (the oracle interface has no error channel) and contribute neutral
 // values; YaskService samples the epoch around each request and answers 503.
@@ -33,15 +32,16 @@
 #define YASK_CORPUS_REMOTE_WHYNOT_ORACLE_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/corpus/remote_corpus.h"
+#include "src/server/shard_protocol.h"
 #include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 
-/// The corpus must outlive the oracle. ProbeRankBatch requires every remote
-/// shard to carry its KcR-tree (corpus.has_kcr()).
+/// The corpus must outlive the oracle.
 class RemoteShardOracle : public WhyNotOracle {
  public:
   explicit RemoteShardOracle(const RemoteCorpus& corpus)
@@ -70,9 +70,12 @@ class RemoteShardOracle : public WhyNotOracle {
   const RemoteCorpus& corpus() const { return *corpus_; }
 
  private:
-  /// Batched /shard/count fan-out shared by Rank / OutscoringCountBatch.
-  std::vector<size_t> CountFanout(const std::vector<OracleTargetSpec>& specs,
-                                  uint8_t method) const;
+  /// Batched count fan-out shared by Rank / OutscoringCountBatch
+  /// (/shard/count, with a method) and ProbeRankBatch (/shard/probe/rank,
+  /// without): per spec, the sum over shards of each shard's count.
+  std::vector<size_t> CountFanout(
+      const std::vector<OracleTargetSpec>& specs, const char* path,
+      std::optional<shardrpc::CountMethod> method) const;
 
   const RemoteCorpus* corpus_;
   RemoteTopKClient topk_;

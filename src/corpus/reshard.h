@@ -39,7 +39,7 @@ struct ReshardOptions {
   /// refitted to the data) or "hash".
   std::string router = "grid";
   /// Index build options for the OUTPUT shards (the new files carry fully
-  /// rebuilt SetR/KcR/inverted indexes per these options).
+  /// rebuilt SetR/inverted indexes per these options).
   CorpusOptions corpus;
 };
 

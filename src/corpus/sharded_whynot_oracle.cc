@@ -9,9 +9,7 @@ ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
     ctx_.views.push_back(OracleShardView{
-        &shard.store(), &shard.setr(),
-        shard.has_kcr() ? &shard.kcr() : nullptr,
-        &corpus.shard_global_ids(s)});
+        &shard.store(), &shard.setr(), &corpus.shard_global_ids(s)});
     ctx_.all_shards.push_back(s);
   }
   ctx_.dist_norm = corpus.dist_norm();

@@ -10,10 +10,8 @@
 //     an object's score is the same doubles-arithmetic in both layouts;
 //   * tie orders compare GLOBAL ids everywhere;
 //   * outscoring counts SUM across shards (disjoint partition of one
-//     predicate), crossing-weight candidate sets UNION (then sort + dedupe),
-//     and per-candidate KcR rank intervals sum elementwise — each shard's
-//     [lo, hi] is its exact contribution's bounds, so the summed interval is
-//     admissible and collapses to the global exact count.
+//     predicate) — the scan counts and the keyword-mask column counts
+//     alike — and crossing-weight candidate sets UNION (then sort + dedupe).
 // The why-not algorithms run unchanged over this oracle, so a sharded
 // service answers /whynot bit-identically to an unsharded replica
 // (property-tested at 1/2/4/8 shards; bench_whynot_sharded gates on it).
@@ -26,8 +24,7 @@
 
 namespace yask {
 
-/// The corpus must outlive the oracle. ProbeRank (keyword adaption)
-/// requires every shard to have been built with its KcR-tree.
+/// The corpus must outlive the oracle.
 class ShardedWhyNotOracle : public ContextWhyNotOracle {
  public:
   explicit ShardedWhyNotOracle(const ShardedCorpus& corpus);

@@ -2,8 +2,8 @@
 
 namespace yask {
 
-// The plain spatial R-tree instantiation. SetR-tree and KcR-tree variants are
-// instantiated in their own translation units.
+// The plain spatial R-tree instantiation. The SetR-tree variant is
+// instantiated in its own translation unit.
 template class RTreeT<EmptySummary>;
 
 }  // namespace yask

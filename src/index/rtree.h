@@ -6,15 +6,14 @@
 // deletion) with STR bulk loading, templated on a node-summary policy:
 //
 //   * EmptySummary  -> plain R-tree (spatial only),
-//   * SetSummary    -> SetR-tree (per-node keyword union + intersection),
-//   * KcSummary     -> KcR-tree (per-node keyword->count map + cnt, Fig. 2).
+//   * SetSummary    -> SetR-tree (per-node keyword union + intersection).
 //
 // Summaries are recomputed bottom-up during bulk load and maintained by
 // recomputation along structurally-modified paths on insert/delete (they are
 // not subtractable, so no incremental removal is attempted).
 //
 // The node arena is public read-only: the query and why-not engines run their
-// own best-first / bound-and-prune traversals directly over nodes.
+// own best-first traversals directly over nodes.
 
 #ifndef YASK_INDEX_RTREE_H_
 #define YASK_INDEX_RTREE_H_

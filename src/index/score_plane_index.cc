@@ -15,12 +15,25 @@ uint32_t PartitionPoint(uint32_t begin, uint32_t end, Below below) {
   return *std::ranges::partition_point(std::views::iota(begin, end), below);
 }
 
-/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
-/// order among equal x: an LSD radix sort over the bytes of an
-/// order-preserving key of x, skipping the bytes every entry shares.
-/// `xs_tmp` and `ids_tmp` are scratch for n entries.
+}  // namespace
+
 void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
              size_t n) {
+  if (n < 32) {
+    // Eight 256-bucket histogram passes would dwarf a short run's sort.
+    for (size_t i = 1; i < n; ++i) {
+      const double x = xs[i];
+      const ObjectId id = ids[i];
+      size_t j = i;
+      for (; j > 0 && xs[j - 1] > x; --j) {
+        xs[j] = xs[j - 1];
+        ids[j] = ids[j - 1];
+      }
+      xs[j] = x;
+      ids[j] = id;
+    }
+    return;
+  }
   auto key = [](double x) {
     const uint64_t bits = std::bit_cast<uint64_t>(x);
     return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
@@ -40,8 +53,6 @@ void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
     std::copy_n(ids_tmp, n, ids);
   }
 }
-
-}  // namespace
 
 ScorePlaneIndex::ScorePlaneIndex(const std::vector<PlanePoint>& points) {
   // Columns by the bits of y (so +0 and -0 part ways), in first-seen order:

@@ -42,6 +42,15 @@ struct PlanePoint {
   double ScoreAt(double w) const { return w * x + (1.0 - w) * y; }
 };
 
+/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
+/// order among equal x: an LSD radix sort over the bytes of an
+/// order-preserving key of x, skipping the bytes every entry shares, and an
+/// insertion sort for short runs. `xs_tmp` and `ids_tmp` are scratch for n
+/// entries. Shared by the TSim columns here and the keyword-mask columns of
+/// src/whynot/shard_primitives.h.
+void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
+             size_t n);
+
 /// Score-plane points in TSim columns, each sorted by x.
 class ScorePlaneIndex {
  public:

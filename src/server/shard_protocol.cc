@@ -82,7 +82,6 @@ void PutShardMeta(BufWriter* out, const ShardMeta& meta) {
   out->PutU64(meta.object_count);
   out->PutF64(meta.dist_norm);
   PutRect(out, meta.global_bounds);
-  out->PutU8(meta.has_kcr ? 1 : 0);
   out->PutU8(meta.setr_empty ? 1 : 0);
   PutRect(out, meta.setr_root_mbr);
   out->PutString(meta.router);
@@ -93,12 +92,17 @@ void PutShardMeta(BufWriter* out, const ShardMeta& meta) {
 Result<ShardMeta> GetShardMeta(BufReader* in) {
   ShardMeta meta;
   meta.protocol_version = in->GetU32();
+  // Another version's layout is unknown: return the version alone, so the
+  // caller's protocol-range check names the mismatch.
+  if (in->ok() && (meta.protocol_version < kMinSupportedProtocolVersion ||
+                   meta.protocol_version > kProtocolVersion)) {
+    return meta;
+  }
   meta.shard_index = in->GetU32();
   meta.shard_count = in->GetU32();
   meta.object_count = in->GetU64();
   meta.dist_norm = in->GetF64();
   meta.global_bounds = GetRect(in);
-  meta.has_kcr = in->GetU8() != 0;
   meta.setr_empty = in->GetU8() != 0;
   meta.setr_root_mbr = GetRect(in);
   meta.router = in->GetString();

@@ -23,9 +23,8 @@
 //   POST /shard/find       name -> first matching GLOBAL id
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
 //   POST /shard/count      batched tie-aware outscoring counts (scan / SetR)
-//   POST /shard/plane/open|count|count_batch|crossings|close  Eqn. (3)
-//                                                              sessions
-//   POST /shard/probe/open|refine|close             Eqn. (4) probe batches
+//   POST /shard/plane/open|count_batch|crossings|close  Eqn. (3) sessions
+//   POST /shard/probe/rank  Eqn. (4) exact rank batches (stateless)
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
 
@@ -55,14 +54,18 @@ namespace shardrpc {
 /// v3: adds POST /shard/plane/count_batch (K weights × A anchors per
 /// request — the Eqn. (3) sweep-segment batch). The coordinator's weight
 /// sweep speaks only this route, so the coordinator requires v3 shards.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: POST /shard/probe/rank (one stateless request per shard per rank
+/// batch, answered exactly from keyword-mask columns) replaces the probe
+/// sessions /shard/probe/{open,refine,close}, and ShardMeta drops its
+/// has_kcr byte (the KcR-tree is gone).
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 3;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 4;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -80,6 +83,14 @@ inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 inline constexpr char kPlaneCountBatchPath[] = "/shard/plane/count_batch";
 inline constexpr char kPlaneCrossingsPath[] = "/shard/plane/crossings";
 inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
+/// v4+. Request: varu64 N ≤ kMaxProbeSpecs, then N × (query, u32 global
+/// target id, raw-F64 finite target score); every query must pass
+/// Query::Validate and their keywords' union must not exceed
+/// kMaxKeywordUniverse. Response: varu64 N + N u64 tie-aware counts of this
+/// shard's objects outranking each target (ShardColumnOutscoring).
+inline constexpr char kProbeRankPath[] = "/shard/probe/rank";
+/// Not served since v4; declared only because servebench/servebench.cc,
+/// their last reader, lists them (ROADMAP item 3 deletes them).
 inline constexpr char kProbeOpenPath[] = "/shard/probe/open";
 inline constexpr char kProbeRefinePath[] = "/shard/probe/refine";
 inline constexpr char kProbeClosePath[] = "/shard/probe/close";
@@ -103,7 +114,6 @@ struct ShardMeta {
   uint64_t object_count = 0;       // This shard's local store size.
   double dist_norm = 0.0;          // GLOBAL SDist normaliser.
   Rect global_bounds = Rect::Empty();
-  bool has_kcr = false;            // /whynot refinement availability.
   bool setr_empty = true;
   Rect setr_root_mbr = Rect::Empty();  // Home-shard selection input.
   std::string router;              // Informational placement description.

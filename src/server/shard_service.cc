@@ -47,22 +47,6 @@ struct ShardService::PlaneSession {
   uint64_t last_use = 0;  // Guarded by sessions_mu_, not mu.
 };
 
-/// One Eqn. (4) probe batch: per (candidate, missing object) member a
-/// candidate query copy, a scorer bound to it, and this shard's refiner.
-/// Members live behind unique_ptrs — scorers point into the member's query.
-struct ShardService::ProbeSession {
-  struct Member {
-    Query query;
-    std::optional<Scorer> scorer;
-    std::optional<ShardRankRefiner> refiner;
-  };
-
-  std::mutex mu;
-  std::vector<std::unique_ptr<Member>> members;
-  KeywordAdaptStats stats;  // Refiner work counters; deltas reported per call.
-  uint64_t last_use = 0;    // Guarded by sessions_mu_, not mu.
-};
-
 ShardService::Info ShardService::StandaloneInfo(const Corpus& corpus) {
   Info info;
   info.global_bounds = corpus.store().bounds();
@@ -100,7 +84,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
   topk_.set_dist_norm(info_.dist_norm);
   view_ = OracleShardView{
       &corpus.store(), &corpus.setr(),
-      corpus.has_kcr() ? &corpus.kcr() : nullptr,
       info_.to_global.empty() ? nullptr : &info_.to_global};
 
   // Every shardrpc route is instrumented: latency and status-code series,
@@ -119,9 +102,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
       {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
       {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
-      {"POST", shardrpc::kProbeOpenPath, &S::HandleProbeOpen},
-      {"POST", shardrpc::kProbeRefinePath, &S::HandleProbeRefine},
-      {"POST", shardrpc::kProbeClosePath, &S::HandleProbeClose},
+      {"POST", shardrpc::kProbeRankPath, &S::HandleProbeRank},
   };
   for (const auto& [method, path, handler] : routes) {
     server_.Route(method, path,
@@ -143,11 +124,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
                               std::lock_guard<std::mutex> lock(sessions_mu_);
                               return static_cast<double>(planes_.size());
                             });
-  metrics_.AddGaugeCallback("yask_shard_open_probe_sessions", shard_label,
-                            [this] {
-                              std::lock_guard<std::mutex> lock(sessions_mu_);
-                              return static_cast<double>(probes_.size());
-                            });
   metrics_.AddGaugeCallback("yask_shard_objects", shard_label, [this] {
     return static_cast<double>(corpus_->size());
   });
@@ -155,10 +131,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
   plane_labels.emplace_back("kind", "plane");
   plane_evictions_ =
       metrics_.GetCounter("yask_shard_sessions_evicted_total", plane_labels);
-  MetricLabels probe_labels = shard_label;
-  probe_labels.emplace_back("kind", "probe");
-  probe_evictions_ =
-      metrics_.GetCounter("yask_shard_sessions_evicted_total", probe_labels);
 }
 
 HttpServer::Handler ShardService::Instrumented(const char* endpoint,
@@ -226,50 +198,34 @@ HttpResponse ShardService::HandleMetrics(const HttpRequest&) {
 
 size_t ShardService::open_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  return planes_.size() + probes_.size();
+  return planes_.size();
 }
 
-std::optional<ObjectId> ShardService::ToLocal(ObjectId global_id) const {
-  if (info_.to_global.empty()) {
-    if (global_id >= corpus_->size()) return std::nullopt;
-    return global_id;
-  }
-  // to_global is strictly ascending (shards fill in global id order).
-  const auto it = std::lower_bound(info_.to_global.begin(),
-                                   info_.to_global.end(), global_id);
-  if (it == info_.to_global.end() || *it != global_id) return std::nullopt;
-  return static_cast<ObjectId>(it - info_.to_global.begin());
-}
-
-template <typename Session>
-uint64_t ShardService::AddSession(SessionMap<Session>* sessions,
-                                  std::shared_ptr<Session> session,
-                                  Counter* evictions) {
+uint64_t ShardService::AddSession(std::shared_ptr<PlaneSession> session) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   const uint64_t id = next_session_id_++;
   session->last_use = ++use_clock_;
-  (*sessions)[id] = std::move(session);
-  if (sessions->size() > max_sessions_) {
+  planes_[id] = std::move(session);
+  if (planes_.size() > max_sessions_) {
     // Evicting by LAST USE, not creation order, protects a long-running
     // sweep's session from a burst of newer opens; the maps are small
     // (<= max_sessions + 1), so a linear scan beats bookkeeping an
     // intrusive LRU list here.
-    auto victim = sessions->begin();
-    for (auto it = sessions->begin(); it != sessions->end(); ++it) {
+    auto victim = planes_.begin();
+    for (auto it = planes_.begin(); it != planes_.end(); ++it) {
       if (it->second->last_use < victim->second->last_use) victim = it;
     }
-    sessions->erase(victim);
-    evictions->Add();
+    planes_.erase(victim);
+    plane_evictions_->Add();
   }
   return id;
 }
 
-template <typename Session>
-std::shared_ptr<Session> ShardService::FindSession(
-    const SessionMap<Session>& sessions, uint64_t id) const {
+std::shared_ptr<ShardService::PlaneSession> ShardService::FindSession(
+    uint64_t id) const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto it = sessions.find(id);
-  if (it == sessions.end()) return nullptr;
+  const auto it = planes_.find(id);
+  if (it == planes_.end()) return nullptr;
   it->second->last_use = ++use_clock_;
   return it->second;
 }
@@ -297,10 +253,9 @@ HttpResponse ShardService::HandleHealth(const HttpRequest&) {
   out.Set("build", std::move(build));
   JsonValue indexes = JsonValue::MakeObject();
   indexes.Set("setr", JsonValue(true));
-  indexes.Set("kcr", JsonValue(corpus_->has_kcr()));
   out.Set("indexes", std::move(indexes));
-  // Whether this shard can serve its slice of /whynot refinement.
-  out.Set("whynot", JsonValue(corpus_->has_kcr()));
+  // Every shard serves its slice of /whynot refinement.
+  out.Set("whynot", JsonValue(true));
   out.Set("open_sessions", JsonValue(open_sessions()));
   return HttpResponse::Json(out.Dump());
 }
@@ -312,7 +267,6 @@ HttpResponse ShardService::HandleMeta(const HttpRequest&) {
   meta.object_count = corpus_->size();
   meta.dist_norm = info_.dist_norm;
   meta.global_bounds = info_.global_bounds;
-  meta.has_kcr = corpus_->has_kcr();
   const SetRTree& tree = corpus_->setr();
   meta.setr_empty = tree.empty();
   if (!tree.empty()) meta.setr_root_mbr = tree.node(tree.root()).rect;
@@ -340,7 +294,7 @@ HttpResponse ShardService::HandleObjects(const HttpRequest& req) {
   for (uint64_t i = 0; i < count; ++i) {
     const ObjectId global = in.GetU32();
     if (!in.ok()) return BadBody(in);
-    const std::optional<ObjectId> local = ToLocal(global);
+    const std::optional<ObjectId> local = LocalOf(view_, global);
     if (!local.has_value()) {
       return HttpResponse::Error(
           404, "object " + std::to_string(global) + " is not on shard " +
@@ -454,7 +408,7 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   session->plane = std::make_unique<ShardPlane>(view_, query, info_.dist_norm,
                                                 optimized);
   BufWriter out;
-  out.PutU64(AddSession(&planes_, std::move(session), plane_evictions_));
+  out.PutU64(AddSession(std::move(session)));
   return Binary(out);
 }
 
@@ -487,7 +441,7 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
       !std::all_of(anchors.begin(), anchors.end(), IsFinitePoint)) {
     return HttpResponse::Error(400, "bad plane count weight or anchor");
   }
-  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
+  const std::shared_ptr<PlaneSession> session = FindSession(id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
@@ -516,7 +470,7 @@ HttpResponse ShardService::HandlePlaneCrossings(const HttpRequest& req) {
   if (!(wlo >= 0.0 && wlo <= whi && whi <= 1.0) || !IsFinitePoint(anchor)) {
     return HttpResponse::Error(400, "bad plane crossing interval or anchor");
   }
-  const std::shared_ptr<PlaneSession> session = FindSession(planes_, id);
+  const std::shared_ptr<PlaneSession> session = FindSession(id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
   }
@@ -547,102 +501,46 @@ HttpResponse ShardService::HandlePlaneClose(const HttpRequest& req) {
   return Binary(out);
 }
 
-// --- Rank-probe batches (Eqn. (4)) -------------------------------------------
+// --- Rank batches (Eqn. (4)) ------------------------------------------------
 
-HttpResponse ShardService::HandleProbeOpen(const HttpRequest& req) {
-  if (view_.kcr == nullptr) {
+HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
+  BufReader in(req.body.data(), req.body.size());
+  const uint64_t count = in.GetVarU64();
+  if (!in.ok()) return BadBody(in);
+  if (count > kMaxProbeSpecs) {
     return HttpResponse::Error(
-        501, "shard " + std::to_string(info_.shard_index) +
-                 " has no KcR-tree; rank probes (why-not keyword "
-                 "refinement) are unavailable");
+        400, "rank batch of " + std::to_string(count) + " specs exceeds " +
+                 std::to_string(kMaxProbeSpecs));
   }
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t count = in.GetVarU64();
   if (!in.CheckCount(count, 16)) return BadBody(in);
-
-  auto session = std::make_shared<ProbeSession>();
-  session->members.reserve(count);
+  std::vector<Query> queries(count);
+  std::vector<ScanTarget> targets(count);
   for (uint64_t i = 0; i < count; ++i) {
-    auto member = std::make_unique<ProbeSession::Member>();
-    member->query = shardrpc::GetQuery(&in);
-    const ObjectId target = in.GetU32();
-    const double target_score = in.GetF64();
+    queries[i] = shardrpc::GetQuery(&in);
+    targets[i].query = &queries[i];
+    targets[i].target = in.GetU32();
+    targets[i].target_score = in.GetF64();
     if (!in.ok()) return BadBody(in);
-    member->scorer.emplace(corpus_->store(), member->query, info_.dist_norm);
-    member->refiner.emplace(view_, *member->scorer, target, target_score,
-                            &session->stats);
-    session->members.push_back(std::move(member));
+    if (Status s = queries[i].Validate(); !s.ok()) {
+      return HttpResponse::Error(400, s.message());
+    }
+    if (!std::isfinite(targets[i].target_score)) {
+      return HttpResponse::Error(400, "non-finite target score");
+    }
   }
   if (!in.AtEnd()) return BadBody(in);
-
+  if (const size_t terms = KeywordUniverse(targets).size();
+      terms > kMaxKeywordUniverse) {
+    return HttpResponse::Error(
+        400, "rank batch keywords span " + std::to_string(terms) +
+                 " distinct terms, more than " +
+                 std::to_string(kMaxKeywordUniverse));
+  }
+  const std::vector<size_t> counts =
+      ShardColumnOutscoring(view_, info_.dist_norm, targets);
   BufWriter out;
-  out.PutU64(AddSession(&probes_, session, probe_evictions_));
-  for (const auto& member : session->members) {
-    out.PutU64(member->refiner->count_lower());
-    out.PutU64(member->refiner->count_upper());
-    out.PutU8(member->refiner->resolved() ? 1 : 0);
-  }
-  return Binary(out);
-}
-
-HttpResponse ShardService::HandleProbeRefine(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t id = in.GetU64();
-  const uint64_t count = in.GetVarU64();
-  if (!in.CheckCount(count, 1)) return BadBody(in);
-  const std::shared_ptr<ProbeSession> session = FindSession(probes_, id);
-  if (session == nullptr) {
-    return HttpResponse::Error(404, "unknown probe session");
-  }
-
-  std::lock_guard<std::mutex> lock(session->mu);
-  // The whole request is validated before any refiner moves: a rejected
-  // request leaves the session exactly as it was.
-  std::vector<ShardRankRefiner*> refiners;
-  refiners.reserve(count);
-  std::vector<char> listed(session->members.size(), 0);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t m = in.GetVarU32();
-    if (!in.ok()) return BadBody(in);
-    if (m >= session->members.size()) {
-      return HttpResponse::Error(
-          400, "probe member " + std::to_string(m) + " out of range");
-    }
-    if (listed[m]) {
-      return HttpResponse::Error(
-          400, "probe member " + std::to_string(m) + " listed twice");
-    }
-    listed[m] = 1;
-    refiners.push_back(&*session->members[m]->refiner);
-  }
-  if (!in.AtEnd()) return BadBody(in);
-
-  const KeywordAdaptStats before = session->stats;
-  ShardRankRefiner::RefineLevel(refiners);
-
-  BufWriter out;
-  out.PutVarU64(count);
-  for (const ShardRankRefiner* refiner : refiners) {
-    out.PutU64(refiner->count_lower());
-    out.PutU64(refiner->count_upper());
-    out.PutU8(refiner->resolved() ? 1 : 0);
-  }
-  out.PutU64(session->stats.kcr_nodes_expanded - before.kcr_nodes_expanded);
-  out.PutU64(session->stats.objects_scored - before.objects_scored);
-  return Binary(out);
-}
-
-HttpResponse ShardService::HandleProbeClose(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t id = in.GetU64();
-  if (!in.ok() || !in.AtEnd()) return BadBody(in);
-  bool erased;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    erased = probes_.erase(id) > 0;
-  }
-  BufWriter out;
-  out.PutU8(erased ? 1 : 0);
+  out.PutVarU64(counts.size());
+  for (size_t c : counts) out.PutU64(c);
   return Binary(out);
 }
 

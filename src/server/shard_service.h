@@ -11,11 +11,12 @@
 // raw bits (src/server/shard_protocol.h), which is what makes the remote
 // answers byte-identical.
 //
-// Statefulness: the Eqn. (3) score-plane sessions and Eqn. (4) rank-probe
-// batches are per-question server-side state (plane points / refiner
-// frontiers over this shard). Sessions are id-keyed, independently locked,
-// explicitly closed by the coordinator, and LRU-capped so a leaking or dead
-// client cannot pin memory.
+// Statefulness: the Eqn. (3) score-plane sessions are per-question
+// server-side state (this shard's plane columns). Sessions are id-keyed,
+// independently locked, explicitly closed by the coordinator, and LRU-capped
+// so a leaking or dead client cannot pin memory. Eqn. (4) rank batches are
+// stateless: one /shard/probe/rank request builds this shard's keyword-mask
+// columns, answers every spec, and drops them.
 
 #ifndef YASK_SERVER_SHARD_SERVICE_H_
 #define YASK_SERVER_SHARD_SERVICE_H_
@@ -45,8 +46,8 @@ struct ShardServiceOptions {
   /// default 4), so num_workers only needs to cover that set times the number
   /// of coordinators, not peak request concurrency.
   size_t num_workers = 8;
-  /// Upper bound on open plane/probe sessions; beyond it the oldest is
-  /// evicted (a later call on it answers 404). Coordinators close sessions
+  /// Upper bound on open plane sessions; beyond it the least recently used
+  /// is evicted (a later call on it answers 404). Coordinators close sessions
   /// after every question, so the cap only matters for leaking clients.
   size_t max_sessions = 256;
 };
@@ -87,7 +88,6 @@ class ShardService {
 
  private:
   struct PlaneSession;
-  struct ProbeSession;
 
   /// Wraps a handler with per-endpoint metrics (request counter by response
   /// code + latency histogram) and, when the request carries an
@@ -108,30 +108,19 @@ class ShardService {
   HttpResponse HandlePlaneCountBatch(const HttpRequest& req);
   HttpResponse HandlePlaneCrossings(const HttpRequest& req);
   HttpResponse HandlePlaneClose(const HttpRequest& req);
-  HttpResponse HandleProbeOpen(const HttpRequest& req);
-  HttpResponse HandleProbeRefine(const HttpRequest& req);
-  HttpResponse HandleProbeClose(const HttpRequest& req);
+  HttpResponse HandleProbeRank(const HttpRequest& req);
   HttpResponse HandleTrace(const HttpRequest& req);
   HttpResponse HandleMetrics(const HttpRequest& req);
 
-  /// Local id of a global id owned by this shard; nullopt when not owned.
-  std::optional<ObjectId> ToLocal(ObjectId global_id) const;
   ObjectId ToGlobal(ObjectId local_id) const {
     return info_.to_global.empty() ? local_id : info_.to_global[local_id];
   }
 
-  template <typename Session>
-  using SessionMap = std::map<uint64_t, std::shared_ptr<Session>>;
   /// Stores `session` under a fresh id and returns it. Past max_sessions_,
-  /// the session with the smallest last_use is dropped and `evictions`
-  /// counts it.
-  template <typename Session>
-  uint64_t AddSession(SessionMap<Session>* sessions,
-                      std::shared_ptr<Session> session, Counter* evictions);
+  /// the session with the smallest last_use is dropped and counted.
+  uint64_t AddSession(std::shared_ptr<PlaneSession> session);
   /// The session under `id`, stamped as just used; null when unknown.
-  template <typename Session>
-  std::shared_ptr<Session> FindSession(const SessionMap<Session>& sessions,
-                                       uint64_t id) const;
+  std::shared_ptr<PlaneSession> FindSession(uint64_t id) const;
 
   const Corpus* corpus_;
   Info info_;
@@ -144,14 +133,12 @@ class ShardService {
   mutable std::mutex sessions_mu_;
   uint64_t next_session_id_ = 1;
   mutable uint64_t use_clock_ = 0;  // Recency stamp (under sessions_mu_).
-  SessionMap<PlaneSession> planes_;
-  SessionMap<ProbeSession> probes_;
+  std::map<uint64_t, std::shared_ptr<PlaneSession>> planes_;
   size_t max_sessions_;
-  /// Capacity evictions by session kind — an evicted session forces the
-  /// coordinator into a 404 reopen + replay, so silent churn here is a
-  /// latency bug a dashboard must see (yask_shard_sessions_evicted_total).
+  /// Capacity evictions — an evicted session forces the coordinator into a
+  /// 404 reopen, so silent churn here is a latency bug a dashboard must see
+  /// (yask_shard_sessions_evicted_total).
   Counter* plane_evictions_ = nullptr;
-  Counter* probe_evictions_ = nullptr;
 };
 
 }  // namespace yask

@@ -204,7 +204,6 @@ YaskService::YaskService(const Corpus& corpus, YaskServiceOptions options)
   auto d = std::make_shared<Deployment>();
   d->engine.emplace(corpus);
   d->vocab = &corpus.vocab();
-  d->has_kcr = corpus.has_kcr();
   d->find_by_name = [&corpus](const std::string& name) {
     return corpus.store().FindByName(name);
   };
@@ -218,10 +217,6 @@ YaskService::YaskService(const ShardedCorpus& corpus,
   auto d = std::make_shared<Deployment>();
   d->engine.emplace(corpus);
   d->vocab = &corpus.vocab();
-  d->has_kcr = true;
-  for (size_t s = 0; s < corpus.num_shards(); ++s) {
-    d->has_kcr = d->has_kcr && corpus.shard(s).has_kcr();
-  }
   d->shards = corpus.num_shards();
   d->find_by_name = [&corpus](const std::string& name) {
     return corpus.FindByName(name);
@@ -248,7 +243,6 @@ void YaskService::BindRemote(const RemoteCorpus& corpus,
   deployment->remote = &corpus;
   deployment->engine.emplace(std::make_unique<RemoteShardOracle>(corpus));
   deployment->vocab = &corpus.vocab();
-  deployment->has_kcr = corpus.has_kcr();
   deployment->shards = corpus.num_shards();
   deployment->find_by_name = [&corpus](const std::string& name) {
     return corpus.FindByName(name);
@@ -792,25 +786,6 @@ JsonValue PenaltyToJson(const PenaltyBreakdown& p) {
 
 HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
   const uint64_t epoch = RemoteEpoch();
-  if (!CurrentDeployment().has_kcr) {
-    // Keyword adaption runs on the KcR-tree(s); a corpus deliberately built
-    // without them (top-k-only deployments) cannot answer why-not. Fail the
-    // request cleanly instead of letting the oracle hit a missing index.
-    std::string detail =
-        "why-not answering requires the corpus to be built with its "
-        "KcR-tree(s)";
-    if (const RemoteCorpus* remote = ActiveRemote(); remote != nullptr) {
-      detail = "why-not answering requires every remote shard to carry its "
-               "KcR-tree; shards without one:";
-      for (const uint32_t s : remote->shards_without_kcr()) {
-        detail += " " + std::to_string(s) + " (" +
-                  remote->replicas(s).description() + ")";
-      }
-      detail += " — rebuild those shard snapshots with their KcR section or "
-                "restart yask_shard_server with --rebuild-indexes";
-    }
-    return HttpResponse::Error(501, detail);
-  }
   auto parsed = JsonValue::Parse(req.body);
   if (!parsed.ok()) return HttpResponse::Error(400, parsed.status().message());
   const JsonValue& in = parsed.value();
@@ -1103,7 +1078,6 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
       row.Set("endpoint", JsonValue(set.description()));
       row.Set("objects", JsonValue(static_cast<size_t>(
                              remote->meta(s).object_count)));
-      row.Set("kcr", JsonValue(remote->meta(s).has_kcr));
       // Per-replica health: where the traffic goes, which replicas are being
       // routed around, and how many kills the set has absorbed.
       JsonValue reps = JsonValue::MakeArray();
@@ -1137,14 +1111,12 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
     out.Set("layout", LayoutJson());
   }
   out.Set("build", BuildInfoJson());
-  // Index availability — what this deployment can actually answer. /whynot
-  // needs the KcR-tree on every shard; a false here explains the 501 before
-  // anyone hits it.
+  // Index availability — what this deployment can answer. Every layout
+  // answers /whynot: it needs no index beyond the SetR-tree.
   JsonValue indexes = JsonValue::MakeObject();
   indexes.Set("setr", JsonValue(true));
-  indexes.Set("kcr", JsonValue(deployment.has_kcr));
   out.Set("indexes", std::move(indexes));
-  out.Set("whynot", JsonValue(deployment.has_kcr));
+  out.Set("whynot", JsonValue(true));
   return HttpResponse::Json(out.Dump());
 }
 

@@ -138,17 +138,15 @@ struct YaskServiceOptions {
 /// corpus (which must outlive it).
 class YaskService {
  public:
-  /// Full-featured replica over one corpus (requires corpus.has_kcr()).
+  /// Full-featured replica over one corpus.
   explicit YaskService(const Corpus& corpus, YaskServiceOptions options = {});
 
-  /// Scale-out mode: top-k and why-not both fan out over the shards (every
-  /// shard must have its KcR-tree; ShardedCorpus builds them by default).
+  /// Scale-out mode: top-k and why-not both fan out over the shards.
   explicit YaskService(const ShardedCorpus& corpus,
                        YaskServiceOptions options = {});
 
   /// Coordinator mode: the shards are yask_shard_server processes behind a
-  /// RemoteCorpus; /whynot additionally requires every remote shard to
-  /// carry its KcR-tree (otherwise it answers 501 naming the shards).
+  /// RemoteCorpus.
   explicit YaskService(const RemoteCorpus& corpus,
                        YaskServiceOptions options = {});
 
@@ -250,9 +248,6 @@ class YaskService {
     const RemoteCorpus* remote = nullptr;
     std::optional<WhyNotEngine> engine;
     const Vocabulary* vocab = nullptr;
-    /// Every shard (or the one corpus) carries its KcR-tree — the
-    /// prerequisite for answering /whynot.
-    bool has_kcr = false;
     /// 0 for an unsharded Corpus (/health then omits "shards").
     size_t shards = 0;
     std::function<ObjectId(const std::string&)> find_by_name;

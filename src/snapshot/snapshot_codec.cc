@@ -279,49 +279,6 @@ void LoadSummary(BufReader* in, size_t vocab_size, SetSummary* s) {
   s->inter_set = KeywordSet::FromSortedUnique(std::move(inter_ids));
 }
 
-// KcSummary payload: delta-ids terms | per term varu32 count
-//                  | varu32 cnt | varu32 min_len | varu32 max_len.
-// Terms and counts travel as two parallel arrays (not interleaved pairs) so
-// the term column rides the fast strictly-ascending delta decoder.
-void SaveSummary(const KcSummary& s, BufWriter* out) {
-  std::vector<TermId> terms;
-  terms.reserve(s.counts.size());
-  for (const auto& [term, count] : s.counts.entries()) terms.push_back(term);
-  out->PutDeltaIds(terms);
-  for (const auto& [term, count] : s.counts.entries()) out->PutVarU32(count);
-  out->PutVarU32(s.cnt);
-  out->PutVarU32(s.min_doc_len);
-  out->PutVarU32(s.max_doc_len);
-}
-
-void LoadSummary(BufReader* in, size_t vocab_size, KcSummary* s) {
-  const std::vector<TermId> terms = in->GetDeltaIds();
-  if (!in->ok()) return;
-  if (!terms.empty() && terms.back() >= vocab_size) {
-    in->Fail("CountMap term outside vocabulary");
-    return;
-  }
-  std::vector<std::pair<TermId, uint32_t>> entries;
-  entries.reserve(terms.size());
-  for (const TermId term : terms) {
-    const uint32_t count = in->GetVarU32();
-    if (count == 0) {
-      in->Fail("CountMap entry with zero count");
-      return;
-    }
-    entries.emplace_back(term, count);
-  }
-  s->cnt = in->GetVarU32();
-  s->min_doc_len = in->GetVarU32();
-  s->max_doc_len = in->GetVarU32();
-  if (!in->ok()) return;
-  if (s->min_doc_len > s->max_doc_len) {
-    in->Fail("KcSummary min_doc_len > max_doc_len");
-    return;
-  }
-  s->counts = CountMap(std::move(entries));
-}
-
 // --- R-tree structure --------------------------------------------------------
 // Payload: varu32 node_count | varu32 root_index | varu64 object_count
 //        | varu32 max_entries | varu32 min_entries
@@ -495,14 +452,6 @@ Status LoadSetRTree(BufReader* in, SetRTree* tree) {
   return LoadRTreeT(in, tree);
 }
 
-void SaveKcRTree(const KcRTree& tree, BufWriter* out) {
-  SaveRTreeT(tree, out);
-}
-
-Status LoadKcRTree(BufReader* in, KcRTree* tree) {
-  return LoadRTreeT(in, tree);
-}
-
 // --- Shard manifest ----------------------------------------------------------
 // Payload: varu64 object_count (leading count for inspect-snapshot)
 //        | varu32 shard_index | varu32 shard_count
@@ -567,7 +516,6 @@ Result<ShardManifest> LoadShardManifest(BufReader* in) {
 
 Result<uint64_t> WriteSnapshot(const std::string& path,
                                const ObjectStore& store, const SetRTree* setr,
-                               const KcRTree* kcr,
                                const InvertedIndex* inverted,
                                const ShardManifest* shard) {
   SnapshotWriter writer;
@@ -578,9 +526,6 @@ Result<uint64_t> WriteSnapshot(const std::string& path,
   }
   if (setr != nullptr) {
     SaveSetRTree(*setr, writer.AddSection(SectionId::kSetRTree));
-  }
-  if (kcr != nullptr) {
-    SaveKcRTree(*kcr, writer.AddSection(SectionId::kKcRTree));
   }
   if (shard != nullptr) {
     SaveShardManifest(*shard, writer.AddSection(SectionId::kShardManifest));
@@ -617,9 +562,10 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
   }
 
   // The index sections only read the (now immutable) store, so decode them
-  // concurrently — on a restart the three decodes overlap, and the cold
-  // start is bounded by the store plus the slowest single index.
-  Status setr_status, kcr_status, inverted_status;
+  // concurrently — on a restart the decodes overlap, and the cold start is
+  // bounded by the store plus the slowest single index. A retired section
+  // (5, the KcR-tree) is skipped unread.
+  Status setr_status, inverted_status;
   std::vector<std::thread> loaders;
   if (reader->Has(SectionId::kSetRTree)) {
     bundle.setr = std::make_unique<SetRTree>(bundle.store.get());
@@ -628,15 +574,6 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
       setr_status = section.ok()
                         ? LoadSetRTree(&section.value(), bundle.setr.get())
                         : section.status();
-    });
-  }
-  if (reader->Has(SectionId::kKcRTree)) {
-    bundle.kcr = std::make_unique<KcRTree>(bundle.store.get());
-    loaders.emplace_back([&reader, &bundle, &kcr_status] {
-      Result<BufReader> section = reader->OpenSection(SectionId::kKcRTree);
-      kcr_status = section.ok()
-                       ? LoadKcRTree(&section.value(), bundle.kcr.get())
-                       : section.status();
     });
   }
   if (reader->Has(SectionId::kInvertedIndex)) {
@@ -658,7 +595,7 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
     });
   }
   for (std::thread& t : loaders) t.join();
-  for (const Status* s : {&setr_status, &kcr_status, &inverted_status}) {
+  for (const Status* s : {&setr_status, &inverted_status}) {
     if (!s->ok()) return *s;
   }
 

@@ -2,8 +2,7 @@
 // Per-component Save/Load codecs plus the whole-server bundle API.
 //
 // A snapshot captures the server's warm state — the object table D, the
-// shared Vocabulary, and the SetR-tree / KcR-tree / inverted index built
-// over it — so a restarting process (or a new replica) loads it in one
+// shared Vocabulary, and the SetR-tree / inverted index built over it — so a restarting process (or a new replica) loads it in one
 // sequential pass instead of re-interning, re-sorting and re-summarising.
 //
 // Sharing discipline: the vocabulary is serialised exactly once (its own
@@ -15,7 +14,7 @@
 // summaries are stored; rects and parent pointers are reconstructed from the
 // store's points while decoding (children are written before parents), which
 // halves the file size and still skips the expensive part of a rebuild — the
-// STR sorts and the bottom-up keyword-set/count-map merges.
+// STR sorts and the bottom-up keyword-set merges.
 
 #ifndef YASK_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define YASK_SNAPSHOT_SNAPSHOT_CODEC_H_
@@ -29,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/common/vocabulary.h"
 #include "src/index/inverted_index.h"
-#include "src/index/kcr_tree.h"
 #include "src/index/setr_tree.h"
 #include "src/snapshot/snapshot_io.h"
 #include "src/storage/object_store.h"
@@ -59,9 +57,6 @@ Result<InvertedIndex> LoadInvertedIndex(BufReader* in, size_t vocab_size,
 void SaveSetRTree(const SetRTree& tree, BufWriter* out);
 Status LoadSetRTree(BufReader* in, SetRTree* tree);
 
-void SaveKcRTree(const KcRTree& tree, BufWriter* out);
-Status LoadKcRTree(BufReader* in, KcRTree* tree);
-
 // --- Shard manifest ----------------------------------------------------------
 
 /// Extra section of a per-shard snapshot file: everything a loader needs to
@@ -90,7 +85,6 @@ Result<ShardManifest> LoadShardManifest(BufReader* in);
 struct SnapshotBundle {
   std::unique_ptr<ObjectStore> store;
   std::unique_ptr<SetRTree> setr;
-  std::unique_ptr<KcRTree> kcr;
   std::unique_ptr<InvertedIndex> inverted;
   /// Non-null only for per-shard snapshot files.
   std::unique_ptr<ShardManifest> shard;
@@ -102,7 +96,6 @@ struct SnapshotBundle {
 Result<uint64_t> WriteSnapshot(const std::string& path,
                                const ObjectStore& store,
                                const SetRTree* setr = nullptr,
-                               const KcRTree* kcr = nullptr,
                                const InvertedIndex* inverted = nullptr,
                                const ShardManifest* shard = nullptr);
 

@@ -14,8 +14,8 @@ const char* SectionIdToString(SectionId id) {
       return "inverted_index";
     case SectionId::kSetRTree:
       return "setr_tree";
-    case SectionId::kKcRTree:
-      return "kcr_tree";
+    case SectionId::kRetiredKcRTree:
+      return "kcr_tree (retired)";
     case SectionId::kShardManifest:
       return "shard_manifest";
   }

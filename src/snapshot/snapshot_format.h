@@ -36,7 +36,9 @@ enum class SectionId : uint32_t {
   kObjectStore = 2,
   kInvertedIndex = 3,
   kSetRTree = 4,
-  kKcRTree = 5,
+  /// Retired: the KcR-tree. Readers skip it and writers never emit it; the
+  /// id is never reused.
+  kRetiredKcRTree = 5,
   /// Present only in per-shard snapshot files: which shard of how many this
   /// file is, the partition's global bounds, and the shard's global object
   /// ids (the local->global id map). See docs/architecture.md.

@@ -167,7 +167,7 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
 Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     const ObjectStore& store, const SetRTree& tree, const Query& query,
     const std::vector<ObjectId>& missing) {
-  const LocalWhyNotOracle oracle(store, &tree, /*kcr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, &tree);
   return ExplainMissing(oracle, query, missing);
 }
 

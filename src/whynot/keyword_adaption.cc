@@ -1,13 +1,10 @@
 #include "src/whynot/keyword_adaption.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <memory>
 #include <string>
 
-#include "src/common/trace.h"
-#include "src/query/scoring.h"
+#include "src/whynot/shard_primitives.h"
 #include "src/whynot/whynot_oracle.h"
 
 namespace yask {
@@ -86,12 +83,18 @@ Result<RefinedKeywordQuery> AdaptKeywords(
                               " is not in the database");
     }
   }
+  const size_t m = m_ids.size();
+  if (m > kMaxProbeSpecs) {
+    return Status::InvalidArgument(
+        "keyword adaption ranks at most " + std::to_string(kMaxProbeSpecs) +
+        " missing objects, got " + std::to_string(m));
+  }
 
   RefinedKeywordQuery out;
   out.refined = query;
   KeywordAdaptStats& stats = out.stats;
   const double lambda = options.lambda;
-  const bool use_tree = options.mode == KwAdaptMode::kBoundAndPrune;
+  const bool columns = options.mode == KwAdaptMode::kBoundAndPrune;
 
   // M.doc = union of the missing objects' documents; the normaliser of ∆doc.
   KeywordSet m_doc;
@@ -101,25 +104,85 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   const KeywordSet universe = KeywordSet::Union(query.doc, m_doc);
   const KeywordSet insertable = KeywordSet::Difference(m_doc, query.doc);
   const size_t doc_norm = universe.size();
+  if (doc_norm > kMaxKeywordUniverse) {
+    return Status::InvalidArgument(
+        "q.doc and the missing objects' documents hold " +
+        std::to_string(doc_norm) + " distinct keywords; keyword adaption "
+        "allows at most " + std::to_string(kMaxKeywordUniverse));
+  }
+  // Candidates per rank fan-out.
+  size_t chunk_size = kMaxProbeSpecs / m;
+  if (options.probe_batch_size != 0) {
+    chunk_size = std::min(chunk_size, options.probe_batch_size);
+  }
 
-  // --- R(M, q) under the original query (tie-aware exact ranks). A scan is
-  // used in both modes: exact ranking of one object is cache-friendly O(n),
-  // and measurement shows the KcR bounds prune too weakly for popular query
-  // keywords to beat it (the bounds earn their keep pruning *candidates*,
-  // where no exact rank is needed at all — bench/bench_kw_adapt.cc sweeps
-  // bound-and-prune against the scan baseline and counts the pruning).
-  // All missing objects go through one batched fan-out. ---
-  auto exact_rank_of = [&](const Query& q) {
+  // R(M, q') of each keyword set: the exact tie-aware rank of the worst
+  // missing object, for every (set, missing object) pair in ONE fan-out.
+  auto ranks_of = [&](const std::vector<KeywordSet>& docs) {
+    std::vector<Query> queries(docs.size(), query);
     std::vector<OracleTargetSpec> specs;
-    specs.reserve(m_ids.size());
-    for (ObjectId id : m_ids) specs.push_back(OracleTargetSpec{&q, id});
-    size_t rank = 0;
-    for (size_t count : oracle.OutscoringCountBatch(specs, &stats)) {
-      rank = std::max(rank, count + 1);
+    specs.reserve(docs.size() * m);
+    for (size_t c = 0; c < docs.size(); ++c) {
+      queries[c].doc = docs[c];
+      for (ObjectId id : m_ids) {
+        specs.push_back(OracleTargetSpec{&queries[c], id});
+      }
     }
-    return rank;
+    std::vector<size_t> ranks(docs.size(), 0);
+    ++stats.probe_fanouts;
+    if (columns) {
+      const std::unique_ptr<RankProbeBatch> batch =
+          oracle.ProbeRankBatch(specs, &stats);
+      for (size_t i = 0; i < specs.size(); ++i) {
+        ranks[i / m] = std::max(ranks[i / m], batch->lower(i));
+      }
+    } else {
+      const std::vector<size_t> counts =
+          oracle.OutscoringCountBatch(specs, &stats);
+      for (size_t i = 0; i < specs.size(); ++i) {
+        ranks[i / m] = std::max(ranks[i / m], counts[i] + 1);
+      }
+    }
+    return ranks;
   };
-  const size_t r0 = exact_rank_of(query);
+
+  const size_t max_distance_pool = query.doc.size() + insertable.size();
+  const size_t e_cap =
+      options.max_edit_distance == 0
+          ? max_distance_pool
+          : std::min(options.max_edit_distance, max_distance_pool);
+  auto floor_of = [&](size_t delta_doc) {
+    return doc_norm == 0
+               ? 0.0
+               : (1.0 - lambda) * static_cast<double>(delta_doc) / doc_norm;
+  };
+
+  // --- R(M, q) under the original query. With the columns, it rides the
+  // fan-out of the first ∆doc = 1 chunk whenever that chunk is expected to
+  // be evaluated: the level-1 cut compares (1−λ)/|U| with the seed penalty
+  // λ, which does not depend on R(M, q). The ranks are kept and used only if
+  // the search later asks for exactly that chunk, so the guess never changes
+  // the answer. ---
+  std::vector<KeywordSet> prefetched;
+  std::vector<size_t> prefetched_ranks;
+  size_t r0 = 0;
+  if (columns && e_cap >= 1 && floor_of(1) < lambda &&
+      (chunk_size + 1) * m <= kMaxProbeSpecs) {
+    std::vector<KeywordSet> first =
+        GenerateCandidatesAtDistance(query.doc, insertable, 1);
+    size_t take = std::min(first.size(), chunk_size);
+    if (options.max_candidates != 0) {
+      take = std::min(take, options.max_candidates);
+    }
+    first.resize(take);
+    first.insert(first.begin(), query.doc);
+    prefetched_ranks = ranks_of(first);
+    r0 = prefetched_ranks.front();
+    prefetched_ranks.erase(prefetched_ranks.begin());
+    prefetched.assign(first.begin() + 1, first.end());
+  } else {
+    r0 = ranks_of({query.doc}).front();
+  }
   out.original_rank = r0;
   if (r0 <= query.k) {
     out.refined_rank = r0;
@@ -133,144 +196,40 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     size_t rank;
     PenaltyBreakdown penalty;
     size_t delta_doc;
-    // Whether `rank` is the exact R(M, q'). A candidate's penalty can pin
-    // (∆k interval collapsed at 0) while its rank interval is still open;
-    // the winner's exact rank is recomputed once at the end so the reported
-    // refined_rank never depends on how the bounds happened to tighten.
-    bool rank_exact;
   };
   Best best{query.doc, r0, KeywordPenalty(lambda, query, 0, doc_norm, r0, r0),
-            0, true};
+            0};
 
-  const double norm_k = static_cast<double>(r0) - query.k;  // > 0 here.
-  auto penalty_from_rank = [&](size_t delta_doc, size_t rank) {
-    return KeywordPenalty(lambda, query, delta_doc, doc_norm, r0, rank);
-  };
-  auto floor_of = [&](size_t delta_doc) {
-    return doc_norm == 0
-               ? 0.0
-               : (1.0 - lambda) * static_cast<double>(delta_doc) / doc_norm;
-  };
-  auto k_term_of_rank_lb = [&](size_t rank_lb) {
-    const size_t dk = rank_lb > query.k ? rank_lb - query.k : 0;
-    return lambda * static_cast<double>(dk) / norm_k;
-  };
   // Deterministic preference among equal penalties: smaller ∆doc, then
   // lexicographically smaller keyword id vector.
-  auto offer_best = [&](const KeywordSet& doc, size_t rank, size_t delta_doc,
-                        const PenaltyBreakdown& pen, bool rank_exact) {
+  auto offer_best = [&](const KeywordSet& doc, size_t rank, size_t delta_doc) {
+    const PenaltyBreakdown pen =
+        KeywordPenalty(lambda, query, delta_doc, doc_norm, r0, rank);
     const bool better =
         pen.value < best.penalty.value ||
         (pen.value == best.penalty.value &&
          (delta_doc < best.delta_doc ||
           (delta_doc == best.delta_doc && doc.ids() < best.doc.ids())));
-    if (better) best = Best{doc, rank, pen, delta_doc, rank_exact};
+    if (better) best = Best{doc, rank, pen, delta_doc};
   };
 
-  // --- Bound-and-prune over one chunk of candidates: a single
-  // ProbeRankBatch covers every (candidate, missing object) pair, and every
-  // refinement level is ONE oracle fan-out across all still-live candidates
-  // — one round-trip per shard per level on a remote oracle, however many
-  // candidates are in flight. A candidate reaches offer_best exactly when
-  // its true penalty is at most the best so far, and every cut is strict,
-  // so the final winner is independent of how candidates are chunked. ---
-  auto evaluate_chunk = [&](std::vector<KeywordSet>& chunk, size_t e,
-                            double floor) {
-    const size_t m = m_ids.size();
-    std::vector<Query> cand_queries;
-    cand_queries.reserve(chunk.size());
-    for (KeywordSet& cand : chunk) {
-      Query cand_query = query;
-      cand_query.doc = cand;
-      cand_queries.push_back(std::move(cand_query));
+  // --- One chunk: one rank fan-out for all its candidates, each offered to
+  // the running best with its exact rank. ---
+  auto evaluate_chunk = [&](const std::vector<KeywordSet>& chunk, size_t e) {
+    std::vector<size_t> ranks;
+    if (!prefetched.empty() && chunk == prefetched) {
+      ranks = std::move(prefetched_ranks);
+    } else {
+      ranks = ranks_of(chunk);
     }
-    std::vector<OracleTargetSpec> specs;
-    specs.reserve(cand_queries.size() * m);
-    for (const Query& cq : cand_queries) {
-      for (ObjectId id : m_ids) specs.push_back(OracleTargetSpec{&cq, id});
-    }
-
-    if (!use_tree) {
-      // Basic: exact ranks by (batched) full scans.
-      const std::vector<size_t> counts =
-          oracle.OutscoringCountBatch(specs, &stats);
-      for (size_t c = 0; c < cand_queries.size(); ++c) {
-        size_t rank = 0;
-        for (size_t j = 0; j < m; ++j) {
-          rank = std::max(rank, counts[c * m + j] + 1);
-        }
-        ++stats.candidates_resolved;
-        offer_best(cand_queries[c].doc, rank, e, penalty_from_rank(e, rank),
-                   /*rank_exact=*/true);
-      }
-      return;
-    }
-
-    auto batch = oracle.ProbeRankBatch(specs, &stats);
-    std::vector<char> live(cand_queries.size(), 1);
-    size_t live_count = cand_queries.size();
-    std::vector<size_t> to_refine;
-    while (live_count > 0) {
-      to_refine.clear();
-      for (size_t c = 0; c < cand_queries.size(); ++c) {
-        if (!live[c]) continue;
-        size_t rank_lb = 0;
-        size_t rank_ub = 0;
-        bool all_resolved = true;
-        for (size_t j = 0; j < m; ++j) {
-          const size_t i = c * m + j;
-          rank_lb = std::max(rank_lb, batch->lower(i));
-          rank_ub = std::max(rank_ub, batch->upper(i));
-          all_resolved = all_resolved && batch->resolved(i);
-        }
-        // Penalty interval from the rank interval. The cut is STRICT: a
-        // candidate whose penalty lower bound merely ties the best keeps
-        // refining until the ∆k pins, so exact-tie candidates always reach
-        // offer_best and its layout-independent tie order — bounds tighten
-        // differently over different shard layouts, and a >= cut here would
-        // let that difference decide ties.
-        const double pen_lb = k_term_of_rank_lb(rank_lb) + floor;
-        if (pen_lb > best.penalty.value) {
-          ++stats.candidates_pruned_bounds;
-          live[c] = 0;
-          --live_count;
-          continue;
-        }
-        const size_t dk_lb = rank_lb > query.k ? rank_lb - query.k : 0;
-        const size_t dk_ub = rank_ub > query.k ? rank_ub - query.k : 0;
-        if (dk_lb == dk_ub || all_resolved) {
-          // Penalty pinned exactly (∆k equal at both ends), or every rank is
-          // exact now.
-          ++stats.candidates_resolved;
-          offer_best(cand_queries[c].doc, rank_ub, e,
-                     penalty_from_rank(e, rank_ub),
-                     /*rank_exact=*/rank_lb == rank_ub);
-          live[c] = 0;
-          --live_count;
-          continue;
-        }
-        for (size_t j = 0; j < m; ++j) {
-          const size_t i = c * m + j;
-          if (!batch->resolved(i)) to_refine.push_back(i);
-        }
-      }
-      if (live_count == 0 || to_refine.empty()) break;
-      {
-        ScopedSpan span("kw/refine_level",
-                        "probes=" + std::to_string(to_refine.size()));
-        batch->RefineLevel(to_refine);
-      }
-      ++stats.probe_fanouts;
-      ++stats.refine_levels;
+    prefetched.clear();
+    for (size_t c = 0; c < chunk.size(); ++c) {
+      ++stats.candidates_resolved;
+      offer_best(chunk[c], ranks[c], e);
     }
   };
 
   // --- Enumerate candidates by increasing ∆doc. ---
-  const size_t max_distance_pool = query.doc.size() + insertable.size();
-  size_t e_cap = options.max_edit_distance == 0
-                     ? max_distance_pool
-                     : std::min(options.max_edit_distance, max_distance_pool);
-
   bool done = false;
   std::vector<KeywordSet> chunk;
   for (size_t e = 1; e <= e_cap && !done; ++e) {
@@ -281,11 +240,6 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     std::vector<KeywordSet> level_candidates =
         GenerateCandidatesAtDistance(query.doc, insertable, e);
     chunk.clear();
-    auto flush_chunk = [&] {
-      if (chunk.empty()) return;
-      evaluate_chunk(chunk, e, floor_of(e));
-      chunk.clear();
-    };
     for (KeywordSet& cand : level_candidates) {
       if (options.max_candidates != 0 &&
           stats.candidates_generated >= options.max_candidates) {
@@ -294,33 +248,22 @@ Result<RefinedKeywordQuery> AdaptKeywords(
         break;
       }
       ++stats.candidates_generated;
-      const double floor = floor_of(e);
       // STRICT, like every other cut: a candidate whose floor merely TIES
       // the best may still win offer_best's deterministic tie order
       // (smaller ∆doc, then smaller keyword ids), so it must be evaluated.
       // A >= cut here would let evaluation order decide exact ties — two
       // chunk sizes would return different (equally optimal) refinements.
-      if (floor > best.penalty.value) {
+      if (floor_of(e) > best.penalty.value) {
         ++stats.candidates_pruned_floor;
         continue;
       }
-
       chunk.push_back(std::move(cand));
-      if (options.probe_batch_size != 0 &&
-          chunk.size() >= options.probe_batch_size) {
-        flush_chunk();
+      if (chunk.size() >= chunk_size) {
+        evaluate_chunk(chunk, e);
+        chunk.clear();
       }
     }
-    flush_chunk();
-  }
-
-  if (!best.rank_exact) {
-    // The winner's ∆k pinned at 0 before its rank interval collapsed (the
-    // candidate revives M inside the original k). Resolve the exact rank so
-    // refined_rank is the true R(M, q') in every layout.
-    Query best_query = query;
-    best_query.doc = best.doc;
-    best.rank = exact_rank_of(best_query);
+    if (!chunk.empty()) evaluate_chunk(chunk, e);
   }
 
   out.refined.doc = best.doc;
@@ -329,14 +272,6 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   out.refined_rank = best.rank;
   out.penalty = best.penalty;
   return out;
-}
-
-Result<RefinedKeywordQuery> AdaptKeywords(
-    const ObjectStore& store, const KcRTree& tree, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const KeywordAdaptOptions& options) {
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr, &tree);
-  return AdaptKeywords(oracle, query, missing, options);
 }
 
 }  // namespace yask

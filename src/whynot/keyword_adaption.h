@@ -5,22 +5,29 @@
 // keyword set doc' (and k') minimising penalty Eqn. (4) such that the top-k'
 // result contains all of M.
 //
-// Method (ref [6]): candidate keyword sets are built from q.doc ∪ M.doc —
-// deleting keywords of q.doc and/or inserting keywords that describe the
+// Method (ref [6]): candidate keyword sets are built from U = q.doc ∪ M.doc
+// — deleting keywords of q.doc and/or inserting keywords that describe the
 // missing objects. Candidates are enumerated in increasing edit distance
 // ∆doc, which yields the admissible penalty floor
 //     penalty(c) >= (1−λ)·∆doc(c) / |q.doc ∪ M.doc|                  (D4)
 // allowing whole levels to be cut once the floor alone exceeds the best
-// penalty found. For each surviving candidate, the rank of every missing
-// object under the candidate query is bracketed with KcR-tree node bounds
-// (BoundOutscoringCount, D5) and progressively refined — descending the
-// frontier node with the widest count gap — until either the candidate's
-// penalty lower bound exceeds the current best (pruned without exact ranks)
-// or the penalty is pinned exactly. The pure-k refinement (doc unchanged,
-// k' = R(M,q), penalty λ) seeds the search.
+// penalty found. Every surviving candidate gets its exact R(M, q'), and the
+// pure-k refinement (doc unchanged, k' = R(M,q), penalty λ) seeds the
+// search.
 //
-// The basic baseline computes every candidate's ranks by a full database
-// scan, as in the paper's evaluation of ref [6].
+// Ranks come from one of two kernels. The basic baseline scans the whole
+// database per candidate, as in the paper's evaluation of ref [6]. The
+// optimized mode replaces ref [6]'s KcR-tree bounds with an exact
+// alternative, keyword-mask columns (ShardColumnOutscoring,
+// docs/architecture.md): every candidate shares q.loc, w and U, so one
+// pass groups the objects by (mask over U, |o.doc|), sorts each group by
+// ws·(1 − SDist), and then answers any candidate's rank with one binary
+// search per group. One chunk of candidates is one rank fan-out.
+//
+// Work bounds (src/whynot/shard_primitives.h): |U| <= kMaxKeywordUniverse
+// (a mask is one uint64_t) and one fan-out carries at most kMaxProbeSpecs
+// (candidate, missing object) specs; a larger U, or more missing objects
+// than one fan-out holds, is InvalidArgument.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_
@@ -28,7 +35,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/kcr_tree.h"
 #include "src/query/query.h"
 #include "src/storage/object_store.h"
 #include "src/whynot/penalty.h"
@@ -37,10 +43,12 @@ namespace yask {
 
 class WhyNotOracle;  // src/whynot/whynot_oracle.h
 
-/// Algorithm selector for AdaptKeywords.
+/// Algorithm selector for AdaptKeywords. Both modes cut by the D4 floor and
+/// return the same refined query.
 enum class KwAdaptMode {
-  kBasic,         // Exact rank by full scan per candidate.
-  kBoundAndPrune, // KcR-tree rank bounds with progressive refinement.
+  kBasic,          // Exact rank by full scan per candidate.
+  kBoundAndPrune,  // Exact rank from keyword-mask columns (the name is the
+                   // KcR-tree search's that it replaced).
 };
 
 struct KeywordAdaptOptions {
@@ -53,32 +61,36 @@ struct KeywordAdaptOptions {
   /// result is the best among the generated candidates and
   /// `stats.truncated` is set.
   size_t max_candidates = 500000;
-  /// Candidates per probe batch. The search is level-synchronous: the
-  /// candidates of one chunk share ONE rank-probe batch, refined with one
-  /// oracle fan-out per refinement level across all live candidates — the
-  /// round-trip shape that makes remote shards affordable. The size bounds
-  /// batch memory (each in-flight candidate holds per-shard refiner
-  /// frontiers) and never changes the refined query: the search only ever
-  /// cuts candidates whose penalty lower bound strictly exceeds the best, so
-  /// the winner does not depend on the chunking. 0 = unbounded.
+  /// Candidates per rank fan-out: the (candidate, missing object) specs of
+  /// one chunk share ONE oracle call — one round-trip per shard on a remote
+  /// oracle. Chunks are further capped so a fan-out carries at most
+  /// kMaxProbeSpecs specs. The size never changes the refined query: every
+  /// cut is strict, so the winner does not depend on the chunking.
+  /// 0 = only the kMaxProbeSpecs cap.
   size_t probe_batch_size = 128;
 };
 
 /// Work counters (benchmarks E8/E9/E10 and the remote round-trip gate).
+/// Every counter is the same in every layout.
 struct KeywordAdaptStats {
   size_t candidates_generated = 0;
   size_t candidates_pruned_floor = 0;   // Cut by the ∆doc floor alone.
-  size_t candidates_pruned_bounds = 0;  // Cut by KcR-tree penalty bounds.
   size_t candidates_resolved = 0;       // Evaluated to an exact penalty.
-  size_t kcr_nodes_expanded = 0;
-  size_t objects_scored = 0;            // Exact score evaluations.
-  /// Rank-probe refinement fan-outs issued (each is one RankProbeBatch::
-  /// RefineLevel — at most one round-trip per shard on a remote oracle).
+  /// Objects read per rank fan-out, summed: the dataset size per
+  /// (candidate, missing object) spec for a basic-mode scan, and the
+  /// dataset size per fan-out for the keyword-mask columns (the objects
+  /// placed into columns).
+  size_t objects_scored = 0;
+  /// Rank fan-outs issued (one oracle call per chunk, plus R(M, q) when it
+  /// does not ride the first chunk) — at most one round-trip per shard each
+  /// on a remote oracle.
   size_t probe_fanouts = 0;
-  /// Refinement levels processed, summed over probe batches. The search
-  /// issues exactly one fan-out per level: probe_fanouts == refine_levels.
-  size_t refine_levels = 0;
   bool truncated = false;               // max_candidates hit.
+  /// Always 0 since the KcR-tree search was replaced; kept only because
+  /// servebench/servebench.cc, their last reader, reports them.
+  size_t candidates_pruned_bounds = 0;
+  size_t kcr_nodes_expanded = 0;
+  size_t refine_levels = 0;
 };
 
 /// The outcome: a refined query plus its cost and diagnostics.
@@ -92,19 +104,13 @@ struct RefinedKeywordQuery {
 };
 
 /// Solves Definition 3 over any corpus layout behind the oracle seam. The
-/// search offers a candidate to the running best exactly when its true
-/// penalty is at most the best so far (bound pruning only ever cuts
-/// candidates that are strictly worse), so the refined query — including the
-/// deterministic tie order: smaller ∆doc, then lexicographically smaller
-/// keyword ids — is bit-identical across layouts.
+/// search offers every candidate the floor does not cut to the running
+/// best with its exact rank (the floor cut is strict), so the refined query
+/// — including the deterministic tie order: smaller ∆doc, then
+/// lexicographically smaller keyword ids — is bit-identical across layouts
+/// and modes.
 Result<RefinedKeywordQuery> AdaptKeywords(
     const WhyNotOracle& oracle, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const KeywordAdaptOptions& options = {});
-
-/// Solves Definition 3 over a KcR-tree built on `store`.
-Result<RefinedKeywordQuery> AdaptKeywords(
-    const ObjectStore& store, const KcRTree& tree, const Query& query,
     const std::vector<ObjectId>& missing,
     const KeywordAdaptOptions& options = {});
 

@@ -279,7 +279,7 @@ Result<RefinedPreferenceQuery> AdjustPreference(
     const PreferenceAdjustOptions& options) {
   // The weight sweep needs neither tree; the local oracle serves it from the
   // store alone.
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr, /*kcr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   return AdjustPreference(oracle, query, missing, options);
 }
 

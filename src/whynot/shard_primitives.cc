@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
+#include <unordered_map>
 
 #include "src/query/ranking.h"
 #include "src/whynot/preference_adjustment.h"
@@ -25,11 +25,25 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
   events->push_back(wx);
 }
 
-/// Objects decoded per block by ShardScanOutscoring: about one KcR-tree
-/// leaf, so a scan's scratch stays as small as a refinement level's.
+/// Objects decoded per block by ShardScanOutscoring, so a scan's scratch
+/// stays a few KiB whatever the store size.
 constexpr ObjectId kScanBlock = 64;
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// First index i in [begin, end) where the prefix-closed `below(i)` is false.
+template <typename Below>
+uint32_t PartitionPoint(uint32_t begin, uint32_t end, Below below) {
+  while (begin < end) {
+    const uint32_t mid = begin + (end - begin) / 2;
+    if (below(mid)) {
+      begin = mid + 1;
+    } else {
+      end = mid;
+    }
+  }
+  return begin;
+}
 
 /// Jaccard from the set sizes, exactly as KeywordSet::Jaccard computes it.
 double JaccardOf(size_t inter, size_t qlen, size_t len) {
@@ -39,6 +53,17 @@ double JaccardOf(size_t inter, size_t qlen, size_t len) {
 }
 
 }  // namespace
+
+std::optional<ObjectId> LocalOf(const OracleShardView& view, ObjectId global) {
+  if (view.to_global == nullptr) {
+    if (global >= view.store->size()) return std::nullopt;
+    return global;
+  }
+  const std::vector<ObjectId>& ids = *view.to_global;
+  const auto it = std::lower_bound(ids.begin(), ids.end(), global);
+  if (it == ids.end() || *it != global) return std::nullopt;
+  return static_cast<ObjectId>(it - ids.begin());
+}
 
 // --- OutrankKernel -----------------------------------------------------------
 
@@ -112,13 +137,6 @@ void OutrankKernel::Decode(size_t i, ObjectId local) {
   }
 }
 
-void OutrankKernel::DecodeLeaf(const KcRTree::Node& leaf) {
-  Resize(leaf.entries.size());
-  for (size_t i = 0; i < leaf.entries.size(); ++i) {
-    Decode(i, leaf.entries[i].id);
-  }
-}
-
 void OutrankKernel::DecodeRange(ObjectId first, ObjectId last) {
   Resize(last - first);
   for (ObjectId id = first; id < last; ++id) Decode(id - first, id);
@@ -177,6 +195,194 @@ std::vector<size_t> ShardScanOutscoring(
   return counts;
 }
 
+// --- Keyword-mask columns ----------------------------------------------------
+
+std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets) {
+  std::vector<TermId> terms;
+  for (const ScanTarget& t : targets) {
+    terms.insert(terms.end(), t.query->doc.begin(), t.query->doc.end());
+  }
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return terms;
+}
+
+namespace {
+
+/// The objects of one (keyword mask, |o.doc|) pair: [begin, end) of every
+/// shape's columns.
+struct MaskGroup {
+  uint64_t mask = 0;
+  uint32_t len = 0;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
+struct MaskGroupKey {
+  uint64_t mask;
+  uint32_t len;
+  bool operator==(const MaskGroupKey&) const = default;
+};
+
+struct MaskGroupHash {
+  size_t operator()(const MaskGroupKey& k) const {
+    return std::hash<uint64_t>{}(k.mask * 0x9E3779B97F4A7C15ull ^ k.len);
+  }
+};
+
+}  // namespace
+
+std::vector<size_t> ShardColumnOutscoring(
+    const OracleShardView& view, double dist_norm,
+    const std::vector<ScanTarget>& targets) {
+  if (targets.empty()) return {};
+  const std::vector<TermId> terms = KeywordUniverse(targets);
+  assert(terms.size() <= kMaxKeywordUniverse);
+  auto bit_of = [&](std::vector<TermId>::const_iterator t) {
+    return uint64_t{1} << (t - terms.begin());
+  };
+
+  // Query shapes by the bits of (loc, ws), as OutrankKernel keys them (every
+  // target shares dist_norm); per target its shape, mask, |q'| and wt.
+  struct Shape {
+    Point loc;
+    double ws = 0.0;
+  };
+  struct Member {
+    size_t shape = 0;
+    uint64_t mask = 0;
+    size_t qlen = 0;
+    double wt = 0.0;
+  };
+  std::vector<Shape> shapes;
+  std::vector<Member> members;
+  members.reserve(targets.size());
+  for (const ScanTarget& t : targets) {
+    const Query& q = *t.query;
+    size_t si = 0;
+    while (si < shapes.size() &&
+           !(Bits(shapes[si].loc.x) == Bits(q.loc.x) &&
+             Bits(shapes[si].loc.y) == Bits(q.loc.y) &&
+             Bits(shapes[si].ws) == Bits(q.w.ws))) {
+      ++si;
+    }
+    if (si == shapes.size()) shapes.push_back(Shape{q.loc, q.w.ws});
+    uint64_t mask = 0;
+    for (TermId id : q.doc) {
+      mask |= bit_of(std::lower_bound(terms.begin(), terms.end(), id));
+    }
+    members.push_back(Member{si, mask, q.doc.size(), q.w.wt});
+  }
+
+  // Pass 1: every object's group, in first-seen order, and the group sizes.
+  uint64_t filter[4] = {};  // Bit t % 256 set for every t in terms.
+  for (TermId t : terms) filter[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
+  const ObjectStore& store = *view.store;
+  const ObjectId n = static_cast<ObjectId>(store.size());
+  std::vector<uint32_t> group_of(n);
+  std::vector<MaskGroup> groups;
+  std::unordered_map<MaskGroupKey, uint32_t, MaskGroupHash> group_index;
+  for (ObjectId local = 0; local < n; ++local) {
+    const KeywordSet& doc = store.Get(local).doc;
+    uint64_t mask = 0;
+    auto t = terms.begin();
+    for (TermId id : doc) {
+      if ((filter[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
+      t = std::lower_bound(t, terms.end(), id);
+      if (t == terms.end()) break;
+      if (*t == id) mask |= bit_of(t);
+    }
+    const MaskGroupKey key{mask, static_cast<uint32_t>(doc.size())};
+    const auto [it, fresh] = group_index.try_emplace(
+        key, static_cast<uint32_t>(groups.size()));
+    if (fresh) groups.push_back(MaskGroup{mask, key.len, 0, 0});
+    ++groups[it->second].end;  // A size until the offsets below.
+    group_of[local] = it->second;
+  }
+  uint32_t offset = 0;
+  uint32_t widest = 0;
+  for (MaskGroup& g : groups) {
+    const uint32_t size = g.end;
+    widest = std::max(widest, size);
+    g.begin = offset;
+    g.end = offset += size;
+  }
+
+  // Pass 2, per shape: x = ws·(1 − SDist), the left operand of
+  // Scorer::Score's sum, scattered into its group's slice with the global
+  // id; then each slice sorted by x. Every array is allocated once at its
+  // final size.
+  auto x_of = [&](const Shape& shape, ObjectId local) {
+    return shape.ws * (1.0 - NormalizedSpatialDistance(store.Get(local).loc,
+                                                       shape.loc, dist_norm));
+  };
+  auto global_of = [&](ObjectId local) {
+    return view.to_global != nullptr ? (*view.to_global)[local] : local;
+  };
+  std::vector<double> xs(size_t{n} * shapes.size());
+  std::vector<ObjectId> ids(size_t{n} * shapes.size());
+  std::vector<double> xs_tmp(widest);
+  std::vector<ObjectId> ids_tmp(widest);
+  std::vector<uint32_t> cursor(groups.size());
+  for (size_t si = 0; si < shapes.size(); ++si) {
+    double* sx = xs.data() + si * n;
+    ObjectId* sid = ids.data() + si * n;
+    for (size_t g = 0; g < groups.size(); ++g) cursor[g] = groups[g].begin;
+    for (ObjectId local = 0; local < n; ++local) {
+      const uint32_t at = cursor[group_of[local]]++;
+      sx[at] = x_of(shapes[si], local);
+      sid[at] = global_of(local);
+    }
+    for (const MaskGroup& g : groups) {
+      SortByX(sx + g.begin, sid + g.begin, xs_tmp.data(), ids_tmp.data(),
+              g.end - g.begin);
+    }
+  }
+
+  // Counts: per target and group, the text term is one constant, so the
+  // scores x + text never decrease along the group (rounding is monotone):
+  // one binary search, then the equal-score run in D6 order.
+  std::vector<size_t> counts(targets.size(), 0);
+  for (size_t m = 0; m < targets.size(); ++m) {
+    const Member& member = members[m];
+    const double* sx = xs.data() + member.shape * n;
+    const ObjectId* sid = ids.data() + member.shape * n;
+    const double threshold = targets[m].target_score;
+    const ObjectId target = targets[m].target;
+    auto text_of = [&](const MaskGroup& g) {
+      return member.wt * JaccardOf(std::popcount(g.mask & member.mask),
+                                   member.qlen, g.len);
+    };
+    size_t count = 0;
+    for (const MaskGroup& g : groups) {
+      const double text = text_of(g);
+      auto score = [&](uint32_t i) { return sx[i] + text; };
+      if (score(g.end - 1) < threshold) continue;
+      if (score(g.begin) > threshold) {
+        count += g.end - g.begin;
+        continue;
+      }
+      uint32_t i = PartitionPoint(g.begin, g.end, [&](uint32_t j) {
+        return score(j) < threshold;
+      });
+      for (; i < g.end && score(i) == threshold; ++i) {
+        if (sid[i] < target) ++count;
+      }
+      count += g.end - i;
+    }
+    // The target never outranks itself; the walk above counted it only if
+    // its own score exceeds the threshold it was given.
+    if (const std::optional<ObjectId> local = LocalOf(view, target);
+        local.has_value() &&
+        x_of(shapes[member.shape], *local) + text_of(groups[group_of[*local]]) >
+            threshold) {
+      --count;
+    }
+    counts[m] = count;
+  }
+  return counts;
+}
+
 // --- ShardPlane --------------------------------------------------------------
 
 ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
@@ -230,107 +436,6 @@ void ShardPlane::CollectCrossings(const PlanePoint& anchor, double wlo,
   for (const PlanePoint& p : pts_) {
     AppendCrossingWeight(anchor, p, wlo, whi, events);
   }
-}
-
-// --- ShardRankRefiner --------------------------------------------------------
-
-ShardRankRefiner::ShardRankRefiner(const OracleShardView& view,
-                                   const Scorer& scorer,
-                                   ObjectId target_global, double target_score,
-                                   KeywordAdaptStats* stats)
-    : view_(&view),
-      scorer_(&scorer),
-      target_(target_global),
-      target_score_(target_score),
-      stats_(stats) {
-  const KcRTree& tree = *view.kcr;
-  PushNode(tree.root(), tree.node(tree.root()));
-}
-
-void ShardRankRefiner::ExpandInner() {
-  const KcRTree& tree = *view_->kcr;
-  std::vector<Frontier> previous;
-  previous.swap(frontier_);
-  leaves_.clear();
-  sum_lower_ = 0;
-  sum_upper_ = 0;
-  for (const Frontier& f : previous) {
-    const auto& node = tree.node(f.node);
-    ++stats_->kcr_nodes_expanded;
-    if (node.is_leaf) {
-      leaves_.push_back(f.node);
-      continue;
-    }
-    for (const auto& e : node.entries) PushNode(e.id, tree.node(e.id));
-  }
-  std::sort(leaves_.begin(), leaves_.end());
-}
-
-void ShardRankRefiner::RefineLevel(
-    const std::vector<ShardRankRefiner*>& refiners) {
-  // Phase 1: inner nodes, per refiner. A repeated refiner is expanded once:
-  // a second ExpandInner would drop the leaves the first one opened.
-  std::vector<ShardRankRefiner*> opened;
-  for (ShardRankRefiner* r : refiners) {
-    if (r->resolved() || r->in_level_) continue;
-    r->in_level_ = true;
-    r->ExpandInner();
-    if (!r->leaves_.empty()) opened.push_back(r);
-  }
-  for (ShardRankRefiner* r : refiners) r->in_level_ = false;
-  if (opened.empty()) return;
-
-  // Phase 2: every opened leaf once, in node order (a k-way merge of the
-  // refiners' sorted leaf lists), decoded once and counted for each refiner
-  // that opened it. Kernel member i is opened[i].
-  std::vector<const Scorer*> scorers;
-  scorers.reserve(opened.size());
-  for (const ShardRankRefiner* r : opened) scorers.push_back(r->scorer_);
-  const OracleShardView& view = *opened.front()->view_;
-  OutrankKernel kernel(view, scorers);
-
-  using Cursor = std::pair<KcRTree::NodeId, size_t>;  // (leaf, member).
-  std::vector<Cursor> heap;
-  std::vector<size_t> next(opened.size(), 1);
-  heap.reserve(opened.size());
-  for (size_t i = 0; i < opened.size(); ++i) {
-    assert(opened[i]->view_ == &view && "refiners must share one shard view");
-    heap.emplace_back(opened[i]->leaves_.front(), i);
-  }
-  std::make_heap(heap.begin(), heap.end(), std::greater<>());
-  KcRTree::NodeId decoded = KcRTree::kNoNode;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    const auto [leaf, i] = heap.back();
-    heap.pop_back();
-    if (leaf != decoded) {
-      kernel.DecodeLeaf(view.kcr->node(leaf));
-      decoded = leaf;
-    }
-    ShardRankRefiner& r = *opened[i];
-    r.exact_ += kernel.CountOutranking(i, r.target_score_, r.target_,
-                                       &r.stats_->objects_scored);
-    if (next[i] < r.leaves_.size()) {
-      heap.emplace_back(r.leaves_[next[i]++], i);
-      std::push_heap(heap.begin(), heap.end(), std::greater<>());
-    }
-  }
-}
-
-void ShardRankRefiner::PushNode(KcRTree::NodeId id, const KcRTree::Node& node) {
-  if (node.summary.cnt == 0) return;
-  const CountBounds b =
-      BoundOutscoringCount(*scorer_, node.rect, node.summary, target_score_);
-  if (b.upper == 0) return;  // Nothing below can outrank: drop.
-  if (b.lower == b.upper) {
-    exact_ += b.lower;  // Pinned without descending.
-    // Note: the target itself is never counted by the lower bound (its own
-    // score cannot strictly exceed itself), so this is tie-safe.
-    return;
-  }
-  frontier_.push_back(Frontier{id, b});
-  sum_lower_ += b.lower;
-  sum_upper_ += b.upper;
 }
 
 }  // namespace yask

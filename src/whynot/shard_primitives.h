@@ -19,15 +19,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "src/index/kcr_tree.h"
 #include "src/index/score_plane_index.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/storage/object_store.h"
-#include "src/whynot/keyword_adaption.h"
 
 namespace yask {
 
@@ -36,20 +35,30 @@ namespace yask {
 /// the Eqn. (3) sweep sizes its segments to stay within it.
 inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
 
+/// Most distinct keywords in the union of one rank batch's query documents
+/// (for keyword adaption, |q.doc ∪ M.doc|), so that an object's keyword mask
+/// over the union is one uint64_t. AdaptKeywords answers InvalidArgument and
+/// a shard answers 400 above it.
+inline constexpr size_t kMaxKeywordUniverse = 64;
+
+/// Most (query, target) specs one rank fan-out may ask of a shard (2^15: a
+/// 256 KiB /shard/probe/rank response). A shard answers 400 above it;
+/// AdaptKeywords sizes its candidate chunks to stay within it.
+inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
+
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
 /// i.e. the unsharded layout).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
   const SetRTree* setr = nullptr;  // Null only where Rank() is never used.
-  const KcRTree* kcr = nullptr;    // Null only where ProbeRank() is unused.
   const std::vector<ObjectId>* to_global = nullptr;
 };
 
-/// The one shard-side loop that counts the objects outranking a target. It
-/// is bound to a list of members, each a scorer (candidate query + SDist
-/// normaliser) over the view's store, and works on small blocks of objects
-/// (one KcR-tree leaf, or one slice of a scan). A block is decoded ONCE for
+/// The shard-side scan loop that counts the objects outranking a target
+/// (the basic keyword-adaption baseline). It is bound to a list of members,
+/// each a scorer (candidate query + SDist normaliser) over the view's store,
+/// and works on small slices of the store. A slice is decoded ONCE for
 /// every member: per object its global id, |o.doc|, a bitmask over the
 /// union of the members' query keywords (several 64-bit words when the
 /// union exceeds 64), and ws·(1 − SDist) per distinct (loc, ws, dist_norm)
@@ -70,9 +79,7 @@ class OutrankKernel {
   OutrankKernel(const OracleShardView& view,
                 const std::vector<const Scorer*>& scorers);
 
-  /// Replaces the decoded block with a leaf's objects / local ids
-  /// [first, last).
-  void DecodeLeaf(const KcRTree::Node& leaf);
+  /// Replaces the decoded block with local ids [first, last).
   void DecodeRange(ObjectId first, ObjectId last);
 
   size_t decoded() const { return gid_.size(); }
@@ -116,6 +123,10 @@ class OutrankKernel {
   std::vector<double> spatial_;  // decoded() × shapes_.size(), object-major.
 };
 
+/// The view's local id of a global id; nullopt when the shard does not hold
+/// it. Shards hold their objects in ascending global id order.
+std::optional<ObjectId> LocalOf(const OracleShardView& view, ObjectId global);
+
 /// One target of a shard scan: the query it is ranked under and its score.
 struct ScanTarget {
   const Query* query = nullptr;
@@ -131,6 +142,27 @@ struct ScanTarget {
 std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
                                         double dist_norm,
                                         const std::vector<ScanTarget>& targets);
+
+/// The sorted union of the targets' query keywords: the universe the
+/// keyword masks of ShardColumnOutscoring range over.
+std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets);
+
+/// ShardScanOutscoring's counts, exactly, from keyword-mask columns: the
+/// Eqn. (4) rank kernel. Under a target's query an object scores
+///
+///   x + wt · inter / (|q'| + |o.doc| − inter),  x = ws·(1 − SDist),
+///
+/// and inter depends only on o.doc's bitmask over the keyword universe. So
+/// the shard's objects are grouped by (mask, |o.doc|), per distinct
+/// (loc, ws) query shape, and each group is sorted by x: the text term is
+/// one constant per group, the score never decreases along it, and a count
+/// is one binary search plus the equal-score run per group
+/// (docs/architecture.md, "Keyword-mask columns"). The columns are built
+/// once per call for every target, in one pass over the store.
+/// Requires KeywordUniverse(targets).size() <= kMaxKeywordUniverse.
+std::vector<size_t> ShardColumnOutscoring(
+    const OracleShardView& view, double dist_norm,
+    const std::vector<ScanTarget>& targets);
 
 /// One shard's Eqn. (3) score-plane state for one query: the plane points
 /// scanned in full (basic mode, the paper's baseline) or the ScorePlaneIndex
@@ -164,58 +196,6 @@ class ShardPlane {
   bool optimized_;
   std::vector<PlanePoint> pts_;             // Basic mode only.
   std::unique_ptr<ScorePlaneIndex> index_;  // Optimized mode only.
-};
-
-/// Per-shard progressive outscoring-count interval over that shard's
-/// KcR-tree: exact counts from resolved leaves plus per-frontier-node
-/// CountBounds. Tie-breaks compare GLOBAL ids, so the interval is the
-/// shard's exact contribution to the global rank (Eqn. (4) sums them).
-class ShardRankRefiner {
- public:
-  /// `scorer` must be bound to the candidate query and outlive the refiner;
-  /// `stats` must outlive it too (counters accumulate as levels refine).
-  ShardRankRefiner(const OracleShardView& view, const Scorer& scorer,
-                   ObjectId target_global, double target_score,
-                   KeywordAdaptStats* stats);
-
-  size_t count_lower() const { return exact_ + sum_lower_; }
-  size_t count_upper() const { return exact_ + sum_upper_; }
-  bool resolved() const { return frontier_.empty() || sum_lower_ == sum_upper_; }
-
-  /// Descends every listed refiner's frontier one tree level ("when
-  /// traversing the KcR-tree downwards, we get tighter bounds", §3.3): each
-  /// frontier node is replaced by its children's bounds, each leaf by its
-  /// exact tie-aware count. Resolved refiners are no-ops; all refiners must
-  /// share one shard view. Refiners should be distinct: a repeated one is
-  /// refined once, not once per listing. Two phases: inner nodes expand per
-  /// refiner, then the opened leaves are walked once in node order, each
-  /// decoded once by an OutrankKernel over the batch and counted for every
-  /// refiner that opened it. Counts, bounds and work counters equal those of
-  /// refining each refiner on its own.
-  static void RefineLevel(const std::vector<ShardRankRefiner*>& refiners);
-
- private:
-  struct Frontier {
-    KcRTree::NodeId node;
-    CountBounds bounds;
-  };
-
-  /// Phase 1 of a level: replaces every inner frontier node by its
-  /// children's bounds and moves the frontier leaves to `leaves_`, sorted.
-  void ExpandInner();
-  void PushNode(KcRTree::NodeId id, const KcRTree::Node& node);
-
-  const OracleShardView* view_;
-  const Scorer* scorer_;
-  ObjectId target_;
-  double target_score_;
-  KeywordAdaptStats* stats_;
-  std::vector<Frontier> frontier_;
-  std::vector<KcRTree::NodeId> leaves_;  // Reused across levels.
-  bool in_level_ = false;  // Set only during RefineLevel's phase 1.
-  size_t exact_ = 0;
-  size_t sum_lower_ = 0;
-  size_t sum_upper_ = 0;
 };
 
 }  // namespace yask

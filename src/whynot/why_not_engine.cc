@@ -24,11 +24,10 @@ void DescribeStage(ScopedSpan* span, const Result<RefinedPreferenceQuery>& r) {
 void DescribeStage(ScopedSpan* span, const Result<RefinedKeywordQuery>& r) {
   if (!span->active() || !r.ok()) return;
   const KeywordAdaptStats& s = r->stats;
-  const size_t pruned = s.candidates_pruned_floor + s.candidates_pruned_bounds;
   span->set_detail("generated=" + std::to_string(s.candidates_generated) +
-                   " pruned=" + std::to_string(pruned) +
+                   " pruned=" + std::to_string(s.candidates_pruned_floor) +
                    " resolved=" + std::to_string(s.candidates_resolved) +
-                   " refine_levels=" + std::to_string(s.refine_levels) +
+                   " rank_fanouts=" + std::to_string(s.probe_fanouts) +
                    " objects_scored=" + std::to_string(s.objects_scored));
 }
 

@@ -77,9 +77,7 @@ struct CombinedRefinement {
   size_t refined_rank = 0;       // R(M, final refined query).
 };
 
-/// The engine facade. The corpus behind the oracle must outlive the engine
-/// and must have been built with its KcR-tree(s) (keyword adaption runs on
-/// them).
+/// The engine facade. The corpus behind the oracle must outlive the engine.
 class WhyNotEngine {
  public:
   /// Full-featured engine over one unsharded corpus replica.

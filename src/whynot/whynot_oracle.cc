@@ -89,127 +89,6 @@ class MultiShardScorePlaneSession : public ScorePlaneSession {
   std::vector<std::unique_ptr<ShardPlane>> planes_;
 };
 
-// --- Rank probes -------------------------------------------------------------
-
-/// The RankProbeBatch over the context's shard views: per member a candidate
-/// query copy plus one ShardRankRefiner per shard; rank interval of a member
-/// = 1 + elementwise sum of its shard count intervals. RefineLevel descends
-/// every listed member's open frontiers in ONE fan-out (each shard task
-/// runs ShardRankRefiner::RefineLevel over all listed members, decoding
-/// each opened leaf once), so the pool — or, remotely, the wire — is hit
-/// once per level instead of once per (member, level). Members live behind
-/// unique_ptrs: the per-shard scorers point into the member's query copy,
-/// which therefore must never move.
-class ContextRankProbeBatch : public RankProbeBatch {
- public:
-  ContextRankProbeBatch(const OracleContext* ctx, const WhyNotOracle* oracle,
-                        const std::vector<OracleTargetSpec>& specs,
-                        KeywordAdaptStats* stats)
-      : ctx_(ctx), stats_(stats) {
-    const size_t n = ctx_->views.size();
-    shard_stats_.resize(n);
-    members_.reserve(specs.size());
-    for (const OracleTargetSpec& spec : specs) {
-      members_.push_back(std::make_unique<Member>());
-      Member& m = *members_.back();
-      m.query = *spec.query;
-      m.target = spec.target;
-      m.target_score =
-          ScorePartsOf(m.query, ctx_->dist_norm, oracle->Object(spec.target))
-              .score;
-      m.scorers.reserve(n);
-      for (size_t s = 0; s < n; ++s) {
-        assert(ctx_->views[s].kcr != nullptr &&
-               "ProbeRankBatch requires the KcR-tree on every shard");
-        m.scorers.emplace_back(*ctx_->views[s].store, m.query,
-                               ctx_->dist_norm);
-      }
-      m.refiners.resize(n);
-    }
-    // One fan-out builds every member's per-shard refiner (a root-node bound
-    // computation each). A batch of one is built inline: its per-shard cost
-    // is far below the pool's dispatch + latch cost.
-    auto build_shard = [&](size_t s) {
-      for (const auto& member : members_) {
-        member->refiners[s] = std::make_unique<ShardRankRefiner>(
-            ctx_->views[s], member->scorers[s], member->target,
-            member->target_score, &shard_stats_[s]);
-      }
-    };
-    if (members_.size() == 1) {
-      for (size_t s = 0; s < n; ++s) build_shard(s);
-    } else {
-      FanOut(ctx_->pool, ctx_->all_shards, build_shard);
-    }
-  }
-
-  ContextRankProbeBatch(const ContextRankProbeBatch&) = delete;
-  ContextRankProbeBatch& operator=(const ContextRankProbeBatch&) = delete;
-
-  ~ContextRankProbeBatch() override {
-    for (const KeywordAdaptStats& s : shard_stats_) {
-      stats_->kcr_nodes_expanded += s.kcr_nodes_expanded;
-      stats_->objects_scored += s.objects_scored;
-    }
-  }
-
-  size_t size() const override { return members_.size(); }
-
-  size_t lower(size_t i) const override {
-    size_t sum = 0;
-    for (const auto& r : members_[i]->refiners) sum += r->count_lower();
-    return sum + 1;
-  }
-  size_t upper(size_t i) const override {
-    size_t sum = 0;
-    for (const auto& r : members_[i]->refiners) sum += r->count_upper();
-    return sum + 1;
-  }
-  bool resolved(size_t i) const override {
-    for (const auto& r : members_[i]->refiners) {
-      if (!r->resolved()) return false;
-    }
-    return true;
-  }
-
-  void RefineLevel(const std::vector<size_t>& members) override {
-    // Only the shards with open frontiers for at least one listed member do
-    // work; dispatching the rest would spend pool scheduling on no-ops in
-    // the hottest /whynot loop.
-    std::vector<size_t> active;
-    for (size_t s = 0; s < ctx_->views.size(); ++s) {
-      for (size_t m : members) {
-        if (!members_[m]->refiners[s]->resolved()) {
-          active.push_back(s);
-          break;
-        }
-      }
-    }
-    FanOut(ctx_->pool, active, [&](size_t s) {
-      std::vector<ShardRankRefiner*> refiners;
-      refiners.reserve(members.size());
-      for (size_t m : members) {
-        refiners.push_back(members_[m]->refiners[s].get());
-      }
-      ShardRankRefiner::RefineLevel(refiners);
-    });
-  }
-
- private:
-  struct Member {
-    Query query;
-    ObjectId target = kInvalidObject;
-    double target_score = 0.0;
-    std::vector<Scorer> scorers;  // One per shard, bound to `query`.
-    std::vector<std::unique_ptr<ShardRankRefiner>> refiners;  // One per shard.
-  };
-
-  const OracleContext* ctx_;
-  std::vector<std::unique_ptr<Member>> members_;
-  std::vector<KeywordAdaptStats> shard_stats_;  // Flushed into stats_ at end.
-  KeywordAdaptStats* stats_;
-};
-
 }  // namespace
 
 // --- ContextWhyNotOracle -----------------------------------------------------
@@ -238,11 +117,10 @@ size_t ContextWhyNotOracle::Rank(const Query& query,
   return above + 1;
 }
 
-std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
+std::vector<size_t> ContextWhyNotOracle::SumOverShards(
+    const std::vector<OracleTargetSpec>& specs, ShardCounter count) const {
   // Target scores are resolved up front (the target of a spec need not live
-  // in any particular shard), then one fan-out scans every spec per shard.
+  // in any particular shard), then one fan-out counts every spec per shard.
   std::vector<ScanTarget> targets;
   targets.reserve(specs.size());
   for (const OracleTargetSpec& spec : specs) {
@@ -254,14 +132,20 @@ std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
   const size_t n = ctx_.views.size();
   std::vector<std::vector<size_t>> counts(n);
   FanOut(ctx_.pool, ctx_.all_shards, [&](size_t s) {
-    counts[s] = ShardScanOutscoring(ctx_.views[s], ctx_.dist_norm, targets);
+    counts[s] = count(ctx_.views[s], ctx_.dist_norm, targets);
   });
   std::vector<size_t> total(specs.size(), 0);
   for (size_t s = 0; s < n; ++s) {
     for (size_t i = 0; i < specs.size(); ++i) total[i] += counts[s][i];
-    stats->objects_scored += ctx_.views[s].store->size() * specs.size();
   }
   return total;
+}
+
+std::vector<size_t> ContextWhyNotOracle::OutscoringCountBatch(
+    const std::vector<OracleTargetSpec>& specs,
+    KeywordAdaptStats* stats) const {
+  stats->objects_scored += size() * specs.size();
+  return SumOverShards(specs, &ShardScanOutscoring);
 }
 
 std::unique_ptr<ScorePlaneSession> ContextWhyNotOracle::PrepareScorePlane(
@@ -273,23 +157,25 @@ std::unique_ptr<ScorePlaneSession> ContextWhyNotOracle::PrepareScorePlane(
 std::unique_ptr<RankProbeBatch> ContextWhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
-  return std::make_unique<ContextRankProbeBatch>(&ctx_, this, specs, stats);
+  stats->objects_scored += size();
+  std::vector<size_t> ranks = SumOverShards(specs, &ShardColumnOutscoring);
+  for (size_t& rank : ranks) ++rank;
+  return std::make_unique<ExactRankBatch>(std::move(ranks));
 }
 
 // --- LocalWhyNotOracle -------------------------------------------------------
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
-                                     const SetRTree* setr, const KcRTree* kcr)
+                                     const SetRTree* setr)
     : store_(&store) {
-  ctx_.views.push_back(OracleShardView{&store, setr, kcr, nullptr});
+  ctx_.views.push_back(OracleShardView{&store, setr, nullptr});
   ctx_.all_shards.push_back(0);
   ctx_.dist_norm = store.BoundsDiagonal();
   if (setr != nullptr) topk_.emplace(store, *setr);
 }
 
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
-    : LocalWhyNotOracle(corpus.store(), &corpus.setr(),
-                        corpus.has_kcr() ? &corpus.kcr() : nullptr) {}
+    : LocalWhyNotOracle(corpus.store(), &corpus.setr()) {}
 
 TopKResult LocalWhyNotOracle::TopK(const Query& query, TopKStats* stats) const {
   assert(topk_.has_value() && "TopK requires the SetR-tree");

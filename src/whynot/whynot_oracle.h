@@ -5,8 +5,8 @@
 // The three why-not modules (explanation, preference adjustment, keyword
 // adaption) are global by construction: they rank objects against the WHOLE
 // dataset, sweep the weight plane over every object's (1−SDist, TSim) point,
-// and bracket candidate ranks with index bounds. Before this seam existed
-// they walked one store's SetR/KcR-trees directly, which is why a sharded
+// and rank every candidate keyword set. Before this seam existed they
+// walked one store's indexes directly, which is why a sharded
 // service could not answer /whynot. The observation that unlocks exact
 // distributed why-not is that every one of those primitives is a
 // partition-sum or a partition-union:
@@ -18,8 +18,8 @@
 //   * the Eqn. (3) crossing-weight candidates of a missing object are the
 //     union of each shard's crossings (each crossing is computed from the
 //     same two doubles in either layout, so the union deduplicates exactly);
-//   * the Eqn. (4) rank interval of a candidate query is 1 + Σ over shards
-//     of per-shard KcR count intervals ([lo,hi] sums elementwise).
+//   * the Eqn. (4) rank of a candidate query is 1 + Σ over shards of each
+//     shard's keyword-mask column count (the same partition-sum).
 //
 // WhyNotOracle captures exactly those primitives. The algorithms run
 // unchanged over any implementation; LocalWhyNotOracle serves one store,
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/index/kcr_tree.h"
 #include "src/index/score_plane_index.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
@@ -107,15 +106,16 @@ class ScorePlaneSession {
   /// Events in the Step-4 sweep's first segment (8); the sweep doubles it
   /// from there (AdjustPreference owns the schedule, the same in every
   /// layout). The one source of that size: no session in src/ overrides
-  /// it. Virtual only so tracing wrappers outside src/ can forward it.
+  /// it. Virtual only because servebench/tracing.h, its last reader,
+  /// forwards it (ROADMAP item 3 deletes it).
   virtual size_t PreferredSweepBatch() const { return 8; }
 };
 
-/// A progressive rank interval for one (candidate query, missing object)
-/// pair: 1 + Σ per-shard KcR outscoring-count intervals, tightened one tree
-/// level at a time ("when traversing the KcR-tree downwards, we get tighter
-/// bounds", §3.3). Contract: lower() <= true rank <= upper() always;
-/// RefineLevel() never widens either end; resolved() means lower == upper.
+/// A rank interval for one (candidate query, missing object) pair.
+/// Contract: lower() <= true rank <= upper(); RefineLevel() never widens
+/// either end; resolved() means lower == upper. Every oracle in src/ answers
+/// exactly at open. Kept only because servebench/tracing.h overrides it
+/// (its last reader; ROADMAP item 3 deletes it).
 class RankProbe {
  public:
   virtual ~RankProbe() = default;
@@ -126,38 +126,47 @@ class RankProbe {
 };
 
 /// One (query, target object) pair of a batched oracle call. The query must
-/// outlive the call; batch implementations that keep per-target state (rank
-/// probes) copy it.
+/// outlive the call.
 struct OracleTargetSpec {
   const Query* query = nullptr;
   ObjectId target = kInvalidObject;  // Global id.
 };
 
-/// A batch of Eqn. (4) rank probes sharing fan-outs: created in one fan-out
-/// across the shards, and refined one tree level per fan-out across every
-/// listed member. This is the batching seam of keyword adaption: instead of
-/// one oracle round-trip per (candidate, missing object, level) probe, the
-/// search issues ONE RefineLevel per refinement level covering ALL live
-/// candidates — which a remote oracle turns into one request per shard per
-/// level, regardless of how many candidates are in flight.
+/// A batch of Eqn. (4) rank probes created in one fan-out across the
+/// shards. Every oracle in src/ returns an ExactRankBatch: each member is
+/// resolved at open (lower == upper == the exact tie-aware rank).
 class RankProbeBatch {
  public:
   virtual ~RankProbeBatch() = default;
 
   virtual size_t size() const = 0;
-  /// Rank interval of member i (same contract as RankProbe): lower() <=
-  /// true rank <= upper(); RefineLevel never widens; resolved == collapsed.
+  /// Rank interval of member i (same contract as RankProbe).
   virtual size_t lower(size_t i) const = 0;
   virtual size_t upper(size_t i) const = 0;
   virtual bool resolved(size_t i) const = 0;
-  /// Descends every listed member's open frontiers one level in one fan-out.
-  /// Members already resolved are no-ops. Listed members must be distinct
-  /// (a remote shard answers a repeated index with 400).
+  /// Narrows the listed members' intervals. A no-op on an exact batch; kept
+  /// only because servebench/tracing.h overrides it (its last reader).
   virtual void RefineLevel(const std::vector<size_t>& members) = 0;
 };
 
-/// RankProbe as a batch of one — the single-probe API is a view over the
-/// batch machinery (WhyNotOracle::ProbeRank wraps ProbeRankBatch in this).
+/// The RankProbeBatch of exact ranks, known at open.
+class ExactRankBatch final : public RankProbeBatch {
+ public:
+  explicit ExactRankBatch(std::vector<size_t> ranks)
+      : ranks_(std::move(ranks)) {}
+
+  size_t size() const override { return ranks_.size(); }
+  size_t lower(size_t i) const override { return ranks_[i]; }
+  size_t upper(size_t i) const override { return ranks_[i]; }
+  bool resolved(size_t) const override { return true; }
+  void RefineLevel(const std::vector<size_t>&) override {}
+
+ private:
+  std::vector<size_t> ranks_;
+};
+
+/// RankProbe as a batch of one (WhyNotOracle::ProbeRank wraps
+/// ProbeRankBatch in this). Its last reader is servebench/tracing.h.
 class BatchOfOneProbe : public RankProbe {
  public:
   explicit BatchOfOneProbe(std::unique_ptr<RankProbeBatch> batch)
@@ -198,25 +207,27 @@ class WhyNotOracle {
       const Query& query, PrefAdjustMode mode) const = 0;
 
   /// Tie-aware exact counts of objects outscoring each spec's target under
-  /// its query (== Rank − 1), by full scan — the cache-friendly path the
-  /// keyword model uses for R(M, q) and for basic-mode candidate ranks. One
-  /// fan-out for the whole batch (one round-trip per shard for a remote
-  /// oracle).
+  /// its query (== Rank − 1), by full scan — the paper's basic keyword
+  /// adaption baseline. One fan-out for the whole batch (one round-trip per
+  /// shard for a remote oracle); `stats->objects_scored` grows by the
+  /// dataset size per spec.
   virtual std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
 
-  /// One rank interval per spec, created in one fan-out and refined
-  /// level-synchronously (see RankProbeBatch). Requires the corpus to have
-  /// its KcR-tree(s). `stats` must outlive the batch (counters are flushed
-  /// on destruction).
+  /// Exact tie-aware ranks (count + 1) of every spec's target, by the
+  /// keyword-mask columns (ShardColumnOutscoring): one fan-out builds each
+  /// shard's columns once for the whole batch and answers every member.
+  /// The union of the specs' query keywords must not exceed
+  /// kMaxKeywordUniverse. `stats->objects_scored` grows by the dataset size
+  /// (the objects placed into columns).
   virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
 
   /// Single-target views of the two batches above — batches of one. The
-  /// algorithms never call them; they exist for callers outside src/ that
-  /// ask about one (query, target) pair.
+  /// algorithms never call them; their last reader is servebench/tracing.h
+  /// (ROADMAP item 3 deletes them).
   virtual size_t OutscoringCount(const Query& query, ObjectId global_id,
                                  KeywordAdaptStats* stats) const {
     const std::vector<OracleTargetSpec> specs{{&query, global_id}};
@@ -255,8 +266,8 @@ class ContextWhyNotOracle : public WhyNotOracle {
   size_t Rank(const Query& query, ObjectId global_id) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
-  /// One fan-out for the whole batch: each shard task scans/refines every
-  /// spec, so the pool is dispatched once per call instead of once per spec.
+  /// One fan-out for the whole batch: each shard task counts every spec, so
+  /// the pool is dispatched once per call instead of once per spec.
   std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
@@ -268,17 +279,21 @@ class ContextWhyNotOracle : public WhyNotOracle {
 
  protected:
   OracleContext ctx_;
+
+ private:
+  /// Partition-sum of `count(view, targets)` over the shards for the specs
+  /// (target scores resolved here, once).
+  using ShardCounter = std::vector<size_t> (*)(const OracleShardView&, double,
+                                               const std::vector<ScanTarget>&);
+  std::vector<size_t> SumOverShards(const std::vector<OracleTargetSpec>& specs,
+                                    ShardCounter count) const;
 };
 
 /// The oracle over one unsharded store — the original why-not data path.
-/// Null `setr` / `kcr` are allowed for callers that never touch the methods
-/// needing them (the legacy module entry points pass only what they have).
+/// A null `setr` is allowed for callers that never call TopK() or Rank().
 class LocalWhyNotOracle : public ContextWhyNotOracle {
  public:
-  LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr,
-                    const KcRTree* kcr);
-  /// Over a full corpus (requires nothing; ProbeRankBatch needs
-  /// corpus.has_kcr()).
+  LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr);
   explicit LocalWhyNotOracle(const Corpus& corpus);
 
   const SpatialObject& Object(ObjectId global_id) const override {

@@ -35,11 +35,8 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   const Corpus corpus = CorpusBuilder().Build(SmallDataset());
   EXPECT_EQ(corpus.size(), 500u);
   EXPECT_EQ(corpus.setr().size(), 500u);
-  ASSERT_TRUE(corpus.has_kcr());
-  EXPECT_EQ(corpus.kcr().size(), 500u);
   EXPECT_EQ(corpus.inverted(), nullptr);  // Off by default.
   EXPECT_TRUE(corpus.setr().Validate().ok());
-  EXPECT_TRUE(corpus.kcr().Validate().ok());
 
   const Query q = SomeQuery(corpus.store());
   EXPECT_EQ(corpus.topk().Query(q), TopKScan(corpus.store(), q));
@@ -47,10 +44,8 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
 
 TEST(CorpusTest, OptionsControlOptionalIndexes) {
   CorpusOptions options;
-  options.build_kcr_tree = false;
   options.build_inverted_index = true;
   const Corpus corpus = CorpusBuilder(options).Build(SmallDataset());
-  EXPECT_FALSE(corpus.has_kcr());
   ASSERT_NE(corpus.inverted(), nullptr);
   EXPECT_EQ(corpus.inverted()->postings().size(), corpus.vocab().size());
 }
@@ -76,7 +71,6 @@ TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->size(), original.size());
-  EXPECT_TRUE(restored->has_kcr());
   ASSERT_NE(restored->inverted(), nullptr);
   EXPECT_TRUE(restored->setr().Validate().ok());
 
@@ -96,7 +90,6 @@ TEST(CorpusTest, FromSnapshotRebuildsMissingIndexes) {
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->setr().size(), store.size());
-  EXPECT_TRUE(restored->has_kcr());
   const Query q = SomeQuery(store);
   EXPECT_EQ(restored->topk().Query(q), TopKScan(store, q));
   std::remove(path.c_str());

@@ -155,11 +155,10 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     ASSERT_TRUE(connected.ok()) << connected.status().ToString();
     const RemoteCorpus remote = std::move(connected).value();
 
-    // Connect()-time identity: totals, normaliser, vocabulary, KcR.
+    // Connect()-time identity: totals, normaliser, vocabulary.
     EXPECT_EQ(remote.size(), store.size());
     EXPECT_EQ(remote.dist_norm(), sharded.dist_norm());
     EXPECT_EQ(remote.vocab().size(), store.vocab().size());
-    EXPECT_TRUE(remote.has_kcr());
 
     const RemoteTopKClient remote_topk(remote);
     const WhyNotEngine remote_engine(
@@ -303,19 +302,6 @@ TEST(RemoteCorpusTest, ShardFailureBumpsTheErrorEpoch) {
   (void)topk.Query(q);
   EXPECT_GT(remote.error_epoch(), before);
   EXPECT_FALSE(remote.last_error().ok());
-}
-
-TEST(RemoteCorpusTest, TopKOnlyShardsReportMissingKcr) {
-  const ObjectStore store = GenerateHotelDataset();
-  CorpusOptions no_kcr;
-  no_kcr.build_kcr_tree = false;
-  const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2), no_kcr);
-  ShardFleet fleet(sharded);
-  auto connected = RemoteCorpus::Connect(fleet.endpoints);
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  EXPECT_FALSE(connected->has_kcr());
-  EXPECT_EQ(connected->shards_without_kcr().size(), 2u);
 }
 
 }  // namespace

@@ -37,8 +37,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
   const Corpus baseline = CorpusBuilder().Build(ObjectStore(store));
   const SetRTopKEngine reference = baseline.topk();
 
-  CorpusOptions options;
-  options.build_kcr_tree = false;
+  const CorpusOptions options;
   for (const uint32_t shards : {1u, 2u, 3u, 4u, 7u}) {
     for (const bool use_hash : {false, true}) {
       std::unique_ptr<ShardRouter> router;
@@ -109,8 +108,7 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
   spec.num_objects = 2000;
   spec.seed = 79;
   const ObjectStore store = GenerateDataset(spec);
-  CorpusOptions options;
-  options.build_kcr_tree = false;
+  const CorpusOptions options;
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
   const ShardedTopKEngine engine(sharded);

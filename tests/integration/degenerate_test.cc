@@ -42,8 +42,6 @@ class FullyDegenerateStore : public ::testing::Test {
 TEST_F(FullyDegenerateStore, IndexesValidate) {
   EXPECT_TRUE(corpus_->setr().Validate().ok())
       << corpus_->setr().Validate().ToString();
-  EXPECT_TRUE(corpus_->kcr().Validate().ok())
-      << corpus_->kcr().Validate().ToString();
 }
 
 TEST_F(FullyDegenerateStore, TopKReturnsLowestIds) {
@@ -144,13 +142,12 @@ TEST(DegenerateTest, MissingObjectWithEmptyDocument) {
     store.Add(Point{0.5 + 0.01 * i, 0.5}, KeywordSet({kw}), "normal");
   }
   const ObjectId mute = store.Add(Point{0.9, 0.9}, KeywordSet(), "mute");
-  KcRTree kcr(&store);
-  kcr.BulkLoad();
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({kw});
   q.k = 3;
-  auto result = AdaptKeywords(store, kcr, q, {mute});
+  auto result =
+      AdaptKeywords(LocalWhyNotOracle(store, /*setr=*/nullptr), q, {mute});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   // M.doc is empty: no insertable keywords; only deletions/pure-k remain.

@@ -23,7 +23,6 @@ void RunWorkflow(ObjectStore dataset, const Query& q, size_t missing_rank,
   const Corpus corpus = CorpusBuilder().Build(std::move(dataset));
   const ObjectStore& store = corpus.store();
   ASSERT_TRUE(corpus.setr().Validate().ok());
-  ASSERT_TRUE(corpus.kcr().Validate().ok());
   WhyNotEngine engine(corpus);
 
   // Step 1: initial top-k query.
@@ -169,7 +168,8 @@ TEST(EndToEndTest, ApplyingBothRefinementsSequentially) {
 
   auto first = AdjustPreference(store, q, {expected});
   ASSERT_TRUE(first.ok());
-  auto second = AdaptKeywords(store, corpus.kcr(), first->refined, {expected});
+  auto second =
+      AdaptKeywords(LocalWhyNotOracle(corpus), first->refined, {expected});
   ASSERT_TRUE(second.ok());
   const TopKResult final_result = engine.TopK(second->refined);
   std::set<ObjectId> ids;

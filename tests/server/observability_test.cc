@@ -190,19 +190,19 @@ std::map<std::string, size_t> FieldsOf(const PreferenceAdjustStats& s) {
 
 std::map<std::string, size_t> FieldsOf(const KeywordAdaptStats& s) {
   return {{"generated", s.candidates_generated},
-          {"pruned", s.candidates_pruned_floor + s.candidates_pruned_bounds},
+          {"pruned", s.candidates_pruned_floor},
           {"resolved", s.candidates_resolved},
-          {"refine_levels", s.refine_levels},
+          {"rank_fanouts", s.probe_fanouts},
           {"objects_scored", s.objects_scored}};
 }
 
-/// `fields` without the per-layout counts: index work, which runs per shard
-/// over per-shard columns and KcR-trees (plane evaluations, objects scored).
-/// Sweep fan-outs stay: every layout runs the same segment schedule.
+/// `fields` without the per-layout counts: plane evaluations, which run per
+/// shard over per-shard columns. Sweep fan-outs and objects scored stay:
+/// every layout runs the same segment schedule and reads every object once
+/// per rank fan-out.
 std::map<std::string, size_t> LayoutIndependent(
     std::map<std::string, size_t> fields) {
   fields.erase("plane_evals");
-  fields.erase("objects_scored");
   return fields;
 }
 
@@ -370,10 +370,8 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
            "yask_shard_requests_total{code=\"200\",endpoint=\"/shard/topk\"}",
            "# TYPE yask_shard_request_ms histogram",
            "# TYPE yask_shard_open_plane_sessions gauge",
-           "# TYPE yask_shard_open_probe_sessions gauge",
            "# TYPE yask_shard_sessions_evicted_total counter",
            "yask_shard_sessions_evicted_total{kind=\"plane\",shard=\"0\"} 0",
-           "yask_shard_sessions_evicted_total{kind=\"probe\",shard=\"0\"} 0",
            "yask_shard_objects{shard=\"0\"}",
        }) {
     EXPECT_NE(shard_metrics.find(needle), std::string::npos) << needle;

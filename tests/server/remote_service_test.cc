@@ -4,11 +4,13 @@
 // ShardedCorpus built from the same objects, at 1/2/4 shards (only the
 // response_millis timing fields are excluded — wall time is the one thing a
 // network hop legitimately changes). Plus the remote-only failure modes:
-// 503 when a shard dies mid-serving, 501 naming KcR-less shards, /health
-// topology reporting, and 404 for stale query ids.
+// 503 when a shard dies mid-serving, /health topology reporting, and 404
+// for stale query ids.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,7 +168,7 @@ TEST(RemoteServiceTest, HealthReportsRemoteTopology) {
             store.size());
   EXPECT_EQ(health->Get("shards").as_number(), 2);
   EXPECT_EQ(health->Get("remote_shards").size(), 2u);
-  EXPECT_TRUE(health->Get("indexes").Get("kcr").as_bool());
+  EXPECT_TRUE(health->Get("indexes").Get("setr").as_bool());
   EXPECT_TRUE(health->Get("whynot").as_bool());
 
   // The shard servers' own /health reports per-shard index availability.
@@ -176,7 +178,8 @@ TEST(RemoteServiceTest, HealthReportsRemoteTopology) {
   auto parsed = JsonValue::Parse(*shard_health);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Get("role").as_string(), "shard");
-  EXPECT_TRUE(parsed->Get("indexes").Get("kcr").as_bool());
+  EXPECT_TRUE(parsed->Get("indexes").Get("setr").as_bool());
+  EXPECT_TRUE(parsed->Get("whynot").as_bool());
 
   // A coordinator holds no state: /snapshot is a clear 501.
   auto snap = HttpFetch(service.port(), "POST", "/snapshot", "{}", &status);
@@ -186,12 +189,21 @@ TEST(RemoteServiceTest, HealthReportsRemoteTopology) {
   service.Stop();
 }
 
-TEST(RemoteServiceTest, WhyNotIs501NamingKcrLessShards) {
+TEST(RemoteServiceTest, WhyNotIsAnsweredByShardsBootedFromSnapshotFiles) {
+  // Shard servers need no index beyond the SetR-tree: a fleet booted from
+  // per-shard snapshot files answers /whynot like the in-process layout.
   const ObjectStore store = GenerateHotelDataset();
-  CorpusOptions no_kcr;
-  no_kcr.build_kcr_tree = false;
-  const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2), no_kcr);
+  const std::string prefix =
+      ::testing::TempDir() + "remote_service_whynot_" +
+      std::to_string(::getpid());
+  {
+    const ShardedCorpus built =
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+    ASSERT_TRUE(built.Save(prefix).ok());
+  }
+  auto loaded = ShardedCorpus::Load(prefix);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ShardedCorpus& sharded = *loaded;
   ShardFleet fleet(sharded);
   auto connected = RemoteCorpus::Connect(fleet.endpoints);
   ASSERT_TRUE(connected.ok());
@@ -206,22 +218,26 @@ TEST(RemoteServiceTest, WhyNotIs501NamingKcrLessShards) {
   ASSERT_TRUE(body.ok());
   EXPECT_EQ(status, 200);
 
-  // ...but /whynot fails fast, naming the shards and the fix.
+  // ...and so does /whynot, with both refinement models.
   body = HttpFetch(service.port(), "POST", "/whynot",
                    "{\"query_id\":1,\"missing\":[5]}", &status);
   ASSERT_TRUE(body.ok());
-  EXPECT_EQ(status, 501);
-  EXPECT_NE(body->find("KcR"), std::string::npos) << *body;
-  EXPECT_NE(body->find(fleet.endpoints[0]), std::string::npos) << *body;
+  EXPECT_EQ(status, 200) << *body;
+  auto answer = JsonValue::Parse(*body);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_TRUE(answer->Has("keyword")) << *body;
 
-  // /health says so up front.
   body = HttpFetch(service.port(), "GET", "/health", "", &status);
   ASSERT_TRUE(body.ok());
   auto health = JsonValue::Parse(*body);
   ASSERT_TRUE(health.ok());
-  EXPECT_FALSE(health->Get("whynot").as_bool());
+  EXPECT_TRUE(health->Get("whynot").as_bool());
 
   service.Stop();
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    std::remove(
+        (prefix + ".shard-" + std::to_string(s) + ".snap").c_str());
+  }
 }
 
 TEST(RemoteServiceTest, DeadShardSurfacesAs503NotGarbage) {

@@ -4,10 +4,10 @@
 // the in-process sharded path at every fleet shape — and keep doing so, with
 // ZERO client-visible errors, while one replica per shard is killed and
 // restarted between and during requests. Mid-session failover (Eqn. (3)
-// plane sessions and Eqn. (4) probe batches re-established and REPLAYED on a
-// live sibling) is pinned at the oracle level, where the kill can be placed
-// deterministically between session calls. Only a shard with no live replica
-// at all may 503.
+// plane sessions re-established on a live sibling) and the failover of the
+// stateless Eqn. (4) rank batches are pinned at the oracle level, where the
+// kill can be placed deterministically between calls. Only a shard with no
+// live replica at all may 503.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
+#include "src/query/ranking.h"
 #include "src/server/json.h"
 #include "src/server/shard_service.h"
 #include "src/server/yask_service.h"
@@ -291,7 +292,7 @@ TEST(ReplicaFailoverTest, PlaneSessionFailsOverMidSweep) {
 
   // The same sweep with one replica per shard dying MID-SESSION, twice, so
   // that wherever each shard's session landed, at least one kill hits it
-  // and forces a re-open + replay on the sibling.
+  // and forces a re-open on the sibling.
   auto session = oracle.PrepareScorePlane(query, PrefAdjustMode::kOptimized);
   EXPECT_EQ(session->CountAbove(0.3, anchor, &stats), expected_counts[0]);
   fleet.KillEverywhere(0);
@@ -308,7 +309,10 @@ TEST(ReplicaFailoverTest, PlaneSessionFailsOverMidSweep) {
   EXPECT_GE(remote_corpus.total_failovers(), 1u);
 }
 
-TEST(ReplicaFailoverTest, ProbeBatchFailsOverMidBatchWithReplay) {
+TEST(ReplicaFailoverTest, RankBatchFailsOverToASibling) {
+  // Eqn. (4) rank batches are stateless: one /shard/probe/rank per shard,
+  // which fails over like any other stateless call and answers the same
+  // exact ranks from the sibling.
   const ObjectStore store = GenerateHotelDataset();
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
@@ -326,42 +330,30 @@ TEST(ReplicaFailoverTest, ProbeBatchFailsOverMidBatchWithReplay) {
   query.doc = LookupKeywords("clean comfortable quiet", remote_corpus.vocab());
   query.k = 3;
   const std::vector<OracleTargetSpec> specs{{&query, 81}, {&query, 120}};
-  const std::vector<size_t> all{0, 1};
 
-  auto snapshot = [&](RankProbeBatch& batch) {
-    std::vector<std::tuple<size_t, size_t, bool>> rows;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      rows.emplace_back(batch.lower(i), batch.upper(i), batch.resolved(i));
+  auto ranks = [&] {
+    KeywordAdaptStats stats;
+    const auto batch = oracle.ProbeRankBatch(specs, &stats);
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < batch->size(); ++i) {
+      EXPECT_TRUE(batch->resolved(i));
+      EXPECT_EQ(batch->lower(i), batch->upper(i));
+      rows.push_back(batch->lower(i));
     }
     return rows;
   };
 
-  // Reference: the same batch refined three levels on a healthy fleet.
-  KeywordAdaptStats stats;
-  std::vector<std::vector<std::tuple<size_t, size_t, bool>>> expected;
-  {
-    auto batch = oracle.ProbeRankBatch(specs, &stats);
-    expected.push_back(snapshot(*batch));
-    for (int level = 0; level < 3; ++level) {
-      batch->RefineLevel(all);
-      expected.push_back(snapshot(*batch));
-    }
-  }
-
-  // Chaos run: kills between refine levels. The server-side frontiers of the
-  // lost sessions must be REPLAYED on the sibling, or the bounds after the
-  // failed-over refine would diverge.
-  auto batch = oracle.ProbeRankBatch(specs, &stats);
-  EXPECT_EQ(snapshot(*batch), expected[0]);
-  batch->RefineLevel(all);
-  EXPECT_EQ(snapshot(*batch), expected[1]);
+  const std::vector<size_t> expected = ranks();
+  const Corpus unsharded = CorpusBuilder().Build(ObjectStore(store));
+  EXPECT_EQ(expected[0],
+            ComputeRank(unsharded.store(), unsharded.setr(), query, 81));
+  EXPECT_EQ(expected[1],
+            ComputeRank(unsharded.store(), unsharded.setr(), query, 120));
   fleet.KillEverywhere(0);
-  batch->RefineLevel(all);
-  EXPECT_EQ(snapshot(*batch), expected[2]);
+  EXPECT_EQ(ranks(), expected);
   fleet.RestartEverywhere(0);
   fleet.KillEverywhere(1);
-  batch->RefineLevel(all);
-  EXPECT_EQ(snapshot(*batch), expected[3]);
+  EXPECT_EQ(ranks(), expected);
 
   EXPECT_EQ(remote_corpus.error_epoch(), 0u);
   EXPECT_GE(remote_corpus.total_failovers(), 1u);
@@ -370,9 +362,8 @@ TEST(ReplicaFailoverTest, ProbeBatchFailsOverMidBatchWithReplay) {
 TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
   // The Eqn. (3) batched sweep under chaos: kills land so that a
   // /shard/plane/count_batch segment call hits a dead replica mid-sweep and
-  // must re-open the session on the sibling, REPLAY its recorded history,
-  // and re-issue the whole segment — returning the same counts the healthy
-  // fleet returns.
+  // must re-open the session on the sibling and re-issue the whole segment
+  // — returning the same counts the healthy fleet returns.
   const ObjectStore store = GenerateHotelDataset();
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
@@ -406,7 +397,7 @@ TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
 
   // Chaos run: one replica per shard dies between segment calls, twice, so
   // wherever each shard's session landed at least one batched segment lands
-  // on a dead replica and forces re-open + replay on the sibling.
+  // on a dead replica and forces a re-open on the sibling.
   const std::vector<PlanePoint> anchors{anchor};
   auto session = oracle.PrepareScorePlane(query, PrefAdjustMode::kOptimized);
   EXPECT_EQ(session->CountAboveBatch({weights[0], weights[1]}, anchors,

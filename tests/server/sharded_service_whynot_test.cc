@@ -172,18 +172,19 @@ TEST_F(ShardedServiceWhyNotTest, ForgottenQueryIdIs404) {
   service.Stop();
 }
 
-TEST_F(ShardedServiceWhyNotTest, KcrLessCorpusAnswers501NotCrash) {
-  // A top-k-only deployment (KcR-trees skipped) cannot answer why-not; the
-  // request must fail cleanly, not chase a missing index.
-  CorpusOptions options;
-  options.build_kcr_tree = false;
-  const ShardedCorpus topk_only = ShardedCorpus::Partition(
-      corpus_->store(), GridShardRouter::Fit(corpus_->store(), 2), options);
-  YaskService service(topk_only);
-  ASSERT_TRUE(service.Start().ok());
-  const uint64_t id = IssueQuery(service, 3);  // /query still serves.
-  EXPECT_EQ(WhyNotStatus(service, id, 5), 501);
-  service.Stop();
+TEST_F(ShardedServiceWhyNotTest, EveryLayoutAnswersWhyNot) {
+  // Why-not needs no index beyond the SetR-tree, so every corpus a service
+  // can serve /query from also answers /whynot.
+  const ShardedCorpus two = ShardedCorpus::Partition(
+      corpus_->store(), GridShardRouter::Fit(corpus_->store(), 2));
+  YaskService unsharded(*corpus_);
+  YaskService sharded(two);
+  for (YaskService* service : {&unsharded, &sharded}) {
+    ASSERT_TRUE(service->Start().ok());
+    const uint64_t id = IssueQuery(*service, 3);
+    EXPECT_EQ(WhyNotStatus(*service, id, 5), 200);
+    service->Stop();
+  }
 }
 
 TEST_F(ShardedServiceWhyNotTest, ConcurrentWhyNotTrafficOverSharedPool) {

@@ -361,7 +361,6 @@ TEST_F(YaskServiceTest, SnapshotEndpointWritesLoadableSnapshot) {
   // same top-3 answer for the Carol query.
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_TRUE(restored->has_kcr());
   EXPECT_EQ(restored->size(), corpus_->size());
   YaskService reloaded(*restored);
   ASSERT_TRUE(reloaded.Start().ok());

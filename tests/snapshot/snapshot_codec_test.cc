@@ -161,19 +161,6 @@ TEST(RTreeCodecTest, SetRTreeRoundTripAnswersIdentically) {
   }
 }
 
-TEST(RTreeCodecTest, KcRTreeRoundTrip) {
-  const ObjectStore store = SyntheticStore(2000);
-  KcRTree original(&store);
-  original.BulkLoad();
-  BufWriter out;
-  SaveKcRTree(original, &out);
-
-  KcRTree loaded(&store);
-  BufReader in(out.data().data(), out.size());
-  ASSERT_TRUE(LoadKcRTree(&in, &loaded).ok());
-  ExpectTreesEquivalent(original, loaded);
-}
-
 TEST(RTreeCodecTest, EmptyTreeRoundTrips) {
   ObjectStore store;
   SetRTree original(&store);
@@ -213,12 +200,10 @@ class SnapshotBundleTest : public ::testing::Test {
     store_ = std::make_unique<ObjectStore>(GenerateHotelDataset());
     setr_ = std::make_unique<SetRTree>(store_.get());
     setr_->BulkLoad();
-    kcr_ = std::make_unique<KcRTree>(store_.get());
-    kcr_->BulkLoad();
     inverted_ = std::make_unique<InvertedIndex>(*store_);
     path_ = TestPath("bundle");
-    auto bytes = WriteSnapshot(path_, *store_, setr_.get(), kcr_.get(),
-                               inverted_.get());
+    auto bytes =
+        WriteSnapshot(path_, *store_, setr_.get(), inverted_.get());
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     EXPECT_GT(*bytes, 0u);
   }
@@ -238,7 +223,6 @@ class SnapshotBundleTest : public ::testing::Test {
 
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
-  std::unique_ptr<KcRTree> kcr_;
   std::unique_ptr<InvertedIndex> inverted_;
   std::string path_;
 };
@@ -248,7 +232,6 @@ TEST_F(SnapshotBundleTest, TopKAndWhyNotAnswersIdenticalAfterReload) {
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   ASSERT_NE(bundle->store, nullptr);
   ASSERT_NE(bundle->setr, nullptr);
-  ASSERT_NE(bundle->kcr, nullptr);
   ASSERT_NE(bundle->inverted, nullptr);
 
   // The why-not engine runs over a Corpus; build one around each state
@@ -307,8 +290,30 @@ TEST_F(SnapshotBundleTest, StoreOnlySnapshotLeavesIndexesNull) {
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_NE(bundle->store, nullptr);
   EXPECT_EQ(bundle->setr, nullptr);
-  EXPECT_EQ(bundle->kcr, nullptr);
   EXPECT_EQ(bundle->inverted, nullptr);
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotBundleTest, RetiredKcRSectionIsSkipped) {
+  // Files written before the KcR-tree was retired carry section 5; readers
+  // skip it unread, whatever its payload.
+  const std::string path = TestPath("retired_kcr");
+  SnapshotWriter writer;
+  SaveVocabulary(store_->vocab(), writer.AddSection(SectionId::kVocabulary));
+  SaveObjectStore(*store_, writer.AddSection(SectionId::kObjectStore));
+  SaveSetRTree(*setr_, writer.AddSection(SectionId::kSetRTree));
+  writer.AddSection(SectionId::kRetiredKcRTree)->PutString("old tree bytes");
+  uint64_t bytes = 0;
+  ASSERT_TRUE(writer.WriteTo(path, &bytes).ok());
+
+  auto bundle = LoadSnapshot(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->store->size(), store_->size());
+  ASSERT_NE(bundle->setr, nullptr);
+  auto corpus = CorpusBuilder().FromSnapshot(path);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(corpus->topk().Query(CarolQuery()),
+            SetRTopKEngine(*store_, *setr_).Query(CarolQuery()));
   std::remove(path.c_str());
 }
 
@@ -337,7 +342,8 @@ TEST_F(SnapshotBundleTest, InspectReportsSections) {
   auto report = InspectSnapshot(path_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->format_version, kSnapshotFormatVersion);
-  ASSERT_EQ(report->sections.size(), 5u);
+  // Vocabulary, store, inverted index, SetR-tree: no KcR-tree section.
+  ASSERT_EQ(report->sections.size(), 4u);
   bool saw_store = false;
   for (const SnapshotSectionReport& s : report->sections) {
     EXPECT_GT(s.size, 0u);

@@ -59,7 +59,7 @@ TEST(SnapshotIoTest, RoundTripSections) {
   EXPECT_EQ(section->GetString(), "wifi");
   EXPECT_TRUE(section->AtEnd());
 
-  auto missing = reader->OpenSection(SectionId::kKcRTree);
+  auto missing = reader->OpenSection(SectionId::kRetiredKcRTree);
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   std::remove(path.c_str());

@@ -9,6 +9,8 @@
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/shard_primitives.h"
+#include "src/whynot/whynot_oracle.h"
 #include "tests/reference/whynot_reference.h"
 
 namespace yask {
@@ -76,29 +78,27 @@ TEST(GenerateCandidatesTest, NoDuplicates) {
 
 TEST(AdaptKeywordsTest, RejectsInvalidInput) {
   const ObjectStore store = MakeStore(100, 1);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {}).ok());
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {999999}).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {}).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {999999}).ok());
   KeywordAdaptOptions opts;
   opts.lambda = -0.1;
-  EXPECT_FALSE(AdaptKeywords(store, tree, q, {1}, opts).ok());
+  EXPECT_FALSE(AdaptKeywords(oracle, q, {1}, opts).ok());
 }
 
 TEST(AdaptKeywordsTest, AlreadyInResult) {
   const ObjectStore store = MakeStore(300, 2);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
   q.k = 10;
   const TopKResult top = TopKScan(store, q);
-  auto result = AdaptKeywords(store, tree, q, {top[0].id});
+  auto result = AdaptKeywords(oracle, q, {top[0].id});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->already_in_result);
   EXPECT_DOUBLE_EQ(result->penalty.value, 0.0);
@@ -107,15 +107,14 @@ TEST(AdaptKeywordsTest, AlreadyInResult) {
 
 TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
   const ObjectStore store = MakeStore(800, 3);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.4};
   q.doc = KeywordSet({0, 1});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->already_in_result);
 
@@ -132,8 +131,7 @@ TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
 
 TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
   const ObjectStore store = MakeStore(400, 4);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
     Query q;
@@ -144,7 +142,7 @@ TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
     if (missing.empty()) continue;
     KeywordAdaptOptions opts;
     opts.lambda = lambda;
-    auto result = AdaptKeywords(store, tree, q, missing, opts);
+    auto result = AdaptKeywords(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->penalty.value, lambda + 1e-12);
   }
@@ -153,8 +151,7 @@ TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
 TEST(AdaptKeywordsTest, LambdaZeroKeepsDoc) {
   // λ=0: editing doc is pure cost; keep doc, k'=R0, penalty 0.
   const ObjectStore store = MakeStore(300, 5);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.6, 0.6};
   q.doc = KeywordSet({0, 2});
@@ -163,7 +160,7 @@ TEST(AdaptKeywordsTest, LambdaZeroKeepsDoc) {
   ASSERT_FALSE(missing.empty());
   KeywordAdaptOptions opts;
   opts.lambda = 0.0;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->refined.doc, q.doc);
   EXPECT_EQ(result->refined.k, result->original_rank);
@@ -175,8 +172,7 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   // the best achievable rank through keyword edits alone, never settling for
   // the pure-k fallback if any candidate improves the rank.
   const ObjectStore store = MakeStore(300, 9);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1});
@@ -188,7 +184,7 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   // The unbounded λ=1 candidate space is the whole power set; cap the edit
   // distance to keep the audit exhaustive-checkable.
   opts.max_edit_distance = 2;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
   // No candidate within the same edit budget achieves a better rank: the
@@ -217,8 +213,7 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
       store.Add(Point{0, 0}, KeywordSet({t[0], t[4]}), "m");
   store.Add(Point{0, 0}, KeywordSet({t[2]}), "rival");
   store.Add(Point{1, 1}, KeywordSet({t[1], t[3]}), "far");
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0, 0};
   q.doc = KeywordSet({t[0], t[2]});
@@ -232,7 +227,7 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
       KeywordAdaptOptions opts;
       opts.mode = mode;
       opts.probe_batch_size = chunk;
-      auto got = AdaptKeywords(store, tree, q, {missing}, opts);
+      auto got = AdaptKeywords(oracle, q, {missing}, opts);
       ASSERT_TRUE(got.ok());
       reference::ExpectKeywordAnswer(
           *got, want,
@@ -242,15 +237,14 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
   }
 }
 
-// Basic and bound-and-prune must return identical refinements.
+// Basic and the mask columns must return identical refinements.
 class KwModesAgree
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
 TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(250, seed);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(seed * 7 + 1);
   for (int trial = 0; trial < 3; ++trial) {
     Query q;
@@ -267,8 +261,8 @@ TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
     pruned.lambda = lambda;
     pruned.mode = KwAdaptMode::kBoundAndPrune;
 
-    auto rb = AdaptKeywords(store, tree, q, missing, basic);
-    auto rp = AdaptKeywords(store, tree, q, missing, pruned);
+    auto rb = AdaptKeywords(oracle, q, missing, basic);
+    auto rp = AdaptKeywords(oracle, q, missing, pruned);
     ASSERT_TRUE(rb.ok());
     ASSERT_TRUE(rp.ok());
     EXPECT_EQ(rb->already_in_result, rp->already_in_result);
@@ -286,21 +280,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.3, 0.5, 0.7),
                        ::testing::Values(1u, 2u)));
 
-// Every chunking of the level-synchronous search, in both modes, must
-// return exactly the refinement the index-free reference finds by
-// enumerating every keyword subset — the strict-cut argument makes the
-// winner independent of how candidates are chunked — while issuing exactly
-// one refine fan-out per refinement level (the remote round-trip gate).
-// Chunks of one and two candidates exercise the per-candidate floor cut
-// between flushes, where a non-strict cut would drop exact ties.
+// Every chunking of the search, in both modes, must return exactly the
+// refinement the index-free reference finds by enumerating every keyword
+// subset — the strict-cut argument makes the winner independent of how
+// candidates are chunked — while the work counters keep their meaning:
+// one rank fan-out per chunk, reading the dataset once per fan-out (mask
+// columns) or once per (candidate, missing object) spec (basic). Chunks of
+// one and two candidates exercise the per-candidate floor cut between
+// flushes, where a non-strict cut would drop exact ties.
 class KwReferenceAgrees
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
 TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(250, seed);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 3; ++trial) {
     Query q;
@@ -320,7 +314,7 @@ TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
         opts.lambda = lambda;
         opts.mode = mode;
         opts.probe_batch_size = chunk;
-        auto got = AdaptKeywords(store, tree, q, missing, opts);
+        auto got = AdaptKeywords(oracle, q, missing, opts);
         ASSERT_TRUE(got.ok());
         const std::string label =
             "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
@@ -328,9 +322,18 @@ TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
             std::to_string(static_cast<int>(mode)) +
             " chunk=" + std::to_string(chunk);
         reference::ExpectKeywordAnswer(*got, want, label);
-        // The round-trip shape: one fan-out per refinement level.
-        EXPECT_EQ(got->stats.probe_fanouts, got->stats.refine_levels)
-            << label;
+        const KeywordAdaptStats& st = got->stats;
+        if (mode == KwAdaptMode::kBoundAndPrune) {
+          EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size())
+              << label;
+        } else {
+          // R(M, q) plus every resolved candidate, one scan per spec.
+          EXPECT_EQ(st.objects_scored,
+                    (st.candidates_resolved + 1) * m_count * store.size())
+              << label;
+        }
+        EXPECT_EQ(st.refine_levels, 0u) << label;
+        EXPECT_EQ(st.candidates_pruned_bounds, 0u) << label;
       }
     }
   }
@@ -344,28 +347,116 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AdaptKeywordsTest, PruningStatsShowWork) {
   const ObjectStore store = MakeStore(600, 6);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.3, 0.7};
   q.doc = KeywordSet({0, 1, 2});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.candidates_generated, 0u);
-  EXPECT_GT(result->stats.kcr_nodes_expanded, 0u);
-  // Pruning should discard at least one candidate without exact resolution.
-  EXPECT_GT(result->stats.candidates_pruned_bounds +
-                result->stats.candidates_pruned_floor,
-            0u);
+  const KeywordAdaptStats& st = result->stats;
+  EXPECT_GT(st.candidates_generated, 0u);
+  // Every generated candidate is either cut by the floor or ranked exactly.
+  EXPECT_EQ(st.candidates_generated,
+            st.candidates_pruned_floor + st.candidates_resolved);
+  EXPECT_GT(st.probe_fanouts, 0u);
+  EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size());
+  // The KcR-era counters stay 0.
+  EXPECT_EQ(st.kcr_nodes_expanded, 0u);
+  EXPECT_EQ(st.refine_levels, 0u);
+  EXPECT_EQ(st.candidates_pruned_bounds, 0u);
+}
+
+/// A store whose one "missing" object carries `extra` keywords beyond the
+/// query's, so |q.doc ∪ M.doc| = extra + 1, behind a crowd that outranks it.
+struct WideUniverse {
+  ObjectStore store;
+  Query query;
+  ObjectId missing = kInvalidObject;
+
+  explicit WideUniverse(size_t extra) {
+    std::vector<TermId> terms;
+    for (size_t i = 0; i <= extra; ++i) {
+      terms.push_back(store.mutable_vocab()->Intern("w" + std::to_string(i)));
+    }
+    for (int i = 0; i < 20; ++i) {
+      store.Add(Point{0.01 * i, 0.0}, KeywordSet({terms[0]}), "crowd");
+    }
+    missing = store.Add(Point{1, 1}, KeywordSet(terms), "missing");
+    query.loc = Point{0, 0};
+    query.doc = KeywordSet({terms[0]});
+    query.k = 3;
+  }
+};
+
+TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
+  const WideUniverse wide(kMaxKeywordUniverse - 1);
+  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  // Too wide for the reference's subset enumeration: the two kernels must
+  // agree, and the ranks must be the scan reference's.
+  KeywordAdaptOptions opts;
+  opts.max_edit_distance = 1;  // 63 candidates, one per high mask bit.
+  opts.mode = KwAdaptMode::kBoundAndPrune;
+  auto columns = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
+  ASSERT_TRUE(columns.ok()) << columns.status().ToString();
+  opts.mode = KwAdaptMode::kBasic;
+  auto basic = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
+  ASSERT_TRUE(basic.ok()) << basic.status().ToString();
+  EXPECT_EQ(columns->stats.candidates_resolved, kMaxKeywordUniverse - 1);
+  EXPECT_EQ(columns->refined.doc.ids(), basic->refined.doc.ids());
+  EXPECT_EQ(columns->refined.k, basic->refined.k);
+  EXPECT_EQ(columns->penalty.value, basic->penalty.value);
+  EXPECT_EQ(columns->original_rank,
+            reference::RankOfSet(wide.store, wide.query, {wide.missing}));
+  EXPECT_EQ(columns->refined_rank,
+            reference::RankOfSet(wide.store, columns->refined,
+                                 {wide.missing}));
+}
+
+TEST(AdaptKeywordsTest, KeywordUniverseOverCapIsInvalidArgument) {
+  const WideUniverse wide(kMaxKeywordUniverse);
+  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  auto got = AdaptKeywords(oracle, wide.query, {wide.missing});
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
+  // kMaxProbeSpecs + 1 identical objects: every one of the first
+  // kMaxProbeSpecs is "missing" from a top-1, and no candidate exists (U is
+  // the query's one keyword), so only R(M, q) is ranked — one fan-out of
+  // exactly kMaxProbeSpecs specs.
+  ObjectStore store;
+  const TermId a = store.mutable_vocab()->Intern("a");
+  std::vector<ObjectId> missing;
+  for (size_t i = 0; i <= kMaxProbeSpecs; ++i) {
+    missing.push_back(store.Add(Point{0.5, 0.5}, KeywordSet({a}), "clone"));
+  }
+  store.Add(Point{0, 0}, KeywordSet({a}), "corner");
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  Query q;
+  q.loc = Point{0.5, 0.5};
+  q.doc = KeywordSet({a});
+  q.k = 1;
+
+  const std::vector<ObjectId> at_cap(missing.begin(), missing.end() - 1);
+  auto got = AdaptKeywords(oracle, q, at_cap);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  // Clones tie; the D6 order ranks the highest id last.
+  EXPECT_EQ(got->original_rank, kMaxProbeSpecs);
+  EXPECT_EQ(got->refined.k, kMaxProbeSpecs);
+  EXPECT_EQ(got->stats.probe_fanouts, 1u);
+
+  auto over = AdaptKeywords(oracle, q, missing);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
   const ObjectStore store = MakeStore(300, 7);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
@@ -374,7 +465,7 @@ TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
   ASSERT_FALSE(missing.empty());
   KeywordAdaptOptions opts;
   opts.max_edit_distance = 1;
-  auto result = AdaptKeywords(store, tree, q, missing, opts);
+  auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->penalty.delta_doc, 1u);
 }
@@ -392,8 +483,7 @@ TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
   spec.min_keywords = 2;
   spec.max_keywords = 4;
   const ObjectStore store = GenerateDataset(spec);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(GetParam() ^ 0xF00D);
 
   for (int trial = 0; trial < 3; ++trial) {
@@ -407,7 +497,7 @@ TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
     const double lambda = 0.5;
     KeywordAdaptOptions opts;
     opts.lambda = lambda;
-    auto result = AdaptKeywords(store, tree, q, missing, opts);
+    auto result = AdaptKeywords(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     reference::ExpectKeywordAnswer(
         *result, reference::SolveKeywords(store, q, missing, lambda),
@@ -421,15 +511,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KwOptimalityAudit,
 
 TEST(AdaptKeywordsTest, RefinedDocOnlyUsesAllowedKeywords) {
   const ObjectStore store = MakeStore(400, 8);
-  KcRTree tree(&store);
-  tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.2, 0.2};
   q.doc = KeywordSet({0, 1});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 2);
   ASSERT_EQ(missing.size(), 2u);
-  auto result = AdaptKeywords(store, tree, q, missing);
+  auto result = AdaptKeywords(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   KeywordSet m_doc;
   for (ObjectId m : missing) {

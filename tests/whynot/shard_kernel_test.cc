@@ -1,11 +1,14 @@
-// Property tests of the shard-side decode-and-count kernel (OutrankKernel)
-// and the level-synchronous ShardRankRefiner::RefineLevel built on it.
+// Property tests of the shard-side counting kernels: the scan kernel
+// (OutrankKernel behind ShardScanOutscoring) and the keyword-mask columns
+// (ShardColumnOutscoring).
 //
 // The reference is an independent full scan: Scorer::Score over
-// store.objects() with the D6 tie order written out here, and no index code.
-// Every refinement level must bracket that count, a fully refined batch must
-// equal it, a batch must refine exactly like its members refined one at a
-// time, and every kernel score must be bit-for-bit Scorer::Score.
+// store.objects() with the D6 tie order written out here, and no kernel
+// code. Both kernels must equal it exactly, on random and tie-heavy data,
+// for targets inside a tie run and targets the shard does not hold, for
+// objects sharing no keyword with the batch, at the 64-keyword universe
+// cap, with two query shapes in one batch, and over sharded id mappings;
+// every scan-kernel score must be bit-for-bit Scorer::Score.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -13,7 +16,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,9 +45,10 @@ ObjectStore RandomStore(size_t n, size_t vocabulary, uint64_t seed) {
   return GenerateDataset(spec);
 }
 
-/// Few locations and few keywords: most scores tie exactly, so the D6 id
-/// tie-break decides a large share of every count.
-ObjectStore TieHeavyStore(size_t n, uint64_t seed) {
+/// Objects on `grid` evenly spaced points of the x axis, each with a random
+/// subset of four keywords: seen from the origin, ws·(1 − SDist) takes at
+/// most `grid` values, so scores tie exactly across many ids.
+ObjectStore GridStore(size_t n, size_t grid, uint64_t seed) {
   ObjectStore store;
   std::vector<TermId> terms;
   for (int t = 0; t < 4; ++t) {
@@ -53,8 +56,9 @@ ObjectStore TieHeavyStore(size_t n, uint64_t seed) {
   }
   Rng rng(seed);
   for (size_t i = 0; i < n; ++i) {
-    const Point loc{0.25 * static_cast<double>(rng.NextBounded(4)),
-                    0.25 * static_cast<double>(rng.NextBounded(4))};
+    const Point loc{static_cast<double>(rng.NextBounded(grid)) /
+                        static_cast<double>(grid),
+                    0.0};
     std::vector<TermId> doc;
     for (TermId t : terms) {
       if (rng.NextBernoulli(0.4)) doc.push_back(t);
@@ -74,23 +78,27 @@ KeywordSet RandomDoc(size_t size, size_t vocabulary, Rng* rng) {
   return KeywordSet(std::move(ids));
 }
 
-/// Members sharing one location and weight (a keyword-adaption batch) or,
-/// with `mixed_shapes`, each with its own; targets drawn from `whole`, plus
-/// every fifth target an id outside the dataset altogether.
+/// Members sharing one location and weight (a keyword-adaption batch), or
+/// spread over `shapes` distinct (location, weight) pairs; targets drawn
+/// from `whole`, plus every fifth target an id outside the dataset.
+/// `origin` pins the shared location to (0, 0).
 std::vector<Member> RandomMembers(const ObjectStore& whole, double dist_norm,
                                   size_t count, size_t doc_size,
-                                  size_t vocabulary, bool mixed_shapes,
-                                  uint64_t seed) {
+                                  size_t vocabulary, size_t shapes,
+                                  uint64_t seed, bool origin = false) {
   Rng rng(seed);
-  const Point shared_loc{rng.NextDouble(), rng.NextDouble()};
-  const double shared_ws = rng.NextDouble(0.1, 0.9);
+  std::vector<std::pair<Point, double>> shape_list;
+  for (size_t s = 0; s < shapes; ++s) {
+    shape_list.emplace_back(origin ? Point{0.0, 0.0}
+                                   : Point{rng.NextDouble(), rng.NextDouble()},
+                            rng.NextDouble(0.1, 0.9));
+  }
   std::vector<Member> members(count);
   for (size_t i = 0; i < count; ++i) {
     Member& m = members[i];
-    m.query.loc =
-        mixed_shapes ? Point{rng.NextDouble(), rng.NextDouble()} : shared_loc;
-    m.query.w = Weights::FromWs(mixed_shapes ? rng.NextDouble(0.1, 0.9)
-                                             : shared_ws);
+    const auto& [loc, ws] = shape_list[i % shapes];
+    m.query.loc = loc;
+    m.query.w = Weights::FromWs(ws);
     m.query.doc = RandomDoc(1 + rng.NextBounded(doc_size), vocabulary, &rng);
     if (i % 5 == 4) {
       m.target = static_cast<ObjectId>(whole.size() + i);
@@ -121,73 +129,39 @@ size_t ScanCount(const ObjectStore& store,
   return above;
 }
 
-/// Refiners for `members` over one view, with their scorers. The scorers
-/// point into `members`, which must outlive the set.
-struct RefinerSet {
-  std::vector<std::unique_ptr<Scorer>> scorers;
-  std::vector<std::unique_ptr<ShardRankRefiner>> refiners;
-  KeywordAdaptStats stats;
-
-  RefinerSet(const OracleShardView& view, double dist_norm,
-             const std::vector<Member>& members) {
-    for (const Member& m : members) {
-      scorers.push_back(
-          std::make_unique<Scorer>(*view.store, m.query, dist_norm));
-      refiners.push_back(std::make_unique<ShardRankRefiner>(
-          view, *scorers.back(), m.target, m.target_score, &stats));
-    }
-  }
-
-  std::vector<ShardRankRefiner*> All() const {
-    std::vector<ShardRankRefiner*> out;
-    for (const auto& r : refiners) out.push_back(r.get());
-    return out;
-  }
-
-  bool AllResolved() const {
-    for (const auto& r : refiners) {
-      if (!r->resolved()) return false;
-    }
-    return true;
-  }
-};
-
-/// Refines the whole batch level by level; every interval must bracket the
-/// scan count at every level and collapse onto it at the end. Returns the
-/// final counts.
-std::vector<size_t> RefineAndCheck(const OracleShardView& view,
-                                   double dist_norm,
-                                   const std::vector<Member>& members,
-                                   const std::string& label) {
-  RefinerSet set(view, dist_norm, members);
-  std::vector<size_t> expected;
+std::vector<ScanTarget> TargetsOf(const std::vector<Member>& members) {
+  std::vector<ScanTarget> targets;
   for (const Member& m : members) {
-    expected.push_back(ScanCount(*view.store, view.to_global, dist_norm, m));
+    targets.push_back(ScanTarget{&m.query, m.target_score, m.target});
   }
-  for (int level = 0; level < 64; ++level) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      EXPECT_LE(set.refiners[i]->count_lower(), expected[i])
-          << label << " member " << i << " level " << level;
-      EXPECT_GE(set.refiners[i]->count_upper(), expected[i])
-          << label << " member " << i << " level " << level;
-    }
-    if (set.AllResolved()) break;
-    ShardRankRefiner::RefineLevel(set.All());
-  }
-  EXPECT_TRUE(set.AllResolved()) << label;
-  std::vector<size_t> counts;
-  for (size_t i = 0; i < members.size(); ++i) {
-    EXPECT_EQ(set.refiners[i]->count_lower(), expected[i])
-        << label << " member " << i;
-    EXPECT_EQ(set.refiners[i]->count_upper(), expected[i])
-        << label << " member " << i;
-    counts.push_back(set.refiners[i]->count_lower());
-  }
-  return counts;
+  return targets;
 }
 
-/// Every kernel score of every decoded object (as a scan slice and as
-/// leaves) is bit-for-bit Scorer::Score.
+/// The column counts, the scan counts and the reference must agree exactly
+/// for every member. Returns the counts.
+std::vector<size_t> ExpectKernelsMatch(const OracleShardView& view,
+                                       double dist_norm,
+                                       const std::vector<Member>& members,
+                                       const std::string& label) {
+  const std::vector<ScanTarget> targets = TargetsOf(members);
+  EXPECT_LE(KeywordUniverse(targets).size(), kMaxKeywordUniverse) << label;
+  const std::vector<size_t> columns =
+      ShardColumnOutscoring(view, dist_norm, targets);
+  const std::vector<size_t> scan =
+      ShardScanOutscoring(view, dist_norm, targets);
+  EXPECT_EQ(columns.size(), members.size()) << label;
+  EXPECT_EQ(scan.size(), members.size()) << label;
+  for (size_t i = 0; i < members.size() && i < columns.size(); ++i) {
+    const size_t want =
+        ScanCount(*view.store, view.to_global, dist_norm, members[i]);
+    EXPECT_EQ(columns[i], want) << label << " member " << i;
+    EXPECT_EQ(scan[i], want) << label << " member " << i;
+  }
+  return columns;
+}
+
+/// Every scan-kernel score of every decoded object is bit-for-bit
+/// Scorer::Score.
 void ExpectBitIdenticalScores(const OracleShardView& view, double dist_norm,
                               const std::vector<Member>& members,
                               const std::string& label) {
@@ -198,233 +172,235 @@ void ExpectBitIdenticalScores(const OracleShardView& view, double dist_norm,
   std::vector<const Scorer*> pointers;
   for (const Scorer& s : scorers) pointers.push_back(&s);
   OutrankKernel kernel(view, pointers);
-
-  auto check_decoded = [&](const std::vector<ObjectId>& locals) {
-    ASSERT_EQ(kernel.decoded(), locals.size());
-    for (size_t i = 0; i < locals.size(); ++i) {
-      const ObjectId gid = view.to_global != nullptr
-                               ? (*view.to_global)[locals[i]]
-                               : locals[i];
-      ASSERT_EQ(kernel.global_id(i), gid) << label;
-      for (size_t m = 0; m < members.size(); ++m) {
-        const double want = scorers[m].Score(locals[i]);
-        ASSERT_EQ(std::bit_cast<uint64_t>(kernel.Score(m, i)),
-                  std::bit_cast<uint64_t>(want))
-            << label << " member " << m << " object " << locals[i];
-      }
-    }
-  };
-
   const ObjectId n = static_cast<ObjectId>(view.store->size());
   kernel.DecodeRange(0, n);
-  std::vector<ObjectId> all(n);
-  for (ObjectId id = 0; id < n; ++id) all[id] = id;
-  check_decoded(all);
-
-  const KcRTree& tree = *view.kcr;
-  std::vector<KcRTree::NodeId> stack{tree.root()};
-  while (!stack.empty()) {
-    const KcRTree::Node& node = tree.node(stack.back());
-    stack.pop_back();
-    if (!node.is_leaf) {
-      for (const auto& e : node.entries) stack.push_back(e.id);
-      continue;
+  ASSERT_EQ(kernel.decoded(), n);
+  for (ObjectId local = 0; local < n; ++local) {
+    const ObjectId gid =
+        view.to_global != nullptr ? (*view.to_global)[local] : local;
+    ASSERT_EQ(kernel.global_id(local), gid) << label;
+    for (size_t m = 0; m < members.size(); ++m) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(kernel.Score(m, local)),
+                std::bit_cast<uint64_t>(scorers[m].Score(local)))
+          << label << " member " << m << " object " << local;
     }
-    kernel.DecodeLeaf(node);
-    std::vector<ObjectId> locals;
-    for (const auto& e : node.entries) locals.push_back(e.id);
-    check_decoded(locals);
   }
 }
 
-/// A store with its KcR-tree, viewed as an unsharded shard.
-struct Indexed {
-  explicit Indexed(ObjectStore s, RTreeOptions options = {})
-      : store(std::move(s)), tree(&store, options) {
-    tree.BulkLoad();
-    view = OracleShardView{&store, nullptr, &tree, nullptr};
+/// A store viewed as an unsharded shard.
+struct Unsharded {
+  explicit Unsharded(ObjectStore s) : store(std::move(s)) {
+    view = OracleShardView{&store, nullptr, nullptr};
     dist_norm = store.BoundsDiagonal();
   }
-  Indexed(const Indexed&) = delete;
-  Indexed& operator=(const Indexed&) = delete;
+  Unsharded(const Unsharded&) = delete;
+  Unsharded& operator=(const Unsharded&) = delete;
 
   ObjectStore store;
-  KcRTree tree;
   OracleShardView view;
   double dist_norm = 0.0;
 };
 
-constexpr RTreeOptions kSmallFanout{/*max_entries=*/8, /*min_entries=*/3};
-
 TEST(ShardKernelTest, RandomCorpusMatchesScan) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    const Indexed idx(RandomStore(3000, 60, seed), kSmallFanout);
-    const auto members = RandomMembers(idx.store, idx.dist_norm, 40, 4, 60,
-                                       /*mixed_shapes=*/false, seed * 7);
-    RefineAndCheck(idx.view, idx.dist_norm, members,
-                   "random seed " + std::to_string(seed));
-    ExpectBitIdenticalScores(idx.view, idx.dist_norm, members,
-                             "random seed " + std::to_string(seed));
+    const Unsharded u(RandomStore(3000, 60, seed));
+    const auto members = RandomMembers(u.store, u.dist_norm, 40, 4, 60,
+                                       /*shapes=*/1, seed * 7);
+    const std::string label = "random seed " + std::to_string(seed);
+    ExpectKernelsMatch(u.view, u.dist_norm, members, label);
+    ExpectBitIdenticalScores(u.view, u.dist_norm, members, label);
   }
 }
 
-TEST(ShardKernelTest, TieHeavyCorpusMatchesScan) {
-  for (uint64_t seed : {11u, 12u}) {
-    const Indexed idx(TieHeavyStore(2000, seed), kSmallFanout);
-    const auto members = RandomMembers(idx.store, idx.dist_norm, 30, 3, 4,
-                                       /*mixed_shapes=*/false, seed);
-    RefineAndCheck(idx.view, idx.dist_norm, members,
-                   "ties seed " + std::to_string(seed));
-    ExpectBitIdenticalScores(idx.view, idx.dist_norm, members,
-                             "ties seed " + std::to_string(seed));
+TEST(ShardKernelTest, TieHeavyGridsMatchScan) {
+  // x on a 16- and a 256-value grid: each (mask, |doc|) group repeats every
+  // x value many times, so equal scores across ids decide most counts.
+  for (const size_t grid : {size_t{16}, size_t{256}}) {
+    const Unsharded u(GridStore(3000, grid, grid));
+    const auto members = RandomMembers(u.store, u.dist_norm, 40, 3, 4,
+                                       /*shapes=*/1, grid + 1,
+                                       /*origin=*/true);
+    const std::string label = "grid " + std::to_string(grid);
+    ExpectKernelsMatch(u.view, u.dist_norm, members, label);
+    ExpectBitIdenticalScores(u.view, u.dist_norm, members, label);
   }
 }
 
-TEST(ShardKernelTest, KeywordUnionWiderThanOneMaskWord) {
-  const Indexed idx(RandomStore(2500, 300, 21), kSmallFanout);
-  const auto members = RandomMembers(idx.store, idx.dist_norm, 24, 30, 300,
-                                     /*mixed_shapes=*/false, 22);
-  std::vector<TermId> terms;
+TEST(ShardKernelTest, TargetInsideATieRun) {
+  const Unsharded u(GridStore(2000, 16, 5));
+  Query q;
+  q.loc = Point{0.0, 0.0};
+  q.w = Weights::FromWs(0.5);
+  q.doc = KeywordSet({0, 1});
+  const Scorer scorer(u.store, q, u.dist_norm);
+  std::vector<Member> members;
+  for (ObjectId id = 0; id < u.store.size(); id += 97) {
+    members.push_back(Member{q, id, scorer.Score(id)});
+  }
+  // The chosen targets really sit inside runs of equal scores, with tied
+  // objects on both sides of their ids.
+  size_t inside = 0;
   for (const Member& m : members) {
-    terms.insert(terms.end(), m.query.doc.begin(), m.query.doc.end());
+    size_t below = 0;
+    size_t above = 0;
+    for (ObjectId id = 0; id < u.store.size(); ++id) {
+      if (scorer.Score(id) != m.target_score || id == m.target) continue;
+      (id < m.target ? below : above) += 1;
+    }
+    if (below > 0 && above > 0) ++inside;
   }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  ASSERT_GT(terms.size(), 128u);  // Three mask words or more.
-  RefineAndCheck(idx.view, idx.dist_norm, members, "wide union");
-  ExpectBitIdenticalScores(idx.view, idx.dist_norm, members, "wide union");
+  ASSERT_GT(inside, members.size() / 2);
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "tie run");
+
+  // A target given a threshold below its own score (it would outrank
+  // itself) and one given exactly the score of a tie run it is not in.
+  std::vector<Member> shifted = members;
+  for (Member& m : shifted) m.target_score -= 0.01;
+  ExpectKernelsMatch(u.view, u.dist_norm, shifted, "target above threshold");
 }
 
-TEST(ShardKernelTest, MembersWithDifferentLocationsAndWeights) {
-  const Indexed idx(RandomStore(3000, 40, 31), kSmallFanout);
-  const auto members = RandomMembers(idx.store, idx.dist_norm, 32, 4, 40,
-                                     /*mixed_shapes=*/true, 32);
-  RefineAndCheck(idx.view, idx.dist_norm, members, "mixed shapes");
-  ExpectBitIdenticalScores(idx.view, idx.dist_norm, members, "mixed shapes");
+TEST(ShardKernelTest, TargetAbsentFromTheShard) {
+  const Unsharded u(GridStore(2000, 16, 6));
+  Query q;
+  q.loc = Point{0.0, 0.0};
+  q.w = Weights::FromWs(0.4);
+  q.doc = KeywordSet({1, 2});
+  const Scorer scorer(u.store, q, u.dist_norm);
+  const ObjectId n = static_cast<ObjectId>(u.store.size());
+  std::vector<Member> members;
+  // Absent ids above and (for a shard) between the shard's ids, with the
+  // scores of real objects so the id tie-break decides inside the run.
+  for (ObjectId id = 0; id < n; id += 131) {
+    members.push_back(Member{q, n + id, scorer.Score(id)});
+    members.push_back(Member{q, kInvalidObject - 1, scorer.Score(id)});
+  }
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "absent target");
+}
+
+TEST(ShardKernelTest, ObjectsSharingNoKeywordWithTheBatch) {
+  // Half the objects carry only keywords outside every member's query
+  // (mask 0), some carry none at all (|o.doc| = 0).
+  ObjectStore store;
+  std::vector<TermId> terms;
+  for (int t = 0; t < 12; ++t) {
+    terms.push_back(store.mutable_vocab()->Intern("k" + std::to_string(t)));
+  }
+  Rng rng(81);
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<TermId> doc;
+    const size_t from = i % 2 == 0 ? 6 : 0;  // Even ids: outside keywords.
+    for (size_t t = from; t < from + 6; ++t) {
+      if (i % 7 != 0 && rng.NextBernoulli(0.3)) doc.push_back(terms[t]);
+    }
+    store.Add(Point{rng.NextDouble(), rng.NextDouble()},
+              KeywordSet(std::move(doc)));
+  }
+  const Unsharded u(std::move(store));
+  const auto members = RandomMembers(u.store, u.dist_norm, 30, 3, 6,
+                                     /*shapes=*/1, 82);
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "mask 0");
+}
+
+TEST(ShardKernelTest, UniverseOfSixtyFourKeywords) {
+  const Unsharded u(RandomStore(3000, 80, 91));
+  auto members = RandomMembers(u.store, u.dist_norm, 32, 4, 80,
+                               /*shapes=*/1, 92);
+  // Widen the first members' documents until the union is exactly the cap.
+  std::vector<TermId> universe = KeywordUniverse(TargetsOf(members));
+  for (TermId t = 0; universe.size() < kMaxKeywordUniverse; ++t) {
+    if (std::find(universe.begin(), universe.end(), t) != universe.end()) {
+      continue;
+    }
+    members[universe.size() % members.size()].query.doc.Insert(t);
+    universe = KeywordUniverse(TargetsOf(members));
+  }
+  while (universe.size() > kMaxKeywordUniverse) {
+    for (Member& m : members) {
+      if (m.query.doc.size() > 1) {
+        m.query.doc.Erase(m.query.doc.ids().back());
+        break;
+      }
+    }
+    universe = KeywordUniverse(TargetsOf(members));
+  }
+  ASSERT_EQ(universe.size(), kMaxKeywordUniverse);
+  for (Member& m : members) {
+    if (m.target < u.store.size()) {
+      m.target_score =
+          Scorer(u.store, m.query, u.dist_norm).Score(m.target);
+    }
+  }
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "64 keywords");
+}
+
+TEST(ShardKernelTest, TwoShapesInOneBatch) {
+  const Unsharded u(RandomStore(3000, 40, 31));
+  const auto members = RandomMembers(u.store, u.dist_norm, 32, 4, 40,
+                                     /*shapes=*/2, 32);
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "two shapes");
+  ExpectBitIdenticalScores(u.view, u.dist_norm, members, "two shapes");
 }
 
 TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
   const ObjectStore whole = RandomStore(4000, 50, 41);
-  CorpusOptions options;
-  options.rtree = kSmallFanout;
-  const ShardedCorpus sharded =
-      ShardedCorpus::Partition(whole, GridShardRouter::Fit(whole, 3), options);
-  const double dist_norm = sharded.dist_norm();
-  const auto members = RandomMembers(whole, dist_norm, 30, 4, 50,
-                                     /*mixed_shapes=*/false, 42);
-  std::vector<size_t> summed(members.size(), 0);
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    const Corpus& shard = sharded.shard(s);
-    ASSERT_TRUE(shard.has_kcr());
-    const OracleShardView view{&shard.store(), &shard.setr(), &shard.kcr(),
-                               &sharded.shard_global_ids(s)};
-    // Each target lives in at most one shard: the other shards see it as
-    // an outside target.
-    const auto counts = RefineAndCheck(view, dist_norm, members,
-                                       "shard " + std::to_string(s));
-    for (size_t i = 0; i < members.size(); ++i) summed[i] += counts[i];
-    ExpectBitIdenticalScores(view, dist_norm, members,
-                             "shard " + std::to_string(s));
-
-    std::vector<ScanTarget> targets;
-    for (const Member& m : members) {
-      targets.push_back(ScanTarget{&m.query, m.target_score, m.target});
+  for (const bool hash : {false, true}) {
+    std::unique_ptr<ShardRouter> router;
+    if (hash) {
+      router = std::make_unique<HashShardRouter>(3);
+    } else {
+      router = GridShardRouter::Fit(whole, 3);
     }
-    EXPECT_EQ(ShardScanOutscoring(view, dist_norm, targets), counts)
-        << "shard " << s;
-  }
-  for (size_t i = 0; i < members.size(); ++i) {
-    EXPECT_EQ(summed[i], ScanCount(whole, nullptr, dist_norm, members[i]))
-        << "member " << i;
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(whole, std::move(router));
+    const double dist_norm = sharded.dist_norm();
+    const auto members = RandomMembers(whole, dist_norm, 30, 4, 50,
+                                       /*shapes=*/1, 42);
+    std::vector<size_t> summed(members.size(), 0);
+    for (size_t s = 0; s < sharded.num_shards(); ++s) {
+      const Corpus& shard = sharded.shard(s);
+      const OracleShardView view{&shard.store(), &shard.setr(),
+                                 &sharded.shard_global_ids(s)};
+      // Each target lives in at most one shard: the other shards see it as
+      // an absent target.
+      const std::string label = sharded.router_description() + " shard " +
+                                std::to_string(s);
+      const auto counts = ExpectKernelsMatch(view, dist_norm, members, label);
+      for (size_t i = 0; i < members.size(); ++i) summed[i] += counts[i];
+      ExpectBitIdenticalScores(view, dist_norm, members, label);
+    }
+    for (size_t i = 0; i < members.size(); ++i) {
+      EXPECT_EQ(summed[i], ScanCount(whole, nullptr, dist_norm, members[i]))
+          << "member " << i;
+    }
   }
 }
 
-TEST(ShardKernelTest, ScanCountsMatchTheReference) {
-  const Indexed idx(TieHeavyStore(1500, 51));
-  const auto members = RandomMembers(idx.store, idx.dist_norm, 20, 3, 4,
-                                     /*mixed_shapes=*/true, 52);
-  std::vector<ScanTarget> targets;
-  for (const Member& m : members) {
-    targets.push_back(ScanTarget{&m.query, m.target_score, m.target});
-  }
+TEST(ShardKernelTest, ScanKernelHandlesUnionsWiderThanOneMaskWord) {
+  // The scan kernel (basic mode) has no universe cap: several mask words.
+  const Unsharded u(RandomStore(2500, 300, 21));
+  const auto members = RandomMembers(u.store, u.dist_norm, 24, 30, 300,
+                                     /*shapes=*/1, 22);
+  const std::vector<ScanTarget> targets = TargetsOf(members);
+  ASSERT_GT(KeywordUniverse(targets).size(), 128u);
   const std::vector<size_t> counts =
-      ShardScanOutscoring(idx.view, idx.dist_norm, targets);
-  ASSERT_EQ(counts.size(), members.size());
+      ShardScanOutscoring(u.view, u.dist_norm, targets);
   for (size_t i = 0; i < members.size(); ++i) {
     EXPECT_EQ(counts[i],
-              ScanCount(idx.store, nullptr, idx.dist_norm, members[i]))
+              ScanCount(u.store, nullptr, u.dist_norm, members[i]))
         << "member " << i;
   }
+  ExpectBitIdenticalScores(u.view, u.dist_norm, members, "wide union");
 }
 
-TEST(ShardKernelTest, BatchRefinesLikeEachMemberAlone) {
-  const Indexed idx(RandomStore(3000, 30, 61), kSmallFanout);
-  const auto members = RandomMembers(idx.store, idx.dist_norm, 25, 4, 30,
-                                     /*mixed_shapes=*/true, 62);
-  RefinerSet batch(idx.view, idx.dist_norm, members);
-  // One single-member set per member (the sets keep pointers into these).
-  std::vector<std::vector<Member>> singles;
-  for (const Member& m : members) singles.push_back({m});
-  std::vector<std::unique_ptr<RefinerSet>> solo;
-  for (const auto& single : singles) {
-    solo.push_back(
-        std::make_unique<RefinerSet>(idx.view, idx.dist_norm, single));
-  }
-  Rng rng(63);
-  for (int level = 0; level < 64 && !batch.AllResolved(); ++level) {
-    // A random subset per level, as the keyword search lists only the
-    // members of live candidates.
-    std::vector<ShardRankRefiner*> listed;
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (rng.NextBernoulli(0.7)) {
-        listed.push_back(batch.refiners[i].get());
-        ShardRankRefiner::RefineLevel(solo[i]->All());
-      }
-    }
-    ShardRankRefiner::RefineLevel(listed);
-    KeywordAdaptStats solo_stats;
-    for (size_t i = 0; i < members.size(); ++i) {
-      const ShardRankRefiner& b = *batch.refiners[i];
-      const ShardRankRefiner& a = *solo[i]->refiners[0];
-      EXPECT_EQ(b.count_lower(), a.count_lower()) << "member " << i;
-      EXPECT_EQ(b.count_upper(), a.count_upper()) << "member " << i;
-      EXPECT_EQ(b.resolved(), a.resolved()) << "member " << i;
-      solo_stats.kcr_nodes_expanded += solo[i]->stats.kcr_nodes_expanded;
-      solo_stats.objects_scored += solo[i]->stats.objects_scored;
-    }
-    EXPECT_EQ(batch.stats.kcr_nodes_expanded, solo_stats.kcr_nodes_expanded);
-    EXPECT_EQ(batch.stats.objects_scored, solo_stats.objects_scored);
-  }
-  EXPECT_TRUE(batch.AllResolved());
-}
-
-TEST(ShardKernelTest, RepeatedRefinerIsRefinedOnce) {
-  const Indexed idx(RandomStore(3000, 30, 71), kSmallFanout);
-  const auto members = RandomMembers(idx.store, idx.dist_norm, 12, 4, 30,
-                                     /*mixed_shapes=*/true, 72);
-  RefinerSet repeated(idx.view, idx.dist_norm, members);
-  RefinerSet distinct(idx.view, idx.dist_norm, members);
-  for (int level = 0; level < 64 && !distinct.AllResolved(); ++level) {
-    // Every refiner listed twice, the repeats both adjacent and apart.
-    std::vector<ShardRankRefiner*> listed = repeated.All();
-    const std::vector<ShardRankRefiner*> again = repeated.All();
-    listed.insert(listed.end(), again.rbegin(), again.rend());
-    ShardRankRefiner* const first = listed.front();
-    listed.insert(listed.begin() + 1, first);
-    ShardRankRefiner::RefineLevel(listed);
-    ShardRankRefiner::RefineLevel(distinct.All());
-    for (size_t i = 0; i < members.size(); ++i) {
-      const ShardRankRefiner& r = *repeated.refiners[i];
-      const ShardRankRefiner& d = *distinct.refiners[i];
-      EXPECT_EQ(r.count_lower(), d.count_lower()) << "member " << i;
-      EXPECT_EQ(r.count_upper(), d.count_upper()) << "member " << i;
-      EXPECT_EQ(r.resolved(), d.resolved()) << "member " << i;
-    }
-    EXPECT_EQ(repeated.stats.kcr_nodes_expanded,
-              distinct.stats.kcr_nodes_expanded);
-    EXPECT_EQ(repeated.stats.objects_scored, distinct.stats.objects_scored);
-  }
-  EXPECT_TRUE(repeated.AllResolved());
+TEST(ShardKernelTest, EmptyBatchAndEmptyShard) {
+  const Unsharded u(RandomStore(100, 10, 7));
+  EXPECT_TRUE(ShardColumnOutscoring(u.view, u.dist_norm, {}).empty());
+  const Unsharded empty{ObjectStore()};
+  const auto members = RandomMembers(u.store, u.dist_norm, 5, 2, 10,
+                                     /*shapes=*/1, 8);
+  EXPECT_EQ(ShardColumnOutscoring(empty.view, u.dist_norm,
+                                  TargetsOf(members)),
+            std::vector<size_t>(members.size(), 0));
 }
 
 }  // namespace

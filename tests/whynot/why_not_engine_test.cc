@@ -187,10 +187,11 @@ TEST_F(WhyNotEngineTest, CombinedPicksTheCheaperOrder) {
   KeywordAdaptOptions ko;
   auto pref_a = AdjustPreference(*store_, q, {expected}, po);
   ASSERT_TRUE(pref_a.ok());
-  auto kw_a = AdaptKeywords(*store_, corpus_->kcr(), pref_a->refined, {expected}, ko);
+  const LocalWhyNotOracle oracle(*corpus_);
+  auto kw_a = AdaptKeywords(oracle, pref_a->refined, {expected}, ko);
   ASSERT_TRUE(kw_a.ok());
   const double total_a = pref_a->penalty.value + kw_a->penalty.value;
-  auto kw_b = AdaptKeywords(*store_, corpus_->kcr(), q, {expected}, ko);
+  auto kw_b = AdaptKeywords(oracle, q, {expected}, ko);
   ASSERT_TRUE(kw_b.ok());
   auto pref_b = AdjustPreference(*store_, kw_b->refined, {expected}, po);
   ASSERT_TRUE(pref_b.ok());
