@@ -85,8 +85,9 @@ inline constexpr char kPlaneCrossingsPath[] = "/shard/plane/crossings";
 inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
 /// v4+. Request: varu64 N ≤ kMaxProbeSpecs, then N × (query, u32 global
 /// target id, raw-F64 finite target score); every query must pass
-/// Query::Validate and their keywords' union must not exceed
-/// kMaxKeywordUniverse. Response: varu64 N + N u64 tie-aware counts of this
+/// Query::Validate, their keywords' union must not exceed
+/// kMaxKeywordUniverse and their distinct (loc, ws) shapes kMaxProbeShapes.
+/// Response: varu64 N + N u64 tie-aware counts of this
 /// shard's objects outranking each target (ShardColumnOutscoring).
 inline constexpr char kProbeRankPath[] = "/shard/probe/rank";
 /// Not served since v4; declared only because servebench/servebench.cc,

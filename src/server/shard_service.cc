@@ -536,6 +536,11 @@ HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
                  " distinct terms, more than " +
                  std::to_string(kMaxKeywordUniverse));
   }
+  if (CountQueryShapes(targets) > kMaxProbeShapes) {
+    return HttpResponse::Error(
+        400, "rank batch spans more than " + std::to_string(kMaxProbeShapes) +
+                 " query shapes (loc, ws)");
+  }
   const std::vector<size_t> counts =
       ShardColumnOutscoring(view_, info_.dist_norm, targets);
   BufWriter out;

@@ -1,6 +1,7 @@
 #include "src/whynot/keyword_adaption.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -84,7 +85,9 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     }
   }
   const size_t m = m_ids.size();
-  if (m > kMaxProbeSpecs) {
+  const bool columns = options.mode == KwAdaptMode::kBoundAndPrune;
+  // The work bounds are the columns'; the basic scan has none.
+  if (columns && m > kMaxProbeSpecs) {
     return Status::InvalidArgument(
         "keyword adaption ranks at most " + std::to_string(kMaxProbeSpecs) +
         " missing objects, got " + std::to_string(m));
@@ -94,7 +97,6 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   out.refined = query;
   KeywordAdaptStats& stats = out.stats;
   const double lambda = options.lambda;
-  const bool columns = options.mode == KwAdaptMode::kBoundAndPrune;
 
   // M.doc = union of the missing objects' documents; the normaliser of ∆doc.
   KeywordSet m_doc;
@@ -104,14 +106,16 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   const KeywordSet universe = KeywordSet::Union(query.doc, m_doc);
   const KeywordSet insertable = KeywordSet::Difference(m_doc, query.doc);
   const size_t doc_norm = universe.size();
-  if (doc_norm > kMaxKeywordUniverse) {
+  if (columns && doc_norm > kMaxKeywordUniverse) {
     return Status::InvalidArgument(
         "q.doc and the missing objects' documents hold " +
         std::to_string(doc_norm) + " distinct keywords; keyword adaption "
         "allows at most " + std::to_string(kMaxKeywordUniverse));
   }
-  // Candidates per rank fan-out.
-  size_t chunk_size = kMaxProbeSpecs / m;
+  // Candidates per rank fan-out. Every spec's query is `query` with another
+  // doc, so a column batch holds one (loc, ws) shape (kMaxProbeShapes).
+  size_t chunk_size =
+      columns ? kMaxProbeSpecs / m : std::numeric_limits<size_t>::max();
   if (options.probe_batch_size != 0) {
     chunk_size = std::min(chunk_size, options.probe_batch_size);
   }

@@ -24,10 +24,11 @@
 // ws·(1 − SDist), and then answers any candidate's rank with one binary
 // search per group. One chunk of candidates is one rank fan-out.
 //
-// Work bounds (src/whynot/shard_primitives.h): |U| <= kMaxKeywordUniverse
-// (a mask is one uint64_t) and one fan-out carries at most kMaxProbeSpecs
-// (candidate, missing object) specs; a larger U, or more missing objects
-// than one fan-out holds, is InvalidArgument.
+// Work bounds of the optimized mode (src/whynot/shard_primitives.h):
+// |U| <= kMaxKeywordUniverse (a mask is one uint64_t) and one fan-out
+// carries at most kMaxProbeSpecs (candidate, missing object) specs, all of
+// one query shape; a larger U, or more missing objects than one fan-out
+// holds, is InvalidArgument. The basic scan has neither bound.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_
@@ -63,10 +64,10 @@ struct KeywordAdaptOptions {
   size_t max_candidates = 500000;
   /// Candidates per rank fan-out: the (candidate, missing object) specs of
   /// one chunk share ONE oracle call — one round-trip per shard on a remote
-  /// oracle. Chunks are further capped so a fan-out carries at most
-  /// kMaxProbeSpecs specs. The size never changes the refined query: every
-  /// cut is strict, so the winner does not depend on the chunking.
-  /// 0 = only the kMaxProbeSpecs cap.
+  /// oracle. In the optimized mode chunks are further capped so a fan-out
+  /// carries at most kMaxProbeSpecs specs. The size never changes the
+  /// refined query: every cut is strict, so the winner does not depend on
+  /// the chunking. 0 = no cap beyond that one.
   size_t probe_batch_size = 128;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <ranges>
 #include <unordered_map>
 
 #include "src/query/ranking.h"
@@ -30,20 +31,6 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
 constexpr ObjectId kScanBlock = 64;
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
-
-/// First index i in [begin, end) where the prefix-closed `below(i)` is false.
-template <typename Below>
-uint32_t PartitionPoint(uint32_t begin, uint32_t end, Below below) {
-  while (begin < end) {
-    const uint32_t mid = begin + (end - begin) / 2;
-    if (below(mid)) {
-      begin = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return begin;
-}
 
 /// Jaccard from the set sizes, exactly as KeywordSet::Jaccard computes it.
 double JaccardOf(size_t inter, size_t qlen, size_t len) {
@@ -230,7 +217,37 @@ struct MaskGroupHash {
   }
 };
 
+/// The (loc, ws) that a column set's x = ws·(1 − SDist) depends on (every
+/// target of a batch shares dist_norm).
+struct QueryShape {
+  Point loc;
+  double ws = 0.0;
+};
+
+/// The index of `q`'s shape in `shapes`, appended when new. Shapes are told
+/// apart by their bits, as OutrankKernel keys them.
+size_t ShapeOf(const Query& q, std::vector<QueryShape>* shapes) {
+  size_t si = 0;
+  while (si < shapes->size() &&
+         !(Bits((*shapes)[si].loc.x) == Bits(q.loc.x) &&
+           Bits((*shapes)[si].loc.y) == Bits(q.loc.y) &&
+           Bits((*shapes)[si].ws) == Bits(q.w.ws))) {
+    ++si;
+  }
+  if (si == shapes->size()) shapes->push_back(QueryShape{q.loc, q.w.ws});
+  return si;
+}
+
 }  // namespace
+
+size_t CountQueryShapes(const std::vector<ScanTarget>& targets) {
+  std::vector<QueryShape> shapes;
+  for (const ScanTarget& t : targets) {
+    ShapeOf(*t.query, &shapes);
+    if (shapes.size() > kMaxProbeShapes) break;
+  }
+  return shapes.size();
+}
 
 std::vector<size_t> ShardColumnOutscoring(
     const OracleShardView& view, double dist_norm,
@@ -242,31 +259,20 @@ std::vector<size_t> ShardColumnOutscoring(
     return uint64_t{1} << (t - terms.begin());
   };
 
-  // Query shapes by the bits of (loc, ws), as OutrankKernel keys them (every
-  // target shares dist_norm); per target its shape, mask, |q'| and wt.
-  struct Shape {
-    Point loc;
-    double ws = 0.0;
-  };
+  // Per target its query shape, mask, |q'| and wt.
   struct Member {
     size_t shape = 0;
     uint64_t mask = 0;
     size_t qlen = 0;
     double wt = 0.0;
   };
-  std::vector<Shape> shapes;
+  std::vector<QueryShape> shapes;
   std::vector<Member> members;
   members.reserve(targets.size());
   for (const ScanTarget& t : targets) {
     const Query& q = *t.query;
-    size_t si = 0;
-    while (si < shapes.size() &&
-           !(Bits(shapes[si].loc.x) == Bits(q.loc.x) &&
-             Bits(shapes[si].loc.y) == Bits(q.loc.y) &&
-             Bits(shapes[si].ws) == Bits(q.w.ws))) {
-      ++si;
-    }
-    if (si == shapes.size()) shapes.push_back(Shape{q.loc, q.w.ws});
+    const size_t si = ShapeOf(q, &shapes);
+    assert(shapes.size() <= kMaxProbeShapes);
     uint64_t mask = 0;
     for (TermId id : q.doc) {
       mask |= bit_of(std::lower_bound(terms.begin(), terms.end(), id));
@@ -312,7 +318,7 @@ std::vector<size_t> ShardColumnOutscoring(
   // Scorer::Score's sum, scattered into its group's slice with the global
   // id; then each slice sorted by x. Every array is allocated once at its
   // final size.
-  auto x_of = [&](const Shape& shape, ObjectId local) {
+  auto x_of = [&](const QueryShape& shape, ObjectId local) {
     return shape.ws * (1.0 - NormalizedSpatialDistance(store.Get(local).loc,
                                                        shape.loc, dist_norm));
   };
@@ -362,9 +368,9 @@ std::vector<size_t> ShardColumnOutscoring(
         count += g.end - g.begin;
         continue;
       }
-      uint32_t i = PartitionPoint(g.begin, g.end, [&](uint32_t j) {
-        return score(j) < threshold;
-      });
+      uint32_t i = *std::ranges::partition_point(
+          std::views::iota(g.begin, g.end),
+          [&](uint32_t j) { return score(j) < threshold; });
       for (; i < g.end && score(i) == threshold; ++i) {
         if (sid[i] < target) ++count;
       }

@@ -46,6 +46,12 @@ inline constexpr size_t kMaxKeywordUniverse = 64;
 /// AdaptKeywords sizes its candidate chunks to stay within it.
 inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
 
+/// Most distinct (loc, ws) query shapes in one rank batch. The columns hold
+/// an x and an id per object per shape, so a batch allocates at most
+/// kMaxProbeShapes × 12 bytes per object of the shard. A shard answers 400
+/// above it; AdaptKeywords' batches hold one shape.
+inline constexpr size_t kMaxProbeShapes = 8;
+
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
 /// i.e. the unsharded layout).
@@ -147,6 +153,11 @@ std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
 /// keyword masks of ShardColumnOutscoring range over.
 std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets);
 
+/// The number of distinct (loc, ws) query shapes among the targets, told
+/// apart by their bits as ShardColumnOutscoring keys them; counting stops at
+/// kMaxProbeShapes + 1.
+size_t CountQueryShapes(const std::vector<ScanTarget>& targets);
+
 /// ShardScanOutscoring's counts, exactly, from keyword-mask columns: the
 /// Eqn. (4) rank kernel. Under a target's query an object scores
 ///
@@ -159,7 +170,8 @@ std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets);
 /// is one binary search plus the equal-score run per group
 /// (docs/architecture.md, "Keyword-mask columns"). The columns are built
 /// once per call for every target, in one pass over the store.
-/// Requires KeywordUniverse(targets).size() <= kMaxKeywordUniverse.
+/// Requires KeywordUniverse(targets).size() <= kMaxKeywordUniverse and
+/// CountQueryShapes(targets) <= kMaxProbeShapes.
 std::vector<size_t> ShardColumnOutscoring(
     const OracleShardView& view, double dist_norm,
     const std::vector<ScanTarget>& targets);

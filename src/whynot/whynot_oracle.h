@@ -219,7 +219,8 @@ class WhyNotOracle {
   /// keyword-mask columns (ShardColumnOutscoring): one fan-out builds each
   /// shard's columns once for the whole batch and answers every member.
   /// The union of the specs' query keywords must not exceed
-  /// kMaxKeywordUniverse. `stats->objects_scored` grows by the dataset size
+  /// kMaxKeywordUniverse, nor their distinct (loc, ws) shapes
+  /// kMaxProbeShapes. `stats->objects_scored` grows by the dataset size
   /// (the objects placed into columns).
   virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,

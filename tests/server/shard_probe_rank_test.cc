@@ -2,8 +2,9 @@
 //
 // The shard answers 400 to a truncated body or trailing bytes, a non-finite
 // target score, a query Query::Validate rejects, more than kMaxProbeSpecs
-// specs, or specs whose keywords span more than kMaxKeywordUniverse terms —
-// and answers exactly (the /shard/count scan counts) at both caps. A
+// specs, specs whose keywords span more than kMaxKeywordUniverse terms, or
+// more than kMaxProbeShapes distinct (loc, ws) query shapes — and answers
+// exactly (the /shard/count scan counts) at each cap. A
 // coordinator that gets a malformed reply records a shard error and its
 // /whynot answers 503; nothing is read out of bounds. Also the batched
 // /shard/count route: scan and SetR specs mixed in one request each answer
@@ -215,6 +216,28 @@ TEST_F(ProbeRankTest, SpecCountCap) {
   EXPECT_EQ(Rank(specs), std::vector<uint64_t>(kMaxProbeSpecs, want));
   specs.push_back(one);
   EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
+}
+
+TEST_F(ProbeRankTest, QueryShapeCap) {
+  // One spec per location: kMaxProbeShapes shapes are answered exactly, one
+  // more is refused, and so is a batch of many locations.
+  std::vector<Spec> specs;
+  for (ObjectId near = 0; near < kMaxProbeShapes; ++near) {
+    specs.push_back(MakeSpec(near, 2024, KeywordSet({0, 3})));
+  }
+  EXPECT_EQ(Rank(specs), ScanCounts(specs));
+  specs.push_back(MakeSpec(kMaxProbeShapes, 2024, KeywordSet({0, 3})));
+  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
+  // Another ws at a known location is another shape too.
+  specs.pop_back();
+  specs.push_back(specs.front());
+  specs.back().query.w = Weights::FromWs(0.25);
+  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
+  std::vector<Spec> spread;
+  for (ObjectId near = 0; near < 2000; ++near) {
+    spread.push_back(MakeSpec(near, 2024, KeywordSet({0})));
+  }
+  EXPECT_EQ(RankStatus(EncodeRank(spread)), 400);
 }
 
 TEST_F(ProbeRankTest, CountBatchMixesScanAndSetRSpecs) {

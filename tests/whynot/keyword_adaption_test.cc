@@ -423,6 +423,23 @@ TEST(AdaptKeywordsTest, KeywordUniverseOverCapIsInvalidArgument) {
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AdaptKeywordsTest, BasicModeHasNoKeywordUniverseCap) {
+  // The scan kernel takes masks of several words: past the columns' cap the
+  // basic mode still answers, with the reference's ranks.
+  const WideUniverse wide(kMaxKeywordUniverse + 10);
+  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  KeywordAdaptOptions opts;
+  opts.mode = KwAdaptMode::kBasic;
+  opts.max_edit_distance = 1;
+  auto got = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->stats.candidates_resolved, kMaxKeywordUniverse + 10);
+  EXPECT_EQ(got->original_rank,
+            reference::RankOfSet(wide.store, wide.query, {wide.missing}));
+  EXPECT_EQ(got->refined_rank,
+            reference::RankOfSet(wide.store, got->refined, {wide.missing}));
+}
+
 TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
   // kMaxProbeSpecs + 1 identical objects: every one of the first
   // kMaxProbeSpecs is "missing" from a top-1, and no candidate exists (U is

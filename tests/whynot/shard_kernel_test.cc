@@ -7,8 +7,9 @@
 // code. Both kernels must equal it exactly, on random and tie-heavy data,
 // for targets inside a tie run and targets the shard does not hold, for
 // objects sharing no keyword with the batch, at the 64-keyword universe
-// cap, with two query shapes in one batch, and over sharded id mappings;
-// every scan-kernel score must be bit-for-bit Scorer::Score.
+// cap, with two query shapes and with kMaxProbeShapes in one batch, and
+// over sharded id mappings; every scan-kernel score must be bit-for-bit
+// Scorer::Score.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -339,6 +340,31 @@ TEST(ShardKernelTest, TwoShapesInOneBatch) {
                                      /*shapes=*/2, 32);
   ExpectKernelsMatch(u.view, u.dist_norm, members, "two shapes");
   ExpectBitIdenticalScores(u.view, u.dist_norm, members, "two shapes");
+}
+
+TEST(ShardKernelTest, ShapeCapInOneBatch) {
+  const Unsharded u(RandomStore(2000, 40, 33));
+  const auto members = RandomMembers(u.store, u.dist_norm, 48, 4, 40,
+                                     kMaxProbeShapes, 34);
+  ASSERT_EQ(CountQueryShapes(TargetsOf(members)), kMaxProbeShapes);
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "shape cap");
+}
+
+TEST(ShardKernelTest, CountQueryShapesKeysBitsAndStopsPastTheCap) {
+  const Unsharded u(RandomStore(100, 10, 9));
+  auto members = RandomMembers(u.store, u.dist_norm, 6, 2, 10,
+                               /*shapes=*/1, 10, /*origin=*/true);
+  // Docs and wt do not make a shape; loc and ws do, down to the sign of 0.
+  members[1].query.w = Weights::FromWs(members[0].query.w.ws);
+  EXPECT_EQ(CountQueryShapes(TargetsOf(members)), 1u);
+  members[2].query.loc.x = -0.0;
+  members[3].query.w = Weights::FromWs(0.25);
+  EXPECT_EQ(CountQueryShapes(TargetsOf(members)), 3u);
+  // A batch of many locations is counted only one past the cap.
+  const auto spread = RandomMembers(u.store, u.dist_norm, 1000, 2, 10,
+                                    /*shapes=*/1000, 11);
+  EXPECT_EQ(CountQueryShapes(TargetsOf(spread)), kMaxProbeShapes + 1);
+  EXPECT_EQ(CountQueryShapes({}), 0u);
 }
 
 TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
