@@ -49,7 +49,7 @@ Row MeasureLambda(double lambda) {
 
     PreferenceAdjustOptions po;
     po.lambda = lambda;
-    auto pref = AdjustPreference(store, q, missing, po);
+    auto pref = AdjustPreference(oracle, q, missing, po);
     KeywordAdaptOptions ko;
     ko.lambda = lambda;
     auto kw = AdaptKeywords(oracle, q, missing, ko);
@@ -72,35 +72,42 @@ Row MeasureLambda(double lambda) {
   return row;
 }
 
+/// Printed to stderr, so that stdout holds only the benchmark output
+/// (--benchmark_format=json stays parseable).
 void PrintLambdaTable() {
-  std::printf(
+  std::fprintf(
+      stderr,
       "\n=== E6: impact of λ on refined-query quality "
       "(N=%zu, k=%u, avg over %zu why-not questions) ===\n",
       kN, kK, kWorkload);
-  std::printf("%-8s | %-30s | %-30s\n", "lambda",
-              "preference: penalty  dk   dw", "keyword: penalty  dk   ddoc");
-  std::printf("---------+--------------------------------+------------------"
-              "------------\n");
+  std::fprintf(stderr, "%-8s | %-30s | %-30s\n", "lambda",
+               "preference: penalty  dk   dw", "keyword: penalty  dk   ddoc");
+  std::fprintf(stderr,
+               "---------+--------------------------------+------------------"
+               "------------\n");
   for (double lambda : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     const Row r = MeasureLambda(lambda);
-    std::printf("%-8.1f | %9.4f  %6.2f  %7.4f    | %9.4f  %6.2f  %6.2f\n",
-                r.lambda, r.pref_penalty, r.pref_dk, r.pref_dw, r.kw_penalty,
-                r.kw_dk, r.kw_ddoc);
+    std::fprintf(stderr,
+                 "%-8.1f | %9.4f  %6.2f  %7.4f    | %9.4f  %6.2f  %6.2f\n",
+                 r.lambda, r.pref_penalty, r.pref_dk, r.pref_dw, r.kw_penalty,
+                 r.kw_dk, r.kw_ddoc);
   }
-  std::printf(
+  std::fprintf(
+      stderr,
       "(expected: dk falls and dw/ddoc rise as lambda grows; E6/E9)\n\n");
 }
 
 void BM_LambdaSweep_Preference(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 10.0;
   const ObjectStore& store = SharedDataset(kN);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(29);
   Query q = MakeQuery(store, &rng, 3, kK);
   std::vector<ObjectId> missing = PickMissing(store, q, 1);
   PreferenceAdjustOptions options;
   options.lambda = lambda;
   for (auto _ : state) {
-    auto result = AdjustPreference(store, q, missing, options);
+    auto result = AdjustPreference(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -333,7 +333,8 @@ int main(int argc, char** argv) {
         run.exact = false;
         continue;
       }
-      auto local = AdjustPreference(baseline.store(), q.query, q.missing);
+      auto local = AdjustPreference(LocalWhyNotOracle(baseline), q.query,
+                                    q.missing);
       if (!local.ok() || !SamePreference(*rb, *local)) run.exact = false;
       for (size_t s = 0; s < shards; ++s) {
         if (after.Since(before, shardrpc::kPlaneCountBatchPath, s) !=

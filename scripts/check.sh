@@ -16,11 +16,16 @@
 #                                 # bench drives open-loop traffic over 64
 #                                 # keep-alive connections and fails on any
 #                                 # non-200 or payload divergence), then
+#                                 # the google-benchmark harnesses of the
+#                                 # paper's experiments when
+#                                 # google-benchmark is installed:
 #                                 # bench_kw_adapt (basic vs keyword-mask
-#                                 # columns at every N; google-benchmark
-#                                 # JSON in BENCH_kw_adapt.json, short
-#                                 # min-time) when google-benchmark is
-#                                 # installed
+#                                 # columns at every N), bench_pref_adjust,
+#                                 # bench_explanation and
+#                                 # bench_lambda_effect, each with a short
+#                                 # min-time and its JSON in
+#                                 # BENCH_<name>.json (their printed tables
+#                                 # go to stderr)
 #   scripts/check.sh --fleet      # additionally run scripts/fleet_smoke.sh:
 #                                 # a real loopback process fleet (2 shards
 #                                 # x 2 replicas of yask_shard_server booted
@@ -126,10 +131,12 @@ if [[ "$run_bench" -eq 1 ]]; then
   run_phase bench-remote-shards env -C "$build_dir" ./bench_remote_shards --json=BENCH_remote_shards.json
   run_phase bench-replica-failover env -C "$build_dir" ./bench_replica_failover --json=BENCH_replica_failover.json
   run_phase bench-load env -C "$build_dir" ./bench_load --json=BENCH_load.json
-  if [[ -x "${build_dir}/bench_kw_adapt" ]]; then
-    run_phase bench-kw-adapt env -C "$build_dir" sh -c \
-      './bench_kw_adapt --benchmark_format=json --benchmark_min_time=0.05 > BENCH_kw_adapt.json'
-  fi
+  for name in kw_adapt pref_adjust explanation lambda_effect; do
+    if [[ -x "${build_dir}/bench_${name}" ]]; then
+      run_phase "bench-${name//_/-}" env -C "$build_dir" sh -c \
+        "./bench_${name} --benchmark_format=json --benchmark_min_time=0.05 > BENCH_${name}.json"
+    fi
+  done
 fi
 
 # The fleet smokes emit their satellite CHECK-RESULT lines (pass/fail/

@@ -2,19 +2,28 @@
 
 namespace yask {
 
-ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
-    : corpus_(&corpus), topk_(corpus) {
-  ctx_.views.reserve(corpus.num_shards());
-  ctx_.all_shards.reserve(corpus.num_shards());
+namespace {
+
+std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
+    const ShardedCorpus& corpus) {
+  std::vector<std::unique_ptr<const OracleShard>> shards;
+  shards.reserve(corpus.num_shards());
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
-    ctx_.views.push_back(OracleShardView{
-        &shard.store(), &shard.setr(), &corpus.shard_global_ids(s)});
-    ctx_.all_shards.push_back(s);
+    shards.push_back(std::make_unique<LocalOracleShard>(
+        OracleShardView{&shard.store(), &shard.setr(),
+                        &corpus.shard_global_ids(s)},
+        corpus.dist_norm()));
   }
-  ctx_.dist_norm = corpus.dist_norm();
-  ctx_.pool = corpus.pool();
+  return shards;
 }
+
+}  // namespace
+
+ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
+    : FanOutWhyNotOracle(ShardsOf(corpus), corpus.dist_norm(), corpus.pool()),
+      corpus_(&corpus),
+      topk_(corpus) {}
 
 TopKResult ShardedWhyNotOracle::TopK(const Query& query,
                                      TopKStats* stats) const {

@@ -3,9 +3,10 @@
 // ShardedCorpus, making the why-not stack — explanations, preference
 // adjustment, keyword adaption — exact on the scale-out layout.
 //
-// Every oracle primitive fans out over the corpus's shared worker pool (the
-// same pool ShardedTopKEngine uses for /query) and merges with the same
-// discipline that made sharded top-k bit-identical:
+// One LocalOracleShard per shard behind FanOutWhyNotOracle, whose fan-out
+// runs on the corpus's shared worker pool (the same pool ShardedTopKEngine
+// uses for /query). Its merge keeps the discipline that made sharded top-k
+// bit-identical:
 //   * scores use the GLOBAL SDist normaliser and the shared vocabulary, so
 //     an object's score is the same doubles-arithmetic in both layouts;
 //   * tie orders compare GLOBAL ids everywhere;
@@ -25,7 +26,7 @@
 namespace yask {
 
 /// The corpus must outlive the oracle.
-class ShardedWhyNotOracle : public ContextWhyNotOracle {
+class ShardedWhyNotOracle : public FanOutWhyNotOracle {
  public:
   explicit ShardedWhyNotOracle(const ShardedCorpus& corpus);
 
@@ -33,8 +34,6 @@ class ShardedWhyNotOracle : public ContextWhyNotOracle {
     return corpus_->Object(global_id);
   }
   TopKResult TopK(const Query& query, TopKStats* stats) const override;
-
-  const ShardedCorpus& corpus() const { return *corpus_; }
 
  private:
   const ShardedCorpus* corpus_;

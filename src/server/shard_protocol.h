@@ -22,7 +22,8 @@
 //   POST /shard/objects    [gid...] -> objects (loc, doc, name) by GLOBAL id
 //   POST /shard/find       name -> first matching GLOBAL id
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
-//   POST /shard/count      batched tie-aware outscoring counts (scan / SetR)
+//   POST /shard/count      batched tie-aware outscoring counts (scan / SetR),
+//                          the /shard/probe/rank spec bounds
 //   POST /shard/plane/open|count_batch|crossings|close  Eqn. (3) sessions
 //   POST /shard/probe/rank  Eqn. (4) exact rank batches (stateless)
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
@@ -73,6 +74,9 @@ inline constexpr char kVocabPath[] = "/shard/vocab";
 inline constexpr char kObjectsPath[] = "/shard/objects";
 inline constexpr char kFindPath[] = "/shard/find";
 inline constexpr char kTopKPath[] = "/shard/topk";
+/// Request: the kProbeRankPath request with a u8 CountMethod after each
+/// spec, under the same bounds (N ≤ kMaxProbeSpecs, valid queries, finite
+/// target scores). Response: varu64 N + N u64 counts.
 inline constexpr char kCountPath[] = "/shard/count";
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
 /// Not served; declared only because servebench/servebench.cc lists it.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "src/common/timer.h"
@@ -36,6 +38,56 @@ bool IsFinitePoint(const PlanePoint& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
+/// The specs of a /shard/count or /shard/probe/rank request.
+struct SpecBatch {
+  std::vector<Query> queries;
+  std::vector<ScanTarget> targets;  // targets[i].query = &queries[i].
+  std::vector<CountMethod> methods;  // /shard/count only.
+};
+
+/// Decodes a spec request — varu64 N ≤ kMaxProbeSpecs, then N × (query,
+/// u32 global target id, raw-F64 finite target score[, u8 CountMethod]) —
+/// into `batch`. Returns the 400 to answer when the body is malformed, N is
+/// over the cap, a query fails Query::Validate, a score is not finite or a
+/// method is unknown.
+std::optional<HttpResponse> DecodeSpecs(const HttpRequest& req,
+                                        bool with_method, SpecBatch* batch) {
+  BufReader in(req.body.data(), req.body.size());
+  const uint64_t count = in.GetVarU64();
+  if (!in.ok()) return BadBody(in);
+  if (count > kMaxProbeSpecs) {
+    return HttpResponse::Error(
+        400, "batch of " + std::to_string(count) + " specs exceeds " +
+                 std::to_string(kMaxProbeSpecs));
+  }
+  if (!in.CheckCount(count, 16)) return BadBody(in);
+  batch->queries.resize(count);
+  batch->targets.resize(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    batch->queries[i] = shardrpc::GetQuery(&in);
+    ScanTarget& target = batch->targets[i];
+    target.query = &batch->queries[i];
+    target.target = in.GetU32();
+    target.target_score = in.GetF64();
+    const uint8_t method = with_method ? in.GetU8() : 0;
+    if (!in.ok()) return BadBody(in);
+    if (Status s = batch->queries[i].Validate(); !s.ok()) {
+      return HttpResponse::Error(400, s.message());
+    }
+    if (!std::isfinite(target.target_score)) {
+      return HttpResponse::Error(400, "non-finite target score");
+    }
+    if (!with_method) continue;
+    if (method != static_cast<uint8_t>(CountMethod::kScan) &&
+        method != static_cast<uint8_t>(CountMethod::kSetR)) {
+      return HttpResponse::Error(400, "unknown count method");
+    }
+    batch->methods.push_back(static_cast<CountMethod>(method));
+  }
+  if (!in.AtEnd()) return BadBody(in);
+  return std::nullopt;
+}
+
 }  // namespace
 
 /// One Eqn. (3) session: this shard's plane points / plane index for one
@@ -43,7 +95,7 @@ bool IsFinitePoint(const PlanePoint& p) {
 /// is sequential anyway; the lock protects against misbehaving clients).
 struct ShardService::PlaneSession {
   std::mutex mu;
-  std::unique_ptr<ShardPlane> plane;
+  std::unique_ptr<OracleShardPlane> plane;
   uint64_t last_use = 0;  // Guarded by sessions_mu_, not mu.
 };
 
@@ -78,13 +130,13 @@ ShardService::ShardService(const Corpus& corpus, Info info,
                            ShardServiceOptions options)
     : corpus_(&corpus),
       info_(std::move(info)),
+      view_{&corpus.store(), &corpus.setr(),
+            info_.to_global.empty() ? nullptr : &info_.to_global},
+      shard_(view_, info_.dist_norm),
       topk_(corpus.store(), corpus.setr()),
       server_(options.port, options.num_workers),
       max_sessions_(options.max_sessions == 0 ? 1 : options.max_sessions) {
   topk_.set_dist_norm(info_.dist_norm);
-  view_ = OracleShardView{
-      &corpus.store(), &corpus.setr(),
-      info_.to_global.empty() ? nullptr : &info_.to_global};
 
   // Every shardrpc route is instrumented: latency and status-code series,
   // and a shard-side span when the request carries a trace header.
@@ -341,54 +393,23 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
 // --- Outscoring counts -------------------------------------------------------
 
 HttpResponse ShardService::HandleCount(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t count = in.GetVarU64();
-  if (!in.CheckCount(count, 16)) return BadBody(in);
-  struct Spec {
-    Query query;
-    ObjectId target;
-    double target_score;
-    uint8_t method;
-  };
-  std::vector<Spec> specs;
-  specs.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Spec spec;
-    spec.query = shardrpc::GetQuery(&in);
-    spec.target = in.GetU32();
-    spec.target_score = in.GetF64();
-    spec.method = in.GetU8();
-    if (!in.ok()) return BadBody(in);
-    if (spec.method != static_cast<uint8_t>(CountMethod::kScan) &&
-        spec.method != static_cast<uint8_t>(CountMethod::kSetR)) {
-      return HttpResponse::Error(400, "unknown count method");
-    }
-    specs.push_back(std::move(spec));
+  SpecBatch batch;
+  if (auto bad = DecodeSpecs(req, /*with_method=*/true, &batch)) return *bad;
+  // One kernel call per method; the answers interleave back in spec order.
+  std::vector<ScanTarget> by_method[2];
+  for (size_t i = 0; i < batch.targets.size(); ++i) {
+    by_method[batch.methods[i] == CountMethod::kSetR].push_back(
+        batch.targets[i]);
   }
-  if (!in.AtEnd()) return BadBody(in);
-
-  // Every scan spec shares one pass over the store.
-  std::vector<ScanTarget> scans;
-  for (const Spec& spec : specs) {
-    if (spec.method == static_cast<uint8_t>(CountMethod::kScan)) {
-      scans.push_back(ScanTarget{&spec.query, spec.target_score, spec.target});
-    }
-  }
-  const std::vector<size_t> scanned =
-      ShardScanOutscoring(view_, info_.dist_norm, scans);
+  const std::vector<size_t> counts[2] = {
+      shard_.CountOutscoring(by_method[0], OutscoringKernel::kScan).value(),
+      shard_.CountOutscoring(by_method[1], OutscoringKernel::kSetR).value()};
+  size_t next[2] = {0, 0};
   BufWriter out;
-  out.PutVarU64(count);
-  size_t next_scan = 0;
-  for (const Spec& spec : specs) {
-    uint64_t above;
-    if (spec.method == static_cast<uint8_t>(CountMethod::kScan)) {
-      above = scanned[next_scan++];
-    } else {
-      const Scorer scorer(corpus_->store(), spec.query, info_.dist_norm);
-      above = CountOutscoring(corpus_->store(), corpus_->setr(), scorer,
-                              spec.target_score, spec.target, view_.to_global);
-    }
-    out.PutU64(above);
+  out.PutVarU64(batch.targets.size());
+  for (const CountMethod method : batch.methods) {
+    const bool setr = method == CountMethod::kSetR;
+    out.PutU64(counts[setr][next[setr]++]);
   }
   return Binary(out);
 }
@@ -405,8 +426,7 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   }
 
   auto session = std::make_shared<PlaneSession>();
-  session->plane = std::make_unique<ShardPlane>(view_, query, info_.dist_norm,
-                                                optimized);
+  session->plane = shard_.OpenPlane(query, optimized).value();
   BufWriter out;
   out.PutU64(AddSession(std::move(session)));
   return Binary(out);
@@ -451,7 +471,7 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   size_t nodes = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    session->plane->CountAboveBatch(weights, anchors, &counts, &nodes);
+    (void)session->plane->CountAboveBatch(weights, anchors, &counts, &nodes);
   }
   BufWriter out;
   out.PutVarU64(counts.size());
@@ -478,7 +498,7 @@ HttpResponse ShardService::HandlePlaneCrossings(const HttpRequest& req) {
   size_t nodes = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    session->plane->CollectCrossings(anchor, wlo, whi, &events, &nodes);
+    (void)session->plane->CollectCrossings(anchor, wlo, whi, &events, &nodes);
   }
   BufWriter out;
   out.PutVarU64(events.size());
@@ -504,45 +524,23 @@ HttpResponse ShardService::HandlePlaneClose(const HttpRequest& req) {
 // --- Rank batches (Eqn. (4)) ------------------------------------------------
 
 HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t count = in.GetVarU64();
-  if (!in.ok()) return BadBody(in);
-  if (count > kMaxProbeSpecs) {
-    return HttpResponse::Error(
-        400, "rank batch of " + std::to_string(count) + " specs exceeds " +
-                 std::to_string(kMaxProbeSpecs));
-  }
-  if (!in.CheckCount(count, 16)) return BadBody(in);
-  std::vector<Query> queries(count);
-  std::vector<ScanTarget> targets(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    queries[i] = shardrpc::GetQuery(&in);
-    targets[i].query = &queries[i];
-    targets[i].target = in.GetU32();
-    targets[i].target_score = in.GetF64();
-    if (!in.ok()) return BadBody(in);
-    if (Status s = queries[i].Validate(); !s.ok()) {
-      return HttpResponse::Error(400, s.message());
-    }
-    if (!std::isfinite(targets[i].target_score)) {
-      return HttpResponse::Error(400, "non-finite target score");
-    }
-  }
-  if (!in.AtEnd()) return BadBody(in);
-  if (const size_t terms = KeywordUniverse(targets).size();
+  SpecBatch batch;
+  if (auto bad = DecodeSpecs(req, /*with_method=*/false, &batch)) return *bad;
+  if (const size_t terms = KeywordUniverse(batch.targets).size();
       terms > kMaxKeywordUniverse) {
     return HttpResponse::Error(
         400, "rank batch keywords span " + std::to_string(terms) +
                  " distinct terms, more than " +
                  std::to_string(kMaxKeywordUniverse));
   }
-  if (CountQueryShapes(targets) > kMaxProbeShapes) {
+  if (CountQueryShapes(batch.targets) > kMaxProbeShapes) {
     return HttpResponse::Error(
         400, "rank batch spans more than " + std::to_string(kMaxProbeShapes) +
                  " query shapes (loc, ws)");
   }
   const std::vector<size_t> counts =
-      ShardColumnOutscoring(view_, info_.dist_norm, targets);
+      shard_.CountOutscoring(batch.targets, OutscoringKernel::kColumns)
+          .value();
   BufWriter out;
   out.PutVarU64(counts.size());
   for (size_t c : counts) out.PutU64(c);

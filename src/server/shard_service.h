@@ -5,11 +5,13 @@
 // full /query + /whynot + /forget contract bit-identically to the in-process
 // ShardedCorpus path.
 //
-// The endpoints are exactly the per-shard primitives the in-process fan-outs
-// dispatch to their shard views (src/whynot/shard_primitives.h) — the same
-// code runs behind both transports, and every double crosses the wire as its
-// raw bits (src/server/shard_protocol.h), which is what makes the remote
-// answers byte-identical.
+// The why-not endpoints are exactly the per-shard primitives of
+// LocalOracleShard (src/whynot/shard_primitives.h), the backend the in-process
+// oracles run over their shard views — the same code runs behind both
+// transports, and every double crosses the wire as its raw bits
+// (src/server/shard_protocol.h), which is what makes the remote answers
+// byte-identical. /shard/count and /shard/probe/rank share one spec decoder
+// and its bounds (kMaxProbeSpecs, Query::Validate, finite target scores).
 //
 // Statefulness: the Eqn. (3) score-plane sessions are per-question
 // server-side state (this shard's plane columns). Sessions are id-keyed,
@@ -125,6 +127,7 @@ class ShardService {
   const Corpus* corpus_;
   Info info_;
   OracleShardView view_;
+  LocalOracleShard shard_;  // The in-process oracles' shard backend.
   SetRTopKEngine topk_;  // Global dist norm.
   MetricsRegistry metrics_;
   TraceStore traces_;

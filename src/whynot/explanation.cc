@@ -164,11 +164,4 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
   return out;
 }
 
-Result<std::vector<MissingObjectExplanation>> ExplainMissing(
-    const ObjectStore& store, const SetRTree& tree, const Query& query,
-    const std::vector<ObjectId>& missing) {
-  const LocalWhyNotOracle oracle(store, &tree);
-  return ExplainMissing(oracle, query, missing);
-}
-
 }  // namespace yask

@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/setr_tree.h"
 #include "src/query/query.h"
-#include "src/storage/object_store.h"
+#include "src/storage/object.h"
 
 namespace yask {
 
@@ -65,13 +64,6 @@ struct MissingObjectExplanation {
 /// bit-identical across layouts.
 Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     const WhyNotOracle& oracle, const Query& query,
-    const std::vector<ObjectId>& missing);
-
-/// Analyses each missing object against the initial query. Uses the
-/// SetR-tree for pruned rank computation and the top-k engine for the
-/// current result frontier.
-Result<std::vector<MissingObjectExplanation>> ExplainMissing(
-    const ObjectStore& store, const SetRTree& tree, const Query& query,
     const std::vector<ObjectId>& missing);
 
 }  // namespace yask

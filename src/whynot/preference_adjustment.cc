@@ -273,14 +273,4 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   return out;
 }
 
-Result<RefinedPreferenceQuery> AdjustPreference(
-    const ObjectStore& store, const Query& query,
-    const std::vector<ObjectId>& missing,
-    const PreferenceAdjustOptions& options) {
-  // The weight sweep needs neither tree; the local oracle serves it from the
-  // store alone.
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  return AdjustPreference(oracle, query, missing, options);
-}
-
 }  // namespace yask

@@ -403,10 +403,10 @@ ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
   }
 }
 
-void ShardPlane::CountAboveBatch(const std::vector<double>& weights,
-                                 const std::vector<PlanePoint>& anchors,
-                                 std::vector<size_t>* counts,
-                                 size_t* nodes_visited) const {
+Status ShardPlane::CountAboveBatch(const std::vector<double>& weights,
+                                   const std::vector<PlanePoint>& anchors,
+                                   std::vector<size_t>* counts,
+                                   size_t* nodes_visited) {
   // Allocation-free: this is the weight sweep's innermost loop.
   const size_t na = anchors.size();
   for (size_t wi = 0; wi < weights.size(); ++wi) {
@@ -427,21 +427,45 @@ void ShardPlane::CountAboveBatch(const std::vector<double>& weights,
       }
     }
   }
+  return Status::OK();
 }
 
-void ShardPlane::CollectCrossings(const PlanePoint& anchor, double wlo,
-                                  double whi, std::vector<double>* events,
-                                  size_t* nodes_visited) const {
+Status ShardPlane::CollectCrossings(const PlanePoint& anchor, double wlo,
+                                    double whi, std::vector<double>* events,
+                                    size_t* nodes_visited) {
   if (optimized_) {
     index_->ForEachCrossing(anchor, wlo, whi, [&](const PlanePoint& p) {
       AppendCrossingWeight(anchor, p, wlo, whi, events);
     });
     *nodes_visited += index_->last_nodes_visited();
-    return;
+    return Status::OK();
   }
   for (const PlanePoint& p : pts_) {
     AppendCrossingWeight(anchor, p, wlo, whi, events);
   }
+  return Status::OK();
+}
+
+// --- LocalOracleShard --------------------------------------------------------
+
+Result<std::vector<size_t>> LocalOracleShard::CountOutscoring(
+    const std::vector<ScanTarget>& targets, OutscoringKernel kernel) const {
+  if (kernel == OutscoringKernel::kScan) {
+    return ShardScanOutscoring(view_, dist_norm_, targets);
+  }
+  if (kernel == OutscoringKernel::kColumns) {
+    return ShardColumnOutscoring(view_, dist_norm_, targets);
+  }
+  assert(view_.setr != nullptr && "Rank requires the SetR-tree");
+  std::vector<size_t> counts;
+  counts.reserve(targets.size());
+  for (const ScanTarget& t : targets) {
+    const Scorer scorer(*view_.store, *t.query, dist_norm_);
+    counts.push_back(yask::CountOutscoring(*view_.store, *view_.setr,
+                                           scorer, t.target_score, t.target,
+                                           view_.to_global));
+  }
+  return counts;
 }
 
 }  // namespace yask

@@ -3,16 +3,15 @@
 // fan-out, factored out of the oracle so that EVERY deployment shape runs
 // the same code on a shard's data.
 //
-// Three call sites share these:
-//   * LocalWhyNotOracle       — one shard, in process (views it as 1 shard);
-//   * ShardedWhyNotOracle     — N shards, fan-out over a thread pool;
-//   * ShardService (remote)   — one shard behind HTTP; the coordinator's
-//                               RemoteShardOracle merges the responses.
-// The cross-layout bit-identity argument (docs/architecture.md, "Distributed
-// why-not") only needs each shard's contribution to be the same doubles
-// arithmetic everywhere — which is guaranteed here by having exactly one
-// implementation of each per-shard primitive, keyed on GLOBAL ids and the
-// GLOBAL SDist normaliser.
+// OracleShard is that half as an interface; LocalOracleShard, its in-process
+// implementation, is the one caller of the kernels. The in-process oracles
+// run one per shard view, and ShardService runs one behind HTTP for a remote
+// coordinator, so every layout computes a shard's share with the same code;
+// FanOutWhyNotOracle merges the shares. The cross-layout bit-identity
+// argument (docs/architecture.md, "Distributed why-not") only needs each
+// shard's contribution to be the same doubles arithmetic everywhere — which
+// is guaranteed here by having exactly one implementation of each per-shard
+// primitive, keyed on GLOBAL ids and the GLOBAL SDist normaliser.
 
 #ifndef YASK_WHYNOT_SHARD_PRIMITIVES_H_
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
@@ -22,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/index/score_plane_index.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
@@ -41,9 +41,10 @@ inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
 /// a shard answers 400 above it.
 inline constexpr size_t kMaxKeywordUniverse = 64;
 
-/// Most (query, target) specs one rank fan-out may ask of a shard (2^15: a
-/// 256 KiB /shard/probe/rank response). A shard answers 400 above it;
-/// AdaptKeywords sizes its candidate chunks to stay within it.
+/// Most (query, target) specs one /shard/probe/rank or /shard/count request
+/// may carry (2^15: a 256 KiB response). A shard answers 400 above it;
+/// AdaptKeywords sizes its column chunks to stay within it, and a remote
+/// oracle splits larger count batches into requests under it.
 inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
 
 /// Most distinct (loc, ws) query shapes in one rank batch. The columns hold
@@ -176,13 +177,30 @@ std::vector<size_t> ShardColumnOutscoring(
     const OracleShardView& view, double dist_norm,
     const std::vector<ScanTarget>& targets);
 
+/// One shard's Eqn. (3) plane state for one query: ShardPlane in process,
+/// or a remote shard's plane session. An error means the shard answered
+/// nothing; only a remote plane returns one. Calls never overlap.
+class OracleShardPlane {
+ public:
+  virtual ~OracleShardPlane() = default;
+  /// See ShardPlane.
+  virtual Status CountAboveBatch(const std::vector<double>& weights,
+                                 const std::vector<PlanePoint>& anchors,
+                                 std::vector<size_t>* counts,
+                                 size_t* nodes_visited) = 0;
+  virtual Status CollectCrossings(const PlanePoint& anchor, double wlo,
+                                  double whi, std::vector<double>* events,
+                                  size_t* nodes_visited) = 0;
+};
+
 /// One shard's Eqn. (3) score-plane state for one query: the plane points
 /// scanned in full (basic mode, the paper's baseline) or the ScorePlaneIndex
 /// TSim columns over them (optimized mode: binary searches per column), with
 /// the two per-shard primitives the weight sweep fans out — count-above and
 /// crossing collection. Plane points carry GLOBAL ids; `nodes_visited`
-/// accumulates the index's score evaluations (optimized mode only).
-class ShardPlane {
+/// accumulates the index's score evaluations (optimized mode only). Never
+/// fails.
+class ShardPlane final : public OracleShardPlane {
  public:
   ShardPlane(const OracleShardView& view, const Query& query, double dist_norm,
              bool optimized);
@@ -192,22 +210,71 @@ class ShardPlane {
   /// (*counts)[wi * anchors.size() + a] compares against the threshold
   /// anchors[a].ScoreAt(weights[wi]) — the same double every layout
   /// computes. `counts` must be pre-sized to weights.size() * anchors.size().
-  void CountAboveBatch(const std::vector<double>& weights,
-                       const std::vector<PlanePoint>& anchors,
-                       std::vector<size_t>* counts,
-                       size_t* nodes_visited) const;
+  Status CountAboveBatch(const std::vector<double>& weights,
+                         const std::vector<PlanePoint>& anchors,
+                         std::vector<size_t>* counts,
+                         size_t* nodes_visited) override;
 
   /// Appends every crossing weight of `anchor`'s score line with one of this
   /// shard's lines inside [wlo, whi] (0 ≤ wlo ≤ whi) to `events` (duplicates
   /// allowed — the caller sorts and deduplicates the merged set).
-  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
-                        std::vector<double>* events,
-                        size_t* nodes_visited) const;
+  Status CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
+                          std::vector<double>* events,
+                          size_t* nodes_visited) override;
 
  private:
   bool optimized_;
   std::vector<PlanePoint> pts_;             // Basic mode only.
   std::unique_ptr<ScorePlaneIndex> index_;  // Optimized mode only.
+};
+
+/// Which outscoring kernel a count runs: the SetR-tree walk behind Rank(),
+/// the full scan of basic keyword adaption, or the keyword-mask columns.
+enum class OutscoringKernel : uint8_t { kSetR, kScan, kColumns };
+
+/// One shard's half of every why-not oracle primitive but TopK; the oracle
+/// (FanOutWhyNotOracle, src/whynot/whynot_oracle.h) does the rest. An error
+/// means the shard added nothing; only a remote shard returns one.
+class OracleShard {
+ public:
+  virtual ~OracleShard() = default;
+
+  /// Objects the shard holds.
+  virtual size_t size() const = 0;
+
+  /// Tie-aware counts of the shard's objects outscoring each target, by
+  /// `kernel` — one per target.
+  virtual Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets,
+      OutscoringKernel kernel) const = 0;
+
+  /// The shard's plane state for `query`, which must outlive it.
+  virtual Result<std::unique_ptr<OracleShardPlane>> OpenPlane(
+      const Query& query, bool optimized) const = 0;
+};
+
+/// The in-process shard: the kernels above over a view, under the GLOBAL
+/// SDist normaliser. Never fails.
+class LocalOracleShard final : public OracleShard {
+ public:
+  /// `view` must outlive the shard; its SetR-tree may be null where kSetR
+  /// is never asked.
+  LocalOracleShard(const OracleShardView& view, double dist_norm)
+      : view_(view), dist_norm_(dist_norm) {}
+
+  size_t size() const override { return view_.store->size(); }
+  Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets,
+      OutscoringKernel kernel) const override;
+  Result<std::unique_ptr<OracleShardPlane>> OpenPlane(
+      const Query& query, bool optimized) const override {
+    return std::unique_ptr<OracleShardPlane>(
+        std::make_unique<ShardPlane>(view_, query, dist_norm_, optimized));
+  }
+
+ private:
+  OracleShardView view_;
+  double dist_norm_;
 };
 
 }  // namespace yask

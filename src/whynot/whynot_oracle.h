@@ -21,19 +21,24 @@
 //   * the Eqn. (4) rank of a candidate query is 1 + Σ over shards of each
 //     shard's keyword-mask column count (the same partition-sum).
 //
-// WhyNotOracle captures exactly those primitives. The algorithms run
-// unchanged over any implementation; LocalWhyNotOracle serves one store,
-// ShardedWhyNotOracle (src/corpus/sharded_whynot_oracle.h) fans every call
-// out over the shard pool and merges as above. Determinism argument:
-// docs/architecture.md, "Distributed why-not".
+// WhyNotOracle captures exactly those primitives, and the algorithms run
+// unchanged over any implementation. The fan-out and the merge above are
+// written once, in FanOutWhyNotOracle; a layout supplies only each shard's
+// half through OracleShard: LocalOracleShard in process (one store for
+// LocalWhyNotOracle, N for ShardedWhyNotOracle in
+// src/corpus/sharded_whynot_oracle.h), or a remote shard's replicas
+// (RemoteShardOracle, src/corpus/remote_whynot_oracle.h). Determinism
+// argument: docs/architecture.md, "Distributed why-not".
 
 #ifndef YASK_WHYNOT_WHYNOT_ORACLE_H_
 #define YASK_WHYNOT_WHYNOT_ORACLE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/index/score_plane_index.h"
 #include "src/index/setr_tree.h"
@@ -242,33 +247,20 @@ class WhyNotOracle {
   }
 };
 
-/// Everything the shared fan-out/merge implementation needs: the shard
-/// views, the global normaliser, and the worker pool (null = run fan-outs
-/// inline on the calling thread — single-shard corpora and one-core hosts).
-struct OracleContext {
-  std::vector<OracleShardView> views;
-  /// Precomputed 0..views.size()-1, so full fan-outs on hot paths reuse one
-  /// index list instead of allocating per call (kept in sync by the oracle
-  /// constructors that fill `views`).
-  std::vector<size_t> all_shards;
-  double dist_norm = 0.0;
-  ThreadPool* pool = nullptr;
-};
-
-/// The shared implementation of every oracle primitive except TopK (whose
-/// engines differ): partition-sum / partition-union fan-outs over the
-/// context's shard views. LocalWhyNotOracle and ShardedWhyNotOracle differ
-/// only in how they build the context and answer Object()/TopK().
-class ContextWhyNotOracle : public WhyNotOracle {
+/// The one why-not fan-out and merge, for every layout: each primitive
+/// resolves its target scores once, fans the per-shard half out over the
+/// pool, and merges by partition-sum (counts) or partition-union
+/// (crossings), keeping the work counters. A shard that fails has its error
+/// recorded and adds nothing. LocalWhyNotOracle, ShardedWhyNotOracle and
+/// RemoteShardOracle differ only in their shards, pool, Object() and TopK().
+class FanOutWhyNotOracle : public WhyNotOracle {
  public:
-  size_t size() const override;
-  double dist_norm() const override { return ctx_.dist_norm; }
+  size_t size() const override { return size_; }
+  double dist_norm() const override { return dist_norm_; }
 
   size_t Rank(const Query& query, ObjectId global_id) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
-  /// One fan-out for the whole batch: each shard task counts every spec, so
-  /// the pool is dispatched once per call instead of once per spec.
   std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
@@ -276,23 +268,40 @@ class ContextWhyNotOracle : public WhyNotOracle {
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
 
-  const ThreadPool* pool() const { return ctx_.pool; }
+  /// The fan-out pool (null = fan-outs run inline on the calling thread).
+  const ThreadPool* pool() const { return pool_; }
 
  protected:
-  OracleContext ctx_;
+  /// `record_error` receives every failed shard call (a remote layout bumps
+  /// its corpus error epoch); null for shards that never fail.
+  FanOutWhyNotOracle(std::vector<std::unique_ptr<const OracleShard>> shards,
+                     double dist_norm, ThreadPool* pool,
+                     std::function<void(const Status&)> record_error = {});
 
  private:
-  /// Partition-sum of `count(view, targets)` over the shards for the specs
-  /// (target scores resolved here, once).
-  using ShardCounter = std::vector<size_t> (*)(const OracleShardView&, double,
-                                               const std::vector<ScanTarget>&);
-  std::vector<size_t> SumOverShards(const std::vector<OracleTargetSpec>& specs,
-                                    ShardCounter count) const;
+  friend class FanOutScorePlaneSession;
+
+  /// Runs `call(s)` for each listed shard over the pool and returns the
+  /// shards that answered, in order. A failed call's error is recorded.
+  std::vector<size_t> FanOutShards(
+      const std::vector<size_t>& shards,
+      const std::function<Status(size_t)>& call) const;
+
+  /// Partition-sum of every spec's per-shard outscoring count.
+  std::vector<size_t> SumCounts(const std::vector<OracleTargetSpec>& specs,
+                                OutscoringKernel kernel) const;
+
+  std::vector<std::unique_ptr<const OracleShard>> shards_;
+  std::vector<size_t> all_shards_;  // 0..shards_.size()-1.
+  size_t size_ = 0;
+  double dist_norm_;
+  ThreadPool* pool_;
+  std::function<void(const Status&)> record_error_;
 };
 
-/// The oracle over one unsharded store — the original why-not data path.
+/// The oracle over one unsharded store — one in-process shard, no pool.
 /// A null `setr` is allowed for callers that never call TopK() or Rank().
-class LocalWhyNotOracle : public ContextWhyNotOracle {
+class LocalWhyNotOracle : public FanOutWhyNotOracle {
  public:
   LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr);
   explicit LocalWhyNotOracle(const Corpus& corpus);

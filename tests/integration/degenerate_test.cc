@@ -125,7 +125,8 @@ TEST(DegenerateTest, CollinearScorePlanePoints) {
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({kw});
   q.k = 3;
-  auto result = AdjustPreference(store, q, {10});
+  auto result =
+      AdjustPreference(LocalWhyNotOracle(store, /*setr=*/nullptr), q, {10});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   EXPECT_EQ(result->refined.w, q.w);        // No weight can reorder ties.

@@ -166,7 +166,8 @@ TEST(EndToEndTest, ApplyingBothRefinementsSequentially) {
   probe.k = 25;
   const ObjectId expected = engine.TopK(probe)[20].id;
 
-  auto first = AdjustPreference(store, q, {expected});
+  auto first = AdjustPreference(LocalWhyNotOracle(store, /*setr=*/nullptr), q,
+                                {expected});
   ASSERT_TRUE(first.ok());
   auto second =
       AdaptKeywords(LocalWhyNotOracle(corpus), first->refined, {expected});

@@ -1,17 +1,22 @@
-// The shardrpc /shard/probe/rank boundary, both directions.
+// The shardrpc /shard/probe/rank and /shard/count boundaries, both
+// directions, and the coordinator's side of the plane routes.
 //
 // The shard answers 400 to a truncated body or trailing bytes, a non-finite
 // target score, a query Query::Validate rejects, more than kMaxProbeSpecs
 // specs, specs whose keywords span more than kMaxKeywordUniverse terms, or
 // more than kMaxProbeShapes distinct (loc, ws) query shapes — and answers
-// exactly (the /shard/count scan counts) at each cap. A
-// coordinator that gets a malformed reply records a shard error and its
-// /whynot answers 503; nothing is read out of bounds. Also the batched
-// /shard/count route: scan and SetR specs mixed in one request each answer
-// what they answer alone.
+// exactly (the /shard/count scan counts) at each cap. /shard/count shares
+// the spec bounds. A coordinator that gets a malformed /shard/probe/rank,
+// /shard/plane/count_batch or /shard/plane/crossings reply records a shard
+// error and its /whynot answers 503; nothing is read out of bounds. Also the
+// batched /shard/count route: scan and SetR specs mixed in one request each
+// answer what they answer alone, and a coordinator splits a larger batch
+// into requests under the cap.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -29,6 +34,7 @@
 #include "src/server/yask_service.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -130,13 +136,24 @@ class ProbeRankTest : public ::testing::Test {
     return *status == 200 ? DecodeCounts(body) : std::vector<uint64_t>{};
   }
 
-  std::vector<uint64_t> ScanCounts(const std::vector<Spec>& specs) {
+  /// POSTs one /shard/count request scanning for every spec.
+  std::vector<uint64_t> Scan(const std::vector<Spec>& specs, int* status) {
     std::vector<std::pair<Spec, shardrpc::CountMethod>> scans;
     for (const Spec& spec : specs) {
       scans.emplace_back(spec, shardrpc::CountMethod::kScan);
     }
+    return Count(scans, status);
+  }
+
+  int ScanStatus(const std::vector<Spec>& specs) {
     int status = 0;
-    const std::vector<uint64_t> counts = Count(scans, &status);
+    Scan(specs, &status);
+    return status;
+  }
+
+  std::vector<uint64_t> ScanCounts(const std::vector<Spec>& specs) {
+    int status = 0;
+    const std::vector<uint64_t> counts = Scan(specs, &status);
     EXPECT_EQ(status, 200);
     return counts;
   }
@@ -268,47 +285,147 @@ TEST_F(ProbeRankTest, CountBatchMixesScanAndSetRSpecs) {
   EXPECT_EQ(status, 400);
 }
 
-/// A shard server that forwards every route to a real one, except
-/// /shard/probe/rank, which answers whatever reply() makes of the request.
+TEST_F(ProbeRankTest, CountSpecCap) {
+  const Spec one = MakeSpec(17, 2024, KeywordSet({0, 3}));
+  const uint64_t want = ScanCounts({one}).front();
+  std::vector<Spec> specs(kMaxProbeSpecs, one);
+  EXPECT_EQ(ScanCounts(specs), std::vector<uint64_t>(kMaxProbeSpecs, want));
+  specs.push_back(one);
+  EXPECT_EQ(ScanStatus(specs), 400);
+}
+
+TEST_F(ProbeRankTest, CountRejectsInvalidQueriesAndNonFiniteScores) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    std::vector<Spec> specs = SomeSpecs();
+    specs[1].target_score = bad;
+    EXPECT_EQ(ScanStatus(specs), 400) << bad;
+  }
+  std::vector<Spec> specs = SomeSpecs();
+  specs.back().query.k = 0;
+  EXPECT_EQ(ScanStatus(specs), 400);
+  specs.back().query.k = 1;
+  specs.back().query.doc = KeywordSet();
+  EXPECT_EQ(ScanStatus(specs), 400);
+  EXPECT_EQ(ScanStatus(SomeSpecs()), 200);
+}
+
+TEST_F(ProbeRankTest, CoordinatorSplitsCountBatchesAtTheCap) {
+  // A full request scans the corpus kMaxProbeSpecs times; on a sanitizer
+  // build that can outlast the default deadline, and the retry it forces
+  // would add a request that is not a split.
+  RemoteShardOptions options;
+  options.call_deadline_ms = 300000;
+  auto connected = RemoteCorpus::Connect(
+      {"127.0.0.1:" + std::to_string(service_->port())}, options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  const RemoteShardOracle oracle(remote);
+  const LocalWhyNotOracle local(*corpus_);
+
+  // Basic keyword adaption may ask for more specs than one request carries.
+  std::vector<Query> queries(3);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].loc = corpus_->store().Get(17).loc;
+    queries[i].doc = KeywordSet({static_cast<TermId>(i), 3});
+  }
+  std::vector<OracleTargetSpec> specs;
+  std::vector<ObjectId> targets;
+  for (size_t i = 0; i <= kMaxProbeSpecs; ++i) {
+    specs.push_back(OracleTargetSpec{&queries[i % queries.size()],
+                                     static_cast<ObjectId>(i % 3000)});
+    targets.push_back(specs.back().target);
+  }
+  remote.Prefetch(targets);  // So that only count requests are counted.
+  const uint64_t requests = remote.total_requests();
+  const uint64_t errors = remote.error_epoch();
+  KeywordAdaptStats remote_stats;
+  KeywordAdaptStats local_stats;
+  EXPECT_EQ(oracle.OutscoringCountBatch(specs, &remote_stats),
+            local.OutscoringCountBatch(specs, &local_stats));
+  EXPECT_EQ(remote.total_requests() - requests, 2u);
+  EXPECT_EQ(remote.error_epoch(), errors);
+  EXPECT_EQ(remote_stats.objects_scored, local_stats.objects_scored);
+}
+
+/// A shard server that forwards every route to a real one, and passes the
+/// upstream reply of one route through mutate(request body, reply).
 class TamperingShard {
  public:
-  using Reply = std::string (*)(size_t specs);
+  using Mutate =
+      std::function<std::string(const std::string&, const std::string&)>;
 
-  explicit TamperingShard(uint16_t upstream) : server_(0, 4) {
-    server_.Route("POST", shardrpc::kProbeRankPath,
-                  [this](const HttpRequest& req) {
-                    BufReader in(req.body.data(), req.body.size());
-                    const size_t specs = in.GetVarU64();
-                    std::lock_guard<std::mutex> lock(mu_);
-                    return HttpResponse{200, "application/octet-stream",
-                                        reply_(specs)};
-                  });
+  TamperingShard(uint16_t upstream, const char* path) : server_(0, 4) {
+    const auto forward = [upstream](const HttpRequest& req, int* status) {
+      auto body = HttpFetch(upstream, req.method, req.path, req.body, status);
+      if (!body.ok()) *status = 502;
+      return body.ok() ? *body : std::string("upstream down");
+    };
+    server_.Route("POST", path, [this, forward](const HttpRequest& req) {
+      int status = 0;
+      std::string reply = forward(req, &status);
+      if (status != 200) return HttpResponse::Error(status, reply);
+      ++hits_;
+      std::lock_guard<std::mutex> lock(mu_);
+      return HttpResponse{200, "application/octet-stream",
+                          mutate_(req.body, reply)};
+    });
     for (const char* method : {"GET", "POST"}) {
-      server_.RoutePrefix(method, "/", [upstream](const HttpRequest& req) {
+      server_.RoutePrefix(method, "/", [forward](const HttpRequest& req) {
         int status = 0;
-        auto body = HttpFetch(upstream, req.method, req.path, req.body,
-                              &status);
-        if (!body.ok()) return HttpResponse::Error(502, "upstream down");
-        return HttpResponse{status, "application/octet-stream", *body};
+        std::string reply = forward(req, &status);
+        return HttpResponse{status, "application/octet-stream",
+                            std::move(reply)};
       });
     }
     EXPECT_TRUE(server_.Start().ok());
   }
   ~TamperingShard() { server_.Stop(); }
 
-  void set_reply(Reply reply) {
+  void set_mutate(Mutate mutate) {
     std::lock_guard<std::mutex> lock(mu_);
-    reply_ = reply;
+    mutate_ = std::move(mutate);
   }
+  /// Tampered-route requests the upstream answered.
+  size_t hits() const { return hits_; }
   std::string endpoint() const {
     return "127.0.0.1:" + std::to_string(server_.bound_port());
   }
 
  private:
   HttpServer server_;
+  std::atomic<size_t> hits_{0};
   std::mutex mu_;
-  Reply reply_ = [](size_t) { return std::string(); };
+  Mutate mutate_ = [](const std::string&, const std::string& reply) {
+    return reply;
+  };
 };
+
+/// Asks `coordinator` one why-not question of `model`; returns the
+/// `/whynot` status, or -1 (failing the test) when the `/query` that sets
+/// the question up does not answer 200 with a parsable reply, or when the
+/// `/whynot` request itself fails.
+int AskWhyNot(const YaskService& coordinator, const char* model) {
+  int status = 0;
+  auto query = HttpFetch(
+      coordinator.port(), "POST", "/query",
+      "{\"x\":0.5,\"y\":0.5,\"keywords\":\"kw1 kw2\",\"k\":3}", &status);
+  EXPECT_TRUE(query.ok());
+  if (!query.ok()) return -1;
+  EXPECT_EQ(status, 200) << *query;
+  if (status != 200) return -1;
+  auto parsed = JsonValue::Parse(*query);
+  EXPECT_TRUE(parsed.ok());
+  if (!parsed.ok()) return -1;
+  const size_t id = static_cast<size_t>(parsed->Get("query_id").as_number());
+  auto whynot =
+      HttpFetch(coordinator.port(), "POST", "/whynot",
+                "{\"query_id\":" + std::to_string(id) +
+                    ",\"missing\":[5],\"model\":\"" + model + "\"}",
+                &status);
+  EXPECT_TRUE(whynot.ok());
+  if (!whynot.ok()) return -1;
+  return status;
+}
 
 std::string Counts(size_t announced, size_t present, bool trailing) {
   BufWriter out;
@@ -319,7 +436,7 @@ std::string Counts(size_t announced, size_t present, bool trailing) {
 }
 
 TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
-  TamperingShard shard(service_->port());
+  TamperingShard shard(service_->port(), shardrpc::kProbeRankPath);
   auto connected = RemoteCorpus::Connect({shard.endpoint()});
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   const RemoteCorpus remote = std::move(connected).value();
@@ -332,15 +449,23 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
   for (const Spec& spec : specs) {
     oracle_specs.push_back(OracleTargetSpec{&spec.query, spec.target % 3000});
   }
-  const std::vector<TamperingShard::Reply> replies = {
+  using Reply = std::string (*)(size_t specs);
+  const std::vector<Reply> replies = {
       [](size_t) { return std::string(); },
       [](size_t n) { return Counts(n, n - 1, false); },    // Truncated.
       [](size_t n) { return Counts(n, n, true); },         // Trailing bytes.
       [](size_t n) { return Counts(n + 1, n + 1, false); },  // Wrong count.
       [](size_t) { return Counts(size_t{1} << 40, 1, false); },
   };
+  // Each reply is made from the request's spec count alone.
+  const auto from_request = [](Reply reply) {
+    return [reply](const std::string& request, const std::string&) {
+      BufReader in(request.data(), request.size());
+      return reply(in.GetVarU64());
+    };
+  };
   for (size_t r = 0; r < replies.size(); ++r) {
-    shard.set_reply(replies[r]);
+    shard.set_mutate(from_request(replies[r]));
     const uint64_t before = remote.error_epoch();
     KeywordAdaptStats stats;
     const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
@@ -348,30 +473,103 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
     EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
 
     // Through the front door: the question fails with 503.
-    int status = 0;
-    auto query = HttpFetch(
-        coordinator.port(), "POST", "/query",
-        "{\"x\":0.5,\"y\":0.5,\"keywords\":\"kw1 kw2\",\"k\":3}", &status);
-    ASSERT_TRUE(query.ok());
-    ASSERT_EQ(status, 200) << *query;
-    auto parsed = JsonValue::Parse(*query);
-    ASSERT_TRUE(parsed.ok());
-    const size_t id = static_cast<size_t>(parsed->Get("query_id").as_number());
-    auto whynot = HttpFetch(coordinator.port(), "POST", "/whynot",
-                            "{\"query_id\":" + std::to_string(id) +
-                                ",\"missing\":[5],\"model\":\"keyword\"}",
-                            &status);
-    ASSERT_TRUE(whynot.ok());
-    EXPECT_EQ(status, 503) << "reply " << r << ": " << *whynot;
+    EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503) << "reply " << r;
   }
 
   // A well-formed reply again: the same question is answered.
-  shard.set_reply([](size_t n) { return Counts(n, n, false); });
+  shard.set_mutate(
+      from_request([](size_t n) { return Counts(n, n, false); }));
   const uint64_t before = remote.error_epoch();
   KeywordAdaptStats stats;
   oracle.ProbeRankBatch(oracle_specs, &stats);
   EXPECT_EQ(remote.error_epoch(), before);
   coordinator.Stop();
+}
+
+/// A plane reply's leading count, announced as `announced`, followed by the
+/// rest of `reply` unchanged.
+std::string Reannounce(const std::string& reply, uint64_t announced) {
+  BufReader in(reply.data(), reply.size());
+  in.GetVarU64();
+  BufWriter out;
+  out.PutVarU64(announced);
+  return out.data() + reply.substr(reply.size() - in.remaining());
+}
+
+uint64_t Announced(const std::string& reply) {
+  BufReader in(reply.data(), reply.size());
+  return in.GetVarU64();
+}
+
+TEST_F(ProbeRankTest, CoordinatorRejectsMalformedPlaneReplies) {
+  using Mutate = TamperingShard::Mutate;
+  const std::vector<std::pair<const char*, std::vector<Mutate>>> cases = {
+      {shardrpc::kPlaneCountBatchPath,
+       {
+           [](const std::string&, const std::string& reply) {
+             return reply + '\0';  // Trailing bytes.
+           },
+           [](const std::string&, const std::string& reply) {
+             // One count too many, and its bytes: well-formed, wrong count.
+             BufReader in(reply.data(), reply.size());
+             const uint64_t n = in.GetVarU64();
+             BufWriter out;
+             out.PutVarU64(n + 1);
+             for (uint64_t i = 0; i <= n; ++i) out.PutU64(0);
+             out.PutU64(0);
+             return out.data();
+           },
+           [](const std::string&, const std::string& reply) {
+             return reply.substr(0, reply.size() - 1);  // Truncated.
+           },
+           [](const std::string&, const std::string&) {
+             return std::string();
+           },
+       }},
+      {shardrpc::kPlaneCrossingsPath,
+       {
+           [](const std::string&, const std::string& reply) {
+             return reply + '\0';  // Trailing bytes.
+           },
+           [](const std::string&, const std::string& reply) {
+             // One event fewer than the reply holds.
+             const uint64_t n = Announced(reply);
+             return n == 0 ? reply + std::string(8, '\0')
+                           : Reannounce(reply, n - 1);
+           },
+           [](const std::string&, const std::string& reply) {
+             // One event more than the reply holds.
+             return Reannounce(reply, Announced(reply) + 1);
+           },
+           [](const std::string&, const std::string& reply) {
+             return reply.substr(0, reply.size() - 1);  // Truncated.
+           },
+       }},
+  };
+  for (const auto& [path, mutations] : cases) {
+    TamperingShard shard(service_->port(), path);
+    auto connected = RemoteCorpus::Connect({shard.endpoint()});
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    const RemoteCorpus remote = std::move(connected).value();
+    YaskService coordinator(remote);
+    ASSERT_TRUE(coordinator.Start().ok());
+    for (size_t m = 0; m < mutations.size(); ++m) {
+      shard.set_mutate(mutations[m]);
+      const uint64_t before = remote.error_epoch();
+      const size_t hits = shard.hits();
+      EXPECT_EQ(AskWhyNot(coordinator, "preference"), 503)
+          << path << " mutation " << m;
+      EXPECT_GT(shard.hits(), hits) << path << " mutation " << m;
+      EXPECT_GT(remote.error_epoch(), before) << path << " mutation " << m;
+    }
+    // The replies as the shard sent them: the question is answered.
+    shard.set_mutate(
+        [](const std::string&, const std::string& reply) { return reply; });
+    const uint64_t before = remote.error_epoch();
+    EXPECT_EQ(AskWhyNot(coordinator, "preference"), 200) << path;
+    EXPECT_EQ(remote.error_epoch(), before) << path;
+    coordinator.Stop();
+  }
 }
 
 }  // namespace

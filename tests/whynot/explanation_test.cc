@@ -8,6 +8,7 @@
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -38,6 +39,7 @@ class ExplanationScenario : public ::testing::Test {
 
     tree_ = std::make_unique<SetRTree>(&store_);
     tree_->BulkLoad();
+    oracle_ = std::make_unique<LocalWhyNotOracle>(store_, tree_.get());
 
     query_.loc = Point{0.5, 0.5};
     query_.doc = KeywordSet({coffee_, wifi_});
@@ -46,13 +48,14 @@ class ExplanationScenario : public ::testing::Test {
 
   ObjectStore store_;
   std::unique_ptr<SetRTree> tree_;
+  std::unique_ptr<LocalWhyNotOracle> oracle_;
   Query query_;
   TermId coffee_, wifi_, pizza_;
   ObjectId far_match_, near_mismatch_, far_mismatch_;
 };
 
 TEST_F(ExplanationScenario, FarKeywordMatchBlamesDistance) {
-  auto result = ExplainMissing(store_, *tree_, query_, {far_match_});
+  auto result = ExplainMissing(*oracle_, query_, {far_match_});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   const MissingObjectExplanation& e = result->at(0);
@@ -70,7 +73,7 @@ TEST_F(ExplanationScenario, FarKeywordMatchBlamesDistance) {
 }
 
 TEST_F(ExplanationScenario, NearMismatchBlamesKeywords) {
-  auto result = ExplainMissing(store_, *tree_, query_, {near_mismatch_});
+  auto result = ExplainMissing(*oracle_, query_, {near_mismatch_});
   ASSERT_TRUE(result.ok());
   const MissingObjectExplanation& e = result->at(0);
   EXPECT_DOUBLE_EQ(e.tsim, 0.0);
@@ -80,7 +83,7 @@ TEST_F(ExplanationScenario, NearMismatchBlamesKeywords) {
 }
 
 TEST_F(ExplanationScenario, FarMismatchBlamesBoth) {
-  auto result = ExplainMissing(store_, *tree_, query_, {far_mismatch_});
+  auto result = ExplainMissing(*oracle_, query_, {far_mismatch_});
   ASSERT_TRUE(result.ok());
   const MissingObjectExplanation& e = result->at(0);
   EXPECT_EQ(e.reason, MissingReason::kBoth)
@@ -90,7 +93,7 @@ TEST_F(ExplanationScenario, FarMismatchBlamesBoth) {
 TEST_F(ExplanationScenario, InResultObjectReported) {
   SetRTopKEngine engine(store_, *tree_);
   const TopKResult top = engine.Query(query_);
-  auto result = ExplainMissing(store_, *tree_, query_, {top[0].id});
+  auto result = ExplainMissing(*oracle_, query_, {top[0].id});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at(0).reason, MissingReason::kInResult);
   EXPECT_EQ(result->at(0).recommendation, RefinementRecommendation::kNone);
@@ -98,7 +101,7 @@ TEST_F(ExplanationScenario, InResultObjectReported) {
 }
 
 TEST_F(ExplanationScenario, RankMatchesIndependentComputation) {
-  auto result = ExplainMissing(store_, *tree_, query_,
+  auto result = ExplainMissing(*oracle_, query_,
                                {far_match_, near_mismatch_});
   ASSERT_TRUE(result.ok());
   for (const MissingObjectExplanation& e : *result) {
@@ -115,11 +118,11 @@ TEST_F(ExplanationScenario, RankMatchesIndependentComputation) {
 }
 
 TEST_F(ExplanationScenario, ErrorsOnBadInput) {
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, query_, {}).ok());
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, query_, {123456}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, query_, {}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, query_, {123456}).ok());
   Query bad = query_;
   bad.doc = KeywordSet();
-  EXPECT_FALSE(ExplainMissing(store_, *tree_, bad, {far_match_}).ok());
+  EXPECT_FALSE(ExplainMissing(*oracle_, bad, {far_match_}).ok());
 }
 
 TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
@@ -128,6 +131,7 @@ TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
   const ObjectStore store = GenerateDataset(spec);
   SetRTree tree(&store);
   tree.BulkLoad();
+  const LocalWhyNotOracle oracle(store, &tree);
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -140,7 +144,7 @@ TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
   }
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  auto result = ExplainMissing(store, tree, q, missing);
+  auto result = ExplainMissing(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   for (const MissingObjectExplanation& e : *result) {
     EXPECT_EQ(e.reason == MissingReason::kInResult, e.rank <= q.k);

@@ -12,6 +12,7 @@
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
+#include "src/whynot/whynot_oracle.h"
 #include "tests/reference/whynot_reference.h"
 
 namespace yask {
@@ -41,35 +42,37 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 
 TEST(AdjustPreferenceTest, RejectsInvalidInput) {
   const ObjectStore store = MakeStore(100, 1);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
-  EXPECT_FALSE(AdjustPreference(store, q, {}).ok());           // Empty M.
-  EXPECT_FALSE(AdjustPreference(store, q, {999999}).ok());     // Unknown id.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {}).ok());           // Empty M.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {999999}).ok());     // Unknown id.
   Query bad = q;
   bad.doc = KeywordSet();
-  EXPECT_FALSE(AdjustPreference(store, bad, {1}).ok());        // Invalid q.
+  EXPECT_FALSE(AdjustPreference(oracle, bad, {1}).ok());        // Invalid q.
   PreferenceAdjustOptions opts;
   opts.lambda = 1.5;
-  EXPECT_FALSE(AdjustPreference(store, q, {1}, opts).ok());    // Bad lambda.
+  EXPECT_FALSE(AdjustPreference(oracle, q, {1}, opts).ok());    // Bad lambda.
   // One sweep event's grid (3 weights per distinct missing id) must fit one
   // count fan-out; the size check precedes the id lookup.
   std::vector<ObjectId> huge(kMaxCountBatchPairs / 3 + 1);
   for (size_t i = 0; i < huge.size(); ++i) huge[i] = static_cast<ObjectId>(i);
-  auto too_many = AdjustPreference(store, q, huge);
+  auto too_many = AdjustPreference(oracle, q, huge);
   ASSERT_FALSE(too_many.ok());
   EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdjustPreferenceTest, AlreadyInResult) {
   const ObjectStore store = MakeStore(200, 2);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
   q.k = 10;
   const TopKResult top = TopKScan(store, q);
-  auto result = AdjustPreference(store, q, {top[2].id});
+  auto result = AdjustPreference(oracle, q, {top[2].id});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->already_in_result);
   EXPECT_DOUBLE_EQ(result->penalty.value, 0.0);
@@ -79,6 +82,7 @@ TEST(AdjustPreferenceTest, AlreadyInResult) {
 
 TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
   const ObjectStore store = MakeStore(1000, 3);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1, 2});
@@ -86,7 +90,7 @@ TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
 
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->already_in_result);
 
@@ -102,6 +106,7 @@ TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
 TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
   // The pure-k refinement costs exactly λ, so the optimum is <= λ.
   const ObjectStore store = MakeStore(500, 4);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(11);
   for (double lambda : {0.1, 0.5, 0.9}) {
     Query q;
@@ -112,7 +117,7 @@ TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
     if (missing.empty()) continue;
     PreferenceAdjustOptions opts;
     opts.lambda = lambda;
-    auto result = AdjustPreference(store, q, missing, opts);
+    auto result = AdjustPreference(oracle, q, missing, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_LE(result->penalty.value, lambda + 1e-12);
   }
@@ -121,6 +126,7 @@ TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
 TEST(AdjustPreferenceTest, LambdaZeroKeepsWeights) {
   // λ=0: modifying w is pure cost, enlarging k is free => keep w, k'=R0.
   const ObjectStore store = MakeStore(400, 5);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({0, 1});
@@ -129,7 +135,7 @@ TEST(AdjustPreferenceTest, LambdaZeroKeepsWeights) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 0.0;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->refined.w, q.w);
   EXPECT_EQ(result->refined.k, result->original_rank);
@@ -141,6 +147,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   // optimum is the weight minimising the missing object's rank. The returned
   // rank must therefore be minimal over a dense weight grid.
   const ObjectStore store = MakeStore(300, 12);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.45, 0.55};
   q.doc = KeywordSet({0, 1});
@@ -149,7 +156,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 1.0;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
   const auto pts = BuildPlanePoints(store, q);
@@ -177,6 +184,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
 
 TEST(AdjustPreferenceTest, RefinedRankConsistent) {
   const ObjectStore store = MakeStore(600, 6);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   SetRTree tree(&store);
   tree.BulkLoad();
   Query q;
@@ -185,7 +193,7 @@ TEST(AdjustPreferenceTest, RefinedRankConsistent) {
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 2);
   ASSERT_EQ(missing.size(), 2u);
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   // Reported ranks match independent recomputation.
   EXPECT_EQ(result->original_rank, LowestRank(store, tree, q, missing));
@@ -203,6 +211,7 @@ class PrefModesAgree
 TEST_P(PrefModesAgree, BasicEqualsOptimized) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(400, seed);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 4; ++trial) {
     Query q;
@@ -220,8 +229,8 @@ TEST_P(PrefModesAgree, BasicEqualsOptimized) {
     optimized.lambda = lambda;
     optimized.mode = PrefAdjustMode::kOptimized;
 
-    auto rb = AdjustPreference(store, q, missing, basic);
-    auto ro = AdjustPreference(store, q, missing, optimized);
+    auto rb = AdjustPreference(oracle, q, missing, basic);
+    auto ro = AdjustPreference(oracle, q, missing, optimized);
     ASSERT_TRUE(rb.ok());
     ASSERT_TRUE(ro.ok());
     EXPECT_EQ(rb->already_in_result, ro->already_in_result);
@@ -247,6 +256,7 @@ class PrefOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
   const ObjectStore store = MakeStore(300, GetParam());
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(GetParam() ^ 0xA0A0);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -256,7 +266,7 @@ TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
   ASSERT_FALSE(missing.empty());
   PreferenceAdjustOptions opts;
   opts.lambda = 0.5;
-  auto result = AdjustPreference(store, q, missing, opts);
+  auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->already_in_result);
 
@@ -287,13 +297,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefOptimalityAudit,
 
 TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
   const ObjectStore store = MakeStore(500, 8);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.2, 0.8};
   q.doc = KeywordSet({0, 3});
   q.k = 5;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto result = AdjustPreference(store, q, missing);
+  auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.candidates_evaluated, 0u);
   EXPECT_GT(result->stats.index_nodes_visited, 0u);
@@ -308,6 +319,7 @@ TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
   // the index-free reference audit. Segments of one event fetch exactly
   // what the sweep evaluates, so they set the baseline.
   const ObjectStore store = MakeStore(600, 10);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
     for (int trial = 0; trial < 3; ++trial) {
@@ -323,7 +335,7 @@ TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
       PreferenceAdjustOptions one;
       one.lambda = lambda;
       one.sweep_batch_size = 1;
-      auto baseline = AdjustPreference(store, q, missing, one);
+      auto baseline = AdjustPreference(oracle, q, missing, one);
       ASSERT_TRUE(baseline.ok());
       reference::ExpectPreferenceAnswer(
           store, q, missing, lambda, *baseline,
@@ -332,7 +344,7 @@ TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
       for (size_t segment : {size_t{0}, size_t{3}, size_t{100}}) {
         PreferenceAdjustOptions segmented = one;
         segmented.sweep_batch_size = segment;
-        auto result = AdjustPreference(store, q, missing, segmented);
+        auto result = AdjustPreference(oracle, q, missing, segmented);
         ASSERT_TRUE(result.ok());
         const std::string tag =
             base_tag + " segment=" + std::to_string(segment);
@@ -363,6 +375,7 @@ TEST(AdjustPreferenceTest, SegmentedSweepSavesFanouts) {
   // with segments of eight it must consume the same E events in exactly
   // ⌈E/8⌉ segment fan-outs — the floor cut lands on the same event.
   const ObjectStore store = MakeStore(800, 11);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(23);
   size_t checked = 0;
   for (int trial = 0; trial < 6; ++trial) {
@@ -377,8 +390,8 @@ TEST(AdjustPreferenceTest, SegmentedSweepSavesFanouts) {
     one.sweep_batch_size = 1;
     PreferenceAdjustOptions eight;
     eight.sweep_batch_size = 8;
-    auto r1 = AdjustPreference(store, q, missing, one);
-    auto r8 = AdjustPreference(store, q, missing, eight);
+    auto r1 = AdjustPreference(oracle, q, missing, one);
+    auto r8 = AdjustPreference(oracle, q, missing, eight);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r8.ok());
     if (r1->already_in_result) continue;
@@ -410,6 +423,7 @@ TEST(AdjustPreferenceTest, DefaultSweepDoublesItsSegments) {
   // event it consumes (E). The default schedule consumes the same E events
   // in exactly 1 + ⌈log2(E/8 + 1)⌉ fan-outs.
   const ObjectStore store = MakeStore(800, 11);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(23);
   size_t doubled = 0;
   for (int trial = 0; trial < 8; ++trial) {
@@ -422,8 +436,8 @@ TEST(AdjustPreferenceTest, DefaultSweepDoublesItsSegments) {
 
     PreferenceAdjustOptions one;
     one.sweep_batch_size = 1;
-    auto r1 = AdjustPreference(store, q, missing, one);
-    auto rd = AdjustPreference(store, q, missing);
+    auto r1 = AdjustPreference(oracle, q, missing, one);
+    auto rd = AdjustPreference(oracle, q, missing);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(rd.ok());
     if (r1->already_in_result) continue;
@@ -440,6 +454,7 @@ TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
   // In basic mode every fetched pair is a full rescan, so the default
   // schedule spends exactly what a pinned size of 1 spends.
   const ObjectStore store = MakeStore(600, 12);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(31);
   for (int trial = 0; trial < 4; ++trial) {
     Query q;
@@ -453,8 +468,8 @@ TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
     basic.mode = PrefAdjustMode::kBasic;
     PreferenceAdjustOptions pinned = basic;
     pinned.sweep_batch_size = 1;
-    auto rb = AdjustPreference(store, q, missing, basic);
-    auto rp = AdjustPreference(store, q, missing, pinned);
+    auto rb = AdjustPreference(oracle, q, missing, basic);
+    auto rp = AdjustPreference(oracle, q, missing, pinned);
     ASSERT_TRUE(rb.ok());
     ASSERT_TRUE(rp.ok());
     EXPECT_EQ(rb->penalty.value, rp->penalty.value);
@@ -465,14 +480,15 @@ TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
   const ObjectStore store = MakeStore(300, 9);
+  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
   const std::vector<ObjectId> missing = PickMissing(store, q, 1);
   ASSERT_FALSE(missing.empty());
-  auto a = AdjustPreference(store, q, {missing[0]});
-  auto b = AdjustPreference(store, q, {missing[0], missing[0]});
+  auto a = AdjustPreference(oracle, q, {missing[0]});
+  auto b = AdjustPreference(oracle, q, {missing[0], missing[0]});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->penalty.value, b->penalty.value);
