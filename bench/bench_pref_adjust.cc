@@ -12,10 +12,10 @@
 // questions: rescans/query (full O(n) rescans, basic mode: one per
 // evaluated (weight, anchor) pair) and fanouts/query (count fan-outs).
 //
-// Kernel rows time the optimized mode's score-plane index (TSim columns,
-// binary search per column) alone: BM_ScorePlane_Build builds it over one
-// query's plane points (the copy of the points included, their scoring
-// not), and BM_ScorePlane_CountAbove answers one tie-aware count per
+// Kernel rows time the optimized mode's question columns (TSim columns,
+// binary search per column) alone: BM_QuestionColumns_Build builds one
+// query's columns over the whole store (x, masks, one sort, both scatters),
+// and BM_QuestionColumns_CountAbove answers one tie-aware count per
 // iteration, so its time is ns per (weight, anchor) pair, over the weights
 // the sweep evaluates for MakeQuery queries.
 
@@ -24,7 +24,6 @@
 #include <cmath>
 
 #include "bench/bench_util.h"
-#include "src/index/score_plane_index.h"
 #include "src/whynot/preference_adjustment.h"
 #include "src/whynot/whynot_oracle.h"
 
@@ -96,59 +95,76 @@ void BM_PrefAdjust_Basic(benchmark::State& state) {
   RunAdjust(state, PrefAdjustMode::kBasic);
 }
 
-/// The plane points of 8 MakeQuery queries (3 keywords, k = 10) and each
-/// query's first missing object (PickMissing).
+/// 8 MakeQuery queries (3 keywords, k = 10), each query's first missing
+/// object (PickMissing) and its keyword universe q.doc ∪ m.doc.
 struct PlaneWorkload {
+  const ObjectStore* store = nullptr;
   std::vector<Query> queries;
-  std::vector<std::vector<PlanePoint>> points;
   std::vector<ObjectId> missing;
+  std::vector<KeywordSet> universes;
 };
 
 PlaneWorkload MakePlaneWorkload(size_t n) {
-  const ObjectStore& store = SharedDataset(n);
-  Rng rng(7);
   PlaneWorkload out;
+  out.store = &SharedDataset(n);
+  Rng rng(7);
   while (out.queries.size() < 8) {
-    Query q = MakeQuery(store, &rng, 3, 10);
-    const std::vector<ObjectId> missing = PickMissing(store, q, 1);
+    Query q = MakeQuery(*out.store, &rng, 3, 10);
+    const std::vector<ObjectId> missing = PickMissing(*out.store, q, 1);
     if (missing.empty()) continue;
-    out.points.push_back(BuildPlanePoints(store, q));
+    out.universes.push_back(
+        KeywordSet::Union(q.doc, out.store->Get(missing.front()).doc));
     out.queries.push_back(std::move(q));
     out.missing.push_back(missing.front());
   }
   return out;
 }
 
-void BM_ScorePlane_Build(benchmark::State& state) {
+PlanePoint PointOf(const ObjectStore& store, const Query& q, ObjectId id) {
+  const ObjectScoreParts parts =
+      ScorePartsOf(q, store.BoundsDiagonal(), store.Get(id));
+  return PlanePoint{1.0 - parts.sdist, parts.tsim, id};
+}
+
+void BM_QuestionColumns_Build(benchmark::State& state) {
   const PlaneWorkload workload =
       MakePlaneWorkload(static_cast<size_t>(state.range(0)));
+  const OracleShardView view{workload.store, nullptr};
   size_t i = 0;
   for (auto _ : state) {
-    ScorePlaneIndex index(workload.points[i++ % workload.points.size()]);
-    benchmark::DoNotOptimize(index.size());
+    const size_t qi = i++ % workload.queries.size();
+    QuestionColumns columns(view, workload.store->BoundsDiagonal(),
+                            workload.queries[qi], workload.universes[qi],
+                            QuestionPlane::kOptimized);
+    benchmark::DoNotOptimize(columns.shape().groups);
   }
 }
 
-void BM_ScorePlane_CountAbove(benchmark::State& state) {
+void BM_QuestionColumns_CountAbove(benchmark::State& state) {
   const PlaneWorkload workload =
       MakePlaneWorkload(static_cast<size_t>(state.range(0)));
+  const ObjectStore& store = *workload.store;
+  const OracleShardView view{&store, nullptr};
   // Sweep-shaped pairs: per query, the missing object's anchor at w0 and at
   // the 64 crossings of its line nearest to w0, each with the 1e-7 step
   // past it on the far side from w0.
   struct Pair {
     size_t plane;
-    double w;
-    PlanePoint anchor;
+    std::vector<double> w;  // One weight and one anchor: a batch of one.
+    std::vector<PlanePoint> anchor;
   };
-  std::vector<std::unique_ptr<ScorePlaneIndex>> indexes;
+  std::vector<std::unique_ptr<QuestionColumns>> planes;
   std::vector<Pair> pairs;
   for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
-    const std::vector<PlanePoint>& pts = workload.points[qi];
-    indexes.push_back(std::make_unique<ScorePlaneIndex>(pts));
-    const PlanePoint anchor = pts[workload.missing[qi]];
-    const double w0 = workload.queries[qi].w.ws;
+    const Query& q = workload.queries[qi];
+    planes.push_back(std::make_unique<QuestionColumns>(
+        view, store.BoundsDiagonal(), q, workload.universes[qi],
+        QuestionPlane::kOptimized));
+    const PlanePoint anchor = PointOf(store, q, workload.missing[qi]);
+    const double w0 = q.w.ws;
     std::vector<double> crossings;
-    for (const PlanePoint& p : pts) {
+    for (ObjectId id = 0; id < store.size(); ++id) {
+      const PlanePoint p = PointOf(store, q, id);
       const double slope = (p.x - anchor.x) - (p.y - anchor.y);
       if (p.id == anchor.id || slope == 0.0) continue;
       const double wx = (anchor.y - p.y) / slope;
@@ -158,23 +174,26 @@ void BM_ScorePlane_CountAbove(benchmark::State& state) {
       return std::abs(a - w0) < std::abs(b - w0);
     });
     crossings.resize(std::min<size_t>(crossings.size(), 64));
-    pairs.push_back(Pair{qi, w0, anchor});
+    pairs.push_back(Pair{qi, {w0}, {anchor}});
     for (double wx : crossings) {
-      pairs.push_back(Pair{qi, wx, anchor});
-      pairs.push_back(Pair{qi, wx <= w0 ? wx - 1e-7 : wx + 1e-7, anchor});
+      pairs.push_back(Pair{qi, {wx}, {anchor}});
+      pairs.push_back(Pair{qi, {wx <= w0 ? wx - 1e-7 : wx + 1e-7}, {anchor}});
     }
   }
   size_t i = 0;
+  std::vector<size_t> count(1);
+  size_t evals = 0;
   for (auto _ : state) {
     const Pair& pair = pairs[i++ % pairs.size()];
-    benchmark::DoNotOptimize(indexes[pair.plane]->CountAbove(
-        pair.w, pair.anchor.ScoreAt(pair.w), pair.anchor.id));
+    (void)planes[pair.plane]->CountAboveBatch(pair.w, pair.anchor, &count,
+                                              &evals);
+    benchmark::DoNotOptimize(count[0]);
   }
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
 
-BENCHMARK(BM_ScorePlane_Build)->ArgName("N")->Arg(50000);
-BENCHMARK(BM_ScorePlane_CountAbove)->ArgName("N")->Arg(50000);
+BENCHMARK(BM_QuestionColumns_Build)->ArgName("N")->Arg(50000);
+BENCHMARK(BM_QuestionColumns_CountAbove)->ArgName("N")->Arg(50000);
 
 // E4: vary k at N = 100k (optimized) / 20k (basic: quadratic, kept small).
 BENCHMARK(BM_PrefAdjust_Optimized)

@@ -34,6 +34,8 @@ struct ModelAggregate {
   size_t recommended = 0;
 };
 
+/// Printed to stderr, so that stdout holds only the benchmark output
+/// (--benchmark_format=json stays parseable).
 void PrintQualityTable() {
   const Corpus corpus = CorpusBuilder().Build(GenerateHotelDataset());
   const ObjectStore& store = corpus.store();
@@ -83,24 +85,28 @@ void PrintQualityTable() {
     }
   }
 
-  std::printf(
-      "\n=== E11: refinement effectiveness on the Hong Kong hotel dataset "
-      "(539 hotels, %zu why-not questions, λ=0.5) ===\n",
-      kTrials);
-  std::printf("%-24s | %-9s | %-11s | %-7s | %-10s | %s\n", "model",
-              "revived", "avg penalty", "avg dk", "avg mod", "recommended");
-  std::printf("-------------------------+-----------+-------------+---------+"
-              "------------+------------\n");
+  std::fprintf(stderr,
+               "\n=== E11: refinement effectiveness on the Hong Kong hotel "
+               "dataset (539 hotels, %zu why-not questions, λ=0.5) ===\n",
+               kTrials);
+  std::fprintf(stderr, "%-24s | %-9s | %-11s | %-7s | %-10s | %s\n", "model",
+               "revived", "avg penalty", "avg dk", "avg mod", "recommended");
+  std::fprintf(stderr,
+               "-------------------------+-----------+-------------+---------+"
+               "------------+------------\n");
   auto print_row = [&](const char* name, const ModelAggregate& a,
                        const char* mod_unit) {
-    std::printf("%-24s | %4zu/%-4zu | %11.4f | %7.2f | %7.3f %s | %zu\n", name,
-                a.revived, a.runs, a.penalty / a.runs, a.delta_k / a.runs,
-                a.modification / a.runs, mod_unit, a.recommended);
+    std::fprintf(stderr,
+                 "%-24s | %4zu/%-4zu | %11.4f | %7.2f | %7.3f %s | %zu\n",
+                 name, a.revived, a.runs, a.penalty / a.runs,
+                 a.delta_k / a.runs, a.modification / a.runs, mod_unit,
+                 a.recommended);
   };
   print_row("preference adjustment", pref_agg, "dw");
   print_row("keyword adaption", kw_agg, "dd");
-  std::printf("(expected: both 100%% revival; penalties << 0.5 = pure-k "
-              "cost)\n\n");
+  std::fprintf(stderr,
+               "(expected: both 100%% revival; penalties << 0.5 = pure-k "
+               "cost)\n\n");
 }
 
 void BM_WhyNotAnswer_HotelDataset(benchmark::State& state) {

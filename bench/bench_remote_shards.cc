@@ -10,11 +10,16 @@
 //     the unsharded reference engine (which PR 2/3 already gate against the
 //     in-process sharded layout);
 //   * round-trip accounting, from each shard's own per-route request
-//     counts: the Eqn. (3) sweep sends exactly one /shard/plane/count_batch
-//     per sweep fan-out to every shard, and Eqn. (4) keyword adaption sends
-//     every shard exactly one stateless /shard/probe/rank per rank fan-out
-//     (stats.probe_fanouts). Per-pair or per-candidate traffic breaks these
-//     counts and fails the run.
+//     counts: one engine /whynot opens one question session per shard
+//     (/shard/plane/open) and asks every rank of it — one per missing object
+//     for the explanations, one per rank fan-out (stats.probe_fanouts) for
+//     Eqn. (4) — as one /shard/plane/rank per shard, with no stateless
+//     /shard/probe/rank or /shard/count; keyword adaption over an open
+//     question sends exactly one /shard/plane/rank per shard per rank
+//     fan-out; and the Eqn. (3) sweep sends exactly one
+//     /shard/plane/count_batch per sweep fan-out to every shard.
+//     Per-pair or per-candidate traffic breaks these counts and fails the
+//     run.
 //
 // The headline numbers: HTTP round-trips per why-not answer for the
 // Eqn. (4) rank batches and the Eqn. (3) weight sweep — the quantity that
@@ -148,7 +153,7 @@ struct RemoteRun {
   double kw_rt_per_question = 0.0;     // Round-trips, keyword adaption.
   double sweep_rt_per_question = 0.0;  // Round-trips, Eqn. (3) sweep.
   bool exact = true;
-  bool kw_rt_gate = true;     // Rank route counts match the counters.
+  bool kw_rt_gate = true;     // Rank and question route counts match.
   bool sweep_rt_gate = true;  // Plane route counts match the counters.
 };
 
@@ -160,7 +165,9 @@ struct RouteCounts {
   static RouteCounts Take(const ShardFleet& fleet) {
     RouteCounts counts;
     for (const char* route :
-         {shardrpc::kProbeRankPath, shardrpc::kPlaneCountBatchPath}) {
+         {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
+          shardrpc::kProbeRankPath, shardrpc::kCountPath,
+          shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
             service->metrics()
@@ -279,25 +286,44 @@ int main(int argc, char** argv) {
       run.topk_ms_per_query = timer.ElapsedMillis() / queries.size();
     }
 
-    // (b) Full why-not answers over the wire, gated bit-identical.
+    // (b) Full why-not answers over the wire, gated bit-identical and to
+    // one question session per shard that answers every rank.
     {
       Timer timer;
       for (size_t i = 0; i < questions.size(); ++i) {
+        const RouteCounts before = RouteCounts::Take(fleet);
         auto answer = engine.Answer(questions[i].query, questions[i].missing);
+        const RouteCounts after = RouteCounts::Take(fleet);
         if (!answer.ok() || !SameAnswer(*answer, expected_answers[i])) {
           run.exact = false;
+          continue;
+        }
+        const uint64_t ranks = questions[i].missing.size() +
+                               answer->keyword->stats.probe_fanouts;
+        for (size_t s = 0; s < shards; ++s) {
+          if (after.Since(before, shardrpc::kPlaneOpenPath, s) != 1 ||
+              after.Since(before, shardrpc::kPlaneRankPath, s) != ranks ||
+              after.Since(before, shardrpc::kProbeRankPath, s) != 0 ||
+              after.Since(before, shardrpc::kCountPath, s) != 0) {
+            run.kw_rt_gate = false;
+          }
         }
       }
       run.whynot_ms_per_question = timer.ElapsedMillis() / questions.size();
     }
 
-    // (c) The keyword-adaption round-trip meter, gated to the unsharded
-    // refinement and to the probe traffic its counters predict.
+    // (c) The keyword-adaption round-trip meter over an open question
+    // (session open and close included), gated to the unsharded refinement
+    // and to the rank traffic its counters predict.
     uint64_t kw_rt = 0;
     for (const Question& q : questions) {
       const uint64_t requests = remote.total_requests();
       const RouteCounts before = RouteCounts::Take(fleet);
-      auto rb = AdaptKeywords(oracle, q.query, q.missing);
+      auto rb = [&] {
+        const auto question = oracle.OpenQuestion(q.query, q.missing,
+                                                  PrefAdjustMode::kOptimized);
+        return AdaptKeywords(*question, q.query, q.missing);
+      }();
       const RouteCounts after = RouteCounts::Take(fleet);
       kw_rt += remote.total_requests() - requests;
       if (!rb.ok()) {
@@ -307,10 +333,10 @@ int main(int argc, char** argv) {
       auto local = AdaptKeywords(LocalWhyNotOracle(baseline), q.query,
                                  q.missing);
       if (!local.ok() || !SameRefinement(*rb, *local)) run.exact = false;
-      // One /shard/probe/rank per shard per rank fan-out — the batching
+      // One /shard/plane/rank per shard per rank fan-out — the batching
       // contract.
       for (size_t s = 0; s < shards; ++s) {
-        if (after.Since(before, shardrpc::kProbeRankPath, s) !=
+        if (after.Since(before, shardrpc::kPlaneRankPath, s) !=
             rb->stats.probe_fanouts) {
           run.kw_rt_gate = false;
         }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -31,9 +33,44 @@ Status GetCounts(BufReader* in, size_t expected, const char* path,
   return Status::OK();
 }
 
+/// Sends `targets` as spec lists of at most kMaxProbeSpecs specs (the cap
+/// a shard enforces), one request per list, and appends the counts of each
+/// reply. `call` sends one request body; `head` writes the bytes leading
+/// each body, `method` (when set) follows each spec.
+Status CountInRequests(
+    const std::vector<ScanTarget>& targets, const char* path,
+    const std::function<void(BufWriter*)>& head,
+    std::optional<shardrpc::CountMethod> method,
+    const std::function<Result<std::string>(std::string)>& call,
+    std::vector<size_t>* counts) {
+  counts->reserve(targets.size());
+  size_t first = 0;
+  do {
+    const size_t last = std::min(targets.size(), first + kMaxProbeSpecs);
+    BufWriter req;
+    head(&req);
+    req.PutVarU64(last - first);
+    for (size_t i = first; i < last; ++i) {
+      shardrpc::PutQuery(&req, *targets[i].query);
+      req.PutU32(targets[i].target);
+      req.PutF64(targets[i].target_score);
+      if (method.has_value()) req.PutU8(static_cast<uint8_t>(*method));
+    }
+    Result<std::string> raw = call(req.data());
+    if (!raw.ok()) return raw.status();
+    BufReader in(raw->data(), raw->size());
+    if (Status s = GetCounts(&in, last - first, path, counts); !s.ok()) {
+      return s;
+    }
+    if (Status s = FullyRead(in, path); !s.ok()) return s;
+    first = last;
+  } while (first < targets.size());
+  return Status::OK();
+}
+
 // --- Session failover channel ------------------------------------------------
 
-/// One shard's server-side Eqn. (3) plane session — its OracleShardPlane —
+/// One shard's server-side question session — its OracleShardQuestion —
 /// with mid-request failover.
 /// The session is replica-sticky: it lives on ONE replica of the shard's
 /// ReplicaSet. When a session call fails on the wire — or the replica
@@ -44,10 +81,11 @@ Status GetCounts(BufReader* in, size_t expected, const char* path,
 /// byte-identical to the lost one, and the caller never sees the kill.
 ///
 /// Every session request body leads with an 8-byte session-id slot the
-/// channel stamps per attempt. Not thread-safe (one logical why-not question
-/// drives one channel at a time, matching the shard server's own per-session
-/// serialisation).
-class ShardSessionChannel final : public OracleShardPlane {
+/// channel stamps per attempt. Thread-safe: the preference and keyword
+/// stages of one question call it from two threads. Calls run concurrently
+/// (the shard serves a session's calls in parallel); only the session id,
+/// and the re-open that replaces it, are under the channel's lock.
+class ShardSessionChannel final : public OracleShardQuestion {
  public:
   ShardSessionChannel(const RemoteCorpus& corpus, size_t shard)
       : corpus_(&corpus), shard_(shard) {}
@@ -57,13 +95,39 @@ class ShardSessionChannel final : public OracleShardPlane {
   ShardSessionChannel& operator=(const ShardSessionChannel&) = delete;
 
   /// First open, trying every replica.
-  bool Open(std::string open_body) {
+  bool Open(std::string open_body, size_t universe) {
+    std::lock_guard<std::mutex> lock(mu_);
     open_body_ = std::move(open_body);
+    shape_.objects = corpus_->meta(shard_).object_count;
+    shape_.universe = universe;
     std::vector<bool> tried(set().num_replicas(), false);
     return Reopen(&tried);
   }
 
-  const Status& last_error() const { return last_error_; }
+  Status last_error() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return last_error_;
+  }
+
+  QuestionShape shape() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return shape_;
+  }
+
+  Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets) override {
+    std::vector<size_t> counts;
+    const char* path = shardrpc::kPlaneRankPath;
+    if (Status s = CountInRequests(
+            targets, path, [](BufWriter* req) { req->PutU64(0); },
+            std::nullopt,
+            [&](std::string body) { return Call(path, std::move(body)); },
+            &counts);
+        !s.ok()) {
+      return s;
+    }
+    return counts;
+  }
 
   Status CountAboveBatch(const std::vector<double>& weights,
                          const std::vector<PlanePoint>& anchors,
@@ -113,10 +177,6 @@ class ShardSessionChannel final : public OracleShardPlane {
   /// One session call; `body` leads with 8 bytes the channel overwrites with
   /// the session id. Errors only when no replica can serve the session.
   Result<std::string> Call(const char* path, std::string body) {
-    if (session_ == 0) {
-      return Status::Unavailable("shard " + set().description() +
-                                 ": no live session");
-    }
     std::vector<bool> tried(set().num_replicas(), false);
     // A restarted replica is healthy but sessionless: it answers 404, we
     // re-open (maybe on it) and retry. Bound those loops — a server that
@@ -124,15 +184,27 @@ class ShardSessionChannel final : public OracleShardPlane {
     size_t lost_sessions = 0;
     bool failed_over = false;
     for (;;) {
-      StampSession(&body, session_);
-      Result<std::string> raw = set().CallOn(replica_, "POST", path, body);
+      uint64_t session;
+      size_t replica;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (session_ == 0) {
+          return Status::Unavailable("shard " + set().description() +
+                                     ": no live session");
+        }
+        session = session_;
+        replica = replica_;
+      }
+      StampSession(&body, session);
+      Result<std::string> raw = set().CallOn(replica, "POST", path, body);
       if (raw.ok()) {
         if (failed_over) set().NoteFailover();
         return raw;
       }
       const StatusCode code = raw.status().code();
+      std::lock_guard<std::mutex> lock(mu_);
       if (code == StatusCode::kUnavailable) {
-        tried[replica_] = true;  // This replica failed on the wire.
+        tried[replica] = true;  // This replica failed on the wire.
       } else if (code == StatusCode::kNotFound) {
         // Session gone (replica restart or server-side eviction); the
         // replica itself stays eligible for the re-open.
@@ -144,7 +216,8 @@ class ShardSessionChannel final : public OracleShardPlane {
         return raw;  // Deterministic semantic error; retries would repeat it.
       }
       failed_over = true;
-      session_ = 0;
+      // Another call may have re-opened the session already: retry on it.
+      if (session_ != session) continue;
       if (!Reopen(&tried)) {
         return Status::Unavailable("shard " + set().description() +
                                    ": no replica could serve the session: " +
@@ -170,7 +243,7 @@ class ShardSessionChannel final : public OracleShardPlane {
     std::memcpy(body->data(), &session, sizeof(session));
   }
 
-  /// Opens on some not-yet-tried replica.
+  /// Opens on some not-yet-tried replica. Under mu_.
   bool Reopen(std::vector<bool>* tried) {
     session_ = 0;
     for (;;) {
@@ -181,6 +254,7 @@ class ShardSessionChannel final : public OracleShardPlane {
     }
   }
 
+  /// Under mu_.
   bool OpenOn(size_t r) {
     Result<std::string> raw =
         set().CallOn(r, "POST", shardrpc::kPlaneOpenPath, open_body_);
@@ -190,7 +264,10 @@ class ShardSessionChannel final : public OracleShardPlane {
     }
     BufReader in(raw->data(), raw->size());
     const uint64_t id = in.GetU64();
-    if (!in.ok() || id == 0) {
+    const uint64_t objects = in.GetVarU64();
+    const uint64_t groups = in.GetVarU64();
+    const uint64_t columns = in.GetVarU64();
+    if (!in.ok() || !in.AtEnd() || id == 0 || objects != shape_.objects) {
       last_error_ = Status::InvalidArgument("bad session-open response");
       return false;
     }
@@ -200,15 +277,19 @@ class ShardSessionChannel final : public OracleShardPlane {
     opened_once_ = true;
     session_ = id;
     replica_ = r;
+    shape_.groups = groups;
+    shape_.columns = columns;
     return true;
   }
 
   const RemoteCorpus* corpus_;
   size_t shard_;
+  mutable std::mutex mu_;
   std::string open_body_;
   size_t replica_ = 0;
   uint64_t session_ = 0;
   bool opened_once_ = false;
+  QuestionShape shape_;
   Status last_error_ = Status::Unavailable("never opened");
 };
 
@@ -220,53 +301,40 @@ class RemoteOracleShard final : public OracleShard {
 
   size_t size() const override { return corpus_->meta(shard_).object_count; }
 
-  /// kSetR and kScan ride /shard/count (a method byte per spec), kColumns
-  /// /shard/probe/rank. Target scores travel with the specs — a spec's
-  /// target need not live on this shard.
+  /// kScan rides /shard/count, kColumns /shard/probe/rank. Target scores
+  /// travel with the specs — a spec's target need not live on this shard.
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets,
       OutscoringKernel kernel) const override {
-    const bool columns = kernel == OutscoringKernel::kColumns;
-    const char* path =
-        columns ? shardrpc::kProbeRankPath : shardrpc::kCountPath;
-    const auto method = static_cast<uint8_t>(
-        kernel == OutscoringKernel::kSetR ? shardrpc::CountMethod::kSetR
-                                          : shardrpc::CountMethod::kScan);
+    const bool scan = kernel == OutscoringKernel::kScan;
+    const char* path = scan ? shardrpc::kCountPath : shardrpc::kProbeRankPath;
     std::vector<size_t> counts;
-    counts.reserve(targets.size());
-    // A shard answers at most kMaxProbeSpecs specs per request.
-    size_t first = 0;
-    do {
-      const size_t last = std::min(targets.size(), first + kMaxProbeSpecs);
-      BufWriter req;
-      req.PutVarU64(last - first);
-      for (size_t i = first; i < last; ++i) {
-        shardrpc::PutQuery(&req, *targets[i].query);
-        req.PutU32(targets[i].target);
-        req.PutF64(targets[i].target_score);
-        if (!columns) req.PutU8(method);
-      }
-      Result<std::string> raw =
-          corpus_->replicas(shard_).Call("POST", path, req.data());
-      if (!raw.ok()) return raw.status();
-      BufReader in(raw->data(), raw->size());
-      if (Status s = GetCounts(&in, last - first, path, &counts); !s.ok()) {
-        return s;
-      }
-      if (Status s = FullyRead(in, path); !s.ok()) return s;
-      first = last;
-    } while (first < targets.size());
+    if (Status s = CountInRequests(
+            targets, path, [](BufWriter*) {},
+            scan ? std::optional(shardrpc::CountMethod::kScan) : std::nullopt,
+            [&](std::string body) {
+              return corpus_->replicas(shard_).Call("POST", path, body);
+            },
+            &counts);
+        !s.ok()) {
+      return s;
+    }
     return counts;
   }
 
-  Result<std::unique_ptr<OracleShardPlane>> OpenPlane(
-      const Query& query, bool optimized) const override {
+  Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
+      const Query& query, const KeywordSet& universe,
+      bool optimized) const override {
     BufWriter req;
     shardrpc::PutQuery(&req, query);
     req.PutU8(optimized ? 1 : 0);
-    auto plane = std::make_unique<ShardSessionChannel>(*corpus_, shard_);
-    if (!plane->Open(req.data())) return plane->last_error();
-    return std::unique_ptr<OracleShardPlane>(std::move(plane));
+    req.PutDeltaIds(universe.ids());
+    auto question = std::make_unique<ShardSessionChannel>(*corpus_, shard_);
+    if (!question->Open(req.data(),
+                        KeywordSet::Union(query.doc, universe).size())) {
+      return question->last_error();
+    }
+    return std::unique_ptr<OracleShardQuestion>(std::move(question));
   }
 
  private:

@@ -8,22 +8,27 @@
 // as raw bits, so a coordinator's /whynot answers are byte-identical to the
 // in-process layouts.
 //
-// Round-trip shape per why-not question (what the batch APIs buy):
-//   * OutscoringCountBatch: one /shard/count per shard for ALL
-//     (candidate, missing) pairs of a chunk — split into requests of at most
-//     kMaxProbeSpecs specs, the cap a shard enforces;
-//   * ProbeRankBatch: ONE stateless /shard/probe/rank per shard for all
-//     (candidate, missing) pairs of a chunk, answered exactly;
-//   * the Eqn. (3) weight sweep holds one server-side plane session per
-//     shard and pays one /shard/plane/count_batch round-trip per shard per
-//     sweep SEGMENT (every candidate weight × missing object of the
-//     segment).
+// Round-trip shape per why-not question (what the batch APIs buy): the
+// engine opens ONE server-side question session per shard
+// (/shard/plane/open, closed with /shard/plane/close), and every stage runs
+// over it:
+//   * each explanation rank and each Eqn. (4) rank fan-out (ALL
+//     (candidate, missing) pairs of a chunk) is one /shard/plane/rank per
+//     shard, answered exactly from the session's columns;
+//   * the Eqn. (3) weight sweep pays one /shard/plane/count_batch
+//     round-trip per shard per sweep SEGMENT (every candidate weight ×
+//     missing object of the segment), plus one /shard/plane/crossings per
+//     missing object.
+// Outside a question, rank batches ride one stateless /shard/probe/rank per
+// shard and basic keyword adaption's scans /shard/count; spec lists longer
+// than kMaxProbeSpecs, the cap a shard enforces, are split into requests.
 //
 // Failure model: every stateless call rides ReplicaSet::Call, which fails
-// over to a sibling replica mid-call; the plane sessions are replica-sticky
-// id-keyed server-side state, so their failover re-opens the session on a
-// live replica before re-issuing the failed call (ShardSessionChannel in the
-// .cc) — a killed replica costs latency, never correctness. A shard whose
+// over to a sibling replica mid-call; the question sessions are
+// replica-sticky id-keyed server-side state, so their failover re-opens the
+// session on a live replica before re-issuing the failed call
+// (ShardSessionChannel in the .cc) — a killed replica costs latency, never
+// correctness. A shard whose
 // every replica is gone, or whose reply is malformed, fails its call; the
 // merge then records the error with the RemoteCorpus error epoch (the oracle
 // interface has no error channel) and adds nothing from that shard.

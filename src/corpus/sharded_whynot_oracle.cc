@@ -11,8 +11,7 @@ std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
     shards.push_back(std::make_unique<LocalOracleShard>(
-        OracleShardView{&shard.store(), &shard.setr(),
-                        &corpus.shard_global_ids(s)},
+        OracleShardView{&shard.store(), &corpus.shard_global_ids(s)},
         corpus.dist_norm()));
   }
   return shards;

@@ -11,8 +11,8 @@
 //     an object's score is the same doubles-arithmetic in both layouts;
 //   * tie orders compare GLOBAL ids everywhere;
 //   * outscoring counts SUM across shards (disjoint partition of one
-//     predicate) — the scan counts and the keyword-mask column counts
-//     alike — and crossing-weight candidate sets UNION (then sort + dedupe).
+//     predicate) — the scan counts and the question-column counts alike —
+//     and crossing-weight candidate sets UNION (then sort + dedupe).
 // The why-not algorithms run unchanged over this oracle, so a sharded
 // service answers /whynot bit-identically to an unsharded replica
 // (property-tested at 1/2/4/8 shards; bench_whynot_sharded gates on it).

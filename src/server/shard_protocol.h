@@ -22,10 +22,12 @@
 //   POST /shard/objects    [gid...] -> objects (loc, doc, name) by GLOBAL id
 //   POST /shard/find       name -> first matching GLOBAL id
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
-//   POST /shard/count      batched tie-aware outscoring counts (scan / SetR),
-//                          the /shard/probe/rank spec bounds
-//   POST /shard/plane/open|count_batch|crossings|close  Eqn. (3) sessions
-//   POST /shard/probe/rank  Eqn. (4) exact rank batches (stateless)
+//   POST /shard/count      batched tie-aware outscoring counts by full scan
+//                          (basic keyword adaption), the rank spec bounds
+//   POST /shard/plane/open|rank|count_batch|crossings|close  one session per
+//                          why-not question: the explanations' and Eqn. (4)
+//                          ranks, and the Eqn. (3) sweep
+//   POST /shard/probe/rank  exact rank batches outside a question (stateless)
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
 
@@ -37,10 +39,10 @@
 
 #include "src/common/geometry.h"
 #include "src/common/status.h"
-#include "src/index/score_plane_index.h"
 #include "src/query/query.h"
 #include "src/snapshot/snapshot_format.h"
 #include "src/storage/object.h"
+#include "src/whynot/preference_adjustment.h"
 
 namespace yask {
 namespace shardrpc {
@@ -59,14 +61,18 @@ namespace shardrpc {
 /// batch, answered exactly from keyword-mask columns) replaces the probe
 /// sessions /shard/probe/{open,refine,close}, and ShardMeta drops its
 /// has_kcr byte (the KcR-tree is gone).
-inline constexpr uint32_t kProtocolVersion = 4;
+/// v5: a plane session is a why-not question. /shard/plane/open carries the
+/// keyword universe U and answers the columns' shape; POST /shard/plane/rank
+/// answers rank specs from the open session; /shard/count keeps only the
+/// scan method.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 4;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 5;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -74,11 +80,20 @@ inline constexpr char kVocabPath[] = "/shard/vocab";
 inline constexpr char kObjectsPath[] = "/shard/objects";
 inline constexpr char kFindPath[] = "/shard/find";
 inline constexpr char kTopKPath[] = "/shard/topk";
-/// Request: the kProbeRankPath request with a u8 CountMethod after each
-/// spec, under the same bounds (N ≤ kMaxProbeSpecs, valid queries, finite
-/// target scores). Response: varu64 N + N u64 counts.
+/// Request: the kProbeRankPath request with a u8 CountMethod (kScan) after
+/// each spec, under the same bounds (N ≤ kMaxProbeSpecs, valid queries,
+/// finite target scores). Response: varu64 N + N u64 counts.
 inline constexpr char kCountPath[] = "/shard/count";
+/// v5+. Request: query (valid), u8 optimized, delta-coded ids of the keyword
+/// universe U (≤ kMaxKeywordUniverse). Response: u64 session id, varu64
+/// objects, groups and columns (QuestionShape). The session answers ranks of
+/// specs at the query's location with a doc ⊆ q.doc ∪ U, and the plane of
+/// the query.
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
+/// v5+. Request: u64 session slot, then the kProbeRankPath spec list; every
+/// spec's location must equal the session query's (bits) and its doc lie in
+/// q.doc ∪ U. Response: varu64 N + N u64 counts.
+inline constexpr char kPlaneRankPath[] = "/shard/plane/rank";
 /// Not served; declared only because servebench/servebench.cc lists it.
 inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 /// v3+. Request: u64 session slot, varu64 K + K raw-F64 weights, varu64 A +
@@ -92,7 +107,8 @@ inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
 /// Query::Validate, their keywords' union must not exceed
 /// kMaxKeywordUniverse and their distinct (loc, ws) shapes kMaxProbeShapes.
 /// Response: varu64 N + N u64 tie-aware counts of this
-/// shard's objects outranking each target (ShardColumnOutscoring).
+/// shard's objects outranking each target (ShardColumnOutscoring: a one-call
+/// question).
 inline constexpr char kProbeRankPath[] = "/shard/probe/rank";
 /// Not served since v4; declared only because servebench/servebench.cc,
 /// their last reader, lists them (ROADMAP item 3 deletes them).
@@ -105,10 +121,10 @@ inline constexpr char kTracePath[] = "/shard/trace";
 /// GET, Prometheus text format (v2, docs/observability.md).
 inline constexpr char kMetricsPath[] = "/metrics";
 
-/// /shard/count entry method selector.
+/// /shard/count entry method selector. Since v5 the scan is the only one;
+/// method 1 (a SetR-tree count until v4) is answered 400.
 enum class CountMethod : uint8_t {
-  kScan = 0,  // Full-store scan (keyword model's OutscoringCount).
-  kSetR = 1,  // SetR-tree pruned count (rank-of-object).
+  kScan = 0,  // Full-store scan (keyword model's OutscoringCountBatch).
 };
 
 /// Everything the coordinator learns about one shard at connect time.

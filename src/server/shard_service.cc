@@ -38,65 +38,69 @@ bool IsFinitePoint(const PlanePoint& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
-/// The specs of a /shard/count or /shard/probe/rank request.
+/// The specs of a /shard/count, /shard/probe/rank or /shard/plane/rank
+/// request.
 struct SpecBatch {
   std::vector<Query> queries;
   std::vector<ScanTarget> targets;  // targets[i].query = &queries[i].
-  std::vector<CountMethod> methods;  // /shard/count only.
 };
 
-/// Decodes a spec request — varu64 N ≤ kMaxProbeSpecs, then N × (query,
-/// u32 global target id, raw-F64 finite target score[, u8 CountMethod]) —
-/// into `batch`. Returns the 400 to answer when the body is malformed, N is
-/// over the cap, a query fails Query::Validate, a score is not finite or a
-/// method is unknown.
-std::optional<HttpResponse> DecodeSpecs(const HttpRequest& req,
-                                        bool with_method, SpecBatch* batch) {
-  BufReader in(req.body.data(), req.body.size());
-  const uint64_t count = in.GetVarU64();
-  if (!in.ok()) return BadBody(in);
+/// Decodes the rest of a spec request — varu64 N ≤ kMaxProbeSpecs, then
+/// N × (query, u32 global target id, raw-F64 finite target score[, u8
+/// CountMethod]) — into `batch`. Returns the 400 to answer when the body is
+/// malformed, N is over the cap, a query fails Query::Validate, a score is
+/// not finite or a method is not kScan.
+std::optional<HttpResponse> DecodeSpecs(BufReader* in, bool with_method,
+                                        SpecBatch* batch) {
+  const uint64_t count = in->GetVarU64();
+  if (!in->ok()) return BadBody(*in);
   if (count > kMaxProbeSpecs) {
     return HttpResponse::Error(
         400, "batch of " + std::to_string(count) + " specs exceeds " +
                  std::to_string(kMaxProbeSpecs));
   }
-  if (!in.CheckCount(count, 16)) return BadBody(in);
+  if (!in->CheckCount(count, 16)) return BadBody(*in);
   batch->queries.resize(count);
   batch->targets.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    batch->queries[i] = shardrpc::GetQuery(&in);
+    batch->queries[i] = shardrpc::GetQuery(in);
     ScanTarget& target = batch->targets[i];
     target.query = &batch->queries[i];
-    target.target = in.GetU32();
-    target.target_score = in.GetF64();
-    const uint8_t method = with_method ? in.GetU8() : 0;
-    if (!in.ok()) return BadBody(in);
+    target.target = in->GetU32();
+    target.target_score = in->GetF64();
+    const uint8_t method = with_method ? in->GetU8() : 0;
+    if (!in->ok()) return BadBody(*in);
     if (Status s = batch->queries[i].Validate(); !s.ok()) {
       return HttpResponse::Error(400, s.message());
     }
     if (!std::isfinite(target.target_score)) {
       return HttpResponse::Error(400, "non-finite target score");
     }
-    if (!with_method) continue;
-    if (method != static_cast<uint8_t>(CountMethod::kScan) &&
-        method != static_cast<uint8_t>(CountMethod::kSetR)) {
+    if (method != static_cast<uint8_t>(CountMethod::kScan)) {
       return HttpResponse::Error(400, "unknown count method");
     }
-    batch->methods.push_back(static_cast<CountMethod>(method));
   }
-  if (!in.AtEnd()) return BadBody(in);
+  if (!in->AtEnd()) return BadBody(*in);
   return std::nullopt;
+}
+
+HttpResponse Counts(const std::vector<size_t>& counts) {
+  BufWriter out;
+  out.PutVarU64(counts.size());
+  for (size_t c : counts) out.PutU64(c);
+  return Binary(out);
 }
 
 }  // namespace
 
-/// One Eqn. (3) session: this shard's plane points / plane index for one
-/// query. Calls are serialised per session (the coordinator's weight sweep
-/// is sequential anyway; the lock protects against misbehaving clients).
+/// One why-not question's session: this shard's question columns, which
+/// take overlapping calls (the coordinator's preference and keyword stages
+/// share the session), and what the rank specs must stay within.
 struct ShardService::PlaneSession {
-  std::mutex mu;
-  std::unique_ptr<OracleShardPlane> plane;
-  uint64_t last_use = 0;  // Guarded by sessions_mu_, not mu.
+  Query query;          // The question's location and plane.
+  KeywordSet universe;  // query.doc ∪ U.
+  std::unique_ptr<OracleShardQuestion> question;
+  uint64_t last_use = 0;  // Guarded by sessions_mu_.
 };
 
 ShardService::Info ShardService::StandaloneInfo(const Corpus& corpus) {
@@ -130,7 +134,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
                            ShardServiceOptions options)
     : corpus_(&corpus),
       info_(std::move(info)),
-      view_{&corpus.store(), &corpus.setr(),
+      view_{&corpus.store(),
             info_.to_global.empty() ? nullptr : &info_.to_global},
       shard_(view_, info_.dist_norm),
       topk_(corpus.store(), corpus.setr()),
@@ -151,6 +155,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kTopKPath, &S::HandleTopK},
       {"POST", shardrpc::kCountPath, &S::HandleCount},
       {"POST", shardrpc::kPlaneOpenPath, &S::HandlePlaneOpen},
+      {"POST", shardrpc::kPlaneRankPath, &S::HandlePlaneRank},
       {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
       {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
       {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
@@ -393,43 +398,60 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
 // --- Outscoring counts -------------------------------------------------------
 
 HttpResponse ShardService::HandleCount(const HttpRequest& req) {
+  BufReader in(req.body.data(), req.body.size());
   SpecBatch batch;
-  if (auto bad = DecodeSpecs(req, /*with_method=*/true, &batch)) return *bad;
-  // One kernel call per method; the answers interleave back in spec order.
-  std::vector<ScanTarget> by_method[2];
-  for (size_t i = 0; i < batch.targets.size(); ++i) {
-    by_method[batch.methods[i] == CountMethod::kSetR].push_back(
-        batch.targets[i]);
-  }
-  const std::vector<size_t> counts[2] = {
-      shard_.CountOutscoring(by_method[0], OutscoringKernel::kScan).value(),
-      shard_.CountOutscoring(by_method[1], OutscoringKernel::kSetR).value()};
-  size_t next[2] = {0, 0};
-  BufWriter out;
-  out.PutVarU64(batch.targets.size());
-  for (const CountMethod method : batch.methods) {
-    const bool setr = method == CountMethod::kSetR;
-    out.PutU64(counts[setr][next[setr]++]);
-  }
-  return Binary(out);
+  if (auto bad = DecodeSpecs(&in, /*with_method=*/true, &batch)) return *bad;
+  return Counts(
+      shard_.CountOutscoring(batch.targets, OutscoringKernel::kScan).value());
 }
 
-// --- Score-plane sessions (Eqn. (3)) -----------------------------------------
+// --- Question sessions ------------------------------------------------------
 
 HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const Query query = shardrpc::GetQuery(&in);
   const bool optimized = in.GetU8() != 0;
+  const KeywordSet universe = KeywordSet::FromSortedUnique(in.GetDeltaIds());
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
   if (Status s = query.Validate(); !s.ok()) {
     return HttpResponse::Error(400, s.message());
   }
+  if (universe.size() > kMaxKeywordUniverse) {
+    return HttpResponse::Error(
+        400, "question universe of " + std::to_string(universe.size()) +
+                 " keywords exceeds " + std::to_string(kMaxKeywordUniverse));
+  }
 
   auto session = std::make_shared<PlaneSession>();
-  session->plane = shard_.OpenPlane(query, optimized).value();
+  session->query = query;
+  session->universe = KeywordSet::Union(query.doc, universe);
+  session->question = shard_.OpenQuestion(query, universe, optimized).value();
+  const QuestionShape shape = session->question->shape();
   BufWriter out;
   out.PutU64(AddSession(std::move(session)));
+  out.PutVarU64(shape.objects);
+  out.PutVarU64(shape.groups);
+  out.PutVarU64(shape.columns);
   return Binary(out);
+}
+
+HttpResponse ShardService::HandlePlaneRank(const HttpRequest& req) {
+  BufReader in(req.body.data(), req.body.size());
+  const uint64_t id = in.GetU64();
+  SpecBatch batch;
+  if (auto bad = DecodeSpecs(&in, /*with_method=*/false, &batch)) return *bad;
+  const std::shared_ptr<PlaneSession> session = FindSession(id);
+  if (session == nullptr) {
+    return HttpResponse::Error(404, "unknown plane session");
+  }
+  for (const Query& q : batch.queries) {
+    if (!QuestionCovers(session->query, session->universe, q)) {
+      return HttpResponse::Error(
+          400, "rank spec outside the question: another location, or "
+               "keywords beyond q.doc and its universe");
+    }
+  }
+  return Counts(session->question->CountOutscoring(batch.targets).value());
 }
 
 HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
@@ -469,10 +491,7 @@ HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {
   // the same double the in-process oracles hand every shard.
   std::vector<size_t> counts(weights.size() * anchors.size(), 0);
   size_t nodes = 0;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    (void)session->plane->CountAboveBatch(weights, anchors, &counts, &nodes);
-  }
+  (void)session->question->CountAboveBatch(weights, anchors, &counts, &nodes);
   BufWriter out;
   out.PutVarU64(counts.size());
   for (size_t c : counts) out.PutU64(c);
@@ -496,10 +515,7 @@ HttpResponse ShardService::HandlePlaneCrossings(const HttpRequest& req) {
   }
   std::vector<double> events;
   size_t nodes = 0;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    (void)session->plane->CollectCrossings(anchor, wlo, whi, &events, &nodes);
-  }
+  (void)session->question->CollectCrossings(anchor, wlo, whi, &events, &nodes);
   BufWriter out;
   out.PutVarU64(events.size());
   for (double e : events) out.PutF64(e);
@@ -524,8 +540,9 @@ HttpResponse ShardService::HandlePlaneClose(const HttpRequest& req) {
 // --- Rank batches (Eqn. (4)) ------------------------------------------------
 
 HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
+  BufReader in(req.body.data(), req.body.size());
   SpecBatch batch;
-  if (auto bad = DecodeSpecs(req, /*with_method=*/false, &batch)) return *bad;
+  if (auto bad = DecodeSpecs(&in, /*with_method=*/false, &batch)) return *bad;
   if (const size_t terms = KeywordUniverse(batch.targets).size();
       terms > kMaxKeywordUniverse) {
     return HttpResponse::Error(
@@ -538,13 +555,9 @@ HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
         400, "rank batch spans more than " + std::to_string(kMaxProbeShapes) +
                  " query shapes (loc, ws)");
   }
-  const std::vector<size_t> counts =
+  return Counts(
       shard_.CountOutscoring(batch.targets, OutscoringKernel::kColumns)
-          .value();
-  BufWriter out;
-  out.PutVarU64(counts.size());
-  for (size_t c : counts) out.PutU64(c);
-  return Binary(out);
+          .value());
 }
 
 }  // namespace yask

@@ -10,15 +10,18 @@
 // oracles run over their shard views — the same code runs behind both
 // transports, and every double crosses the wire as its raw bits
 // (src/server/shard_protocol.h), which is what makes the remote answers
-// byte-identical. /shard/count and /shard/probe/rank share one spec decoder
-// and its bounds (kMaxProbeSpecs, Query::Validate, finite target scores).
+// byte-identical. /shard/count, /shard/probe/rank and /shard/plane/rank
+// share one spec decoder and its bounds (kMaxProbeSpecs, Query::Validate,
+// finite target scores).
 //
-// Statefulness: the Eqn. (3) score-plane sessions are per-question
-// server-side state (this shard's plane columns). Sessions are id-keyed,
-// independently locked, explicitly closed by the coordinator, and LRU-capped
-// so a leaking or dead client cannot pin memory. Eqn. (4) rank batches are
-// stateless: one /shard/probe/rank request builds this shard's keyword-mask
-// columns, answers every spec, and drops them.
+// Statefulness: a plane session is one why-not question's server-side state
+// (this shard's QuestionColumns), which answers the question's ranks
+// (/shard/plane/rank) and its Eqn. (3) sweep. Sessions are id-keyed,
+// immutable once built (so a session's calls may overlap), explicitly
+// closed by the coordinator, and LRU-capped so a leaking or dead client
+// cannot pin memory. Rank batches outside a question are stateless: one
+// /shard/probe/rank request builds this shard's one-call question columns,
+// answers every spec, and drops them.
 
 #ifndef YASK_SERVER_SHARD_SERVICE_H_
 #define YASK_SERVER_SHARD_SERVICE_H_
@@ -107,6 +110,7 @@ class ShardService {
   HttpResponse HandleTopK(const HttpRequest& req);
   HttpResponse HandleCount(const HttpRequest& req);
   HttpResponse HandlePlaneOpen(const HttpRequest& req);
+  HttpResponse HandlePlaneRank(const HttpRequest& req);
   HttpResponse HandlePlaneCountBatch(const HttpRequest& req);
   HttpResponse HandlePlaneCrossings(const HttpRequest& req);
   HttpResponse HandlePlaneClose(const HttpRequest& req);

@@ -18,14 +18,15 @@
 // Ranks come from one of two kernels. The basic baseline scans the whole
 // database per candidate, as in the paper's evaluation of ref [6]. The
 // optimized mode replaces ref [6]'s KcR-tree bounds with an exact
-// alternative, keyword-mask columns (ShardColumnOutscoring,
-// docs/architecture.md): every candidate shares q.loc, w and U, so one
-// pass groups the objects by (mask over U, |o.doc|), sorts each group by
-// ws·(1 − SDist), and then answers any candidate's rank with one binary
-// search per group. One chunk of candidates is one rank fan-out.
+// alternative, the keyword-mask groups of the question's columns
+// (QuestionColumns, docs/architecture.md "Question columns"): every
+// candidate shares q.loc, w and U, so one pass groups the objects by
+// (mask over U, |o.doc|), sorts each group by 1 − SDist, and then answers
+// any candidate's rank with one binary search per group. One chunk of
+// candidates is one rank fan-out.
 //
 // Work bounds of the optimized mode (src/whynot/shard_primitives.h):
-// |U| <= kMaxKeywordUniverse (a mask is one uint64_t) and one fan-out
+// |U| <= kMaxKeywordUniverse (U travels on the wire) and one fan-out
 // carries at most kMaxProbeSpecs (candidate, missing object) specs, all of
 // one query shape; a larger U, or more missing objects than one fan-out
 // holds, is InvalidArgument. The basic scan has neither bound.
@@ -48,7 +49,7 @@ class WhyNotOracle;  // src/whynot/whynot_oracle.h
 /// return the same refined query.
 enum class KwAdaptMode {
   kBasic,          // Exact rank by full scan per candidate.
-  kBoundAndPrune,  // Exact rank from keyword-mask columns (the name is the
+  kBoundAndPrune,  // Exact rank from keyword-mask groups (the name is the
                    // KcR-tree search's that it replaced).
 };
 
@@ -79,8 +80,8 @@ struct KeywordAdaptStats {
   size_t candidates_resolved = 0;       // Evaluated to an exact penalty.
   /// Objects read per rank fan-out, summed: the dataset size per
   /// (candidate, missing object) spec for a basic-mode scan, and the
-  /// dataset size per fan-out for the keyword-mask columns (the objects
-  /// placed into columns).
+  /// dataset size per fan-out for the keyword-mask groups (the objects a
+  /// fan-out's columns hold).
   size_t objects_scored = 0;
   /// Rank fan-outs issued (one oracle call per chunk, plus R(M, q) when it
   /// does not ride the first chunk) — at most one round-trip per shard each

@@ -58,25 +58,6 @@ class BestCandidate {
 
 }  // namespace
 
-std::vector<PlanePoint> BuildPlanePoints(const ObjectStore& store,
-                                         const Query& query, double dist_norm,
-                                         const std::vector<ObjectId>* to_global) {
-  Scorer scorer(store, query, dist_norm);
-  std::vector<PlanePoint> pts;
-  pts.reserve(store.size());
-  for (const SpatialObject& o : store.objects()) {
-    const ObjectId gid = to_global != nullptr ? (*to_global)[o.id] : o.id;
-    pts.push_back(MakePlanePoint(scorer, o, gid));
-  }
-  return pts;
-}
-
-std::vector<PlanePoint> BuildPlanePoints(const ObjectStore& store,
-                                         const Query& query) {
-  return BuildPlanePoints(store, query, store.BoundsDiagonal(),
-                          /*to_global=*/nullptr);
-}
-
 Result<RefinedPreferenceQuery> AdjustPreference(
     const WhyNotOracle& oracle, const Query& query,
     const std::vector<ObjectId>& missing,
@@ -113,10 +94,10 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   const double w0 = query.w.ws;
 
   // Step 0: the per-query score-plane state — every object's (1 − SDist,
-  // TSim) point, index-organised in optimized mode. Behind the oracle this
-  // is per-shard state built in parallel; the counts and crossings it serves
-  // are exact partition-sums/unions, so everything downstream is
-  // layout-independent.
+  // TSim) point in TSim columns. Behind the oracle this is per-shard state
+  // built in parallel (the question's columns, when the engine opened a
+  // question on this query); the counts and crossings it serves are exact
+  // partition-sums/unions, so everything downstream is layout-independent.
   const std::unique_ptr<ScorePlaneSession> session =
       oracle.PrepareScorePlane(query, options.mode);
   std::vector<PlanePoint> anchors;

@@ -15,14 +15,14 @@
 //   2. derives the feasible interval |w − w0| <= λ·‖(1,ws,wt)‖ / ((1−λ)·√2)
 //      outside which the ∆w term alone exceeds the best penalty (D3);
 //   3. finds all crossings of missing objects' lines inside the interval —
-//      via the two range queries on the ScorePlaneIndex, answered by
-//      binary searches per TSim column (optimized), or by brute force
+//      the paper's "two range queries", answered by binary searches per
+//      TSim column of the question's columns (optimized), or by brute force
 //      (basic);
 //   4. evaluates candidate weights nearest-to-w0 first, stopping as soon as
 //      the ∆w penalty floor alone exceeds the best penalty found; candidate
 //      ranks are computed exactly — by one binary search per TSim column
-//      of the score-plane index (optimized) or by a full rescan per
-//      candidate (the paper's basic baseline);
+//      (optimized) or by a full rescan per candidate (the paper's basic
+//      baseline);
 //   5. returns the candidate with the lowest penalty; ties prefer smaller
 //      |w − w0|, then smaller w.
 //
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/score_plane_index.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/storage/object_store.h"
@@ -52,10 +51,23 @@ namespace yask {
 
 class WhyNotOracle;  // src/whynot/whynot_oracle.h
 
+/// One object in the score plane of a query q:
+///     P(o) = (x, y) = (1 − SDist(o, q), TSim(o, q)) ,
+/// whose score at the (normalised, ws + wt = 1) weight w := ws is the line
+///     f_o(w) = w·x + (1−w)·y .
+struct PlanePoint {
+  double x = 0.0;  // 1 - SDist(o, q)
+  double y = 0.0;  // TSim(o, q)
+  ObjectId id = kInvalidObject;
+
+  /// Score at weight w (ws = w, wt = 1-w).
+  double ScoreAt(double w) const { return w * x + (1.0 - w) * y; }
+};
+
 /// Algorithm selector for AdjustPreference.
 enum class PrefAdjustMode {
   kBasic,      // Brute-force crossings + full rescan per candidate (O(C·n)).
-  kOptimized,  // Score-plane index + incremental rank-update sweep.
+  kOptimized,  // TSim-column searches + incremental rank-update sweep.
 };
 
 struct PreferenceAdjustOptions {
@@ -79,7 +91,7 @@ struct PreferenceAdjustOptions {
 struct PreferenceAdjustStats {
   size_t crossings_found = 0;       // Candidate events inside the interval.
   size_t candidates_evaluated = 0;  // Penalty evaluations.
-  size_t index_nodes_visited = 0;   // ScorePlaneIndex score evaluations.
+  size_t index_nodes_visited = 0;   // TSim-column score evaluations.
   size_t full_rescans = 0;          // O(n) rank scans (basic mode).
   size_t sweep_fanouts = 0;         // Oracle count fan-outs in the sweep.
 };
@@ -93,25 +105,6 @@ struct RefinedPreferenceQuery {
   bool already_in_result = false;  // M ⊆ top-k(q): nothing to refine.
   PreferenceAdjustStats stats;
 };
-
-/// One object's score-plane point — the single expression both layouts use,
-/// so a given object maps to bit-identical coordinates everywhere.
-inline PlanePoint MakePlanePoint(const Scorer& scorer, const SpatialObject& o,
-                                 ObjectId global_id) {
-  return PlanePoint{1.0 - scorer.SDist(o.loc), scorer.TSim(o.doc), global_id};
-}
-
-/// Maps every object to its score-plane point (1 − SDist, TSim) for `query`.
-/// Index i of the result corresponds to ObjectId i.
-std::vector<PlanePoint> BuildPlanePoints(const ObjectStore& store,
-                                         const Query& query);
-
-/// Shard-aware variant: normalises SDist by `dist_norm` (a sharded corpus
-/// passes the GLOBAL dataset diagonal) and stamps each point with its global
-/// id via `to_global` (null = local ids are global).
-std::vector<PlanePoint> BuildPlanePoints(const ObjectStore& store,
-                                         const Query& query, double dist_norm,
-                                         const std::vector<ObjectId>* to_global);
 
 /// Solves Definition 2 over any corpus layout behind the oracle seam. The
 /// search is layout-independent: every candidate weight's rank is an exact

@@ -4,10 +4,12 @@
 #include <bit>
 #include <cassert>
 #include <ranges>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "src/common/trace.h"
 #include "src/query/ranking.h"
-#include "src/whynot/preference_adjustment.h"
 
 namespace yask {
 
@@ -182,7 +184,7 @@ std::vector<size_t> ShardScanOutscoring(
   return counts;
 }
 
-// --- Keyword-mask columns ----------------------------------------------------
+// --- Question columns ---------------------------------------------------------
 
 std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets) {
   std::vector<TermId> terms;
@@ -196,217 +198,310 @@ std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets) {
 
 namespace {
 
-/// The objects of one (keyword mask, |o.doc|) pair: [begin, end) of every
-/// shape's columns.
-struct MaskGroup {
-  uint64_t mask = 0;
-  uint32_t len = 0;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-};
+bool SameBits(const Point& a, const Point& b) {
+  return Bits(a.x) == Bits(b.x) && Bits(a.y) == Bits(b.y);
+}
 
-struct MaskGroupKey {
-  uint64_t mask;
-  uint32_t len;
-  bool operator==(const MaskGroupKey&) const = default;
-};
-
-struct MaskGroupHash {
-  size_t operator()(const MaskGroupKey& k) const {
-    return std::hash<uint64_t>{}(k.mask * 0x9E3779B97F4A7C15ull ^ k.len);
+/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
+/// order among equal x: an LSD radix sort over the bytes of an
+/// order-preserving key of x, skipping the bytes every entry shares, and an
+/// insertion sort for short runs. `xs_tmp` and `ids_tmp` are scratch for n
+/// entries.
+void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
+             size_t n) {
+  if (n < 32) {
+    // Eight 256-bucket histogram passes would dwarf a short run's sort.
+    for (size_t i = 1; i < n; ++i) {
+      const double x = xs[i];
+      const ObjectId id = ids[i];
+      size_t j = i;
+      for (; j > 0 && xs[j - 1] > x; --j) {
+        xs[j] = xs[j - 1];
+        ids[j] = ids[j - 1];
+      }
+      xs[j] = x;
+      ids[j] = id;
+    }
+    return;
   }
-};
-
-/// The (loc, ws) that a column set's x = ws·(1 − SDist) depends on (every
-/// target of a batch shares dist_norm).
-struct QueryShape {
-  Point loc;
-  double ws = 0.0;
-};
-
-/// The index of `q`'s shape in `shapes`, appended when new. Shapes are told
-/// apart by their bits, as OutrankKernel keys them.
-size_t ShapeOf(const Query& q, std::vector<QueryShape>* shapes) {
-  size_t si = 0;
-  while (si < shapes->size() &&
-         !(Bits((*shapes)[si].loc.x) == Bits(q.loc.x) &&
-           Bits((*shapes)[si].loc.y) == Bits(q.loc.y) &&
-           Bits((*shapes)[si].ws) == Bits(q.w.ws))) {
-    ++si;
+  auto key = [](double x) {
+    const uint64_t bits = Bits(x);
+    return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
+  };
+  for (int shift = 0; shift < 64; shift += 8) {
+    auto digit = [&](double x) { return (key(x) >> shift) & 255; };
+    size_t offsets[257] = {};
+    for (size_t i = 0; i < n; ++i) ++offsets[digit(xs[i]) + 1];
+    if (std::count(offsets, offsets + 257, n) == 1) continue;
+    for (int d = 0; d < 256; ++d) offsets[d + 1] += offsets[d];
+    for (size_t i = 0; i < n; ++i) {
+      const size_t to = offsets[digit(xs[i])]++;
+      xs_tmp[to] = xs[i];
+      ids_tmp[to] = ids[i];
+    }
+    std::copy_n(xs_tmp, n, xs);
+    std::copy_n(ids_tmp, n, ids);
   }
-  if (si == shapes->size()) shapes->push_back(QueryShape{q.loc, q.w.ws});
-  return si;
+}
+
+/// First index i in [begin, end) where the prefix-closed `below(i)` is false.
+template <typename Below>
+uint32_t PartitionPoint(uint32_t begin, uint32_t end, Below below) {
+  return *std::ranges::partition_point(std::views::iota(begin, end), below);
+}
+
+/// Tie-aware count of the entries of a slice outranking `threshold` /
+/// `tie_id` (D6), where score(i) never decreases along [begin, end): a
+/// slice wholly below the threshold is skipped, one wholly above it taken
+/// whole, otherwise one binary search and the equal-score run.
+template <typename ScoreFn>
+size_t CountSlice(uint32_t begin, uint32_t end, const ObjectId* ids,
+                  double threshold, ObjectId tie_id, ScoreFn score) {
+  if (score(end - 1) < threshold) return 0;
+  if (score(begin) > threshold) return end - begin;
+  uint32_t i = PartitionPoint(
+      begin, end, [&](uint32_t j) { return score(j) < threshold; });
+  size_t count = 0;
+  for (; i < end && score(i) == threshold; ++i) {
+    if (ids[i] < tie_id) ++count;
+  }
+  return count + (end - i);
 }
 
 }  // namespace
 
 size_t CountQueryShapes(const std::vector<ScanTarget>& targets) {
-  std::vector<QueryShape> shapes;
+  std::vector<std::pair<Point, double>> shapes;
   for (const ScanTarget& t : targets) {
-    ShapeOf(*t.query, &shapes);
+    const Query& q = *t.query;
+    const bool seen = std::any_of(shapes.begin(), shapes.end(), [&](auto& s) {
+      return SameBits(s.first, q.loc) && Bits(s.second) == Bits(q.w.ws);
+    });
+    if (!seen) shapes.emplace_back(q.loc, q.w.ws);
     if (shapes.size() > kMaxProbeShapes) break;
   }
   return shapes.size();
 }
 
-std::vector<size_t> ShardColumnOutscoring(
-    const OracleShardView& view, double dist_norm,
-    const std::vector<ScanTarget>& targets) {
-  if (targets.empty()) return {};
-  const std::vector<TermId> terms = KeywordUniverse(targets);
-  assert(terms.size() <= kMaxKeywordUniverse);
-  auto bit_of = [&](std::vector<TermId>::const_iterator t) {
-    return uint64_t{1} << (t - terms.begin());
-  };
+bool QuestionCovers(const Query& question, const KeywordSet& universe,
+                    const Query& target) {
+  return SameBits(question.loc, target.loc) &&
+         std::includes(universe.begin(), universe.end(), target.doc.begin(),
+                       target.doc.end());
+}
 
-  // Per target its query shape, mask, |q'| and wt.
-  struct Member {
-    size_t shape = 0;
-    uint64_t mask = 0;
-    size_t qlen = 0;
-    double wt = 0.0;
-  };
-  std::vector<QueryShape> shapes;
-  std::vector<Member> members;
-  members.reserve(targets.size());
-  for (const ScanTarget& t : targets) {
-    const Query& q = *t.query;
-    const size_t si = ShapeOf(q, &shapes);
-    assert(shapes.size() <= kMaxProbeShapes);
-    uint64_t mask = 0;
-    for (TermId id : q.doc) {
-      mask |= bit_of(std::lower_bound(terms.begin(), terms.end(), id));
-    }
-    members.push_back(Member{si, mask, q.doc.size(), q.w.wt});
-  }
+std::string DescribeQuestion(const QuestionShape& shape) {
+  return "objects=" + std::to_string(shape.objects) +
+         " groups=" + std::to_string(shape.groups) +
+         " columns=" + std::to_string(shape.columns) +
+         " universe=" + std::to_string(shape.universe);
+}
 
-  // Pass 1: every object's group, in first-seen order, and the group sizes.
-  uint64_t filter[4] = {};  // Bit t % 256 set for every t in terms.
-  for (TermId t : terms) filter[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
-  const ObjectStore& store = *view.store;
+QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
+                                 const Query& query, const KeywordSet& universe,
+                                 QuestionPlane plane)
+    : view_(view), dist_norm_(dist_norm), loc_(query.loc), plane_(plane) {
+  terms_ = KeywordSet::Union(query.doc, universe).ids();
+  words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
+  for (TermId t : terms_) filter_[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
+
+  // One pass: every object's x and its group, in first-seen order. An
+  // object's (mask, |o.doc|) is written as a would-be new group at the end
+  // of groups_ and group_masks_, and taken back when the set already holds
+  // an equal group.
+  const ObjectStore& store = *view_.store;
   const ObjectId n = static_cast<ObjectId>(store.size());
-  std::vector<uint32_t> group_of(n);
-  std::vector<MaskGroup> groups;
-  std::unordered_map<MaskGroupKey, uint32_t, MaskGroupHash> group_index;
-  for (ObjectId local = 0; local < n; ++local) {
-    const KeywordSet& doc = store.Get(local).doc;
-    uint64_t mask = 0;
-    auto t = terms.begin();
-    for (TermId id : doc) {
-      if ((filter[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
-      t = std::lower_bound(t, terms.end(), id);
-      if (t == terms.end()) break;
-      if (*t == id) mask |= bit_of(t);
+  auto key_hash = [this](uint32_t g) {
+    uint64_t h = groups_[g].len;
+    for (size_t w = 0; w < words_; ++w) {
+      h = (h ^ group_masks_[g * words_ + w]) * 0x9E3779B97F4A7C15ull;
     }
-    const MaskGroupKey key{mask, static_cast<uint32_t>(doc.size())};
-    const auto [it, fresh] = group_index.try_emplace(
-        key, static_cast<uint32_t>(groups.size()));
-    if (fresh) groups.push_back(MaskGroup{mask, key.len, 0, 0});
-    ++groups[it->second].end;  // A size until the offsets below.
-    group_of[local] = it->second;
+    return static_cast<size_t>(h ^ (h >> 29));
+  };
+  auto key_eq = [this](uint32_t a, uint32_t b) {
+    const uint64_t* mask = group_masks_.data();
+    return groups_[a].len == groups_[b].len &&
+           std::equal(mask + a * words_, mask + (a + 1) * words_,
+                      mask + b * words_);
+  };
+  std::unordered_set<uint32_t, decltype(key_hash), decltype(key_eq)> known(
+      64, key_hash, key_eq);
+  // x lands in gx_ by local id, the sort's input; cx_ and cid_ are its
+  // scratch.
+  gx_.resize(n);
+  std::vector<uint32_t> group_of(n);
+  for (ObjectId local = 0; local < n; ++local) {
+    const SpatialObject& o = store.Get(local);
+    gx_[local] = 1.0 - NormalizedSpatialDistance(o.loc, loc_, dist_norm_);
+    const uint32_t fresh = static_cast<uint32_t>(groups_.size());
+    groups_.push_back(Group{static_cast<uint32_t>(o.doc.size()), 0, 0});
+    group_masks_.resize(group_masks_.size() + words_, 0);
+    MaskOf(o.doc, &group_masks_[fresh * words_]);
+    const uint32_t g = *known.insert(fresh).first;
+    if (g != fresh) {
+      groups_.pop_back();
+      group_masks_.resize(group_masks_.size() - words_);
+    }
+    ++groups_[g].end;  // A size until the offsets below.
+    group_of[local] = g;
   }
   uint32_t offset = 0;
-  uint32_t widest = 0;
-  for (MaskGroup& g : groups) {
+  for (Group& g : groups_) {
     const uint32_t size = g.end;
-    widest = std::max(widest, size);
     g.begin = offset;
     g.end = offset += size;
   }
 
-  // Pass 2, per shape: x = ws·(1 − SDist), the left operand of
-  // Scorer::Score's sum, scattered into its group's slice with the global
-  // id; then each slice sorted by x. Every array is allocated once at its
-  // final size.
-  auto x_of = [&](const QueryShape& shape, ObjectId local) {
-    return shape.ws * (1.0 - NormalizedSpatialDistance(store.Get(local).loc,
-                                                       shape.loc, dist_norm));
-  };
-  auto global_of = [&](ObjectId local) {
-    return view.to_global != nullptr ? (*view.to_global)[local] : local;
-  };
-  std::vector<double> xs(size_t{n} * shapes.size());
-  std::vector<ObjectId> ids(size_t{n} * shapes.size());
-  std::vector<double> xs_tmp(widest);
-  std::vector<ObjectId> ids_tmp(widest);
-  std::vector<uint32_t> cursor(groups.size());
-  for (size_t si = 0; si < shapes.size(); ++si) {
-    double* sx = xs.data() + si * n;
-    ObjectId* sid = ids.data() + si * n;
-    for (size_t g = 0; g < groups.size(); ++g) cursor[g] = groups[g].begin;
-    for (ObjectId local = 0; local < n; ++local) {
-      const uint32_t at = cursor[group_of[local]]++;
-      sx[at] = x_of(shapes[si], local);
-      sid[at] = global_of(local);
-    }
-    for (const MaskGroup& g : groups) {
-      SortByX(sx + g.begin, sid + g.begin, xs_tmp.data(), ids_tmp.data(),
-              g.end - g.begin);
-    }
+  // One stable sort by x, with gid_ as the local ids it permutes; ties keep
+  // ascending local (= global) id order.
+  gid_.resize(n);
+  for (ObjectId local = 0; local < n; ++local) gid_[local] = local;
+  cx_.resize(n);
+  cid_.resize(n);
+  SortByX(gx_.data(), gid_.data(), cx_.data(), cid_.data(), n);
+
+  // Scatter 1: the TSim columns, in sorted order so each is sorted by x. A
+  // group's y is query.doc's Jaccard with its mask — KeywordSet::Jaccard's
+  // operands, so the same double; columns are keyed by the bits of y, in
+  // first-seen group order. A question without a plane scatters into one
+  // column of every object, dropped below.
+  std::vector<uint64_t> qmask(words_, 0);
+  MaskOf(query.doc, qmask.data());
+  std::vector<uint32_t> column_of_group(groups_.size(), 0);
+  std::unordered_map<uint64_t, uint32_t> column_index;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const double y =
+        plane_ == QuestionPlane::kNone
+            ? 0.0
+            : TextOf(&group_masks_[g * words_], groups_[g].len, qmask.data(),
+                     query.doc.size(), 1.0);
+    const auto [it, fresh] = column_index.try_emplace(
+        Bits(y), static_cast<uint32_t>(columns_.size()));
+    if (fresh) columns_.push_back(Column{y, 0, 0});
+    columns_[it->second].end += groups_[g].end - groups_[g].begin;
+    column_of_group[g] = it->second;
+  }
+  offset = 0;
+  for (Column& c : columns_) {
+    const uint32_t size = c.end;
+    c.begin = c.end = offset;
+    offset += size;
+  }
+  for (ObjectId i = 0; i < n; ++i) {
+    const uint32_t at = columns_[column_of_group[group_of[gid_[i]]]].end++;
+    cx_[at] = gx_[i];
+    cid_[at] = gid_[i];  // A local id until the groups are filled.
   }
 
-  // Counts: per target and group, the text term is one constant, so the
-  // scores x + text never decrease along the group (rounding is monotone):
-  // one binary search, then the equal-score run in D6 order.
-  std::vector<size_t> counts(targets.size(), 0);
-  for (size_t m = 0; m < targets.size(); ++m) {
-    const Member& member = members[m];
-    const double* sx = xs.data() + member.shape * n;
-    const ObjectId* sid = ids.data() + member.shape * n;
-    const double threshold = targets[m].target_score;
-    const ObjectId target = targets[m].target;
-    auto text_of = [&](const MaskGroup& g) {
-      return member.wt * JaccardOf(std::popcount(g.mask & member.mask),
-                                   member.qlen, g.len);
-    };
-    size_t count = 0;
-    for (const MaskGroup& g : groups) {
-      const double text = text_of(g);
-      auto score = [&](uint32_t i) { return sx[i] + text; };
-      if (score(g.end - 1) < threshold) continue;
-      if (score(g.begin) > threshold) {
-        count += g.end - g.begin;
-        continue;
-      }
-      uint32_t i = *std::ranges::partition_point(
-          std::views::iota(g.begin, g.end),
-          [&](uint32_t j) { return score(j) < threshold; });
-      for (; i < g.end && score(i) == threshold; ++i) {
-        if (sid[i] < target) ++count;
-      }
-      count += g.end - i;
+  // Scatter 2: the mask groups, column by column; a group lies in one
+  // column, so each stays sorted by x.
+  auto global_of = [&](ObjectId local) {
+    return view_.to_global != nullptr ? (*view_.to_global)[local] : local;
+  };
+  std::vector<uint32_t> cursor(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) cursor[g] = groups_[g].begin;
+  for (ObjectId i = 0; i < n; ++i) {
+    const uint32_t at = cursor[group_of[cid_[i]]]++;
+    gx_[at] = cx_[i];
+    gid_[at] = cid_[i] = global_of(cid_[i]);
+  }
+  if (plane_ == QuestionPlane::kNone) {
+    columns_ = {};
+    cx_ = {};
+    cid_ = {};
+  }
+}
+
+void QuestionColumns::MaskOf(const KeywordSet& doc, uint64_t* mask) const {
+  auto t = terms_.begin();
+  for (TermId id : doc) {
+    // Most object keywords are outside the universe: one filter probe
+    // rejects them before the search.
+    if ((filter_[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
+    t = std::lower_bound(t, terms_.end(), id);
+    if (t == terms_.end()) break;
+    if (*t == id) {
+      const size_t bit = t - terms_.begin();
+      mask[bit / 64] |= uint64_t{1} << (bit % 64);
     }
-    // The target never outranks itself; the walk above counted it only if
-    // its own score exceeds the threshold it was given.
-    if (const std::optional<ObjectId> local = LocalOf(view, target);
-        local.has_value() &&
-        x_of(shapes[member.shape], *local) + text_of(groups[group_of[*local]]) >
-            threshold) {
+  }
+}
+
+double QuestionColumns::TextOf(const uint64_t* mask, size_t len,
+                               const uint64_t* qmask, size_t qlen,
+                               double wt) const {
+  size_t inter = 0;
+  for (size_t w = 0; w < words_; ++w) inter += std::popcount(mask[w] & qmask[w]);
+  return wt * JaccardOf(inter, qlen, len);
+}
+
+QuestionShape QuestionColumns::shape() const {
+  return QuestionShape{gx_.size(), groups_.size(), columns_.size(),
+                       terms_.size()};
+}
+
+size_t QuestionColumns::CountOutscoring(const ScanTarget& target) const {
+  const Query& q = *target.query;
+  assert(SameBits(q.loc, loc_));
+  std::vector<uint64_t> qmask(words_, 0);
+  MaskOf(q.doc, qmask.data());
+  assert(std::includes(terms_.begin(), terms_.end(), q.doc.begin(),
+                       q.doc.end()));
+  // Per group the text term is one constant, so ws·x + text never
+  // decreases along the group (rounding is monotone).
+  const double ws = q.w.ws;
+  const double wt = q.w.wt;
+  size_t count = 0;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const double text = TextOf(&group_masks_[g * words_], groups_[g].len,
+                               qmask.data(), q.doc.size(), wt);
+    count += CountSlice(groups_[g].begin, groups_[g].end, gid_.data(),
+                        target.target_score, target.target,
+                        [&](uint32_t i) { return ws * gx_[i] + text; });
+  }
+  // The target never outranks itself; the walk above counted it only if
+  // its own score exceeds the threshold it was given.
+  if (const std::optional<ObjectId> local = LocalOf(view_, target.target)) {
+    const SpatialObject& o = view_.store->Get(*local);
+    std::vector<uint64_t> mask(words_, 0);
+    MaskOf(o.doc, mask.data());
+    const double x = 1.0 - NormalizedSpatialDistance(o.loc, loc_, dist_norm_);
+    if (ws * x + TextOf(mask.data(), o.doc.size(), qmask.data(),
+                        q.doc.size(), wt) >
+        target.target_score) {
       --count;
     }
-    counts[m] = count;
   }
+  return count;
+}
+
+Result<std::vector<size_t>> QuestionColumns::CountOutscoring(
+    const std::vector<ScanTarget>& targets) {
+  std::vector<size_t> counts;
+  counts.reserve(targets.size());
+  for (const ScanTarget& t : targets) counts.push_back(CountOutscoring(t));
   return counts;
 }
 
-// --- ShardPlane --------------------------------------------------------------
-
-ShardPlane::ShardPlane(const OracleShardView& view, const Query& query,
-                       double dist_norm, bool optimized)
-    : optimized_(optimized) {
-  std::vector<PlanePoint> pts =
-      BuildPlanePoints(*view.store, query, dist_norm, view.to_global);
-  if (optimized_) {
-    index_ = std::make_unique<ScorePlaneIndex>(std::move(pts));
-  } else {
-    pts_ = std::move(pts);
+size_t QuestionColumns::CountAbove(double w, double threshold, ObjectId tie_id,
+                                   size_t* evals) const {
+  assert(w >= 0.0);
+  size_t count = 0;
+  for (const Column& c : columns_) {
+    count += CountSlice(c.begin, c.end, cid_.data(), threshold, tie_id,
+                        [&](uint32_t i) {
+                          ++*evals;
+                          return PlanePoint{cx_[i], c.y}.ScoreAt(w);
+                        });
   }
+  return count;
 }
 
-Status ShardPlane::CountAboveBatch(const std::vector<double>& weights,
-                                   const std::vector<PlanePoint>& anchors,
-                                   std::vector<size_t>* counts,
-                                   size_t* nodes_visited) {
+Status QuestionColumns::CountAboveBatch(const std::vector<double>& weights,
+                                        const std::vector<PlanePoint>& anchors,
+                                        std::vector<size_t>* counts,
+                                        size_t* nodes_visited) {
+  assert(plane_ != QuestionPlane::kNone);
   // Allocation-free: this is the weight sweep's innermost loop.
   const size_t na = anchors.size();
   for (size_t wi = 0; wi < weights.size(); ++wi) {
@@ -415,35 +510,107 @@ Status ShardPlane::CountAboveBatch(const std::vector<double>& weights,
       const PlanePoint& anchor = anchors[a];
       const double threshold = anchor.ScoreAt(w);
       size_t& count = (*counts)[wi * na + a];
-      if (optimized_) {
-        count = index_->CountAbove(w, threshold, anchor.id);
-        *nodes_visited += index_->last_nodes_visited();
+      if (plane_ == QuestionPlane::kOptimized) {
+        count = CountAbove(w, threshold, anchor.id, nodes_visited);
         continue;
       }
       count = 0;
-      for (const PlanePoint& p : pts_) {
-        if (p.id == anchor.id) continue;
-        if (OutranksTarget(p.ScoreAt(w), p.id, threshold, anchor.id)) ++count;
+      for (const Column& c : columns_) {
+        for (uint32_t i = c.begin; i < c.end; ++i) {
+          if (cid_[i] == anchor.id) continue;
+          if (OutranksTarget(PlanePoint{cx_[i], c.y}.ScoreAt(w), cid_[i],
+                             threshold, anchor.id)) {
+            ++count;
+          }
+        }
       }
     }
   }
   return Status::OK();
 }
 
-Status ShardPlane::CollectCrossings(const PlanePoint& anchor, double wlo,
-                                    double whi, std::vector<double>* events,
-                                    size_t* nodes_visited) {
-  if (optimized_) {
-    index_->ForEachCrossing(anchor, wlo, whi, [&](const PlanePoint& p) {
-      AppendCrossingWeight(anchor, p, wlo, whi, events);
-    });
-    *nodes_visited += index_->last_nodes_visited();
+Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
+                                         double whi,
+                                         std::vector<double>* events,
+                                         size_t* nodes_visited) {
+  assert(plane_ != QuestionPlane::kNone);
+  assert(0.0 <= wlo && wlo <= whi);
+  if (plane_ == QuestionPlane::kBasic) {
+    for (const Column& c : columns_) {
+      for (uint32_t i = c.begin; i < c.end; ++i) {
+        AppendCrossingWeight(anchor, PlanePoint{cx_[i], c.y, cid_[i]}, wlo,
+                             whi, events);
+      }
+    }
     return Status::OK();
   }
-  for (const PlanePoint& p : pts_) {
-    AppendCrossingWeight(anchor, p, wlo, whi, events);
+  const double a_lo = anchor.ScoreAt(wlo);
+  const double a_hi = anchor.ScoreAt(whi);
+  // Slack absorbs floating-point disagreement between the endpoint sign test
+  // and the crossing weight computed from the line coefficients, so no
+  // borderline crossing is lost (AppendCrossingWeight re-filters by the
+  // computed weight).
+  constexpr double kEps = 1e-9;
+  for (const Column& c : columns_) {
+    auto d_lo = [&](uint32_t i) {
+      ++*nodes_visited;
+      return PlanePoint{cx_[i], c.y}.ScoreAt(wlo) - a_lo;
+    };
+    auto d_hi = [&](uint32_t i) {
+      ++*nodes_visited;
+      return PlanePoint{cx_[i], c.y}.ScoreAt(whi) - a_hi;
+    };
+    // Both differences are non-decreasing along the column, so each half of
+    // the per-point test (d_lo ≤ ε ∧ d_hi ≥ −ε) ∨ (d_lo ≥ −ε ∧ d_hi ≤ ε)
+    // holds on one index range: [down_begin, down_end) ∪ [up_begin, up_end).
+    // Two non-empty ranges overlap or touch (a point between them would
+    // have d_lo, or d_hi, both above ε and below −ε), so their union is one
+    // range and each point is emitted once.
+    const uint32_t down_begin = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_hi(i) < -kEps; });
+    const uint32_t down_end = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_lo(i) <= kEps; });
+    const uint32_t up_begin = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_lo(i) < -kEps; });
+    const uint32_t up_end = PartitionPoint(
+        c.begin, c.end, [&](uint32_t i) { return d_hi(i) <= kEps; });
+
+    uint32_t from = down_begin < down_end ? down_begin : c.end;
+    uint32_t to = down_begin < down_end ? down_end : c.begin;
+    if (up_begin < up_end) {
+      from = std::min(from, up_begin);
+      to = std::max(to, up_end);
+    }
+    for (uint32_t i = from; i < to; ++i) {
+      AppendCrossingWeight(anchor, PlanePoint{cx_[i], c.y, cid_[i]}, wlo, whi,
+                           events);
+    }
   }
   return Status::OK();
+}
+
+std::vector<size_t> ShardColumnOutscoring(
+    const OracleShardView& view, double dist_norm,
+    const std::vector<ScanTarget>& targets) {
+  std::vector<size_t> counts(targets.size(), 0);
+  std::vector<bool> done(targets.size(), false);
+  for (size_t first = 0; first < targets.size(); ++first) {
+    if (done[first]) continue;
+    // The targets at this location, and their keywords.
+    const Query& at = *targets[first].query;
+    std::vector<size_t> members;
+    KeywordSet universe;
+    for (size_t i = first; i < targets.size(); ++i) {
+      if (done[i] || !SameBits(targets[i].query->loc, at.loc)) continue;
+      members.push_back(i);
+      universe = KeywordSet::Union(universe, targets[i].query->doc);
+      done[i] = true;
+    }
+    const QuestionColumns columns(view, dist_norm, at, universe,
+                                  QuestionPlane::kNone);
+    for (const size_t i : members) counts[i] = columns.CountOutscoring(targets[i]);
+  }
+  return counts;
 }
 
 // --- LocalOracleShard --------------------------------------------------------
@@ -453,19 +620,17 @@ Result<std::vector<size_t>> LocalOracleShard::CountOutscoring(
   if (kernel == OutscoringKernel::kScan) {
     return ShardScanOutscoring(view_, dist_norm_, targets);
   }
-  if (kernel == OutscoringKernel::kColumns) {
-    return ShardColumnOutscoring(view_, dist_norm_, targets);
-  }
-  assert(view_.setr != nullptr && "Rank requires the SetR-tree");
-  std::vector<size_t> counts;
-  counts.reserve(targets.size());
-  for (const ScanTarget& t : targets) {
-    const Scorer scorer(*view_.store, *t.query, dist_norm_);
-    counts.push_back(yask::CountOutscoring(*view_.store, *view_.setr,
-                                           scorer, t.target_score, t.target,
-                                           view_.to_global));
-  }
-  return counts;
+  return ShardColumnOutscoring(view_, dist_norm_, targets);
+}
+
+Result<std::unique_ptr<OracleShardQuestion>> LocalOracleShard::OpenQuestion(
+    const Query& query, const KeywordSet& universe, bool optimized) const {
+  ScopedSpan span("shard/question");
+  auto question = std::make_unique<QuestionColumns>(
+      view_, dist_norm_, query, universe,
+      optimized ? QuestionPlane::kOptimized : QuestionPlane::kBasic);
+  if (span.active()) span.set_detail(DescribeQuestion(question->shape()));
+  return std::unique_ptr<OracleShardQuestion>(std::move(question));
 }
 
 }  // namespace yask

@@ -19,14 +19,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/score_plane_index.h"
-#include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/storage/object_store.h"
+#include "src/whynot/preference_adjustment.h"
 
 namespace yask {
 
@@ -35,22 +35,24 @@ namespace yask {
 /// the Eqn. (3) sweep sizes its segments to stay within it.
 inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
 
-/// Most distinct keywords in the union of one rank batch's query documents
-/// (for keyword adaption, |q.doc ∪ M.doc|), so that an object's keyword mask
-/// over the union is one uint64_t. AdaptKeywords answers InvalidArgument and
-/// a shard answers 400 above it.
+/// Most keywords in a question's universe U on the wire (/shard/plane/open,
+/// and the union of one /shard/probe/rank batch's query documents); a shard
+/// answers 400 above it. For keyword adaption U = q.doc ∪ M.doc, and
+/// AdaptKeywords answers InvalidArgument above it; a larger union still
+/// opens a question over q.doc alone, which answers the explanations and the
+/// Eqn. (3) sweep.
 inline constexpr size_t kMaxKeywordUniverse = 64;
 
-/// Most (query, target) specs one /shard/probe/rank or /shard/count request
-/// may carry (2^15: a 256 KiB response). A shard answers 400 above it;
-/// AdaptKeywords sizes its column chunks to stay within it, and a remote
-/// oracle splits larger count batches into requests under it.
+/// Most (query, target) specs one /shard/probe/rank, /shard/plane/rank or
+/// /shard/count request may carry (2^15: a 256 KiB response). A shard
+/// answers 400 above it; AdaptKeywords sizes its rank chunks to stay within
+/// it, and a remote oracle splits larger batches into requests under it.
 inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
 
-/// Most distinct (loc, ws) query shapes in one rank batch. The columns hold
-/// an x and an id per object per shape, so a batch allocates at most
-/// kMaxProbeShapes × 12 bytes per object of the shard. A shard answers 400
-/// above it; AdaptKeywords' batches hold one shape.
+/// Most distinct (loc, ws) query shapes in one /shard/probe/rank batch. A
+/// one-call question builds one column set per location, 12 bytes per
+/// object of the shard, one location at a time. A shard answers 400 above
+/// it; AdaptKeywords' batches hold one shape.
 inline constexpr size_t kMaxProbeShapes = 8;
 
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
@@ -58,7 +60,6 @@ inline constexpr size_t kMaxProbeShapes = 8;
 /// i.e. the unsharded layout).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
-  const SetRTree* setr = nullptr;  // Null only where Rank() is never used.
   const std::vector<ObjectId>* to_global = nullptr;
 };
 
@@ -151,86 +152,172 @@ std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
                                         const std::vector<ScanTarget>& targets);
 
 /// The sorted union of the targets' query keywords: the universe the
-/// keyword masks of ShardColumnOutscoring range over.
+/// keyword masks of a one-call question range over.
 std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets);
 
 /// The number of distinct (loc, ws) query shapes among the targets, told
-/// apart by their bits as ShardColumnOutscoring keys them; counting stops at
-/// kMaxProbeShapes + 1.
+/// apart by their bits; counting stops at kMaxProbeShapes + 1.
 size_t CountQueryShapes(const std::vector<ScanTarget>& targets);
 
-/// ShardScanOutscoring's counts, exactly, from keyword-mask columns: the
-/// Eqn. (4) rank kernel. Under a target's query an object scores
-///
-///   x + wt · inter / (|q'| + |o.doc| − inter),  x = ws·(1 − SDist),
-///
-/// and inter depends only on o.doc's bitmask over the keyword universe. So
-/// the shard's objects are grouped by (mask, |o.doc|), per distinct
-/// (loc, ws) query shape, and each group is sorted by x: the text term is
-/// one constant per group, the score never decreases along it, and a count
-/// is one binary search plus the equal-score run per group
-/// (docs/architecture.md, "Keyword-mask columns"). The columns are built
-/// once per call for every target, in one pass over the store.
-/// Requires KeywordUniverse(targets).size() <= kMaxKeywordUniverse and
-/// CountQueryShapes(targets) <= kMaxProbeShapes.
-std::vector<size_t> ShardColumnOutscoring(
-    const OracleShardView& view, double dist_norm,
-    const std::vector<ScanTarget>& targets);
+/// True when a question at `question`'s location whose ranks range over
+/// `universe` (q.doc ∪ U, sorted) answers `target`: the same location,
+/// down to the bits, and target.doc ⊆ universe. The weights may differ.
+bool QuestionCovers(const Query& question, const KeywordSet& universe,
+                    const Query& target);
 
-/// One shard's Eqn. (3) plane state for one query: ShardPlane in process,
-/// or a remote shard's plane session. An error means the shard answered
-/// nothing; only a remote plane returns one. Calls never overlap.
-class OracleShardPlane {
+/// The size of one shard's question columns (span details, the wire).
+struct QuestionShape {
+  size_t objects = 0;   // Objects placed.
+  size_t groups = 0;    // (keyword mask, |o.doc|) groups.
+  size_t columns = 0;   // TSim columns; 0 for a question without a plane.
+  size_t universe = 0;  // Keywords the masks range over.
+};
+
+/// "objects=… groups=… columns=… universe=…": the question spans' detail.
+std::string DescribeQuestion(const QuestionShape& shape);
+
+/// One shard's state for one why-not question: QuestionColumns in process,
+/// or a remote shard's question session. It answers the three per-shard
+/// primitives of a question: the Eqn. (4) and explanation rank counts, and
+/// the Eqn. (3) sweep's counts and crossings. An error means the shard
+/// answered nothing; only a remote question returns one. Calls may overlap:
+/// the preference and keyword stages of one question share it from two
+/// threads.
+class OracleShardQuestion {
  public:
-  virtual ~OracleShardPlane() = default;
-  /// See ShardPlane.
+  virtual ~OracleShardQuestion() = default;
+
+  virtual QuestionShape shape() const = 0;
+
+  /// Tie-aware counts of the shard's objects outscoring each target (D6 on
+  /// global ids). Every target's query must be covered (QuestionCovers).
+  virtual Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets) = 0;
+
+  /// Tie-aware counts of this shard's objects outscoring each anchor at each
+  /// weight ≥ 0 over the (weights × anchors) grid:
+  /// (*counts)[wi * anchors.size() + a] compares against the threshold
+  /// anchors[a].ScoreAt(weights[wi]) — the same double every layout
+  /// computes. `counts` must be pre-sized to weights.size() * anchors.size().
+  /// `nodes_visited` accumulates score evaluations (optimized mode only).
   virtual Status CountAboveBatch(const std::vector<double>& weights,
                                  const std::vector<PlanePoint>& anchors,
                                  std::vector<size_t>* counts,
                                  size_t* nodes_visited) = 0;
+
+  /// Appends every crossing weight of `anchor`'s score line with one of this
+  /// shard's lines inside [wlo, whi] (0 ≤ wlo ≤ whi) to `events` (duplicates
+  /// allowed — the caller sorts and deduplicates the merged set).
   virtual Status CollectCrossings(const PlanePoint& anchor, double wlo,
                                   double whi, std::vector<double>* events,
                                   size_t* nodes_visited) = 0;
 };
 
-/// One shard's Eqn. (3) score-plane state for one query: the plane points
-/// scanned in full (basic mode, the paper's baseline) or the ScorePlaneIndex
-/// TSim columns over them (optimized mode: binary searches per column), with
-/// the two per-shard primitives the weight sweep fans out — count-above and
-/// crossing collection. Plane points carry GLOBAL ids; `nodes_visited`
-/// accumulates the index's score evaluations (optimized mode only). Never
-/// fails.
-class ShardPlane final : public OracleShardPlane {
- public:
-  ShardPlane(const OracleShardView& view, const Query& query, double dist_norm,
-             bool optimized);
+/// What a QuestionColumns answers besides ranks: nothing (a one-call rank
+/// question), or the Eqn. (3) plane by full scan (basic mode, the paper's
+/// baseline) or by binary search per TSim column (optimized mode).
+enum class QuestionPlane : uint8_t { kNone, kBasic, kOptimized };
 
-  /// Tie-aware counts of this shard's points outscoring each anchor at each
-  /// weight ≥ 0 over the (weights × anchors) grid:
-  /// (*counts)[wi * anchors.size() + a] compares against the threshold
-  /// anchors[a].ScoreAt(weights[wi]) — the same double every layout
-  /// computes. `counts` must be pre-sized to weights.size() * anchors.size().
+/// The one per-shard kernel of a why-not question (docs/architecture.md,
+/// "Question columns"). One pass over the shard computes each object's
+///
+///   x = 1 − SDist(o, q.loc)
+///
+/// (the double Scorer::Score multiplies by ws) and its group: its keyword
+/// mask over the universe q.doc ∪ U and |o.doc|. One stable sort by x (ties
+/// in ascending id order) is then scattered two ways, so every slice below
+/// is sorted by x:
+///
+///   * into the mask groups. Under any query at q.loc with a doc ⊆ the
+///     universe, at any ws, an object scores ws·x + wt·J(inter, |q'|,
+///     |o.doc|), and inter is one popcount per group: the text term is a
+///     constant per group and the score never decreases along it, so a
+///     rank count is one binary search plus the equal-score run per group
+///     (Eqn. (4) candidates and the explanations' R(M, q));
+///   * into TSim columns: the groups merged by the bits of
+///     y = TSim(o, q), computed from the group's mask. Along a column
+///     w·x + (1 − w)·y never decreases for w ≥ 0, so the Eqn. (3) sweep's
+///     counts and crossings are binary searches per column — far fewer
+///     columns than groups.
+///
+/// Every score is the same IEEE arithmetic on the same operands as
+/// Scorer::Score and PlanePoint::ScoreAt (the build disables FMA
+/// contraction), so counts are exact. The universe may span any number of
+/// 64-bit mask words; the wire caps U at kMaxKeywordUniverse. Immutable
+/// once built, so calls may overlap.
+class QuestionColumns final : public OracleShardQuestion {
+ public:
+  /// `view` must outlive the columns. `universe` lists the keywords beyond
+  /// query.doc that covered targets may use.
+  QuestionColumns(const OracleShardView& view, double dist_norm,
+                  const Query& query, const KeywordSet& universe,
+                  QuestionPlane plane);
+
+  QuestionShape shape() const override;
+
+  /// Never fails.
+  Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets) override;
+  /// Require a plane. Never fail.
   Status CountAboveBatch(const std::vector<double>& weights,
                          const std::vector<PlanePoint>& anchors,
                          std::vector<size_t>* counts,
                          size_t* nodes_visited) override;
-
-  /// Appends every crossing weight of `anchor`'s score line with one of this
-  /// shard's lines inside [wlo, whi] (0 ≤ wlo ≤ whi) to `events` (duplicates
-  /// allowed — the caller sorts and deduplicates the merged set).
   Status CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
                           std::vector<double>* events,
                           size_t* nodes_visited) override;
 
+  /// One target's count (see CountOutscoring).
+  size_t CountOutscoring(const ScanTarget& target) const;
+
  private:
-  bool optimized_;
-  std::vector<PlanePoint> pts_;             // Basic mode only.
-  std::unique_ptr<ScorePlaneIndex> index_;  // Optimized mode only.
+  /// [begin, end) of a slice of the group or column arrays.
+  struct Group {
+    uint32_t len = 0;  // |o.doc|.
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  struct Column {
+    double y = 0.0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// `doc`'s mask over the universe, `words_` words at `mask`.
+  void MaskOf(const KeywordSet& doc, uint64_t* mask) const;
+  /// wt · J(inter, qlen, len) of a doc with mask `mask` and `len` keywords
+  /// under a query doc with mask `qmask` and `qlen` keywords.
+  double TextOf(const uint64_t* mask, size_t len, const uint64_t* qmask,
+                size_t qlen, double wt) const;
+  size_t CountAbove(double w, double threshold, ObjectId tie_id,
+                    size_t* evals) const;
+
+  OracleShardView view_;
+  double dist_norm_;
+  Point loc_;
+  QuestionPlane plane_;
+  std::vector<TermId> terms_;  // The universe, sorted.
+  uint64_t filter_[4] = {};    // Bit t % 256 set for every t in terms_.
+  size_t words_ = 1;           // 64-bit mask words per group.
+  std::vector<Group> groups_;
+  std::vector<uint64_t> group_masks_;  // groups_.size() × words_.
+  std::vector<double> gx_;     // Group-major, x ascending within a group.
+  std::vector<ObjectId> gid_;  // Parallel to gx_, global ids.
+  std::vector<Column> columns_;
+  std::vector<double> cx_;     // Column-major, x ascending within a column.
+  std::vector<ObjectId> cid_;  // Parallel to cx_, global ids.
 };
 
-/// Which outscoring kernel a count runs: the SetR-tree walk behind Rank(),
-/// the full scan of basic keyword adaption, or the keyword-mask columns.
-enum class OutscoringKernel : uint8_t { kSetR, kScan, kColumns };
+/// ShardScanOutscoring's counts, exactly, from one-call questions: the
+/// targets are grouped by location, and one QuestionColumns without a plane
+/// per location, over the union of its targets' keywords, answers them.
+std::vector<size_t> ShardColumnOutscoring(
+    const OracleShardView& view, double dist_norm,
+    const std::vector<ScanTarget>& targets);
+
+/// Which outscoring kernel a stateless count runs: the full scan of basic
+/// keyword adaption, or one-call question columns.
+enum class OutscoringKernel : uint8_t { kScan, kColumns };
 
 /// One shard's half of every why-not oracle primitive but TopK; the oracle
 /// (FanOutWhyNotOracle, src/whynot/whynot_oracle.h) does the rest. An error
@@ -248,17 +335,19 @@ class OracleShard {
       const std::vector<ScanTarget>& targets,
       OutscoringKernel kernel) const = 0;
 
-  /// The shard's plane state for `query`, which must outlive it.
-  virtual Result<std::unique_ptr<OracleShardPlane>> OpenPlane(
-      const Query& query, bool optimized) const = 0;
+  /// The shard's state for a question on `query` (plane: optimized or
+  /// basic), whose ranks may use the keywords of query.doc ∪ `universe`
+  /// (|universe| ≤ kMaxKeywordUniverse). `query` must be valid.
+  virtual Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
+      const Query& query, const KeywordSet& universe,
+      bool optimized) const = 0;
 };
 
 /// The in-process shard: the kernels above over a view, under the GLOBAL
 /// SDist normaliser. Never fails.
 class LocalOracleShard final : public OracleShard {
  public:
-  /// `view` must outlive the shard; its SetR-tree may be null where kSetR
-  /// is never asked.
+  /// `view` must outlive the shard.
   LocalOracleShard(const OracleShardView& view, double dist_norm)
       : view_(view), dist_norm_(dist_norm) {}
 
@@ -266,11 +355,10 @@ class LocalOracleShard final : public OracleShard {
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets,
       OutscoringKernel kernel) const override;
-  Result<std::unique_ptr<OracleShardPlane>> OpenPlane(
-      const Query& query, bool optimized) const override {
-    return std::unique_ptr<OracleShardPlane>(
-        std::make_unique<ShardPlane>(view_, query, dist_norm_, optimized));
-  }
+  /// Records a "shard/question" span detailing the columns' shape.
+  Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
+      const Query& query, const KeywordSet& universe,
+      bool optimized) const override;
 
  private:
   OracleShardView view_;

@@ -46,13 +46,17 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
     const Query& query, const std::vector<ObjectId>& missing,
     const WhyNotOptions& options) const {
   WhyNotAnswer answer;
+  // One question for every stage: each shard builds its columns once.
+  const std::unique_ptr<const WhyNotOracle> question =
+      oracle_->OpenQuestion(query, missing, options.pref_mode);
+  const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Stage spans are recorded in EVERY corpus layout (local, sharded,
   // remote), so a trace's skeleton is layout-independent; remote layouts
   // additionally hang per-replica rpc spans beneath them.
   {
     ScopedSpan span("whynot/explain");
-    auto explanations = ExplainMissing(*oracle_, query, missing);
+    auto explanations = ExplainMissing(oracle, query, missing);
     if (!explanations.ok()) return explanations.status();
     answer.explanations = std::move(explanations).value();
   }
@@ -66,10 +70,11 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
 
   if (options.run_preference_adjustment && options.run_keyword_adaption) {
     // Overlap the Eqn. (3) weight sweep with the Eqn. (4) probe fan-outs.
-    // The two refinements share no mutable state (each opens its own oracle
-    // sessions; a remote oracle's channels/health/meters are thread-safe),
-    // and both searches are internally level-synchronous, so the keyword
-    // search runs on a helper thread while the preference sweep runs here —
+    // The two refinements share only the question, whose per-shard states
+    // take overlapping calls (a remote oracle's session channels, health and
+    // meters are thread-safe), and both searches are internally
+    // level-synchronous, so the keyword search runs on a helper thread while
+    // the preference sweep runs here —
     // a why-not question costs max(pref, kw) instead of pref + kw of wire
     // waiting, with the same result bytes. Both finish before anything is
     // read; errors surface preference-first like the one-model path.
@@ -78,12 +83,12 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
     std::thread kw_thread([&] {
       TraceContextScope scope(trace_ctx);
       ScopedSpan span("whynot/keyword");
-      kw.emplace(AdaptKeywords(*oracle_, query, missing, ko));
+      kw.emplace(AdaptKeywords(oracle, query, missing, ko));
       DescribeStage(&span, *kw);
     });
     Result<RefinedPreferenceQuery> pref = [&] {
       ScopedSpan span("whynot/preference");
-      auto refined = AdjustPreference(*oracle_, query, missing, po);
+      auto refined = AdjustPreference(oracle, query, missing, po);
       DescribeStage(&span, refined);
       return refined;
     }();
@@ -94,13 +99,13 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
     answer.keyword = std::move(*kw).value();
   } else if (options.run_preference_adjustment) {
     ScopedSpan span("whynot/preference");
-    auto refined = AdjustPreference(*oracle_, query, missing, po);
+    auto refined = AdjustPreference(oracle, query, missing, po);
     DescribeStage(&span, refined);
     if (!refined.ok()) return refined.status();
     answer.preference = std::move(refined).value();
   } else if (options.run_keyword_adaption) {
     ScopedSpan span("whynot/keyword");
-    auto refined = AdaptKeywords(*oracle_, query, missing, ko);
+    auto refined = AdaptKeywords(oracle, query, missing, ko);
     DescribeStage(&span, refined);
     if (!refined.ok()) return refined.status();
     answer.keyword = std::move(refined).value();
@@ -128,13 +133,13 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
   ScopedSpan span("whynot/refined_topk");
   switch (answer.recommended) {
     case RefinementModel::kPreference:
-      answer.refined_result = oracle_->TopK(answer.preference->refined);
+      answer.refined_result = oracle.TopK(answer.preference->refined);
       break;
     case RefinementModel::kKeyword:
-      answer.refined_result = oracle_->TopK(answer.keyword->refined);
+      answer.refined_result = oracle.TopK(answer.keyword->refined);
       break;
     case RefinementModel::kNone:
-      answer.refined_result = oracle_->TopK(query);
+      answer.refined_result = oracle.TopK(query);
       break;
   }
   return answer;
@@ -149,17 +154,23 @@ Result<CombinedRefinement> WhyNotEngine::CombineRefinements(
   KeywordAdaptOptions ko;
   ko.lambda = options.lambda;
   ko.mode = options.kw_mode;
+  // One question for both orders. Its ranks cover the keyword step at any
+  // weights; the preference step after keyword adaption sweeps another
+  // doc's plane, which opens its own.
+  const std::unique_ptr<const WhyNotOracle> question =
+      oracle_->OpenQuestion(query, missing, options.pref_mode);
+  const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Order A: preference first, keyword adaption on the adjusted query.
   auto run_pref_first = [&]() -> Result<CombinedRefinement> {
     auto pref = [&] {
       ScopedSpan span("whynot/preference", "order=pref-first");
-      return AdjustPreference(*oracle_, query, missing, po);
+      return AdjustPreference(oracle, query, missing, po);
     }();
     if (!pref.ok()) return pref.status();
     auto kw = [&] {
       ScopedSpan span("whynot/keyword", "order=pref-first");
-      return AdaptKeywords(*oracle_, pref->refined, missing, ko);
+      return AdaptKeywords(oracle, pref->refined, missing, ko);
     }();
     if (!kw.ok()) return kw.status();
     CombinedRefinement out;
@@ -176,12 +187,12 @@ Result<CombinedRefinement> WhyNotEngine::CombineRefinements(
   auto run_kw_first = [&]() -> Result<CombinedRefinement> {
     auto kw = [&] {
       ScopedSpan span("whynot/keyword", "order=kw-first");
-      return AdaptKeywords(*oracle_, query, missing, ko);
+      return AdaptKeywords(oracle, query, missing, ko);
     }();
     if (!kw.ok()) return kw.status();
     auto pref = [&] {
       ScopedSpan span("whynot/preference", "order=kw-first");
-      return AdjustPreference(*oracle_, kw->refined, missing, po);
+      return AdjustPreference(oracle, kw->refined, missing, po);
     }();
     if (!pref.ok()) return pref.status();
     CombinedRefinement out;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "src/common/trace.h"
 #include "src/corpus/corpus.h"
 
 namespace yask {
@@ -23,29 +24,29 @@ std::vector<size_t> SumOver(const std::vector<size_t>& answered,
 
 }  // namespace
 
-/// The one ScorePlaneSession: one plane per shard, merged by partition-sum /
-/// partition-union. A shard whose plane failed to open adds nothing for the
-/// rest of the session (its error was recorded at open).
+/// One open question: every shard's state for it, shared by the question
+/// oracle and the plane sessions it hands out. A shard whose question failed
+/// to open adds nothing for the rest of the question (its error was
+/// recorded at open).
+struct ShardQuestionSet {
+  Query query;          // The question's query: its location and plane.
+  KeywordSet universe;  // query.doc ∪ U: the docs its ranks may use.
+  bool optimized = true;
+  std::vector<std::unique_ptr<OracleShardQuestion>> shards;
+  std::vector<size_t> live;  // Shards whose question opened.
+};
+
+/// The one ScorePlaneSession: the plane of every shard's question, merged by
+/// partition-sum / partition-union.
 class FanOutScorePlaneSession : public ScorePlaneSession {
  public:
   FanOutScorePlaneSession(const FanOutWhyNotOracle* oracle, const Query* query,
-                          PrefAdjustMode mode)
-      : oracle_(oracle),
-        query_(query),
-        optimized_(mode == PrefAdjustMode::kOptimized),
-        planes_(oracle->shards_.size()) {
-    live_ = oracle_->FanOutShards(oracle_->all_shards_, [&](size_t s) {
-      Result<std::unique_ptr<OracleShardPlane>> plane =
-          oracle_->shards_[s]->OpenPlane(*query_, optimized_);
-      if (!plane.ok()) return plane.status();
-      planes_[s] = std::move(plane).value();
-      return Status::OK();
-    });
-  }
+                          std::shared_ptr<ShardQuestionSet> questions)
+      : oracle_(oracle), query_(query), questions_(std::move(questions)) {}
 
   PlanePoint Anchor(ObjectId global_id) const override {
-    // Computed from the object with the exact arithmetic BuildPlanePoints
-    // uses, so the anchor is the same point in every layout.
+    // Computed from the object with the arithmetic of the columns' x and y,
+    // so the anchor is the same point in every layout.
     const ObjectScoreParts parts = ScorePartsOf(
         *query_, oracle_->dist_norm(), oracle_->Object(global_id));
     return PlanePoint{1.0 - parts.sdist, parts.tsim, global_id};
@@ -58,29 +59,29 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
     const size_t pairs = weights.size() * anchors.size();
     // ONE fan-out for the whole (weights × anchors) grid: each shard counts
     // every pair, and each pair's total is an exact partition-sum.
-    std::vector<std::vector<size_t>> counts(planes_.size());
-    std::vector<size_t> nodes(planes_.size(), 0);
+    std::vector<std::vector<size_t>> counts(questions_->shards.size());
+    std::vector<size_t> nodes(questions_->shards.size(), 0);
     const std::vector<size_t> answered =
-        oracle_->FanOutShards(live_, [&](size_t s) {
+        oracle_->FanOutShards(questions_->live, [&](size_t s) {
           counts[s].resize(pairs);
-          return planes_[s]->CountAboveBatch(weights, anchors, &counts[s],
-                                             &nodes[s]);
+          return questions_->shards[s]->CountAboveBatch(weights, anchors,
+                                                        &counts[s], &nodes[s]);
         });
     for (const size_t s : answered) stats->index_nodes_visited += nodes[s];
     // One logical dataset rescan per (weight, anchor) pair in basic mode.
-    if (!optimized_) stats->full_rescans += pairs;
+    if (!questions_->optimized) stats->full_rescans += pairs;
     return SumOver(answered, counts, pairs);
   }
 
   void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
                         std::vector<double>* events,
                         PreferenceAdjustStats* stats) const override {
-    std::vector<std::vector<double>> parts(planes_.size());
-    std::vector<size_t> nodes(planes_.size(), 0);
+    std::vector<std::vector<double>> parts(questions_->shards.size());
+    std::vector<size_t> nodes(questions_->shards.size(), 0);
     const std::vector<size_t> answered =
-        oracle_->FanOutShards(live_, [&](size_t s) {
-          return planes_[s]->CollectCrossings(anchor, wlo, whi, &parts[s],
-                                              &nodes[s]);
+        oracle_->FanOutShards(questions_->live, [&](size_t s) {
+          return questions_->shards[s]->CollectCrossings(anchor, wlo, whi,
+                                                         &parts[s], &nodes[s]);
         });
     // Union in shard order; the caller sorts + deduplicates the merged set,
     // so the final event sequence is layout-independent.
@@ -93,9 +94,74 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
  private:
   const FanOutWhyNotOracle* oracle_;
   const Query* query_;
-  bool optimized_;
-  std::vector<std::unique_ptr<OracleShardPlane>> planes_;
-  std::vector<size_t> live_;  // Shards whose plane opened.
+  std::shared_ptr<ShardQuestionSet> questions_;
+};
+
+/// The question-scoped oracle FanOutWhyNotOracle::OpenQuestion returns: the
+/// calls its question covers are answered from the open questions, the rest
+/// pass through.
+class FanOutQuestion final : public WhyNotOracle {
+ public:
+  FanOutQuestion(const FanOutWhyNotOracle* oracle,
+                 std::shared_ptr<ShardQuestionSet> questions,
+                 PrefAdjustMode mode)
+      : oracle_(oracle), questions_(std::move(questions)), mode_(mode) {}
+
+  size_t size() const override { return oracle_->size(); }
+  double dist_norm() const override { return oracle_->dist_norm(); }
+  const SpatialObject& Object(ObjectId global_id) const override {
+    return oracle_->Object(global_id);
+  }
+  TopKResult TopK(const Query& query, TopKStats* stats) const override {
+    return oracle_->TopK(query, stats);
+  }
+
+  size_t Rank(const Query& query, ObjectId global_id) const override {
+    if (!Covers(query)) return oracle_->Rank(query, global_id);
+    return oracle_->SumQuestionCounts(
+               questions_.get(),
+               oracle_->ResolveTargets({{&query, global_id}}))[0] +
+           1;
+  }
+
+  std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
+      const Query& query, PrefAdjustMode mode) const override {
+    // The plane is the question query's: its location and doc.
+    if (mode != mode_ || !Covers(query) ||
+        query.doc != questions_->query.doc) {
+      return oracle_->PrepareScorePlane(query, mode);
+    }
+    return std::make_unique<FanOutScorePlaneSession>(oracle_, &query,
+                                                     questions_);
+  }
+
+  std::vector<size_t> OutscoringCountBatch(
+      const std::vector<OracleTargetSpec>& specs,
+      KeywordAdaptStats* stats) const override {
+    return oracle_->OutscoringCountBatch(specs, stats);
+  }
+
+  std::unique_ptr<RankProbeBatch> ProbeRankBatch(
+      const std::vector<OracleTargetSpec>& specs,
+      KeywordAdaptStats* stats) const override {
+    for (const OracleTargetSpec& spec : specs) {
+      if (!Covers(*spec.query)) return oracle_->ProbeRankBatch(specs, stats);
+    }
+    stats->objects_scored += oracle_->size();
+    std::vector<size_t> ranks = oracle_->SumQuestionCounts(
+        questions_.get(), oracle_->ResolveTargets(specs));
+    for (size_t& rank : ranks) ++rank;
+    return std::make_unique<ExactRankBatch>(std::move(ranks));
+  }
+
+ private:
+  bool Covers(const Query& query) const {
+    return QuestionCovers(questions_->query, questions_->universe, query);
+  }
+
+  const FanOutWhyNotOracle* oracle_;
+  std::shared_ptr<ShardQuestionSet> questions_;
+  PrefAdjustMode mode_;
 };
 
 FanOutWhyNotOracle::FanOutWhyNotOracle(
@@ -129,11 +195,8 @@ std::vector<size_t> FanOutWhyNotOracle::FanOutShards(
   return answered;
 }
 
-std::vector<size_t> FanOutWhyNotOracle::SumCounts(
-    const std::vector<OracleTargetSpec>& specs,
-    OutscoringKernel kernel) const {
-  // Target scores are resolved up front (the target of a spec need not live
-  // in any particular shard), then one fan-out counts every spec per shard.
+std::vector<ScanTarget> FanOutWhyNotOracle::ResolveTargets(
+    const std::vector<OracleTargetSpec>& specs) const {
   std::vector<ScanTarget> targets;
   targets.reserve(specs.size());
   for (const OracleTargetSpec& spec : specs) {
@@ -142,40 +205,115 @@ std::vector<size_t> FanOutWhyNotOracle::SumCounts(
         ScorePartsOf(*spec.query, dist_norm_, Object(spec.target)).score,
         spec.target});
   }
+  return targets;
+}
+
+std::vector<size_t> FanOutWhyNotOracle::SumCounts(
+    const std::vector<size_t>& shards, size_t items,
+    const std::function<Result<std::vector<size_t>>(size_t)>& count) const {
   std::vector<std::vector<size_t>> counts(shards_.size());
-  const std::vector<size_t> answered = FanOutShards(all_shards_, [&](size_t s) {
-    Result<std::vector<size_t>> shard_counts =
-        shards_[s]->CountOutscoring(targets, kernel);
+  const std::vector<size_t> answered = FanOutShards(shards, [&](size_t s) {
+    Result<std::vector<size_t>> shard_counts = count(s);
     if (!shard_counts.ok()) return shard_counts.status();
     counts[s] = std::move(shard_counts).value();
     return Status::OK();
   });
-  return SumOver(answered, counts, specs.size());
+  return SumOver(answered, counts, items);
+}
+
+std::shared_ptr<ShardQuestionSet> FanOutWhyNotOracle::OpenShardQuestions(
+    const Query& query, const KeywordSet& universe, bool optimized) const {
+  auto questions = std::make_shared<ShardQuestionSet>();
+  questions->query = query;
+  questions->universe = KeywordSet::Union(query.doc, universe);
+  questions->optimized = optimized;
+  questions->shards.resize(shards_.size());
+  questions->live = FanOutShards(all_shards_, [&](size_t s) {
+    Result<std::unique_ptr<OracleShardQuestion>> question =
+        shards_[s]->OpenQuestion(query, universe, optimized);
+    if (!question.ok()) return question.status();
+    questions->shards[s] = std::move(question).value();
+    return Status::OK();
+  });
+  return questions;
+}
+
+std::vector<size_t> FanOutWhyNotOracle::SumQuestionCounts(
+    ShardQuestionSet* questions, const std::vector<ScanTarget>& targets) const {
+  return SumCounts(questions->live, targets.size(), [&](size_t s) {
+    return questions->shards[s]->CountOutscoring(targets);
+  });
 }
 
 size_t FanOutWhyNotOracle::Rank(const Query& query, ObjectId global_id) const {
-  return SumCounts({{&query, global_id}}, OutscoringKernel::kSetR)[0] + 1;
+  // A one-call question: the query's doc may exceed the wire's universe
+  // cap, which a question's own doc is not held to.
+  const std::shared_ptr<ShardQuestionSet> questions =
+      OpenShardQuestions(query, KeywordSet(), /*optimized=*/true);
+  return SumQuestionCounts(questions.get(),
+                           ResolveTargets({{&query, global_id}}))[0] +
+         1;
 }
 
 std::unique_ptr<ScorePlaneSession> FanOutWhyNotOracle::PrepareScorePlane(
     const Query& query, PrefAdjustMode mode) const {
-  return std::make_unique<FanOutScorePlaneSession>(this, &query, mode);
+  return std::make_unique<FanOutScorePlaneSession>(
+      this, &query,
+      OpenShardQuestions(query, KeywordSet(),
+                         mode == PrefAdjustMode::kOptimized));
 }
 
 std::vector<size_t> FanOutWhyNotOracle::OutscoringCountBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_ * specs.size();
-  return SumCounts(specs, OutscoringKernel::kScan);
+  const std::vector<ScanTarget> targets = ResolveTargets(specs);
+  return SumCounts(all_shards_, specs.size(), [&](size_t s) {
+    return shards_[s]->CountOutscoring(targets, OutscoringKernel::kScan);
+  });
 }
 
 std::unique_ptr<RankProbeBatch> FanOutWhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_;
-  std::vector<size_t> ranks = SumCounts(specs, OutscoringKernel::kColumns);
+  const std::vector<ScanTarget> targets = ResolveTargets(specs);
+  std::vector<size_t> ranks =
+      SumCounts(all_shards_, specs.size(), [&](size_t s) {
+        return shards_[s]->CountOutscoring(targets, OutscoringKernel::kColumns);
+      });
   for (size_t& rank : ranks) ++rank;
   return std::make_unique<ExactRankBatch>(std::move(ranks));
+}
+
+std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
+    const Query& query, const std::vector<ObjectId>& missing,
+    PrefAdjustMode mode) const {
+  if (!query.Validate().ok() || missing.empty()) return nullptr;
+  KeywordSet universe = query.doc;
+  for (const ObjectId id : missing) {
+    if (id >= size_) return nullptr;
+    universe = KeywordSet::Union(universe, Object(id).doc);
+  }
+  // Past the cap keyword adaption refuses the question, and the rest need
+  // only q.doc.
+  if (universe.size() > kMaxKeywordUniverse) universe = KeywordSet();
+
+  ScopedSpan span("whynot/question");
+  std::shared_ptr<ShardQuestionSet> questions =
+      OpenShardQuestions(query, universe, mode == PrefAdjustMode::kOptimized);
+  if (span.active()) {
+    QuestionShape total;
+    total.universe = questions->universe.size();
+    for (const size_t s : questions->live) {
+      const QuestionShape shape = questions->shards[s]->shape();
+      total.objects += shape.objects;
+      total.groups += shape.groups;
+      total.columns += shape.columns;
+    }
+    span.set_detail(DescribeQuestion(total));
+  }
+  return std::make_unique<FanOutQuestion>(this, std::move(questions), mode);
 }
 
 // --- LocalWhyNotOracle -------------------------------------------------------
@@ -183,10 +321,10 @@ std::unique_ptr<RankProbeBatch> FanOutWhyNotOracle::ProbeRankBatch(
 namespace {
 
 std::vector<std::unique_ptr<const OracleShard>> OneShard(
-    const ObjectStore& store, const SetRTree* setr) {
+    const ObjectStore& store) {
   std::vector<std::unique_ptr<const OracleShard>> shards;
   shards.push_back(std::make_unique<LocalOracleShard>(
-      OracleShardView{&store, setr, nullptr}, store.BoundsDiagonal()));
+      OracleShardView{&store, nullptr}, store.BoundsDiagonal()));
   return shards;
 }
 
@@ -194,7 +332,7 @@ std::vector<std::unique_ptr<const OracleShard>> OneShard(
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
                                      const SetRTree* setr)
-    : FanOutWhyNotOracle(OneShard(store, setr), store.BoundsDiagonal(),
+    : FanOutWhyNotOracle(OneShard(store), store.BoundsDiagonal(),
                          /*pool=*/nullptr),
       store_(&store) {
   if (setr != nullptr) topk_.emplace(store, *setr);

@@ -19,7 +19,12 @@
 //     union of each shard's crossings (each crossing is computed from the
 //     same two doubles in either layout, so the union deduplicates exactly);
 //   * the Eqn. (4) rank of a candidate query is 1 + Σ over shards of each
-//     shard's keyword-mask column count (the same partition-sum).
+//     shard's keyword-mask group count (the same partition-sum).
+//
+// All three rank the same missing objects against the same query location,
+// so the engine opens ONE question per /whynot (OpenQuestion): each shard
+// builds its QuestionColumns once, and the explanations' ranks, the Eqn. (3)
+// sweep and the Eqn. (4) ranks are all answered from them.
 //
 // WhyNotOracle captures exactly those primitives, and the algorithms run
 // unchanged over any implementation. The fan-out and the merge above are
@@ -40,7 +45,6 @@
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
-#include "src/index/score_plane_index.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
@@ -203,7 +207,7 @@ class WhyNotOracle {
   virtual TopKResult TopK(const Query& query,
                           TopKStats* stats = nullptr) const = 0;
 
-  /// Tie-aware exact rank of an object (D6 order), via pruned index walks.
+  /// Tie-aware exact rank of an object (D6 order).
   virtual size_t Rank(const Query& query, ObjectId global_id) const = 0;
 
   /// Builds the per-query score-plane state for Eqn. (3). `query` must
@@ -220,9 +224,10 @@ class WhyNotOracle {
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
 
-  /// Exact tie-aware ranks (count + 1) of every spec's target, by the
-  /// keyword-mask columns (ShardColumnOutscoring): one fan-out builds each
-  /// shard's columns once for the whole batch and answers every member.
+  /// Exact tie-aware ranks (count + 1) of every spec's target, by keyword-
+  /// mask groups: one fan-out answers every member, from the open question's
+  /// columns or from one-call question columns built for the batch
+  /// (ShardColumnOutscoring).
   /// The union of the specs' query keywords must not exceed
   /// kMaxKeywordUniverse, nor their distinct (loc, ws) shapes
   /// kMaxProbeShapes. `stats->objects_scored` grows by the dataset size
@@ -230,6 +235,19 @@ class WhyNotOracle {
   virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
+
+  /// Opens the why-not question (q, M): the returned oracle answers Rank,
+  /// PrepareScorePlane and ProbeRankBatch from per-shard question columns
+  /// built once, for every query the question covers (q's location, a doc
+  /// within q.doc ∪ M.doc, any weights; the plane for q itself in `mode`);
+  /// every other call passes through to this oracle, which must outlive it.
+  /// Null when this oracle opens no questions, or when (q, M) is invalid —
+  /// the stages then run over this oracle and report why.
+  virtual std::unique_ptr<const WhyNotOracle> OpenQuestion(
+      const Query& /*query*/, const std::vector<ObjectId>& /*missing*/,
+      PrefAdjustMode /*mode*/) const {
+    return nullptr;
+  }
 
   /// Single-target views of the two batches above — batches of one. The
   /// algorithms never call them; their last reader is servebench/tracing.h
@@ -247,12 +265,19 @@ class WhyNotOracle {
   }
 };
 
+struct ShardQuestionSet;  // One open question's per-shard states (.cc).
+
 /// The one why-not fan-out and merge, for every layout: each primitive
 /// resolves its target scores once, fans the per-shard half out over the
 /// pool, and merges by partition-sum (counts) or partition-union
 /// (crossings), keeping the work counters. A shard that fails has its error
 /// recorded and adds nothing. LocalWhyNotOracle, ShardedWhyNotOracle and
 /// RemoteShardOracle differ only in their shards, pool, Object() and TopK().
+///
+/// Outside an open question, Rank and PrepareScorePlane open a one-call
+/// question on their query, and ProbeRankBatch builds one-call question
+/// columns for its batch, so QuestionColumns is the one rank, count and
+/// crossing kernel either way.
 class FanOutWhyNotOracle : public WhyNotOracle {
  public:
   size_t size() const override { return size_; }
@@ -267,6 +292,10 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
+  /// Records a "whynot/question" span detailing the shards' columns summed.
+  std::unique_ptr<const WhyNotOracle> OpenQuestion(
+      const Query& query, const std::vector<ObjectId>& missing,
+      PrefAdjustMode mode) const override;
 
   /// The fan-out pool (null = fan-outs run inline on the calling thread).
   const ThreadPool* pool() const { return pool_; }
@@ -280,6 +309,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
 
  private:
   friend class FanOutScorePlaneSession;
+  friend class FanOutQuestion;
 
   /// Runs `call(s)` for each listed shard over the pool and returns the
   /// shards that answered, in order. A failed call's error is recorded.
@@ -287,9 +317,25 @@ class FanOutWhyNotOracle : public WhyNotOracle {
       const std::vector<size_t>& shards,
       const std::function<Status(size_t)>& call) const;
 
-  /// Partition-sum of every spec's per-shard outscoring count.
-  std::vector<size_t> SumCounts(const std::vector<OracleTargetSpec>& specs,
-                                OutscoringKernel kernel) const;
+  /// The specs with their target scores resolved (a spec's target need not
+  /// live in any particular shard).
+  std::vector<ScanTarget> ResolveTargets(
+      const std::vector<OracleTargetSpec>& specs) const;
+
+  /// Partition-sum over the listed shards of `count(s)`, `items` counts
+  /// per shard.
+  std::vector<size_t> SumCounts(
+      const std::vector<size_t>& shards, size_t items,
+      const std::function<Result<std::vector<size_t>>(size_t)>& count) const;
+
+  /// Every shard's question on `query` (ranks over query.doc ∪ `universe`).
+  std::shared_ptr<ShardQuestionSet> OpenShardQuestions(
+      const Query& query, const KeywordSet& universe, bool optimized) const;
+
+  /// Partition-sum of every target's count over an open question.
+  std::vector<size_t> SumQuestionCounts(
+      ShardQuestionSet* questions,
+      const std::vector<ScanTarget>& targets) const;
 
   std::vector<std::unique_ptr<const OracleShard>> shards_;
   std::vector<size_t> all_shards_;  // 0..shards_.size()-1.
@@ -300,7 +346,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
 };
 
 /// The oracle over one unsharded store — one in-process shard, no pool.
-/// A null `setr` is allowed for callers that never call TopK() or Rank().
+/// A null `setr` is allowed for callers that never call TopK().
 class LocalWhyNotOracle : public FanOutWhyNotOracle {
  public:
   LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr);

@@ -5,6 +5,8 @@
 //     tracing always on — instrumentation must not leak into the contract;
 //   * every layout records the same engine-level span skeleton (query/topk,
 //     whynot/*, kw/refine_level) for the same request shape;
+//   * one whynot/question span per /whynot details the question's columns,
+//     with one shard/question span per shard in every layout;
 //   * the whynot/preference and whynot/keyword spans carry the stage's work
 //     counters as their detail, equal to WhyNotEngine::Answer's stats and,
 //     but for the per-shard index-work counts, the same in every layout;
@@ -249,6 +251,7 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   EXPECT_EQ(skeleton.count("whynot/preference"), 1u);
   EXPECT_EQ(skeleton.count("whynot/keyword"), 1u);
   EXPECT_EQ(skeleton.count("whynot/refined_topk"), 1u);
+  EXPECT_EQ(skeleton.count("whynot/question"), 1u);
 
   // Stage spans explain their own cost: the detail is the engine's stats for
   // the same question (/whynot model "both" at the default λ over the
@@ -279,6 +282,27 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
               LayoutIndependent(pref));
     EXPECT_EQ(LayoutIndependent(StageFields(*trace, "whynot/keyword")),
               LayoutIndependent(kw));
+  }
+
+  // One question per /whynot: its span details the columns summed over the
+  // shards, and every shard records one shard/question span (stitched in
+  // from the shard servers on the remote layout).
+  const KeywordSet universe =
+      KeywordSet::Union(question.doc, store.Get(81).doc);
+  const std::vector<std::pair<const JsonValue*, size_t>> layouts = {
+      {&single_trace, 1}, {&local_trace, 2}, {&remote_trace, 2}};
+  for (const auto& [trace, shards] : layouts) {
+    const auto fields = StageFields(*trace, "whynot/question");
+    EXPECT_EQ(fields.at("objects"), store.size());
+    EXPECT_EQ(fields.at("universe"), universe.size());
+    EXPECT_GT(fields.at("groups"), 0u);
+    EXPECT_GT(fields.at("columns"), 0u);
+    EXPECT_LE(fields.at("columns"), fields.at("groups"));
+    size_t shard_questions = 0;
+    for (const JsonValue& span : trace->Get("spans").array_items()) {
+      if (span.Get("name").as_string() == "shard/question") ++shard_questions;
+    }
+    EXPECT_EQ(shard_questions, shards);
   }
 
   // The query trace carries the top-k stage in every layout.
@@ -343,6 +367,7 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
            "# TYPE yask_http_request_ms histogram",
            "# TYPE yask_stage_ms histogram",
            "yask_stage_ms_bucket{stage=\"whynot/keyword\",le=\"+Inf\"}",
+           "yask_stage_ms_bucket{stage=\"whynot/question\",le=\"+Inf\"}",
            "yask_stage_ms_bucket{stage=\"query/topk\",le=\"+Inf\"}",
            "# TYPE yask_replica_rpc_latency_ms histogram",
            "# TYPE yask_replica_requests_total counter",

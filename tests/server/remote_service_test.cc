@@ -5,7 +5,9 @@
 // response_millis timing fields are excluded — wall time is the one thing a
 // network hop legitimately changes). Plus the remote-only failure modes:
 // 503 when a shard dies mid-serving, /health topology reporting, and 404
-// for stale query ids.
+// for stale query ids. And the shards' own /metrics show what one /whynot
+// costs them: one question session per shard, every rank answered from it,
+// no stateless rank or count request.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,12 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "src/common/text.h"
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/server/json.h"
+#include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
 #include "src/server/yask_service.h"
 #include "src/storage/hotel_generator.h"
+#include "src/whynot/why_not_engine.h"
 
 namespace yask {
 namespace {
@@ -145,6 +150,84 @@ TEST(RemoteServiceTest, PayloadParityAcrossShardCounts) {
     remote.Stop();
     local.Stop();
   }
+}
+
+/// The requests a shard server answered 200 on `route`, read from its own
+/// GET /metrics (0 before the first).
+uint64_t ServedFromMetrics(uint16_t port, const std::string& route) {
+  int status = 0;
+  auto body = HttpFetch(port, "GET", "/metrics", "", &status);
+  EXPECT_TRUE(body.ok());
+  EXPECT_EQ(status, 200);
+  if (!body.ok()) return 0;
+  const std::string needle =
+      "\nyask_shard_requests_total{code=\"200\",endpoint=\"" + route +
+      "\"} ";
+  const size_t at = body->find(needle);
+  if (at == std::string::npos) return 0;
+  return std::stoull(body->substr(at + needle.size()));
+}
+
+TEST(RemoteServiceTest, OneQuestionSessionPerShardPerWhyNot) {
+  const ObjectStore store = GenerateHotelDataset();
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote_corpus = std::move(connected).value();
+  YaskService remote(remote_corpus);
+  ASSERT_TRUE(remote.Start().ok());
+  int status = 0;
+  ASSERT_TRUE(HttpFetch(remote.port(), "POST", "/query",
+                        "{\"x\":114.158,\"y\":22.281,\"keywords\":"
+                        "\"clean comfortable\",\"k\":3}",
+                        &status)
+                  .ok());
+  ASSERT_EQ(status, 200);
+
+  // The same question in process: its keyword stage's rank fan-outs.
+  Query question;
+  question.loc = Point{114.158, 22.281};
+  question.doc = LookupKeywords("clean comfortable", sharded.vocab());
+  question.k = 3;
+  const auto answer = WhyNotEngine(sharded).Answer(question, {81});
+  ASSERT_TRUE(answer.ok() && answer->keyword.has_value());
+  const uint64_t rank_fanouts = answer->keyword->stats.probe_fanouts;
+
+  const std::vector<const char*> routes = {
+      shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
+      shardrpc::kPlaneClosePath, shardrpc::kProbeRankPath,
+      shardrpc::kCountPath};
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::vector<uint64_t>> before;
+    for (const auto& service : fleet.services) {
+      std::vector<uint64_t> counts;
+      for (const char* route : routes) {
+        counts.push_back(ServedFromMetrics(service->port(), route));
+      }
+      before.push_back(counts);
+    }
+    ASSERT_TRUE(HttpFetch(remote.port(), "POST", "/whynot",
+                          "{\"query_id\":1,\"missing\":[81]}", &status)
+                    .ok());
+    ASSERT_EQ(status, 200);
+    for (size_t s = 0; s < fleet.services.size(); ++s) {
+      auto served = [&](size_t r) {
+        return ServedFromMetrics(fleet.services[s]->port(), routes[r]) -
+               before[s][r];
+      };
+      const std::string tag = "shard " + std::to_string(s);
+      EXPECT_EQ(served(0), 1u) << tag << " opens";
+      // The explanation's rank of the one missing object, then keyword
+      // adaption's rank fan-outs.
+      EXPECT_EQ(served(1), 1 + rank_fanouts) << tag << " session ranks";
+      EXPECT_EQ(served(2), 1u) << tag << " closes";
+      EXPECT_EQ(served(3), 0u) << tag << " stateless ranks";
+      EXPECT_EQ(served(4), 0u) << tag << " counts";
+    }
+  }
+  remote.Stop();
 }
 
 TEST(RemoteServiceTest, HealthReportsRemoteTopology) {

@@ -359,6 +359,51 @@ TEST(ReplicaFailoverTest, RankBatchFailsOverToASibling) {
   EXPECT_GE(remote_corpus.total_failovers(), 1u);
 }
 
+TEST(ReplicaFailoverTest, QuestionRanksFailOverWithReplay) {
+  // A question's ranks ride its session (/shard/plane/rank): a replica dying
+  // under it, or restarting sessionless (a 404), re-opens the session on a
+  // live replica and answers the same exact ranks.
+  const ObjectStore store = GenerateHotelDataset();
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ReplicaFleet fleet(sharded, /*replicas=*/2);
+  RemoteShardOptions options;
+  options.connect_timeout_ms = 500;
+  options.retries = 1;
+  auto connected = RemoteCorpus::Connect(fleet.Endpoints(), options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote_corpus = std::move(connected).value();
+  const RemoteShardOracle oracle(remote_corpus);
+
+  Query query;
+  query.loc = Point{114.158, 22.281};
+  query.doc = LookupKeywords("clean comfortable quiet", remote_corpus.vocab());
+  query.k = 3;
+  const std::vector<ObjectId> missing = {81, 120};
+  const auto question =
+      oracle.OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
+  ASSERT_NE(question, nullptr);
+  auto ranks = [&] {
+    std::vector<size_t> rows;
+    for (const ObjectId id : missing) rows.push_back(question->Rank(query, id));
+    return rows;
+  };
+
+  const Corpus unsharded = CorpusBuilder().Build(ObjectStore(store));
+  const std::vector<size_t> expected = {
+      ComputeRank(unsharded.store(), unsharded.setr(), query, 81),
+      ComputeRank(unsharded.store(), unsharded.setr(), query, 120)};
+  EXPECT_EQ(ranks(), expected);
+  const uint64_t replays = remote_corpus.session_replays()->value();
+  fleet.KillEverywhere(0);
+  EXPECT_EQ(ranks(), expected);
+  fleet.RestartEverywhere(0);
+  fleet.KillEverywhere(1);
+  EXPECT_EQ(ranks(), expected);
+  EXPECT_EQ(remote_corpus.error_epoch(), 0u);
+  EXPECT_GE(remote_corpus.session_replays()->value(), replays + 1);
+}
+
 TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
   // The Eqn. (3) batched sweep under chaos: kills land so that a
   // /shard/plane/count_batch segment call hits a dead replica mid-sweep and

@@ -1,10 +1,14 @@
-// The shardrpc /shard/plane/* routes refuse what the weight sweep never
-// sends. A plane is opened only for a query Query::Validate accepts; a count
-// batch takes weights strictly inside (0, 1), finite anchors (the column
-// search is exact only for w ≥ 0) and at most kMaxCountBatchPairs
-// (weight, anchor) pairs; a crossing query takes an interval
-// 0 ≤ wlo ≤ whi ≤ 1. Each bad request answers 400, and the session still
-// answers the valid request that follows it.
+// The shardrpc /shard/plane/* routes refuse what a why-not question never
+// sends. A question is opened only for a query Query::Validate accepts and a
+// keyword universe of at most kMaxKeywordUniverse terms; a rank spec must
+// sit at the question's location with a doc inside q.doc ∪ U; a count batch
+// takes weights strictly inside (0, 1), finite anchors (the column search is
+// exact only for w ≥ 0) and at most kMaxCountBatchPairs (weight, anchor)
+// pairs; a crossing query takes an interval 0 ≤ wlo ≤ whi ≤ 1. Each bad
+// request answers 400, an unknown session 404, and the session still
+// answers the valid request that follows it. Seed-driven mutations of valid
+// /shard/plane/open and /shard/plane/rank bodies (the JsonFuzz pattern of
+// json_test.cc) answer 200, 400 or 404 and never crash the shard.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/corpus/corpus.h"
 #include "src/query/scoring.h"
 #include "src/server/shard_protocol.h"
@@ -58,20 +63,44 @@ class ShardPlaneBoundaryTest : public ::testing::Test {
     return status;
   }
 
-  int OpenStatus(const Query& query, uint64_t* id = nullptr) {
+  static std::string OpenBody(const Query& query, const KeywordSet& universe) {
     BufWriter req;
     shardrpc::PutQuery(&req, query);
-    req.PutU8(1);  // Optimized: the column index.
+    req.PutU8(1);  // Optimized: binary searches per TSim column.
+    req.PutDeltaIds(universe.ids());
+    return req.data();
+  }
+
+  int OpenStatus(const Query& query, uint64_t* id = nullptr,
+                 const KeywordSet& universe = KeywordSet({3, 4})) {
     int status = 0;
-    auto response = HttpFetch(service_->port(), "POST",
-                              shardrpc::kPlaneOpenPath, req.data(), &status);
+    auto response =
+        HttpFetch(service_->port(), "POST", shardrpc::kPlaneOpenPath,
+                  OpenBody(query, universe), &status);
     EXPECT_TRUE(response.ok());
     if (status == 200 && id != nullptr) {
       BufReader in(response->data(), response->size());
       *id = in.GetU64();
+      EXPECT_EQ(in.GetVarU64(), corpus_->size());  // Objects.
+      EXPECT_GT(in.GetVarU64(), 0u);               // Groups.
+      EXPECT_GT(in.GetVarU64(), 0u);               // Columns.
       EXPECT_TRUE(in.ok() && in.AtEnd());
     }
     return status;
+  }
+
+  /// A /shard/plane/rank body: one spec per query, each targeting object 42
+  /// at its score.
+  std::string RankBody(uint64_t id, const std::vector<Query>& queries) {
+    BufWriter req;
+    req.PutU64(id);
+    req.PutVarU64(queries.size());
+    for (const Query& q : queries) {
+      shardrpc::PutQuery(&req, q);
+      req.PutU32(42);
+      req.PutF64(Scorer(corpus_->store(), q).Score(42));
+    }
+    return req.data();
   }
 
   uint64_t Open() {
@@ -129,6 +158,104 @@ TEST_F(ShardPlaneBoundaryTest, OpenRejectsAQueryValidateRejects) {
   }
   EXPECT_EQ(OpenStatus(query_), 200);
 }
+
+TEST_F(ShardPlaneBoundaryTest, OpenRejectsAUniverseOverTheCap) {
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < kMaxKeywordUniverse; ++t) terms.push_back(t);
+  uint64_t id = 0;
+  EXPECT_EQ(OpenStatus(query_, &id, KeywordSet(terms)), 200);
+  terms.push_back(TermId{kMaxKeywordUniverse});
+  EXPECT_EQ(OpenStatus(query_, nullptr, KeywordSet(terms)), 400);
+}
+
+TEST_F(ShardPlaneBoundaryTest, RankSpecsStayInsideTheQuestion) {
+  const uint64_t id = Open();
+  // Covered: the question's location, a doc inside q.doc ∪ U = {0..4}, any
+  // weights.
+  Query inside = query_;
+  inside.doc = KeywordSet({1, 3, 4});
+  inside.w = Weights::FromWs(0.8);
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {query_, inside})),
+            200);
+  // Another location, even one differing only in the sign of a zero or in
+  // the last bit, and a keyword outside the universe.
+  std::vector<Query> outside;
+  for (const Point loc :
+       {Point{query_.loc.x, std::nextafter(query_.loc.y, 2.0)},
+        Point{query_.loc.x + 0.125, query_.loc.y}}) {
+    Query q = query_;
+    q.loc = loc;
+    outside.push_back(q);
+  }
+  Query extra = query_;
+  extra.doc = KeywordSet({0, 5});
+  outside.push_back(extra);
+  for (size_t i = 0; i < outside.size(); ++i) {
+    EXPECT_EQ(Post(shardrpc::kPlaneRankPath,
+                   RankBody(id, {query_, outside[i]})),
+              400)
+        << "case " << i;
+  }
+  Query origin = query_;
+  origin.loc = Point{0.0, 0.0};
+  uint64_t zero = 0;
+  ASSERT_EQ(OpenStatus(origin, &zero), 200);
+  Query negative_zero = origin;
+  negative_zero.loc = Point{-0.0, 0.0};
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(zero, {negative_zero})),
+            400);
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(zero, {origin})), 200);
+  // A spec Query::Validate rejects, and an unknown session.
+  Query invalid = query_;
+  invalid.w.ws = 1.5;
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {invalid})), 400);
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id + 1000, {query_})),
+            404);
+  // The session still answers.
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {inside})), 200);
+}
+
+/// Seed-driven byte mutations of valid question bodies: the shard answers
+/// each with 200, 400 or 404, and a valid request after them still works.
+class ShardPlaneFuzz : public ShardPlaneBoundaryTest,
+                       public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(ShardPlaneFuzz, MutatedQuestionBodiesAnswerWithoutCrashing) {
+  const uint64_t id = Open();
+  Query other = query_;
+  other.doc = KeywordSet({0, 4});
+  const std::vector<std::pair<const char*, std::string>> bases = {
+      {shardrpc::kPlaneOpenPath, OpenBody(query_, KeywordSet({3, 4}))},
+      {shardrpc::kPlaneRankPath, RankBody(id, {query_, other})},
+  };
+  Rng rng(GetParam());
+  for (int iter = 0; iter < 300; ++iter) {
+    const auto& [path, base] = bases[iter % bases.size()];
+    std::string body = base;
+    const size_t mutations = 1 + rng.NextBounded(4);
+    for (size_t m = 0; m < mutations; ++m) {
+      switch (rng.NextBounded(3)) {
+        case 0:  // Flip a byte.
+          body[rng.NextBounded(body.size())] =
+              static_cast<char>(rng.NextBounded(256));
+          break;
+        case 1:  // Truncate.
+          body.resize(rng.NextBounded(body.size() + 1));
+          break;
+        default:  // Append junk.
+          body += static_cast<char>(rng.NextBounded(256));
+          break;
+      }
+      if (body.empty()) body = base.substr(0, 1);
+    }
+    const int status = Post(path, body);
+    EXPECT_TRUE(status == 200 || status == 400 || status == 404)
+        << path << " iteration " << iter << " answered " << status;
+  }
+  EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {query_})), 200);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardPlaneFuzz, ::testing::Values(1, 2, 3));
 
 TEST_F(ShardPlaneBoundaryTest, CountBatchRejectsOneBadWeightOrAnchor) {
   const uint64_t id = Open();

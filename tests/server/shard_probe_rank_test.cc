@@ -9,9 +9,9 @@
 // the spec bounds. A coordinator that gets a malformed /shard/probe/rank,
 // /shard/plane/count_batch or /shard/plane/crossings reply records a shard
 // error and its /whynot answers 503; nothing is read out of bounds. Also the
-// batched /shard/count route: scan and SetR specs mixed in one request each
-// answer what they answer alone, and a coordinator splits a larger batch
-// into requests under the cap.
+// batched /shard/count route: it answers only the scan method (method 1 is
+// 400 since shardrpc v5), and a coordinator splits a larger batch into
+// requests under the cap.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
@@ -257,32 +258,31 @@ TEST_F(ProbeRankTest, QueryShapeCap) {
   EXPECT_EQ(RankStatus(EncodeRank(spread)), 400);
 }
 
-TEST_F(ProbeRankTest, CountBatchMixesScanAndSetRSpecs) {
+TEST_F(ProbeRankTest, CountAnswersOnlyTheScanMethod) {
   using M = shardrpc::CountMethod;
   const std::vector<Spec> specs = {MakeSpec(17, 17, KeywordSet({0, 1, 2})),
                                    MakeSpec(2024, 2024, KeywordSet({0, 1, 2}))};
   int status = 0;
-  // Alone, each member's scan and SetR counts agree: both are exact.
   std::vector<uint64_t> alone;
   for (const Spec& spec : specs) {
     const std::vector<uint64_t> scan = Count({{spec, M::kScan}}, &status);
     ASSERT_EQ(status, 200);
     ASSERT_EQ(scan.size(), 1u);
-    EXPECT_EQ(Count({{spec, M::kSetR}}, &status), scan);
+    EXPECT_EQ(scan, ScanCounts({spec}));
     alone.push_back(scan[0]);
   }
   EXPECT_NE(alone[0], alone[1]);
-  const std::vector<uint64_t> mixed = Count({{specs[1], M::kScan},
-                                             {specs[0], M::kSetR},
-                                             {specs[0], M::kScan},
-                                             {specs[1], M::kSetR},
-                                             {specs[1], M::kScan}},
-                                            &status);
+  const std::vector<uint64_t> batch =
+      Count({{specs[1], M::kScan}, {specs[0], M::kScan}, {specs[1], M::kScan}},
+            &status);
   EXPECT_EQ(status, 200);
-  EXPECT_EQ(mixed, (std::vector<uint64_t>{alone[1], alone[0], alone[0],
-                                          alone[1], alone[1]}));
-  Count({{specs[0], M::kScan}, {specs[1], static_cast<M>(9)}}, &status);
-  EXPECT_EQ(status, 400);
+  EXPECT_EQ(batch, (std::vector<uint64_t>{alone[1], alone[0], alone[1]}));
+  // Method 1 (the SetR-tree count until shardrpc v5) and unknown methods.
+  for (const uint8_t method : {1, 9}) {
+    Count({{specs[0], M::kScan}, {specs[1], static_cast<M>(method)}},
+          &status);
+    EXPECT_EQ(status, 400) << "method " << int{method};
+  }
 }
 
 TEST_F(ProbeRankTest, CountSpecCap) {
@@ -436,14 +436,6 @@ std::string Counts(size_t announced, size_t present, bool trailing) {
 }
 
 TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
-  TamperingShard shard(service_->port(), shardrpc::kProbeRankPath);
-  auto connected = RemoteCorpus::Connect({shard.endpoint()});
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  const RemoteCorpus remote = std::move(connected).value();
-  const RemoteShardOracle oracle(remote);
-  YaskService coordinator(remote);
-  ASSERT_TRUE(coordinator.Start().ok());
-
   const std::vector<Spec> specs = SomeSpecs();
   std::vector<OracleTargetSpec> oracle_specs;
   for (const Spec& spec : specs) {
@@ -457,34 +449,102 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
       [](size_t n) { return Counts(n + 1, n + 1, false); },  // Wrong count.
       [](size_t) { return Counts(size_t{1} << 40, 1, false); },
   };
-  // Each reply is made from the request's spec count alone.
-  const auto from_request = [](Reply reply) {
-    return [reply](const std::string& request, const std::string&) {
-      BufReader in(request.data(), request.size());
-      return reply(in.GetVarU64());
+  // Stateless rank batches (outside a question), and the question session's
+  // ranks, which every /whynot of the keyword model reads.
+  for (const char* path : {shardrpc::kProbeRankPath, shardrpc::kPlaneRankPath}) {
+    const bool session = path == shardrpc::kPlaneRankPath;
+    TamperingShard shard(service_->port(), path);
+    auto connected = RemoteCorpus::Connect({shard.endpoint()});
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    const RemoteCorpus remote = std::move(connected).value();
+    const RemoteShardOracle oracle(remote);
+    YaskService coordinator(remote);
+    ASSERT_TRUE(coordinator.Start().ok());
+    // Each reply is made from the request's spec count alone.
+    const auto from_request = [session](Reply reply) {
+      return [reply, session](const std::string& request, const std::string&) {
+        BufReader in(request.data(), request.size());
+        if (session) in.GetU64();  // The session slot.
+        return reply(in.GetVarU64());
+      };
     };
-  };
-  for (size_t r = 0; r < replies.size(); ++r) {
-    shard.set_mutate(from_request(replies[r]));
+    for (size_t r = 0; r < replies.size(); ++r) {
+      shard.set_mutate(from_request(replies[r]));
+      const uint64_t before = remote.error_epoch();
+      if (session) {
+        // Through the front door: the question fails with 503.
+        EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503)
+            << path << " reply " << r;
+      } else {
+        KeywordAdaptStats stats;
+        const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
+        ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
+      }
+      EXPECT_GT(remote.error_epoch(), before) << path << " reply " << r;
+    }
+
+    // Well-formed replies again: the same calls are answered.
+    shard.set_mutate(
+        [](const std::string&, const std::string& reply) { return reply; });
     const uint64_t before = remote.error_epoch();
     KeywordAdaptStats stats;
-    const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
-    ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
-    EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
-
-    // Through the front door: the question fails with 503.
-    EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503) << "reply " << r;
+    oracle.ProbeRankBatch(oracle_specs, &stats);
+    EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 200) << path;
+    EXPECT_EQ(remote.error_epoch(), before) << path;
+    coordinator.Stop();
   }
-
-  // A well-formed reply again: the same question is answered.
-  shard.set_mutate(
-      from_request([](size_t n) { return Counts(n, n, false); }));
-  const uint64_t before = remote.error_epoch();
-  KeywordAdaptStats stats;
-  oracle.ProbeRankBatch(oracle_specs, &stats);
-  EXPECT_EQ(remote.error_epoch(), before);
-  coordinator.Stop();
 }
+
+/// Seed-driven mutations of the question replies a coordinator reads, after
+/// the JsonFuzz pattern of json_test.cc. A reply cut short or extended is
+/// malformed: the /whynot answers 503 and the error epoch moves. A reply
+/// with one byte replaced may still be well-formed; the /whynot then
+/// answers 200 or 503, and nothing is read out of bounds.
+class QuestionReplyFuzz : public ProbeRankTest,
+                          public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(QuestionReplyFuzz, MalformedRepliesAnswer503) {
+  auto rng = std::make_shared<Rng>(GetParam());
+  for (const char* path :
+       {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath}) {
+    TamperingShard shard(service_->port(), path);
+    auto connected = RemoteCorpus::Connect({shard.endpoint()});
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    const RemoteCorpus remote = std::move(connected).value();
+    YaskService coordinator(remote);
+    ASSERT_TRUE(coordinator.Start().ok());
+    for (int iter = 0; iter < 6; ++iter) {
+      const int kind = iter % 3;  // Cut, extend, replace a byte.
+      shard.set_mutate([rng, kind](const std::string&,
+                                   const std::string& reply) {
+        std::string out = reply;
+        if (kind == 0) {
+          out.resize(rng->NextBounded(out.size()));
+        } else if (kind == 1) {
+          for (size_t n = 1 + rng->NextBounded(8); n > 0; --n) {
+            out += static_cast<char>(rng->NextBounded(256));
+          }
+        } else if (!out.empty()) {
+          out[rng->NextBounded(out.size())] =
+              static_cast<char>(rng->NextBounded(256));
+        }
+        return out;
+      });
+      const uint64_t before = remote.error_epoch();
+      const int status = AskWhyNot(coordinator, "keyword");
+      if (kind == 2) {
+        EXPECT_TRUE(status == 200 || status == 503)
+            << path << " iteration " << iter << " answered " << status;
+        continue;
+      }
+      EXPECT_EQ(status, 503) << path << " iteration " << iter;
+      EXPECT_GT(remote.error_epoch(), before) << path << " iteration " << iter;
+    }
+    coordinator.Stop();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuestionReplyFuzz, ::testing::Values(1, 2, 3));
 
 /// A plane reply's leading count, announced as `announced`, followed by the
 /// rest of `reply` unchanged.

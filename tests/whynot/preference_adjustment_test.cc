@@ -27,6 +27,17 @@ ObjectStore MakeStore(size_t n, uint64_t seed) {
 }
 
 /// Picks a missing-object set: objects ranked just outside the top-k.
+/// Every object's score-plane point (1 − SDist, TSim) under `q`, by id.
+std::vector<PlanePoint> PlanePoints(const ObjectStore& store, const Query& q) {
+  const Scorer scorer(store, q);
+  std::vector<PlanePoint> pts;
+  for (const SpatialObject& o : store.objects()) {
+    pts.push_back(
+        PlanePoint{1.0 - scorer.SDist(o.loc), scorer.TSim(o.doc), o.id});
+  }
+  return pts;
+}
+
 std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
                                   size_t count, size_t offset = 3) {
   Query probe = q;
@@ -159,7 +170,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   auto result = AdjustPreference(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
-  const auto pts = BuildPlanePoints(store, q);
+  const auto pts = PlanePoints(store, q);
   const PlanePoint& anchor = pts[missing[0]];
   for (int i = 1; i < 200; ++i) {
     const double w = i / 200.0;
@@ -270,7 +281,7 @@ TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->already_in_result);
 
-  const auto pts = BuildPlanePoints(store, q);
+  const auto pts = PlanePoints(store, q);
   const size_t r0 = result->original_rank;
   for (int i = 1; i < 500; ++i) {
     const double w = i / 500.0;

@@ -1,0 +1,789 @@
+// Exactness of the question columns (QuestionColumns), the one per-shard
+// kernel of a why-not question, against the index-free brute-force
+// reference (tests/reference/whynot_reference.h) and plain scans:
+//   * the kernel alone: rank counts of covered targets at several weights,
+//     the Eqn. (3) plane's counts (both modes) and crossings, on random
+//     stores, equal-score tie runs, objects with empty docs or no keyword of
+//     the universe, ±0.0 query locations, a 64-keyword universe and one
+//     wider than a mask word, over unsharded and sharded id mappings;
+//   * every layout (local, grid and hash shards, remote over loopback): an
+//     open question's ranks, explanations and both refinements equal the
+//     reference;
+//   * questions whose q.doc ∪ M.doc exceeds kMaxKeywordUniverse still answer
+//     the preference model and the explanations exactly; only keyword
+//     adaption refuses them;
+//   * the preference and keyword stages drive one question from two threads
+//     and answer what they answer alone;
+//   * one /whynot opens exactly one question per shard, in process and
+//     remote.
+
+#include "src/whynot/shard_primitives.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/corpus/corpus.h"
+#include "src/corpus/remote_corpus.h"
+#include "src/corpus/remote_whynot_oracle.h"
+#include "src/corpus/shard_router.h"
+#include "src/corpus/sharded_corpus.h"
+#include "src/corpus/sharded_whynot_oracle.h"
+#include "src/query/ranking.h"
+#include "src/query/topk_engine.h"
+#include "src/server/shard_protocol.h"
+#include "src/server/shard_service.h"
+#include "src/storage/dataset_generator.h"
+#include "src/whynot/explanation.h"
+#include "src/whynot/keyword_adaption.h"
+#include "src/whynot/preference_adjustment.h"
+#include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
+#include "tests/reference/whynot_reference.h"
+
+namespace yask {
+namespace {
+
+ObjectStore RandomStore(size_t n, size_t vocabulary, uint64_t seed,
+                        size_t max_keywords = 8) {
+  DatasetSpec spec;
+  spec.num_objects = n;
+  spec.vocabulary_size = vocabulary;
+  spec.min_keywords = 1;
+  spec.max_keywords = max_keywords;
+  spec.seed = seed;
+  return GenerateDataset(spec);
+}
+
+/// Objects on `grid` evenly spaced points of the x axis, each with a random
+/// subset of six keywords, every seventh with none: seen from the origin,
+/// 1 − SDist takes at most `grid` values, so scores tie across many ids.
+ObjectStore TieStore(size_t n, size_t grid, uint64_t seed) {
+  ObjectStore store;
+  std::vector<TermId> terms;
+  for (int t = 0; t < 6; ++t) {
+    terms.push_back(store.mutable_vocab()->Intern("t" + std::to_string(t)));
+  }
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const Point loc{static_cast<double>(rng.NextBounded(grid)) /
+                        static_cast<double>(grid),
+                    0.0};
+    std::vector<TermId> doc;
+    for (TermId t : terms) {
+      if (i % 7 != 0 && rng.NextBernoulli(0.4)) doc.push_back(t);
+    }
+    store.Add(loc, KeywordSet(std::move(doc)));
+  }
+  return store;
+}
+
+/// `count` distinct random terms below `vocabulary`.
+KeywordSet RandomDoc(size_t count, size_t vocabulary, Rng* rng) {
+  std::vector<TermId> ids;
+  while (ids.size() < count) {
+    const TermId t = static_cast<TermId>(rng->NextBounded(vocabulary));
+    if (std::find(ids.begin(), ids.end(), t) == ids.end()) ids.push_back(t);
+  }
+  return KeywordSet(std::move(ids));
+}
+
+/// A store viewed as one unsharded shard.
+struct Unsharded {
+  explicit Unsharded(ObjectStore s)
+      : store(std::move(s)), view{&store, nullptr},
+        dist_norm(store.BoundsDiagonal()) {}
+  ObjectStore store;
+  OracleShardView view;
+  double dist_norm;
+};
+
+/// The reference count: objects of the view outranking a target of score
+/// `score` under `q`, by Scorer::Score and the D6 order on global ids.
+size_t ScanCount(const OracleShardView& view, double dist_norm, const Query& q,
+                 ObjectId target, double score) {
+  const Scorer scorer(*view.store, q, dist_norm);
+  size_t above = 0;
+  for (const SpatialObject& o : view.store->objects()) {
+    const ObjectId gid =
+        view.to_global != nullptr ? (*view.to_global)[o.id] : o.id;
+    if (gid == target) continue;
+    if (OutranksTarget(scorer.Score(o), gid, score, target)) ++above;
+  }
+  return above;
+}
+
+/// Every object's plane point under `q`, with its global id.
+std::vector<PlanePoint> PlanePoints(const OracleShardView& view,
+                                    double dist_norm, const Query& q) {
+  const Scorer scorer(*view.store, q, dist_norm);
+  std::vector<PlanePoint> pts;
+  for (const SpatialObject& o : view.store->objects()) {
+    pts.push_back(PlanePoint{
+        1.0 - scorer.SDist(o.loc), scorer.TSim(o.doc),
+        view.to_global != nullptr ? (*view.to_global)[o.id] : o.id});
+  }
+  return pts;
+}
+
+/// The crossing weights of `anchor`'s line with every other line inside
+/// [wlo, whi], sorted and deduplicated.
+std::vector<double> ScanCrossings(const std::vector<PlanePoint>& pts,
+                                  const PlanePoint& anchor, double wlo,
+                                  double whi) {
+  std::vector<double> events;
+  for (const PlanePoint& p : pts) {
+    if (p.id == anchor.id) continue;
+    const double slope = (p.x - anchor.x) - (p.y - anchor.y);
+    if (slope == 0.0) continue;
+    const double w = (anchor.y - p.y) / slope;
+    if (w >= wlo && w <= whi) events.push_back(w);
+  }
+  std::sort(events.begin(), events.end());
+  events.erase(std::unique(events.begin(), events.end()), events.end());
+  return events;
+}
+
+/// Checks one question's columns against the scans: rank counts of targets
+/// at several weights and docs drawn from the universe (targets the view
+/// holds, at their own scores, and absent ids at the scores of objects it
+/// holds), and the plane's counts in both modes and its crossings.
+void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
+                        const Query& q, const KeywordSet& universe,
+                        uint64_t seed, const std::string& label) {
+  QuestionColumns optimized(view, dist_norm, q, universe,
+                            QuestionPlane::kOptimized);
+  QuestionColumns basic(view, dist_norm, q, universe, QuestionPlane::kBasic);
+  const KeywordSet all = KeywordSet::Union(q.doc, universe);
+  const QuestionShape shape = optimized.shape();
+  EXPECT_EQ(shape.objects, view.store->size()) << label;
+  EXPECT_EQ(shape.universe, all.size()) << label;
+  EXPECT_LE(shape.columns, std::max<size_t>(shape.groups, 1)) << label;
+
+  Rng rng(seed);
+  const size_t n = view.store->size();
+  std::vector<ObjectId> targets;
+  for (int i = 0; i < 12 && n > 0; ++i) {
+    targets.push_back(view.to_global != nullptr
+                          ? (*view.to_global)[rng.NextBounded(n)]
+                          : static_cast<ObjectId>(rng.NextBounded(n)));
+  }
+  // Rank counts: several weights, the question's doc and docs from U.
+  for (const double ws : {0.1, 0.37, 0.5, 0.9}) {
+    for (int d = 0; d < 4; ++d) {
+      Query t = q;
+      t.w = Weights::FromWs(ws);
+      if (d > 0) {
+        std::vector<TermId> doc;
+        for (TermId term : all) {
+          if (rng.NextBernoulli(0.5)) doc.push_back(term);
+        }
+        if (doc.empty()) doc.push_back(all.ids().front());
+        t.doc = KeywordSet(std::move(doc));
+      }
+      ASSERT_TRUE(QuestionCovers(q, all, t)) << label;
+      const Scorer scorer(*view.store, t, dist_norm);
+      for (const ObjectId target : targets) {
+        const ObjectId local =
+            view.to_global != nullptr
+                ? static_cast<ObjectId>(
+                      std::lower_bound(view.to_global->begin(),
+                                       view.to_global->end(), target) -
+                      view.to_global->begin())
+                : target;
+        const double score = scorer.Score(local);
+        EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, target}),
+                  ScanCount(view, dist_norm, t, target, score))
+            << label << " ws " << ws << " target " << target;
+        // An id the view does not hold, at a held object's score: only the
+        // D6 tie-break on ids decides inside the equal-score run.
+        const ObjectId absent = kInvalidObject - 1;
+        EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, absent}),
+                  ScanCount(view, dist_norm, t, absent, score))
+            << label << " ws " << ws << " absent at " << target;
+      }
+    }
+  }
+
+  // The plane: counts at sweep weights, crossings over intervals.
+  const std::vector<PlanePoint> pts = PlanePoints(view, dist_norm, q);
+  std::vector<PlanePoint> anchors;
+  for (const ObjectId target : targets) {
+    for (const PlanePoint& p : pts) {
+      if (p.id == target) anchors.push_back(p);
+    }
+  }
+  const std::vector<double> weights = {1e-9, 0.2, q.w.ws, 0.61, 1 - 1e-9};
+  std::vector<size_t> fast(weights.size() * anchors.size());
+  std::vector<size_t> slow(fast.size());
+  size_t evals = 0;
+  size_t basic_evals = 0;
+  ASSERT_TRUE(optimized.CountAboveBatch(weights, anchors, &fast, &evals).ok());
+  ASSERT_TRUE(basic.CountAboveBatch(weights, anchors, &slow, &basic_evals).ok());
+  EXPECT_EQ(basic_evals, 0u) << label;
+  for (size_t wi = 0; wi < weights.size(); ++wi) {
+    for (size_t a = 0; a < anchors.size(); ++a) {
+      const double threshold = anchors[a].ScoreAt(weights[wi]);
+      size_t want = 0;
+      for (const PlanePoint& p : pts) {
+        if (p.id != anchors[a].id &&
+            OutranksTarget(p.ScoreAt(weights[wi]), p.id, threshold,
+                           anchors[a].id)) {
+          ++want;
+        }
+      }
+      EXPECT_EQ(fast[wi * anchors.size() + a], want)
+          << label << " w " << weights[wi] << " anchor " << anchors[a].id;
+      EXPECT_EQ(slow[wi * anchors.size() + a], want)
+          << label << " w " << weights[wi] << " anchor " << anchors[a].id;
+    }
+  }
+  for (const auto& [wlo, whi] : std::vector<std::pair<double, double>>{
+           {0.0, 1.0}, {0.2, 0.4}, {q.w.ws, q.w.ws}, {0.45, 0.9}}) {
+    for (const PlanePoint& anchor : anchors) {
+      std::vector<double> got_fast;
+      std::vector<double> got_slow;
+      size_t unused = 0;
+      ASSERT_TRUE(
+          optimized.CollectCrossings(anchor, wlo, whi, &got_fast, &unused)
+              .ok());
+      ASSERT_TRUE(
+          basic.CollectCrossings(anchor, wlo, whi, &got_slow, &unused).ok());
+      for (auto* events : {&got_fast, &got_slow}) {
+        std::sort(events->begin(), events->end());
+        events->erase(std::unique(events->begin(), events->end()),
+                      events->end());
+      }
+      const std::vector<double> want = ScanCrossings(pts, anchor, wlo, whi);
+      EXPECT_EQ(got_fast, want) << label << " [" << wlo << ", " << whi << "]";
+      EXPECT_EQ(got_slow, want) << label << " [" << wlo << ", " << whi << "]";
+    }
+  }
+}
+
+TEST(QuestionColumnsTest, RandomStoresMatchTheScans) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    const Unsharded u(RandomStore(2500, 60, seed));
+    Rng rng(seed + 100);
+    Query q;
+    q.loc = SampleQueryLocation(u.store, &rng);
+    q.doc = SampleQueryKeywords(u.store, 1 + seed % 3, &rng);
+    q.w = Weights::FromWs(0.3 + 0.1 * static_cast<double>(seed));
+    ExpectColumnsExact(u.view, u.dist_norm, q, RandomDoc(6, 60, &rng),
+                       seed * 11, "random seed " + std::to_string(seed));
+  }
+}
+
+TEST(QuestionColumnsTest, EqualScoreTieRunsAndEmptyDocs) {
+  for (const size_t grid : {size_t{8}, size_t{64}}) {
+    const Unsharded u(TieStore(2000, grid, grid));
+    Query q;
+    q.loc = Point{0.0, 0.0};
+    q.doc = KeywordSet({0, 1});
+    q.w = Weights::FromWs(0.5);
+    // Universe {0..3}: objects holding only t4/t5 (and the empty docs) sit
+    // in mask-0 groups.
+    ExpectColumnsExact(u.view, u.dist_norm, q, KeywordSet({2, 3}), grid,
+                       "tie grid " + std::to_string(grid));
+  }
+}
+
+TEST(QuestionColumnsTest, SignedZeroLocationsAreTheirOwnQuestion) {
+  const Unsharded u(TieStore(1500, 16, 5));
+  Query q;
+  q.loc = Point{-0.0, 0.0};
+  q.doc = KeywordSet({1, 2});
+  q.w = Weights::FromWs(0.4);
+  ExpectColumnsExact(u.view, u.dist_norm, q, KeywordSet({0}), 6, "-0.0");
+  const KeywordSet all({0, 1, 2});
+  Query positive = q;
+  positive.loc = Point{0.0, 0.0};
+  EXPECT_TRUE(QuestionCovers(q, all, q));
+  EXPECT_FALSE(QuestionCovers(q, all, positive));
+  Query outside = q;
+  outside.doc = KeywordSet({1, 3});
+  EXPECT_FALSE(QuestionCovers(q, all, outside));
+}
+
+TEST(QuestionColumnsTest, UniverseOfSixtyFourKeywordsAndWider) {
+  const Unsharded u(RandomStore(2000, 150, 91, /*max_keywords=*/20));
+  Rng rng(92);
+  Query q;
+  q.loc = SampleQueryLocation(u.store, &rng);
+  q.doc = RandomDoc(4, 150, &rng);
+  q.w = Weights::FromWs(0.45);
+  KeywordSet universe = q.doc;
+  while (universe.size() < kMaxKeywordUniverse) {
+    universe.Insert(static_cast<TermId>(rng.NextBounded(150)));
+  }
+  ExpectColumnsExact(u.view, u.dist_norm, q, universe, 93, "64 keywords");
+  // Past one mask word, and a query doc that alone spans two.
+  while (universe.size() < 130) {
+    universe.Insert(static_cast<TermId>(rng.NextBounded(150)));
+  }
+  ExpectColumnsExact(u.view, u.dist_norm, q, universe, 94, "130 keywords");
+  Query wide = q;
+  wide.doc = universe;
+  ExpectColumnsExact(u.view, u.dist_norm, wide, KeywordSet(), 95,
+                     "130-keyword q.doc");
+}
+
+TEST(QuestionColumnsTest, ShardedViewsMatchTheScans) {
+  const ObjectStore whole = RandomStore(3000, 50, 41);
+  for (const bool hash : {false, true}) {
+    std::unique_ptr<ShardRouter> router;
+    if (hash) {
+      router = std::make_unique<HashShardRouter>(3);
+    } else {
+      router = GridShardRouter::Fit(whole, 3);
+    }
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(whole, std::move(router));
+    Rng rng(42);
+    Query q;
+    q.loc = SampleQueryLocation(whole, &rng);
+    q.doc = SampleQueryKeywords(whole, 2, &rng);
+    q.w = Weights::FromWs(0.6);
+    for (size_t s = 0; s < sharded.num_shards(); ++s) {
+      const OracleShardView view{&sharded.shard(s).store(),
+                                 &sharded.shard_global_ids(s)};
+      ExpectColumnsExact(view, sharded.dist_norm(), q, RandomDoc(5, 50, &rng),
+                         43 + s,
+                         sharded.router_description() + " shard " +
+                             std::to_string(s));
+    }
+  }
+}
+
+TEST(QuestionColumnsTest, EmptyShardAnswersZero) {
+  const Unsharded u{ObjectStore()};
+  Query q;
+  q.loc = Point{0.5, 0.5};
+  q.doc = KeywordSet({0, 1});
+  for (const QuestionPlane plane :
+       {QuestionPlane::kBasic, QuestionPlane::kOptimized}) {
+    QuestionColumns columns(u.view, 1.0, q, KeywordSet({2}), plane);
+    EXPECT_EQ(columns.shape().objects, 0u);
+    EXPECT_EQ(columns.shape().groups, 0u);
+    EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
+    std::vector<size_t> counts(2, 99);
+    size_t evals = 0;
+    ASSERT_TRUE(columns
+                    .CountAboveBatch({0.3, 0.7}, {PlanePoint{0.5, 0.5, 7}},
+                                     &counts, &evals)
+                    .ok());
+    EXPECT_EQ(counts, (std::vector<size_t>{0, 0}));
+    std::vector<double> events;
+    ASSERT_TRUE(columns
+                    .CollectCrossings(PlanePoint{0.5, 0.5, 7}, 0.0, 1.0,
+                                      &events, &evals)
+                    .ok());
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(evals, 0u);
+  }
+}
+
+TEST(QuestionColumnsTest, OptimizedPlaneSearchesFewerPointsThanAScan) {
+  const Unsharded u(RandomStore(5000, 40, 7));
+  Query q;
+  q.loc = u.store.Get(3).loc;
+  q.doc = KeywordSet({0, 1, 2});
+  q.w = Weights::FromWs(0.5);
+  QuestionColumns columns(u.view, u.dist_norm, q, KeywordSet(),
+                          QuestionPlane::kOptimized);
+  const PlanePoint anchor = PlanePoints(u.view, u.dist_norm, q)[17];
+  std::vector<size_t> count(1);
+  size_t evals = 0;
+  ASSERT_TRUE(columns.CountAboveBatch({0.5}, {anchor}, &count, &evals).ok());
+  EXPECT_LT(evals, u.store.size() / 4);
+  std::vector<double> events;
+  evals = 0;
+  ASSERT_TRUE(columns.CollectCrossings(anchor, 0.45, 0.55, &events, &evals).ok());
+  EXPECT_LT(evals, u.store.size() / 4);
+}
+
+// --- Every layout -------------------------------------------------------------
+
+/// Started shard servers over one ShardedCorpus.
+struct ShardFleet {
+  std::vector<std::unique_ptr<ShardService>> services;
+  std::vector<std::string> endpoints;
+
+  explicit ShardFleet(const ShardedCorpus& corpus) {
+    for (size_t s = 0; s < corpus.num_shards(); ++s) {
+      ShardService::Info info;
+      info.shard_index = static_cast<uint32_t>(s);
+      info.shard_count = static_cast<uint32_t>(corpus.num_shards());
+      info.global_bounds = corpus.bounds();
+      info.dist_norm = corpus.dist_norm();
+      info.to_global = corpus.shard_global_ids(s);
+      info.router = corpus.router_description();
+      services.push_back(
+          std::make_unique<ShardService>(corpus.shard(s), std::move(info)));
+      EXPECT_TRUE(services.back()->Start().ok());
+      endpoints.push_back("127.0.0.1:" +
+                          std::to_string(services.back()->port()));
+    }
+  }
+  ~ShardFleet() {
+    for (auto& service : services) service->Stop();
+  }
+
+  /// Requests the shards served on `route` so far, summed.
+  uint64_t Served(const char* route) const {
+    uint64_t total = 0;
+    for (const auto& service : services) {
+      total += service->metrics()
+                   .GetHistogram("yask_shard_request_ms", {{"endpoint", route}})
+                   ->count();
+    }
+    return total;
+  }
+};
+
+/// Objects ranked just outside the top-k.
+std::vector<ObjectId> MissingOf(const ObjectStore& store, const Query& q,
+                                size_t count, size_t offset) {
+  Query probe = q;
+  probe.k = static_cast<uint32_t>(q.k + offset + count);
+  const TopKResult wide = TopKScan(store, probe);
+  std::vector<ObjectId> missing;
+  for (size_t i = q.k + offset; i < wide.size() && missing.size() < count;
+       ++i) {
+    missing.push_back(wide[i].id);
+  }
+  return missing;
+}
+
+/// One why-not question and its reference answers.
+struct Question {
+  Query query;
+  std::vector<ObjectId> missing;
+  reference::KeywordAnswer keyword;
+  reference::PreferenceAudit preference;
+};
+
+std::vector<Question> MakeQuestions(const ObjectStore& store, uint64_t seed,
+                                    int count) {
+  std::vector<Question> questions;
+  Rng rng(seed);
+  for (int trial = 0; trial < count; ++trial) {
+    Question q;
+    q.query.loc = SampleQueryLocation(store, &rng);
+    q.query.doc = SampleQueryKeywords(store, 1 + trial % 2, &rng);
+    q.query.k = 3 + static_cast<uint32_t>(rng.NextBounded(4));
+    q.query.w = Weights::FromWs(rng.NextDouble(0.2, 0.8));
+    q.missing = MissingOf(store, q.query, 1 + trial % 2, 1 + trial % 3);
+    if (q.missing.empty()) continue;
+    q.keyword = reference::SolveKeywords(store, q.query, q.missing, 0.5);
+    q.preference =
+        reference::AuditPreference(store, q.query, q.missing, 0.5);
+    questions.push_back(std::move(q));
+  }
+  return questions;
+}
+
+/// Runs every stage over one open question of `oracle` and checks it
+/// against the reference: ranks at other weights and docs, explanations,
+/// and both refinements (the preference model in both plane modes).
+void CheckQuestions(const WhyNotOracle& oracle, const ObjectStore& store,
+                    const std::vector<Question>& questions,
+                    const std::string& layout) {
+  for (size_t i = 0; i < questions.size(); ++i) {
+    const Question& q = questions[i];
+    const std::string tag = layout + " question " + std::to_string(i);
+    for (const PrefAdjustMode mode :
+         {PrefAdjustMode::kOptimized, PrefAdjustMode::kBasic}) {
+      const auto question = oracle.OpenQuestion(q.query, q.missing, mode);
+      ASSERT_NE(question, nullptr) << tag;
+      PreferenceAdjustOptions po;
+      po.mode = mode;
+      auto pref = AdjustPreference(*question, q.query, q.missing, po);
+      ASSERT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
+      reference::ExpectPreferenceAnswer(store, q.query, q.missing, 0.5, *pref,
+                                        q.preference, tag);
+      if (mode == PrefAdjustMode::kBasic) continue;
+
+      auto kw = AdaptKeywords(*question, q.query, q.missing);
+      ASSERT_TRUE(kw.ok()) << tag << ": " << kw.status().ToString();
+      reference::ExpectKeywordAnswer(*kw, q.keyword, tag);
+      auto explained = ExplainMissing(*question, q.query, q.missing);
+      ASSERT_TRUE(explained.ok()) << tag;
+      for (size_t m = 0; m < q.missing.size(); ++m) {
+        EXPECT_EQ((*explained)[m].rank,
+                  reference::Rank(store, q.query, q.missing[m]))
+            << tag;
+      }
+      // Ranks at other weights and with docs from q.doc ∪ M.doc.
+      KeywordSet universe = q.query.doc;
+      for (const ObjectId m : q.missing) {
+        universe = KeywordSet::Union(universe, store.Get(m).doc);
+      }
+      for (const double ws : {0.15, 0.5, 0.85}) {
+        Query t = q.query;
+        t.w = Weights::FromWs(ws);
+        t.doc = KeywordSet({universe.ids().back()});
+        for (const ObjectId m : q.missing) {
+          EXPECT_EQ(question->Rank(t, m), reference::Rank(store, t, m))
+              << tag << " ws " << ws;
+        }
+      }
+    }
+  }
+}
+
+void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
+  const std::vector<Question> questions = MakeQuestions(store, seed, count);
+  ASSERT_FALSE(questions.empty());
+  const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
+  CheckQuestions(LocalWhyNotOracle(corpus), store, questions, "local");
+  for (const bool hash : {false, true}) {
+    std::unique_ptr<ShardRouter> router;
+    if (hash) {
+      router = std::make_unique<HashShardRouter>(3);
+    } else {
+      router = GridShardRouter::Fit(store, 3);
+    }
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(store, std::move(router));
+    CheckQuestions(ShardedWhyNotOracle(sharded), store, questions,
+                   sharded.router_description());
+  }
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  CheckQuestions(RemoteShardOracle(remote), store, questions, "remote");
+  EXPECT_EQ(remote.error_epoch(), 0u);
+}
+
+TEST(QuestionLayoutsTest, RandomCorpus) {
+  RunAllLayouts(RandomStore(1500, 40, 511), 512, 4);
+}
+
+TEST(QuestionLayoutsTest, TieHeavyCorpus) {
+  RunAllLayouts(TieStore(1200, 12, 513), 514, 4);
+}
+
+/// A question whose missing objects carry more keywords than
+/// kMaxKeywordUniverse: q.doc ∪ M.doc is over the cap.
+struct WideQuestion {
+  ObjectStore store;
+  Query query;
+  std::vector<ObjectId> missing;
+
+  WideQuestion() : store(RandomStore(1200, 40, 61)) {
+    // Object 0 gets 80 keywords of its own, far from the query point.
+    Rng rng(62);
+    std::vector<TermId> many;
+    for (int t = 0; t < 80; ++t) {
+      many.push_back(store.mutable_vocab()->Intern("wide" + std::to_string(t)));
+    }
+    ObjectStore widened(store.shared_vocab());
+    for (const SpatialObject& o : store.objects()) {
+      widened.Add(o.loc, o.id == 0 ? KeywordSet(many) : o.doc);
+    }
+    store = std::move(widened);
+    query.loc = SampleQueryLocation(store, &rng);
+    query.doc = SampleQueryKeywords(store, 2, &rng);
+    query.k = 4;
+    query.w = Weights::FromWs(0.5);
+    missing = {0};
+  }
+};
+
+void CheckWideQuestion(const WhyNotOracle& oracle, const WideQuestion& wide,
+                       const std::string& tag) {
+  const auto question =
+      oracle.OpenQuestion(wide.query, wide.missing, PrefAdjustMode::kOptimized);
+  ASSERT_NE(question, nullptr) << tag;
+  auto pref = AdjustPreference(*question, wide.query, wide.missing);
+  ASSERT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
+  reference::ExpectPreferenceAnswer(
+      wide.store, wide.query, wide.missing, 0.5, *pref,
+      reference::AuditPreference(wide.store, wide.query, wide.missing, 0.5),
+      tag);
+  auto explained = ExplainMissing(*question, wide.query, wide.missing);
+  ASSERT_TRUE(explained.ok()) << tag;
+  EXPECT_EQ((*explained)[0].rank,
+            reference::Rank(wide.store, wide.query, wide.missing[0]))
+      << tag;
+  auto kw = AdaptKeywords(*question, wide.query, wide.missing);
+  EXPECT_EQ(kw.status().code(), StatusCode::kInvalidArgument) << tag;
+}
+
+TEST(QuestionLayoutsTest, UniverseOverTheCapStillAnswersPreference) {
+  const WideQuestion wide;
+  ASSERT_GT(KeywordSet::Union(wide.query.doc, wide.store.Get(0).doc).size(),
+            kMaxKeywordUniverse);
+  const Corpus corpus = CorpusBuilder().Build(ObjectStore(wide.store));
+  CheckWideQuestion(LocalWhyNotOracle(corpus), wide, "local");
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(wide.store, GridShardRouter::Fit(wide.store, 2));
+  CheckWideQuestion(ShardedWhyNotOracle(sharded), wide, "sharded");
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  CheckWideQuestion(RemoteShardOracle(remote), wide, "remote");
+  EXPECT_EQ(remote.error_epoch(), 0u);
+
+  // The engine's model=preference answer and explanations, in process.
+  WhyNotOptions options;
+  options.run_keyword_adaption = false;
+  auto answer = WhyNotEngine(corpus).Answer(wide.query, wide.missing, options);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->explanations[0].rank,
+            reference::Rank(wide.store, wide.query, 0));
+}
+
+TEST(QuestionLayoutsTest, PreferenceAndKeywordShareOneQuestionFromTwoThreads) {
+  const ObjectStore store = RandomStore(1500, 40, 71);
+  const std::vector<Question> questions = MakeQuestions(store, 72, 3);
+  ASSERT_FALSE(questions.empty());
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  const ShardedWhyNotOracle in_process(sharded);
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote_corpus = std::move(connected).value();
+  const RemoteShardOracle remote(remote_corpus);
+  for (const WhyNotOracle* oracle :
+       {static_cast<const WhyNotOracle*>(&in_process),
+        static_cast<const WhyNotOracle*>(&remote)}) {
+    for (const Question& q : questions) {
+      const auto question = oracle->OpenQuestion(q.query, q.missing,
+                                                 PrefAdjustMode::kOptimized);
+      ASSERT_NE(question, nullptr);
+      for (int round = 0; round < 3; ++round) {
+        std::optional<Result<RefinedKeywordQuery>> kw;
+        std::thread keyword([&] {
+          kw.emplace(AdaptKeywords(*question, q.query, q.missing));
+        });
+        auto pref = AdjustPreference(*question, q.query, q.missing);
+        keyword.join();
+        ASSERT_TRUE(pref.ok() && kw->ok());
+        reference::ExpectPreferenceAnswer(store, q.query, q.missing, 0.5,
+                                          *pref, q.preference, "two threads");
+        reference::ExpectKeywordAnswer(**kw, q.keyword, "two threads");
+      }
+    }
+  }
+  EXPECT_EQ(remote_corpus.error_epoch(), 0u);
+}
+
+// --- One question per shard per /whynot ----------------------------------------
+
+/// An in-process shard that counts the questions opened on it.
+class CountingShard final : public OracleShard {
+ public:
+  CountingShard(const OracleShardView& view, double dist_norm,
+                std::atomic<size_t>* opened)
+      : inner_(view, dist_norm), opened_(opened) {}
+  size_t size() const override { return inner_.size(); }
+  Result<std::vector<size_t>> CountOutscoring(
+      const std::vector<ScanTarget>& targets,
+      OutscoringKernel kernel) const override {
+    return inner_.CountOutscoring(targets, kernel);
+  }
+  Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
+      const Query& query, const KeywordSet& universe,
+      bool optimized) const override {
+    ++*opened_;
+    return inner_.OpenQuestion(query, universe, optimized);
+  }
+
+ private:
+  LocalOracleShard inner_;
+  std::atomic<size_t>* opened_;
+};
+
+/// The sharded oracle over counting shards.
+class CountingOracle final : public FanOutWhyNotOracle {
+ public:
+  CountingOracle(const ShardedCorpus& corpus, std::atomic<size_t>* opened)
+      : FanOutWhyNotOracle(ShardsOf(corpus, opened), corpus.dist_norm(),
+                           corpus.pool()),
+        corpus_(&corpus),
+        topk_(corpus) {}
+  const SpatialObject& Object(ObjectId global_id) const override {
+    return corpus_->Object(global_id);
+  }
+  TopKResult TopK(const Query& query, TopKStats* stats) const override {
+    return topk_.Query(query, stats);
+  }
+
+ private:
+  static std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
+      const ShardedCorpus& corpus, std::atomic<size_t>* opened) {
+    std::vector<std::unique_ptr<const OracleShard>> shards;
+    for (size_t s = 0; s < corpus.num_shards(); ++s) {
+      shards.push_back(std::make_unique<CountingShard>(
+          OracleShardView{&corpus.shard(s).store(),
+                          &corpus.shard_global_ids(s)},
+          corpus.dist_norm(), opened));
+    }
+    return shards;
+  }
+
+  const ShardedCorpus* corpus_;
+  ShardedTopKEngine topk_;
+};
+
+TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
+  const ObjectStore store = RandomStore(1500, 40, 81);
+  const std::vector<Question> questions = MakeQuestions(store, 82, 4);
+  ASSERT_FALSE(questions.empty());
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
+    std::atomic<size_t> opened{0};
+    const WhyNotEngine engine(std::make_unique<CountingOracle>(sharded, &opened));
+    for (const Question& q : questions) {
+      const size_t before = opened.load();
+      auto answer = engine.Answer(q.query, q.missing);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      reference::ExpectKeywordAnswer(*answer->keyword, q.keyword, "counted");
+      EXPECT_EQ(opened.load() - before, shards) << shards << " shards";
+    }
+  }
+  // Remote: one /shard/plane/open per shard per /whynot, every rank from
+  // the session, and no stateless rank or count request.
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  const WhyNotEngine engine(std::make_unique<RemoteShardOracle>(remote));
+  for (const Question& q : questions) {
+    const uint64_t opens = fleet.Served(shardrpc::kPlaneOpenPath);
+    const uint64_t ranks = fleet.Served(shardrpc::kPlaneRankPath);
+    const uint64_t stateless = fleet.Served(shardrpc::kProbeRankPath) +
+                               fleet.Served(shardrpc::kCountPath);
+    auto answer = engine.Answer(q.query, q.missing);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(fleet.Served(shardrpc::kPlaneOpenPath) - opens, 2u);
+    // Explanations rank each missing object; keyword adaption's fan-outs.
+    EXPECT_EQ(fleet.Served(shardrpc::kPlaneRankPath) - ranks,
+              2 * (q.missing.size() + answer->keyword->stats.probe_fanouts));
+    EXPECT_EQ(fleet.Served(shardrpc::kProbeRankPath) +
+                  fleet.Served(shardrpc::kCountPath),
+              stateless);
+  }
+  EXPECT_EQ(remote.error_epoch(), 0u);
+}
+
+}  // namespace
+}  // namespace yask

@@ -1,6 +1,6 @@
 // Property tests of the shard-side counting kernels: the scan kernel
-// (OutrankKernel behind ShardScanOutscoring) and the keyword-mask columns
-// (ShardColumnOutscoring).
+// (OutrankKernel behind ShardScanOutscoring) and the one-call question
+// columns (ShardColumnOutscoring).
 //
 // The reference is an independent full scan: Scorer::Score over
 // store.objects() with the D6 tie order written out here, and no kernel
@@ -191,7 +191,7 @@ void ExpectBitIdenticalScores(const OracleShardView& view, double dist_norm,
 /// A store viewed as an unsharded shard.
 struct Unsharded {
   explicit Unsharded(ObjectStore s) : store(std::move(s)) {
-    view = OracleShardView{&store, nullptr, nullptr};
+    view = OracleShardView{&store, nullptr};
     dist_norm = store.BoundsDiagonal();
   }
   Unsharded(const Unsharded&) = delete;
@@ -384,7 +384,7 @@ TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
     std::vector<size_t> summed(members.size(), 0);
     for (size_t s = 0; s < sharded.num_shards(); ++s) {
       const Corpus& shard = sharded.shard(s);
-      const OracleShardView view{&shard.store(), &shard.setr(),
+      const OracleShardView view{&shard.store(),
                                  &sharded.shard_global_ids(s)};
       // Each target lives in at most one shard: the other shards see it as
       // an absent target.
