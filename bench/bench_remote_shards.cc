@@ -11,10 +11,12 @@
 //     in-process sharded layout);
 //   * round-trip accounting, from each shard's own per-route request
 //     counts: one engine /whynot opens one question session per shard
-//     (/shard/plane/open) and asks every rank of it — one per missing object
-//     for the explanations, one per rank fan-out (stats.probe_fanouts) for
-//     Eqn. (4) — as one /shard/plane/rank per shard, with no stateless
-//     /shard/probe/rank or /shard/count; keyword adaption over an open
+//     (/shard/plane/open) and asks every rank of it — one batch for the
+//     explanations, one per rank fan-out (stats.probe_fanouts) for
+//     Eqn. (4) — as one /shard/plane/rank per shard, and both of its
+//     top-ks (explain's and the refined result) as two /shard/plane/topk
+//     per shard, with no stateless /shard/probe/rank, /shard/count or
+//     /shard/topk (no SetR-tree search); keyword adaption over an open
 //     question sends exactly one /shard/plane/rank per shard per rank
 //     fan-out; and the Eqn. (3) sweep sends exactly one
 //     /shard/plane/count_batch per sweep fan-out to every shard.
@@ -153,7 +155,7 @@ struct RemoteRun {
   double kw_rt_per_question = 0.0;     // Round-trips, keyword adaption.
   double sweep_rt_per_question = 0.0;  // Round-trips, Eqn. (3) sweep.
   bool exact = true;
-  bool kw_rt_gate = true;     // Rank and question route counts match.
+  bool kw_rt_gate = true;     // Question, rank and top-k route counts match.
   bool sweep_rt_gate = true;  // Plane route counts match the counters.
 };
 
@@ -166,7 +168,8 @@ struct RouteCounts {
     RouteCounts counts;
     for (const char* route :
          {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
-          shardrpc::kProbeRankPath, shardrpc::kCountPath,
+          shardrpc::kPlaneTopKPath, shardrpc::kProbeRankPath,
+          shardrpc::kCountPath, shardrpc::kTopKPath,
           shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
@@ -287,7 +290,7 @@ int main(int argc, char** argv) {
     }
 
     // (b) Full why-not answers over the wire, gated bit-identical and to
-    // one question session per shard that answers every rank.
+    // one question session per shard that answers every rank and top-k.
     {
       Timer timer;
       for (size_t i = 0; i < questions.size(); ++i) {
@@ -298,13 +301,14 @@ int main(int argc, char** argv) {
           run.exact = false;
           continue;
         }
-        const uint64_t ranks = questions[i].missing.size() +
-                               answer->keyword->stats.probe_fanouts;
+        const uint64_t ranks = 1 + answer->keyword->stats.probe_fanouts;
         for (size_t s = 0; s < shards; ++s) {
           if (after.Since(before, shardrpc::kPlaneOpenPath, s) != 1 ||
               after.Since(before, shardrpc::kPlaneRankPath, s) != ranks ||
+              after.Since(before, shardrpc::kPlaneTopKPath, s) != 2 ||
               after.Since(before, shardrpc::kProbeRankPath, s) != 0 ||
-              after.Since(before, shardrpc::kCountPath, s) != 0) {
+              after.Since(before, shardrpc::kCountPath, s) != 0 ||
+              after.Since(before, shardrpc::kTopKPath, s) != 0) {
             run.kw_rt_gate = false;
           }
         }

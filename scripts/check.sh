@@ -22,8 +22,10 @@
 #                                 # bench_kw_adapt (basic vs keyword-mask
 #                                 # columns at every N), bench_pref_adjust,
 #                                 # bench_explanation, bench_lambda_effect,
-#                                 # bench_end_to_end and
-#                                 # bench_refinement_quality, each with a short
+#                                 # bench_end_to_end,
+#                                 # bench_refinement_quality, bench_topk,
+#                                 # bench_ablation and bench_index_build,
+#                                 # each with a short
 #                                 # min-time and its JSON in
 #                                 # BENCH_<name>.json (their printed tables
 #                                 # go to stderr)
@@ -133,7 +135,7 @@ if [[ "$run_bench" -eq 1 ]]; then
   run_phase bench-replica-failover env -C "$build_dir" ./bench_replica_failover --json=BENCH_replica_failover.json
   run_phase bench-load env -C "$build_dir" ./bench_load --json=BENCH_load.json
   for name in kw_adapt pref_adjust explanation lambda_effect end_to_end \
-      refinement_quality; do
+      refinement_quality topk ablation index_build; do
     if [[ -x "${build_dir}/bench_${name}" ]]; then
       run_phase "bench-${name//_/-}" env -C "$build_dir" sh -c \
         "./bench_${name} --benchmark_format=json --benchmark_min_time=0.05 > BENCH_${name}.json"

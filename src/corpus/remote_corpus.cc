@@ -559,6 +559,7 @@ Result<RemoteCorpus> RemoteCorpus::Connect(
   corpus.shard_of_.assign(static_cast<size_t>(total), kUnset);
   for (uint32_t s = 0; s < shard_count; ++s) {
     const shardrpc::ShardMeta& meta = corpus.metas_[s];
+    if (meta.object_count == 0) continue;  // An empty shard maps no ids.
     if (meta.global_ids.empty()) {
       // Identity mapping is only coherent for a standalone single shard.
       if (shard_count != 1) {
@@ -742,8 +743,13 @@ namespace {
 /// contributes no rows.
 TopKResult ShardTopK(const RemoteCorpus& corpus, size_t s, const Query& query,
                      double prune_below, TopKStats* stats) {
+  // The shard holds no more rows than its objects, and refuses a k above
+  // both kMaxK and that count.
+  Query capped = query;
+  capped.k = static_cast<uint32_t>(
+      std::min<uint64_t>(query.k, corpus.meta(s).object_count));
   BufWriter req;
-  shardrpc::PutQuery(&req, query);
+  shardrpc::PutQuery(&req, capped);
   req.PutF64(prune_below);
   Result<std::string> raw =
       corpus.replicas(s).Call("POST", shardrpc::kTopKPath, req.data());
@@ -755,9 +761,14 @@ TopKResult ShardTopK(const RemoteCorpus& corpus, size_t s, const Query& query,
   TopKResult rows = shardrpc::GetScoredRows(&in);
   stats->nodes_popped += in.GetU64();
   stats->objects_scored += in.GetU64();
-  if (!in.ok()) {
+  if (!in.ok() || !in.AtEnd()) {
     corpus.RecordError(
         Status::InvalidArgument("bad /shard/topk response"));
+    return {};
+  }
+  if (Status bad = shardrpc::CheckScoredRows(rows, capped.k, corpus.size());
+      !bad.ok()) {
+    corpus.RecordError(bad);
     return {};
   }
   return rows;

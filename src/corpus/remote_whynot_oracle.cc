@@ -129,6 +129,36 @@ class ShardSessionChannel final : public OracleShardQuestion {
     return counts;
   }
 
+  Result<TopKResult> TopK(const Query& query, TopKStats* stats) override {
+    // No more rows than the shard's objects: the shard refuses a k above
+    // both kMaxK and that count.
+    const uint32_t k = static_cast<uint32_t>(std::min<uint64_t>(
+        query.k, corpus_->meta(shard_).object_count));
+    BufWriter req;
+    req.PutU64(0);  // Session slot, stamped per attempt.
+    req.PutF64(query.w.ws);
+    req.PutF64(query.w.wt);
+    req.PutDeltaIds(query.doc.ids());
+    req.PutVarU32(k);
+    const char* path = shardrpc::kPlaneTopKPath;
+    Result<std::string> raw = Call(path, req.data());
+    if (!raw.ok()) return raw.status();
+    BufReader in(raw->data(), raw->size());
+    TopKResult rows = shardrpc::GetScoredRows(&in);
+    const uint64_t opened = in.GetU64();
+    const uint64_t scored = in.GetU64();
+    if (Status s = FullyRead(in, path); !s.ok()) return s;
+    if (Status s = shardrpc::CheckScoredRows(rows, k, corpus_->size());
+        !s.ok()) {
+      return s;
+    }
+    if (stats != nullptr) {
+      stats->nodes_popped += opened;
+      stats->objects_scored += scored;
+    }
+    return rows;
+  }
+
   Status CountAboveBatch(const std::vector<double>& weights,
                          const std::vector<PlanePoint>& anchors,
                          std::vector<size_t>* counts,

@@ -12,9 +12,12 @@
 // engine opens ONE server-side question session per shard
 // (/shard/plane/open, closed with /shard/plane/close), and every stage runs
 // over it:
-//   * each explanation rank and each Eqn. (4) rank fan-out (ALL
-//     (candidate, missing) pairs of a chunk) is one /shard/plane/rank per
-//     shard, answered exactly from the session's columns;
+//   * the explanations' ranks (all of M) and each Eqn. (4) rank fan-out
+//     (ALL (candidate, missing) pairs of a chunk) are one /shard/plane/rank
+//     per shard, answered exactly from the session's columns;
+//   * explain's top-k of q and the refined query's result are one
+//     /shard/plane/topk per shard each, also from the session: a /whynot
+//     sends no /shard/topk;
 //   * the Eqn. (3) weight sweep pays one /shard/plane/count_batch
 //     round-trip per shard per sweep SEGMENT (every candidate weight ×
 //     missing object of the segment), plus one /shard/plane/crossings per

@@ -10,6 +10,12 @@
 
 namespace yask {
 
+void MergeTopK(const TopKResult& part, size_t k, TopKResult* merged) {
+  merged->insert(merged->end(), part.begin(), part.end());
+  std::sort(merged->begin(), merged->end());
+  if (merged->size() > k) merged->resize(k);
+}
+
 TopKResult FanOutTopK(const Query& query, size_t num_shards, ThreadPool* pool,
                       const ShardRootDistance& root_distance,
                       const ShardTopKSearch& search, TopKStats* stats) {
@@ -35,11 +41,7 @@ TopKResult FanOutTopK(const Query& query, size_t num_shards, ThreadPool* pool,
   parts[home] = search(home, -kInf, &part_stats[home]);
 
   TopKResult merged;
-  auto merge_part = [&](size_t s) {
-    merged.insert(merged.end(), parts[s].begin(), parts[s].end());
-    std::sort(merged.begin(), merged.end());
-    if (merged.size() > query.k) merged.resize(query.k);
-  };
+  auto merge_part = [&](size_t s) { MergeTopK(parts[s], query.k, &merged); };
   merge_part(home);
   auto threshold = [&] {
     return merged.size() == query.k ? merged.back().score : -kInf;

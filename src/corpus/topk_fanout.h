@@ -27,13 +27,20 @@ using ShardRootDistance = std::function<double(size_t s)>;
 using ShardTopKSearch =
     std::function<TopKResult(size_t s, double prune_below, TopKStats* stats)>;
 
+/// Adds `part`'s rows to `merged` and keeps the first k under the
+/// ScoredObject order — the one top-k merge, for FanOutTopK below and for a
+/// why-not question's top-k (FanOutWhyNotOracle). Each shard's rows are a
+/// disjoint set of objects with exact scores, so the merged first k are
+/// the global top-k.
+void MergeTopK(const TopKResult& part, size_t k, TopKResult* merged);
+
 /// Exact top-k over `num_shards` shards:
 ///  1. the home shard — nearest root MBR — is searched unthresholded;
 ///  2. its k-th score is broadcast as the prune threshold to every other
 ///     shard at once over `pool` (spans "topk/fanout" and "topk/merge"), or,
 ///     without a pool, the other shards run nearest-first with the threshold
 ///     re-tightened after each merge;
-///  3. rows merge under the ScoredObject order, truncated to k.
+///  3. rows merge under the ScoredObject order, truncated to k (MergeTopK).
 /// Per-shard stats are summed into `stats` when non-null.
 TopKResult FanOutTopK(const Query& query, size_t num_shards, ThreadPool* pool,
                       const ShardRootDistance& root_distance,

@@ -33,6 +33,14 @@ struct Weights {
   bool operator==(const Weights& other) const = default;
 };
 
+/// Largest k a client may ask for. POST /query answers 400 above it (a
+/// /whynot asks about a query /query accepted), and so do the shard top-k
+/// routes unless k is also within the shard's object count. A refined k′
+/// the why-not engine computes is not held to it: the coordinator sends a
+/// shard at most its object count, and a shard allocates min(k, its size)
+/// rows. 10,000 rows are about 1.5 MB of /query JSON.
+inline constexpr uint32_t kMaxK = 10000;
+
 /// A spatial keyword top-k query q = (q.loc, q.doc, k, w).
 struct Query {
   Point loc;

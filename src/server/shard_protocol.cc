@@ -1,5 +1,8 @@
 #include "src/server/shard_protocol.h"
 
+#include <cmath>
+#include <string>
+
 namespace yask {
 namespace shardrpc {
 
@@ -73,6 +76,26 @@ std::vector<ScoredObject> GetScoredRows(BufReader* in) {
     rows.push_back(row);
   }
   return rows;
+}
+
+Status CheckScoredRows(const std::vector<ScoredObject>& rows, size_t max_rows,
+                       size_t id_limit) {
+  if (rows.size() > max_rows) {
+    return Status::InvalidArgument("shard top-k reply holds " +
+                                   std::to_string(rows.size()) +
+                                   " rows, more than " +
+                                   std::to_string(max_rows));
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!std::isfinite(rows[i].score) || rows[i].id >= id_limit) {
+      return Status::InvalidArgument(
+          "shard top-k reply row with a non-finite score or an unknown id");
+    }
+    if (i > 0 && !(rows[i - 1] < rows[i])) {
+      return Status::InvalidArgument("shard top-k reply rows out of order");
+    }
+  }
+  return Status::OK();
 }
 
 void PutShardMeta(BufWriter* out, const ShardMeta& meta) {

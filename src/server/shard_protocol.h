@@ -24,9 +24,10 @@
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
 //   POST /shard/count      batched tie-aware outscoring counts by full scan
 //                          (basic keyword adaption), the rank spec bounds
-//   POST /shard/plane/open|rank|count_batch|crossings|close  one session per
-//                          why-not question: the explanations' and Eqn. (4)
-//                          ranks, and the Eqn. (3) sweep
+//   POST /shard/plane/open|rank|topk|count_batch|crossings|close  one
+//                          session per why-not question: the explanations'
+//                          and Eqn. (4) ranks, the top-k of the query and
+//                          of its refinements, and the Eqn. (3) sweep
 //   POST /shard/probe/rank  exact rank batches outside a question (stateless)
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
@@ -65,20 +66,26 @@ namespace shardrpc {
 /// keyword universe U and answers the columns' shape; POST /shard/plane/rank
 /// answers rank specs from the open session; /shard/count keeps only the
 /// scan method.
-inline constexpr uint32_t kProtocolVersion = 5;
+/// v6: POST /shard/plane/topk answers a top-k from the open session, and
+/// the shard top-k routes answer 400 to a k above both kMaxK and the
+/// shard's object count.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 5;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 6;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
 inline constexpr char kVocabPath[] = "/shard/vocab";
 inline constexpr char kObjectsPath[] = "/shard/objects";
 inline constexpr char kFindPath[] = "/shard/find";
+/// Request: query, raw-F64 prune_below. Response: scored rows, u64
+/// nodes_popped, u64 objects_scored. A k above both kMaxK and the shard's
+/// object count answers 400; the coordinator sends at most the count.
 inline constexpr char kTopKPath[] = "/shard/topk";
 /// Request: the kProbeRankPath request with a u8 CountMethod (kScan) after
 /// each spec, under the same bounds (N ≤ kMaxProbeSpecs, valid queries,
@@ -94,6 +101,11 @@ inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
 /// spec's location must equal the session query's (bits) and its doc lie in
 /// q.doc ∪ U. Response: varu64 N + N u64 counts.
 inline constexpr char kPlaneRankPath[] = "/shard/plane/rank";
+/// v6+. Request: u64 session slot, raw-F64 ws and wt (finite, ≥ 0),
+/// delta-coded ids of a doc ⊆ q.doc ∪ U, varu32 k (the kTopKPath bound).
+/// Response: the session's min(k, objects) best rows under (q.loc, doc, k,
+/// ws, wt) (scored rows), u64 groups opened, u64 rows scored.
+inline constexpr char kPlaneTopKPath[] = "/shard/plane/topk";
 /// Not served; declared only because servebench/servebench.cc lists it.
 inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 /// v3+. Request: u64 session slot, varu64 K + K raw-F64 weights, varu64 A +
@@ -155,6 +167,12 @@ PlanePoint GetPlanePoint(BufReader* in);
 /// Result rows (GLOBAL ids + scores), count-prefixed.
 void PutScoredRows(BufWriter* out, const std::vector<ScoredObject>& rows);
 std::vector<ScoredObject> GetScoredRows(BufReader* in);
+
+/// Checks a shard's top-k reply before a merge reads it: at most `max_rows`
+/// rows, each with a finite score and a GLOBAL id below `id_limit`, in
+/// strict ScoredObject order.
+Status CheckScoredRows(const std::vector<ScoredObject>& rows, size_t max_rows,
+                       size_t id_limit);
 
 void PutShardMeta(BufWriter* out, const ShardMeta& meta);
 Result<ShardMeta> GetShardMeta(BufReader* in);

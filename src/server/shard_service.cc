@@ -84,6 +84,25 @@ std::optional<HttpResponse> DecodeSpecs(BufReader* in, bool with_method,
   return std::nullopt;
 }
 
+/// The 400 a shard top-k route answers to a k above both kMaxK and the
+/// shard's object count (a coordinator sends at most the count).
+std::optional<HttpResponse> CheckK(uint32_t k, size_t objects) {
+  if (k <= kMaxK || k <= objects) return std::nullopt;
+  return HttpResponse::Error(400, "k of " + std::to_string(k) +
+                                      " exceeds " + std::to_string(kMaxK) +
+                                      " and the shard's " +
+                                      std::to_string(objects) + " objects");
+}
+
+/// A top-k reply: the rows, then the work counters.
+HttpResponse Rows(const TopKResult& rows, const TopKStats& stats) {
+  BufWriter out;
+  shardrpc::PutScoredRows(&out, rows);
+  out.PutU64(stats.nodes_popped);
+  out.PutU64(stats.objects_scored);
+  return Binary(out);
+}
+
 HttpResponse Counts(const std::vector<size_t>& counts) {
   BufWriter out;
   out.PutVarU64(counts.size());
@@ -156,6 +175,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kCountPath, &S::HandleCount},
       {"POST", shardrpc::kPlaneOpenPath, &S::HandlePlaneOpen},
       {"POST", shardrpc::kPlaneRankPath, &S::HandlePlaneRank},
+      {"POST", shardrpc::kPlaneTopKPath, &S::HandlePlaneTopK},
       {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
       {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
       {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
@@ -382,17 +402,13 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
   const Query query = shardrpc::GetQuery(&in);
   const double prune_below = in.GetF64();
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
+  if (auto bad = CheckK(query.k, corpus_->size())) return *bad;
 
   TopKStats stats;
   TopKResult rows;
   if (query.k > 0) rows = topk_.Query(query, prune_below, &stats);
   for (ScoredObject& row : rows) row.id = ToGlobal(row.id);
-
-  BufWriter out;
-  shardrpc::PutScoredRows(&out, rows);
-  out.PutU64(stats.nodes_popped);
-  out.PutU64(stats.objects_scored);
-  return Binary(out);
+  return Rows(rows, stats);
 }
 
 // --- Outscoring counts -------------------------------------------------------
@@ -452,6 +468,31 @@ HttpResponse ShardService::HandlePlaneRank(const HttpRequest& req) {
     }
   }
   return Counts(session->question->CountOutscoring(batch.targets).value());
+}
+
+HttpResponse ShardService::HandlePlaneTopK(const HttpRequest& req) {
+  BufReader in(req.body.data(), req.body.size());
+  const uint64_t id = in.GetU64();
+  Query query;
+  query.w.ws = in.GetF64();
+  query.w.wt = in.GetF64();
+  query.doc = KeywordSet::FromSortedUnique(in.GetDeltaIds());
+  query.k = in.GetVarU32();
+  if (!in.ok() || !in.AtEnd()) return BadBody(in);
+  if (auto bad = CheckK(query.k, corpus_->size())) return *bad;
+  const std::shared_ptr<PlaneSession> session = FindSession(id);
+  if (session == nullptr) {
+    return HttpResponse::Error(404, "unknown plane session");
+  }
+  query.loc = session->query.loc;
+  if (!QuestionCoversTopK(session->query, session->universe, query)) {
+    return HttpResponse::Error(
+        400, "top-k outside the question: keywords beyond q.doc and its "
+             "universe, or weights not finite and non-negative");
+  }
+  TopKStats stats;
+  const TopKResult rows = session->question->TopK(query, &stats).value();
+  return Rows(rows, stats);
 }
 
 HttpResponse ShardService::HandlePlaneCountBatch(const HttpRequest& req) {

@@ -16,7 +16,8 @@
 //
 // Statefulness: a plane session is one why-not question's server-side state
 // (this shard's QuestionColumns), which answers the question's ranks
-// (/shard/plane/rank) and its Eqn. (3) sweep. Sessions are id-keyed,
+// (/shard/plane/rank), its top-ks (/shard/plane/topk) and its Eqn. (3)
+// sweep. Sessions are id-keyed,
 // immutable once built (so a session's calls may overlap), explicitly
 // closed by the coordinator, and LRU-capped so a leaking or dead client
 // cannot pin memory. Rank batches outside a question are stateless: one
@@ -111,6 +112,7 @@ class ShardService {
   HttpResponse HandleCount(const HttpRequest& req);
   HttpResponse HandlePlaneOpen(const HttpRequest& req);
   HttpResponse HandlePlaneRank(const HttpRequest& req);
+  HttpResponse HandlePlaneTopK(const HttpRequest& req);
   HttpResponse HandlePlaneCountBatch(const HttpRequest& req);
   HttpResponse HandlePlaneCrossings(const HttpRequest& req);
   HttpResponse HandlePlaneClose(const HttpRequest& req);

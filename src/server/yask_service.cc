@@ -682,6 +682,10 @@ HttpResponse YaskService::HandleQuery(const HttpRequest& req) {
                       !ToUint32(in.Get("k").as_number(), &q.k))) {
     return HttpResponse::Error(400, "k must be a non-negative integer");
   }
+  if (q.k > kMaxK) {
+    return HttpResponse::Error(
+        400, "k must be at most " + std::to_string(kMaxK));
+  }
   q.w = options_.system_weights;  // §3.2: w is a server-side parameter.
   if (Status s = q.Validate(); !s.ok()) {
     return HttpResponse::Error(400, s.message());
@@ -902,6 +906,10 @@ HttpResponse YaskService::ComputeWhyNot(const Query& q,
   auto answer = Engine().Answer(q, missing, options);
   const double millis = timer.ElapsedMillis();
   if (!answer.ok()) {
+    // A stage that failed because a shard did is the shard's failure.
+    if (auto failure = RemoteFailure(epoch); failure.has_value()) {
+      return *failure;
+    }
     return HttpResponse::Error(400, answer.status().ToString());
   }
   const WhyNotAnswer& a = answer.value();

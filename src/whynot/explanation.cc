@@ -113,11 +113,28 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     }
   }
 
+  // R(o, q) of every missing object from one rank fan-out. A query doc
+  // wider than a rank batch may carry is ranked one object at a time.
+  std::vector<size_t> ranks;
+  if (query.doc.size() <= kMaxKeywordUniverse) {
+    std::vector<OracleTargetSpec> specs;
+    for (const ObjectId id : missing) specs.push_back({&query, id});
+    KeywordAdaptStats unused;
+    const std::unique_ptr<RankProbeBatch> batch =
+        oracle.ProbeRankBatch(specs, &unused);
+    for (size_t i = 0; i < missing.size(); ++i) {
+      ranks.push_back(batch->lower(i));
+    }
+  } else {
+    for (const ObjectId id : missing) ranks.push_back(oracle.Rank(query, id));
+  }
+
   const double dist_norm = oracle.dist_norm();
   const TopKResult topk = oracle.TopK(query);
-  // The current k-th result frames the comparison; an empty result (k = 0 or
-  // empty store) cannot happen here because Validate() requires k >= 1 and
-  // missing ids exist.
+  // The current k-th result frames the comparison. Validate() requires
+  // k >= 1 and the missing ids exist, so only shards that failed to answer
+  // leave the result empty.
+  if (topk.empty()) return Status::Unavailable("no shard answered the top-k");
   const ScoredObject kth = topk.back();
   const ObjectScoreParts kth_parts =
       ScorePartsOf(query, dist_norm, oracle.Object(kth.id));
@@ -126,7 +143,8 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
 
   std::vector<MissingObjectExplanation> out;
   out.reserve(missing.size());
-  for (ObjectId id : missing) {
+  for (size_t i = 0; i < missing.size(); ++i) {
+    const ObjectId id = missing[i];
     MissingObjectExplanation e;
     e.id = id;
     const ObjectScoreParts parts =
@@ -137,7 +155,7 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     e.kth_score = kth.score;
     e.kth_sdist = kth_sdist;
     e.kth_tsim = kth_tsim;
-    e.rank = oracle.Rank(query, id);
+    e.rank = ranks[i];
 
     const bool spatial_deficit = e.sdist > kth_sdist;
     const bool textual_deficit = e.tsim < kth_tsim;

@@ -25,6 +25,7 @@
 #include "src/common/status.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
+#include "src/query/topk_engine.h"
 #include "src/storage/object_store.h"
 #include "src/whynot/preference_adjustment.h"
 
@@ -165,6 +166,12 @@ size_t CountQueryShapes(const std::vector<ScanTarget>& targets);
 bool QuestionCovers(const Query& question, const KeywordSet& universe,
                     const Query& target);
 
+/// True when a question's top-k answers `target`: QuestionCovers, and
+/// finite weights ws, wt ≥ 0 (along a mask group a score never decreases
+/// only for ws ≥ 0). Any k.
+bool QuestionCoversTopK(const Query& question, const KeywordSet& universe,
+                        const Query& target);
+
 /// The size of one shard's question columns (span details, the wire).
 struct QuestionShape {
   size_t objects = 0;   // Objects placed.
@@ -177,9 +184,10 @@ struct QuestionShape {
 std::string DescribeQuestion(const QuestionShape& shape);
 
 /// One shard's state for one why-not question: QuestionColumns in process,
-/// or a remote shard's question session. It answers the three per-shard
-/// primitives of a question: the Eqn. (4) and explanation rank counts, and
-/// the Eqn. (3) sweep's counts and crossings. An error means the shard
+/// or a remote shard's question session. It answers the per-shard
+/// primitives of a question: the Eqn. (4) and explanation rank counts, the
+/// Eqn. (3) sweep's counts and crossings, and the top-k of the query and of
+/// its refinements. An error means the shard
 /// answered nothing; only a remote question returns one. Calls may overlap:
 /// the preference and keyword stages of one question share it from two
 /// threads.
@@ -193,6 +201,12 @@ class OracleShardQuestion {
   /// global ids). Every target's query must be covered (QuestionCovers).
   virtual Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets) = 0;
+
+  /// The shard's first min(k, size) rows under `query` (ScoredObject
+  /// order, GLOBAL ids), scored bit-identically to Scorer::Score. `query`
+  /// must be covered (QuestionCoversTopK). Work counters go into `stats`
+  /// when non-null: mask groups opened and rows scored.
+  virtual Result<TopKResult> TopK(const Query& query, TopKStats* stats) = 0;
 
   /// Tie-aware counts of this shard's objects outscoring each anchor at each
   /// weight ≥ 0 over the (weights × anchors) grid:
@@ -233,7 +247,9 @@ enum class QuestionPlane : uint8_t { kNone, kBasic, kOptimized };
 ///     |o.doc|), and inter is one popcount per group: the text term is a
 ///     constant per group and the score never decreases along it, so a
 ///     rank count is one binary search plus the equal-score run per group
-///     (Eqn. (4) candidates and the explanations' R(M, q));
+///     (Eqn. (4) candidates and the explanations' R(M, q)), and a top-k
+///     walks the groups best tail first, each from its tail while its
+///     scores can still beat the k-th best row so far;
 ///   * into TSim columns: the groups merged by the bits of
 ///     y = TSim(o, q), computed from the group's mask. Along a column
 ///     w·x + (1 − w)·y never decreases for w ≥ 0, so the Eqn. (3) sweep's
@@ -255,9 +271,10 @@ class QuestionColumns final : public OracleShardQuestion {
 
   QuestionShape shape() const override;
 
-  /// Never fails.
+  /// Never fail.
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets) override;
+  Result<TopKResult> TopK(const Query& query, TopKStats* stats) override;
   /// Require a plane. Never fail.
   Status CountAboveBatch(const std::vector<double>& weights,
                          const std::vector<PlanePoint>& anchors,

@@ -4,6 +4,7 @@
 
 #include "src/common/trace.h"
 #include "src/corpus/corpus.h"
+#include "src/corpus/topk_fanout.h"
 
 namespace yask {
 
@@ -98,8 +99,9 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
 };
 
 /// The question-scoped oracle FanOutWhyNotOracle::OpenQuestion returns: the
-/// calls its question covers are answered from the open questions, the rest
-/// pass through.
+/// calls its question covers are answered from the open questions — ranks,
+/// the plane and top-k, with no SetR-tree search — and the rest pass
+/// through.
 class FanOutQuestion final : public WhyNotOracle {
  public:
   FanOutQuestion(const FanOutWhyNotOracle* oracle,
@@ -113,7 +115,29 @@ class FanOutQuestion final : public WhyNotOracle {
     return oracle_->Object(global_id);
   }
   TopKResult TopK(const Query& query, TopKStats* stats) const override {
-    return oracle_->TopK(query, stats);
+    if (!QuestionCoversTopK(questions_->query, questions_->universe, query)) {
+      return oracle_->TopK(query, stats);
+    }
+    if (query.k == 0) return {};
+    std::vector<TopKResult> parts(questions_->shards.size());
+    std::vector<TopKStats> part_stats(questions_->shards.size());
+    const std::vector<size_t> answered =
+        oracle_->FanOutShards(questions_->live, [&](size_t s) {
+          Result<TopKResult> rows =
+              questions_->shards[s]->TopK(query, &part_stats[s]);
+          if (!rows.ok()) return rows.status();
+          parts[s] = std::move(rows).value();
+          return Status::OK();
+        });
+    TopKResult merged;
+    for (const size_t s : answered) {
+      MergeTopK(parts[s], query.k, &merged);
+      if (stats != nullptr) {
+        stats->nodes_popped += part_stats[s].nodes_popped;
+        stats->objects_scored += part_stats[s].objects_scored;
+      }
+    }
+    return merged;
   }
 
   size_t Rank(const Query& query, ObjectId global_id) const override {

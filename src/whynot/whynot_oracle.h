@@ -236,10 +236,11 @@ class WhyNotOracle {
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
 
-  /// Opens the why-not question (q, M): the returned oracle answers Rank,
-  /// PrepareScorePlane and ProbeRankBatch from per-shard question columns
-  /// built once, for every query the question covers (q's location, a doc
-  /// within q.doc ∪ M.doc, any weights; the plane for q itself in `mode`);
+  /// Opens the why-not question (q, M): the returned oracle answers TopK,
+  /// Rank, PrepareScorePlane and ProbeRankBatch from per-shard question
+  /// columns built once, for every query the question covers (q's location,
+  /// a doc within q.doc ∪ M.doc, any weights — for TopK finite and ≥ 0 —
+  /// and any k; the plane for q itself in `mode`);
   /// every other call passes through to this oracle, which must outlive it.
   /// Null when this oracle opens no questions, or when (q, M) is invalid —
   /// the stages then run over this oracle and report why.

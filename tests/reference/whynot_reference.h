@@ -5,6 +5,7 @@
 // in the shared per-shard kernels cannot hide behind a parity suite that
 // compares the engine with itself.
 //
+//   * TopK — the first k rows by full scan (D6 tie order).
 //   * Rank / RankOfSet — rank by full scan (D6 tie order).
 //   * SolveKeywords — Eqn. (4) by enumerating EVERY non-empty subset of
 //     q.doc ∪ M.doc; the winner under the module's documented order (lower
@@ -56,6 +57,22 @@ inline size_t Rank(const ObjectStore& store, const Query& query,
     if (s > target_score || (s == target_score && o.id < target)) ++above;
   }
   return above + 1;
+}
+
+/// The first min(k, |D|) objects under `query`: score descending, ties by
+/// ascending id (D6), every score from Scorer::Score. Any weights ≥ 0.
+inline TopKResult TopK(const ObjectStore& store, const Query& query) {
+  const Scorer scorer(store, query);
+  TopKResult rows;
+  for (const SpatialObject& o : store.objects()) {
+    rows.push_back(ScoredObject{o.id, scorer.Score(o)});
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const ScoredObject& a, const ScoredObject& b) {
+              return a.score != b.score ? a.score > b.score : a.id < b.id;
+            });
+  rows.resize(std::min<size_t>(query.k, rows.size()));
+  return rows;
 }
 
 /// R(M, q): the worst rank among the missing objects.

@@ -12,7 +12,9 @@
 //     but for the per-shard index-work counts, the same in every layout;
 //   * the remote layout additionally shows per-replica rpc spans AND
 //     shard-side child spans stitched in by the propagated trace id, with
-//     each shard span's parent being a coordinator rpc span;
+//     each shard span's parent being a coordinator rpc span; a /whynot's
+//     top-ks are /shard/plane/topk rpcs under whynot/explain and
+//     whynot/refined_topk, and no /shard/topk (SetR-tree) rpc appears;
 //   * GET /metrics exposes the expected families on the coordinator and on
 //     the shard server, and /log hands out the trace ids /trace serves;
 //   * a slow-trace threshold of 0 pins every trace.
@@ -331,6 +333,25 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   }
   EXPECT_GT(rpc_spans, 0u);
   EXPECT_GT(shard_spans, 0u);
+  // The question answers explain's top-k and the refined result: one
+  // /shard/plane/topk per shard under each stage, and no SetR-tree search
+  // (/shard/topk) anywhere in the /whynot.
+  std::map<std::string, std::string> name_of;
+  for (const JsonValue& span : remote_trace.Get("spans").array_items()) {
+    name_of[span.Get("id").as_string()] = span.Get("name").as_string();
+  }
+  std::multiset<std::string> topk_parents;
+  for (const JsonValue& span : remote_trace.Get("spans").array_items()) {
+    const std::string& name = span.Get("name").as_string();
+    EXPECT_NE(name, std::string("rpc ") + shardrpc::kTopKPath);
+    if (name == std::string("rpc ") + shardrpc::kPlaneTopKPath) {
+      topk_parents.insert(name_of[span.Get("parent").as_string()]);
+    }
+  }
+  EXPECT_EQ(topk_parents,
+            (std::multiset<std::string>{"whynot/explain", "whynot/explain",
+                                        "whynot/refined_topk",
+                                        "whynot/refined_topk"}));
   // Shard-side root spans hang off coordinator rpc spans. Not every shard
   // span need stitch: past the coordinator's span cap, rpc spans are shed
   // while the header (and thus the shard-side span) still exists.

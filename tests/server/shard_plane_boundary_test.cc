@@ -4,10 +4,12 @@
 // sit at the question's location with a doc inside q.doc ∪ U; a count batch
 // takes weights strictly inside (0, 1), finite anchors (the column search is
 // exact only for w ≥ 0) and at most kMaxCountBatchPairs (weight, anchor)
-// pairs; a crossing query takes an interval 0 ≤ wlo ≤ whi ≤ 1. Each bad
-// request answers 400, an unknown session 404, and the session still
-// answers the valid request that follows it. Seed-driven mutations of valid
-// /shard/plane/open and /shard/plane/rank bodies (the JsonFuzz pattern of
+// pairs; a crossing query takes an interval 0 ≤ wlo ≤ whi ≤ 1; a top-k
+// takes finite weights ≥ 0, a doc inside q.doc ∪ U and a k within kMaxK or
+// the shard's object count (so does /shard/topk). Each bad request answers
+// 400, an unknown session 404, and the session still answers the valid
+// request that follows it. Seed-driven mutations of valid /shard/plane/open,
+// /shard/plane/rank and /shard/plane/topk bodies (the JsonFuzz pattern of
 // json_test.cc) answer 200, 400 or 404 and never crash the shard.
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -100,6 +103,18 @@ class ShardPlaneBoundaryTest : public ::testing::Test {
       req.PutU32(42);
       req.PutF64(Scorer(corpus_->store(), q).Score(42));
     }
+    return req.data();
+  }
+
+  /// A /shard/plane/topk body.
+  static std::string TopKBody(uint64_t id, const Weights& w,
+                              const KeywordSet& doc, uint32_t k) {
+    BufWriter req;
+    req.PutU64(id);
+    req.PutF64(w.ws);
+    req.PutF64(w.wt);
+    req.PutDeltaIds(doc.ids());
+    req.PutVarU32(k);
     return req.data();
   }
 
@@ -215,6 +230,78 @@ TEST_F(ShardPlaneBoundaryTest, RankSpecsStayInsideTheQuestion) {
   EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {inside})), 200);
 }
 
+TEST_F(ShardPlaneBoundaryTest, TopKAnswersTheReferenceRows) {
+  const uint64_t id = Open();
+  for (const auto& [w, doc] :
+       std::vector<std::pair<Weights, KeywordSet>>{
+           {Weights::FromWs(0.5), query_.doc},
+           {Weights::FromWs(0.8), KeywordSet({3, 4})},  // Doc within U.
+           {Weights{0.0, 1.0}, KeywordSet({1, 4})},
+           {Weights{1.0, 0.0}, query_.doc}}) {
+    for (const uint32_t k : {uint32_t{1}, uint32_t{9}, kMaxK}) {
+      int status = 0;
+      auto body = HttpFetch(service_->port(), "POST", shardrpc::kPlaneTopKPath,
+                            TopKBody(id, w, doc, k), &status);
+      ASSERT_TRUE(body.ok());
+      ASSERT_EQ(status, 200) << *body;
+      BufReader in(body->data(), body->size());
+      const TopKResult rows = shardrpc::GetScoredRows(&in);
+      in.GetU64();  // Groups opened.
+      EXPECT_LE(in.GetU64(), corpus_->size());  // Rows scored.
+      EXPECT_TRUE(in.ok() && in.AtEnd());
+      Query q = query_;
+      q.w = w;
+      q.doc = doc;
+      q.k = k;
+      EXPECT_EQ(rows, reference::TopK(corpus_->store(), q))
+          << "ws " << w.ws << " k " << k;
+    }
+  }
+}
+
+TEST_F(ShardPlaneBoundaryTest, TopKRefusesWhatAQuestionNeverAsks) {
+  const uint64_t id = Open();
+  const Weights w = Weights::FromWs(0.5);
+  // A doc beyond q.doc ∪ U = {0..4}; weights not finite or below zero.
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath, TopKBody(id, w, KeywordSet({0, 5}), 3)),
+            400);
+  for (const Weights bad : {Weights{-0.25, 1.25}, Weights{0.5, -0.5},
+                            Weights{kNaN, 0.5}, Weights{0.5, kInf}}) {
+    EXPECT_EQ(Post(shardrpc::kPlaneTopKPath, TopKBody(id, bad, query_.doc, 3)),
+              400)
+        << "ws " << bad.ws << " wt " << bad.wt;
+  }
+  // A malformed body: truncated, or with a trailing byte.
+  const std::string good = TopKBody(id, w, query_.doc, 3);
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath, good.substr(0, good.size() - 1)),
+            400);
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath, good + '\0'), 400);
+  // k past kMaxK and the shard's 2000 objects.
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath,
+                 TopKBody(id, w, query_.doc, kMaxK + 1)),
+            400);
+  // An unknown session.
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath,
+                 TopKBody(id + 1000, w, query_.doc, 3)),
+            404);
+  // The session still answers.
+  EXPECT_EQ(Post(shardrpc::kPlaneTopKPath, good), 200);
+}
+
+TEST_F(ShardPlaneBoundaryTest, ShardTopKBoundsK) {
+  const auto status_at = [&](uint32_t k) {
+    Query q = query_;
+    q.k = k;
+    BufWriter req;
+    shardrpc::PutQuery(&req, q);
+    req.PutF64(-kInf);
+    return Post(shardrpc::kTopKPath, req.data());
+  };
+  EXPECT_EQ(status_at(kMaxK), 200);
+  EXPECT_EQ(status_at(kMaxK + 1), 400);
+  EXPECT_EQ(status_at(~uint32_t{0}), 400);
+}
+
 /// Seed-driven byte mutations of valid question bodies: the shard answers
 /// each with 200, 400 or 404, and a valid request after them still works.
 class ShardPlaneFuzz : public ShardPlaneBoundaryTest,
@@ -227,6 +314,8 @@ TEST_P(ShardPlaneFuzz, MutatedQuestionBodiesAnswerWithoutCrashing) {
   const std::vector<std::pair<const char*, std::string>> bases = {
       {shardrpc::kPlaneOpenPath, OpenBody(query_, KeywordSet({3, 4}))},
       {shardrpc::kPlaneRankPath, RankBody(id, {query_, other})},
+      {shardrpc::kPlaneTopKPath,
+       TopKBody(id, Weights::FromWs(0.3), KeywordSet({0, 4}), 12)},
   };
   Rng rng(GetParam());
   for (int iter = 0; iter < 300; ++iter) {

@@ -8,7 +8,9 @@
 // exactly (the /shard/count scan counts) at each cap. /shard/count shares
 // the spec bounds. A coordinator that gets a malformed /shard/probe/rank,
 // /shard/plane/count_batch or /shard/plane/crossings reply records a shard
-// error and its /whynot answers 503; nothing is read out of bounds. Also the
+// error and its /whynot answers 503; nothing is read out of bounds. So does
+// a /shard/plane/topk reply with more rows than asked for, rows out of the
+// ScoredObject order, a non-finite score or an unknown id. Also the
 // batched /shard/count route: it answers only the scan method (method 1 is
 // 400 since shardrpc v5), and a coordinator splits a larger batch into
 // requests under the cap.
@@ -505,8 +507,8 @@ class QuestionReplyFuzz : public ProbeRankTest,
 
 TEST_P(QuestionReplyFuzz, MalformedRepliesAnswer503) {
   auto rng = std::make_shared<Rng>(GetParam());
-  for (const char* path :
-       {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath}) {
+  for (const char* path : {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
+                           shardrpc::kPlaneTopKPath}) {
     TamperingShard shard(service_->port(), path);
     auto connected = RemoteCorpus::Connect({shard.endpoint()});
     ASSERT_TRUE(connected.ok()) << connected.status().ToString();
@@ -559,6 +561,64 @@ std::string Reannounce(const std::string& reply, uint64_t announced) {
 uint64_t Announced(const std::string& reply) {
   BufReader in(reply.data(), reply.size());
   return in.GetVarU64();
+}
+
+/// A /shard/plane/topk reply with its rows replaced by `edit(rows)`.
+std::string EditRows(const std::string& reply,
+                     const std::function<void(TopKResult*)>& edit) {
+  BufReader in(reply.data(), reply.size());
+  TopKResult rows = shardrpc::GetScoredRows(&in);
+  const uint64_t opened = in.GetU64();
+  const uint64_t scored = in.GetU64();
+  edit(&rows);
+  BufWriter out;
+  shardrpc::PutScoredRows(&out, rows);
+  out.PutU64(opened);
+  out.PutU64(scored);
+  return out.data();
+}
+
+TEST_F(ProbeRankTest, CoordinatorRejectsMalformedTopKReplies) {
+  using Edit = std::function<void(TopKResult*)>;
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"one row too many",
+       [](TopKResult* rows) {
+         rows->push_back(ScoredObject{rows->back().id,
+                                      rows->back().score - 1.0});
+       }},
+      {"rows out of order",
+       [](TopKResult* rows) { std::swap(rows->front(), rows->back()); }},
+      {"NaN score",
+       [](TopKResult* rows) { rows->back().score = kNaN; }},
+      {"infinite score",
+       [](TopKResult* rows) { rows->front().score = kInf; }},
+      {"unknown id", [](TopKResult* rows) { rows->back().id = 1u << 30; }},
+  };
+  TamperingShard shard(service_->port(), shardrpc::kPlaneTopKPath);
+  auto connected = RemoteCorpus::Connect({shard.endpoint()});
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  YaskService coordinator(remote);
+  ASSERT_TRUE(coordinator.Start().ok());
+  for (const auto& [name, edit] : edits) {
+    shard.set_mutate([edit = edit](const std::string&,
+                                   const std::string& reply) {
+      return EditRows(reply, edit);
+    });
+    const uint64_t before = remote.error_epoch();
+    const size_t hits = shard.hits();
+    EXPECT_EQ(AskWhyNot(coordinator, "both"), 503) << name;
+    EXPECT_GT(shard.hits(), hits) << name;
+    EXPECT_GT(remote.error_epoch(), before) << name;
+  }
+  // The rows as the shard sent them, re-encoded: the question is answered.
+  shard.set_mutate([](const std::string&, const std::string& reply) {
+    return EditRows(reply, [](TopKResult*) {});
+  });
+  const uint64_t before = remote.error_epoch();
+  EXPECT_EQ(AskWhyNot(coordinator, "both"), 200);
+  EXPECT_EQ(remote.error_epoch(), before);
+  coordinator.Stop();
 }
 
 TEST_F(ProbeRankTest, CoordinatorRejectsMalformedPlaneReplies) {

@@ -98,6 +98,39 @@ TEST_F(YaskServiceTest, QueryValidationErrors) {
   EXPECT_EQ(status, 400);
 }
 
+TEST_F(YaskServiceTest, KIsBoundedByKMaxK) {
+  // k = kMaxK is answered, with every object of the 539-hotel corpus, and
+  // a /whynot on that query is answered too.
+  const JsonValue at_cap = IssueQuery(static_cast<int>(kMaxK));
+  EXPECT_EQ(at_cap.Get("results").size(), corpus_->size());
+  JsonValue wn = JsonValue::MakeObject();
+  wn.Set("query_id", JsonValue(static_cast<size_t>(
+                         at_cap.Get("query_id").as_number())));
+  JsonValue missing = JsonValue::MakeArray();
+  missing.Append(JsonValue(7.0));
+  wn.Set("missing", std::move(missing));
+  int status = 0;
+  auto body =
+      HttpFetch(service_->port(), "POST", "/whynot", wn.Dump(), &status);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(status, 200) << *body;
+
+  // One more is refused before anything is cached, so no /whynot can ask
+  // about it.
+  const size_t cached = service_->cached_queries();
+  for (const double k : {static_cast<double>(kMaxK) + 1, 4294967295.0}) {
+    JsonValue req = JsonValue::MakeObject();
+    req.Set("x", JsonValue(114.158));
+    req.Set("y", JsonValue(22.281));
+    req.Set("keywords", JsonValue("clean comfortable"));
+    req.Set("k", JsonValue(k));
+    body = HttpFetch(service_->port(), "POST", "/query", req.Dump(), &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 400) << k << " -> " << *body;
+  }
+  EXPECT_EQ(service_->cached_queries(), cached);
+}
+
 TEST_F(YaskServiceTest, NonFiniteCoordinateIs400) {
   // 1e999 overflows to +inf in the JSON parser; the query must be refused
   // before it reaches the result cache or the engine.

@@ -14,8 +14,11 @@
 //     adaption refuses them;
 //   * the preference and keyword stages drive one question from two threads
 //     and answer what they answer alone;
+//   * an open question's top-k (the query's, its refinements', at ws = 0
+//     or wt = 0, with k past a shard's size or n, over an empty shard)
+//     equals the reference scan, TopKScan and the SetR-tree top-k;
 //   * one /whynot opens exactly one question per shard, in process and
-//     remote.
+//     remote, and runs no SetR-tree top-k.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -23,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -269,6 +273,83 @@ void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
   }
 }
 
+/// The rows equal, id for id and score bit for bit.
+void ExpectSameRows(const TopKResult& got, const TopKResult& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << label << " row " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+              std::bit_cast<uint64_t>(want[i].score))
+        << label << " row " << i;
+  }
+}
+
+/// Checks a question's top-k against the reference full scan of `whole`
+/// (the unsharded store, whose ids are the global ids) restricted to the
+/// view's objects: the question's doc and docs drawn from the universe
+/// alone (keyword refinements), weights with ws = 0 or wt = 0, and k from 1
+/// to past the view's size. An unsharded view is also checked against
+/// TopKScan.
+void ExpectTopKExact(const OracleShardView& view, double dist_norm,
+                     const ObjectStore& whole, const Query& q,
+                     const KeywordSet& universe, uint64_t seed,
+                     const std::string& label) {
+  QuestionColumns columns(view, dist_norm, q, universe,
+                          QuestionPlane::kOptimized);
+  const KeywordSet all = KeywordSet::Union(q.doc, universe);
+  std::vector<bool> held(whole.size(), view.to_global == nullptr);
+  if (view.to_global != nullptr) {
+    for (const ObjectId gid : *view.to_global) held[gid] = true;
+  }
+  const size_t n = view.store->size();
+  Rng rng(seed);
+  for (const Weights w : {Weights::FromWs(0.37), Weights::FromWs(0.9),
+                          Weights{0.0, 1.0}, Weights{1.0, 0.0}}) {
+    for (int d = 0; d < 3; ++d) {
+      Query t = q;
+      t.w = w;
+      if (d > 0) {
+        std::vector<TermId> doc;
+        for (TermId term : universe.empty() ? all : universe) {
+          if (rng.NextBernoulli(0.5)) doc.push_back(term);
+        }
+        if (doc.empty()) doc.push_back(all.ids().back());
+        t.doc = KeywordSet(std::move(doc));
+      }
+      ASSERT_TRUE(QuestionCoversTopK(q, all, t)) << label;
+      Query every = t;
+      every.k = static_cast<uint32_t>(whole.size());
+      TopKResult ranked;
+      for (const ScoredObject& row : reference::TopK(whole, every)) {
+        if (held[row.id]) ranked.push_back(row);
+      }
+      for (const uint32_t k :
+           {uint32_t{1}, uint32_t{7}, static_cast<uint32_t>(n),
+            static_cast<uint32_t>(n + 5), ~uint32_t{0}}) {
+        t.k = k;
+        const std::string tag = label + " ws " + std::to_string(w.ws) +
+                                " doc " + std::to_string(d) + " k " +
+                                std::to_string(k);
+        TopKStats stats;
+        Result<TopKResult> got = columns.TopK(t, &stats);
+        ASSERT_TRUE(got.ok()) << tag;
+        const TopKResult want(ranked.begin(),
+                              ranked.begin() + std::min<size_t>(k, n));
+        ExpectSameRows(*got, want, tag);
+        if (view.to_global == nullptr) {
+          ExpectSameRows(*got, TopKScan(*view.store, t), tag + " TopKScan");
+        }
+        EXPECT_LE(stats.objects_scored, n) << tag;
+        EXPECT_LE(stats.nodes_popped, columns.shape().groups) << tag;
+      }
+    }
+  }
+  Query none = q;
+  none.k = 0;
+  EXPECT_TRUE(columns.TopK(none, nullptr)->empty()) << label;
+}
+
 TEST(QuestionColumnsTest, RandomStoresMatchTheScans) {
   for (const uint64_t seed : {1u, 2u, 3u}) {
     const Unsharded u(RandomStore(2500, 60, seed));
@@ -277,8 +358,11 @@ TEST(QuestionColumnsTest, RandomStoresMatchTheScans) {
     q.loc = SampleQueryLocation(u.store, &rng);
     q.doc = SampleQueryKeywords(u.store, 1 + seed % 3, &rng);
     q.w = Weights::FromWs(0.3 + 0.1 * static_cast<double>(seed));
-    ExpectColumnsExact(u.view, u.dist_norm, q, RandomDoc(6, 60, &rng),
-                       seed * 11, "random seed " + std::to_string(seed));
+    const KeywordSet universe = RandomDoc(6, 60, &rng);
+    ExpectColumnsExact(u.view, u.dist_norm, q, universe, seed * 11,
+                       "random seed " + std::to_string(seed));
+    ExpectTopKExact(u.view, u.dist_norm, u.store, q, universe, seed * 13,
+                    "top-k random seed " + std::to_string(seed));
   }
 }
 
@@ -293,6 +377,9 @@ TEST(QuestionColumnsTest, EqualScoreTieRunsAndEmptyDocs) {
     // in mask-0 groups.
     ExpectColumnsExact(u.view, u.dist_norm, q, KeywordSet({2, 3}), grid,
                        "tie grid " + std::to_string(grid));
+    // At ws = 0 a whole group ties; equal-score runs resolve by id.
+    ExpectTopKExact(u.view, u.dist_norm, u.store, q, KeywordSet({2, 3}),
+                    grid + 1, "top-k tie grid " + std::to_string(grid));
   }
 }
 
@@ -355,10 +442,13 @@ TEST(QuestionColumnsTest, ShardedViewsMatchTheScans) {
     for (size_t s = 0; s < sharded.num_shards(); ++s) {
       const OracleShardView view{&sharded.shard(s).store(),
                                  &sharded.shard_global_ids(s)};
-      ExpectColumnsExact(view, sharded.dist_norm(), q, RandomDoc(5, 50, &rng),
-                         43 + s,
-                         sharded.router_description() + " shard " +
-                             std::to_string(s));
+      const KeywordSet universe = RandomDoc(5, 50, &rng);
+      const std::string label =
+          sharded.router_description() + " shard " + std::to_string(s);
+      ExpectColumnsExact(view, sharded.dist_norm(), q, universe, 43 + s,
+                         label);
+      ExpectTopKExact(view, sharded.dist_norm(), whole, q, universe, 53 + s,
+                      "top-k " + label);
     }
   }
 }
@@ -374,6 +464,11 @@ TEST(QuestionColumnsTest, EmptyShardAnswersZero) {
     EXPECT_EQ(columns.shape().objects, 0u);
     EXPECT_EQ(columns.shape().groups, 0u);
     EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
+    for (const uint32_t k : {uint32_t{1}, kMaxK + 1}) {
+      Query t = q;
+      t.k = k;
+      EXPECT_TRUE(columns.TopK(t, nullptr)->empty());
+    }
     std::vector<size_t> counts(2, 99);
     size_t evals = 0;
     ASSERT_TRUE(columns
@@ -491,6 +586,32 @@ std::vector<Question> MakeQuestions(const ObjectStore& store, uint64_t seed,
   return questions;
 }
 
+/// Checks an open question's top-k of each query against the reference
+/// scan, and against the SetR-tree top-k of `oracle` (the unbound oracle)
+/// for valid queries: the queries as given, at ws = 0 and wt = 0, and with
+/// k past every shard's size and past n.
+void CheckQuestionTopK(const WhyNotOracle& oracle, const WhyNotOracle& question,
+                       const ObjectStore& store,
+                       const std::vector<Query>& queries,
+                       const std::string& tag) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<Query> variants(4, queries[i]);
+    variants[1].w = Weights{0.0, 1.0};
+    variants[2].w = Weights{1.0, 0.0};
+    variants[3].k = static_cast<uint32_t>(store.size() + 3);
+    for (size_t v = 0; v < variants.size(); ++v) {
+      const Query& t = variants[v];
+      const std::string label =
+          tag + " top-k " + std::to_string(i) + "." + std::to_string(v);
+      const TopKResult got = question.TopK(t, nullptr);
+      ExpectSameRows(got, reference::TopK(store, t), label);
+      if (t.Validate().ok()) {
+        ExpectSameRows(got, oracle.TopK(t, nullptr), label + " SetR");
+      }
+    }
+  }
+}
+
 /// Runs every stage over one open question of `oracle` and checks it
 /// against the reference: ranks at other weights and docs, explanations,
 /// and both refinements (the preference model in both plane modes).
@@ -522,6 +643,8 @@ void CheckQuestions(const WhyNotOracle& oracle, const ObjectStore& store,
                   reference::Rank(store, q.query, q.missing[m]))
             << tag;
       }
+      CheckQuestionTopK(oracle, *question, store,
+                        {q.query, pref->refined, kw->refined}, tag);
       // Ranks at other weights and with docs from q.doc ∪ M.doc.
       KeywordSet universe = q.query.doc;
       for (const ObjectId m : q.missing) {
@@ -573,6 +696,36 @@ TEST(QuestionLayoutsTest, RandomCorpus) {
 
 TEST(QuestionLayoutsTest, TieHeavyCorpus) {
   RunAllLayouts(TieStore(1200, 12, 513), 514, 4);
+}
+
+/// Routes the left half of the unit square to shard 0 and the rest to
+/// shard 1 of three: shard 2 stays empty.
+class TwoOfThreeRouter final : public ShardRouter {
+ public:
+  uint32_t num_shards() const override { return 3; }
+  uint32_t Route(const Point& loc) const override {
+    return loc.x < 0.5 ? 0 : 1;
+  }
+  std::string Describe() const override { return "two-of-three"; }
+};
+
+TEST(QuestionLayoutsTest, EmptyShardAndKPastEveryShard) {
+  const ObjectStore store = RandomStore(400, 30, 521);
+  const std::vector<Question> questions = MakeQuestions(store, 522, 3);
+  ASSERT_FALSE(questions.empty());
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, std::make_unique<TwoOfThreeRouter>());
+  ASSERT_EQ(sharded.shard(2).size(), 0u);
+  ASSERT_LT(sharded.shard(0).size(), store.size());
+  CheckQuestions(ShardedWhyNotOracle(sharded), store, questions,
+                 "two of three");
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  CheckQuestions(RemoteShardOracle(remote), store, questions,
+                 "remote two of three");
+  EXPECT_EQ(remote.error_epoch(), 0u);
 }
 
 /// A question whose missing objects carry more keywords than
@@ -709,18 +862,22 @@ class CountingShard final : public OracleShard {
   std::atomic<size_t>* opened_;
 };
 
-/// The sharded oracle over counting shards.
+/// The sharded oracle over counting shards; it also counts its SetR-tree
+/// top-k searches.
 class CountingOracle final : public FanOutWhyNotOracle {
  public:
-  CountingOracle(const ShardedCorpus& corpus, std::atomic<size_t>* opened)
+  CountingOracle(const ShardedCorpus& corpus, std::atomic<size_t>* opened,
+                 std::atomic<size_t>* setr_searches)
       : FanOutWhyNotOracle(ShardsOf(corpus, opened), corpus.dist_norm(),
                            corpus.pool()),
         corpus_(&corpus),
-        topk_(corpus) {}
+        topk_(corpus),
+        setr_searches_(setr_searches) {}
   const SpatialObject& Object(ObjectId global_id) const override {
     return corpus_->Object(global_id);
   }
   TopKResult TopK(const Query& query, TopKStats* stats) const override {
+    ++*setr_searches_;
     return topk_.Query(query, stats);
   }
 
@@ -739,6 +896,7 @@ class CountingOracle final : public FanOutWhyNotOracle {
 
   const ShardedCorpus* corpus_;
   ShardedTopKEngine topk_;
+  std::atomic<size_t>* setr_searches_;
 };
 
 TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
@@ -749,17 +907,40 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     std::atomic<size_t> opened{0};
-    const WhyNotEngine engine(std::make_unique<CountingOracle>(sharded, &opened));
+    std::atomic<size_t> setr_searches{0};
+    const WhyNotEngine engine(
+        std::make_unique<CountingOracle>(sharded, &opened, &setr_searches));
     for (const Question& q : questions) {
-      const size_t before = opened.load();
-      auto answer = engine.Answer(q.query, q.missing);
-      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-      reference::ExpectKeywordAnswer(*answer->keyword, q.keyword, "counted");
-      EXPECT_EQ(opened.load() - before, shards) << shards << " shards";
+      // Every model: the question answers explain's top-k and the refined
+      // result, so no SetR-tree search runs.
+      for (const auto& [pref, kw] : {std::pair{true, true},
+                                     std::pair{true, false},
+                                     std::pair{false, true}}) {
+        WhyNotOptions options;
+        options.run_preference_adjustment = pref;
+        options.run_keyword_adaption = kw;
+        const size_t before = opened.load();
+        auto answer = engine.Answer(q.query, q.missing, options);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        if (kw) {
+          reference::ExpectKeywordAnswer(*answer->keyword, q.keyword,
+                                         "counted");
+        }
+        const Query* refined = &q.query;
+        if (answer->recommended == RefinementModel::kPreference) {
+          refined = &answer->preference->refined;
+        } else if (answer->recommended == RefinementModel::kKeyword) {
+          refined = &answer->keyword->refined;
+        }
+        ExpectSameRows(answer->refined_result,
+                       reference::TopK(store, *refined), "refined");
+        EXPECT_EQ(opened.load() - before, shards) << shards << " shards";
+      }
     }
+    EXPECT_EQ(setr_searches.load(), 0u) << shards << " shards";
   }
-  // Remote: one /shard/plane/open per shard per /whynot, every rank from
-  // the session, and no stateless rank or count request.
+  // Remote: one /shard/plane/open per shard per /whynot, every rank and
+  // top-k from the session, and no stateless rank, count or top-k request.
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
   ShardFleet fleet(sharded);
@@ -770,16 +951,21 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
   for (const Question& q : questions) {
     const uint64_t opens = fleet.Served(shardrpc::kPlaneOpenPath);
     const uint64_t ranks = fleet.Served(shardrpc::kPlaneRankPath);
+    const uint64_t topks = fleet.Served(shardrpc::kPlaneTopKPath);
     const uint64_t stateless = fleet.Served(shardrpc::kProbeRankPath) +
-                               fleet.Served(shardrpc::kCountPath);
+                               fleet.Served(shardrpc::kCountPath) +
+                               fleet.Served(shardrpc::kTopKPath);
     auto answer = engine.Answer(q.query, q.missing);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneOpenPath) - opens, 2u);
-    // Explanations rank each missing object; keyword adaption's fan-outs.
+    // One rank batch for the explanations, then keyword adaption's
+    // fan-outs; explain's top-k and the refined result.
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneRankPath) - ranks,
-              2 * (q.missing.size() + answer->keyword->stats.probe_fanouts));
+              2 * (1 + answer->keyword->stats.probe_fanouts));
+    EXPECT_EQ(fleet.Served(shardrpc::kPlaneTopKPath) - topks, 2u * 2);
     EXPECT_EQ(fleet.Served(shardrpc::kProbeRankPath) +
-                  fleet.Served(shardrpc::kCountPath),
+                  fleet.Served(shardrpc::kCountPath) +
+                  fleet.Served(shardrpc::kTopKPath),
               stateless);
   }
   EXPECT_EQ(remote.error_epoch(), 0u);
