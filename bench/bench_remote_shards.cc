@@ -10,13 +10,17 @@
 //     the unsharded reference engine (which PR 2/3 already gate against the
 //     in-process sharded layout);
 //   * round-trip accounting, from each shard's own per-route request
-//     counts: one engine /whynot opens one question session per shard
+//     counts: a top-k query sends exactly one /shard/topk per shard (the
+//     home shard's search, or a thresholded one); one engine /whynot opens
+//     one question session per shard
 //     (/shard/plane/open) and asks every rank of it — one batch for the
 //     explanations, one per rank fan-out (stats.probe_fanouts) for
 //     Eqn. (4) — as one /shard/plane/rank per shard, and both of its
 //     top-ks (explain's and the refined result) as two /shard/plane/topk
 //     per shard, with no stateless /shard/probe/rank, /shard/count or
-//     /shard/topk (no SetR-tree search); keyword adaption over an open
+//     /shard/topk (no SetR-tree search), and neither does a combined
+//     refinement, whose refined result is bit-identical to the unsharded
+//     engine's; keyword adaption over an open
 //     question sends exactly one /shard/plane/rank per shard per rank
 //     fan-out; and the Eqn. (3) sweep sends exactly one
 //     /shard/plane/count_batch per sweep fan-out to every shard.
@@ -249,14 +253,19 @@ int main(int argc, char** argv) {
   std::vector<TopKResult> expected_topk;
   for (const Query& q : queries) expected_topk.push_back(reference.TopK(q));
   std::vector<WhyNotAnswer> expected_answers;
+  std::vector<CombinedRefinement> expected_combined;
   for (const Question& q : questions) {
     auto answer = reference.Answer(q.query, q.missing);
-    if (!answer.ok()) {
+    auto combined = reference.CombineRefinements(q.query, q.missing);
+    if (!answer.ok() || !combined.ok()) {
       std::fprintf(stderr, "reference why-not failed: %s\n",
-                   answer.status().ToString().c_str());
+                   (answer.ok() ? combined.status() : answer.status())
+                       .ToString()
+                       .c_str());
       return 1;
     }
     expected_answers.push_back(std::move(answer).value());
+    expected_combined.push_back(std::move(combined).value());
   }
 
   std::printf("%-10s %10s %12s %14s %16s  %s\n", "shards", "topk ms/q",
@@ -279,14 +288,22 @@ int main(int argc, char** argv) {
     RemoteRun run;
     run.shards = shards;
 
-    // (a) Remote top-k over the wire, gated bit-identical.
+    // (a) Remote top-k over the wire, gated bit-identical and to one
+    // /shard/topk per shard per query.
     {
+      const RouteCounts before = RouteCounts::Take(fleet);
       Timer timer;
       for (size_t i = 0; i < queries.size(); ++i) {
         const TopKResult result = engine.TopK(queries[i]);
         if (result != expected_topk[i]) run.exact = false;
       }
       run.topk_ms_per_query = timer.ElapsedMillis() / queries.size();
+      const RouteCounts after = RouteCounts::Take(fleet);
+      for (size_t s = 0; s < shards; ++s) {
+        if (after.Since(before, shardrpc::kTopKPath, s) != queries.size()) {
+          run.kw_rt_gate = false;
+        }
+      }
     }
 
     // (b) Full why-not answers over the wire, gated bit-identical and to
@@ -314,6 +331,26 @@ int main(int argc, char** argv) {
         }
       }
       run.whynot_ms_per_question = timer.ElapsedMillis() / questions.size();
+    }
+
+    // (b') Combined refinements: the refined result comes from the open
+    // question, with no /shard/topk.
+    for (size_t i = 0; i < questions.size(); ++i) {
+      const RouteCounts before = RouteCounts::Take(fleet);
+      auto combined =
+          engine.CombineRefinements(questions[i].query, questions[i].missing);
+      const RouteCounts after = RouteCounts::Take(fleet);
+      if (!combined.ok() ||
+          combined->refined_result != expected_combined[i].refined_result ||
+          combined->total_penalty != expected_combined[i].total_penalty) {
+        run.exact = false;
+        continue;
+      }
+      for (size_t s = 0; s < shards; ++s) {
+        if (after.Since(before, shardrpc::kTopKPath, s) != 0) {
+          run.kw_rt_gate = false;
+        }
+      }
     }
 
     // (c) The keyword-adaption round-trip meter over an open question

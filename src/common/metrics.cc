@@ -137,9 +137,24 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 void MetricsRegistry::AddGaugeCallback(const std::string& name,
                                        const MetricLabels& labels,
                                        std::function<double()> fn) const {
+  AddCallback(name, labels, "gauge", std::move(fn));
+}
+
+void MetricsRegistry::AddCounterCallback(const std::string& name,
+                                         const MetricLabels& labels,
+                                         std::function<double()> fn) const {
+  AddCallback(name, labels, "counter", std::move(fn));
+}
+
+void MetricsRegistry::AddCallback(const std::string& name,
+                                  const MetricLabels& labels,
+                                  const char* type,
+                                  std::function<double()> fn) const {
   const std::string key = FormatMetricLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  gauge_callbacks_[name][key] = std::move(fn);
+  CallbackFamily& family = callbacks_[name];
+  family.type = type;
+  family.instances[key] = std::move(fn);
 }
 
 void MetricsRegistry::RenderPrometheus(std::string* out) const {
@@ -157,9 +172,9 @@ void MetricsRegistry::RenderPrometheus(std::string* out) const {
       *out += name + labels + " " + FormatValue(gauge->value()) + "\n";
     }
   }
-  for (const auto& [name, instances] : gauge_callbacks_) {
-    *out += "# TYPE " + name + " gauge\n";
-    for (const auto& [labels, fn] : instances) {
+  for (const auto& [name, family] : callbacks_) {
+    *out += "# TYPE " + name + " " + family.type + "\n";
+    for (const auto& [labels, fn] : family.instances) {
       *out += name + labels + " " + FormatValue(fn()) + "\n";
     }
   }

@@ -116,6 +116,10 @@ class MetricsRegistry {
   /// Registers a gauge whose value is computed at render time.
   void AddGaugeCallback(const std::string& name, const MetricLabels& labels,
                         std::function<double()> fn) const;
+  /// Registers a counter read at render time: a monotonic total kept
+  /// elsewhere (e.g. HttpServer::idle_reaped()).
+  void AddCounterCallback(const std::string& name, const MetricLabels& labels,
+                          std::function<double()> fn) const;
 
   /// Appends every family in Prometheus text exposition format.
   void RenderPrometheus(std::string* out) const;
@@ -135,8 +139,14 @@ class MetricsRegistry {
   mutable FamilyMap<Counter> counters_;
   mutable FamilyMap<Gauge> gauges_;
   mutable FamilyMap<Histogram> histograms_;
-  mutable std::map<std::string, std::map<std::string, std::function<double()>>>
-      gauge_callbacks_;
+  /// Callback families: name -> (Prometheus type, label string -> value).
+  struct CallbackFamily {
+    const char* type = "gauge";
+    std::map<std::string, std::function<double()>> instances;
+  };
+  void AddCallback(const std::string& name, const MetricLabels& labels,
+                   const char* type, std::function<double()> fn) const;
+  mutable std::map<std::string, CallbackFamily> callbacks_;
 };
 
 /// Serializes labels as `{k="v",k2="v2"}` (empty string for no labels),

@@ -25,7 +25,6 @@
 #include "src/common/status.h"
 #include "src/index/inverted_index.h"
 #include "src/index/setr_tree.h"
-#include "src/query/topk_engine.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/storage/object_store.h"
 
@@ -38,8 +37,8 @@ struct CorpusOptions {
   bool build_inverted_index = false;
   RTreeOptions rtree;
   /// Worker threads of the fan-out pool a ShardedCorpus built with these
-  /// options owns (ShardedTopKEngine and ShardedWhyNotOracle share that one
-  /// pool; it is created lazily on first use). 0 = auto: one thread per
+  /// options owns (every ShardedWhyNotOracle over it shares that one pool;
+  /// it is created lazily on first use). 0 = auto: one thread per
   /// shard capped by the hardware concurrency, and no pool at all on a
   /// single-core host or a single-shard corpus (fan-outs then run inline,
   /// which is strictly better there). Forced values are clamped to the
@@ -63,10 +62,6 @@ class Corpus {
   const InvertedIndex* inverted() const { return inverted_.get(); }
 
   size_t size() const { return store_->size(); }
-
-  /// A top-k engine over this corpus. The engine borrows; the corpus must
-  /// outlive it.
-  SetRTopKEngine topk() const { return SetRTopKEngine(*store_, *setr_); }
 
   /// Serialises the whole serving state (store + vocabulary + every built
   /// index) into one snapshot file. `shard` tags the file as one shard of a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -11,7 +10,6 @@
 #include "src/common/string_util.h"
 #include "src/common/trace.h"
 #include "src/common/timer.h"
-#include "src/corpus/topk_fanout.h"
 #include "src/snapshot/snapshot_codec.h"
 
 namespace yask {
@@ -733,64 +731,6 @@ ObjectId RemoteCorpus::FindByName(const std::string& name) const {
     }
   }
   return best;
-}
-
-// --- RemoteTopKClient --------------------------------------------------------
-
-namespace {
-
-/// One /shard/topk call. On failure the error is recorded and the shard
-/// contributes no rows.
-TopKResult ShardTopK(const RemoteCorpus& corpus, size_t s, const Query& query,
-                     double prune_below, TopKStats* stats) {
-  // The shard holds no more rows than its objects, and refuses a k above
-  // both kMaxK and that count.
-  Query capped = query;
-  capped.k = static_cast<uint32_t>(
-      std::min<uint64_t>(query.k, corpus.meta(s).object_count));
-  BufWriter req;
-  shardrpc::PutQuery(&req, capped);
-  req.PutF64(prune_below);
-  Result<std::string> raw =
-      corpus.replicas(s).Call("POST", shardrpc::kTopKPath, req.data());
-  if (!raw.ok()) {
-    corpus.RecordError(raw.status());
-    return {};
-  }
-  BufReader in(raw->data(), raw->size());
-  TopKResult rows = shardrpc::GetScoredRows(&in);
-  stats->nodes_popped += in.GetU64();
-  stats->objects_scored += in.GetU64();
-  if (!in.ok() || !in.AtEnd()) {
-    corpus.RecordError(
-        Status::InvalidArgument("bad /shard/topk response"));
-    return {};
-  }
-  if (Status bad = shardrpc::CheckScoredRows(rows, capped.k, corpus.size());
-      !bad.ok()) {
-    corpus.RecordError(bad);
-    return {};
-  }
-  return rows;
-}
-
-}  // namespace
-
-TopKResult RemoteTopKClient::Query(const ::yask::Query& query,
-                                   TopKStats* stats) const {
-  // The home shard is chosen from the SetR root MBRs that travelled in the
-  // shard metas — the same choice ShardedTopKEngine makes from the trees.
-  return FanOutTopK(
-      query, corpus_->num_shards(), corpus_->pool(),
-      [&](size_t s) {
-        const shardrpc::ShardMeta& meta = corpus_->meta(s);
-        return meta.setr_empty ? std::numeric_limits<double>::infinity()
-                               : meta.setr_root_mbr.MinDistance(query.loc);
-      },
-      [&](size_t s, double prune_below, TopKStats* shard_stats) {
-        return ShardTopK(*corpus_, s, query, prune_below, shard_stats);
-      },
-      stats);
 }
 
 }  // namespace yask

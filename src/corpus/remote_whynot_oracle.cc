@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -331,6 +332,41 @@ class RemoteOracleShard final : public OracleShard {
 
   size_t size() const override { return corpus_->meta(shard_).object_count; }
 
+  /// From the SetR root MBR that travelled in the shard's meta.
+  double RootDistance(const Point& loc) const override {
+    const shardrpc::ShardMeta& meta = corpus_->meta(shard_);
+    return meta.setr_empty ? std::numeric_limits<double>::infinity()
+                           : meta.setr_root_mbr.MinDistance(loc);
+  }
+
+  /// One /shard/topk call.
+  Result<TopKResult> TopK(const Query& query, double prune_below,
+                          TopKStats* stats) const override {
+    // The shard holds no more rows than its objects, and refuses a k above
+    // both kMaxK and that count.
+    Query capped = query;
+    capped.k = static_cast<uint32_t>(std::min<uint64_t>(query.k, size()));
+    BufWriter req;
+    shardrpc::PutQuery(&req, capped);
+    req.PutF64(prune_below);
+    const char* path = shardrpc::kTopKPath;
+    Result<std::string> raw =
+        corpus_->replicas(shard_).Call("POST", path, req.data());
+    if (!raw.ok()) return raw.status();
+    BufReader in(raw->data(), raw->size());
+    TopKResult rows = shardrpc::GetScoredRows(&in);
+    const uint64_t popped = in.GetU64();
+    const uint64_t scored = in.GetU64();
+    if (Status s = FullyRead(in, path); !s.ok()) return s;
+    if (Status s = shardrpc::CheckScoredRows(rows, capped.k, corpus_->size());
+        !s.ok()) {
+      return s;
+    }
+    stats->nodes_popped += popped;
+    stats->objects_scored += scored;
+    return rows;
+  }
+
   /// kScan rides /shard/count, kColumns /shard/probe/rank. Target scores
   /// travel with the specs — a spec's target need not live on this shard.
   Result<std::vector<size_t>> CountOutscoring(
@@ -388,7 +424,6 @@ RemoteShardOracle::RemoteShardOracle(const RemoteCorpus& corpus)
     : FanOutWhyNotOracle(
           ShardsOf(corpus), corpus.dist_norm(), corpus.pool(),
           [&corpus](const Status& status) { corpus.RecordError(status); }),
-      corpus_(&corpus),
-      topk_(corpus) {}
+      corpus_(&corpus) {}
 
 }  // namespace yask

@@ -25,6 +25,9 @@
 // Outside a question, rank batches ride one stateless /shard/probe/rank per
 // shard and basic keyword adaption's scans /shard/count; spec lists longer
 // than kMaxProbeSpecs, the cap a shard enforces, are split into requests.
+// A /query's top-k is one /shard/topk per shard: the home shard's first,
+// then the others with its k-th score as their prune threshold (the home
+// shard is picked from the SetR root MBRs in the shard metas).
 //
 // Failure model: every stateless call rides ReplicaSet::Call, which fails
 // over to a sibling replica mid-call; the question sessions are
@@ -53,13 +56,9 @@ class RemoteShardOracle : public FanOutWhyNotOracle {
   const SpatialObject& Object(ObjectId global_id) const override {
     return corpus_->Object(global_id);
   }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override {
-    return topk_.Query(query, stats);
-  }
 
  private:
   const RemoteCorpus* corpus_;
-  RemoteTopKClient topk_;
 };
 
 }  // namespace yask

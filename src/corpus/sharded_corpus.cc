@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <thread>
-
-#include "src/corpus/topk_fanout.h"
 
 namespace yask {
 
@@ -163,36 +160,6 @@ Result<ShardedCorpus> ShardedCorpus::Load(const std::string& prefix,
                      Point{sharded.bounds_.max_x, sharded.bounds_.max_y});
   sharded.fanout_threads_ = options.fanout_threads;
   return sharded;
-}
-
-// --- ShardedTopKEngine -------------------------------------------------------
-
-ShardedTopKEngine::ShardedTopKEngine(const ShardedCorpus& corpus)
-    : corpus_(&corpus), pool_(corpus.pool()) {
-  engines_.reserve(corpus.num_shards());
-  for (size_t s = 0; s < corpus.num_shards(); ++s) {
-    const Corpus& shard = corpus.shard(s);
-    engines_.emplace_back(shard.store(), shard.setr());
-    engines_.back().set_dist_norm(corpus.dist_norm());
-  }
-}
-
-TopKResult ShardedTopKEngine::Query(const ::yask::Query& query,
-                                    TopKStats* stats) const {
-  return FanOutTopK(
-      query, engines_.size(), pool_,
-      [&](size_t s) {
-        const SetRTree& tree = corpus_->shard(s).setr();
-        return tree.empty()
-                   ? std::numeric_limits<double>::infinity()
-                   : tree.node(tree.root()).rect.MinDistance(query.loc);
-      },
-      [&](size_t s, double prune_below, TopKStats* shard_stats) {
-        TopKResult rows = engines_[s].Query(query, prune_below, shard_stats);
-        for (ScoredObject& so : rows) so.id = corpus_->ToGlobal(s, so.id);
-        return rows;
-      },
-      stats);
 }
 
 }  // namespace yask

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// ShardedCorpus: N Corpus shards partitioned by a ShardRouter, plus the
-// ShardedTopKEngine that fans a query out to every shard in parallel and
-// merges per-shard results into an answer bit-identical to an unsharded
-// corpus's.
+// ShardedCorpus: N Corpus shards partitioned by a ShardRouter. Queries over
+// it run through ShardedWhyNotOracle (src/corpus/sharded_whynot_oracle.h),
+// whose top-k fans a query out to every shard in parallel and merges the
+// per-shard results into an answer bit-identical to an unsharded corpus's.
 //
-// Exactness argument (see docs/architecture.md):
+// Exactness argument for that top-k (see docs/architecture.md):
 //  * every shard scores with the *global* SDist normaliser (the diagonal of
 //    the whole dataset's MBR) and the shared vocabulary's term ids, so a
 //    given object's score is the same doubles-arithmetic in both layouts;
@@ -15,12 +15,12 @@
 //    is a subset of the union of those, and re-sorting the union under the
 //    ScoredObject ordering (score desc, global id asc) reproduces the
 //    unsharded result exactly — ties and all;
-//  * execution is threshold-broadcast fan-out (FanOutTopK, shared with the
-//    remote layout): the query's home shard (the one whose tree MBR is
-//    nearest the query point) is searched first and its k-th score is
-//    handed to the other shards as a prune threshold, which only ever skips
-//    strictly-worse candidates — far shards usually stop at their root, so
-//    a fan-out costs about one small-tree search.
+//  * execution is threshold-broadcast fan-out (FanOutWhyNotOracle::TopK,
+//    the same for every layout): the query's home shard (the one whose tree
+//    MBR is nearest the query point) is searched first and its k-th score
+//    is handed to the other shards as a prune threshold, which only ever
+//    skips strictly-worse candidates and lets a far shard's search stop
+//    early.
 //
 // Persistence: Save() writes one snapshot file per shard (store + indexes +
 // a ShardManifest section); a shard file is the shippable unit — a remote
@@ -99,8 +99,8 @@ class ShardedCorpus {
   /// "<prefix>.shard-<index>.snap".
   static std::string ShardFilePath(const std::string& prefix, uint32_t index);
 
-  /// The worker pool every fan-out engine over this corpus shares
-  /// (ShardedTopKEngine for /query, ShardedWhyNotOracle for /whynot), sized
+  /// The worker pool every oracle over this corpus shares
+  /// (ShardedWhyNotOracle's fan-outs, for /query and /whynot alike), sized
   /// by the CorpusOptions::fanout_threads passed to Partition()/Load() and
   /// clamped to the shard count. Created lazily on first call (thread-safe),
   /// so a corpus that is only built and saved — dataset_tool build-shards —
@@ -135,32 +135,6 @@ class ShardedCorpus {
   std::unique_ptr<std::mutex> pool_mu_ = std::make_unique<std::mutex>();
   mutable bool pool_decided_ = false;
   mutable std::unique_ptr<ThreadPool> pool_;  // Null: fan-outs run inline.
-};
-
-/// Parallel fan-out/merge top-k over a ShardedCorpus: FanOutTopK over one
-/// SetRTopKEngine per shard. Results are bit-identical to SetRTopKEngine over
-/// the same (unsharded) objects.
-///
-/// Thread-safe: concurrent Query() calls share the corpus's worker pool
-/// (also used by the sharded why-not oracle — one pool per corpus, not one
-/// per engine).
-class ShardedTopKEngine {
- public:
-  explicit ShardedTopKEngine(const ShardedCorpus& corpus);
-
-  /// Exact top-k with global object ids. Stats are summed across shards.
-  TopKResult Query(const Query& query, TopKStats* stats = nullptr) const;
-
-  const ShardedCorpus& corpus() const { return *corpus_; }
-
-  /// The corpus's shared pool (null = inline fan-out); for the pool-reuse
-  /// assertion tests.
-  const ThreadPool* pool() const { return pool_; }
-
- private:
-  const ShardedCorpus* corpus_;
-  std::vector<SetRTopKEngine> engines_;  // One per shard, global dist norm.
-  ThreadPool* pool_;                     // Borrowed from the corpus.
 };
 
 }  // namespace yask

@@ -11,7 +11,8 @@ std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
   for (size_t s = 0; s < corpus.num_shards(); ++s) {
     const Corpus& shard = corpus.shard(s);
     shards.push_back(std::make_unique<LocalOracleShard>(
-        OracleShardView{&shard.store(), &corpus.shard_global_ids(s)},
+        OracleShardView{&shard.store(), &corpus.shard_global_ids(s),
+                        &shard.setr()},
         corpus.dist_norm()));
   }
   return shards;
@@ -21,12 +22,6 @@ std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
 
 ShardedWhyNotOracle::ShardedWhyNotOracle(const ShardedCorpus& corpus)
     : FanOutWhyNotOracle(ShardsOf(corpus), corpus.dist_norm(), corpus.pool()),
-      corpus_(&corpus),
-      topk_(corpus) {}
-
-TopKResult ShardedWhyNotOracle::TopK(const Query& query,
-                                     TopKStats* stats) const {
-  return topk_.Query(query, stats);
-}
+      corpus_(&corpus) {}
 
 }  // namespace yask

@@ -3,16 +3,17 @@
 // ShardedCorpus, making the why-not stack — explanations, preference
 // adjustment, keyword adaption — exact on the scale-out layout.
 //
-// One LocalOracleShard per shard behind FanOutWhyNotOracle, whose fan-out
-// runs on the corpus's shared worker pool (the same pool ShardedTopKEngine
-// uses for /query). Its merge keeps the discipline that made sharded top-k
-// bit-identical:
+// One LocalOracleShard per shard behind FanOutWhyNotOracle, whose fan-outs
+// — the top-k query's and every why-not primitive's — run on the corpus's
+// shared worker pool. Its merge keeps the discipline that makes sharded
+// top-k bit-identical:
 //   * scores use the GLOBAL SDist normaliser and the shared vocabulary, so
 //     an object's score is the same doubles-arithmetic in both layouts;
 //   * tie orders compare GLOBAL ids everywhere;
 //   * outscoring counts SUM across shards (disjoint partition of one
 //     predicate) — the scan counts and the question-column counts alike —
-//     and crossing-weight candidate sets UNION (then sort + dedupe).
+//     crossing-weight candidate sets UNION (then sort + dedupe), and top-k
+//     rows merge under the ScoredObject order (src/corpus/sharded_corpus.h).
 // The why-not algorithms run unchanged over this oracle, so a sharded
 // service answers /whynot bit-identically to an unsharded replica
 // (property-tested at 1/2/4/8 shards; bench_whynot_sharded gates on it).
@@ -33,11 +34,9 @@ class ShardedWhyNotOracle : public FanOutWhyNotOracle {
   const SpatialObject& Object(ObjectId global_id) const override {
     return corpus_->Object(global_id);
   }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override;
 
  private:
   const ShardedCorpus* corpus_;
-  ShardedTopKEngine topk_;
 };
 
 }  // namespace yask

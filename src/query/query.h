@@ -41,6 +41,13 @@ struct Weights {
 /// rows. 10,000 rows are about 1.5 MB of /query JSON.
 inline constexpr uint32_t kMaxK = 10000;
 
+/// Most entries a /whynot `missing` list may hold (ids or names, duplicates
+/// counted); /whynot answers 400 above it before looking any name up. It is
+/// the most distinct ids the Eqn. (3) sweep already takes — one sweep
+/// event's grid of 3 weights × |M| must fit in kMaxCountBatchPairs (2^16)
+/// pairs — so no list the engine answers is refused.
+inline constexpr size_t kMaxMissing = (size_t{1} << 16) / 3;
+
 /// A spatial keyword top-k query q = (q.loc, q.doc, k, w).
 struct Query {
   Point loc;

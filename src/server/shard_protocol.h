@@ -123,7 +123,8 @@ inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
 /// question).
 inline constexpr char kProbeRankPath[] = "/shard/probe/rank";
 /// Not served since v4; declared only because servebench/servebench.cc,
-/// their last reader, lists them (ROADMAP item 3 deletes them).
+/// their last reader, lists them (ROADMAP item 2 deletes them once item 1
+/// retires that reader).
 inline constexpr char kProbeOpenPath[] = "/shard/probe/open";
 inline constexpr char kProbeRefinePath[] = "/shard/probe/refine";
 inline constexpr char kProbeClosePath[] = "/shard/probe/close";

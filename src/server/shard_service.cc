@@ -154,12 +154,11 @@ ShardService::ShardService(const Corpus& corpus, Info info,
     : corpus_(&corpus),
       info_(std::move(info)),
       view_{&corpus.store(),
-            info_.to_global.empty() ? nullptr : &info_.to_global},
+            info_.to_global.empty() ? nullptr : &info_.to_global,
+            &corpus.setr()},
       shard_(view_, info_.dist_norm),
-      topk_(corpus.store(), corpus.setr()),
       server_(options.port, options.num_workers),
       max_sessions_(options.max_sessions == 0 ? 1 : options.max_sessions) {
-  topk_.set_dist_norm(info_.dist_norm);
 
   // Every shardrpc route is instrumented: latency and status-code series,
   // and a shard-side span when the request carries a trace header.
@@ -204,6 +203,11 @@ ShardService::ShardService(const Corpus& corpus, Info info,
   metrics_.AddGaugeCallback("yask_shard_objects", shard_label, [this] {
     return static_cast<double>(corpus_->size());
   });
+  metrics_.AddCounterCallback("yask_http_idle_reaped_total", shard_label,
+                              [this] {
+                                return static_cast<double>(
+                                    server_.idle_reaped());
+                              });
   MetricLabels plane_labels = shard_label;
   plane_labels.emplace_back("kind", "plane");
   plane_evictions_ =
@@ -405,9 +409,7 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
   if (auto bad = CheckK(query.k, corpus_->size())) return *bad;
 
   TopKStats stats;
-  TopKResult rows;
-  if (query.k > 0) rows = topk_.Query(query, prune_below, &stats);
-  for (ScoredObject& row : rows) row.id = ToGlobal(row.id);
+  const TopKResult rows = shard_.TopK(query, prune_below, &stats).value();
   return Rows(rows, stats);
 }
 

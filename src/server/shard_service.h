@@ -5,7 +5,7 @@
 // full /query + /whynot + /forget contract bit-identically to the in-process
 // ShardedCorpus path.
 //
-// The why-not endpoints are exactly the per-shard primitives of
+// The top-k and why-not endpoints are exactly the per-shard primitives of
 // LocalOracleShard (src/whynot/shard_primitives.h), the backend the in-process
 // oracles run over their shard views — the same code runs behind both
 // transports, and every double crosses the wire as its raw bits
@@ -37,7 +37,6 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/corpus/corpus.h"
-#include "src/query/topk_engine.h"
 #include "src/server/http_server.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/whynot/shard_primitives.h"
@@ -134,7 +133,6 @@ class ShardService {
   Info info_;
   OracleShardView view_;
   LocalOracleShard shard_;  // The in-process oracles' shard backend.
-  SetRTopKEngine topk_;  // Global dist norm.
   MetricsRegistry metrics_;
   TraceStore traces_;
   HttpServer server_;

@@ -168,6 +168,9 @@ YaskService::YaskService(YaskServiceOptions options)
   metrics_.AddGaugeCallback("yask_query_log_entries", {}, [this] {
     return static_cast<double>(log_.size());
   });
+  metrics_.AddCounterCallback("yask_http_idle_reaped_total", {}, [this] {
+    return static_cast<double>(server_.idle_reaped());
+  });
   if (options_.enable_result_cache) {
     result_cache_ = std::make_unique<ResultCache>(
         options_.result_cache_max_entries, options_.result_cache_max_bytes,
@@ -796,6 +799,11 @@ HttpResponse YaskService::HandleWhyNot(const HttpRequest& req) {
   if (!in.Get("query_id").is_number() || !in.Get("missing").is_array()) {
     return HttpResponse::Error(400, "expected query_id, missing[, model]");
   }
+  if (in.Get("missing").array_items().size() > kMaxMissing) {
+    return HttpResponse::Error(
+        400, "missing lists at most " + std::to_string(kMaxMissing) +
+                 " objects");
+  }
 
   uint64_t query_id = 0;
   if (!ToUint64(in.Get("query_id").as_number(), &query_id)) {
@@ -884,8 +892,7 @@ HttpResponse YaskService::ComputeWhyNot(const Query& q,
     out.Set("preference_first", JsonValue(combined->preference_first));
     out.Set("original_rank", JsonValue(combined->original_rank));
     out.Set("refined_rank", JsonValue(combined->refined_rank));
-    out.Set("refined_results",
-            ResultToJson(Engine().TopK(combined->refined)));
+    out.Set("refined_results", ResultToJson(combined->refined_result));
     out.Set("response_millis", JsonValue(millis));
     if (auto failure = RemoteFailure(epoch); failure.has_value()) {
       return *failure;

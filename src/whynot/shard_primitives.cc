@@ -1,13 +1,16 @@
 #include "src/whynot/shard_primitives.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <ranges>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/trace.h"
 #include "src/query/ranking.h"
@@ -205,13 +208,14 @@ bool SameBits(const Point& a, const Point& b) {
 
 /// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
 /// order among equal x: an LSD radix sort over the bytes of an
-/// order-preserving key of x, skipping the bytes every entry shares, and an
-/// insertion sort for short runs. `xs_tmp` and `ids_tmp` are scratch for n
-/// entries.
+/// order-preserving key of x, with every byte's histogram counted in one
+/// pass, the bytes every entry shares skipped, and the scatters alternating
+/// between the two buffers; an insertion sort for short runs. `xs_tmp` and
+/// `ids_tmp` are scratch for n entries.
 void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
              size_t n) {
   if (n < 32) {
-    // Eight 256-bucket histogram passes would dwarf a short run's sort.
+    // Eight 256-bucket histograms would dwarf a short run's sort.
     for (size_t i = 1; i < n; ++i) {
       const double x = xs[i];
       const ObjectId id = ids[i];
@@ -229,19 +233,33 @@ void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
     const uint64_t bits = Bits(x);
     return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
   };
-  for (int shift = 0; shift < 64; shift += 8) {
+  std::array<std::array<size_t, 256>, 8> counts{};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = key(xs[i]);
+    for (int d = 0; d < 8; ++d) ++counts[d][(k >> (8 * d)) & 255];
+  }
+  double* from_x = xs;
+  ObjectId* from_id = ids;
+  double* to_x = xs_tmp;
+  ObjectId* to_id = ids_tmp;
+  for (int d = 0; d < 8; ++d) {
+    const int shift = 8 * d;
     auto digit = [&](double x) { return (key(x) >> shift) & 255; };
-    size_t offsets[257] = {};
-    for (size_t i = 0; i < n; ++i) ++offsets[digit(xs[i]) + 1];
-    if (std::count(offsets, offsets + 257, n) == 1) continue;
-    for (int d = 0; d < 256; ++d) offsets[d + 1] += offsets[d];
+    std::array<size_t, 256>& offsets = counts[d];
+    if (offsets[digit(from_x[0])] == n) continue;  // A shared byte.
+    size_t sum = 0;
+    for (size_t& offset : offsets) sum += std::exchange(offset, sum);
     for (size_t i = 0; i < n; ++i) {
-      const size_t to = offsets[digit(xs[i])]++;
-      xs_tmp[to] = xs[i];
-      ids_tmp[to] = ids[i];
+      const size_t to = offsets[digit(from_x[i])]++;
+      to_x[to] = from_x[i];
+      to_id[to] = from_id[i];
     }
-    std::copy_n(xs_tmp, n, xs);
-    std::copy_n(ids_tmp, n, ids);
+    std::swap(from_x, to_x);
+    std::swap(from_id, to_id);
+  }
+  if (from_x != xs) {
+    std::copy_n(from_x, n, xs);
+    std::copy_n(from_id, n, ids);
   }
 }
 
@@ -708,6 +726,26 @@ Result<std::vector<size_t>> LocalOracleShard::CountOutscoring(
     return ShardScanOutscoring(view_, dist_norm_, targets);
   }
   return ShardColumnOutscoring(view_, dist_norm_, targets);
+}
+
+double LocalOracleShard::RootDistance(const Point& loc) const {
+  assert(view_.setr != nullptr && "top-k requires the SetR-tree");
+  const SetRTree& tree = *view_.setr;
+  return tree.empty() ? std::numeric_limits<double>::infinity()
+                      : tree.node(tree.root()).rect.MinDistance(loc);
+}
+
+Result<TopKResult> LocalOracleShard::TopK(const Query& query,
+                                          double prune_below,
+                                          TopKStats* stats) const {
+  assert(view_.setr != nullptr && "top-k requires the SetR-tree");
+  SetRTopKEngine engine(*view_.store, *view_.setr);
+  engine.set_dist_norm(dist_norm_);
+  TopKResult rows = engine.Query(query, prune_below, stats);
+  if (view_.to_global != nullptr) {
+    for (ScoredObject& row : rows) row.id = (*view_.to_global)[row.id];
+  }
+  return rows;
 }
 
 Result<std::unique_ptr<OracleShardQuestion>> LocalOracleShard::OpenQuestion(

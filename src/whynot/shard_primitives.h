@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
@@ -35,6 +36,7 @@ namespace yask {
 /// (2^16: a 512 KiB count_batch response). A shard answers 400 above it;
 /// the Eqn. (3) sweep sizes its segments to stay within it.
 inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
+static_assert(kMaxMissing == kMaxCountBatchPairs / 3);
 
 /// Most keywords in a question's universe U on the wire (/shard/plane/open,
 /// and the union of one /shard/probe/rank batch's query documents); a shard
@@ -58,10 +60,12 @@ inline constexpr size_t kMaxProbeShapes = 8;
 
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
-/// i.e. the unsharded layout).
+/// i.e. the unsharded layout). `setr` indexes `store` for the shard's
+/// top-k (null for a shard that is never asked one).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
   const std::vector<ObjectId>* to_global = nullptr;
+  const SetRTree* setr = nullptr;
 };
 
 /// The shard-side scan loop that counts the objects outranking a target
@@ -336,7 +340,7 @@ std::vector<size_t> ShardColumnOutscoring(
 /// keyword adaption, or one-call question columns.
 enum class OutscoringKernel : uint8_t { kScan, kColumns };
 
-/// One shard's half of every why-not oracle primitive but TopK; the oracle
+/// One shard's half of every oracle primitive, top-k included; the oracle
 /// (FanOutWhyNotOracle, src/whynot/whynot_oracle.h) does the rest. An error
 /// means the shard added nothing; only a remote shard returns one.
 class OracleShard {
@@ -345,6 +349,16 @@ class OracleShard {
 
   /// Objects the shard holds.
   virtual size_t size() const = 0;
+
+  /// MinDistance from `loc` to the shard's SetR root MBR; +∞ for an empty
+  /// shard. The top-k fan-out searches the nearest shard first.
+  virtual double RootDistance(const Point& loc) const = 0;
+
+  /// The shard's first min(k, size) rows under `query` by SetR-tree search
+  /// (ScoredObject order, GLOBAL ids), where rows scoring strictly below
+  /// `prune_below` may be left out. Work counters accumulate into `stats`.
+  virtual Result<TopKResult> TopK(const Query& query, double prune_below,
+                                  TopKStats* stats) const = 0;
 
   /// Tie-aware counts of the shard's objects outscoring each target, by
   /// `kernel` — one per target.
@@ -360,8 +374,8 @@ class OracleShard {
       bool optimized) const = 0;
 };
 
-/// The in-process shard: the kernels above over a view, under the GLOBAL
-/// SDist normaliser. Never fails.
+/// The in-process shard: the kernels above and SetRTopKEngine over a view,
+/// under the GLOBAL SDist normaliser. Never fails.
 class LocalOracleShard final : public OracleShard {
  public:
   /// `view` must outlive the shard.
@@ -369,6 +383,10 @@ class LocalOracleShard final : public OracleShard {
       : view_(view), dist_norm_(dist_norm) {}
 
   size_t size() const override { return view_.store->size(); }
+  /// Require view.setr.
+  double RootDistance(const Point& loc) const override;
+  Result<TopKResult> TopK(const Query& query, double prune_below,
+                          TopKStats* stats) const override;
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets,
       OutscoringKernel kernel) const override;

@@ -212,7 +212,11 @@ Result<CombinedRefinement> WhyNotEngine::CombineRefinements(
   if (!b.ok()) return b.status();
   // Lower total penalty wins; ties prefer the preference-first order (it
   // alters the user's stated keywords later, i.e. only if it pays).
-  return b->total_penalty < a->total_penalty ? std::move(b) : std::move(a);
+  CombinedRefinement& best = b->total_penalty < a->total_penalty ? *b : *a;
+  // The refined doc lies within q.doc ∪ M.doc, so the question covers it.
+  ScopedSpan span("whynot/refined_topk");
+  best.refined_result = oracle.TopK(best.refined);
+  return std::move(best);
 }
 
 }  // namespace yask

@@ -75,6 +75,8 @@ struct CombinedRefinement {
   bool preference_first = true;  // Which order won.
   size_t original_rank = 0;      // R(M, q) under the initial query.
   size_t refined_rank = 0;       // R(M, final refined query).
+  /// Result of `refined`, answered by the open question.
+  TopKResult refined_result;
 };
 
 /// The engine facade. The corpus behind the oracle must outlive the engine.

@@ -1,10 +1,13 @@
 #include "src/whynot/whynot_oracle.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "src/common/trace.h"
 #include "src/corpus/corpus.h"
-#include "src/corpus/topk_fanout.h"
 
 namespace yask {
 
@@ -21,6 +24,16 @@ std::vector<size_t> SumOver(const std::vector<size_t>& answered,
     for (size_t i = 0; i < items; ++i) total[i] += counts[s][i];
   }
   return total;
+}
+
+/// Adds `part`'s rows to `merged` and keeps the first k under the
+/// ScoredObject order — the one top-k merge, for the query's fan-out and a
+/// question's top-k alike. Each shard's rows are a disjoint set of objects
+/// with exact scores, so the merged first k are the global top-k.
+void MergeTopK(const TopKResult& part, size_t k, TopKResult* merged) {
+  merged->insert(merged->end(), part.begin(), part.end());
+  std::sort(merged->begin(), merged->end());
+  if (merged->size() > k) merged->resize(k);
 }
 
 }  // namespace
@@ -219,6 +232,71 @@ std::vector<size_t> FanOutWhyNotOracle::FanOutShards(
   return answered;
 }
 
+TopKResult FanOutWhyNotOracle::TopK(const Query& query,
+                                    TopKStats* stats) const {
+  if (query.k == 0) return {};  // Same guard as the unsharded engine.
+  const size_t n = shards_.size();
+  std::vector<double> distance(n);
+  for (size_t s = 0; s < n; ++s) {
+    distance[s] = shards_[s]->RootDistance(query.loc);
+  }
+  std::vector<TopKResult> parts(n);
+  std::vector<TopKStats> part_stats(n);
+  TopKResult merged;
+  // Searches the listed shards, pruning below the k-th merged score (none
+  // before k rows are merged), and returns those that answered.
+  auto search = [&](const std::vector<size_t>& listed) {
+    const double prune_below = merged.size() == query.k
+                                   ? merged.back().score
+                                   : -std::numeric_limits<double>::infinity();
+    return FanOutShards(listed, [&](size_t s) {
+      Result<TopKResult> rows =
+          shards_[s]->TopK(query, prune_below, &part_stats[s]);
+      if (!rows.ok()) return rows.status();
+      parts[s] = std::move(rows).value();
+      return Status::OK();
+    });
+  };
+  auto merge = [&](const std::vector<size_t>& answered) {
+    for (const size_t s : answered) MergeTopK(parts[s], query.k, &merged);
+  };
+
+  // The home shard (nearest root MBR), searched to completion: its k-th
+  // score then bounds what any other shard must beat.
+  const size_t home =
+      std::min_element(distance.begin(), distance.end()) - distance.begin();
+  merge(search({home}));
+  std::vector<size_t> others = all_shards_;
+  others.erase(others.begin() + home);
+  if (pool_ != nullptr && !others.empty()) {
+    // Parallel: every other shard searches against the home shard's k-th
+    // score at once.
+    std::vector<size_t> answered;
+    {
+      ScopedSpan fanout_span("topk/fanout",
+                             std::to_string(others.size()) + " shards");
+      answered = search(others);
+    }
+    ScopedSpan merge_span("topk/merge");
+    merge(answered);
+  } else {
+    // Sequential: nearest shards first, each seeing the tightest threshold
+    // yet.
+    std::stable_sort(others.begin(), others.end(), [&](size_t a, size_t b) {
+      return distance[a] < distance[b];
+    });
+    for (const size_t s : others) merge(search({s}));
+  }
+
+  if (stats != nullptr) {
+    for (const TopKStats& ps : part_stats) {
+      stats->nodes_popped += ps.nodes_popped;
+      stats->objects_scored += ps.objects_scored;
+    }
+  }
+  return merged;
+}
+
 std::vector<ScanTarget> FanOutWhyNotOracle::ResolveTargets(
     const std::vector<OracleTargetSpec>& specs) const {
   std::vector<ScanTarget> targets;
@@ -345,10 +423,10 @@ std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
 namespace {
 
 std::vector<std::unique_ptr<const OracleShard>> OneShard(
-    const ObjectStore& store) {
+    const ObjectStore& store, const SetRTree* setr) {
   std::vector<std::unique_ptr<const OracleShard>> shards;
   shards.push_back(std::make_unique<LocalOracleShard>(
-      OracleShardView{&store, nullptr}, store.BoundsDiagonal()));
+      OracleShardView{&store, nullptr, setr}, store.BoundsDiagonal()));
   return shards;
 }
 
@@ -356,18 +434,11 @@ std::vector<std::unique_ptr<const OracleShard>> OneShard(
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
                                      const SetRTree* setr)
-    : FanOutWhyNotOracle(OneShard(store), store.BoundsDiagonal(),
+    : FanOutWhyNotOracle(OneShard(store, setr), store.BoundsDiagonal(),
                          /*pool=*/nullptr),
-      store_(&store) {
-  if (setr != nullptr) topk_.emplace(store, *setr);
-}
+      store_(&store) {}
 
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
     : LocalWhyNotOracle(corpus.store(), &corpus.setr()) {}
-
-TopKResult LocalWhyNotOracle::TopK(const Query& query, TopKStats* stats) const {
-  assert(topk_.has_value() && "TopK requires the SetR-tree");
-  return topk_->Query(query, stats);
-}
 
 }  // namespace yask

@@ -28,8 +28,9 @@
 //
 // WhyNotOracle captures exactly those primitives, and the algorithms run
 // unchanged over any implementation. The fan-out and the merge above are
-// written once, in FanOutWhyNotOracle; a layout supplies only each shard's
-// half through OracleShard: LocalOracleShard in process (one store for
+// written once, in FanOutWhyNotOracle, and so is the top-k query's
+// threshold-broadcast fan-out; a layout supplies only each shard's half
+// through OracleShard: LocalOracleShard in process (one store for
 // LocalWhyNotOracle, N for ShardedWhyNotOracle in
 // src/corpus/sharded_whynot_oracle.h), or a remote shard's replicas
 // (RemoteShardOracle, src/corpus/remote_whynot_oracle.h). Determinism
@@ -40,7 +41,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/status.h"
@@ -116,7 +116,7 @@ class ScorePlaneSession {
   /// from there (AdjustPreference owns the schedule, the same in every
   /// layout). The one source of that size: no session in src/ overrides
   /// it. Virtual only because servebench/tracing.h, its last reader,
-  /// forwards it (ROADMAP item 3 deletes it).
+  /// forwards it (ROADMAP item 2 deletes it once item 1 retires tracing.h).
   virtual size_t PreferredSweepBatch() const { return 8; }
 };
 
@@ -124,7 +124,8 @@ class ScorePlaneSession {
 /// Contract: lower() <= true rank <= upper(); RefineLevel() never widens
 /// either end; resolved() means lower == upper. Every oracle in src/ answers
 /// exactly at open. Kept only because servebench/tracing.h overrides it
-/// (its last reader; ROADMAP item 3 deletes it).
+/// (its last reader; ROADMAP item 2 deletes it once item 1 retires
+/// tracing.h).
 class RankProbe {
  public:
   virtual ~RankProbe() = default;
@@ -252,7 +253,7 @@ class WhyNotOracle {
 
   /// Single-target views of the two batches above — batches of one. The
   /// algorithms never call them; their last reader is servebench/tracing.h
-  /// (ROADMAP item 3 deletes them).
+  /// (ROADMAP item 2 deletes them once item 1 retires tracing.h).
   virtual size_t OutscoringCount(const Query& query, ObjectId global_id,
                                  KeywordAdaptStats* stats) const {
     const std::vector<OracleTargetSpec> specs{{&query, global_id}};
@@ -268,12 +269,13 @@ class WhyNotOracle {
 
 struct ShardQuestionSet;  // One open question's per-shard states (.cc).
 
-/// The one why-not fan-out and merge, for every layout: each primitive
+/// The one fan-out and merge, for every layout: each why-not primitive
 /// resolves its target scores once, fans the per-shard half out over the
 /// pool, and merges by partition-sum (counts) or partition-union
-/// (crossings), keeping the work counters. A shard that fails has its error
-/// recorded and adds nothing. LocalWhyNotOracle, ShardedWhyNotOracle and
-/// RemoteShardOracle differ only in their shards, pool, Object() and TopK().
+/// (crossings), keeping the work counters; TopK merges the shards' rows. A
+/// shard that fails has its error recorded and adds nothing.
+/// LocalWhyNotOracle, ShardedWhyNotOracle and RemoteShardOracle differ only
+/// in their shards, pool and Object().
 ///
 /// Outside an open question, Rank and PrepareScorePlane open a one-call
 /// question on their query, and ProbeRankBatch builds one-call question
@@ -284,6 +286,15 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   size_t size() const override { return size_; }
   double dist_norm() const override { return dist_norm_; }
 
+  /// Threshold-broadcast top-k: the home shard (nearest root MBR) is
+  /// searched first, and its k-th score is the prune threshold of every
+  /// other shard, searched at once over the pool (spans "topk/fanout" and
+  /// "topk/merge") or, without one, nearest-first with the threshold
+  /// re-tightened after each merge; a shard's search stops once its
+  /// frontier bound falls below the threshold. Per-shard stats are summed
+  /// into `stats` when non-null.
+  TopKResult TopK(const Query& query,
+                  TopKStats* stats = nullptr) const override;
   size_t Rank(const Query& query, ObjectId global_id) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
@@ -356,11 +367,9 @@ class LocalWhyNotOracle : public FanOutWhyNotOracle {
   const SpatialObject& Object(ObjectId global_id) const override {
     return store_->Get(global_id);
   }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override;
 
  private:
   const ObjectStore* store_;
-  std::optional<SetRTopKEngine> topk_;  // Engaged when setr is present.
 };
 
 }  // namespace yask

@@ -31,6 +31,11 @@ Query SomeQuery(const ObjectStore& store, uint32_t k = 10) {
   return q;
 }
 
+/// The SetR-tree top-k over the corpus's own store and tree.
+TopKResult TopKOf(const Corpus& corpus, const Query& q) {
+  return SetRTopKEngine(corpus.store(), corpus.setr()).Query(q);
+}
+
 TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   const Corpus corpus = CorpusBuilder().Build(SmallDataset());
   EXPECT_EQ(corpus.size(), 500u);
@@ -39,7 +44,7 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   EXPECT_TRUE(corpus.setr().Validate().ok());
 
   const Query q = SomeQuery(corpus.store());
-  EXPECT_EQ(corpus.topk().Query(q), TopKScan(corpus.store(), q));
+  EXPECT_EQ(TopKOf(corpus, q), TopKScan(corpus.store(), q));
 }
 
 TEST(CorpusTest, OptionsControlOptionalIndexes) {
@@ -53,9 +58,9 @@ TEST(CorpusTest, OptionsControlOptionalIndexes) {
 TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
   Corpus corpus = CorpusBuilder().Build(SmallDataset());
   const Query q = SomeQuery(corpus.store());
-  const TopKResult before = corpus.topk().Query(q);
+  const TopKResult before = TopKOf(corpus, q);
   Corpus moved = std::move(corpus);
-  EXPECT_EQ(moved.topk().Query(q), before);
+  EXPECT_EQ(TopKOf(moved, q), before);
   EXPECT_EQ(&moved.setr().store(), &moved.store());
 }
 
@@ -75,7 +80,7 @@ TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   EXPECT_TRUE(restored->setr().Validate().ok());
 
   const Query q = SomeQuery(original.store());
-  EXPECT_EQ(restored->topk().Query(q), original.topk().Query(q));
+  EXPECT_EQ(TopKOf(*restored, q), TopKOf(original, q));
   std::remove(path.c_str());
 }
 
@@ -91,7 +96,7 @@ TEST(CorpusTest, FromSnapshotRebuildsMissingIndexes) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->setr().size(), store.size());
   const Query q = SomeQuery(store);
-  EXPECT_EQ(restored->topk().Query(q), TopKScan(store, q));
+  EXPECT_EQ(TopKOf(*restored, q), TopKScan(store, q));
   std::remove(path.c_str());
 }
 

@@ -148,7 +148,7 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     const WhyNotEngine local_engine(sharded);
-    const ShardedTopKEngine local_topk(sharded);
+    const ShardedWhyNotOracle local_oracle(sharded);
 
     ShardFleet fleet(sharded);
     auto connected = RemoteCorpus::Connect(fleet.endpoints);
@@ -160,7 +160,7 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     EXPECT_EQ(remote.dist_norm(), sharded.dist_norm());
     EXPECT_EQ(remote.vocab().size(), store.vocab().size());
 
-    const RemoteTopKClient remote_topk(remote);
+    const RemoteShardOracle remote_oracle(remote);
     const WhyNotEngine remote_engine(
         std::make_unique<RemoteShardOracle>(remote));
 
@@ -174,9 +174,10 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
                               std::to_string(trial);
 
       // Top-k over the wire == in-process sharded == unsharded.
-      const TopKResult expected = baseline.topk().Query(q);
-      ExpectSameResult(remote_topk.Query(q), expected, tag + " topk");
-      ExpectSameResult(local_topk.Query(q), expected, tag + " local topk");
+      const TopKResult expected =
+          SetRTopKEngine(baseline.store(), baseline.setr()).Query(q);
+      ExpectSameResult(remote_oracle.TopK(q), expected, tag + " topk");
+      ExpectSameResult(local_oracle.TopK(q), expected, tag + " local topk");
 
       // Full why-not stack over the wire.
       const size_t m_count = 1 + trial % 2;
@@ -287,19 +288,19 @@ TEST(RemoteCorpusTest, ShardFailureBumpsTheErrorEpoch) {
   auto connected = RemoteCorpus::Connect(fleet->endpoints, opts);
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   const RemoteCorpus remote = std::move(connected).value();
-  const RemoteTopKClient topk(remote);
+  const RemoteShardOracle oracle(remote);
 
   Query q;
   q.loc = Point{114.15, 22.28};
   q.doc = LookupKeywords("clean comfortable", remote.vocab());
   q.k = 3;
-  EXPECT_EQ(topk.Query(q).size(), 3u);
+  EXPECT_EQ(oracle.TopK(q).size(), 3u);
   EXPECT_EQ(remote.error_epoch(), 0u);
 
   // Kill the fleet: the next fan-out must bump the epoch, not hang or lie.
   fleet.reset();
   const uint64_t before = remote.error_epoch();
-  (void)topk.Query(q);
+  (void)oracle.TopK(q);
   EXPECT_GT(remote.error_epoch(), before);
   EXPECT_FALSE(remote.last_error().ok());
 }

@@ -23,6 +23,7 @@
 
 #include "src/common/text.h"
 #include "src/corpus/remote_corpus.h"
+#include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_service.h"
@@ -95,13 +96,14 @@ TEST(RemoteLazyConnectTest, DeadMinorityConnectsAndServes) {
 
   // Exact answers flow through the validated siblings.
   const Corpus baseline = CorpusBuilder().Build(ObjectStore(store));
-  const RemoteTopKClient topk(remote);
+  const RemoteShardOracle oracle(remote);
   Query q;
   q.loc = Point{114.15, 22.28};
   q.doc = LookupKeywords("clean comfortable", remote.vocab());
   q.k = 5;
-  const TopKResult expected = baseline.topk().Query(q);
-  const TopKResult actual = topk.Query(q);
+  const TopKResult expected =
+      SetRTopKEngine(baseline.store(), baseline.setr()).Query(q);
+  const TopKResult actual = oracle.TopK(q);
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].id, expected[i].id) << "rank " << i;
@@ -117,7 +119,7 @@ TEST(RemoteLazyConnectTest, DeadMinorityConnectsAndServes) {
   ASSERT_EQ(s0_dead->port(), dead_port);
   s0_live->Stop();
 
-  const TopKResult after = topk.Query(q);
+  const TopKResult after = oracle.TopK(q);
   ASSERT_EQ(after.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(after[i].id, expected[i].id) << "rank " << i;

@@ -1,7 +1,8 @@
 // The fan-out worker pool is owned by the ShardedCorpus and SHARED by every
-// engine over it: ShardedTopKEngine (/query) and ShardedWhyNotOracle
-// (/whynot) must borrow the corpus's pool instead of spinning up their own —
-// one pool per serving corpus, however many engines the server wires up.
+// oracle over it: each ShardedWhyNotOracle — whose fan-outs answer /query's
+// top-k and /whynot alike — must borrow the corpus's pool instead of
+// spinning up its own: one pool per serving corpus, however many engines the
+// server wires up.
 
 #include <gtest/gtest.h>
 
@@ -37,27 +38,24 @@ TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
   ASSERT_NE(sharded.pool(), nullptr);
   EXPECT_EQ(sharded.pool()->num_threads(), 2u);
 
-  const ShardedTopKEngine topk(sharded);
-  EXPECT_EQ(topk.pool(), sharded.pool());
-
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
 
-  // A second engine pair still shares the same pool (no per-engine pools).
-  const ShardedTopKEngine topk2(sharded);
+  // A second oracle still shares the same pool (no per-engine pools).
   const ShardedWhyNotOracle oracle2(sharded);
-  EXPECT_EQ(topk2.pool(), sharded.pool());
   EXPECT_EQ(oracle2.pool(), sharded.pool());
 
-  // Both engines actually work over the shared pool.
+  // Top-k and why-not both actually work over the shared pool.
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
   q.doc = SampleQueryKeywords(store, 2, &rng);
   q.k = 5;
-  const TopKResult result = topk.Query(q);
+  const TopKResult result = oracle.TopK(q);
   EXPECT_EQ(result.size(), 5u);
+  EXPECT_EQ(oracle2.TopK(q), result);
   const WhyNotEngine engine(sharded);
+  EXPECT_EQ(engine.oracle().TopK(q), result);
   auto answer = engine.Answer(q, {result.back().id});
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 }
@@ -81,10 +79,15 @@ TEST(ShardedPoolReuseTest, SingleShardCorpusHasNoPool) {
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1), options);
   EXPECT_EQ(sharded.pool(), nullptr);
-  const ShardedTopKEngine topk(sharded);
-  EXPECT_EQ(topk.pool(), nullptr);
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), nullptr);
+  // The inline fan-out still answers: one shard, searched on this thread.
+  Rng rng(6);
+  Query q;
+  q.loc = SampleQueryLocation(store, &rng);
+  q.doc = SampleQueryKeywords(store, 2, &rng);
+  q.k = 5;
+  EXPECT_EQ(oracle.TopK(q).size(), 5u);
 }
 
 TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
@@ -99,11 +102,11 @@ TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
     ASSERT_NE(sharded.pool(), nullptr);
     EXPECT_LE(sharded.pool()->num_threads(), std::min<size_t>(4, hw));
   }
-  // Whatever the host decided, the engines borrow exactly that.
-  const ShardedTopKEngine topk(sharded);
+  // Whatever the host decided, the oracles borrow exactly that.
   const ShardedWhyNotOracle oracle(sharded);
-  EXPECT_EQ(topk.pool(), sharded.pool());
+  const ShardedWhyNotOracle oracle2(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
+  EXPECT_EQ(oracle2.pool(), sharded.pool());
 }
 
 TEST(ShardedPoolReuseTest, LoadedCorpusOwnsAPoolToo) {
@@ -120,8 +123,8 @@ TEST(ShardedPoolReuseTest, LoadedCorpusOwnsAPoolToo) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_NE(loaded->pool(), nullptr);
   EXPECT_EQ(loaded->pool()->num_threads(), 2u);
-  const ShardedTopKEngine topk(*loaded);
-  EXPECT_EQ(topk.pool(), loaded->pool());
+  const ShardedWhyNotOracle oracle(*loaded);
+  EXPECT_EQ(oracle.pool(), loaded->pool());
   for (uint32_t s = 0; s < 3; ++s) {
     std::remove(ShardedCorpus::ShardFilePath(prefix, s).c_str());
   }

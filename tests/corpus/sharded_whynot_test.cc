@@ -111,6 +111,7 @@ void ExpectSameCombined(const CombinedRefinement& s,
   EXPECT_EQ(s.preference_first, e.preference_first) << label;
   EXPECT_EQ(s.original_rank, e.original_rank) << label;
   EXPECT_EQ(s.refined_rank, e.refined_rank) << label;
+  EXPECT_EQ(s.refined_result, e.refined_result) << label;
   ExpectSamePenalty(s.preference_penalty, e.preference_penalty,
                     label + " pref step");
   ExpectSamePenalty(s.keyword_penalty, e.keyword_penalty, label + " kw step");

@@ -45,7 +45,7 @@ TEST_F(FullyDegenerateStore, IndexesValidate) {
 }
 
 TEST_F(FullyDegenerateStore, TopKReturnsLowestIds) {
-  const SetRTopKEngine engine = corpus_->topk();
+  const SetRTopKEngine engine(corpus_->store(), corpus_->setr());
   const TopKResult r = engine.Query(MakeQuery(7));
   ASSERT_EQ(r.size(), 7u);
   for (uint32_t i = 0; i < 7; ++i) EXPECT_EQ(r[i].id, i);
@@ -78,7 +78,7 @@ TEST(DegenerateTest, SingleObjectStore) {
   const TermId kw = store.mutable_vocab()->Intern("solo");
   store.Add(Point{0.1, 0.9}, KeywordSet({kw}), "only");
   const Corpus corpus = CorpusBuilder().Build(std::move(store));
-  const SetRTopKEngine engine = corpus.topk();
+  const SetRTopKEngine engine(corpus.store(), corpus.setr());
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({kw});

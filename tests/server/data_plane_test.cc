@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -19,6 +25,7 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/server/json.h"
+#include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
 #include "src/server/yask_service.h"
 #include "src/storage/hotel_generator.h"
@@ -113,6 +120,60 @@ double MetricValue(const std::string& exposition, const std::string& family) {
     }
   }
   return -1.0;
+}
+
+TEST(DataPlaneIdleTest, ReapedIdleConnectionIsCounted) {
+  // A connection idle past the keep-alive bound (5 s by default) is reaped
+  // by the HTTP server's sweep, and both services count it on /metrics.
+  const Corpus corpus = CorpusBuilder().Build(GenerateHotelDataset());
+  YaskService service(corpus);
+  ShardService shard(corpus, ShardService::StandaloneInfo(corpus));
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_TRUE(shard.Start().ok());
+  const std::string family = "yask_http_idle_reaped_total";
+  auto reaped = [&](uint16_t port, const char* path,
+                    const std::string& series) {
+    int status = 0;
+    auto body = HttpFetch(port, "GET", path, "", &status);
+    return body.ok() ? MetricValue(*body, series) : -1.0;
+  };
+  auto service_reaped = [&] {
+    return reaped(service.port(), "/metrics", family);
+  };
+  auto shard_reaped = [&] {
+    return reaped(shard.port(), shardrpc::kMetricsPath,
+                  family + "{shard=\"0\"}");
+  };
+  const double service_before = service_reaped();
+  const double shard_before = shard_reaped();
+  ASSERT_GE(service_before, 0.0);
+  ASSERT_GE(shard_before, 0.0);
+
+  // One connected socket per server that never sends a byte.
+  std::vector<int> idle;
+  for (const uint16_t port : {service.port(), shard.port()}) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    idle.push_back(fd);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while ((service_reaped() < service_before + 1 ||
+          shard_reaped() < shard_before + 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  EXPECT_EQ(service_reaped(), service_before + 1);
+  EXPECT_EQ(shard_reaped(), shard_before + 1);
+  for (const int fd : idle) ::close(fd);
+  shard.Stop();
+  service.Stop();
 }
 
 class DataPlaneCacheTest : public ::testing::Test {

@@ -103,6 +103,46 @@ void ExpectSamePayload(const YaskService& remote, const YaskService& local,
   if (status_out != nullptr) *status_out = remote_status;
 }
 
+TEST(RemoteServiceTest, MissingIsBoundedByKMaxMissing) {
+  const ObjectStore store = GenerateHotelDataset();
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote_corpus = std::move(connected).value();
+  YaskService remote(remote_corpus);
+  YaskService local(sharded);
+  ASSERT_TRUE(remote.Start().ok());
+  ASSERT_TRUE(local.Start().ok());
+  ExpectSamePayload(remote, local, "POST", "/query",
+                    "{\"x\":114.158,\"y\":22.281,\"keywords\":\"clean "
+                    "comfortable\",\"k\":3}",
+                    "query");
+  auto body = [](size_t entries, const std::string& entry) {
+    std::string list;
+    for (size_t i = 0; i < entries; ++i) list += (i ? "," : "") + entry;
+    return "{\"query_id\":1,\"model\":\"preference\",\"missing\":[" + list +
+           "]}";
+  };
+  // At the cap the coordinator answers what the in-process layout answers,
+  // and looks names up; one more is refused before any name lookup.
+  int status = 0;
+  ExpectSamePayload(remote, local, "POST", "/whynot", body(kMaxMissing, "7"),
+                    "at the cap", &status);
+  EXPECT_EQ(status, 200);
+  ExpectSamePayload(remote, local, "POST", "/whynot",
+                    body(kMaxMissing, "\"no such hotel\""), "names at the cap",
+                    &status);
+  EXPECT_EQ(status, 404);
+  for (const std::string entry : {"7", "\"no such hotel\""}) {
+    ExpectSamePayload(remote, local, "POST", "/whynot",
+                      body(kMaxMissing + 1, entry), "past the cap", &status);
+    EXPECT_EQ(status, 400) << entry;
+  }
+  EXPECT_EQ(remote_corpus.error_epoch(), 0u);
+}
+
 TEST(RemoteServiceTest, PayloadParityAcrossShardCounts) {
   const ObjectStore store = GenerateHotelDataset();
   for (const uint32_t shards : {1u, 2u, 4u}) {

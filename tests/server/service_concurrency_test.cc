@@ -13,6 +13,7 @@
 
 #include "src/corpus/corpus.h"
 #include "src/corpus/sharded_corpus.h"
+#include "src/query/topk_engine.h"
 #include "src/server/yask_service.h"
 #include "src/storage/hotel_generator.h"
 
@@ -137,7 +138,7 @@ TEST(ServiceConcurrencyTest, ShardedServiceParallelQueries) {
     const Vocabulary& v = reference.vocab();
     q.doc = KeywordSet({v.Find("clean"), v.Find("comfortable")});
     q.k = 5;
-    return reference.topk().Query(q);
+    return SetRTopKEngine(reference.store(), reference.setr()).Query(q);
   }();
 
   std::atomic<int> mismatches{0};

@@ -131,6 +131,38 @@ TEST_F(YaskServiceTest, KIsBoundedByKMaxK) {
   EXPECT_EQ(service_->cached_queries(), cached);
 }
 
+TEST_F(YaskServiceTest, MissingIsBoundedByKMaxMissing) {
+  const size_t query_id =
+      static_cast<size_t>(IssueQuery(3).Get("query_id").as_number());
+  auto whynot = [&](size_t entries, const JsonValue& entry,
+                    std::string* body_out) {
+    JsonValue wn = JsonValue::MakeObject();
+    wn.Set("query_id", JsonValue(query_id));
+    JsonValue missing = JsonValue::MakeArray();
+    for (size_t i = 0; i < entries; ++i) missing.Append(entry);
+    wn.Set("missing", std::move(missing));
+    wn.Set("model", JsonValue("preference"));
+    int status = 0;
+    auto body =
+        HttpFetch(service_->port(), "POST", "/whynot", wn.Dump(), &status);
+    EXPECT_TRUE(body.ok());
+    if (body_out != nullptr && body.ok()) *body_out = *body;
+    return status;
+  };
+  // At the cap a list is answered, one explanation per entry, and its names
+  // are looked up.
+  std::string body;
+  ASSERT_EQ(whynot(kMaxMissing, JsonValue(7.0), &body), 200) << body;
+  auto answer = JsonValue::Parse(body);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->Get("explanations").size(), kMaxMissing);
+  EXPECT_EQ(whynot(kMaxMissing, JsonValue("no such hotel"), nullptr), 404);
+  // One more is refused before any name lookup.
+  EXPECT_EQ(whynot(kMaxMissing + 1, JsonValue(7.0), nullptr), 400);
+  EXPECT_EQ(whynot(kMaxMissing + 1, JsonValue("no such hotel"), &body), 400)
+      << body;
+}
+
 TEST_F(YaskServiceTest, NonFiniteCoordinateIs400) {
   // 1e999 overflows to +inf in the JSON parser; the query must be refused
   // before it reaches the result cache or the engine.

@@ -312,7 +312,8 @@ TEST_F(SnapshotBundleTest, RetiredKcRSectionIsSkipped) {
   ASSERT_NE(bundle->setr, nullptr);
   auto corpus = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-  EXPECT_EQ(corpus->topk().Query(CarolQuery()),
+  const SetRTopKEngine restored(corpus->store(), corpus->setr());
+  EXPECT_EQ(restored.Query(CarolQuery()),
             SetRTopKEngine(*store_, *setr_).Query(CarolQuery()));
   std::remove(path.c_str());
 }

@@ -838,13 +838,25 @@ TEST(QuestionLayoutsTest, PreferenceAndKeywordShareOneQuestionFromTwoThreads) {
 
 // --- One question per shard per /whynot ----------------------------------------
 
-/// An in-process shard that counts the questions opened on it.
+/// An in-process shard that counts the questions opened on it and its
+/// SetR-tree top-k searches.
 class CountingShard final : public OracleShard {
  public:
   CountingShard(const OracleShardView& view, double dist_norm,
-                std::atomic<size_t>* opened)
-      : inner_(view, dist_norm), opened_(opened) {}
+                std::atomic<size_t>* opened,
+                std::atomic<size_t>* setr_searches)
+      : inner_(view, dist_norm),
+        opened_(opened),
+        setr_searches_(setr_searches) {}
   size_t size() const override { return inner_.size(); }
+  double RootDistance(const Point& loc) const override {
+    return inner_.RootDistance(loc);
+  }
+  Result<TopKResult> TopK(const Query& query, double prune_below,
+                          TopKStats* stats) const override {
+    ++*setr_searches_;
+    return inner_.TopK(query, prune_below, stats);
+  }
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets,
       OutscoringKernel kernel) const override {
@@ -860,43 +872,37 @@ class CountingShard final : public OracleShard {
  private:
   LocalOracleShard inner_;
   std::atomic<size_t>* opened_;
+  std::atomic<size_t>* setr_searches_;
 };
 
-/// The sharded oracle over counting shards; it also counts its SetR-tree
-/// top-k searches.
+/// The sharded oracle over counting shards.
 class CountingOracle final : public FanOutWhyNotOracle {
  public:
   CountingOracle(const ShardedCorpus& corpus, std::atomic<size_t>* opened,
                  std::atomic<size_t>* setr_searches)
-      : FanOutWhyNotOracle(ShardsOf(corpus, opened), corpus.dist_norm(),
-                           corpus.pool()),
-        corpus_(&corpus),
-        topk_(corpus),
-        setr_searches_(setr_searches) {}
+      : FanOutWhyNotOracle(ShardsOf(corpus, opened, setr_searches),
+                           corpus.dist_norm(), corpus.pool()),
+        corpus_(&corpus) {}
   const SpatialObject& Object(ObjectId global_id) const override {
     return corpus_->Object(global_id);
-  }
-  TopKResult TopK(const Query& query, TopKStats* stats) const override {
-    ++*setr_searches_;
-    return topk_.Query(query, stats);
   }
 
  private:
   static std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
-      const ShardedCorpus& corpus, std::atomic<size_t>* opened) {
+      const ShardedCorpus& corpus, std::atomic<size_t>* opened,
+      std::atomic<size_t>* setr_searches) {
     std::vector<std::unique_ptr<const OracleShard>> shards;
     for (size_t s = 0; s < corpus.num_shards(); ++s) {
       shards.push_back(std::make_unique<CountingShard>(
           OracleShardView{&corpus.shard(s).store(),
-                          &corpus.shard_global_ids(s)},
-          corpus.dist_norm(), opened));
+                          &corpus.shard_global_ids(s),
+                          &corpus.shard(s).setr()},
+          corpus.dist_norm(), opened, setr_searches));
     }
     return shards;
   }
 
   const ShardedCorpus* corpus_;
-  ShardedTopKEngine topk_;
-  std::atomic<size_t>* setr_searches_;
 };
 
 TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
@@ -936,8 +942,18 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
                        reference::TopK(store, *refined), "refined");
         EXPECT_EQ(opened.load() - before, shards) << shards << " shards";
       }
+      // The combined model: its refined result comes from its question,
+      // bit for bit the reference's rows.
+      auto combined = engine.CombineRefinements(q.query, q.missing);
+      ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+      ExpectSameRows(combined->refined_result,
+                     reference::TopK(store, combined->refined), "combined");
     }
     EXPECT_EQ(setr_searches.load(), 0u) << shards << " shards";
+    // The counting shards do search the tree outside a question.
+    const TopKResult rows = engine.TopK(questions[0].query);
+    ExpectSameRows(rows, reference::TopK(store, questions[0].query), "query");
+    EXPECT_EQ(setr_searches.load(), shards);
   }
   // Remote: one /shard/plane/open per shard per /whynot, every rank and
   // top-k from the session, and no stateless rank, count or top-k request.
@@ -967,6 +983,14 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
                   fleet.Served(shardrpc::kCountPath) +
                   fleet.Served(shardrpc::kTopKPath),
               stateless);
+    // A combined question sends no /shard/topk either.
+    const uint64_t setr_topks = fleet.Served(shardrpc::kTopKPath);
+    auto combined = engine.CombineRefinements(q.query, q.missing);
+    ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+    ExpectSameRows(combined->refined_result,
+                   reference::TopK(store, combined->refined),
+                   "remote combined");
+    EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), setr_topks);
   }
   EXPECT_EQ(remote.error_epoch(), 0u);
 }
