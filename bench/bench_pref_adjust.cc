@@ -135,7 +135,7 @@ void BM_QuestionColumns_Build(benchmark::State& state) {
     const size_t qi = i++ % workload.queries.size();
     QuestionColumns columns(view, workload.store->BoundsDiagonal(),
                             workload.queries[qi], workload.universes[qi],
-                            QuestionPlane::kOptimized);
+                            /*optimized=*/true);
     benchmark::DoNotOptimize(columns.shape().groups);
   }
 }
@@ -159,7 +159,7 @@ void BM_QuestionColumns_CountAbove(benchmark::State& state) {
     const Query& q = workload.queries[qi];
     planes.push_back(std::make_unique<QuestionColumns>(
         view, store.BoundsDiagonal(), q, workload.universes[qi],
-        QuestionPlane::kOptimized));
+        /*optimized=*/true));
     const PlanePoint anchor = PointOf(store, q, workload.missing[qi]);
     const double w0 = q.w.ws;
     std::vector<double> crossings;

@@ -17,8 +17,9 @@
 //     explanations, one per rank fan-out (stats.probe_fanouts) for
 //     Eqn. (4) — as one /shard/plane/rank per shard, and both of its
 //     top-ks (explain's and the refined result) as two /shard/plane/topk
-//     per shard, with no stateless /shard/probe/rank, /shard/count or
-//     /shard/topk (no SetR-tree search), and neither does a combined
+//     per shard, with no second /shard/plane/open (a rank batch outside
+//     the question would open one), no /shard/count and no /shard/topk
+//     (no SetR-tree search), and neither does a combined
 //     refinement, whose refined result is bit-identical to the unsharded
 //     engine's; keyword adaption over an open
 //     question sends exactly one /shard/plane/rank per shard per rank
@@ -172,8 +173,8 @@ struct RouteCounts {
     RouteCounts counts;
     for (const char* route :
          {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
-          shardrpc::kPlaneTopKPath, shardrpc::kProbeRankPath,
-          shardrpc::kCountPath, shardrpc::kTopKPath,
+          shardrpc::kPlaneTopKPath, shardrpc::kCountPath,
+          shardrpc::kTopKPath,
           shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
@@ -323,7 +324,6 @@ int main(int argc, char** argv) {
           if (after.Since(before, shardrpc::kPlaneOpenPath, s) != 1 ||
               after.Since(before, shardrpc::kPlaneRankPath, s) != ranks ||
               after.Since(before, shardrpc::kPlaneTopKPath, s) != 2 ||
-              after.Since(before, shardrpc::kProbeRankPath, s) != 0 ||
               after.Since(before, shardrpc::kCountPath, s) != 0 ||
               after.Since(before, shardrpc::kTopKPath, s) != 0) {
             run.kw_rt_gate = false;

@@ -2,8 +2,8 @@
 //
 // Measures, on the shared benchmark dataset family, (a) what a cold start
 // from raw objects costs today — parsing the TSV dataset (re-interning every
-// keyword) plus bulk-loading the SetR-tree and building the inverted
-// index, with the index-build share also reported on its own —
+// keyword) plus bulk-loading the SetR-tree, with the index-build share
+// also reported on its own —
 // (b) how large the snapshot of that warm state is and how long it takes to
 // write, and (c) how long a cold start that loads the snapshot takes
 // instead — the number that matters for restarting replicas.
@@ -66,7 +66,6 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
   // re-parse and re-intern the dataset, then rebuild every index over it.
   std::unique_ptr<ObjectStore> rebuilt_store;
   std::unique_ptr<SetRTree> setr;
-  std::unique_ptr<InvertedIndex> inverted;
   t.rebuild_ms = t.parse_ms = t.index_build_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     Timer timer;
@@ -81,7 +80,6 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
     Timer index_timer;
     setr = std::make_unique<SetRTree>(rebuilt_store.get());
     setr->BulkLoad();
-    inverted = std::make_unique<InvertedIndex>(*rebuilt_store);
     t.index_build_ms = std::min(t.index_build_ms, index_timer.ElapsedMillis());
     t.parse_ms = std::min(t.parse_ms, parse_ms);
     t.rebuild_ms = std::min(t.rebuild_ms, timer.ElapsedMillis());
@@ -93,8 +91,7 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
   t.save_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     Timer timer;
-    auto bytes = WriteSnapshot(snap_path, *rebuilt_store, setr.get(),
-                               inverted.get());
+    auto bytes = WriteSnapshot(snap_path, *rebuilt_store, setr.get());
     if (!bytes.ok()) {
       std::fprintf(stderr, "save failed: %s\n",
                    bytes.status().ToString().c_str());

@@ -6,7 +6,7 @@ namespace yask {
 
 Result<uint64_t> Corpus::Save(const std::string& path,
                               const ShardManifest* shard) const {
-  return WriteSnapshot(path, *store_, setr_.get(), inverted_.get(), shard);
+  return WriteSnapshot(path, *store_, setr_.get(), shard);
 }
 
 Corpus CorpusBuilder::Build(ObjectStore store) const {
@@ -15,9 +15,6 @@ Corpus CorpusBuilder::Build(ObjectStore store) const {
   corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
                                             options_.rtree);
   corpus.setr_->BulkLoad();
-  if (options_.build_inverted_index) {
-    corpus.inverted_ = std::make_unique<InvertedIndex>(*corpus.store_);
-  }
   return corpus;
 }
 
@@ -35,10 +32,6 @@ Result<Corpus> CorpusBuilder::FromSnapshot(
     corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
                                               options_.rtree);
     corpus.setr_->BulkLoad();
-  }
-  corpus.inverted_ = std::move(bundle->inverted);
-  if (corpus.inverted_ == nullptr && options_.build_inverted_index) {
-    corpus.inverted_ = std::make_unique<InvertedIndex>(*corpus.store_);
   }
   if (manifest_out != nullptr) {
     *manifest_out = std::move(bundle->shard);

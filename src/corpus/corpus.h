@@ -3,12 +3,11 @@
 //
 // Before this layer existed, every binary that wanted to serve queries —
 // the server demo, each benchmark, the integration tests, YaskService —
-// hand-assembled the same pieces (ObjectStore + Vocabulary + SetR-tree +
-// inverted index) and wired them together with borrowed
-// references. A Corpus owns all of it: the store (which owns the shared
-// vocabulary) plus the indexes built over it, with stable addresses (the
-// store lives behind a unique_ptr, so moving a Corpus never invalidates the
-// trees' store pointers).
+// hand-assembled the same pieces (ObjectStore + Vocabulary + SetR-tree)
+// and wired them together with borrowed references. A Corpus owns all of
+// it: the store (which owns the shared vocabulary) plus the index built over
+// it, with stable addresses (the store lives behind a unique_ptr, so moving
+// a Corpus never invalidates the tree's store pointers).
 //
 // Build one with CorpusBuilder — from raw objects (bulk-loads the indexes)
 // or from a snapshot file (adopts the serialized arenas; missing indexes are
@@ -23,7 +22,6 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/index/inverted_index.h"
 #include "src/index/setr_tree.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/storage/object_store.h"
@@ -32,19 +30,8 @@ namespace yask {
 
 /// What CorpusBuilder builds (and what Save() persists).
 struct CorpusOptions {
-  /// The SetR-tree is mandatory (the top-k engine runs on it); the inverted
-  /// index powers the baseline engine.
-  bool build_inverted_index = false;
+  /// The SetR-tree is the one index (the top-k engine runs on it).
   RTreeOptions rtree;
-  /// Worker threads of the fan-out pool a ShardedCorpus built with these
-  /// options owns (every ShardedWhyNotOracle over it shares that one pool;
-  /// it is created lazily on first use). 0 = auto: one thread per
-  /// shard capped by the hardware concurrency, and no pool at all on a
-  /// single-core host or a single-shard corpus (fan-outs then run inline,
-  /// which is strictly better there). Forced values are clamped to the
-  /// shard count — more workers than shards can never help. Ignored by
-  /// standalone Corpus builds; not persisted in snapshots.
-  size_t fanout_threads = 0;
 };
 
 /// One shard's store + indexes, owned. Movable, not copyable.
@@ -56,10 +43,6 @@ class Corpus {
   const ObjectStore& store() const { return *store_; }
   const Vocabulary& vocab() const { return store_->vocab(); }
   const SetRTree& setr() const { return *setr_; }
-
-  /// Null unless built with build_inverted_index or restored from a snapshot
-  /// that contained one.
-  const InvertedIndex* inverted() const { return inverted_.get(); }
 
   size_t size() const { return store_->size(); }
 
@@ -77,7 +60,6 @@ class Corpus {
 
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
-  std::unique_ptr<InvertedIndex> inverted_;
 };
 
 /// Builds Corpus instances from raw objects or snapshot files.
@@ -99,9 +81,8 @@ class CorpusBuilder {
   Corpus Build(ObjectStore store) const;
 
   /// Restores a corpus from a snapshot file (standalone or per-shard).
-  /// Indexes present in the file are adopted; the SetR-tree (always) and the
-  /// inverted index (when options ask for it) are rebuilt if the file lacks
-  /// them.
+  /// The SetR-tree is adopted from the file, or rebuilt if the file lacks
+  /// it; a retired section (an inverted index, a KcR-tree) is skipped.
   /// When `manifest_out` is non-null, a per-shard file's manifest is moved
   /// there (callers that expect a standalone file can reject it).
   Result<Corpus> FromSnapshot(

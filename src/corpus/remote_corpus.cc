@@ -603,12 +603,10 @@ Result<RemoteCorpus> RemoteCorpus::Connect(
   // threads), remote fan-out tasks BLOCK on the wire — without a pool every
   // multi-shard plane count or crossing collection degrades to sequential
   // per-shard RPCs and one slow shard serializes the whole round. So every
-  // multi-shard corpus gets a pool, one thread per shard unless overridden.
+  // multi-shard corpus gets a pool, one thread per shard, even on a 1-core
+  // host.
   if (shard_count > 1) {
-    size_t threads = options.fanout_threads;
-    if (threads == 0) threads = shard_count;
-    threads = std::min(threads, static_cast<size_t>(shard_count));
-    corpus.pool_ = std::make_unique<ThreadPool>(threads);
+    corpus.pool_ = std::make_unique<ThreadPool>(shard_count);
   }
   corpus.session_replays_ =
       metrics->GetCounter("yask_session_replays_total");

@@ -72,12 +72,6 @@ struct RemoteShardOptions {
   /// Extra attempts after a TRANSPORT failure, each on a fresh connection
   /// (covers server-side keep-alive recycling of pooled idle connections).
   int retries = 2;
-  /// Worker threads of the coordinator fan-out pool (0 = one per shard).
-  /// Unlike the in-process CorpusOptions::fanout_threads (CPU-bound shard
-  /// scans), these tasks BLOCK on the wire, so even 1-core hosts get a pool
-  /// — without one, every multi-shard round is sequential RPCs and one slow
-  /// shard serializes the whole fan-out.
-  size_t fanout_threads = 0;
   /// Replica cooldown after a failed call: base * 2^(consecutive failures-1),
   /// capped at max. A cooling replica is skipped by routing while healthy
   /// siblings exist, and probed again once the cooldown expires (how a

@@ -37,11 +37,10 @@ Status GetCounts(BufReader* in, size_t expected, const char* path,
 /// Sends `targets` as spec lists of at most kMaxProbeSpecs specs (the cap
 /// a shard enforces), one request per list, and appends the counts of each
 /// reply. `call` sends one request body; `head` writes the bytes leading
-/// each body, `method` (when set) follows each spec.
+/// each body.
 Status CountInRequests(
     const std::vector<ScanTarget>& targets, const char* path,
     const std::function<void(BufWriter*)>& head,
-    std::optional<shardrpc::CountMethod> method,
     const std::function<Result<std::string>(std::string)>& call,
     std::vector<size_t>* counts) {
   counts->reserve(targets.size());
@@ -55,7 +54,6 @@ Status CountInRequests(
       shardrpc::PutQuery(&req, *targets[i].query);
       req.PutU32(targets[i].target);
       req.PutF64(targets[i].target_score);
-      if (method.has_value()) req.PutU8(static_cast<uint8_t>(*method));
     }
     Result<std::string> raw = call(req.data());
     if (!raw.ok()) return raw.status();
@@ -95,14 +93,19 @@ class ShardSessionChannel final : public OracleShardQuestion {
   ShardSessionChannel(const ShardSessionChannel&) = delete;
   ShardSessionChannel& operator=(const ShardSessionChannel&) = delete;
 
-  /// First open, trying every replica.
+  /// First open, trying every replica. An open that had to pass a failed
+  /// replica counts as a failover, as a stateless call's does.
   bool Open(std::string open_body, size_t universe) {
     std::lock_guard<std::mutex> lock(mu_);
     open_body_ = std::move(open_body);
     shape_.objects = corpus_->meta(shard_).object_count;
     shape_.universe = universe;
     std::vector<bool> tried(set().num_replicas(), false);
-    return Reopen(&tried);
+    if (!Reopen(&tried)) return false;
+    if (std::find(tried.begin(), tried.end(), true) != tried.end()) {
+      set().NoteFailover();
+    }
+    return true;
   }
 
   Status last_error() const {
@@ -121,7 +124,6 @@ class ShardSessionChannel final : public OracleShardQuestion {
     const char* path = shardrpc::kPlaneRankPath;
     if (Status s = CountInRequests(
             targets, path, [](BufWriter* req) { req->PutU64(0); },
-            std::nullopt,
             [&](std::string body) { return Call(path, std::move(body)); },
             &counts);
         !s.ok()) {
@@ -367,17 +369,14 @@ class RemoteOracleShard final : public OracleShard {
     return rows;
   }
 
-  /// kScan rides /shard/count, kColumns /shard/probe/rank. Target scores
-  /// travel with the specs — a spec's target need not live on this shard.
+  /// /shard/count. Target scores travel with the specs — a spec's target
+  /// need not live on this shard.
   Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets,
-      OutscoringKernel kernel) const override {
-    const bool scan = kernel == OutscoringKernel::kScan;
-    const char* path = scan ? shardrpc::kCountPath : shardrpc::kProbeRankPath;
+      const std::vector<ScanTarget>& targets) const override {
+    const char* path = shardrpc::kCountPath;
     std::vector<size_t> counts;
     if (Status s = CountInRequests(
             targets, path, [](BufWriter*) {},
-            scan ? std::optional(shardrpc::CountMethod::kScan) : std::nullopt,
             [&](std::string body) {
               return corpus_->replicas(shard_).Call("POST", path, body);
             },

@@ -21,11 +21,8 @@ Result<ReshardReport> ReshardSnapshots(const std::string& in_prefix,
         "survive until the new one is validated and cut over to");
   }
 
-  // The input indexes are never queried here, so skip rebuilding any the
-  // files lack; the output shards get fresh indexes per options.corpus.
-  CorpusOptions load_options;
-  load_options.build_inverted_index = false;
-  Result<ShardedCorpus> loaded = ShardedCorpus::Load(in_prefix, load_options);
+  // The output shards get fresh indexes per options.corpus.
+  Result<ShardedCorpus> loaded = ShardedCorpus::Load(in_prefix);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
                   "reshard: loading '" + in_prefix +

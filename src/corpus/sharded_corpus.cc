@@ -37,7 +37,6 @@ ShardedCorpus ShardedCorpus::Partition(const ObjectStore& source,
   sharded.dist_norm_ = source.BoundsDiagonal();
   sharded.router_desc_ = router->Describe();
   sharded.router_ = std::move(router);
-  sharded.fanout_threads_ = options.fanout_threads;
   return sharded;
 }
 
@@ -45,19 +44,13 @@ ThreadPool* ShardedCorpus::pool() const {
   std::lock_guard<std::mutex> lock(*pool_mu_);
   if (!pool_decided_) {
     pool_decided_ = true;
-    if (shards_.size() > 1) {
-      const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-      size_t threads = fanout_threads_;
-      if (threads == 0) {
-        // On a single-core host a pool buys nothing — the fan-outs run
-        // inline (and the top-k one gets a strictly better, incrementally-
-        // refined prune threshold).
-        threads = hw <= 1 ? 0 : hw;
-      }
-      // More workers than shards can never help: a fan-out submits at most
-      // one task per shard.
-      threads = std::min(threads, shards_.size());
-      if (threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
+    // On a single-core host a pool buys nothing — the fan-outs run inline
+    // (and the top-k one gets a strictly better, incrementally-refined prune
+    // threshold). More workers than shards can never help: a fan-out
+    // submits at most one task per shard.
+    const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    if (shards_.size() > 1 && hw > 1) {
+      pool_ = std::make_unique<ThreadPool>(std::min(hw, shards_.size()));
     }
   }
   return pool_.get();
@@ -158,7 +151,6 @@ Result<ShardedCorpus> ShardedCorpus::Load(const std::string& prefix,
           ? 0.0
           : Distance(Point{sharded.bounds_.min_x, sharded.bounds_.min_y},
                      Point{sharded.bounds_.max_x, sharded.bounds_.max_y});
-  sharded.fanout_threads_ = options.fanout_threads;
   return sharded;
 }
 

@@ -100,13 +100,12 @@ class ShardedCorpus {
   static std::string ShardFilePath(const std::string& prefix, uint32_t index);
 
   /// The worker pool every oracle over this corpus shares
-  /// (ShardedWhyNotOracle's fan-outs, for /query and /whynot alike), sized
-  /// by the CorpusOptions::fanout_threads passed to Partition()/Load() and
-  /// clamped to the shard count. Created lazily on first call (thread-safe),
-  /// so a corpus that is only built and saved — dataset_tool build-shards —
-  /// never spins up workers. Null when fan-outs should run inline on the
-  /// calling thread: single-shard corpora, and single-core hosts unless a
-  /// thread count was forced.
+  /// (ShardedWhyNotOracle's fan-outs, for /query and /whynot alike): one
+  /// thread per shard, capped by the hardware concurrency. Created lazily on
+  /// first call (thread-safe), so a corpus that is only built and saved —
+  /// dataset_tool build-shards — never spins up workers. Null when fan-outs
+  /// should run inline on the calling thread: single-shard corpora and
+  /// single-core hosts.
   ThreadPool* pool() const;
 
   /// Reassembles a partitioned corpus from the files Save() wrote. The shard
@@ -131,7 +130,6 @@ class ShardedCorpus {
   std::unique_ptr<ShardRouter> router_;  // Null after Load().
   /// Lazy shared fan-out pool (see pool()); the mutex lives behind a
   /// unique_ptr to keep the corpus movable.
-  size_t fanout_threads_ = 0;  // CorpusOptions::fanout_threads (0 = auto).
   std::unique_ptr<std::mutex> pool_mu_ = std::make_unique<std::mutex>();
   mutable bool pool_decided_ = false;
   mutable std::unique_ptr<ThreadPool> pool_;  // Null: fan-outs run inline.

@@ -13,13 +13,6 @@ InvertedIndex::InvertedIndex(const ObjectStore& store) {
   }
 }
 
-InvertedIndex InvertedIndex::FromPostings(
-    std::vector<std::vector<ObjectId>> postings) {
-  InvertedIndex index;
-  index.postings_ = std::move(postings);
-  return index;
-}
-
 const std::vector<ObjectId>& InvertedIndex::Postings(TermId term) const {
   if (term >= postings_.size()) return empty_;
   return postings_[term];

@@ -1,7 +1,9 @@
 // Copyright (c) 2026 The YASK reproduction authors.
 // A classic inverted index (keyword -> sorted posting list of object ids).
 // Serves as the textual half of the baseline top-k engine in experiment E2
-// and as a helper for picking query keywords that certainly match something.
+// (bench_topk) and as a helper for picking query keywords that certainly
+// match something. No serving path builds one, and snapshots no longer
+// carry one.
 
 #ifndef YASK_INDEX_INVERTED_INDEX_H_
 #define YASK_INDEX_INVERTED_INDEX_H_
@@ -19,15 +21,6 @@ class InvertedIndex {
   /// Builds postings for every object in the store; O(total keywords).
   explicit InvertedIndex(const ObjectStore& store);
 
-  /// Reassembles an index from raw posting lists (the snapshot-load hook).
-  /// Each list must be ascending and deduplicated, as Postings() guarantees.
-  static InvertedIndex FromPostings(std::vector<std::vector<ObjectId>> postings);
-
-  /// All posting lists, indexed by TermId (the snapshot-save hook).
-  const std::vector<std::vector<ObjectId>>& postings() const {
-    return postings_;
-  }
-
   /// Posting list (ascending object ids) for a term; empty for unknown terms.
   const std::vector<ObjectId>& Postings(TermId term) const;
 
@@ -41,8 +34,6 @@ class InvertedIndex {
   size_t MemoryUsageBytes() const;
 
  private:
-  InvertedIndex() = default;  // For FromPostings().
-
   std::vector<std::vector<ObjectId>> postings_;  // Indexed by TermId.
   std::vector<ObjectId> empty_;
 };

@@ -27,8 +27,9 @@
 //   POST /shard/plane/open|rank|topk|count_batch|crossings|close  one
 //                          session per why-not question: the explanations'
 //                          and Eqn. (4) ranks, the top-k of the query and
-//                          of its refinements, and the Eqn. (3) sweep
-//   POST /shard/probe/rank  exact rank batches outside a question (stateless)
+//                          of its refinements, and the Eqn. (3) sweep; also
+//                          the one-call sessions a rank batch or plane
+//                          outside a question opens
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
 
@@ -69,14 +70,16 @@ namespace shardrpc {
 /// v6: POST /shard/plane/topk answers a top-k from the open session, and
 /// the shard top-k routes answer 400 to a k above both kMaxK and the
 /// shard's object count.
-inline constexpr uint32_t kProtocolVersion = 6;
+/// v7: POST /shard/probe/rank is gone (a rank batch outside a question opens
+/// one-call sessions), and /shard/count specs no longer carry a method byte.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 6;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 7;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -87,9 +90,10 @@ inline constexpr char kFindPath[] = "/shard/find";
 /// nodes_popped, u64 objects_scored. A k above both kMaxK and the shard's
 /// object count answers 400; the coordinator sends at most the count.
 inline constexpr char kTopKPath[] = "/shard/topk";
-/// Request: the kProbeRankPath request with a u8 CountMethod (kScan) after
-/// each spec, under the same bounds (N ≤ kMaxProbeSpecs, valid queries,
-/// finite target scores). Response: varu64 N + N u64 counts.
+/// Request: the spec list, varu64 N ≤ kMaxProbeSpecs, then N × (query, u32
+/// global target id, raw-F64 finite target score); every query must pass
+/// Query::Validate. Response: varu64 N + N u64 tie-aware counts of this
+/// shard's objects outranking each target, by full scan.
 inline constexpr char kCountPath[] = "/shard/count";
 /// v5+. Request: query (valid), u8 optimized, delta-coded ids of the keyword
 /// universe U (≤ kMaxKeywordUniverse). Response: u64 session id, varu64
@@ -97,7 +101,7 @@ inline constexpr char kCountPath[] = "/shard/count";
 /// specs at the query's location with a doc ⊆ q.doc ∪ U, and the plane of
 /// the query.
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
-/// v5+. Request: u64 session slot, then the kProbeRankPath spec list; every
+/// v5+. Request: u64 session slot, then the kCountPath spec list; every
 /// spec's location must equal the session query's (bits) and its doc lie in
 /// q.doc ∪ U. Response: varu64 N + N u64 counts.
 inline constexpr char kPlaneRankPath[] = "/shard/plane/rank";
@@ -114,14 +118,6 @@ inline constexpr char kPlaneCountPath[] = "/shard/plane/count";
 inline constexpr char kPlaneCountBatchPath[] = "/shard/plane/count_batch";
 inline constexpr char kPlaneCrossingsPath[] = "/shard/plane/crossings";
 inline constexpr char kPlaneClosePath[] = "/shard/plane/close";
-/// v4+. Request: varu64 N ≤ kMaxProbeSpecs, then N × (query, u32 global
-/// target id, raw-F64 finite target score); every query must pass
-/// Query::Validate, their keywords' union must not exceed
-/// kMaxKeywordUniverse and their distinct (loc, ws) shapes kMaxProbeShapes.
-/// Response: varu64 N + N u64 tie-aware counts of this
-/// shard's objects outranking each target (ShardColumnOutscoring: a one-call
-/// question).
-inline constexpr char kProbeRankPath[] = "/shard/probe/rank";
 /// Not served since v4; declared only because servebench/servebench.cc,
 /// their last reader, lists them (ROADMAP item 2 deletes them once item 1
 /// retires that reader).
@@ -133,12 +129,6 @@ inline constexpr char kProbeClosePath[] = "/shard/probe/close";
 inline constexpr char kTracePath[] = "/shard/trace";
 /// GET, Prometheus text format (v2, docs/observability.md).
 inline constexpr char kMetricsPath[] = "/metrics";
-
-/// /shard/count entry method selector. Since v5 the scan is the only one;
-/// method 1 (a SetR-tree count until v4) is answered 400.
-enum class CountMethod : uint8_t {
-  kScan = 0,  // Full-store scan (keyword model's OutscoringCountBatch).
-};
 
 /// Everything the coordinator learns about one shard at connect time.
 struct ShardMeta {

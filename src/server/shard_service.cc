@@ -15,8 +15,6 @@
 
 namespace yask {
 
-using shardrpc::CountMethod;
-
 namespace {
 
 HttpResponse Binary(const BufWriter& out) {
@@ -38,20 +36,17 @@ bool IsFinitePoint(const PlanePoint& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
-/// The specs of a /shard/count, /shard/probe/rank or /shard/plane/rank
-/// request.
+/// The specs of a /shard/count or /shard/plane/rank request.
 struct SpecBatch {
   std::vector<Query> queries;
   std::vector<ScanTarget> targets;  // targets[i].query = &queries[i].
 };
 
 /// Decodes the rest of a spec request — varu64 N ≤ kMaxProbeSpecs, then
-/// N × (query, u32 global target id, raw-F64 finite target score[, u8
-/// CountMethod]) — into `batch`. Returns the 400 to answer when the body is
-/// malformed, N is over the cap, a query fails Query::Validate, a score is
-/// not finite or a method is not kScan.
-std::optional<HttpResponse> DecodeSpecs(BufReader* in, bool with_method,
-                                        SpecBatch* batch) {
+/// N × (query, u32 global target id, raw-F64 finite target score) — into
+/// `batch`. Returns the 400 to answer when the body is malformed, N is over
+/// the cap, a query fails Query::Validate or a score is not finite.
+std::optional<HttpResponse> DecodeSpecs(BufReader* in, SpecBatch* batch) {
   const uint64_t count = in->GetVarU64();
   if (!in->ok()) return BadBody(*in);
   if (count > kMaxProbeSpecs) {
@@ -68,16 +63,12 @@ std::optional<HttpResponse> DecodeSpecs(BufReader* in, bool with_method,
     target.query = &batch->queries[i];
     target.target = in->GetU32();
     target.target_score = in->GetF64();
-    const uint8_t method = with_method ? in->GetU8() : 0;
     if (!in->ok()) return BadBody(*in);
     if (Status s = batch->queries[i].Validate(); !s.ok()) {
       return HttpResponse::Error(400, s.message());
     }
     if (!std::isfinite(target.target_score)) {
       return HttpResponse::Error(400, "non-finite target score");
-    }
-    if (method != static_cast<uint8_t>(CountMethod::kScan)) {
-      return HttpResponse::Error(400, "unknown count method");
     }
   }
   if (!in->AtEnd()) return BadBody(*in);
@@ -178,7 +169,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kPlaneCountBatchPath, &S::HandlePlaneCountBatch},
       {"POST", shardrpc::kPlaneCrossingsPath, &S::HandlePlaneCrossings},
       {"POST", shardrpc::kPlaneClosePath, &S::HandlePlaneClose},
-      {"POST", shardrpc::kProbeRankPath, &S::HandleProbeRank},
   };
   for (const auto& [method, path, handler] : routes) {
     server_.Route(method, path,
@@ -418,9 +408,8 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
 HttpResponse ShardService::HandleCount(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   SpecBatch batch;
-  if (auto bad = DecodeSpecs(&in, /*with_method=*/true, &batch)) return *bad;
-  return Counts(
-      shard_.CountOutscoring(batch.targets, OutscoringKernel::kScan).value());
+  if (auto bad = DecodeSpecs(&in, &batch)) return *bad;
+  return Counts(shard_.CountOutscoring(batch.targets).value());
 }
 
 // --- Question sessions ------------------------------------------------------
@@ -457,7 +446,7 @@ HttpResponse ShardService::HandlePlaneRank(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const uint64_t id = in.GetU64();
   SpecBatch batch;
-  if (auto bad = DecodeSpecs(&in, /*with_method=*/false, &batch)) return *bad;
+  if (auto bad = DecodeSpecs(&in, &batch)) return *bad;
   const std::shared_ptr<PlaneSession> session = FindSession(id);
   if (session == nullptr) {
     return HttpResponse::Error(404, "unknown plane session");
@@ -578,29 +567,6 @@ HttpResponse ShardService::HandlePlaneClose(const HttpRequest& req) {
   BufWriter out;
   out.PutU8(erased ? 1 : 0);
   return Binary(out);
-}
-
-// --- Rank batches (Eqn. (4)) ------------------------------------------------
-
-HttpResponse ShardService::HandleProbeRank(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  SpecBatch batch;
-  if (auto bad = DecodeSpecs(&in, /*with_method=*/false, &batch)) return *bad;
-  if (const size_t terms = KeywordUniverse(batch.targets).size();
-      terms > kMaxKeywordUniverse) {
-    return HttpResponse::Error(
-        400, "rank batch keywords span " + std::to_string(terms) +
-                 " distinct terms, more than " +
-                 std::to_string(kMaxKeywordUniverse));
-  }
-  if (CountQueryShapes(batch.targets) > kMaxProbeShapes) {
-    return HttpResponse::Error(
-        400, "rank batch spans more than " + std::to_string(kMaxProbeShapes) +
-                 " query shapes (loc, ws)");
-  }
-  return Counts(
-      shard_.CountOutscoring(batch.targets, OutscoringKernel::kColumns)
-          .value());
 }
 
 }  // namespace yask

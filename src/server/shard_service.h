@@ -10,8 +10,8 @@
 // oracles run over their shard views — the same code runs behind both
 // transports, and every double crosses the wire as its raw bits
 // (src/server/shard_protocol.h), which is what makes the remote answers
-// byte-identical. /shard/count, /shard/probe/rank and /shard/plane/rank
-// share one spec decoder and its bounds (kMaxProbeSpecs, Query::Validate,
+// byte-identical. /shard/count and /shard/plane/rank share one spec
+// decoder and its bounds (kMaxProbeSpecs, Query::Validate,
 // finite target scores).
 //
 // Statefulness: a plane session is one why-not question's server-side state
@@ -20,9 +20,9 @@
 // sweep. Sessions are id-keyed,
 // immutable once built (so a session's calls may overlap), explicitly
 // closed by the coordinator, and LRU-capped so a leaking or dead client
-// cannot pin memory. Rank batches outside a question are stateless: one
-// /shard/probe/rank request builds this shard's one-call question columns,
-// answers every spec, and drops them.
+// cannot pin memory. A rank batch outside a question is a session too: the
+// coordinator opens a one-call session per location of the batch, ranks on
+// it and closes it.
 
 #ifndef YASK_SERVER_SHARD_SERVICE_H_
 #define YASK_SERVER_SHARD_SERVICE_H_
@@ -115,7 +115,6 @@ class ShardService {
   HttpResponse HandlePlaneCountBatch(const HttpRequest& req);
   HttpResponse HandlePlaneCrossings(const HttpRequest& req);
   HttpResponse HandlePlaneClose(const HttpRequest& req);
-  HttpResponse HandleProbeRank(const HttpRequest& req);
   HttpResponse HandleTrace(const HttpRequest& req);
   HttpResponse HandleMetrics(const HttpRequest& req);
 

@@ -113,21 +113,12 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     }
   }
 
-  // R(o, q) of every missing object from one rank fan-out. A query doc
-  // wider than a rank batch may carry is ranked one object at a time.
-  std::vector<size_t> ranks;
-  if (query.doc.size() <= kMaxKeywordUniverse) {
-    std::vector<OracleTargetSpec> specs;
-    for (const ObjectId id : missing) specs.push_back({&query, id});
-    KeywordAdaptStats unused;
-    const std::unique_ptr<RankProbeBatch> batch =
-        oracle.ProbeRankBatch(specs, &unused);
-    for (size_t i = 0; i < missing.size(); ++i) {
-      ranks.push_back(batch->lower(i));
-    }
-  } else {
-    for (const ObjectId id : missing) ranks.push_back(oracle.Rank(query, id));
-  }
+  // R(o, q) of every missing object from one rank fan-out.
+  std::vector<OracleTargetSpec> specs;
+  for (const ObjectId id : missing) specs.push_back({&query, id});
+  KeywordAdaptStats unused;
+  const std::unique_ptr<RankProbeBatch> batch =
+      oracle.ProbeRankBatch(specs, &unused);
 
   const double dist_norm = oracle.dist_norm();
   const TopKResult topk = oracle.TopK(query);
@@ -155,7 +146,7 @@ Result<std::vector<MissingObjectExplanation>> ExplainMissing(
     e.kth_score = kth.score;
     e.kth_sdist = kth_sdist;
     e.kth_tsim = kth_tsim;
-    e.rank = ranks[i];
+    e.rank = batch->lower(i);
 
     const bool spatial_deficit = e.sdist > kth_sdist;
     const bool textual_deficit = e.tsim < kth_tsim;

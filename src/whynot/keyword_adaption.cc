@@ -113,7 +113,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
         "allows at most " + std::to_string(kMaxKeywordUniverse));
   }
   // Candidates per rank fan-out. Every spec's query is `query` with another
-  // doc, so a column batch holds one (loc, ws) shape (kMaxProbeShapes).
+  // doc: one location, so one question answers the whole batch.
   size_t chunk_size =
       columns ? kMaxProbeSpecs / m : std::numeric_limits<size_t>::max();
   if (options.probe_batch_size != 0) {

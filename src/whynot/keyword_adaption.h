@@ -27,9 +27,9 @@
 //
 // Work bounds of the optimized mode (src/whynot/shard_primitives.h):
 // |U| <= kMaxKeywordUniverse (U travels on the wire) and one fan-out
-// carries at most kMaxProbeSpecs (candidate, missing object) specs, all of
-// one query shape; a larger U, or more missing objects than one fan-out
-// holds, is InvalidArgument. The basic scan has neither bound.
+// carries at most kMaxProbeSpecs (candidate, missing object) specs; a larger
+// U, or more missing objects than one fan-out holds, is InvalidArgument. The
+// basic scan has neither bound.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_

@@ -190,16 +190,6 @@ std::vector<size_t> ShardScanOutscoring(
 
 // --- Question columns ---------------------------------------------------------
 
-std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets) {
-  std::vector<TermId> terms;
-  for (const ScanTarget& t : targets) {
-    terms.insert(terms.end(), t.query->doc.begin(), t.query->doc.end());
-  }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  return terms;
-}
-
 namespace {
 
 bool SameBits(const Point& a, const Point& b) {
@@ -289,19 +279,6 @@ size_t CountSlice(uint32_t begin, uint32_t end, const ObjectId* ids,
 
 }  // namespace
 
-size_t CountQueryShapes(const std::vector<ScanTarget>& targets) {
-  std::vector<std::pair<Point, double>> shapes;
-  for (const ScanTarget& t : targets) {
-    const Query& q = *t.query;
-    const bool seen = std::any_of(shapes.begin(), shapes.end(), [&](auto& s) {
-      return SameBits(s.first, q.loc) && Bits(s.second) == Bits(q.w.ws);
-    });
-    if (!seen) shapes.emplace_back(q.loc, q.w.ws);
-    if (shapes.size() > kMaxProbeShapes) break;
-  }
-  return shapes.size();
-}
-
 bool QuestionCovers(const Query& question, const KeywordSet& universe,
                     const Query& target) {
   return SameBits(question.loc, target.loc) &&
@@ -325,8 +302,9 @@ std::string DescribeQuestion(const QuestionShape& shape) {
 
 QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
                                  const Query& query, const KeywordSet& universe,
-                                 QuestionPlane plane)
-    : view_(view), dist_norm_(dist_norm), loc_(query.loc), plane_(plane) {
+                                 bool optimized)
+    : view_(view), dist_norm_(dist_norm), loc_(query.loc),
+      optimized_(optimized) {
   terms_ = KeywordSet::Union(query.doc, universe).ids();
   words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
   for (TermId t : terms_) filter_[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
@@ -407,18 +385,14 @@ QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
   // Scatter 1: the TSim columns, in sorted order so each is sorted by x. A
   // group's y is query.doc's Jaccard with its mask — KeywordSet::Jaccard's
   // operands, so the same double; columns are keyed by the bits of y, in
-  // first-seen group order. A question without a plane scatters into one
-  // column of every object, dropped below.
+  // first-seen group order.
   std::vector<uint64_t> qmask(words_, 0);
   MaskOf(query.doc, qmask.data());
   std::vector<uint32_t> column_of_group(groups_.size(), 0);
   std::unordered_map<uint64_t, uint32_t> column_index;
   for (size_t g = 0; g < groups_.size(); ++g) {
-    const double y =
-        plane_ == QuestionPlane::kNone
-            ? 0.0
-            : TextOf(&group_masks_[g * words_], groups_[g].len, qmask.data(),
-                     query.doc.size(), 1.0);
+    const double y = TextOf(&group_masks_[g * words_], groups_[g].len,
+                            qmask.data(), query.doc.size(), 1.0);
     const auto [it, fresh] = column_index.try_emplace(
         Bits(y), static_cast<uint32_t>(columns_.size()));
     if (fresh) columns_.push_back(Column{y, 0, 0});
@@ -448,11 +422,6 @@ QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
     const uint32_t at = cursor[group_of[cid_[i]]]++;
     gx_[at] = cx_[i];
     gid_[at] = cid_[i] = global_of(cid_[i]);
-  }
-  if (plane_ == QuestionPlane::kNone) {
-    columns_ = {};
-    cx_ = {};
-    cid_ = {};
   }
 }
 
@@ -606,7 +575,6 @@ Status QuestionColumns::CountAboveBatch(const std::vector<double>& weights,
                                         const std::vector<PlanePoint>& anchors,
                                         std::vector<size_t>* counts,
                                         size_t* nodes_visited) {
-  assert(plane_ != QuestionPlane::kNone);
   // Allocation-free: this is the weight sweep's innermost loop.
   const size_t na = anchors.size();
   for (size_t wi = 0; wi < weights.size(); ++wi) {
@@ -615,7 +583,7 @@ Status QuestionColumns::CountAboveBatch(const std::vector<double>& weights,
       const PlanePoint& anchor = anchors[a];
       const double threshold = anchor.ScoreAt(w);
       size_t& count = (*counts)[wi * na + a];
-      if (plane_ == QuestionPlane::kOptimized) {
+      if (optimized_) {
         count = CountAbove(w, threshold, anchor.id, nodes_visited);
         continue;
       }
@@ -638,9 +606,8 @@ Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
                                          double whi,
                                          std::vector<double>* events,
                                          size_t* nodes_visited) {
-  assert(plane_ != QuestionPlane::kNone);
   assert(0.0 <= wlo && wlo <= whi);
-  if (plane_ == QuestionPlane::kBasic) {
+  if (!optimized_) {
     for (const Column& c : columns_) {
       for (uint32_t i = c.begin; i < c.end; ++i) {
         AppendCrossingWeight(anchor, PlanePoint{cx_[i], c.y, cid_[i]}, wlo,
@@ -694,38 +661,11 @@ Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
   return Status::OK();
 }
 
-std::vector<size_t> ShardColumnOutscoring(
-    const OracleShardView& view, double dist_norm,
-    const std::vector<ScanTarget>& targets) {
-  std::vector<size_t> counts(targets.size(), 0);
-  std::vector<bool> done(targets.size(), false);
-  for (size_t first = 0; first < targets.size(); ++first) {
-    if (done[first]) continue;
-    // The targets at this location, and their keywords.
-    const Query& at = *targets[first].query;
-    std::vector<size_t> members;
-    KeywordSet universe;
-    for (size_t i = first; i < targets.size(); ++i) {
-      if (done[i] || !SameBits(targets[i].query->loc, at.loc)) continue;
-      members.push_back(i);
-      universe = KeywordSet::Union(universe, targets[i].query->doc);
-      done[i] = true;
-    }
-    const QuestionColumns columns(view, dist_norm, at, universe,
-                                  QuestionPlane::kNone);
-    for (const size_t i : members) counts[i] = columns.CountOutscoring(targets[i]);
-  }
-  return counts;
-}
-
 // --- LocalOracleShard --------------------------------------------------------
 
 Result<std::vector<size_t>> LocalOracleShard::CountOutscoring(
-    const std::vector<ScanTarget>& targets, OutscoringKernel kernel) const {
-  if (kernel == OutscoringKernel::kScan) {
-    return ShardScanOutscoring(view_, dist_norm_, targets);
-  }
-  return ShardColumnOutscoring(view_, dist_norm_, targets);
+    const std::vector<ScanTarget>& targets) const {
+  return ShardScanOutscoring(view_, dist_norm_, targets);
 }
 
 double LocalOracleShard::RootDistance(const Point& loc) const {
@@ -751,9 +691,8 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
 Result<std::unique_ptr<OracleShardQuestion>> LocalOracleShard::OpenQuestion(
     const Query& query, const KeywordSet& universe, bool optimized) const {
   ScopedSpan span("shard/question");
-  auto question = std::make_unique<QuestionColumns>(
-      view_, dist_norm_, query, universe,
-      optimized ? QuestionPlane::kOptimized : QuestionPlane::kBasic);
+  auto question = std::make_unique<QuestionColumns>(view_, dist_norm_, query,
+                                                    universe, optimized);
   if (span.active()) span.set_detail(DescribeQuestion(question->shape()));
   return std::unique_ptr<OracleShardQuestion>(std::move(question));
 }

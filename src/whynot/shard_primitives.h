@@ -12,6 +12,12 @@
 // shard's contribution to be the same doubles arithmetic everywhere — which
 // is guaranteed here by having exactly one implementation of each per-shard
 // primitive, keyed on GLOBAL ids and the GLOBAL SDist normaliser.
+//
+// There are two kernels. The full scan (ShardScanOutscoring) is basic
+// keyword adaption's baseline. Every other rank, count and crossing runs
+// through a question (OracleShard::OpenQuestion, QuestionColumns in
+// process), whether the engine opened it for a /whynot or the oracle opened
+// it for one call.
 
 #ifndef YASK_WHYNOT_SHARD_PRIMITIVES_H_
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
@@ -38,25 +44,18 @@ namespace yask {
 inline constexpr size_t kMaxCountBatchPairs = size_t{1} << 16;
 static_assert(kMaxMissing == kMaxCountBatchPairs / 3);
 
-/// Most keywords in a question's universe U on the wire (/shard/plane/open,
-/// and the union of one /shard/probe/rank batch's query documents); a shard
-/// answers 400 above it. For keyword adaption U = q.doc ∪ M.doc, and
-/// AdaptKeywords answers InvalidArgument above it; a larger union still
-/// opens a question over q.doc alone, which answers the explanations and the
-/// Eqn. (3) sweep.
+/// Most keywords in a question's universe U on the wire (/shard/plane/open);
+/// a shard answers 400 above it. q.doc itself has no cap. For keyword
+/// adaption U = q.doc ∪ M.doc, and AdaptKeywords answers InvalidArgument
+/// above it; a larger union still opens a question over q.doc alone, which
+/// answers the explanations and the Eqn. (3) sweep.
 inline constexpr size_t kMaxKeywordUniverse = 64;
 
-/// Most (query, target) specs one /shard/probe/rank, /shard/plane/rank or
-/// /shard/count request may carry (2^15: a 256 KiB response). A shard
-/// answers 400 above it; AdaptKeywords sizes its rank chunks to stay within
-/// it, and a remote oracle splits larger batches into requests under it.
+/// Most (query, target) specs one /shard/plane/rank or /shard/count request
+/// may carry (2^15: a 256 KiB response). A shard answers 400 above it;
+/// AdaptKeywords sizes its rank chunks to stay within it, and a remote
+/// oracle splits larger batches into requests under it.
 inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
-
-/// Most distinct (loc, ws) query shapes in one /shard/probe/rank batch. A
-/// one-call question builds one column set per location, 12 bytes per
-/// object of the shard, one location at a time. A shard answers 400 above
-/// it; AdaptKeywords' batches hold one shape.
-inline constexpr size_t kMaxProbeShapes = 8;
 
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
@@ -156,14 +155,6 @@ std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
                                         double dist_norm,
                                         const std::vector<ScanTarget>& targets);
 
-/// The sorted union of the targets' query keywords: the universe the
-/// keyword masks of a one-call question range over.
-std::vector<TermId> KeywordUniverse(const std::vector<ScanTarget>& targets);
-
-/// The number of distinct (loc, ws) query shapes among the targets, told
-/// apart by their bits; counting stops at kMaxProbeShapes + 1.
-size_t CountQueryShapes(const std::vector<ScanTarget>& targets);
-
 /// True when a question at `question`'s location whose ranks range over
 /// `universe` (q.doc ∪ U, sorted) answers `target`: the same location,
 /// down to the bits, and target.doc ⊆ universe. The weights may differ.
@@ -180,7 +171,7 @@ bool QuestionCoversTopK(const Query& question, const KeywordSet& universe,
 struct QuestionShape {
   size_t objects = 0;   // Objects placed.
   size_t groups = 0;    // (keyword mask, |o.doc|) groups.
-  size_t columns = 0;   // TSim columns; 0 for a question without a plane.
+  size_t columns = 0;   // TSim columns.
   size_t universe = 0;  // Keywords the masks range over.
 };
 
@@ -231,11 +222,6 @@ class OracleShardQuestion {
                                   size_t* nodes_visited) = 0;
 };
 
-/// What a QuestionColumns answers besides ranks: nothing (a one-call rank
-/// question), or the Eqn. (3) plane by full scan (basic mode, the paper's
-/// baseline) or by binary search per TSim column (optimized mode).
-enum class QuestionPlane : uint8_t { kNone, kBasic, kOptimized };
-
 /// The one per-shard kernel of a why-not question (docs/architecture.md,
 /// "Question columns"). One pass over the shard computes each object's
 ///
@@ -268,10 +254,12 @@ enum class QuestionPlane : uint8_t { kNone, kBasic, kOptimized };
 class QuestionColumns final : public OracleShardQuestion {
  public:
   /// `view` must outlive the columns. `universe` lists the keywords beyond
-  /// query.doc that covered targets may use.
+  /// query.doc that covered targets may use. The Eqn. (3) plane is answered
+  /// by binary search per TSim column when `optimized`, else by full scan
+  /// (basic mode, the paper's baseline).
   QuestionColumns(const OracleShardView& view, double dist_norm,
                   const Query& query, const KeywordSet& universe,
-                  QuestionPlane plane);
+                  bool optimized);
 
   QuestionShape shape() const override;
 
@@ -279,7 +267,7 @@ class QuestionColumns final : public OracleShardQuestion {
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets) override;
   Result<TopKResult> TopK(const Query& query, TopKStats* stats) override;
-  /// Require a plane. Never fail.
+  /// Never fail.
   Status CountAboveBatch(const std::vector<double>& weights,
                          const std::vector<PlanePoint>& anchors,
                          std::vector<size_t>* counts,
@@ -316,7 +304,7 @@ class QuestionColumns final : public OracleShardQuestion {
   OracleShardView view_;
   double dist_norm_;
   Point loc_;
-  QuestionPlane plane_;
+  bool optimized_;
   std::vector<TermId> terms_;  // The universe, sorted.
   uint64_t filter_[4] = {};    // Bit t % 256 set for every t in terms_.
   size_t words_ = 1;           // 64-bit mask words per group.
@@ -328,17 +316,6 @@ class QuestionColumns final : public OracleShardQuestion {
   std::vector<double> cx_;     // Column-major, x ascending within a column.
   std::vector<ObjectId> cid_;  // Parallel to cx_, global ids.
 };
-
-/// ShardScanOutscoring's counts, exactly, from one-call questions: the
-/// targets are grouped by location, and one QuestionColumns without a plane
-/// per location, over the union of its targets' keywords, answers them.
-std::vector<size_t> ShardColumnOutscoring(
-    const OracleShardView& view, double dist_norm,
-    const std::vector<ScanTarget>& targets);
-
-/// Which outscoring kernel a stateless count runs: the full scan of basic
-/// keyword adaption, or one-call question columns.
-enum class OutscoringKernel : uint8_t { kScan, kColumns };
 
 /// One shard's half of every oracle primitive, top-k included; the oracle
 /// (FanOutWhyNotOracle, src/whynot/whynot_oracle.h) does the rest. An error
@@ -360,11 +337,10 @@ class OracleShard {
   virtual Result<TopKResult> TopK(const Query& query, double prune_below,
                                   TopKStats* stats) const = 0;
 
-  /// Tie-aware counts of the shard's objects outscoring each target, by
-  /// `kernel` — one per target.
+  /// Tie-aware counts of the shard's objects outscoring each target by full
+  /// scan (ShardScanOutscoring, basic keyword adaption) — one per target.
   virtual Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets,
-      OutscoringKernel kernel) const = 0;
+      const std::vector<ScanTarget>& targets) const = 0;
 
   /// The shard's state for a question on `query` (plane: optimized or
   /// basic), whose ranks may use the keywords of query.doc ∪ `universe`
@@ -388,8 +364,7 @@ class LocalOracleShard final : public OracleShard {
   Result<TopKResult> TopK(const Query& query, double prune_below,
                           TopKStats* stats) const override;
   Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets,
-      OutscoringKernel kernel) const override;
+      const std::vector<ScanTarget>& targets) const override;
   /// Records a "shard/question" span detailing the columns' shape.
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
       const Query& query, const KeywordSet& universe,

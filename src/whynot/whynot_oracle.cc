@@ -1,8 +1,11 @@
 #include "src/whynot/whynot_oracle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -151,14 +154,6 @@ class FanOutQuestion final : public WhyNotOracle {
       }
     }
     return merged;
-  }
-
-  size_t Rank(const Query& query, ObjectId global_id) const override {
-    if (!Covers(query)) return oracle_->Rank(query, global_id);
-    return oracle_->SumQuestionCounts(
-               questions_.get(),
-               oracle_->ResolveTargets({{&query, global_id}}))[0] +
-           1;
   }
 
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
@@ -347,16 +342,6 @@ std::vector<size_t> FanOutWhyNotOracle::SumQuestionCounts(
   });
 }
 
-size_t FanOutWhyNotOracle::Rank(const Query& query, ObjectId global_id) const {
-  // A one-call question: the query's doc may exceed the wire's universe
-  // cap, which a question's own doc is not held to.
-  const std::shared_ptr<ShardQuestionSet> questions =
-      OpenShardQuestions(query, KeywordSet(), /*optimized=*/true);
-  return SumQuestionCounts(questions.get(),
-                           ResolveTargets({{&query, global_id}}))[0] +
-         1;
-}
-
 std::unique_ptr<ScorePlaneSession> FanOutWhyNotOracle::PrepareScorePlane(
     const Query& query, PrefAdjustMode mode) const {
   return std::make_unique<FanOutScorePlaneSession>(
@@ -371,7 +356,7 @@ std::vector<size_t> FanOutWhyNotOracle::OutscoringCountBatch(
   stats->objects_scored += size_ * specs.size();
   const std::vector<ScanTarget> targets = ResolveTargets(specs);
   return SumCounts(all_shards_, specs.size(), [&](size_t s) {
-    return shards_[s]->CountOutscoring(targets, OutscoringKernel::kScan);
+    return shards_[s]->CountOutscoring(targets);
   });
 }
 
@@ -379,12 +364,37 @@ std::unique_ptr<RankProbeBatch> FanOutWhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_;
+  // The specs by the bits of their location, in first-seen order.
+  std::vector<std::vector<size_t>> locations;
+  std::map<std::pair<uint64_t, uint64_t>, size_t> location_of;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Point& loc = specs[i].query->loc;
+    const auto [it, fresh] = location_of.try_emplace(
+        {std::bit_cast<uint64_t>(loc.x), std::bit_cast<uint64_t>(loc.y)},
+        locations.size());
+    if (fresh) locations.emplace_back();
+    locations[it->second].push_back(i);
+  }
   const std::vector<ScanTarget> targets = ResolveTargets(specs);
-  std::vector<size_t> ranks =
-      SumCounts(all_shards_, specs.size(), [&](size_t s) {
-        return shards_[s]->CountOutscoring(targets, OutscoringKernel::kColumns);
-      });
-  for (size_t& rank : ranks) ++rank;
+  std::vector<size_t> ranks(specs.size());
+  for (const std::vector<size_t>& members : locations) {
+    // A one-call question per location whose doc covers every member's:
+    // q.doc has no cap on the wire, so neither has the batch.
+    Query question = *specs[members.front()].query;
+    std::vector<ScanTarget> located;
+    located.reserve(members.size());
+    for (const size_t i : members) {
+      question.doc = KeywordSet::Union(question.doc, specs[i].query->doc);
+      located.push_back(targets[i]);
+    }
+    const std::shared_ptr<ShardQuestionSet> questions =
+        OpenShardQuestions(question, KeywordSet(), /*optimized=*/true);
+    const std::vector<size_t> counts =
+        SumQuestionCounts(questions.get(), located);
+    for (size_t j = 0; j < members.size(); ++j) {
+      ranks[members[j]] = counts[j] + 1;
+    }
+  }
   return std::make_unique<ExactRankBatch>(std::move(ranks));
 }
 

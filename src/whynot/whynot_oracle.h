@@ -24,7 +24,10 @@
 // All three rank the same missing objects against the same query location,
 // so the engine opens ONE question per /whynot (OpenQuestion): each shard
 // builds its QuestionColumns once, and the explanations' ranks, the Eqn. (3)
-// sweep and the Eqn. (4) ranks are all answered from them.
+// sweep and the Eqn. (4) ranks are all answered from them. A rank batch or
+// a plane asked for outside a question opens a one-call question of its own
+// (one per distinct location of a batch), so the question is the one route
+// to a shard's ranks; only basic keyword adaption's full scan bypasses it.
 //
 // WhyNotOracle captures exactly those primitives, and the algorithms run
 // unchanged over any implementation. The fan-out and the merge above are
@@ -208,8 +211,14 @@ class WhyNotOracle {
   virtual TopKResult TopK(const Query& query,
                           TopKStats* stats = nullptr) const = 0;
 
-  /// Tie-aware exact rank of an object (D6 order).
-  virtual size_t Rank(const Query& query, ObjectId global_id) const = 0;
+  /// Tie-aware exact rank of an object (D6 order): a ProbeRankBatch of one.
+  /// The algorithms never call it. Virtual only because
+  /// servebench/tracing.h overrides it.
+  virtual size_t Rank(const Query& query, ObjectId global_id) const {
+    const std::vector<OracleTargetSpec> specs{{&query, global_id}};
+    KeywordAdaptStats unused;
+    return ProbeRankBatch(specs, &unused)->lower(0);
+  }
 
   /// Builds the per-query score-plane state for Eqn. (3). `query` must
   /// outlive the returned session.
@@ -226,13 +235,10 @@ class WhyNotOracle {
       KeywordAdaptStats* stats) const = 0;
 
   /// Exact tie-aware ranks (count + 1) of every spec's target, by keyword-
-  /// mask groups: one fan-out answers every member, from the open question's
-  /// columns or from one-call question columns built for the batch
-  /// (ShardColumnOutscoring).
-  /// The union of the specs' query keywords must not exceed
-  /// kMaxKeywordUniverse, nor their distinct (loc, ws) shapes
-  /// kMaxProbeShapes. `stats->objects_scored` grows by the dataset size
-  /// (the objects placed into columns).
+  /// mask groups: from the open question's columns, or outside a question
+  /// from one one-call question per distinct location of the specs. No
+  /// keyword or shape cap applies. `stats->objects_scored` grows by the
+  /// dataset size (the objects placed into columns) per call.
   virtual std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
@@ -277,10 +283,10 @@ struct ShardQuestionSet;  // One open question's per-shard states (.cc).
 /// LocalWhyNotOracle, ShardedWhyNotOracle and RemoteShardOracle differ only
 /// in their shards, pool and Object().
 ///
-/// Outside an open question, Rank and PrepareScorePlane open a one-call
-/// question on their query, and ProbeRankBatch builds one-call question
-/// columns for its batch, so QuestionColumns is the one rank, count and
-/// crossing kernel either way.
+/// Outside an open question, PrepareScorePlane and ProbeRankBatch open
+/// one-call questions (a question opened for a single oracle call and closed
+/// after it), so every rank, count and crossing outside basic keyword
+/// adaption's scan runs through OracleShard::OpenQuestion either way.
 class FanOutWhyNotOracle : public WhyNotOracle {
  public:
   size_t size() const override { return size_; }
@@ -295,7 +301,6 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   /// into `stats` when non-null.
   TopKResult TopK(const Query& query,
                   TopKStats* stats = nullptr) const override;
-  size_t Rank(const Query& query, ObjectId global_id) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
   std::vector<size_t> OutscoringCountBatch(

@@ -40,19 +40,10 @@ TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   const Corpus corpus = CorpusBuilder().Build(SmallDataset());
   EXPECT_EQ(corpus.size(), 500u);
   EXPECT_EQ(corpus.setr().size(), 500u);
-  EXPECT_EQ(corpus.inverted(), nullptr);  // Off by default.
   EXPECT_TRUE(corpus.setr().Validate().ok());
 
   const Query q = SomeQuery(corpus.store());
   EXPECT_EQ(TopKOf(corpus, q), TopKScan(corpus.store(), q));
-}
-
-TEST(CorpusTest, OptionsControlOptionalIndexes) {
-  CorpusOptions options;
-  options.build_inverted_index = true;
-  const Corpus corpus = CorpusBuilder(options).Build(SmallDataset());
-  ASSERT_NE(corpus.inverted(), nullptr);
-  EXPECT_EQ(corpus.inverted()->postings().size(), corpus.vocab().size());
 }
 
 TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
@@ -66,9 +57,7 @@ TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
 
 TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   const std::string path = ::testing::TempDir() + "corpus_roundtrip.snap";
-  CorpusOptions options;
-  options.build_inverted_index = true;
-  const Corpus original = CorpusBuilder(options).Build(SmallDataset());
+  const Corpus original = CorpusBuilder().Build(SmallDataset());
   auto bytes = original.Save(path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   EXPECT_GT(*bytes, 0u);
@@ -76,7 +65,6 @@ TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->size(), original.size());
-  ASSERT_NE(restored->inverted(), nullptr);
   EXPECT_TRUE(restored->setr().Validate().ok());
 
   const Query q = SomeQuery(original.store());

@@ -29,14 +29,24 @@ ObjectStore MakeStore() {
   return GenerateDataset(spec);
 }
 
+/// The pool a corpus of `shards` shards owns on this host: one thread per
+/// shard capped by the hardware concurrency, none on a single-core host.
+size_t ExpectedThreads(size_t shards) {
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw <= 1 ? 0 : std::min(hw, shards);
+}
+
 TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
   const ObjectStore store = MakeStore();
-  CorpusOptions options;
-  options.fanout_threads = 2;  // Force a pool even on a single-core host.
   const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
-  ASSERT_NE(sharded.pool(), nullptr);
-  EXPECT_EQ(sharded.pool()->num_threads(), 2u);
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
+  if (ExpectedThreads(4) == 0) {
+    // Single-core host: inline fan-out beats a pool; none is created.
+    EXPECT_EQ(sharded.pool(), nullptr);
+  } else {
+    ASSERT_NE(sharded.pool(), nullptr);
+    EXPECT_EQ(sharded.pool()->num_threads(), ExpectedThreads(4));
+  }
 
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
@@ -45,7 +55,7 @@ TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
   const ShardedWhyNotOracle oracle2(sharded);
   EXPECT_EQ(oracle2.pool(), sharded.pool());
 
-  // Top-k and why-not both actually work over the shared pool.
+  // Top-k and why-not both actually work over the shared pool (or inline).
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -60,24 +70,10 @@ TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 }
 
-TEST(ShardedPoolReuseTest, ForcedThreadCountClampsToShardCount) {
-  // A fan-out submits at most one task per shard; extra workers would be
-  // dead weight (stacks + context switches for zero parallelism).
-  const ObjectStore store = MakeStore();
-  CorpusOptions options;
-  options.fanout_threads = 64;
-  const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
-  ASSERT_NE(sharded.pool(), nullptr);
-  EXPECT_EQ(sharded.pool()->num_threads(), 4u);
-}
-
 TEST(ShardedPoolReuseTest, SingleShardCorpusHasNoPool) {
   const ObjectStore store = MakeStore();
-  CorpusOptions options;
-  options.fanout_threads = 4;  // Even a forced count: one shard, no fan-out.
   const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1), options);
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1));
   EXPECT_EQ(sharded.pool(), nullptr);
   const ShardedWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), nullptr);
@@ -92,16 +88,15 @@ TEST(ShardedPoolReuseTest, SingleShardCorpusHasNoPool) {
 
 TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
   const ObjectStore store = MakeStore();
+  for (const uint32_t shards : {2u, 4u, 8u}) {
+    const ShardedCorpus many =
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
+    const size_t want = ExpectedThreads(shards);
+    EXPECT_EQ(many.pool() == nullptr ? 0 : many.pool()->num_threads(), want)
+        << shards << " shards";
+  }
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (hw <= 1) {
-    // Single-core host: inline fan-out beats a pool; none is created.
-    EXPECT_EQ(sharded.pool(), nullptr);
-  } else {
-    ASSERT_NE(sharded.pool(), nullptr);
-    EXPECT_LE(sharded.pool()->num_threads(), std::min<size_t>(4, hw));
-  }
   // Whatever the host decided, the oracles borrow exactly that.
   const ShardedWhyNotOracle oracle(sharded);
   const ShardedWhyNotOracle oracle2(sharded);
@@ -111,18 +106,16 @@ TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
 
 TEST(ShardedPoolReuseTest, LoadedCorpusOwnsAPoolToo) {
   const ObjectStore store = MakeStore();
-  CorpusOptions options;
-  options.fanout_threads = 2;
   const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 3), options);
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 3));
   const std::string prefix =
       ::testing::TempDir() + "sharded_pool_reuse_test";
   ASSERT_TRUE(sharded.Save(prefix).ok());
 
-  auto loaded = ShardedCorpus::Load(prefix, options);
+  auto loaded = ShardedCorpus::Load(prefix);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_NE(loaded->pool(), nullptr);
-  EXPECT_EQ(loaded->pool()->num_threads(), 2u);
+  EXPECT_EQ(loaded->pool() == nullptr ? 0 : loaded->pool()->num_threads(),
+            ExpectedThreads(3));
   const ShardedWhyNotOracle oracle(*loaded);
   EXPECT_EQ(oracle.pool(), loaded->pool());
   for (uint32_t s = 0; s < 3; ++s) {

@@ -158,8 +158,6 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
   CheckLayout(LocalWhyNotOracle(corpus), store, questions, "local");
 
-  CorpusOptions options;
-  options.fanout_threads = 3;  // Force the pooled fan-out path on 1-core CI.
   for (const bool hash : {false, true}) {
     for (const uint32_t shards : {1u, 2u, 4u}) {
       std::unique_ptr<ShardRouter> router;
@@ -170,7 +168,7 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
       }
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
-          ShardedCorpus::Partition(store, std::move(router), options);
+          ShardedCorpus::Partition(store, std::move(router));
       CheckLayout(ShardedWhyNotOracle(sharded), store, questions, label);
     }
   }

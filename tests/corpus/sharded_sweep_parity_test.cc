@@ -122,8 +122,6 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
     trials.push_back(Trial{q, std::move(missing), audit});
   }
 
-  CorpusOptions options;
-  options.fanout_threads = 3;  // Force the pooled fan-out path on 1-core CI.
   for (const uint32_t shards : popt.shard_counts) {
     std::unique_ptr<ShardRouter> router;
     if (popt.use_hash_router) {
@@ -133,7 +131,7 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
     }
     const std::string label = router->Describe();
     const ShardedCorpus sharded =
-        ShardedCorpus::Partition(store, std::move(router), options);
+        ShardedCorpus::Partition(store, std::move(router));
     const ShardedWhyNotOracle oracle(sharded);
 
     for (size_t t = 0; t < trials.size(); ++t) {

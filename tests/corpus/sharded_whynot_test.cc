@@ -134,9 +134,6 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 struct TrialOptions {
   std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
   bool use_hash_router = false;
-  /// Force a pool of this many workers so the parallel fan-out/merge path
-  /// runs even on a single-core CI host (0 = auto).
-  size_t fanout_threads = 3;
   int trials = 4;
   WhyNotOptions whynot;
 };
@@ -146,8 +143,6 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed,
   const Corpus baseline = CorpusBuilder().Build(ObjectStore(store));
   const WhyNotEngine reference(baseline);
 
-  CorpusOptions options;
-  options.fanout_threads = topt.fanout_threads;
   for (const uint32_t shards : topt.shard_counts) {
     std::unique_ptr<ShardRouter> router;
     if (topt.use_hash_router) {
@@ -157,7 +152,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed,
     }
     const std::string label = router->Describe();
     const ShardedCorpus sharded =
-        ShardedCorpus::Partition(store, std::move(router), options);
+        ShardedCorpus::Partition(store, std::move(router));
     const WhyNotEngine engine(sharded);
 
     Rng rng(query_seed);
@@ -269,9 +264,8 @@ TEST(ShardedWhyNotPropertyTest, TieHeavyDegenerateDataset) {
 }
 
 TEST(ShardedWhyNotPropertyTest, InlineFanOutWithoutPool) {
-  // fanout_threads = 0 on a single-core host (or a 1-shard corpus) leaves
-  // the corpus without a pool; the inline sequential fan-out must merge to
-  // the same bits.
+  // A 1-shard corpus (or any corpus on a single-core host) has no pool; the
+  // inline sequential fan-out must merge to the same bits.
   DatasetSpec spec;
   spec.num_objects = 400;
   spec.vocabulary_size = 40;
@@ -279,7 +273,6 @@ TEST(ShardedWhyNotPropertyTest, InlineFanOutWithoutPool) {
   spec.max_keywords = 4;
   spec.seed = 275;
   TrialOptions topt;
-  topt.fanout_threads = 0;
   topt.shard_counts = {1, 4};
   topt.trials = 3;
   RunPropertyTrials(GenerateDataset(spec), /*query_seed=*/307, topt);

@@ -7,7 +7,7 @@
 // 503 when a shard dies mid-serving, /health topology reporting, and 404
 // for stale query ids. And the shards' own /metrics show what one /whynot
 // costs them: one question session per shard, every rank answered from it,
-// no stateless rank or count request.
+// no /shard/count request.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -237,8 +237,7 @@ TEST(RemoteServiceTest, OneQuestionSessionPerShardPerWhyNot) {
 
   const std::vector<const char*> routes = {
       shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
-      shardrpc::kPlaneClosePath, shardrpc::kProbeRankPath,
-      shardrpc::kCountPath};
+      shardrpc::kPlaneClosePath, shardrpc::kCountPath};
   for (int round = 0; round < 2; ++round) {
     std::vector<std::vector<uint64_t>> before;
     for (const auto& service : fleet.services) {
@@ -263,8 +262,7 @@ TEST(RemoteServiceTest, OneQuestionSessionPerShardPerWhyNot) {
       // adaption's rank fan-outs.
       EXPECT_EQ(served(1), 1 + rank_fanouts) << tag << " session ranks";
       EXPECT_EQ(served(2), 1u) << tag << " closes";
-      EXPECT_EQ(served(3), 0u) << tag << " stateless ranks";
-      EXPECT_EQ(served(4), 0u) << tag << " counts";
+      EXPECT_EQ(served(3), 0u) << tag << " counts";
     }
   }
   remote.Stop();

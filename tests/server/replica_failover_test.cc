@@ -310,9 +310,10 @@ TEST(ReplicaFailoverTest, PlaneSessionFailsOverMidSweep) {
 }
 
 TEST(ReplicaFailoverTest, RankBatchFailsOverToASibling) {
-  // Eqn. (4) rank batches are stateless: one /shard/probe/rank per shard,
-  // which fails over like any other stateless call and answers the same
-  // exact ranks from the sibling.
+  // A rank batch outside a question opens a one-call session per shard
+  // (/shard/plane/open, /shard/plane/rank, /shard/plane/close): with a
+  // replica dead, the session opens on its sibling, the open counts as a
+  // failover, and the batch answers the same exact ranks.
   const ObjectStore store = GenerateHotelDataset();
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));

@@ -1,19 +1,17 @@
-// The shardrpc /shard/probe/rank and /shard/count boundaries, both
-// directions, and the coordinator's side of the plane routes.
+// The shardrpc /shard/count boundaries, both directions, and the
+// coordinator's side of the plane routes, which answer every rank batch.
 //
-// The shard answers 400 to a truncated body or trailing bytes, a non-finite
-// target score, a query Query::Validate rejects, more than kMaxProbeSpecs
-// specs, specs whose keywords span more than kMaxKeywordUniverse terms, or
-// more than kMaxProbeShapes distinct (loc, ws) query shapes — and answers
-// exactly (the /shard/count scan counts) at each cap. /shard/count shares
-// the spec bounds. A coordinator that gets a malformed /shard/probe/rank,
+// /shard/count answers 400 to a truncated body or trailing bytes (a v6 body
+// with a method byte after its spec among them), a non-finite target score,
+// a query Query::Validate rejects, or more than kMaxProbeSpecs specs, and
+// answers exactly at the cap; a coordinator splits a larger batch into
+// requests under the cap. /shard/probe/rank is gone since shardrpc v7 (404).
+// A coordinator that gets a malformed /shard/plane/rank,
 // /shard/plane/count_batch or /shard/plane/crossings reply records a shard
-// error and its /whynot answers 503; nothing is read out of bounds. So does
-// a /shard/plane/topk reply with more rows than asked for, rows out of the
-// ScoredObject order, a non-finite score or an unknown id. Also the
-// batched /shard/count route: it answers only the scan method (method 1 is
-// 400 since shardrpc v5), and a coordinator splits a larger batch into
-// requests under the cap.
+// error, and its /whynot answers 503 or its rank batch outside a question
+// adds nothing; nothing is read out of bounds. So does a /shard/plane/topk
+// reply with more rows than asked for, rows out of the ScoredObject order,
+// a non-finite score or an unknown id.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +50,8 @@ struct Spec {
   double target_score = 0.0;
 };
 
-std::string EncodeRank(const std::vector<Spec>& specs) {
+/// A /shard/count body.
+std::string EncodeCount(const std::vector<Spec>& specs) {
   BufWriter req;
   req.PutVarU64(specs.size());
   for (const Spec& spec : specs) {
@@ -109,43 +108,17 @@ class ProbeRankTest : public ::testing::Test {
     return response.ok() ? *response : std::string();
   }
 
-  int RankStatus(const std::string& body) {
+  int CountStatus(const std::string& body) {
     int status = 0;
-    Post(shardrpc::kProbeRankPath, body, &status);
+    Post(shardrpc::kCountPath, body, &status);
     return status;
   }
 
-  std::vector<uint64_t> Rank(const std::vector<Spec>& specs) {
-    int status = 0;
-    const std::string body =
-        Post(shardrpc::kProbeRankPath, EncodeRank(specs), &status);
-    EXPECT_EQ(status, 200) << body;
-    return status == 200 ? DecodeCounts(body) : std::vector<uint64_t>{};
-  }
-
-  /// POSTs one /shard/count request, one method for every spec.
-  std::vector<uint64_t> Count(
-      const std::vector<std::pair<Spec, shardrpc::CountMethod>>& specs,
-      int* status) {
-    BufWriter req;
-    req.PutVarU64(specs.size());
-    for (const auto& [spec, method] : specs) {
-      shardrpc::PutQuery(&req, spec.query);
-      req.PutU32(spec.target);
-      req.PutF64(spec.target_score);
-      req.PutU8(static_cast<uint8_t>(method));
-    }
-    const std::string body = Post(shardrpc::kCountPath, req.data(), status);
-    return *status == 200 ? DecodeCounts(body) : std::vector<uint64_t>{};
-  }
-
-  /// POSTs one /shard/count request scanning for every spec.
+  /// POSTs one /shard/count request.
   std::vector<uint64_t> Scan(const std::vector<Spec>& specs, int* status) {
-    std::vector<std::pair<Spec, shardrpc::CountMethod>> scans;
-    for (const Spec& spec : specs) {
-      scans.emplace_back(spec, shardrpc::CountMethod::kScan);
-    }
-    return Count(scans, status);
+    const std::string body =
+        Post(shardrpc::kCountPath, EncodeCount(specs), status);
+    return *status == 200 ? DecodeCounts(body) : std::vector<uint64_t>{};
   }
 
   int ScanStatus(const std::vector<Spec>& specs) {
@@ -175,31 +148,34 @@ class ProbeRankTest : public ::testing::Test {
   std::unique_ptr<ShardService> service_;
 };
 
-TEST_F(ProbeRankTest, AnswersTheScanCounts) {
-  const std::vector<Spec> specs = SomeSpecs();
-  EXPECT_EQ(Rank(specs), ScanCounts(specs));
-  EXPECT_EQ(Rank({}), std::vector<uint64_t>{});
+TEST_F(ProbeRankTest, CountAnswersEachSpecAsAlone) {
+  const std::vector<Spec> specs = {MakeSpec(17, 17, KeywordSet({0, 1, 2})),
+                                   MakeSpec(2024, 2024, KeywordSet({0, 1, 2}))};
+  std::vector<uint64_t> alone;
+  for (const Spec& spec : specs) {
+    const std::vector<uint64_t> scan = ScanCounts({spec});
+    ASSERT_EQ(scan.size(), 1u);
+    alone.push_back(scan[0]);
+  }
+  EXPECT_NE(alone[0], alone[1]);
+  EXPECT_EQ(ScanCounts({specs[1], specs[0], specs[1]}),
+            (std::vector<uint64_t>{alone[1], alone[0], alone[1]}));
+  EXPECT_EQ(ScanCounts({}), std::vector<uint64_t>{});
 }
 
 TEST_F(ProbeRankTest, TruncatedBodiesAndTrailingBytesAre400) {
-  const std::string body = EncodeRank(SomeSpecs());
+  const std::string body = EncodeCount(SomeSpecs());
   for (size_t cut : {size_t{0}, size_t{1}, body.size() / 2, body.size() - 1}) {
-    EXPECT_EQ(RankStatus(body.substr(0, cut)), 400) << "cut at " << cut;
+    EXPECT_EQ(CountStatus(body.substr(0, cut)), 400) << "cut at " << cut;
   }
-  EXPECT_EQ(RankStatus(body + '\0'), 400);
+  EXPECT_EQ(CountStatus(body + '\0'), 400);
+  // A v6 body: one spec followed by its method byte (kScan).
+  EXPECT_EQ(CountStatus(EncodeCount({SomeSpecs()[0]}) + '\0'), 400);
   // A count far beyond the bytes that follow it.
   BufWriter huge;
   huge.PutVarU64(uint64_t{1} << 40);
-  EXPECT_EQ(RankStatus(huge.data()), 400);
-  EXPECT_EQ(RankStatus(body), 200);
-}
-
-TEST_F(ProbeRankTest, NonFiniteTargetScoresAre400) {
-  for (const double bad : {kNaN, kInf, -kInf}) {
-    std::vector<Spec> specs = SomeSpecs();
-    specs[1].target_score = bad;
-    EXPECT_EQ(RankStatus(EncodeRank(specs)), 400) << bad;
-  }
+  EXPECT_EQ(CountStatus(huge.data()), 400);
+  EXPECT_EQ(CountStatus(body), 200);
 }
 
 TEST_F(ProbeRankTest, QueriesValidateRejectsAre400) {
@@ -213,78 +189,14 @@ TEST_F(ProbeRankTest, QueriesValidateRejectsAre400) {
   for (size_t i = 0; i < breakers.size(); ++i) {
     std::vector<Spec> specs = SomeSpecs();
     breakers[i](&specs.back().query);
-    EXPECT_EQ(RankStatus(EncodeRank(specs)), 400) << "breaker " << i;
+    EXPECT_EQ(CountStatus(EncodeCount(specs)), 400) << "breaker " << i;
   }
 }
 
-TEST_F(ProbeRankTest, KeywordUniverseCap) {
-  // Members whose keywords together span exactly the cap, then one more.
-  std::vector<Spec> specs;
-  for (TermId t = 0; t < kMaxKeywordUniverse; t += 4) {
-    specs.push_back(
-        MakeSpec(17, 40 + t, KeywordSet({t, t + 1, t + 2, t + 3})));
-  }
-  EXPECT_EQ(Rank(specs), ScanCounts(specs));
-  specs.push_back(MakeSpec(17, 7, KeywordSet({TermId{kMaxKeywordUniverse}})));
-  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
-}
-
-TEST_F(ProbeRankTest, SpecCountCap) {
-  const Spec one = MakeSpec(17, 2024, KeywordSet({0, 3}));
-  const uint64_t want = ScanCounts({one}).front();
-  std::vector<Spec> specs(kMaxProbeSpecs, one);
-  EXPECT_EQ(Rank(specs), std::vector<uint64_t>(kMaxProbeSpecs, want));
-  specs.push_back(one);
-  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
-}
-
-TEST_F(ProbeRankTest, QueryShapeCap) {
-  // One spec per location: kMaxProbeShapes shapes are answered exactly, one
-  // more is refused, and so is a batch of many locations.
-  std::vector<Spec> specs;
-  for (ObjectId near = 0; near < kMaxProbeShapes; ++near) {
-    specs.push_back(MakeSpec(near, 2024, KeywordSet({0, 3})));
-  }
-  EXPECT_EQ(Rank(specs), ScanCounts(specs));
-  specs.push_back(MakeSpec(kMaxProbeShapes, 2024, KeywordSet({0, 3})));
-  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
-  // Another ws at a known location is another shape too.
-  specs.pop_back();
-  specs.push_back(specs.front());
-  specs.back().query.w = Weights::FromWs(0.25);
-  EXPECT_EQ(RankStatus(EncodeRank(specs)), 400);
-  std::vector<Spec> spread;
-  for (ObjectId near = 0; near < 2000; ++near) {
-    spread.push_back(MakeSpec(near, 2024, KeywordSet({0})));
-  }
-  EXPECT_EQ(RankStatus(EncodeRank(spread)), 400);
-}
-
-TEST_F(ProbeRankTest, CountAnswersOnlyTheScanMethod) {
-  using M = shardrpc::CountMethod;
-  const std::vector<Spec> specs = {MakeSpec(17, 17, KeywordSet({0, 1, 2})),
-                                   MakeSpec(2024, 2024, KeywordSet({0, 1, 2}))};
+TEST_F(ProbeRankTest, ProbeRankRouteIsGone) {
   int status = 0;
-  std::vector<uint64_t> alone;
-  for (const Spec& spec : specs) {
-    const std::vector<uint64_t> scan = Count({{spec, M::kScan}}, &status);
-    ASSERT_EQ(status, 200);
-    ASSERT_EQ(scan.size(), 1u);
-    EXPECT_EQ(scan, ScanCounts({spec}));
-    alone.push_back(scan[0]);
-  }
-  EXPECT_NE(alone[0], alone[1]);
-  const std::vector<uint64_t> batch =
-      Count({{specs[1], M::kScan}, {specs[0], M::kScan}, {specs[1], M::kScan}},
-            &status);
-  EXPECT_EQ(status, 200);
-  EXPECT_EQ(batch, (std::vector<uint64_t>{alone[1], alone[0], alone[1]}));
-  // Method 1 (the SetR-tree count until shardrpc v5) and unknown methods.
-  for (const uint8_t method : {1, 9}) {
-    Count({{specs[0], M::kScan}, {specs[1], static_cast<M>(method)}},
-          &status);
-    EXPECT_EQ(status, 400) << "method " << int{method};
-  }
+  Post("/shard/probe/rank", EncodeCount(SomeSpecs()), &status);
+  EXPECT_EQ(status, 404);
 }
 
 TEST_F(ProbeRankTest, CountSpecCap) {
@@ -296,18 +208,12 @@ TEST_F(ProbeRankTest, CountSpecCap) {
   EXPECT_EQ(ScanStatus(specs), 400);
 }
 
-TEST_F(ProbeRankTest, CountRejectsInvalidQueriesAndNonFiniteScores) {
+TEST_F(ProbeRankTest, NonFiniteTargetScoresAre400) {
   for (const double bad : {kNaN, kInf, -kInf}) {
     std::vector<Spec> specs = SomeSpecs();
     specs[1].target_score = bad;
     EXPECT_EQ(ScanStatus(specs), 400) << bad;
   }
-  std::vector<Spec> specs = SomeSpecs();
-  specs.back().query.k = 0;
-  EXPECT_EQ(ScanStatus(specs), 400);
-  specs.back().query.k = 1;
-  specs.back().query.doc = KeywordSet();
-  EXPECT_EQ(ScanStatus(specs), 400);
   EXPECT_EQ(ScanStatus(SomeSpecs()), 200);
 }
 
@@ -451,50 +357,52 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
       [](size_t n) { return Counts(n + 1, n + 1, false); },  // Wrong count.
       [](size_t) { return Counts(size_t{1} << 40, 1, false); },
   };
-  // Stateless rank batches (outside a question), and the question session's
-  // ranks, which every /whynot of the keyword model reads.
-  for (const char* path : {shardrpc::kProbeRankPath, shardrpc::kPlaneRankPath}) {
-    const bool session = path == shardrpc::kPlaneRankPath;
-    TamperingShard shard(service_->port(), path);
-    auto connected = RemoteCorpus::Connect({shard.endpoint()});
-    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-    const RemoteCorpus remote = std::move(connected).value();
-    const RemoteShardOracle oracle(remote);
-    YaskService coordinator(remote);
-    ASSERT_TRUE(coordinator.Start().ok());
-    // Each reply is made from the request's spec count alone.
-    const auto from_request = [session](Reply reply) {
-      return [reply, session](const std::string& request, const std::string&) {
-        BufReader in(request.data(), request.size());
-        if (session) in.GetU64();  // The session slot.
-        return reply(in.GetVarU64());
-      };
+  // The session's ranks answer both a rank batch outside a question (its
+  // one-call session) and every /whynot of the keyword model.
+  const char* path = shardrpc::kPlaneRankPath;
+  TamperingShard shard(service_->port(), path);
+  auto connected = RemoteCorpus::Connect({shard.endpoint()});
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  const RemoteShardOracle oracle(remote);
+  YaskService coordinator(remote);
+  ASSERT_TRUE(coordinator.Start().ok());
+  // Each reply is made from the request's spec count alone.
+  const auto from_request = [](Reply reply) {
+    return [reply](const std::string& request, const std::string&) {
+      BufReader in(request.data(), request.size());
+      in.GetU64();  // The session slot.
+      return reply(in.GetVarU64());
     };
-    for (size_t r = 0; r < replies.size(); ++r) {
-      shard.set_mutate(from_request(replies[r]));
-      const uint64_t before = remote.error_epoch();
-      if (session) {
-        // Through the front door: the question fails with 503.
-        EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503)
-            << path << " reply " << r;
-      } else {
-        KeywordAdaptStats stats;
-        const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
-        ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
-      }
-      EXPECT_GT(remote.error_epoch(), before) << path << " reply " << r;
-    }
-
-    // Well-formed replies again: the same calls are answered.
-    shard.set_mutate(
-        [](const std::string&, const std::string& reply) { return reply; });
-    const uint64_t before = remote.error_epoch();
+  };
+  for (size_t r = 0; r < replies.size(); ++r) {
+    shard.set_mutate(from_request(replies[r]));
+    uint64_t before = remote.error_epoch();
+    // Through the front door: the question fails with 503.
+    EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503) << "reply " << r;
+    EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
+    // Outside a question: the batch still holds one rank per spec.
+    before = remote.error_epoch();
     KeywordAdaptStats stats;
-    oracle.ProbeRankBatch(oracle_specs, &stats);
-    EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 200) << path;
-    EXPECT_EQ(remote.error_epoch(), before) << path;
-    coordinator.Stop();
+    const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
+    ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
+    EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
   }
+
+  // Well-formed replies again: the same calls are answered.
+  shard.set_mutate(
+      [](const std::string&, const std::string& reply) { return reply; });
+  const uint64_t before = remote.error_epoch();
+  KeywordAdaptStats stats;
+  const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
+  const LocalWhyNotOracle local(*corpus_);
+  for (size_t i = 0; i < oracle_specs.size(); ++i) {
+    EXPECT_EQ(batch->lower(i),
+              local.Rank(*oracle_specs[i].query, oracle_specs[i].target));
+  }
+  EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 200);
+  EXPECT_EQ(remote.error_epoch(), before);
+  coordinator.Stop();
 }
 
 /// Seed-driven mutations of the question replies a coordinator reads, after

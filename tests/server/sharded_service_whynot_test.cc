@@ -27,11 +27,8 @@ class ShardedServiceWhyNotTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     corpus_ = new Corpus(CorpusBuilder().Build(GenerateHotelDataset()));
-    CorpusOptions options;
-    options.fanout_threads = 2;  // Exercise the pool path on any host.
     sharded_ = new ShardedCorpus(ShardedCorpus::Partition(
-        corpus_->store(), GridShardRouter::Fit(corpus_->store(), 4),
-        options));
+        corpus_->store(), GridShardRouter::Fit(corpus_->store(), 4)));
   }
   static void TearDownTestSuite() {
     delete sharded_;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 
+#include "src/index/inverted_index.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -112,17 +113,6 @@ TEST(ObjectStoreCodecTest, KeywordOutsideVocabularyRejected) {
   EXPECT_FALSE(LoadObjectStore(&in, &loaded).ok());
 }
 
-TEST(InvertedIndexCodecTest, RoundTripPostings) {
-  const ObjectStore store = SyntheticStore(500);
-  const InvertedIndex original(store);
-  BufWriter out;
-  SaveInvertedIndex(original, &out);
-  BufReader in(out.data().data(), out.size());
-  auto loaded = LoadInvertedIndex(&in, store.vocab().size(), store.size());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->postings(), original.postings());
-}
-
 template <typename Tree>
 void ExpectTreesEquivalent(const Tree& a, const Tree& b) {
   EXPECT_EQ(b.size(), a.size());
@@ -200,10 +190,8 @@ class SnapshotBundleTest : public ::testing::Test {
     store_ = std::make_unique<ObjectStore>(GenerateHotelDataset());
     setr_ = std::make_unique<SetRTree>(store_.get());
     setr_->BulkLoad();
-    inverted_ = std::make_unique<InvertedIndex>(*store_);
     path_ = TestPath("bundle");
-    auto bytes =
-        WriteSnapshot(path_, *store_, setr_.get(), inverted_.get());
+    auto bytes = WriteSnapshot(path_, *store_, setr_.get());
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     EXPECT_GT(*bytes, 0u);
   }
@@ -223,7 +211,6 @@ class SnapshotBundleTest : public ::testing::Test {
 
   std::unique_ptr<ObjectStore> store_;
   std::unique_ptr<SetRTree> setr_;
-  std::unique_ptr<InvertedIndex> inverted_;
   std::string path_;
 };
 
@@ -232,7 +219,6 @@ TEST_F(SnapshotBundleTest, TopKAndWhyNotAnswersIdenticalAfterReload) {
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   ASSERT_NE(bundle->store, nullptr);
   ASSERT_NE(bundle->setr, nullptr);
-  ASSERT_NE(bundle->inverted, nullptr);
 
   // The why-not engine runs over a Corpus; build one around each state
   // (bulk loading from the same store reproduces the identical trees).
@@ -290,7 +276,6 @@ TEST_F(SnapshotBundleTest, StoreOnlySnapshotLeavesIndexesNull) {
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_NE(bundle->store, nullptr);
   EXPECT_EQ(bundle->setr, nullptr);
-  EXPECT_EQ(bundle->inverted, nullptr);
   std::remove(path.c_str());
 }
 
@@ -315,6 +300,45 @@ TEST_F(SnapshotBundleTest, RetiredKcRSectionIsSkipped) {
   const SetRTopKEngine restored(corpus->store(), corpus->setr());
   EXPECT_EQ(restored.Query(CarolQuery()),
             SetRTopKEngine(*store_, *setr_).Query(CarolQuery()));
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotBundleTest, RetiredInvertedIndexSectionIsSkipped) {
+  // Files written before the corpus dropped its inverted index carry
+  // section 3 (varu64 term count, then each term's delta-coded posting
+  // list); readers skip it unread, and the corpus answers as before.
+  const std::string path = TestPath("retired_inverted");
+  SnapshotWriter writer;
+  SaveVocabulary(store_->vocab(), writer.AddSection(SectionId::kVocabulary));
+  SaveObjectStore(*store_, writer.AddSection(SectionId::kObjectStore));
+  const InvertedIndex inverted(*store_);
+  BufWriter* postings = writer.AddSection(SectionId::kInvertedIndex);
+  postings->PutVarU64(store_->vocab().size());
+  for (TermId t = 0; t < store_->vocab().size(); ++t) {
+    postings->PutDeltaIds(inverted.Postings(t));
+  }
+  SaveSetRTree(*setr_, writer.AddSection(SectionId::kSetRTree));
+  uint64_t bytes = 0;
+  ASSERT_TRUE(writer.WriteTo(path, &bytes).ok());
+
+  auto corpus = CorpusBuilder().FromSnapshot(path);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(corpus->size(), store_->size());
+  const Corpus rebuilt = CorpusBuilder().Build(ObjectStore(*store_));
+  const WhyNotEngine before(rebuilt);
+  const WhyNotEngine after(*corpus);
+  const Query q = CarolQuery();
+  ASSERT_EQ(after.TopK(q), before.TopK(q));
+  const ObjectId missing = before.TopK(CarolQuery(25))[18].id;
+  auto before_answer = before.Answer(q, {missing});
+  auto after_answer = after.Answer(q, {missing});
+  ASSERT_TRUE(before_answer.ok() && after_answer.ok());
+  EXPECT_EQ(after_answer->explanations[0].rank,
+            before_answer->explanations[0].rank);
+  EXPECT_EQ(after_answer->explanations[0].text,
+            before_answer->explanations[0].text);
+  EXPECT_EQ(after_answer->recommended, before_answer->recommended);
+  EXPECT_EQ(after_answer->refined_result, before_answer->refined_result);
   std::remove(path.c_str());
 }
 
@@ -343,8 +367,8 @@ TEST_F(SnapshotBundleTest, InspectReportsSections) {
   auto report = InspectSnapshot(path_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->format_version, kSnapshotFormatVersion);
-  // Vocabulary, store, inverted index, SetR-tree: no KcR-tree section.
-  ASSERT_EQ(report->sections.size(), 4u);
+  // Vocabulary, store, SetR-tree: no inverted index or KcR-tree section.
+  ASSERT_EQ(report->sections.size(), 3u);
   bool saw_store = false;
   for (const SnapshotSectionReport& s : report->sections) {
     EXPECT_GT(s.size, 0u);

@@ -18,7 +18,11 @@
 //     or wt = 0, with k past a shard's size or n, over an empty shard)
 //     equals the reference scan, TopKScan and the SetR-tree top-k;
 //   * one /whynot opens exactly one question per shard, in process and
-//     remote, and runs no SetR-tree top-k.
+//     remote, and runs no SetR-tree top-k;
+//   * a rank batch outside any question (several locations, a doc wider than
+//     64 keywords, targets on other shards, tie-heavy data) answers the
+//     reference ranks on every layout, with one one-call question per shard
+//     per location, all closed afterwards.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -163,9 +167,8 @@ std::vector<double> ScanCrossings(const std::vector<PlanePoint>& pts,
 void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                         const Query& q, const KeywordSet& universe,
                         uint64_t seed, const std::string& label) {
-  QuestionColumns optimized(view, dist_norm, q, universe,
-                            QuestionPlane::kOptimized);
-  QuestionColumns basic(view, dist_norm, q, universe, QuestionPlane::kBasic);
+  QuestionColumns optimized(view, dist_norm, q, universe, /*optimized=*/true);
+  QuestionColumns basic(view, dist_norm, q, universe, /*optimized=*/false);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
   const QuestionShape shape = optimized.shape();
   EXPECT_EQ(shape.objects, view.store->size()) << label;
@@ -295,8 +298,7 @@ void ExpectTopKExact(const OracleShardView& view, double dist_norm,
                      const ObjectStore& whole, const Query& q,
                      const KeywordSet& universe, uint64_t seed,
                      const std::string& label) {
-  QuestionColumns columns(view, dist_norm, q, universe,
-                          QuestionPlane::kOptimized);
+  QuestionColumns columns(view, dist_norm, q, universe, /*optimized=*/true);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
   std::vector<bool> held(whole.size(), view.to_global == nullptr);
   if (view.to_global != nullptr) {
@@ -458,9 +460,8 @@ TEST(QuestionColumnsTest, EmptyShardAnswersZero) {
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
-  for (const QuestionPlane plane :
-       {QuestionPlane::kBasic, QuestionPlane::kOptimized}) {
-    QuestionColumns columns(u.view, 1.0, q, KeywordSet({2}), plane);
+  for (const bool optimized : {false, true}) {
+    QuestionColumns columns(u.view, 1.0, q, KeywordSet({2}), optimized);
     EXPECT_EQ(columns.shape().objects, 0u);
     EXPECT_EQ(columns.shape().groups, 0u);
     EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
@@ -493,7 +494,7 @@ TEST(QuestionColumnsTest, OptimizedPlaneSearchesFewerPointsThanAScan) {
   q.doc = KeywordSet({0, 1, 2});
   q.w = Weights::FromWs(0.5);
   QuestionColumns columns(u.view, u.dist_norm, q, KeywordSet(),
-                          QuestionPlane::kOptimized);
+                          /*optimized=*/true);
   const PlanePoint anchor = PlanePoints(u.view, u.dist_norm, q)[17];
   std::vector<size_t> count(1);
   size_t evals = 0;
@@ -858,9 +859,8 @@ class CountingShard final : public OracleShard {
     return inner_.TopK(query, prune_below, stats);
   }
   Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets,
-      OutscoringKernel kernel) const override {
-    return inner_.CountOutscoring(targets, kernel);
+      const std::vector<ScanTarget>& targets) const override {
+    return inner_.CountOutscoring(targets);
   }
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
       const Query& query, const KeywordSet& universe,
@@ -956,7 +956,8 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(setr_searches.load(), shards);
   }
   // Remote: one /shard/plane/open per shard per /whynot, every rank and
-  // top-k from the session, and no stateless rank, count or top-k request.
+  // top-k from the session, and no stateless count or top-k request. A rank
+  // batch falling outside the question would open a second session.
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
   ShardFleet fleet(sharded);
@@ -968,9 +969,8 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     const uint64_t opens = fleet.Served(shardrpc::kPlaneOpenPath);
     const uint64_t ranks = fleet.Served(shardrpc::kPlaneRankPath);
     const uint64_t topks = fleet.Served(shardrpc::kPlaneTopKPath);
-    const uint64_t stateless = fleet.Served(shardrpc::kProbeRankPath) +
-                               fleet.Served(shardrpc::kCountPath) +
-                               fleet.Served(shardrpc::kTopKPath);
+    const uint64_t stateless =
+        fleet.Served(shardrpc::kCountPath) + fleet.Served(shardrpc::kTopKPath);
     auto answer = engine.Answer(q.query, q.missing);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneOpenPath) - opens, 2u);
@@ -979,10 +979,9 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneRankPath) - ranks,
               2 * (1 + answer->keyword->stats.probe_fanouts));
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneTopKPath) - topks, 2u * 2);
-    EXPECT_EQ(fleet.Served(shardrpc::kProbeRankPath) +
-                  fleet.Served(shardrpc::kCountPath) +
-                  fleet.Served(shardrpc::kTopKPath),
-              stateless);
+    EXPECT_EQ(
+        fleet.Served(shardrpc::kCountPath) + fleet.Served(shardrpc::kTopKPath),
+        stateless);
     // A combined question sends no /shard/topk either.
     const uint64_t setr_topks = fleet.Served(shardrpc::kTopKPath);
     auto combined = engine.CombineRefinements(q.query, q.missing);
@@ -993,6 +992,145 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), setr_topks);
   }
   EXPECT_EQ(remote.error_epoch(), 0u);
+}
+
+
+// --- Rank batches outside a question -------------------------------------------
+
+/// One rank batch outside any question: specs at three locations (one at
+/// the origin, where the tie store's scores tie in runs), with several docs
+/// and weights per location, targets drawn from the whole id range (so, in a
+/// sharded layout, mostly held by another shard than the question's rows),
+/// and, on a store of more than 64 keywords, a doc of 70.
+struct StatelessBatch {
+  std::vector<Query> queries;
+  std::vector<OracleTargetSpec> specs;
+  size_t locations = 0;
+};
+
+StatelessBatch MakeStatelessBatch(const ObjectStore& store, uint64_t seed,
+                                  bool wide_doc) {
+  StatelessBatch batch;
+  Rng rng(seed);
+  const std::vector<Point> locations = {Point{0.0, 0.0}, store.Get(17).loc,
+                                        store.Get(400).loc};
+  batch.locations = locations.size();
+  for (const Point& loc : locations) {
+    for (const double ws : {0.2, 0.5, 0.8}) {
+      Query q;
+      q.loc = loc;
+      q.k = 5;
+      q.w = Weights::FromWs(ws);
+      q.doc = SampleQueryKeywords(store, 1 + batch.queries.size() % 3, &rng);
+      batch.queries.push_back(q);
+    }
+  }
+  if (wide_doc) {
+    Query q = batch.queries[1];
+    std::vector<TermId> terms(70);
+    for (TermId t = 0; t < terms.size(); ++t) terms[t] = t;
+    q.doc = KeywordSet(std::move(terms));
+    batch.queries.push_back(q);
+  }
+  for (const Query& q : batch.queries) {
+    for (int t = 0; t < 4; ++t) {
+      batch.specs.push_back(OracleTargetSpec{
+          &q, static_cast<ObjectId>(rng.NextBounded(store.size()))});
+    }
+  }
+  return batch;
+}
+
+/// The batch's ranks, Rank() of every spec, and the explanations of the
+/// last query (70 keywords on the random store), each against the
+/// reference.
+void ExpectStatelessRanks(const WhyNotOracle& oracle, const ObjectStore& store,
+                          const StatelessBatch& batch,
+                          const std::string& layout) {
+  KeywordAdaptStats stats;
+  const std::unique_ptr<RankProbeBatch> ranks =
+      oracle.ProbeRankBatch(batch.specs, &stats);
+  ASSERT_EQ(ranks->size(), batch.specs.size()) << layout;
+  EXPECT_EQ(stats.objects_scored, store.size()) << layout;
+  for (size_t i = 0; i < batch.specs.size(); ++i) {
+    const OracleTargetSpec& spec = batch.specs[i];
+    const size_t want = reference::Rank(store, *spec.query, spec.target);
+    EXPECT_EQ(ranks->lower(i), want) << layout << " spec " << i;
+    EXPECT_EQ(oracle.Rank(*spec.query, spec.target), want)
+        << layout << " Rank of spec " << i;
+  }
+  const Query& last = batch.queries.back();
+  std::vector<ObjectId> missing;
+  for (int m = 0; m < 3; ++m) missing.push_back(batch.specs[m].target);
+  auto explained = ExplainMissing(oracle, last, missing);
+  ASSERT_TRUE(explained.ok()) << layout;
+  for (size_t m = 0; m < missing.size(); ++m) {
+    EXPECT_EQ((*explained)[m].rank, reference::Rank(store, last, missing[m]))
+        << layout << " explained " << m;
+  }
+}
+
+void RunStatelessLayouts(const ObjectStore& store,
+                         const StatelessBatch& batch) {
+  const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
+  ExpectStatelessRanks(LocalWhyNotOracle(corpus), store, batch, "local");
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
+    std::atomic<size_t> opened{0};
+    std::atomic<size_t> setr_searches{0};
+    const CountingOracle oracle(sharded, &opened, &setr_searches);
+    // One one-call question per shard per location for the batch.
+    KeywordAdaptStats stats;
+    oracle.ProbeRankBatch(batch.specs, &stats);
+    EXPECT_EQ(opened.load(), shards * batch.locations) << shards << " shards";
+    ExpectStatelessRanks(oracle, store, batch,
+                         std::to_string(shards) + " shards");
+  }
+
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote = std::move(connected).value();
+  const RemoteShardOracle oracle(remote);
+  auto opens = [&](size_t s) {
+    return fleet.services[s]
+        ->metrics()
+        .GetHistogram("yask_shard_request_ms",
+                      {{"endpoint", shardrpc::kPlaneOpenPath}})
+        ->count();
+  };
+  std::vector<uint64_t> before;
+  for (size_t s = 0; s < fleet.services.size(); ++s) {
+    before.push_back(opens(s));
+  }
+  KeywordAdaptStats stats;
+  oracle.ProbeRankBatch(batch.specs, &stats);
+  for (size_t s = 0; s < fleet.services.size(); ++s) {
+    // Each shard opened one session per location, and closed them all.
+    EXPECT_EQ(opens(s) - before[s], batch.locations) << "shard " << s;
+    EXPECT_EQ(fleet.services[s]->open_sessions(), 0u) << "shard " << s;
+  }
+  ExpectStatelessRanks(oracle, store, batch, "remote");
+  for (const auto& service : fleet.services) {
+    EXPECT_EQ(service->open_sessions(), 0u);
+  }
+  EXPECT_EQ(fleet.Served(shardrpc::kCountPath), 0u);
+  EXPECT_EQ(remote.error_epoch(), 0u);
+}
+
+TEST(StatelessRankBatchTest, RandomCorpusOnEveryLayout) {
+  const ObjectStore store = RandomStore(1500, 100, 611);
+  RunStatelessLayouts(store,
+                      MakeStatelessBatch(store, 612, /*wide_doc=*/true));
+}
+
+TEST(StatelessRankBatchTest, TieHeavyCorpusOnEveryLayout) {
+  const ObjectStore store = TieStore(1200, 12, 613);
+  RunStatelessLayouts(store,
+                      MakeStatelessBatch(store, 614, /*wide_doc=*/false));
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Property tests of the shard-side counting kernels: the scan kernel
-// (OutrankKernel behind ShardScanOutscoring) and the one-call question
-// columns (ShardColumnOutscoring).
+// (OutrankKernel behind ShardScanOutscoring) and the question columns
+// (QuestionColumns), here as a one-call question per location of a batch
+// whose doc is the union of that location's query docs.
 //
 // The reference is an independent full scan: Scorer::Score over
 // store.objects() with the D6 tie order written out here, and no kernel
 // code. Both kernels must equal it exactly, on random and tie-heavy data,
 // for targets inside a tie run and targets the shard does not hold, for
-// objects sharing no keyword with the batch, at the 64-keyword universe
-// cap, with two query shapes and with kMaxProbeShapes in one batch, and
-// over sharded id mappings; every scan-kernel score must be bit-for-bit
-// Scorer::Score.
+// objects sharing no keyword with the batch, with a 64-keyword universe,
+// with two query shapes in one batch, and over sharded id mappings; every
+// scan-kernel score must be bit-for-bit Scorer::Score.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -138,18 +138,55 @@ std::vector<ScanTarget> TargetsOf(const std::vector<Member>& members) {
   return targets;
 }
 
+/// The union of the members' query docs.
+KeywordSet UnionOf(const std::vector<Member>& members) {
+  KeywordSet terms;
+  for (const Member& m : members) {
+    terms = KeywordSet::Union(terms, m.query.doc);
+  }
+  return terms;
+}
+
+/// The counts of one-call questions: per location (told apart by its
+/// bits), one QuestionColumns whose doc is the union of the docs there.
+std::vector<size_t> QuestionCounts(const OracleShardView& view,
+                                   double dist_norm,
+                                   const std::vector<Member>& members) {
+  auto same_loc = [](const Point& a, const Point& b) {
+    return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
+           std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y);
+  };
+  std::vector<size_t> counts(members.size(), 0);
+  std::vector<bool> done(members.size(), false);
+  for (size_t first = 0; first < members.size(); ++first) {
+    if (done[first]) continue;
+    Query question = members[first].query;
+    std::vector<size_t> here;
+    for (size_t i = first; i < members.size(); ++i) {
+      if (done[i] || !same_loc(members[i].query.loc, question.loc)) continue;
+      question.doc = KeywordSet::Union(question.doc, members[i].query.doc);
+      here.push_back(i);
+      done[i] = true;
+    }
+    const QuestionColumns columns(view, dist_norm, question, KeywordSet(),
+                                  /*optimized=*/true);
+    for (const size_t i : here) {
+      counts[i] = columns.CountOutscoring(ScanTarget{
+          &members[i].query, members[i].target_score, members[i].target});
+    }
+  }
+  return counts;
+}
+
 /// The column counts, the scan counts and the reference must agree exactly
 /// for every member. Returns the counts.
 std::vector<size_t> ExpectKernelsMatch(const OracleShardView& view,
                                        double dist_norm,
                                        const std::vector<Member>& members,
                                        const std::string& label) {
-  const std::vector<ScanTarget> targets = TargetsOf(members);
-  EXPECT_LE(KeywordUniverse(targets).size(), kMaxKeywordUniverse) << label;
-  const std::vector<size_t> columns =
-      ShardColumnOutscoring(view, dist_norm, targets);
+  const std::vector<size_t> columns = QuestionCounts(view, dist_norm, members);
   const std::vector<size_t> scan =
-      ShardScanOutscoring(view, dist_norm, targets);
+      ShardScanOutscoring(view, dist_norm, TargetsOf(members));
   EXPECT_EQ(columns.size(), members.size()) << label;
   EXPECT_EQ(scan.size(), members.size()) << label;
   for (size_t i = 0; i < members.size() && i < columns.size(); ++i) {
@@ -306,14 +343,13 @@ TEST(ShardKernelTest, UniverseOfSixtyFourKeywords) {
   const Unsharded u(RandomStore(3000, 80, 91));
   auto members = RandomMembers(u.store, u.dist_norm, 32, 4, 80,
                                /*shapes=*/1, 92);
-  // Widen the first members' documents until the union is exactly the cap.
-  std::vector<TermId> universe = KeywordUniverse(TargetsOf(members));
+  // Widen the first members' documents until the union is exactly 64
+  // keywords: one full mask word.
+  KeywordSet universe = UnionOf(members);
   for (TermId t = 0; universe.size() < kMaxKeywordUniverse; ++t) {
-    if (std::find(universe.begin(), universe.end(), t) != universe.end()) {
-      continue;
-    }
+    if (universe.Contains(t)) continue;
     members[universe.size() % members.size()].query.doc.Insert(t);
-    universe = KeywordUniverse(TargetsOf(members));
+    universe = UnionOf(members);
   }
   while (universe.size() > kMaxKeywordUniverse) {
     for (Member& m : members) {
@@ -322,7 +358,7 @@ TEST(ShardKernelTest, UniverseOfSixtyFourKeywords) {
         break;
       }
     }
-    universe = KeywordUniverse(TargetsOf(members));
+    universe = UnionOf(members);
   }
   ASSERT_EQ(universe.size(), kMaxKeywordUniverse);
   for (Member& m : members) {
@@ -340,31 +376,6 @@ TEST(ShardKernelTest, TwoShapesInOneBatch) {
                                      /*shapes=*/2, 32);
   ExpectKernelsMatch(u.view, u.dist_norm, members, "two shapes");
   ExpectBitIdenticalScores(u.view, u.dist_norm, members, "two shapes");
-}
-
-TEST(ShardKernelTest, ShapeCapInOneBatch) {
-  const Unsharded u(RandomStore(2000, 40, 33));
-  const auto members = RandomMembers(u.store, u.dist_norm, 48, 4, 40,
-                                     kMaxProbeShapes, 34);
-  ASSERT_EQ(CountQueryShapes(TargetsOf(members)), kMaxProbeShapes);
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "shape cap");
-}
-
-TEST(ShardKernelTest, CountQueryShapesKeysBitsAndStopsPastTheCap) {
-  const Unsharded u(RandomStore(100, 10, 9));
-  auto members = RandomMembers(u.store, u.dist_norm, 6, 2, 10,
-                               /*shapes=*/1, 10, /*origin=*/true);
-  // Docs and wt do not make a shape; loc and ws do, down to the sign of 0.
-  members[1].query.w = Weights::FromWs(members[0].query.w.ws);
-  EXPECT_EQ(CountQueryShapes(TargetsOf(members)), 1u);
-  members[2].query.loc.x = -0.0;
-  members[3].query.w = Weights::FromWs(0.25);
-  EXPECT_EQ(CountQueryShapes(TargetsOf(members)), 3u);
-  // A batch of many locations is counted only one past the cap.
-  const auto spread = RandomMembers(u.store, u.dist_norm, 1000, 2, 10,
-                                    /*shapes=*/1000, 11);
-  EXPECT_EQ(CountQueryShapes(TargetsOf(spread)), kMaxProbeShapes + 1);
-  EXPECT_EQ(CountQueryShapes({}), 0u);
 }
 
 TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
@@ -401,31 +412,26 @@ TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
   }
 }
 
-TEST(ShardKernelTest, ScanKernelHandlesUnionsWiderThanOneMaskWord) {
-  // The scan kernel (basic mode) has no universe cap: several mask words.
+TEST(ShardKernelTest, UnionsWiderThanOneMaskWord) {
+  // Neither kernel caps the union: several mask words.
   const Unsharded u(RandomStore(2500, 300, 21));
   const auto members = RandomMembers(u.store, u.dist_norm, 24, 30, 300,
                                      /*shapes=*/1, 22);
-  const std::vector<ScanTarget> targets = TargetsOf(members);
-  ASSERT_GT(KeywordUniverse(targets).size(), 128u);
-  const std::vector<size_t> counts =
-      ShardScanOutscoring(u.view, u.dist_norm, targets);
-  for (size_t i = 0; i < members.size(); ++i) {
-    EXPECT_EQ(counts[i],
-              ScanCount(u.store, nullptr, u.dist_norm, members[i]))
-        << "member " << i;
-  }
+  ASSERT_GT(UnionOf(members).size(), 128u);
+  ExpectKernelsMatch(u.view, u.dist_norm, members, "wide union");
   ExpectBitIdenticalScores(u.view, u.dist_norm, members, "wide union");
 }
 
 TEST(ShardKernelTest, EmptyBatchAndEmptyShard) {
   const Unsharded u(RandomStore(100, 10, 7));
-  EXPECT_TRUE(ShardColumnOutscoring(u.view, u.dist_norm, {}).empty());
+  EXPECT_TRUE(QuestionCounts(u.view, u.dist_norm, {}).empty());
+  EXPECT_TRUE(ShardScanOutscoring(u.view, u.dist_norm, {}).empty());
   const Unsharded empty{ObjectStore()};
   const auto members = RandomMembers(u.store, u.dist_norm, 5, 2, 10,
                                      /*shapes=*/1, 8);
-  EXPECT_EQ(ShardColumnOutscoring(empty.view, u.dist_norm,
-                                  TargetsOf(members)),
+  EXPECT_EQ(QuestionCounts(empty.view, u.dist_norm, members),
+            std::vector<size_t>(members.size(), 0));
+  EXPECT_EQ(ShardScanOutscoring(empty.view, u.dist_norm, TargetsOf(members)),
             std::vector<size_t>(members.size(), 0));
 }
 
