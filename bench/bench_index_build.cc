@@ -1,12 +1,11 @@
 // Experiment E3 (DESIGN.md): index construction cost and footprint.
 //
-// Regenerates the index substrate comparison: STR bulk load versus repeated
-// insertion, for the plain R-tree and the SetR-tree, with the per-index
-// memory footprint as counters.
+// Regenerates the index substrate comparison: STR bulk load of the plain
+// R-tree and the SetR-tree (the only way either is built), with the
+// per-index memory footprint as counters.
 //
-// Expected shape: bulk load is several times faster than insertion; the
-// SetR-tree costs more memory (keyword sets at every node) than the plain
-// R-tree.
+// Expected shape: the SetR-tree costs more memory (keyword sets at every
+// node) than the plain R-tree.
 
 #include <benchmark/benchmark.h>
 
@@ -32,30 +31,11 @@ void BuildBulk(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(mem) / n);
 }
 
-template <typename Tree>
-void BuildInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const ObjectStore& store = SharedDataset(n);
-  for (auto _ : state) {
-    Tree tree(&store);
-    for (ObjectId id = 0; id < n; ++id) tree.Insert(id);
-    benchmark::DoNotOptimize(tree.root());
-  }
-}
-
 void BM_Build_RTree_Bulk(benchmark::State& state) { BuildBulk<RTree>(state); }
 void BM_Build_SetR_Bulk(benchmark::State& state) { BuildBulk<SetRTree>(state); }
-void BM_Build_RTree_Insert(benchmark::State& state) {
-  BuildInsert<RTree>(state);
-}
-void BM_Build_SetR_Insert(benchmark::State& state) {
-  BuildInsert<SetRTree>(state);
-}
 
 BENCHMARK(BM_Build_RTree_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Build_SetR_Bulk)->ArgName("N")->Arg(10000)->Arg(100000);
-BENCHMARK(BM_Build_RTree_Insert)->ArgName("N")->Arg(10000)->Arg(50000);
-BENCHMARK(BM_Build_SetR_Insert)->ArgName("N")->Arg(10000);
 
 void BM_Build_InvertedIndex(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

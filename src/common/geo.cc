@@ -20,19 +20,4 @@ double HaversineKm(const Point& lonlat_a, const Point& lonlat_b) {
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-Rect GeoBoundingBox(const Point& center, double radius_km) {
-  const double dlat = radius_km / kEarthRadiusKm / kDegToRad;
-  const double cos_lat = std::cos(center.y * kDegToRad);
-  double dlon;
-  if (cos_lat < 1e-9) {
-    dlon = 360.0;  // At a pole every longitude is within any radius.
-  } else {
-    dlon = dlat / cos_lat;
-  }
-  return Rect::FromBounds(std::max(-180.0, center.x - dlon),
-                          std::max(-90.0, center.y - dlat),
-                          std::min(180.0, center.x + dlon),
-                          std::min(90.0, center.y + dlat));
-}
-
 }  // namespace yask

@@ -2,7 +2,7 @@
 // Geographic helpers for lon/lat datasets (the demo's Hong Kong hotels are
 // WGS84 coordinates). The engines rank by normalised Euclidean distance per
 // Eqn. (1) — fine within a city — but user-facing output ("1.3 km away")
-// and radius filters need great-circle distances.
+// needs great-circle distances.
 //
 // Convention: Point.x = longitude in degrees, Point.y = latitude in degrees.
 
@@ -19,13 +19,6 @@ inline constexpr double kEarthRadiusKm = 6371.0088;
 /// Great-circle distance between two lon/lat points, in kilometres
 /// (haversine formula; good to ~0.5% everywhere).
 double HaversineKm(const Point& lonlat_a, const Point& lonlat_b);
-
-/// A lon/lat bounding box that contains every point within `radius_km` of
-/// `center` (conservative: the box is a superset of the disk). Useful as an
-/// R-tree pre-filter before exact haversine checks. Longitude spans are
-/// clamped to [-180, 180] without wrap-around handling; near the poles the
-/// box degenerates to the full longitude range.
-Rect GeoBoundingBox(const Point& center, double radius_km);
 
 }  // namespace yask
 

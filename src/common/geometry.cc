@@ -35,16 +35,6 @@ void Rect::Extend(const Rect& other) {
   max_y = std::max(max_y, other.max_y);
 }
 
-double Rect::Area() const {
-  if (empty()) return 0.0;
-  return (max_x - min_x) * (max_y - min_y);
-}
-
-double Rect::Margin() const {
-  if (empty()) return 0.0;
-  return (max_x - min_x) + (max_y - min_y);
-}
-
 bool Rect::Contains(const Point& p) const {
   return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
 }
@@ -71,10 +61,6 @@ Rect Rect::Intersection(const Rect& a, const Rect& b) {
   if (!a.Intersects(b)) return Rect::Empty();
   return Rect{std::max(a.min_x, b.min_x), std::max(a.min_y, b.min_y),
               std::min(a.max_x, b.max_x), std::min(a.max_y, b.max_y)};
-}
-
-double Rect::Enlargement(const Rect& r) const {
-  return Union(*this, r).Area() - Area();
 }
 
 double Rect::MinDistance(const Point& p) const {

@@ -56,11 +56,6 @@ struct Rect {
   /// Grows this rectangle to cover `other`.
   void Extend(const Rect& other);
 
-  /// Area; 0 for empty or degenerate rectangles.
-  double Area() const;
-  /// Half perimeter (margin); used by some split heuristics.
-  double Margin() const;
-
   /// True if `p` lies inside or on the boundary.
   bool Contains(const Point& p) const;
   /// True if `other` is fully inside this rectangle.
@@ -72,9 +67,6 @@ struct Rect {
   static Rect Union(const Rect& a, const Rect& b);
   /// Intersection; empty if disjoint.
   static Rect Intersection(const Rect& a, const Rect& b);
-
-  /// Area growth needed to cover `r` (the classic R-tree insert heuristic).
-  double Enlargement(const Rect& r) const;
 
   /// Minimum Euclidean distance from `p` to any point of this rectangle;
   /// 0 when `p` is inside. This is the R-tree MINDIST bound.

@@ -202,20 +202,6 @@ ReplicaSet::ReplicaSet(std::vector<std::unique_ptr<RemoteShard>> replicas,
     }
     return cooling;
   });
-  metrics->AddGaugeCallback("yask_shard_rpc_ewma_ms", labels,
-                            [this] { return rpc_ewma_ms(); });
-}
-
-void ReplicaSet::ObserveLatency(double ms) const {
-  call_latency_->Observe(ms);
-  // EWMA seeded by the first sample. CAS loop: concurrent fan-out threads
-  // land observations here, and a lost update would silently drop samples.
-  double prev = rpc_ewma_ms_->load(std::memory_order_relaxed);
-  double next;
-  do {
-    next = prev == 0.0 ? ms : prev + 0.2 * (ms - prev);
-  } while (!rpc_ewma_ms_->compare_exchange_weak(prev, next,
-                                                std::memory_order_relaxed));
 }
 
 std::string ReplicaSet::description() const {
@@ -371,14 +357,14 @@ Result<std::string> ReplicaSet::Call(const std::string& method,
       // it on a sibling would just repeat it.
       MarkSuccess(*r);
       if (failed_over) NoteFailover();
-      ObserveLatency(timer.ElapsedMillis());
+      call_latency_->Observe(timer.ElapsedMillis());
       return resp;
     }
     last = resp.status();
     failed_over = true;
     MarkFailure(*r);
   }
-  ObserveLatency(timer.ElapsedMillis());
+  call_latency_->Observe(timer.ElapsedMillis());
   return Status::Unavailable("all " + std::to_string(replicas_.size()) +
                              " replica(s) of " + description() +
                              " failed: " + last.message());
@@ -396,7 +382,7 @@ Result<std::string> ReplicaSet::CallOn(size_t r, const std::string& method,
   }
   Timer timer;
   Result<std::string> resp = replicas_[r]->Call(method, path, body);
-  ObserveLatency(timer.ElapsedMillis());
+  call_latency_->Observe(timer.ElapsedMillis());
   if (!resp.ok() && resp.status().code() == StatusCode::kUnavailable) {
     MarkFailure(r);
   } else {

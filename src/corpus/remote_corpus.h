@@ -238,17 +238,7 @@ class ReplicaSet {
   /// counter.
   uint64_t failovers() const { return failovers_->value(); }
 
-  /// EWMA (α = 0.2) of this shard's observed per-call RPC latency in ms,
-  /// fed by the same observations as yask_shard_rpc_latency_ms; 0.0 until
-  /// the first sample. Exposed as the yask_shard_rpc_ewma_ms gauge.
-  double rpc_ewma_ms() const {
-    return rpc_ewma_ms_->load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Latency bookkeeping shared by Call/CallOn: the histogram observation
-  /// plus the EWMA update (CAS loop — fan-out threads race here).
-  void ObserveLatency(double ms) const;
   /// Per-replica health. Heap-allocated so the set stays movable.
   struct Health {
     std::atomic<uint32_t> consecutive_failures{0};
@@ -270,9 +260,6 @@ class ReplicaSet {
   Counter* lazy_validations_ = nullptr;
   Counter* lazy_rejections_ = nullptr;
   Histogram* call_latency_ = nullptr;
-  /// Heap-allocated like Health so the set stays movable. 0.0 = no sample.
-  std::unique_ptr<std::atomic<double>> rpc_ewma_ms_ =
-      std::make_unique<std::atomic<double>>(0.0);
 };
 
 /// The coordinator's serving-state view over N remote shards. Construct via

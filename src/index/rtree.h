@@ -2,26 +2,25 @@
 // The R-tree core shared by every index in YASK (§3.3: "The algorithms inside
 // the engines employ R-tree based indexing techniques").
 //
-// RTreeT<Summary> is a classic Guttman R-tree (quadratic split, condense-tree
-// deletion) with STR bulk loading, templated on a node-summary policy:
+// RTreeT<Summary> is a static R-tree, built once by STR bulk loading or
+// adopted whole from a snapshot, templated on a node-summary policy:
 //
 //   * EmptySummary  -> plain R-tree (spatial only),
 //   * SetSummary    -> SetR-tree (per-node keyword union + intersection).
 //
-// Summaries are recomputed bottom-up during bulk load and maintained by
-// recomputation along structurally-modified paths on insert/delete (they are
-// not subtractable, so no incremental removal is attempted).
+// Summaries are computed bottom-up during bulk load. The corpus a tree
+// indexes never changes once built, so there is no insert or delete.
 //
-// The node arena is public read-only: the query and why-not engines run their
-// own best-first traversals directly over nodes.
+// The node arena is public read-only: the top-k engines, the snapshot codec
+// and Validate() walk it through root() and node().
 
 #ifndef YASK_INDEX_RTREE_H_
 #define YASK_INDEX_RTREE_H_
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -102,46 +101,22 @@ class RTreeT {
   /// Rebuilds over the given object ids.
   void BulkLoad(std::vector<ObjectId> ids);
 
-  /// Inserts one object (Guttman choose-leaf + quadratic split).
-  void Insert(ObjectId id);
-
-  /// Removes one object; returns false if it was not in the tree. Underflowed
-  /// nodes are dissolved and their objects re-inserted (condense-tree).
-  bool Delete(ObjectId id);
-
   /// Installs a fully-built node arena, replacing the current tree. This is
   /// the snapshot-load hook: the codec reconstructs nodes (rects, parents,
   /// summaries, entries) from disk and hands them over wholesale, so a cold
   /// start skips both the STR sort and the bottom-up summary recomputation.
   ///
   /// `nodes` must be structurally consistent (the codec validates while
-  /// decoding; tests cross-check with Validate()) and must contain no free
-  /// slots. `options` restores the fanout limits the tree was built with, so
-  /// later Insert()/Delete() calls keep honouring them.
+  /// decoding; tests cross-check with Validate()). `options` restores the
+  /// fanout limits the tree was built with, which Validate() checks.
   void AdoptArena(std::vector<Node> nodes, NodeId root, size_t object_count,
                   RTreeOptions options) {
     assert(root < nodes.size());
     nodes_ = std::move(nodes);
-    free_list_.clear();
     root_ = root;
     size_ = object_count;
-    live_nodes_ = nodes_.size();
     options_ = options;
   }
-
-  // --- Queries --------------------------------------------------------------
-
-  /// Calls `fn(object_id)` for every indexed object whose point lies in
-  /// `range`.
-  void RangeQuery(const Rect& range,
-                  const std::function<void(ObjectId)>& fn) const;
-
-  /// Generic filtered traversal: `descend(node)` decides whether a subtree is
-  /// visited, `accept(object_id)` receives leaf hits. Used by the why-not
-  /// modules for half-plane/wedge queries that plain rectangles cannot
-  /// express.
-  void Traverse(const std::function<bool(const Node&)>& descend,
-                const std::function<void(ObjectId)>& accept) const;
 
   // --- Introspection --------------------------------------------------------
 
@@ -155,8 +130,8 @@ class RTreeT {
   /// Leaf depth (root-only tree has height 1).
   size_t height() const;
 
-  /// Number of live nodes.
-  size_t node_count() const { return live_nodes_; }
+  /// Number of nodes in the arena.
+  size_t node_count() const { return nodes_.size(); }
 
   const RTreeOptions& options() const { return options_; }
   const ObjectStore& store() const { return *store_; }
@@ -171,63 +146,25 @@ class RTreeT {
 
  private:
   NodeId NewNode(bool is_leaf) {
-    NodeId id;
-    if (!free_list_.empty()) {
-      id = free_list_.back();
-      free_list_.pop_back();
-      nodes_[id] = Node{};
-    } else {
-      id = static_cast<NodeId>(nodes_.size());
-      nodes_.emplace_back();
-    }
+    const NodeId id = static_cast<NodeId>(nodes_.size());
+    nodes_.emplace_back();
     nodes_[id].is_leaf = is_leaf;
     nodes_[id].summary = prototype_;
-    ++live_nodes_;
     return id;
-  }
-
-  void FreeNode(NodeId id) {
-    nodes_[id].entries.clear();
-    free_list_.push_back(id);
-    --live_nodes_;
   }
 
   /// Recomputes rect + summary of `id` from its entries.
   void RecomputeNode(NodeId id);
 
-  /// Recomputes rect + summary from `id` up to the root.
-  void RecomputePath(NodeId id) {
-    for (NodeId cur = id; cur != kNoNode; cur = nodes_[cur].parent) {
-      RecomputeNode(cur);
-    }
-  }
-
-  /// Guttman ChooseLeaf: descend by least enlargement, ties by area.
-  NodeId ChooseLeaf(const Rect& rect) const;
-
-  /// Splits an overflowing node; returns the new sibling. Parent wiring is
-  /// done by the caller (AdjustTree).
-  NodeId SplitNode(NodeId id);
-
-  /// Walks up from a (possibly split) leaf fixing rects/summaries and
-  /// propagating splits; grows a new root when the root splits.
-  void AdjustTree(NodeId id, NodeId split_sibling);
-
-  /// Quadratic-split seed pick: the pair wasting the most area together.
-  static std::pair<size_t, size_t> PickSeeds(const std::vector<Entry>& entries);
-
   size_t SubtreeObjectCount(NodeId id) const;
-  void CollectObjects(NodeId id, std::vector<ObjectId>* out) const;
   Status ValidateNode(NodeId id, size_t depth, size_t leaf_depth) const;
 
   const ObjectStore* store_;
   RTreeOptions options_;
   Summary prototype_;
   std::vector<Node> nodes_;
-  std::vector<NodeId> free_list_;
   NodeId root_ = kNoNode;
   size_t size_ = 0;
-  size_t live_nodes_ = 0;
 };
 
 /// Plain spatial R-tree.
@@ -260,8 +197,6 @@ void RTreeT<Summary>::RecomputeNode(NodeId id) {
 template <typename Summary>
 void RTreeT<Summary>::BulkLoad(std::vector<ObjectId> ids) {
   nodes_.clear();
-  free_list_.clear();
-  live_nodes_ = 0;
   size_ = ids.size();
 
   if (ids.empty()) {
@@ -346,324 +281,12 @@ void RTreeT<Summary>::BulkLoad(std::vector<ObjectId> ids) {
 }
 
 template <typename Summary>
-typename RTreeT<Summary>::NodeId RTreeT<Summary>::ChooseLeaf(
-    const Rect& rect) const {
-  NodeId cur = root_;
-  while (!nodes_[cur].is_leaf) {
-    const Node& n = nodes_[cur];
-    assert(!n.entries.empty());
-    size_t best = 0;
-    double best_enlargement = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n.entries.size(); ++i) {
-      const double enl = n.entries[i].rect.Enlargement(rect);
-      const double area = n.entries[i].rect.Area();
-      if (enl < best_enlargement ||
-          (enl == best_enlargement && area < best_area)) {
-        best = i;
-        best_enlargement = enl;
-        best_area = area;
-      }
-    }
-    cur = n.entries[best].id;
-  }
-  return cur;
-}
-
-template <typename Summary>
-std::pair<size_t, size_t> RTreeT<Summary>::PickSeeds(
-    const std::vector<Entry>& entries) {
-  size_t sa = 0, sb = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    for (size_t j = i + 1; j < entries.size(); ++j) {
-      const double waste = Rect::Union(entries[i].rect, entries[j].rect).Area() -
-                           entries[i].rect.Area() - entries[j].rect.Area();
-      if (waste > worst) {
-        worst = waste;
-        sa = i;
-        sb = j;
-      }
-    }
-  }
-  return {sa, sb};
-}
-
-template <typename Summary>
-typename RTreeT<Summary>::NodeId RTreeT<Summary>::SplitNode(NodeId id) {
-  Node& n = nodes_[id];
-  std::vector<Entry> all = std::move(n.entries);
-  n.entries.clear();
-
-  const NodeId sibling = NewNode(nodes_[id].is_leaf);
-  // NewNode may reallocate nodes_; re-acquire the reference.
-  Node& a = nodes_[id];
-  Node& b = nodes_[sibling];
-
-  auto [si, sj] = PickSeeds(all);
-  Rect rect_a = all[si].rect;
-  Rect rect_b = all[sj].rect;
-  a.entries.push_back(all[si]);
-  b.entries.push_back(all[sj]);
-  // Remove seeds (erase larger index first).
-  all.erase(all.begin() + sj);
-  all.erase(all.begin() + si);
-
-  const size_t min_fill = options_.min_entries;
-  while (!all.empty()) {
-    // Force-assign when a group must take all the rest to reach min fill.
-    if (a.entries.size() + all.size() == min_fill) {
-      for (const Entry& e : all) {
-        a.entries.push_back(e);
-        rect_a.Extend(e.rect);
-      }
-      break;
-    }
-    if (b.entries.size() + all.size() == min_fill) {
-      for (const Entry& e : all) {
-        b.entries.push_back(e);
-        rect_b.Extend(e.rect);
-      }
-      break;
-    }
-    // PickNext: entry with the greatest preference difference.
-    size_t pick = 0;
-    double best_diff = -1.0;
-    for (size_t i = 0; i < all.size(); ++i) {
-      const double da = Rect::Union(rect_a, all[i].rect).Area() - rect_a.Area();
-      const double db = Rect::Union(rect_b, all[i].rect).Area() - rect_b.Area();
-      const double diff = std::abs(da - db);
-      if (diff > best_diff) {
-        best_diff = diff;
-        pick = i;
-      }
-    }
-    const Entry e = all[pick];
-    all.erase(all.begin() + pick);
-    const double da = Rect::Union(rect_a, e.rect).Area() - rect_a.Area();
-    const double db = Rect::Union(rect_b, e.rect).Area() - rect_b.Area();
-    bool to_a;
-    if (da != db) {
-      to_a = da < db;
-    } else if (rect_a.Area() != rect_b.Area()) {
-      to_a = rect_a.Area() < rect_b.Area();
-    } else {
-      to_a = a.entries.size() <= b.entries.size();
-    }
-    if (to_a) {
-      a.entries.push_back(e);
-      rect_a.Extend(e.rect);
-    } else {
-      b.entries.push_back(e);
-      rect_b.Extend(e.rect);
-    }
-  }
-
-  // Fix children's parent pointers for internal splits.
-  if (!b.is_leaf) {
-    for (const Entry& e : b.entries) nodes_[e.id].parent = sibling;
-  }
-  RecomputeNode(id);
-  RecomputeNode(sibling);
-  return sibling;
-}
-
-template <typename Summary>
-void RTreeT<Summary>::AdjustTree(NodeId id, NodeId split_sibling) {
-  NodeId cur = id;
-  NodeId sibling = split_sibling;
-  while (true) {
-    RecomputeNode(cur);
-    const NodeId parent = nodes_[cur].parent;
-    if (parent == kNoNode) {
-      if (sibling != kNoNode) {
-        // Root split: grow a new root.
-        const NodeId new_root = NewNode(false);
-        Node& r = nodes_[new_root];
-        r.entries.push_back(Entry{nodes_[cur].rect, cur});
-        r.entries.push_back(Entry{nodes_[sibling].rect, sibling});
-        nodes_[cur].parent = new_root;
-        nodes_[sibling].parent = new_root;
-        RecomputeNode(new_root);
-        root_ = new_root;
-      }
-      return;
-    }
-    // Refresh this child's entry rect in the parent.
-    Node& p = nodes_[parent];
-    for (Entry& e : p.entries) {
-      if (e.id == cur) {
-        e.rect = nodes_[cur].rect;
-        break;
-      }
-    }
-    if (sibling != kNoNode) {
-      p.entries.push_back(Entry{nodes_[sibling].rect, sibling});
-      nodes_[sibling].parent = parent;
-      sibling = p.entries.size() > options_.max_entries ? SplitNode(parent)
-                                                        : kNoNode;
-    }
-    cur = parent;
-  }
-}
-
-template <typename Summary>
-void RTreeT<Summary>::Insert(ObjectId id) {
-  const Rect rect = Rect::FromPoint(store_->Get(id).loc);
-  const NodeId leaf = ChooseLeaf(rect);
-  nodes_[leaf].entries.push_back(Entry{rect, id});
-  ++size_;
-  NodeId sibling = nodes_[leaf].entries.size() > options_.max_entries
-                       ? SplitNode(leaf)
-                       : kNoNode;
-  AdjustTree(leaf, sibling);
-}
-
-template <typename Summary>
-bool RTreeT<Summary>::Delete(ObjectId id) {
-  // Locate the leaf containing `id` by rect-guided search.
-  const Rect rect = Rect::FromPoint(store_->Get(id).loc);
-  NodeId found_leaf = kNoNode;
-  std::vector<NodeId> stack{root_};
-  while (!stack.empty()) {
-    const NodeId nid = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[nid];
-    if (n.is_leaf) {
-      for (const Entry& e : n.entries) {
-        if (e.id == id) {
-          found_leaf = nid;
-          break;
-        }
-      }
-      if (found_leaf != kNoNode) break;
-    } else {
-      for (const Entry& e : n.entries) {
-        if (e.rect.Contains(Point{rect.min_x, rect.min_y})) {
-          stack.push_back(e.id);
-        }
-      }
-    }
-  }
-  if (found_leaf == kNoNode) return false;
-
-  Node& leaf = nodes_[found_leaf];
-  leaf.entries.erase(
-      std::find_if(leaf.entries.begin(), leaf.entries.end(),
-                   [&](const Entry& e) { return e.id == id; }));
-  --size_;
-
-  // Condense: dissolve underflowed nodes, collect orphaned objects.
-  std::vector<ObjectId> orphans;
-  NodeId cur = found_leaf;
-  while (cur != root_) {
-    const NodeId parent = nodes_[cur].parent;
-    if (nodes_[cur].entries.size() < options_.min_entries) {
-      const size_t before = orphans.size();
-      CollectObjects(cur, &orphans);
-      size_ -= orphans.size() - before;  // Re-added below via Insert().
-      // Remove `cur` from its parent and free the subtree.
-      Node& p = nodes_[parent];
-      p.entries.erase(
-          std::find_if(p.entries.begin(), p.entries.end(),
-                       [&](const Entry& e) { return e.id == cur; }));
-      // Free all nodes in the subtree.
-      std::vector<NodeId> to_free{cur};
-      while (!to_free.empty()) {
-        const NodeId f = to_free.back();
-        to_free.pop_back();
-        if (!nodes_[f].is_leaf) {
-          for (const Entry& e : nodes_[f].entries) to_free.push_back(e.id);
-        }
-        FreeNode(f);
-      }
-    } else {
-      RecomputeNode(cur);
-      Node& p = nodes_[parent];
-      for (Entry& e : p.entries) {
-        if (e.id == cur) {
-          e.rect = nodes_[cur].rect;
-          break;
-        }
-      }
-    }
-    cur = parent;
-  }
-  RecomputeNode(root_);
-
-  // Shrink the root while it is an internal node with a single child.
-  while (!nodes_[root_].is_leaf && nodes_[root_].entries.size() == 1) {
-    const NodeId child = nodes_[root_].entries[0].id;
-    FreeNode(root_);
-    root_ = child;
-    nodes_[root_].parent = kNoNode;
-  }
-  if (!nodes_[root_].is_leaf && nodes_[root_].entries.empty()) {
-    nodes_[root_].is_leaf = true;  // Tree became empty.
-  }
-
-  for (ObjectId o : orphans) Insert(o);
-  return true;
-}
-
-template <typename Summary>
 size_t RTreeT<Summary>::SubtreeObjectCount(NodeId id) const {
   const Node& n = nodes_[id];
   if (n.is_leaf) return n.entries.size();
   size_t total = 0;
   for (const Entry& e : n.entries) total += SubtreeObjectCount(e.id);
   return total;
-}
-
-template <typename Summary>
-void RTreeT<Summary>::CollectObjects(NodeId id,
-                                     std::vector<ObjectId>* out) const {
-  const Node& n = nodes_[id];
-  if (n.is_leaf) {
-    for (const Entry& e : n.entries) out->push_back(e.id);
-    return;
-  }
-  for (const Entry& e : n.entries) CollectObjects(e.id, out);
-}
-
-template <typename Summary>
-void RTreeT<Summary>::RangeQuery(
-    const Rect& range, const std::function<void(ObjectId)>& fn) const {
-  std::vector<NodeId> stack{root_};
-  while (!stack.empty()) {
-    const NodeId nid = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[nid];
-    if (n.is_leaf) {
-      for (const Entry& e : n.entries) {
-        if (range.Contains(Point{e.rect.min_x, e.rect.min_y})) fn(e.id);
-      }
-    } else {
-      for (const Entry& e : n.entries) {
-        if (range.Intersects(e.rect)) stack.push_back(e.id);
-      }
-    }
-  }
-}
-
-template <typename Summary>
-void RTreeT<Summary>::Traverse(
-    const std::function<bool(const Node&)>& descend,
-    const std::function<void(ObjectId)>& accept) const {
-  std::vector<NodeId> stack;
-  if (descend(nodes_[root_])) stack.push_back(root_);
-  while (!stack.empty()) {
-    const NodeId nid = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[nid];
-    if (n.is_leaf) {
-      for (const Entry& e : n.entries) accept(e.id);
-    } else {
-      for (const Entry& e : n.entries) {
-        if (descend(nodes_[e.id])) stack.push_back(e.id);
-      }
-    }
-  }
 }
 
 template <typename Summary>

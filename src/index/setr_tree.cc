@@ -25,34 +25,11 @@ double UpperBoundTSim(const SetSummary& s, const KeywordSet& query_doc,
   return std::min(1.0, static_cast<double>(num) / static_cast<double>(den));
 }
 
-double LowerBoundTSim(const SetSummary& s, const KeywordSet& query_doc,
-                      SetRBoundVariant variant) {
-  if (s.count == 0 || query_doc.empty()) return 0.0;
-  // Numerator bound: |o ∩ q| >= |I ∩ q|.
-  const size_t num = s.inter_set.IntersectionSize(query_doc);
-  if (num == 0) return 0.0;
-  // Denominator: admissible upper bounds on |o ∪ q|; take the smallest.
-  //   (a) o ⊆ U  =>  |o ∪ q| <= |U ∪ q|
-  //   (b) |o| + |q| − |o∩q| <= max_len + |q| − num  (since |o∩q| >= num).
-  size_t den = s.union_set.UnionSize(query_doc);
-  if (variant == SetRBoundVariant::kLengthTightened) {
-    den = std::min(den, s.max_doc_len + query_doc.size() - num);
-  }
-  return static_cast<double>(num) / static_cast<double>(den);
-}
-
 double UpperBoundScore(const Scorer& scorer, const Rect& mbr,
                        const SetSummary& s, SetRBoundVariant variant) {
   const Query& q = scorer.query();
   return q.w.ws * scorer.MaxSpatialComponent(mbr) +
          q.w.wt * UpperBoundTSim(s, q.doc, variant);
-}
-
-double LowerBoundScore(const Scorer& scorer, const Rect& mbr,
-                       const SetSummary& s, SetRBoundVariant variant) {
-  const Query& q = scorer.query();
-  return q.w.ws * scorer.MinSpatialComponent(mbr) +
-         q.w.wt * LowerBoundTSim(s, q.doc, variant);
 }
 
 template class RTreeT<SetSummary>;

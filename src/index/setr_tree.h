@@ -3,16 +3,14 @@
 // intersection set and the union set of the keyword sets of all objects
 // indexed beneath it. These two sets give admissible bounds on the Jaccard
 // similarity — and hence on the full ranking score — of any object under a
-// node, which powers the best-first top-k algorithm and the explanation
-// generator's pruned rank counting.
+// node, which powers the best-first top-k algorithm.
 //
-// Bounds (DESIGN.md D1). For any object o under node N with union set U and
+// Bound (DESIGN.md D1). For any object o under node N with union set U and
 // intersection set I, and query keyword set q:
 //     I ⊆ o.doc ⊆ U
 //   ⇒ |o.doc ∩ q| ≤ |U ∩ q|      and   |o.doc ∪ q| ≥ |I ∪ q|
-//   ⇒ TSim(o,q)  ≤ min(1, |U ∩ q| / |I ∪ q|)          (upper bound)
-//   ⇒ TSim(o,q)  ≥ |I ∩ q| / |U ∪ q|                   (lower bound)
-// Combined with MINDIST/MAXDIST on the node MBR they bound ST(o, q).
+//   ⇒ TSim(o,q)  ≤ min(1, |U ∩ q| / |I ∪ q|)
+// Combined with MINDIST on the node MBR it bounds ST(o, q) from above.
 
 #ifndef YASK_INDEX_SETR_TREE_H_
 #define YASK_INDEX_SETR_TREE_H_
@@ -101,18 +99,8 @@ double UpperBoundTSim(
     const SetSummary& s, const KeywordSet& query_doc,
     SetRBoundVariant variant = SetRBoundVariant::kLengthTightened);
 
-/// Lower bound on TSim(o, q) for any object under a node with this summary.
-double LowerBoundTSim(
-    const SetSummary& s, const KeywordSet& query_doc,
-    SetRBoundVariant variant = SetRBoundVariant::kLengthTightened);
-
 /// Upper bound on ST(o, q) for any object under the node (rect + summary).
 double UpperBoundScore(
-    const Scorer& scorer, const Rect& mbr, const SetSummary& s,
-    SetRBoundVariant variant = SetRBoundVariant::kLengthTightened);
-
-/// Lower bound on ST(o, q) for any object under the node.
-double LowerBoundScore(
     const Scorer& scorer, const Rect& mbr, const SetSummary& s,
     SetRBoundVariant variant = SetRBoundVariant::kLengthTightened);
 

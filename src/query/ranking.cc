@@ -1,7 +1,5 @@
 #include "src/query/ranking.h"
 
-#include <algorithm>
-
 namespace yask {
 
 size_t ComputeRankScan(const ObjectStore& store, const Query& query,
@@ -14,66 +12,6 @@ size_t ComputeRankScan(const ObjectStore& store, const Query& query,
     if (OutranksTarget(scorer.Score(o), o.id, target_score, target)) ++above;
   }
   return above + 1;
-}
-
-size_t CountOutscoring(const ObjectStore& store, const SetRTree& tree,
-                       const Scorer& scorer, double target_score,
-                       ObjectId target_global,
-                       const std::vector<ObjectId>* to_global,
-                       RankStats* stats) {
-  (void)store;  // The scorer already binds it; kept for symmetry and checks.
-  size_t above = 0;
-
-  std::vector<SetRTree::NodeId> stack{tree.root()};
-  while (!stack.empty()) {
-    const auto& node = tree.node(stack.back());
-    stack.pop_back();
-    if (stats != nullptr) ++stats->nodes_visited;
-
-    const double ub = UpperBoundScore(scorer, node.rect, node.summary);
-    if (node.summary.count == 0) continue;
-    if (ub < target_score) continue;  // Nothing below can outrank.
-    const double lb = LowerBoundScore(scorer, node.rect, node.summary);
-    if (lb > target_score) {
-      // Every object below strictly outranks the target. The target itself
-      // cannot be below this node (its score equals target_score < lb).
-      above += node.summary.count;
-      if (stats != nullptr) ++stats->nodes_counted_wholesale;
-      continue;
-    }
-    if (node.is_leaf) {
-      for (const auto& e : node.entries) {
-        const ObjectId gid = to_global != nullptr ? (*to_global)[e.id] : e.id;
-        if (gid == target_global) continue;
-        if (stats != nullptr) ++stats->objects_scored;
-        if (OutranksTarget(scorer.Score(e.id), gid, target_score,
-                           target_global)) {
-          ++above;
-        }
-      }
-    } else {
-      for (const auto& e : node.entries) stack.push_back(e.id);
-    }
-  }
-  return above;
-}
-
-size_t ComputeRank(const ObjectStore& store, const SetRTree& tree,
-                   const Query& query, ObjectId target, RankStats* stats) {
-  Scorer scorer(store, query);
-  return CountOutscoring(store, tree, scorer, scorer.Score(target), target,
-                         /*to_global=*/nullptr, stats) +
-         1;
-}
-
-size_t LowestRank(const ObjectStore& store, const SetRTree& tree,
-                  const Query& query, const std::vector<ObjectId>& missing,
-                  RankStats* stats) {
-  size_t lowest = 0;
-  for (ObjectId m : missing) {
-    lowest = std::max(lowest, ComputeRank(store, tree, query, m, stats));
-  }
-  return lowest;
 }
 
 }  // namespace yask

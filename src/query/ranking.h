@@ -1,34 +1,29 @@
 // Copyright (c) 2026 The YASK reproduction authors.
-// Rank computation: the position a given object would take in the full
-// ranking of D under a query. The why-not machinery is built on ranks:
-// R(M, q) — "the lowest rank of the missing objects under q" — normalises
-// both penalty functions (Eqns. (3) and (4)), and explanations report the
-// rank of each missing object (§3.3).
+// Rank: the position a given object would take in the full ranking of D
+// under a query. The why-not machinery is built on ranks: R(M, q) — "the
+// lowest rank of the missing objects under q" — normalises both penalty
+// functions (Eqns. (3) and (4)), and explanations report the rank of each
+// missing object (§3.3).
 //
 // Rank convention (DESIGN.md D6), consistent with the top-k engines' result
 // order: rank(o, q) = 1 + #{o' : ST(o',q) > ST(o,q) or
 //                                (ST(o',q) == ST(o,q) and o'.id < o.id)} ,
 // which guarantees o ∈ top-k(q) iff rank(o, q) <= k.
+//
+// This file holds the order itself and its full-scan reference. The served
+// ranks come from the question columns behind the why-not oracle
+// (src/whynot/shard_primitives.h), which count with this same predicate.
 
 #ifndef YASK_QUERY_RANKING_H_
 #define YASK_QUERY_RANKING_H_
 
 #include <cstddef>
-#include <vector>
 
-#include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/storage/object_store.h"
 
 namespace yask {
-
-/// Work counters for the pruned rank computation.
-struct RankStats {
-  size_t nodes_visited = 0;
-  size_t objects_scored = 0;
-  size_t nodes_counted_wholesale = 0;  // Subtrees resolved by bounds alone.
-};
 
 /// THE tie-aware "outranks the target" predicate (D6) — the single source of
 /// the rank order every engine, oracle and merge rule must agree on. Ids are
@@ -42,33 +37,6 @@ inline bool OutranksTarget(double score, ObjectId id, double target_score,
 /// Exact rank by full scan; the reference implementation.
 size_t ComputeRankScan(const ObjectStore& store, const Query& query,
                        ObjectId target);
-
-/// Tie-aware count of objects in `store` (indexed by `tree`) that outrank a
-/// target scoring `target_score`: score strictly greater, or equal with
-/// global id below `target_global` (D6). `scorer` carries the query and the
-/// SDist normaliser (a sharded corpus passes the GLOBAL diagonal). When
-/// `to_global` is non-null it maps the store's local ids to global ids (the
-/// sharded layout; the target itself need not live in this store); null
-/// means ids are already global. This is the partition-sum primitive behind
-/// distributed rank: R(o, q) = 1 + Σ over shards of this count.
-size_t CountOutscoring(const ObjectStore& store, const SetRTree& tree,
-                       const Scorer& scorer, double target_score,
-                       ObjectId target_global,
-                       const std::vector<ObjectId>* to_global,
-                       RankStats* stats = nullptr);
-
-/// Exact rank using SetR-tree score bounds: subtrees whose upper bound falls
-/// below the target score are skipped, subtrees whose lower bound exceeds it
-/// are counted wholesale, only straddling paths are opened.
-size_t ComputeRank(const ObjectStore& store, const SetRTree& tree,
-                   const Query& query, ObjectId target,
-                   RankStats* stats = nullptr);
-
-/// R(M, q): the lowest (i.e. numerically largest) rank among the missing
-/// objects — the rank the refined k' must reach to cover all of M.
-size_t LowestRank(const ObjectStore& store, const SetRTree& tree,
-                  const Query& query, const std::vector<ObjectId>& missing,
-                  RankStats* stats = nullptr);
 
 }  // namespace yask
 

@@ -56,10 +56,6 @@ class Scorer {
   double MaxSpatialComponent(const Rect& mbr) const {
     return 1.0 - NormalizedSpatialDistance1(mbr.MinDistance(query_->loc));
   }
-  /// Worst possible spatial contribution for any point in `mbr`.
-  double MinSpatialComponent(const Rect& mbr) const {
-    return 1.0 - NormalizedSpatialDistance1(mbr.MaxDistance(query_->loc));
-  }
 
   const Query& query() const { return *query_; }
   const ObjectStore& store() const { return *store_; }

@@ -962,6 +962,7 @@ HttpResponse YaskService::ComputeWhyNot(const Query& q,
     v.Set("original_rank", JsonValue(r.original_rank));
     v.Set("refined_rank", JsonValue(r.refined_rank));
     v.Set("already_in_result", JsonValue(r.already_in_result));
+    v.Set("truncated", JsonValue(r.stats.truncated));
     out.Set("keyword", std::move(v));
     if (a.recommended == RefinementModel::kKeyword) {
       logged_penalty = r.penalty.value;

@@ -1,7 +1,6 @@
 #include "src/whynot/keyword_adaption.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -11,6 +10,9 @@
 namespace yask {
 
 namespace {
+
+/// Candidates per rank fan-out (before the kMaxProbeSpecs / |M| cap).
+constexpr size_t kCandidatesPerChunk = 128;
 
 /// Iterates all size-`r` index combinations of {0..n-1} in lexicographic
 /// order, invoking `fn(indices)`.
@@ -114,11 +116,9 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   }
   // Candidates per rank fan-out. Every spec's query is `query` with another
   // doc: one location, so one question answers the whole batch.
-  size_t chunk_size =
-      columns ? kMaxProbeSpecs / m : std::numeric_limits<size_t>::max();
-  if (options.probe_batch_size != 0) {
-    chunk_size = std::min(chunk_size, options.probe_batch_size);
-  }
+  const size_t chunk_size =
+      columns ? std::min(kCandidatesPerChunk, kMaxProbeSpecs / m)
+              : kCandidatesPerChunk;
 
   // R(M, q') of each keyword set: the exact tie-aware rank of the worst
   // missing object, for every (set, missing object) pair in ONE fan-out.
@@ -150,11 +150,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     return ranks;
   };
 
-  const size_t max_distance_pool = query.doc.size() + insertable.size();
-  const size_t e_cap =
-      options.max_edit_distance == 0
-          ? max_distance_pool
-          : std::min(options.max_edit_distance, max_distance_pool);
+  const size_t e_cap = query.doc.size() + insertable.size();
   auto floor_of = [&](size_t delta_doc) {
     return doc_norm == 0
                ? 0.0
@@ -174,11 +170,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
       (chunk_size + 1) * m <= kMaxProbeSpecs) {
     std::vector<KeywordSet> first =
         GenerateCandidatesAtDistance(query.doc, insertable, 1);
-    size_t take = std::min(first.size(), chunk_size);
-    if (options.max_candidates != 0) {
-      take = std::min(take, options.max_candidates);
-    }
-    first.resize(take);
+    first.resize(std::min(first.size(), chunk_size));
     first.insert(first.begin(), query.doc);
     prefetched_ranks = ranks_of(first);
     r0 = prefetched_ranks.front();
@@ -245,8 +237,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
         GenerateCandidatesAtDistance(query.doc, insertable, e);
     chunk.clear();
     for (KeywordSet& cand : level_candidates) {
-      if (options.max_candidates != 0 &&
-          stats.candidates_generated >= options.max_candidates) {
+      if (stats.candidates_generated >= kMaxKeywordCandidates) {
         stats.truncated = true;
         done = true;
         break;

@@ -25,11 +25,18 @@
 // any candidate's rank with one binary search per group. One chunk of
 // candidates is one rank fan-out.
 //
-// Work bounds of the optimized mode (src/whynot/shard_primitives.h):
-// |U| <= kMaxKeywordUniverse (U travels on the wire) and one fan-out
-// carries at most kMaxProbeSpecs (candidate, missing object) specs; a larger
-// U, or more missing objects than one fan-out holds, is InvalidArgument. The
-// basic scan has neither bound.
+// Candidates are ranked in chunks of 128: the (candidate, missing object)
+// specs of one chunk share ONE oracle call — one round-trip per shard on a
+// remote oracle. The chunking never changes the refined query: every cut is
+// strict, so the winner does not depend on it.
+//
+// Work bounds (src/whynot/shard_primitives.h): both modes generate at most
+// kMaxKeywordCandidates candidates, then answer the best one generated and
+// set `stats.truncated`. In the optimized mode |U| <= kMaxKeywordUniverse
+// (U travels on the wire) and one fan-out carries at most kMaxProbeSpecs
+// (candidate, missing object) specs, so a chunk holds at most
+// kMaxProbeSpecs / |M| candidates; a larger U, or more missing objects than
+// one fan-out holds, is InvalidArgument. The basic scan has neither bound.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_
@@ -57,19 +64,6 @@ struct KeywordAdaptOptions {
   /// The λ of Eqn. (4): weight of the ∆k term versus the ∆doc term.
   double lambda = 0.5;
   KwAdaptMode mode = KwAdaptMode::kBoundAndPrune;
-  /// Hard cap on ∆doc (0 = only the λ-derived bound).
-  size_t max_edit_distance = 0;
-  /// Safety valve on generated candidates (0 = unlimited). When hit, the
-  /// result is the best among the generated candidates and
-  /// `stats.truncated` is set.
-  size_t max_candidates = 500000;
-  /// Candidates per rank fan-out: the (candidate, missing object) specs of
-  /// one chunk share ONE oracle call — one round-trip per shard on a remote
-  /// oracle. In the optimized mode chunks are further capped so a fan-out
-  /// carries at most kMaxProbeSpecs specs. The size never changes the
-  /// refined query: every cut is strict, so the winner does not depend on
-  /// the chunking. 0 = no cap beyond that one.
-  size_t probe_batch_size = 128;
 };
 
 /// Work counters (benchmarks E8/E9/E10 and the remote round-trip gate).
@@ -87,7 +81,7 @@ struct KeywordAdaptStats {
   /// does not ride the first chunk) — at most one round-trip per shard each
   /// on a remote oracle.
   size_t probe_fanouts = 0;
-  bool truncated = false;               // max_candidates hit.
+  bool truncated = false;  // kMaxKeywordCandidates hit.
   /// Always 0 since the KcR-tree search was replaced; kept only because
   /// servebench/servebench.cc, their last reader, reports them.
   size_t candidates_pruned_bounds = 0;

@@ -184,15 +184,13 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   // segment from the session's first size (8, 16, 32, …): E consumed
   // events cost ⌈log2(E/8 + 1)⌉ fan-outs, and the over-fetch past the cut
   // is at most E + 8 events. Basic mode keeps one event per segment: there
-  // every over-fetched pair is a full O(n) rescan. A nonzero
-  // sweep_batch_size pins the size. Every segment's weights × anchors stay
-  // within kMaxCountBatchPairs (≥ 1 event, checked on entry).
+  // every over-fetched pair is a full O(n) rescan. Every segment's
+  // weights × anchors stay within kMaxCountBatchPairs (≥ 1 event, checked
+  // on entry).
   const size_t num_anchors = anchors.size();
   const size_t max_segment = kMaxCountBatchPairs / (3 * num_anchors);
-  const bool doubling = options.sweep_batch_size == 0 &&
-                        options.mode == PrefAdjustMode::kOptimized;
-  size_t segment = options.sweep_batch_size;
-  if (segment == 0) segment = doubling ? session->PreferredSweepBatch() : 1;
+  const bool doubling = options.mode == PrefAdjustMode::kOptimized;
+  size_t segment = doubling ? session->PreferredSweepBatch() : 1;
   segment = std::clamp<size_t>(segment, 1, max_segment);
 
   auto offer = [&](double w, const std::vector<size_t>& counts, size_t base) {

@@ -73,18 +73,15 @@ enum class PrefAdjustMode {
 struct PreferenceAdjustOptions {
   /// The λ of Eqn. (3): weight of the ∆k term versus the ∆w term.
   double lambda = 0.5;
-  PrefAdjustMode mode = PrefAdjustMode::kOptimized;
-  /// Events per speculative Step-4 segment: the sweep fetches the counts of
+  /// Also sets the Step-4 sweep schedule. The sweep fetches the counts of
   /// the next segment of nearest-to-w0 events in one
-  /// ScorePlaneSession::CountAboveBatch fan-out. The refinement and the
-  /// crossing/candidate counters do not depend on it: the ∆w floor is
-  /// monotone in the nearest-first event order, so the floor cut is
-  /// re-applied while consuming a segment and over-fetched results past the
-  /// cut are discarded deterministically. 0 = the one schedule every layout
-  /// runs: segments double from 8 events (optimized) or stay at one event
-  /// (basic, where each over-fetched pair is a full rescan). A nonzero value
-  /// pins a fixed size — the reference the parity tests compare against.
-  size_t sweep_batch_size = 0;
+  /// ScorePlaneSession::CountAboveBatch fan-out: optimized segments double
+  /// from 8 events, basic segments hold one event (each over-fetched pair
+  /// would be a full rescan). The refinement and the crossing/candidate
+  /// counters do not depend on the schedule: the ∆w floor is monotone in
+  /// the nearest-first event order, so the floor cut is re-applied while
+  /// consuming a segment and counts fetched past it are discarded.
+  PrefAdjustMode mode = PrefAdjustMode::kOptimized;
 };
 
 /// Work counters (benchmarks E4/E5/E7).

@@ -51,6 +51,12 @@ static_assert(kMaxMissing == kMaxCountBatchPairs / 3);
 /// answers the explanations and the Eqn. (3) sweep.
 inline constexpr size_t kMaxKeywordUniverse = 64;
 
+/// Most candidate keyword sets one keyword adaption generates. U allows up
+/// to 2^|U| candidates; past this bound AdaptKeywords answers the best
+/// candidate generated so far and sets `stats.truncated`, which /whynot
+/// reports as the keyword block's "truncated".
+inline constexpr size_t kMaxKeywordCandidates = 500000;
+
 /// Most (query, target) specs one /shard/plane/rank or /shard/count request
 /// may carry (2^15: a 256 KiB response). A shard answers 400 above it;
 /// AdaptKeywords sizes its rank chunks to stay within it, and a remote

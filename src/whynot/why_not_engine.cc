@@ -48,7 +48,7 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
   WhyNotAnswer answer;
   // One question for every stage: each shard builds its columns once.
   const std::unique_ptr<const WhyNotOracle> question =
-      oracle_->OpenQuestion(query, missing, options.pref_mode);
+      oracle_->OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
   const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Stage spans are recorded in EVERY corpus layout (local, sharded,
@@ -63,10 +63,8 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
 
   PreferenceAdjustOptions po;
   po.lambda = options.lambda;
-  po.mode = options.pref_mode;
   KeywordAdaptOptions ko;
   ko.lambda = options.lambda;
-  ko.mode = options.kw_mode;
 
   if (options.run_preference_adjustment && options.run_keyword_adaption) {
     // Overlap the Eqn. (3) weight sweep with the Eqn. (4) probe fan-outs.
@@ -150,15 +148,13 @@ Result<CombinedRefinement> WhyNotEngine::CombineRefinements(
     const WhyNotOptions& options) const {
   PreferenceAdjustOptions po;
   po.lambda = options.lambda;
-  po.mode = options.pref_mode;
   KeywordAdaptOptions ko;
   ko.lambda = options.lambda;
-  ko.mode = options.kw_mode;
   // One question for both orders. Its ranks cover the keyword step at any
   // weights; the preference step after keyword adaption sweeps another
   // doc's plane, which opens its own.
   const std::unique_ptr<const WhyNotOracle> question =
-      oracle_->OpenQuestion(query, missing, options.pref_mode);
+      oracle_->OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
   const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Order A: preference first, keyword adaption on the adjusted query.

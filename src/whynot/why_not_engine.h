@@ -37,13 +37,13 @@ namespace yask {
 
 class ShardedCorpus;  // src/corpus/sharded_corpus.h
 
-/// Which refinement models to run.
+/// Which refinement models to run. The engine always runs their optimized
+/// modes; the paper's basic baselines stay reachable through
+/// AdjustPreference and AdaptKeywords.
 struct WhyNotOptions {
   double lambda = 0.5;
   bool run_preference_adjustment = true;
   bool run_keyword_adaption = true;
-  PrefAdjustMode pref_mode = PrefAdjustMode::kOptimized;
-  KwAdaptMode kw_mode = KwAdaptMode::kBoundAndPrune;
 };
 
 /// Which model the engine recommends after comparing penalties.

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace yask {
 namespace {
 
@@ -30,40 +28,6 @@ TEST(HaversineTest, Symmetry) {
 TEST(HaversineTest, AntipodalIsHalfCircumference) {
   EXPECT_NEAR(HaversineKm({0, 0}, {180, 0}), 3.14159265 * kEarthRadiusKm,
               1.0);
-}
-
-TEST(GeoBoundingBoxTest, ContainsDisk) {
-  const Point center{114.17, 22.30};
-  const double radius = 5.0;  // km.
-  const Rect box = GeoBoundingBox(center, radius);
-  EXPECT_TRUE(box.Contains(center));
-  // Sample points on the disk boundary in the four cardinal directions.
-  const double dlat = radius / kEarthRadiusKm * 180.0 / 3.14159265;
-  EXPECT_TRUE(box.Contains(Point{center.x, center.y + dlat * 0.999}));
-  EXPECT_TRUE(box.Contains(Point{center.x, center.y - dlat * 0.999}));
-  // Points well outside must not be needed, but the box is conservative:
-  // everything within the radius is inside.
-  for (double bearing = 0; bearing < 360; bearing += 45) {
-    const double rad = bearing * 3.14159265 / 180.0;
-    const Point p{center.x + dlat * std::sin(rad) / std::cos(center.y * 3.14159265 / 180.0) * 0.99,
-                  center.y + dlat * std::cos(rad) * 0.99};
-    EXPECT_TRUE(box.Contains(p)) << "bearing " << bearing;
-    EXPECT_LE(HaversineKm(center, p), radius * 1.05);
-  }
-}
-
-TEST(GeoBoundingBoxTest, PoleDegeneratesToFullLongitude) {
-  const Rect box = GeoBoundingBox(Point{10.0, 90.0}, 10.0);
-  EXPECT_DOUBLE_EQ(box.min_x, -180.0);
-  EXPECT_DOUBLE_EQ(box.max_x, 180.0);
-  EXPECT_DOUBLE_EQ(box.max_y, 90.0);
-}
-
-TEST(GeoBoundingBoxTest, ClampsToValidRanges) {
-  const Rect box = GeoBoundingBox(Point{179.9, 0.0}, 100.0);
-  EXPECT_LE(box.max_x, 180.0);
-  const Rect box2 = GeoBoundingBox(Point{0.0, -89.95}, 100.0);
-  EXPECT_GE(box2.min_y, -90.0);
 }
 
 }  // namespace

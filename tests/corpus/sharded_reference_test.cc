@@ -118,18 +118,14 @@ void CheckLayout(const WhyNotOracle& oracle, const ObjectStore& store,
     const std::string tag = layout + " question " + std::to_string(i);
     for (const KwAdaptMode mode :
          {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
-      for (const size_t chunk : {size_t{2}, size_t{128}}) {
-        KeywordAdaptOptions opts;
-        opts.lambda = q.lambda;
-        opts.mode = mode;
-        opts.probe_batch_size = chunk;
-        auto got = AdaptKeywords(oracle, q.query, q.missing, opts);
-        ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
-        reference::ExpectKeywordAnswer(
-            *got, q.keyword,
-            tag + " kw mode " + std::to_string(static_cast<int>(mode)) +
-                " chunk " + std::to_string(chunk));
-      }
+      KeywordAdaptOptions opts;
+      opts.lambda = q.lambda;
+      opts.mode = mode;
+      auto got = AdaptKeywords(oracle, q.query, q.missing, opts);
+      ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
+      reference::ExpectKeywordAnswer(
+          *got, q.keyword,
+          tag + " kw mode " + std::to_string(static_cast<int>(mode)));
     }
     for (const PrefAdjustMode mode :
          {PrefAdjustMode::kOptimized, PrefAdjustMode::kBasic}) {

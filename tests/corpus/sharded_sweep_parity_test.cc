@@ -1,12 +1,11 @@
-// Segmented Eqn. (3) sweep acceptance: for randomized datasets, shard
-// counts (1/2/4/8), routers, modes and segment sizes, the speculative
-// segment sweep (ScorePlaneSession::CountAboveBatch, one fan-out per
-// segment) must return BYTE-identical refinements to the sweep with
-// segments of one event — every refined-query field, every penalty term
-// compared with ==, and identical crossing/candidate work counters — and
-// that refinement must pass the index-free reference audit
-// (tests/reference/whynot_reference.h). The only licensed difference is
-// sweep_fanouts: longer segments must spend no more count fan-outs.
+// Eqn. (3) sweep parity across layouts: for randomized datasets, shard
+// counts (1/2/4/8), routers and modes, the segmented sweep (one
+// ScorePlaneSession::CountAboveBatch fan-out per segment; optimized segments
+// double from 8 events, basic ones hold one) over a ShardedCorpus must
+// return the BYTE-identical refinement the unsharded oracle returns — every
+// refined-query field, every penalty term compared with ==, and identical
+// crossing/candidate/fan-out/rescan counters — and that refinement must pass
+// the index-free reference audit (tests/reference/whynot_reference.h).
 
 #include <gtest/gtest.h>
 
@@ -40,49 +39,33 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
   return missing;
 }
 
-/// `speculative` = the segment can cover more than one candidate, so counts
-/// past the floor cut may be FETCHED (index nodes visited, rescans run) and
-/// then discarded. The refinement and the crossing/candidate counters are
-/// identical regardless; the traversal-work counters are identical only when
-/// nothing is over-fetched (segments of one: pinned, or the basic-mode
-/// default), and >= otherwise.
-void ExpectSameRefinement(const RefinedPreferenceQuery& segmented,
-                          const RefinedPreferenceQuery& one_event,
-                          const std::string& label,
-                          bool speculative = false) {
-  EXPECT_EQ(segmented.already_in_result, one_event.already_in_result) << label;
-  EXPECT_EQ(segmented.refined.w.ws, one_event.refined.w.ws) << label;
-  EXPECT_EQ(segmented.refined.w.wt, one_event.refined.w.wt) << label;
-  EXPECT_EQ(segmented.refined.k, one_event.refined.k) << label;
-  EXPECT_EQ(segmented.refined.doc.ids(), one_event.refined.doc.ids()) << label;
-  EXPECT_EQ(segmented.original_rank, one_event.original_rank) << label;
-  EXPECT_EQ(segmented.refined_rank, one_event.refined_rank) << label;
-  EXPECT_EQ(segmented.penalty.value, one_event.penalty.value) << label;
-  EXPECT_EQ(segmented.penalty.k_term, one_event.penalty.k_term) << label;
-  EXPECT_EQ(segmented.penalty.mod_term, one_event.penalty.mod_term) << label;
-  EXPECT_EQ(segmented.penalty.delta_k, one_event.penalty.delta_k) << label;
-  EXPECT_EQ(segmented.penalty.delta_w, one_event.penalty.delta_w) << label;
-  EXPECT_EQ(segmented.penalty.delta_doc, one_event.penalty.delta_doc) << label;
-  // The work the sweep does is identical — only how it is shipped differs.
-  EXPECT_EQ(segmented.stats.crossings_found, one_event.stats.crossings_found)
+/// The layouts run the same schedule over the same partition-sums, so every
+/// refinement field and every counter but the per-shard column work
+/// (index_nodes_visited) matches the unsharded oracle's exactly.
+void ExpectSameRefinement(const RefinedPreferenceQuery& sharded,
+                          const RefinedPreferenceQuery& unsharded,
+                          const std::string& label) {
+  EXPECT_EQ(sharded.already_in_result, unsharded.already_in_result) << label;
+  EXPECT_EQ(sharded.refined.w.ws, unsharded.refined.w.ws) << label;
+  EXPECT_EQ(sharded.refined.w.wt, unsharded.refined.w.wt) << label;
+  EXPECT_EQ(sharded.refined.k, unsharded.refined.k) << label;
+  EXPECT_EQ(sharded.refined.doc.ids(), unsharded.refined.doc.ids()) << label;
+  EXPECT_EQ(sharded.original_rank, unsharded.original_rank) << label;
+  EXPECT_EQ(sharded.refined_rank, unsharded.refined_rank) << label;
+  EXPECT_EQ(sharded.penalty.value, unsharded.penalty.value) << label;
+  EXPECT_EQ(sharded.penalty.k_term, unsharded.penalty.k_term) << label;
+  EXPECT_EQ(sharded.penalty.mod_term, unsharded.penalty.mod_term) << label;
+  EXPECT_EQ(sharded.penalty.delta_k, unsharded.penalty.delta_k) << label;
+  EXPECT_EQ(sharded.penalty.delta_w, unsharded.penalty.delta_w) << label;
+  EXPECT_EQ(sharded.penalty.delta_doc, unsharded.penalty.delta_doc) << label;
+  EXPECT_EQ(sharded.stats.crossings_found, unsharded.stats.crossings_found)
       << label;
-  EXPECT_EQ(segmented.stats.candidates_evaluated,
-            one_event.stats.candidates_evaluated)
+  EXPECT_EQ(sharded.stats.candidates_evaluated,
+            unsharded.stats.candidates_evaluated)
       << label;
-  if (speculative) {
-    EXPECT_GE(segmented.stats.index_nodes_visited,
-              one_event.stats.index_nodes_visited)
-        << label;
-    EXPECT_GE(segmented.stats.full_rescans, one_event.stats.full_rescans)
-        << label;
-  } else {
-    EXPECT_EQ(segmented.stats.index_nodes_visited,
-              one_event.stats.index_nodes_visited)
-        << label;
-    EXPECT_EQ(segmented.stats.full_rescans, one_event.stats.full_rescans)
-        << label;
-  }
-  EXPECT_LE(segmented.stats.sweep_fanouts, one_event.stats.sweep_fanouts)
+  EXPECT_EQ(sharded.stats.sweep_fanouts, unsharded.stats.sweep_fanouts)
+      << label;
+  EXPECT_EQ(sharded.stats.full_rescans, unsharded.stats.full_rescans)
       << label;
 }
 
@@ -91,19 +74,20 @@ struct ParityOptions {
   bool use_hash_router = false;
   int trials = 4;
   PrefAdjustMode mode = PrefAdjustMode::kOptimized;
-  /// Segment sizes to sweep: 0 = the default schedule, else pinned.
-  std::vector<size_t> segment_sizes = {0, 3, 64};
 };
 
 struct Trial {
   Query query;
   std::vector<ObjectId> missing;
-  reference::PreferenceAudit audit;
+  RefinedPreferenceQuery unsharded;
 };
 
 void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
                           const ParityOptions& popt = {}) {
-  const double lambda = PreferenceAdjustOptions{}.lambda;
+  PreferenceAdjustOptions options;
+  options.mode = popt.mode;
+  const double lambda = options.lambda;
+  const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
   std::vector<Trial> trials;
   Rng rng(query_seed);
   for (int trial = 0; trial < popt.trials; ++trial) {
@@ -116,10 +100,16 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
     std::vector<ObjectId> missing =
         PickMissing(store, q, m_count, /*offset=*/2 + trial);
     if (missing.size() != m_count) continue;
-    // The reference is layout-free: audit once, check every layout.
-    reference::PreferenceAudit audit =
-        reference::AuditPreference(store, q, missing, lambda);
-    trials.push_back(Trial{q, std::move(missing), audit});
+    // The reference audits the unsharded answer; every layout must then
+    // repeat that answer exactly.
+    auto baseline = AdjustPreference(unsharded, q, missing, options);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    reference::ExpectPreferenceAnswer(
+        store, q, missing, lambda, *baseline,
+        reference::AuditPreference(store, q, missing, lambda),
+        "unsharded trial " + std::to_string(trial));
+    trials.push_back(
+        Trial{q, std::move(missing), std::move(baseline).value()});
   }
 
   for (const uint32_t shards : popt.shard_counts) {
@@ -137,30 +127,10 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
     for (size_t t = 0; t < trials.size(); ++t) {
       const Trial& trial = trials[t];
       const std::string tag = label + " trial " + std::to_string(t);
-      PreferenceAdjustOptions one_event;
-      one_event.lambda = lambda;
-      one_event.mode = popt.mode;
-      one_event.sweep_batch_size = 1;
-      auto baseline =
-          AdjustPreference(oracle, trial.query, trial.missing, one_event);
-      ASSERT_TRUE(baseline.ok())
-          << tag << ": " << baseline.status().ToString();
-      reference::ExpectPreferenceAnswer(store, trial.query, trial.missing,
-                                        lambda, *baseline, trial.audit, tag);
-
-      for (const size_t segment : popt.segment_sizes) {
-        PreferenceAdjustOptions segmented = one_event;
-        segmented.sweep_batch_size = segment;
-        auto result =
-            AdjustPreference(oracle, trial.query, trial.missing, segmented);
-        ASSERT_TRUE(result.ok())
-            << tag << ": " << result.status().ToString();
-        ExpectSameRefinement(*result, *baseline,
-                             tag + " segment " + std::to_string(segment),
-                             /*speculative=*/segment > 1 ||
-                                 (segment == 0 &&
-                                  popt.mode == PrefAdjustMode::kOptimized));
-      }
+      auto result =
+          AdjustPreference(oracle, trial.query, trial.missing, options);
+      ASSERT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
+      ExpectSameRefinement(*result, trial.unsharded, tag);
     }
   }
 }
@@ -241,6 +211,7 @@ TEST(ShardedSweepParityTest, LambdaExtremesAgree) {
   spec.vocabulary_size = 40;
   spec.seed = 284;
   const ObjectStore store = GenerateDataset(spec);
+  const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
   const ShardedWhyNotOracle oracle(sharded);
@@ -256,23 +227,18 @@ TEST(ShardedSweepParityTest, LambdaExtremesAgree) {
           PickMissing(store, q, 1, /*offset=*/2 + trial);
       if (missing.empty()) continue;
 
-      PreferenceAdjustOptions one_event;
-      one_event.lambda = lambda;
-      one_event.sweep_batch_size = 1;
-      PreferenceAdjustOptions segmented = one_event;
-      segmented.sweep_batch_size = 7;
-      auto baseline = AdjustPreference(oracle, q, missing, one_event);
-      auto result = AdjustPreference(oracle, q, missing, segmented);
+      PreferenceAdjustOptions options;
+      options.lambda = lambda;
+      auto baseline = AdjustPreference(unsharded, q, missing, options);
+      auto result = AdjustPreference(oracle, q, missing, options);
       ASSERT_TRUE(baseline.ok());
       ASSERT_TRUE(result.ok());
+      const std::string tag = "lambda " + std::to_string(lambda) +
+                              " trial " + std::to_string(trial);
       reference::ExpectPreferenceAnswer(
           store, q, missing, lambda, *baseline,
-          reference::AuditPreference(store, q, missing, lambda),
-          "lambda " + std::to_string(lambda));
-      ExpectSameRefinement(*result, *baseline,
-                           "lambda " + std::to_string(lambda) + " trial " +
-                               std::to_string(trial),
-                           /*speculative=*/true);
+          reference::AuditPreference(store, q, missing, lambda), tag);
+      ExpectSameRefinement(*result, *baseline, tag);
     }
   }
 }

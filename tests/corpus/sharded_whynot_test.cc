@@ -226,21 +226,65 @@ TEST(ShardedWhyNotPropertyTest, HashRouterScatter) {
 }
 
 TEST(ShardedWhyNotPropertyTest, BasicModesAgreeWithSharding) {
-  // The paper's baseline algorithms (full rescans, no index pruning) must
-  // also merge exactly: the basic-mode code paths of the oracle are
-  // different (per-shard scans instead of per-shard index walks).
+  // The paper's baseline algorithms (full rescans, no column searches) must
+  // also merge exactly. The engine runs only the optimized modes, so the
+  // basic ones are called directly, on the unsharded and the sharded oracle.
   DatasetSpec spec;
   spec.num_objects = 400;
   spec.vocabulary_size = 30;
   spec.min_keywords = 2;
   spec.max_keywords = 4;
   spec.seed = 274;
-  TrialOptions topt;
-  topt.shard_counts = {1, 4};
-  topt.trials = 3;
-  topt.whynot.pref_mode = PrefAdjustMode::kBasic;
-  topt.whynot.kw_mode = KwAdaptMode::kBasic;
-  RunPropertyTrials(GenerateDataset(spec), /*query_seed=*/305, topt);
+  const ObjectStore store = GenerateDataset(spec);
+  const Corpus baseline = CorpusBuilder().Build(ObjectStore(store));
+  const LocalWhyNotOracle reference(baseline);
+  PreferenceAdjustOptions po;
+  po.mode = PrefAdjustMode::kBasic;
+  KeywordAdaptOptions ko;
+  ko.mode = KwAdaptMode::kBasic;
+
+  for (const uint32_t shards : {1u, 4u}) {
+    const ShardedCorpus sharded =
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
+    const ShardedWhyNotOracle oracle(sharded);
+    Rng rng(305);
+    for (int trial = 0; trial < 3; ++trial) {
+      Query q;
+      q.loc = SampleQueryLocation(store, &rng);
+      q.doc = SampleQueryKeywords(store, 1 + trial % 3, &rng);
+      q.k = 3 + static_cast<uint32_t>(rng.NextBounded(5));
+      const size_t m_count = 1 + trial % 2;
+      const std::vector<ObjectId> missing =
+          PickMissing(store, q, m_count, /*offset=*/2 + trial);
+      if (missing.size() != m_count) continue;
+      const std::string tag = std::to_string(shards) + " shards trial " +
+                              std::to_string(trial);
+
+      auto pref_e = AdjustPreference(reference, q, missing, po);
+      auto pref_a = AdjustPreference(oracle, q, missing, po);
+      ASSERT_TRUE(pref_e.ok()) << tag;
+      ASSERT_TRUE(pref_a.ok()) << tag;
+      EXPECT_EQ(pref_a->refined.w.ws, pref_e->refined.w.ws) << tag;
+      EXPECT_EQ(pref_a->refined.k, pref_e->refined.k) << tag;
+      EXPECT_EQ(pref_a->original_rank, pref_e->original_rank) << tag;
+      EXPECT_EQ(pref_a->refined_rank, pref_e->refined_rank) << tag;
+      ExpectSamePenalty(pref_a->penalty, pref_e->penalty, tag + " pref");
+      EXPECT_EQ(pref_a->stats.full_rescans, pref_e->stats.full_rescans)
+          << tag;
+
+      auto kw_e = AdaptKeywords(reference, q, missing, ko);
+      auto kw_a = AdaptKeywords(oracle, q, missing, ko);
+      ASSERT_TRUE(kw_e.ok()) << tag;
+      ASSERT_TRUE(kw_a.ok()) << tag;
+      EXPECT_EQ(kw_a->refined.doc.ids(), kw_e->refined.doc.ids()) << tag;
+      EXPECT_EQ(kw_a->refined.k, kw_e->refined.k) << tag;
+      EXPECT_EQ(kw_a->original_rank, kw_e->original_rank) << tag;
+      EXPECT_EQ(kw_a->refined_rank, kw_e->refined_rank) << tag;
+      ExpectSamePenalty(kw_a->penalty, kw_e->penalty, tag + " kw");
+      EXPECT_EQ(kw_a->stats.objects_scored, kw_e->stats.objects_scored)
+          << tag;
+    }
+  }
 }
 
 TEST(ShardedWhyNotPropertyTest, TieHeavyDegenerateDataset) {

@@ -97,17 +97,6 @@ TEST(IrTreeTest, BulkLoadValidates) {
   ASSERT_TRUE(s.ok()) << s.ToString();
 }
 
-TEST(IrTreeTest, InsertDeleteKeepSummaries) {
-  const ObjectStore store = MakeStore(500, 9);
-  IdfTable idf(store);
-  IrTree tree(&store, {}, IrSummary::WithIdf(&idf));
-  for (ObjectId id = 0; id < 500; ++id) tree.Insert(id);
-  ASSERT_TRUE(tree.Validate().ok());
-  for (ObjectId id = 0; id < 500; id += 4) ASSERT_TRUE(tree.Delete(id));
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
-
 class IrBoundProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IrBoundProperty, CosineScoreBoundIsAdmissible) {

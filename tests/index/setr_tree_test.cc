@@ -76,16 +76,6 @@ TEST(SetRTreeTest, BulkLoadSummariesValidate) {
   ASSERT_TRUE(s.ok()) << s.ToString();
 }
 
-TEST(SetRTreeTest, InsertAndDeleteKeepSummariesConsistent) {
-  const ObjectStore store = MakeStore(600, 9);
-  SetRTree tree(&store);
-  for (ObjectId id = 0; id < 400; ++id) tree.Insert(id);
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  for (ObjectId id = 0; id < 200; id += 2) ASSERT_TRUE(tree.Delete(id));
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-}
-
 TEST(SetRTreeTest, RootSummaryCoversWholeCorpus) {
   const ObjectStore store = MakeStore(500, 3);
   SetRTree tree(&store);
@@ -100,7 +90,7 @@ TEST(SetRTreeTest, RootSummaryCoversWholeCorpus) {
 }
 
 // Bound admissibility: every object under every node respects the TSim and
-// score bounds derived from the node summary.
+// score upper bounds derived from the node summary.
 class SetRTreeBoundProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SetRTreeBoundProperty, TSimAndScoreBoundsAreAdmissible) {
@@ -123,11 +113,7 @@ TEST_P(SetRTreeBoundProperty, TSimAndScoreBoundsAreAdmissible) {
       const auto& node = tree.node(stack.back());
       stack.pop_back();
       const double ub_t = UpperBoundTSim(node.summary, q.doc);
-      const double lb_t = LowerBoundTSim(node.summary, q.doc);
       const double ub_s = UpperBoundScore(scorer, node.rect, node.summary);
-      const double lb_s = LowerBoundScore(scorer, node.rect, node.summary);
-      EXPECT_LE(lb_t, ub_t + 1e-12);
-      EXPECT_LE(lb_s, ub_s + 1e-12);
 
       std::vector<ObjectId> under;
       if (node.is_leaf) {
@@ -141,9 +127,7 @@ TEST_P(SetRTreeBoundProperty, TSimAndScoreBoundsAreAdmissible) {
         const double tsim = scorer.TSim(o.doc);
         const double score = scorer.Score(o);
         EXPECT_LE(tsim, ub_t + 1e-12) << "node TSim ub violated";
-        EXPECT_GE(tsim, lb_t - 1e-12) << "node TSim lb violated";
         EXPECT_LE(score, ub_s + 1e-12) << "node score ub violated";
-        EXPECT_GE(score, lb_s - 1e-12) << "node score lb violated";
       }
     }
   }
@@ -168,7 +152,6 @@ TEST_P(SetRTreeBoundProperty, InternalNodeBoundsCoverSubtree) {
   const auto child_id = root.entries[0].id;
   const auto& child = tree.node(child_id);
   const double ub_s = UpperBoundScore(scorer, child.rect, child.summary);
-  const double lb_s = LowerBoundScore(scorer, child.rect, child.summary);
 
   std::vector<SetRTree::NodeId> stack{child_id};
   while (!stack.empty()) {
@@ -178,7 +161,6 @@ TEST_P(SetRTreeBoundProperty, InternalNodeBoundsCoverSubtree) {
       for (const auto& e : n.entries) {
         const double s = scorer.Score(e.id);
         EXPECT_LE(s, ub_s + 1e-12);
-        EXPECT_GE(s, lb_s - 1e-12);
       }
     } else {
       for (const auto& e : n.entries) stack.push_back(e.id);
@@ -210,17 +192,11 @@ TEST(SetRTreeBoundsTest, LengthTightenedDominatesSetsOnly) {
       const double tight = UpperBoundTSim(node.summary, q.doc,
                                           SetRBoundVariant::kLengthTightened);
       EXPECT_LE(tight, loose + 1e-15);
-      const double lb_loose =
-          LowerBoundTSim(node.summary, q.doc, SetRBoundVariant::kSetsOnly);
-      const double lb_tight = LowerBoundTSim(
-          node.summary, q.doc, SetRBoundVariant::kLengthTightened);
-      EXPECT_GE(lb_tight, lb_loose - 1e-15);
       // Admissibility of the sets-only variant at leaves.
       if (node.is_leaf) {
         for (const auto& e : node.entries) {
           const double tsim = q.doc.Jaccard(store.Get(e.id).doc);
           EXPECT_LE(tsim, loose + 1e-12);
-          EXPECT_GE(tsim, lb_loose - 1e-12);
         }
       } else {
         for (const auto& e : node.entries) stack.push_back(e.id);
@@ -255,7 +231,6 @@ TEST(SetRTreeBoundsTest, EmptyQueryDocYieldsZeroTSimBounds) {
   o.doc = KeywordSet({1, 2});
   s.AddObject(o);
   EXPECT_DOUBLE_EQ(UpperBoundTSim(s, KeywordSet()), 0.0);
-  EXPECT_DOUBLE_EQ(LowerBoundTSim(s, KeywordSet()), 0.0);
 }
 
 TEST(SetRTreeBoundsTest, DisjointVocabularyanishes) {
@@ -268,7 +243,7 @@ TEST(SetRTreeBoundsTest, DisjointVocabularyanishes) {
 
 TEST(SetRTreeBoundsTest, HomogeneousNodeHasTightBounds) {
   // All objects share the same doc: union == intersection, so the TSim
-  // bounds collapse to the exact value.
+  // bound is the exact value.
   SetSummary s;
   SpatialObject o;
   o.doc = KeywordSet({1, 2, 3});
@@ -276,7 +251,6 @@ TEST(SetRTreeBoundsTest, HomogeneousNodeHasTightBounds) {
   s.AddObject(o);
   const KeywordSet q({2, 3, 4});
   EXPECT_DOUBLE_EQ(UpperBoundTSim(s, q), o.doc.Jaccard(q));
-  EXPECT_DOUBLE_EQ(LowerBoundTSim(s, q), o.doc.Jaccard(q));
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 #include <set>
 
 #include "src/corpus/corpus.h"
-#include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/whynot/why_not_engine.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -54,7 +54,7 @@ TEST_F(FullyDegenerateStore, TopKReturnsLowestIds) {
 TEST_F(FullyDegenerateStore, RanksAreIdPlusOne) {
   const Query q = MakeQuery(5);
   for (ObjectId id : {0u, 42u, 99u}) {
-    EXPECT_EQ(ComputeRank(corpus_->store(), corpus_->setr(), q, id), id + 1);
+    EXPECT_EQ(reference::Rank(corpus_->store(), q, id), id + 1);
   }
 }
 

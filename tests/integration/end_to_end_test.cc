@@ -8,11 +8,11 @@
 #include <set>
 
 #include "src/corpus/corpus.h"
-#include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/why_not_engine.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -46,8 +46,7 @@ void RunWorkflow(ObjectStore dataset, const Query& q, size_t missing_rank,
   // Explanations agree with independent rank computation.
   ASSERT_EQ(a.explanations.size(), 1u);
   EXPECT_EQ(a.explanations[0].rank, missing_rank + 1);
-  EXPECT_EQ(a.explanations[0].rank,
-            ComputeRank(store, corpus.setr(), q, expected));
+  EXPECT_EQ(a.explanations[0].rank, reference::Rank(store, q, expected));
 
   // Both refinements revive the expected object.
   ASSERT_TRUE(a.preference.has_value());
@@ -116,36 +115,6 @@ TEST(EndToEndTest, SyntheticSweep) {
     q.doc = SampleQueryKeywords(store, 2, &rng);
     q.k = 5;
     RunWorkflow(ObjectStore(store), q, /*missing_rank=*/11, lambda);
-  }
-}
-
-TEST(EndToEndTest, DynamicIndexMaintenanceMatchesRebuild) {
-  // Queries against an incrementally-built index must match a bulk-loaded
-  // one: the demo server could ingest new hotels without a rebuild.
-  DatasetSpec spec;
-  spec.num_objects = 1500;
-  spec.seed = 4;
-  const ObjectStore store = GenerateDataset(spec);
-
-  SetRTree bulk(&store);
-  bulk.BulkLoad();
-  SetRTree incremental(&store);
-  for (ObjectId id = 0; id < store.size(); ++id) incremental.Insert(id);
-
-  SetRTopKEngine a(store, bulk);
-  SetRTopKEngine b(store, incremental);
-  Rng rng(12);
-  for (int trial = 0; trial < 10; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 3, &rng);
-    q.k = 10;
-    const TopKResult ra = a.Query(q);
-    const TopKResult rb = b.Query(q);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].id, rb[i].id) << "trial " << trial << " rank " << i;
-    }
   }
 }
 

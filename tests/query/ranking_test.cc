@@ -2,39 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
+#include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 
 namespace yask {
 namespace {
 
-class RankingProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RankingProperty, PrunedRankMatchesScan) {
-  DatasetSpec spec;
-  spec.num_objects = 2000;
-  spec.seed = GetParam();
-  const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
-  Rng rng(GetParam() + 9);
-  for (int trial = 0; trial < 30; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 1 + rng.NextBounded(3), &rng);
-    q.k = 10;
-    q.w = Weights::FromWs(rng.NextDouble(0.1, 0.9));
-    const ObjectId target =
-        static_cast<ObjectId>(rng.NextBounded(store.size()));
-    EXPECT_EQ(ComputeRank(store, tree, q, target),
-              ComputeRankScan(store, q, target));
-  }
+TEST(RankingTest, OutranksTargetBreaksTiesBySmallerId) {
+  EXPECT_TRUE(OutranksTarget(0.6, 9, 0.5, 1));
+  EXPECT_FALSE(OutranksTarget(0.4, 0, 0.5, 1));
+  EXPECT_TRUE(OutranksTarget(0.5, 0, 0.5, 1));
+  EXPECT_FALSE(OutranksTarget(0.5, 2, 0.5, 1));
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RankingProperty, ::testing::Values(3, 7, 19));
 
 TEST(RankingTest, TopKObjectsHaveRanksOneThroughK) {
   DatasetSpec spec;
@@ -50,7 +32,7 @@ TEST(RankingTest, TopKObjectsHaveRanksOneThroughK) {
   const TopKResult result = engine.Query(q);
   ASSERT_EQ(result.size(), 10u);
   for (size_t i = 0; i < result.size(); ++i) {
-    EXPECT_EQ(ComputeRank(store, tree, q, result[i].id), i + 1)
+    EXPECT_EQ(ComputeRankScan(store, q, result[i].id), i + 1)
         << "result position " << i;
   }
 }
@@ -73,60 +55,20 @@ TEST(RankingTest, RankMembershipConsistency) {
   Rng rng(77);
   for (int i = 0; i < 100; ++i) {
     const ObjectId id = static_cast<ObjectId>(rng.NextBounded(store.size()));
-    const size_t rank = ComputeRank(store, tree, q, id);
+    const size_t rank = ComputeRankScan(store, q, id);
     EXPECT_EQ(rank <= q.k, in_result.count(id) > 0) << "object " << id;
   }
-}
-
-TEST(RankingTest, LowestRankIsMaxOverMissing) {
-  DatasetSpec spec;
-  spec.num_objects = 300;
-  const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
-  Query q;
-  q.loc = Point{0.5, 0.5};
-  q.doc = KeywordSet({0});
-  q.k = 5;
-  const std::vector<ObjectId> missing{10, 20, 30};
-  size_t expect = 0;
-  for (ObjectId m : missing) {
-    expect = std::max(expect, ComputeRank(store, tree, q, m));
-  }
-  EXPECT_EQ(LowestRank(store, tree, q, missing), expect);
-}
-
-TEST(RankingTest, StatsShowPruning) {
-  DatasetSpec spec;
-  spec.num_objects = 20000;
-  spec.vocabulary_size = 300;
-  const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
-  Query q;
-  q.loc = Point{0.5, 0.5};
-  q.doc = KeywordSet({0, 1});
-  q.k = 10;
-  // A top-ranked object: most subtrees are skipped outright.
-  SetRTopKEngine engine(store, tree);
-  const ObjectId best = engine.Query(q)[0].id;
-  RankStats stats;
-  ComputeRank(store, tree, q, best, &stats);
-  EXPECT_LT(stats.objects_scored, store.size() / 4);
 }
 
 TEST(RankingTest, UniformTiesRankByObjectId) {
   ObjectStore store;
   store.mutable_vocab()->Intern("x");
   for (int i = 0; i < 10; ++i) store.Add(Point{0.5, 0.5}, KeywordSet({0}));
-  SetRTree tree(&store);
-  tree.BulkLoad();
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 3;
   for (ObjectId id = 0; id < 10; ++id) {
-    EXPECT_EQ(ComputeRank(store, tree, q, id), id + 1);
     EXPECT_EQ(ComputeRankScan(store, q, id), id + 1);
   }
 }

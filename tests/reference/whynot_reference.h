@@ -95,12 +95,11 @@ struct KeywordAnswer {
   PenaltyBreakdown penalty;
 };
 
-/// Solves Definition 3 by enumeration. `max_edit_distance` 0 = unlimited.
+/// Solves Definition 3 by enumeration.
 inline KeywordAnswer SolveKeywords(const ObjectStore& store,
                                    const Query& query,
                                    const std::vector<ObjectId>& missing,
-                                   double lambda,
-                                   size_t max_edit_distance = 0) {
+                                   double lambda) {
   KeywordAnswer out;
   out.original_rank = RankOfSet(store, query, missing);
   out.already_in_result = out.original_rank <= query.k;
@@ -129,7 +128,6 @@ inline KeywordAnswer SolveKeywords(const ObjectStore& store,
       if (in_candidate) doc.Insert(words[i]);
       if (in_candidate != query.doc.Contains(words[i])) ++delta;
     }
-    if (max_edit_distance != 0 && delta > max_edit_distance) continue;
     Query candidate = query;
     candidate.doc = doc;
     const size_t rank = RankOfSet(store, candidate, missing);

@@ -398,7 +398,6 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
            "# TYPE yask_session_replays_total counter",
            "# TYPE yask_replicas_cooling gauge",
            "# TYPE yask_cached_queries gauge",
-           "# TYPE yask_shard_rpc_ewma_ms gauge",
        }) {
     EXPECT_NE(metrics.find(needle), std::string::npos) << needle;
   }
@@ -423,15 +422,14 @@ TEST(ObservabilityTest, MetricsFamiliesOnCoordinatorAndShard) {
     EXPECT_NE(shard_metrics.find(needle), std::string::npos) << needle;
   }
 
-  // The RPC EWMA gauge carries real samples once traffic has flowed.
-  const auto gauge_value = [&](const std::string& family) {
-    const std::string needle = family + "{shard=\"0\"} ";
-    const size_t at = metrics.find(needle);
-    EXPECT_NE(at, std::string::npos) << family;
-    if (at == std::string::npos) return 0.0;
-    return std::strtod(metrics.c_str() + at + needle.size(), nullptr);
-  };
-  EXPECT_GT(gauge_value("yask_shard_rpc_ewma_ms"), 0.0);
+  // The shard RPC latency histogram carries real samples once traffic has
+  // flowed.
+  const std::string count_needle =
+      "yask_shard_rpc_latency_ms_count{shard=\"0\"} ";
+  const size_t at = metrics.find(count_needle);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::strtod(metrics.c_str() + at + count_needle.size(), nullptr),
+            0.0);
 
   // /health still reports the same numbers the registry exports (single
   // source of truth): zero failovers and per-replica request counts > 0.

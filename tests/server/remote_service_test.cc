@@ -192,6 +192,54 @@ TEST(RemoteServiceTest, PayloadParityAcrossShardCounts) {
   }
 }
 
+TEST(RemoteServiceTest, KeywordCandidateBoundIsReportedTruncated) {
+  // m holds the query's keyword and 18 more, |U| = 19, behind a crowd no
+  // candidate lifts it over: keyword adaption enumerates past
+  // kMaxKeywordCandidates and stops. /whynot still answers 200, with
+  // "truncated": true in its keyword block, in process and on a coordinator.
+  ObjectStore store;
+  std::vector<TermId> terms;
+  for (int i = 0; i < 19; ++i) {
+    terms.push_back(store.mutable_vocab()->Intern("w" + std::to_string(i)));
+  }
+  for (int i = 0; i < 20; ++i) {
+    store.Add(Point{0.01 * i, 0.0}, KeywordSet({terms[0]}),
+              "crowd" + std::to_string(i));
+  }
+  const ObjectId m = store.Add(Point{1, 1}, KeywordSet(terms), "m");
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
+  ShardFleet fleet(sharded);
+  auto connected = RemoteCorpus::Connect(fleet.endpoints);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  const RemoteCorpus remote_corpus = std::move(connected).value();
+  YaskService remote(remote_corpus);
+  YaskService local(sharded);
+  ASSERT_TRUE(remote.Start().ok());
+  ASSERT_TRUE(local.Start().ok());
+
+  ExpectSamePayload(remote, local, "POST", "/query",
+                    "{\"x\":0,\"y\":0,\"keywords\":\"w0\",\"k\":3}",
+                    "query");
+  const std::string whynot = "{\"query_id\":1,\"model\":\"keyword\","
+                             "\"missing\":[" + std::to_string(m) + "]}";
+  std::vector<std::string> payloads;
+  for (const YaskService* service : {&local, &remote}) {
+    int status = 0;
+    auto body = HttpFetch(service->port(), "POST", "/whynot", whynot, &status);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(status, 200) << *body;
+    auto parsed = JsonValue::Parse(*body);
+    ASSERT_TRUE(parsed.ok()) << *body;
+    const JsonValue& truncated = parsed->Get("keyword").Get("truncated");
+    ASSERT_TRUE(truncated.is_bool()) << *body;
+    EXPECT_TRUE(truncated.as_bool()) << *body;
+    payloads.push_back(Normalized(*body));
+  }
+  EXPECT_EQ(payloads[0], payloads[1]);
+  EXPECT_EQ(remote_corpus.error_epoch(), 0u);
+}
+
 /// The requests a shard server answered 200 on `route`, read from its own
 /// GET /metrics (0 before the first).
 uint64_t ServedFromMetrics(uint16_t port, const std::string& route) {

@@ -23,11 +23,11 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/query/ranking.h"
 #include "src/server/json.h"
 #include "src/server/shard_service.h"
 #include "src/server/yask_service.h"
 #include "src/storage/hotel_generator.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -345,11 +345,8 @@ TEST(ReplicaFailoverTest, RankBatchFailsOverToASibling) {
   };
 
   const std::vector<size_t> expected = ranks();
-  const Corpus unsharded = CorpusBuilder().Build(ObjectStore(store));
-  EXPECT_EQ(expected[0],
-            ComputeRank(unsharded.store(), unsharded.setr(), query, 81));
-  EXPECT_EQ(expected[1],
-            ComputeRank(unsharded.store(), unsharded.setr(), query, 120));
+  EXPECT_EQ(expected[0], reference::Rank(store, query, 81));
+  EXPECT_EQ(expected[1], reference::Rank(store, query, 120));
   fleet.KillEverywhere(0);
   EXPECT_EQ(ranks(), expected);
   fleet.RestartEverywhere(0);
@@ -390,10 +387,8 @@ TEST(ReplicaFailoverTest, QuestionRanksFailOverWithReplay) {
     return rows;
   };
 
-  const Corpus unsharded = CorpusBuilder().Build(ObjectStore(store));
-  const std::vector<size_t> expected = {
-      ComputeRank(unsharded.store(), unsharded.setr(), query, 81),
-      ComputeRank(unsharded.store(), unsharded.setr(), query, 120)};
+  const std::vector<size_t> expected = {reference::Rank(store, query, 81),
+                                        reference::Rank(store, query, 120)};
   EXPECT_EQ(ranks(), expected);
   const uint64_t replays = remote_corpus.session_replays()->value();
   fleet.KillEverywhere(0);

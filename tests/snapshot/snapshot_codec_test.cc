@@ -164,26 +164,6 @@ TEST(RTreeCodecTest, EmptyTreeRoundTrips) {
   EXPECT_TRUE(loaded.Validate().ok());
 }
 
-TEST(RTreeCodecTest, LoadedTreeSupportsUpdates) {
-  // AdoptArena restores the fanout options, so post-load Insert/Delete must
-  // keep the structural invariants.
-  const ObjectStore store = SyntheticStore(800);
-  SetRTree original(&store);
-  original.BulkLoad(std::vector<ObjectId>());  // Start empty.
-  for (ObjectId id = 0; id < 700; ++id) original.Insert(id);
-  BufWriter out;
-  SaveSetRTree(original, &out);
-
-  SetRTree loaded(&store);
-  BufReader in(out.data().data(), out.size());
-  ASSERT_TRUE(LoadSetRTree(&in, &loaded).ok());
-  for (ObjectId id = 700; id < 800; ++id) loaded.Insert(id);
-  for (ObjectId id = 0; id < 50; ++id) EXPECT_TRUE(loaded.Delete(id));
-  EXPECT_EQ(loaded.size(), 750u);
-  Status valid = loaded.Validate();
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
-}
-
 class SnapshotBundleTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -181,59 +181,71 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   ASSERT_FALSE(missing.empty());
   KeywordAdaptOptions opts;
   opts.lambda = 1.0;
-  // The unbounded λ=1 candidate space is the whole power set; cap the edit
-  // distance to keep the audit exhaustive-checkable.
-  opts.max_edit_distance = 2;
+  // At λ = 1 no floor cuts, so the search ranks the whole power set of
+  // q.doc ∪ M.doc (at most 8 keywords here).
   auto result = AdaptKeywords(oracle, q, missing, opts);
   ASSERT_TRUE(result.ok());
 
-  // No candidate within the same edit budget achieves a better rank: the
-  // refinement is the reference's, found by enumerating every keyword subset
-  // within two edits.
+  // No candidate achieves a better rank: the refinement is the reference's,
+  // found by enumerating every keyword subset.
   reference::ExpectKeywordAnswer(
-      *result,
-      reference::SolveKeywords(store, q, missing, opts.lambda,
-                               opts.max_edit_distance),
+      *result, reference::SolveKeywords(store, q, missing, opts.lambda),
       "lambda=1");
   EXPECT_LE(result->refined_rank, result->original_rank);
 }
 
 TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
-  // Two candidates at ∆doc = 1 revive M inside the original k, so both cost
-  // exactly the ∆doc floor. The insertion {a, c, e} is generated first; the
-  // deletion {a} comes later but wins the lexicographic tie order. With
-  // chunks of one the winner is known before {a} is generated, and only a
-  // STRICT per-candidate floor cut lets {a} still reach the tie order.
+  // Candidates are ranked in chunks of 128, and the winner of the first
+  // chunk must not cut an equally cheap candidate of the same ∆doc that a
+  // later chunk holds. q.doc = {a, b} and M = {m} with m.doc = {a, x1..x16},
+  // so ∆doc = 2 has 152 candidates: first the 120 insertion pairs
+  // {a, b, xi, xj}, then {xi, b}, then {a, xi}. Every insertion pair revives
+  // m at rank 1, costing exactly the ∆doc floor, and so does {a, x1}, 137th
+  // in the level; it wins the lexicographic tie order (a and the xi get
+  // smaller term ids than b). Only a STRICT
+  // per-candidate floor cut lets {a, x1} reach that tie order. Two rivals
+  // keep every ∆doc = 1 candidate from reviving m: {b, y1, y2, y3} beats it
+  // under {b} and {a, b, xi}, and {a, z1..z7} under {a}.
   ObjectStore store;
-  std::vector<TermId> t;
-  for (const char* word : {"a", "b", "c", "d", "e"}) {
-    t.push_back(store.mutable_vocab()->Intern(word));
+  Vocabulary* vocab = store.mutable_vocab();
+  const TermId a = vocab->Intern("a");
+  std::vector<TermId> m_doc{a};
+  for (int i = 1; i <= 16; ++i) {
+    m_doc.push_back(vocab->Intern("x" + std::to_string(i)));
   }
-  const ObjectId missing =
-      store.Add(Point{0, 0}, KeywordSet({t[0], t[4]}), "m");
-  store.Add(Point{0, 0}, KeywordSet({t[2]}), "rival");
-  store.Add(Point{1, 1}, KeywordSet({t[1], t[3]}), "far");
+  const TermId b = vocab->Intern("b");
+  std::vector<TermId> rival_b{b};
+  for (int i = 1; i <= 3; ++i) {
+    rival_b.push_back(vocab->Intern("y" + std::to_string(i)));
+  }
+  std::vector<TermId> rival_a{a};
+  for (int i = 1; i <= 7; ++i) {
+    rival_a.push_back(vocab->Intern("z" + std::to_string(i)));
+  }
+  // The smallest id: m wins every exact score tie.
+  const ObjectId missing = store.Add(Point{0, 0}, KeywordSet(m_doc), "m");
+  store.Add(Point{0, 0}, KeywordSet(rival_b), "rival b");
+  store.Add(Point{0, 0}, KeywordSet(rival_a), "rival a");
+  store.Add(Point{1, 1}, KeywordSet({vocab->Intern("far")}), "far");
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
   q.loc = Point{0, 0};
-  q.doc = KeywordSet({t[0], t[2]});
+  q.doc = KeywordSet({a, b});
   q.k = 1;
   const reference::KeywordAnswer want =
       reference::SolveKeywords(store, q, {missing}, 0.5);
-  ASSERT_EQ(want.doc.ids(), std::vector<TermId>{t[0]});
+  ASSERT_EQ(want.doc.ids(), (std::vector<TermId>{a, m_doc[1]}));
+  ASSERT_EQ(want.rank, 1u);
   for (const KwAdaptMode mode :
        {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
-    for (const size_t chunk : {size_t{1}, size_t{128}}) {
-      KeywordAdaptOptions opts;
-      opts.mode = mode;
-      opts.probe_batch_size = chunk;
-      auto got = AdaptKeywords(oracle, q, {missing}, opts);
-      ASSERT_TRUE(got.ok());
-      reference::ExpectKeywordAnswer(
-          *got, want,
-          "mode=" + std::to_string(static_cast<int>(mode)) +
-              " chunk=" + std::to_string(chunk));
-    }
+    KeywordAdaptOptions opts;
+    opts.mode = mode;
+    auto got = AdaptKeywords(oracle, q, {missing}, opts);
+    ASSERT_TRUE(got.ok());
+    reference::ExpectKeywordAnswer(
+        *got, want, "mode=" + std::to_string(static_cast<int>(mode)));
+    // All 18 candidates at ∆doc = 1 and all 152 at ∆doc = 2 are ranked.
+    EXPECT_EQ(got->stats.candidates_resolved, 18u + 152u);
   }
 }
 
@@ -280,18 +292,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.3, 0.5, 0.7),
                        ::testing::Values(1u, 2u)));
 
-// Every chunking of the search, in both modes, must return exactly the
-// refinement the index-free reference finds by enumerating every keyword
-// subset — the strict-cut argument makes the winner independent of how
-// candidates are chunked — while the work counters keep their meaning:
-// one rank fan-out per chunk, reading the dataset once per fan-out (mask
-// columns) or once per (candidate, missing object) spec (basic). Chunks of
-// one and two candidates exercise the per-candidate floor cut between
-// flushes, where a non-strict cut would drop exact ties.
+// The search, in both modes, must return exactly the refinement the
+// index-free reference finds by enumerating every keyword subset, while the
+// work counters keep their meaning: one rank fan-out per chunk, reading the
+// dataset once per fan-out (mask columns) or once per (candidate, missing
+// object) spec (basic).
 class KwReferenceAgrees
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
-TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
+TEST_P(KwReferenceAgrees, BothModesMatchReference) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(250, seed);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
@@ -308,33 +317,29 @@ TEST_P(KwReferenceAgrees, EveryChunkSizeMatchesReference) {
 
     for (const KwAdaptMode mode :
          {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
-      for (const size_t chunk : {size_t{1}, size_t{2}, size_t{128},
-                                 size_t{0}}) {
-        KeywordAdaptOptions opts;
-        opts.lambda = lambda;
-        opts.mode = mode;
-        opts.probe_batch_size = chunk;
-        auto got = AdaptKeywords(oracle, q, missing, opts);
-        ASSERT_TRUE(got.ok());
-        const std::string label =
-            "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
-            " trial=" + std::to_string(trial) + " mode=" +
-            std::to_string(static_cast<int>(mode)) +
-            " chunk=" + std::to_string(chunk);
-        reference::ExpectKeywordAnswer(*got, want, label);
-        const KeywordAdaptStats& st = got->stats;
-        if (mode == KwAdaptMode::kBoundAndPrune) {
-          EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size())
-              << label;
-        } else {
-          // R(M, q) plus every resolved candidate, one scan per spec.
-          EXPECT_EQ(st.objects_scored,
-                    (st.candidates_resolved + 1) * m_count * store.size())
-              << label;
-        }
-        EXPECT_EQ(st.refine_levels, 0u) << label;
-        EXPECT_EQ(st.candidates_pruned_bounds, 0u) << label;
+      KeywordAdaptOptions opts;
+      opts.lambda = lambda;
+      opts.mode = mode;
+      auto got = AdaptKeywords(oracle, q, missing, opts);
+      ASSERT_TRUE(got.ok());
+      const std::string label =
+          "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
+          " trial=" + std::to_string(trial) + " mode=" +
+          std::to_string(static_cast<int>(mode));
+      reference::ExpectKeywordAnswer(*got, want, label);
+      const KeywordAdaptStats& st = got->stats;
+      EXPECT_FALSE(st.truncated) << label;
+      if (mode == KwAdaptMode::kBoundAndPrune) {
+        EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size())
+            << label;
+      } else {
+        // R(M, q) plus every resolved candidate, one scan per spec.
+        EXPECT_EQ(st.objects_scored,
+                  (st.candidates_resolved + 1) * m_count * store.size())
+            << label;
       }
+      EXPECT_EQ(st.refine_levels, 0u) << label;
+      EXPECT_EQ(st.candidates_pruned_bounds, 0u) << label;
     }
   }
 }
@@ -397,7 +402,10 @@ TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
   // Too wide for the reference's subset enumeration: the two kernels must
   // agree, and the ranks must be the scan reference's.
   KeywordAdaptOptions opts;
-  opts.max_edit_distance = 1;  // 63 candidates, one per high mask bit.
+  // No candidate lifts m over the crowd, so the pure-k seed λ stays the
+  // best; at λ = 0.02 the ∆doc floor cuts from ∆doc = 2, leaving the 63
+  // insertions of ∆doc = 1, one per high mask bit.
+  opts.lambda = 0.02;
   opts.mode = KwAdaptMode::kBoundAndPrune;
   auto columns = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
   ASSERT_TRUE(columns.ok()) << columns.status().ToString();
@@ -423,6 +431,23 @@ TEST(AdaptKeywordsTest, KeywordUniverseOverCapIsInvalidArgument) {
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AdaptKeywordsTest, CandidateBoundTruncatesTheSearch) {
+  // |U| = 19 allows 2^19 − 2 candidates. No candidate lifts m over the
+  // crowd, so the seed λ stays the best and the ∆doc floor cuts no level
+  // before the kMaxKeywordCandidates-th candidate (∆doc = 13): the search
+  // stops there and answers the best candidate generated, the pure-k one.
+  const WideUniverse wide(18);
+  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  auto got = AdaptKeywords(oracle, wide.query, {wide.missing});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->stats.truncated);
+  EXPECT_EQ(got->stats.candidates_generated, kMaxKeywordCandidates);
+  EXPECT_EQ(got->refined.doc, wide.query.doc);
+  EXPECT_EQ(got->refined_rank,
+            reference::RankOfSet(wide.store, got->refined, {wide.missing}));
+  EXPECT_EQ(got->refined.k, got->original_rank);
+}
+
 TEST(AdaptKeywordsTest, BasicModeHasNoKeywordUniverseCap) {
   // The scan kernel takes masks of several words: past the columns' cap the
   // basic mode still answers, with the reference's ranks.
@@ -430,7 +455,7 @@ TEST(AdaptKeywordsTest, BasicModeHasNoKeywordUniverseCap) {
   const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
   KeywordAdaptOptions opts;
   opts.mode = KwAdaptMode::kBasic;
-  opts.max_edit_distance = 1;
+  opts.lambda = 0.02;  // Only ∆doc = 1 passes the floor, as above.
   auto got = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->stats.candidates_resolved, kMaxKeywordUniverse + 10);
@@ -469,22 +494,6 @@ TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
   auto over = AdaptKeywords(oracle, q, missing);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(AdaptKeywordsTest, MaxEditDistanceCapsSearch) {
-  const ObjectStore store = MakeStore(300, 7);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Query q;
-  q.loc = Point{0.5, 0.5};
-  q.doc = KeywordSet({0, 1});
-  q.k = 4;
-  const std::vector<ObjectId> missing = PickMissing(store, q, 1);
-  ASSERT_FALSE(missing.empty());
-  KeywordAdaptOptions opts;
-  opts.max_edit_distance = 1;
-  auto result = AdaptKeywords(oracle, q, missing, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->penalty.delta_doc, 1u);
 }
 
 // Exhaustive optimality audit: on a small dataset, the reference enumerates

@@ -7,8 +7,6 @@
 #include <set>
 #include <tuple>
 
-#include "src/index/setr_tree.h"
-#include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
@@ -196,8 +194,6 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
 TEST(AdjustPreferenceTest, RefinedRankConsistent) {
   const ObjectStore store = MakeStore(600, 6);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  SetRTree tree(&store);
-  tree.BulkLoad();
   Query q;
   q.loc = Point{0.6, 0.4};
   q.doc = KeywordSet({1, 2});
@@ -207,9 +203,9 @@ TEST(AdjustPreferenceTest, RefinedRankConsistent) {
   auto result = AdjustPreference(oracle, q, missing);
   ASSERT_TRUE(result.ok());
   // Reported ranks match independent recomputation.
-  EXPECT_EQ(result->original_rank, LowestRank(store, tree, q, missing));
+  EXPECT_EQ(result->original_rank, reference::RankOfSet(store, q, missing));
   EXPECT_EQ(result->refined_rank,
-            LowestRank(store, tree, result->refined, missing));
+            reference::RankOfSet(store, result->refined, missing));
   EXPECT_EQ(result->refined.k,
             std::max<size_t>(q.k, result->refined_rank));
 }
@@ -322,13 +318,12 @@ TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
   EXPECT_EQ(result->stats.full_rescans, 0u);
 }
 
-TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
-  // The speculative segment sweep must return the byte-identical refinement
-  // and identical crossing/candidate counters at every segment size and on
-  // the default doubling schedule (segment 0) — the floor cut discards
-  // over-fetched counts deterministically — and that refinement must pass
-  // the index-free reference audit. Segments of one event fetch exactly
-  // what the sweep evaluates, so they set the baseline.
+TEST(AdjustPreferenceTest, OneScheduleMatchesReferenceInBothModes) {
+  // The sweep runs one schedule: optimized segments double from 8 events and
+  // may fetch (and discard) counts past the floor cut; basic segments hold
+  // one event and fetch exactly what the sweep evaluates. Both must return
+  // the byte-identical refinement with identical crossing/candidate
+  // counters, and that refinement must pass the index-free reference audit.
   const ObjectStore store = MakeStore(600, 10);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(17);
@@ -340,86 +335,36 @@ TEST(AdjustPreferenceTest, EverySegmentSizeMatchesReference) {
       q.k = 4;
       const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
       if (missing.empty()) continue;
-      const std::string base_tag = "lambda=" + std::to_string(lambda) +
-                                   " trial=" + std::to_string(trial);
+      const std::string tag = "lambda=" + std::to_string(lambda) +
+                              " trial=" + std::to_string(trial);
 
-      PreferenceAdjustOptions one;
-      one.lambda = lambda;
-      one.sweep_batch_size = 1;
-      auto baseline = AdjustPreference(oracle, q, missing, one);
-      ASSERT_TRUE(baseline.ok());
+      PreferenceAdjustOptions basic;
+      basic.lambda = lambda;
+      basic.mode = PrefAdjustMode::kBasic;
+      PreferenceAdjustOptions optimized = basic;
+      optimized.mode = PrefAdjustMode::kOptimized;
+      auto rb = AdjustPreference(oracle, q, missing, basic);
+      auto ro = AdjustPreference(oracle, q, missing, optimized);
+      ASSERT_TRUE(rb.ok());
+      ASSERT_TRUE(ro.ok());
       reference::ExpectPreferenceAnswer(
-          store, q, missing, lambda, *baseline,
-          reference::AuditPreference(store, q, missing, lambda), base_tag);
-
-      for (size_t segment : {size_t{0}, size_t{3}, size_t{100}}) {
-        PreferenceAdjustOptions segmented = one;
-        segmented.sweep_batch_size = segment;
-        auto result = AdjustPreference(oracle, q, missing, segmented);
-        ASSERT_TRUE(result.ok());
-        const std::string tag =
-            base_tag + " segment=" + std::to_string(segment);
-        EXPECT_EQ(result->refined.w.ws, baseline->refined.w.ws) << tag;
-        EXPECT_EQ(result->refined.k, baseline->refined.k) << tag;
-        EXPECT_EQ(result->refined_rank, baseline->refined_rank) << tag;
-        EXPECT_EQ(result->penalty.value, baseline->penalty.value) << tag;
-        EXPECT_EQ(result->stats.crossings_found,
-                  baseline->stats.crossings_found)
-            << tag;
-        EXPECT_EQ(result->stats.candidates_evaluated,
-                  baseline->stats.candidates_evaluated)
-            << tag;
-        // Speculation may fetch (and discard) counts past the floor cut.
-        EXPECT_GE(result->stats.index_nodes_visited,
-                  baseline->stats.index_nodes_visited)
-            << tag;
-        EXPECT_LE(result->stats.sweep_fanouts, baseline->stats.sweep_fanouts)
-            << tag;
-      }
+          store, q, missing, lambda, *ro,
+          reference::AuditPreference(store, q, missing, lambda), tag);
+      EXPECT_EQ(ro->refined.w.ws, rb->refined.w.ws) << tag;
+      EXPECT_EQ(ro->refined.k, rb->refined.k) << tag;
+      EXPECT_EQ(ro->refined_rank, rb->refined_rank) << tag;
+      EXPECT_EQ(ro->penalty.value, rb->penalty.value) << tag;
+      EXPECT_EQ(ro->stats.crossings_found, rb->stats.crossings_found) << tag;
+      EXPECT_EQ(ro->stats.candidates_evaluated,
+                rb->stats.candidates_evaluated)
+          << tag;
+      EXPECT_LE(ro->stats.sweep_fanouts, rb->stats.sweep_fanouts) << tag;
     }
   }
 }
 
-TEST(AdjustPreferenceTest, SegmentedSweepSavesFanouts) {
-  // A segment covers several events in one fan-out. With segments of one,
-  // the sweep spends one Step-1 fan-out plus one per event it consumes (E);
-  // with segments of eight it must consume the same E events in exactly
-  // ⌈E/8⌉ segment fan-outs — the floor cut lands on the same event.
-  const ObjectStore store = MakeStore(800, 11);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Rng rng(23);
-  size_t checked = 0;
-  for (int trial = 0; trial < 6; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 2, &rng);
-    q.k = 4;
-    const std::vector<ObjectId> missing = PickMissing(store, q, 2);
-    if (missing.size() != 2) continue;
-
-    PreferenceAdjustOptions one;
-    one.sweep_batch_size = 1;
-    PreferenceAdjustOptions eight;
-    eight.sweep_batch_size = 8;
-    auto r1 = AdjustPreference(oracle, q, missing, one);
-    auto r8 = AdjustPreference(oracle, q, missing, eight);
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(r8.ok());
-    if (r1->already_in_result) continue;
-    EXPECT_EQ(r8->penalty.value, r1->penalty.value);
-    const size_t events = r1->stats.sweep_fanouts - 1;
-    EXPECT_EQ(r8->stats.sweep_fanouts, 1 + (events + 7) / 8)
-        << "events consumed=" << events;
-    if (events >= 2) {
-      EXPECT_LT(r8->stats.sweep_fanouts, r1->stats.sweep_fanouts);
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0u);
-}
-
-/// Segment fan-outs the default optimized schedule (segments of 8, 16, 32,
-/// … events) spends to consume `events` events: ⌈log2(events/8 + 1)⌉.
+/// Segment fan-outs the optimized schedule (segments of 8, 16, 32, …
+/// events) spends to consume `events` events: ⌈log2(events/8 + 1)⌉.
 size_t DoublingSegments(size_t events) {
   size_t segments = 0;
   for (size_t covered = 0, size = 8; covered < events; size *= 2) {
@@ -429,10 +374,11 @@ size_t DoublingSegments(size_t events) {
   return segments;
 }
 
-TEST(AdjustPreferenceTest, DefaultSweepDoublesItsSegments) {
-  // With segments of one, the sweep spends one Step-1 fan-out plus one per
-  // event it consumes (E). The default schedule consumes the same E events
-  // in exactly 1 + ⌈log2(E/8 + 1)⌉ fan-outs.
+TEST(AdjustPreferenceTest, OptimizedSweepDoublesItsSegments) {
+  // Basic mode spends one Step-1 fan-out plus one per event it consumes (E),
+  // and the floor cut lands on the same event in both modes. The optimized
+  // schedule consumes the same E events in exactly 1 + ⌈log2(E/8 + 1)⌉
+  // fan-outs.
   const ObjectStore store = MakeStore(800, 11);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(23);
@@ -445,28 +391,30 @@ TEST(AdjustPreferenceTest, DefaultSweepDoublesItsSegments) {
     const std::vector<ObjectId> missing = PickMissing(store, q, 2);
     if (missing.size() != 2) continue;
 
-    PreferenceAdjustOptions one;
-    one.sweep_batch_size = 1;
-    auto r1 = AdjustPreference(oracle, q, missing, one);
-    auto rd = AdjustPreference(oracle, q, missing);
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(rd.ok());
-    if (r1->already_in_result) continue;
-    EXPECT_EQ(rd->penalty.value, r1->penalty.value);
-    const size_t events = r1->stats.sweep_fanouts - 1;
-    EXPECT_EQ(rd->stats.sweep_fanouts, 1 + DoublingSegments(events))
+    PreferenceAdjustOptions basic;
+    basic.mode = PrefAdjustMode::kBasic;
+    auto rb = AdjustPreference(oracle, q, missing, basic);
+    auto ro = AdjustPreference(oracle, q, missing);
+    ASSERT_TRUE(rb.ok());
+    ASSERT_TRUE(ro.ok());
+    if (rb->already_in_result) continue;
+    EXPECT_EQ(ro->penalty.value, rb->penalty.value);
+    const size_t events = rb->stats.sweep_fanouts - 1;
+    EXPECT_EQ(ro->stats.sweep_fanouts, 1 + DoublingSegments(events))
         << "events consumed=" << events;
     if (events > 8) ++doubled;  // Reached a second, doubled segment.
   }
   EXPECT_GT(doubled, 0u);
 }
 
-TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
-  // In basic mode every fetched pair is a full rescan, so the default
-  // schedule spends exactly what a pinned size of 1 spends.
+TEST(AdjustPreferenceTest, BasicSweepFetchesOnlyWhatItEvaluates) {
+  // In basic mode every fetched pair is a full rescan, so segments hold one
+  // event and nothing is fetched past the floor cut: the rescans are exactly
+  // R(M, q)'s plus one per evaluated candidate, for every anchor.
   const ObjectStore store = MakeStore(600, 12);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(31);
+  size_t checked = 0;
   for (int trial = 0; trial < 4; ++trial) {
     Query q;
     q.loc = SampleQueryLocation(store, &rng);
@@ -477,16 +425,14 @@ TEST(AdjustPreferenceTest, BasicSweepKeepsOneEventPerSegment) {
 
     PreferenceAdjustOptions basic;
     basic.mode = PrefAdjustMode::kBasic;
-    PreferenceAdjustOptions pinned = basic;
-    pinned.sweep_batch_size = 1;
     auto rb = AdjustPreference(oracle, q, missing, basic);
-    auto rp = AdjustPreference(oracle, q, missing, pinned);
     ASSERT_TRUE(rb.ok());
-    ASSERT_TRUE(rp.ok());
-    EXPECT_EQ(rb->penalty.value, rp->penalty.value);
-    EXPECT_EQ(rb->stats.sweep_fanouts, rp->stats.sweep_fanouts);
-    EXPECT_EQ(rb->stats.full_rescans, rp->stats.full_rescans);
+    if (rb->already_in_result) continue;
+    EXPECT_EQ(rb->stats.full_rescans,
+              missing.size() * (1 + rb->stats.candidates_evaluated));
+    ++checked;
   }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
