@@ -18,7 +18,7 @@
 //     Eqn. (4) — as one /shard/plane/rank per shard, and both of its
 //     top-ks (explain's and the refined result) as two /shard/plane/topk
 //     per shard, with no second /shard/plane/open (a rank batch outside
-//     the question would open one), no /shard/count and no /shard/topk
+//     the question would open one) and no /shard/topk
 //     (no SetR-tree search), and neither does a combined
 //     refinement, whose refined result is bit-identical to the unsharded
 //     engine's; keyword adaption over an open
@@ -173,8 +173,7 @@ struct RouteCounts {
     RouteCounts counts;
     for (const char* route :
          {shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
-          shardrpc::kPlaneTopKPath, shardrpc::kCountPath,
-          shardrpc::kTopKPath,
+          shardrpc::kPlaneTopKPath, shardrpc::kTopKPath,
           shardrpc::kPlaneCountBatchPath}) {
       for (const auto& service : fleet.services) {
         counts.served[route].push_back(
@@ -324,7 +323,6 @@ int main(int argc, char** argv) {
           if (after.Since(before, shardrpc::kPlaneOpenPath, s) != 1 ||
               after.Since(before, shardrpc::kPlaneRankPath, s) != ranks ||
               after.Since(before, shardrpc::kPlaneTopKPath, s) != 2 ||
-              after.Since(before, shardrpc::kCountPath, s) != 0 ||
               after.Since(before, shardrpc::kTopKPath, s) != 0) {
             run.kw_rt_gate = false;
           }

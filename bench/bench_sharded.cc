@@ -1,7 +1,7 @@
 // Experiment E11: parallel fan-out/merge top-k over a ShardedCorpus.
 //
 // Partitions the shared benchmark dataset into 1/2/4/8 spatial-grid shards
-// and runs the same randomized top-k workload through ShardedWhyNotOracle's
+// and runs the same randomized top-k workload through LocalWhyNotOracle's
 // top-k (the fan-out every layout runs) at each shard count. Every sharded
 // result is cross-checked for exact equality against the unsharded
 // SetRTopKEngine — the fan-out merge must be bit-identical, so a
@@ -9,7 +9,7 @@
 // entering the perf trajectory.
 //
 // Two timings per configuration:
-//   * wall      — ShardedWhyNotOracle::TopK on this host as-is (home-shard
+//   * wall      — LocalWhyNotOracle::TopK on this host as-is (home-shard
 //                 search + thresholded fan-out; parallel when the host has
 //                 cores for it, sequential with threshold refinement when
 //                 it does not).
@@ -43,8 +43,8 @@
 #include "bench/bench_util.h"
 #include "src/common/timer.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/server/json.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   for (const size_t shards : {1, 2, 4, 8}) {
     const ShardedCorpus sharded = ShardedCorpus::Partition(
         store, GridShardRouter::Fit(store, static_cast<uint32_t>(shards)));
-    const ShardedWhyNotOracle oracle(sharded);
+    const LocalWhyNotOracle oracle(sharded);
 
     ShardRun run;
     run.shards = shards;

@@ -35,45 +35,16 @@ void Rect::Extend(const Rect& other) {
   max_y = std::max(max_y, other.max_y);
 }
 
-bool Rect::Contains(const Point& p) const {
-  return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
-}
-
-bool Rect::Contains(const Rect& other) const {
-  if (other.empty()) return true;
-  return other.min_x >= min_x && other.max_x <= max_x && other.min_y >= min_y &&
-         other.max_y <= max_y;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  if (empty() || other.empty()) return false;
-  return !(other.min_x > max_x || other.max_x < min_x || other.min_y > max_y ||
-           other.max_y < min_y);
-}
-
 Rect Rect::Union(const Rect& a, const Rect& b) {
   Rect out = a;
   out.Extend(b);
   return out;
 }
 
-Rect Rect::Intersection(const Rect& a, const Rect& b) {
-  if (!a.Intersects(b)) return Rect::Empty();
-  return Rect{std::max(a.min_x, b.min_x), std::max(a.min_y, b.min_y),
-              std::min(a.max_x, b.max_x), std::min(a.max_y, b.max_y)};
-}
-
 double Rect::MinDistance(const Point& p) const {
   assert(!empty());
   const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
   const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
-double Rect::MaxDistance(const Point& p) const {
-  assert(!empty());
-  const double dx = std::max(std::abs(p.x - min_x), std::abs(p.x - max_x));
-  const double dy = std::max(std::abs(p.y - min_y), std::abs(p.y - max_y));
   return std::sqrt(dx * dx + dy * dy);
 }
 

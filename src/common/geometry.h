@@ -56,24 +56,12 @@ struct Rect {
   /// Grows this rectangle to cover `other`.
   void Extend(const Rect& other);
 
-  /// True if `p` lies inside or on the boundary.
-  bool Contains(const Point& p) const;
-  /// True if `other` is fully inside this rectangle.
-  bool Contains(const Rect& other) const;
-  /// True if the two rectangles share at least one point.
-  bool Intersects(const Rect& other) const;
-
   /// Smallest rectangle covering both inputs.
   static Rect Union(const Rect& a, const Rect& b);
-  /// Intersection; empty if disjoint.
-  static Rect Intersection(const Rect& a, const Rect& b);
 
   /// Minimum Euclidean distance from `p` to any point of this rectangle;
   /// 0 when `p` is inside. This is the R-tree MINDIST bound.
   double MinDistance(const Point& p) const;
-  /// Maximum Euclidean distance from `p` to any point of this rectangle
-  /// (distance to the farthest corner). This is the MAXDIST bound.
-  double MaxDistance(const Point& p) const;
 
   Point Center() const { return Point{(min_x + max_x) / 2, (min_y + max_y) / 2}; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -31,39 +30,6 @@ Status GetCounts(BufReader* in, size_t expected, const char* path,
     return Status::InvalidArgument(std::string("bad ") + path + " response");
   }
   for (size_t i = 0; i < expected; ++i) counts->push_back(in->GetU64());
-  return Status::OK();
-}
-
-/// Sends `targets` as spec lists of at most kMaxProbeSpecs specs (the cap
-/// a shard enforces), one request per list, and appends the counts of each
-/// reply. `call` sends one request body; `head` writes the bytes leading
-/// each body.
-Status CountInRequests(
-    const std::vector<ScanTarget>& targets, const char* path,
-    const std::function<void(BufWriter*)>& head,
-    const std::function<Result<std::string>(std::string)>& call,
-    std::vector<size_t>* counts) {
-  counts->reserve(targets.size());
-  size_t first = 0;
-  do {
-    const size_t last = std::min(targets.size(), first + kMaxProbeSpecs);
-    BufWriter req;
-    head(&req);
-    req.PutVarU64(last - first);
-    for (size_t i = first; i < last; ++i) {
-      shardrpc::PutQuery(&req, *targets[i].query);
-      req.PutU32(targets[i].target);
-      req.PutF64(targets[i].target_score);
-    }
-    Result<std::string> raw = call(req.data());
-    if (!raw.ok()) return raw.status();
-    BufReader in(raw->data(), raw->size());
-    if (Status s = GetCounts(&in, last - first, path, counts); !s.ok()) {
-      return s;
-    }
-    if (Status s = FullyRead(in, path); !s.ok()) return s;
-    first = last;
-  } while (first < targets.size());
   return Status::OK();
 }
 
@@ -118,17 +84,34 @@ class ShardSessionChannel final : public OracleShardQuestion {
     return shape_;
   }
 
+  /// One /shard/plane/rank per spec list of at most kMaxProbeSpecs specs
+  /// (the cap a shard enforces). Target scores travel with the specs: a
+  /// spec's target need not live on this shard.
   Result<std::vector<size_t>> CountOutscoring(
       const std::vector<ScanTarget>& targets) override {
-    std::vector<size_t> counts;
     const char* path = shardrpc::kPlaneRankPath;
-    if (Status s = CountInRequests(
-            targets, path, [](BufWriter* req) { req->PutU64(0); },
-            [&](std::string body) { return Call(path, std::move(body)); },
-            &counts);
-        !s.ok()) {
-      return s;
-    }
+    std::vector<size_t> counts;
+    counts.reserve(targets.size());
+    size_t first = 0;
+    do {
+      const size_t last = std::min(targets.size(), first + kMaxProbeSpecs);
+      BufWriter req;
+      req.PutU64(0);  // Session slot, stamped per attempt.
+      req.PutVarU64(last - first);
+      for (size_t i = first; i < last; ++i) {
+        shardrpc::PutQuery(&req, *targets[i].query);
+        req.PutU32(targets[i].target);
+        req.PutF64(targets[i].target_score);
+      }
+      Result<std::string> raw = Call(path, req.data());
+      if (!raw.ok()) return raw.status();
+      BufReader in(raw->data(), raw->size());
+      if (Status s = GetCounts(&in, last - first, path, &counts); !s.ok()) {
+        return s;
+      }
+      if (Status s = FullyRead(in, path); !s.ok()) return s;
+      first = last;
+    } while (first < targets.size());
     return counts;
   }
 
@@ -367,24 +350,6 @@ class RemoteOracleShard final : public OracleShard {
     stats->nodes_popped += popped;
     stats->objects_scored += scored;
     return rows;
-  }
-
-  /// /shard/count. Target scores travel with the specs — a spec's target
-  /// need not live on this shard.
-  Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets) const override {
-    const char* path = shardrpc::kCountPath;
-    std::vector<size_t> counts;
-    if (Status s = CountInRequests(
-            targets, path, [](BufWriter*) {},
-            [&](std::string body) {
-              return corpus_->replicas(shard_).Call("POST", path, body);
-            },
-            &counts);
-        !s.ok()) {
-      return s;
-    }
-    return counts;
   }
 
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(

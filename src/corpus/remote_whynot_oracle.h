@@ -24,9 +24,9 @@
 //     missing object.
 // Outside a question, a rank batch opens one one-call session per shard
 // per distinct location of its specs (/shard/plane/open, /shard/plane/rank,
-// /shard/plane/close), and basic keyword adaption's scans ride /shard/count;
-// spec lists longer than kMaxProbeSpecs, the cap a shard enforces, are split
-// into requests.
+// /shard/plane/close); basic keyword adaption's counts do the same over
+// basic sessions, which scan. Spec lists longer than kMaxProbeSpecs, the
+// cap a shard enforces, are split into requests.
 // A /query's top-k is one /shard/topk per shard: the home shard's first,
 // then the others with its k-th score as their prune threshold (the home
 // shard is picked from the SetR root MBRs in the shard metas).

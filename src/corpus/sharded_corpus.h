@@ -1,8 +1,9 @@
 // Copyright (c) 2026 The YASK reproduction authors.
 // ShardedCorpus: N Corpus shards partitioned by a ShardRouter. Queries over
-// it run through ShardedWhyNotOracle (src/corpus/sharded_whynot_oracle.h),
-// whose top-k fans a query out to every shard in parallel and merges the
-// per-shard results into an answer bit-identical to an unsharded corpus's.
+// it run through LocalWhyNotOracle (src/whynot/whynot_oracle.h), one
+// in-process shard per store, whose top-k fans a query out to every shard
+// in parallel and merges the per-shard results into an answer
+// bit-identical to an unsharded corpus's.
 //
 // Exactness argument for that top-k (see docs/architecture.md):
 //  * every shard scores with the *global* SDist normaliser (the diagonal of
@@ -100,7 +101,7 @@ class ShardedCorpus {
   static std::string ShardFilePath(const std::string& prefix, uint32_t index);
 
   /// The worker pool every oracle over this corpus shares
-  /// (ShardedWhyNotOracle's fan-outs, for /query and /whynot alike): one
+  /// (LocalWhyNotOracle's fan-outs, for /query and /whynot alike): one
   /// thread per shard, capped by the hardware concurrency. Created lazily on
   /// first call (thread-safe), so a corpus that is only built and saved —
   /// dataset_tool build-shards — never spins up workers. Null when fan-outs

@@ -46,12 +46,6 @@ class Scorer {
   }
   double Score(ObjectId id) const { return Score(store_->Get(id)); }
 
-  /// Score from precomputed normalised parts (used by the weight-plane
-  /// algorithms, which fix SDist/TSim and vary w).
-  double ScoreFromParts(double sdist, double tsim) const {
-    return query_->w.ws * (1.0 - sdist) + query_->w.wt * tsim;
-  }
-
   /// Best possible spatial contribution for any point in `mbr`.
   double MaxSpatialComponent(const Rect& mbr) const {
     return 1.0 - NormalizedSpatialDistance1(mbr.MinDistance(query_->loc));

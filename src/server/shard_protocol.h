@@ -22,14 +22,13 @@
 //   POST /shard/objects    [gid...] -> objects (loc, doc, name) by GLOBAL id
 //   POST /shard/find       name -> first matching GLOBAL id
 //   POST /shard/topk       query + prune_below -> thresholded shard top-k
-//   POST /shard/count      batched tie-aware outscoring counts by full scan
-//                          (basic keyword adaption), the rank spec bounds
 //   POST /shard/plane/open|rank|topk|count_batch|crossings|close  one
 //                          session per why-not question: the explanations'
 //                          and Eqn. (4) ranks, the top-k of the query and
 //                          of its refinements, and the Eqn. (3) sweep; also
 //                          the one-call sessions a rank batch or plane
-//                          outside a question opens
+//                          outside a question opens (basic sessions, which
+//                          scan, for the paper's baselines)
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
 
@@ -72,14 +71,17 @@ namespace shardrpc {
 /// shard's object count.
 /// v7: POST /shard/probe/rank is gone (a rank batch outside a question opens
 /// one-call sessions), and /shard/count specs no longer carry a method byte.
-inline constexpr uint32_t kProtocolVersion = 7;
+/// v8: POST /shard/count is gone: a basic session (u8 optimized = 0 at
+/// /shard/plane/open) answers /shard/plane/rank by full scan, so basic
+/// keyword adaption opens one-call basic sessions.
+inline constexpr uint32_t kProtocolVersion = 8;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 7;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 8;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -90,20 +92,21 @@ inline constexpr char kFindPath[] = "/shard/find";
 /// nodes_popped, u64 objects_scored. A k above both kMaxK and the shard's
 /// object count answers 400; the coordinator sends at most the count.
 inline constexpr char kTopKPath[] = "/shard/topk";
-/// Request: the spec list, varu64 N ≤ kMaxProbeSpecs, then N × (query, u32
-/// global target id, raw-F64 finite target score); every query must pass
-/// Query::Validate. Response: varu64 N + N u64 tie-aware counts of this
-/// shard's objects outranking each target, by full scan.
+/// Not served since v8; declared only because servebench/servebench.cc
+/// lists it.
 inline constexpr char kCountPath[] = "/shard/count";
 /// v5+. Request: query (valid), u8 optimized, delta-coded ids of the keyword
 /// universe U (≤ kMaxKeywordUniverse). Response: u64 session id, varu64
 /// objects, groups and columns (QuestionShape). The session answers ranks of
 /// specs at the query's location with a doc ⊆ q.doc ∪ U, and the plane of
-/// the query.
+/// the query; a basic session (optimized = 0) answers both by full scan.
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
-/// v5+. Request: u64 session slot, then the kCountPath spec list; every
-/// spec's location must equal the session query's (bits) and its doc lie in
-/// q.doc ∪ U. Response: varu64 N + N u64 counts.
+/// v5+. Request: u64 session slot, then the spec list, varu64 N ≤
+/// kMaxProbeSpecs, then N × (query, u32 global target id, raw-F64 finite
+/// target score); every query must pass Query::Validate, its location equal
+/// the session query's (bits) and its doc lie in q.doc ∪ U. Response: varu64
+/// N + N u64 tie-aware counts of this shard's objects outranking each
+/// target.
 inline constexpr char kPlaneRankPath[] = "/shard/plane/rank";
 /// v6+. Request: u64 session slot, raw-F64 ws and wt (finite, ≥ 0),
 /// delta-coded ids of a doc ⊆ q.doc ∪ U, varu32 k (the kTopKPath bound).

@@ -36,7 +36,7 @@ bool IsFinitePoint(const PlanePoint& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
 }
 
-/// The specs of a /shard/count or /shard/plane/rank request.
+/// The specs of a /shard/plane/rank request.
 struct SpecBatch {
   std::vector<Query> queries;
   std::vector<ScanTarget> targets;  // targets[i].query = &queries[i].
@@ -162,7 +162,6 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       {"POST", shardrpc::kObjectsPath, &S::HandleObjects},
       {"POST", shardrpc::kFindPath, &S::HandleFind},
       {"POST", shardrpc::kTopKPath, &S::HandleTopK},
-      {"POST", shardrpc::kCountPath, &S::HandleCount},
       {"POST", shardrpc::kPlaneOpenPath, &S::HandlePlaneOpen},
       {"POST", shardrpc::kPlaneRankPath, &S::HandlePlaneRank},
       {"POST", shardrpc::kPlaneTopKPath, &S::HandlePlaneTopK},
@@ -401,15 +400,6 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
   TopKStats stats;
   const TopKResult rows = shard_.TopK(query, prune_below, &stats).value();
   return Rows(rows, stats);
-}
-
-// --- Outscoring counts -------------------------------------------------------
-
-HttpResponse ShardService::HandleCount(const HttpRequest& req) {
-  BufReader in(req.body.data(), req.body.size());
-  SpecBatch batch;
-  if (auto bad = DecodeSpecs(&in, &batch)) return *bad;
-  return Counts(shard_.CountOutscoring(batch.targets).value());
 }
 
 // --- Question sessions ------------------------------------------------------

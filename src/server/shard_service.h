@@ -10,9 +10,8 @@
 // oracles run over their shard views — the same code runs behind both
 // transports, and every double crosses the wire as its raw bits
 // (src/server/shard_protocol.h), which is what makes the remote answers
-// byte-identical. /shard/count and /shard/plane/rank share one spec
-// decoder and its bounds (kMaxProbeSpecs, Query::Validate,
-// finite target scores).
+// byte-identical. /shard/plane/rank's spec decoder enforces the rank
+// bounds (kMaxProbeSpecs, Query::Validate, finite target scores).
 //
 // Statefulness: a plane session is one why-not question's server-side state
 // (this shard's QuestionColumns), which answers the question's ranks
@@ -22,7 +21,8 @@
 // closed by the coordinator, and LRU-capped so a leaking or dead client
 // cannot pin memory. A rank batch outside a question is a session too: the
 // coordinator opens a one-call session per location of the batch, ranks on
-// it and closes it.
+// it and closes it. A basic session (the paper's baselines) answers its
+// ranks and plane by full scan; there is no stateless count route.
 
 #ifndef YASK_SERVER_SHARD_SERVICE_H_
 #define YASK_SERVER_SHARD_SERVICE_H_
@@ -108,7 +108,6 @@ class ShardService {
   HttpResponse HandleObjects(const HttpRequest& req);
   HttpResponse HandleFind(const HttpRequest& req);
   HttpResponse HandleTopK(const HttpRequest& req);
-  HttpResponse HandleCount(const HttpRequest& req);
   HttpResponse HandlePlaneOpen(const HttpRequest& req);
   HttpResponse HandlePlaneRank(const HttpRequest& req);
   HttpResponse HandlePlaneTopK(const HttpRequest& req);

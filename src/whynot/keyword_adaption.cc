@@ -1,6 +1,7 @@
 #include "src/whynot/keyword_adaption.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -14,28 +15,25 @@ namespace {
 /// Candidates per rank fan-out (before the kMaxProbeSpecs / |M| cap).
 constexpr size_t kCandidatesPerChunk = 128;
 
-/// Iterates all size-`r` index combinations of {0..n-1} in lexicographic
-/// order, invoking `fn(indices)`.
+/// Visits all size-`r` index combinations of {0..n-1} in lexicographic
+/// order, invoking `fn(indices)` until it returns false. Returns false when
+/// `fn` stopped the visit.
 template <typename Fn>
-void ForEachCombination(size_t n, size_t r, Fn fn) {
-  if (r > n) return;
-  if (r == 0) {
-    const std::vector<size_t> empty;
-    fn(empty);
-    return;
-  }
+bool ForEachCombination(size_t n, size_t r, Fn fn) {
+  if (r > n) return true;
+  if (r == 0) return fn(std::vector<size_t>());
   std::vector<size_t> idx(r);
   for (size_t i = 0; i < r; ++i) idx[i] = i;
   while (true) {
-    fn(idx);
+    if (!fn(idx)) return false;
     // Advance to the next combination.
     size_t i = r;
     while (i > 0) {
       --i;
       if (idx[i] != i + n - r) break;
-      if (i == 0) return;
+      if (i == 0) return true;
     }
-    if (idx[i] == i + n - r) return;
+    if (idx[i] == i + n - r) return true;
     ++idx[i];
     for (size_t k = i + 1; k < r; ++k) idx[k] = idx[k - 1] + 1;
   }
@@ -43,27 +41,27 @@ void ForEachCombination(size_t n, size_t r, Fn fn) {
 
 }  // namespace
 
-std::vector<KeywordSet> GenerateCandidatesAtDistance(
+void ForEachCandidateAtDistance(
     const KeywordSet& query_doc, const KeywordSet& insertable,
-    size_t distance) {
-  std::vector<KeywordSet> out;
+    size_t distance, const std::function<bool(KeywordSet)>& fn) {
   const std::vector<TermId>& del_pool = query_doc.ids();
   const std::vector<TermId>& ins_pool = insertable.ids();
   for (size_t d = 0; d <= std::min(distance, del_pool.size()); ++d) {
     const size_t ins = distance - d;
     if (ins > ins_pool.size()) continue;
-    ForEachCombination(del_pool.size(), d, [&](const std::vector<size_t>& di) {
-      KeywordSet base = query_doc;
-      for (size_t i : di) base.Erase(del_pool[i]);
-      ForEachCombination(
-          ins_pool.size(), ins, [&](const std::vector<size_t>& ii) {
-            KeywordSet cand = base;
-            for (size_t i : ii) cand.Insert(ins_pool[i]);
-            if (!cand.empty()) out.push_back(std::move(cand));
-          });
-    });
+    const bool go_on = ForEachCombination(
+        del_pool.size(), d, [&](const std::vector<size_t>& di) {
+          KeywordSet base = query_doc;
+          for (size_t i : di) base.Erase(del_pool[i]);
+          return ForEachCombination(
+              ins_pool.size(), ins, [&](const std::vector<size_t>& ii) {
+                KeywordSet cand = base;
+                for (size_t i : ii) cand.Insert(ins_pool[i]);
+                return cand.empty() || fn(std::move(cand));
+              });
+        });
+    if (!go_on) return;
   }
-  return out;
 }
 
 Result<RefinedKeywordQuery> AdaptKeywords(
@@ -87,7 +85,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     }
   }
   const size_t m = m_ids.size();
-  const bool columns = options.mode == KwAdaptMode::kBoundAndPrune;
+  const bool columns = options.mode == KwAdaptMode::kOptimized;
   // The work bounds are the columns'; the basic scan has none.
   if (columns && m > kMaxProbeSpecs) {
     return Status::InvalidArgument(
@@ -168,10 +166,11 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   size_t r0 = 0;
   if (columns && e_cap >= 1 && floor_of(1) < lambda &&
       (chunk_size + 1) * m <= kMaxProbeSpecs) {
-    std::vector<KeywordSet> first =
-        GenerateCandidatesAtDistance(query.doc, insertable, 1);
-    first.resize(std::min(first.size(), chunk_size));
-    first.insert(first.begin(), query.doc);
+    std::vector<KeywordSet> first = {query.doc};
+    ForEachCandidateAtDistance(query.doc, insertable, 1, [&](KeywordSet cand) {
+      first.push_back(std::move(cand));
+      return first.size() <= chunk_size;
+    });
     prefetched_ranks = ranks_of(first);
     r0 = prefetched_ranks.front();
     prefetched_ranks.erase(prefetched_ranks.begin());
@@ -225,22 +224,19 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     }
   };
 
-  // --- Enumerate candidates by increasing ∆doc. ---
-  bool done = false;
+  // --- Enumerate candidates by increasing ∆doc, one chunk held at a
+  // time. ---
   std::vector<KeywordSet> chunk;
-  for (size_t e = 1; e <= e_cap && !done; ++e) {
+  for (size_t e = 1; e <= e_cap && !stats.truncated; ++e) {
     // Whole-level cut. >= is safe HERE (unlike the per-candidate floor cut
     // below): at a level's start `best` came from a smaller ∆doc, so a
     // level-e candidate tying it loses the ∆doc tie-break anyway.
     if (floor_of(e) >= best.penalty.value) break;
-    std::vector<KeywordSet> level_candidates =
-        GenerateCandidatesAtDistance(query.doc, insertable, e);
     chunk.clear();
-    for (KeywordSet& cand : level_candidates) {
+    ForEachCandidateAtDistance(query.doc, insertable, e, [&](KeywordSet cand) {
       if (stats.candidates_generated >= kMaxKeywordCandidates) {
         stats.truncated = true;
-        done = true;
-        break;
+        return false;
       }
       ++stats.candidates_generated;
       // STRICT, like every other cut: a candidate whose floor merely TIES
@@ -250,14 +246,15 @@ Result<RefinedKeywordQuery> AdaptKeywords(
       // chunk sizes would return different (equally optimal) refinements.
       if (floor_of(e) > best.penalty.value) {
         ++stats.candidates_pruned_floor;
-        continue;
+        return true;
       }
       chunk.push_back(std::move(cand));
       if (chunk.size() >= chunk_size) {
         evaluate_chunk(chunk, e);
         chunk.clear();
       }
-    }
+      return true;
+    });
     if (!chunk.empty()) evaluate_chunk(chunk, e);
   }
 

@@ -15,32 +15,36 @@
 // pure-k refinement (doc unchanged, k' = R(M,q), penalty λ) seeds the
 // search.
 //
-// Ranks come from one of two kernels. The basic baseline scans the whole
-// database per candidate, as in the paper's evaluation of ref [6]. The
-// optimized mode replaces ref [6]'s KcR-tree bounds with an exact
-// alternative, the keyword-mask groups of the question's columns
-// (QuestionColumns, docs/architecture.md "Question columns"): every
-// candidate shares q.loc, w and U, so one pass groups the objects by
-// (mask over U, |o.doc|), sorts each group by 1 − SDist, and then answers
-// any candidate's rank with one binary search per group. One chunk of
-// candidates is one rank fan-out.
+// Ranks come from the question's columns (QuestionColumns,
+// docs/architecture.md "Question columns"): every candidate shares q.loc, w
+// and U, so one pass groups the objects by (mask over U, |o.doc|) and sorts
+// each group by 1 − SDist. The optimized mode, an exact alternative to ref
+// [6]'s KcR-tree bounds, then answers any candidate's rank with one binary
+// search per group. The basic baseline scores every object per candidate,
+// as in the paper's evaluation of ref [6]: its ranks come from basic
+// one-call questions, which scan the same columns. One chunk of candidates
+// is one rank fan-out.
 //
-// Candidates are ranked in chunks of 128: the (candidate, missing object)
-// specs of one chunk share ONE oracle call — one round-trip per shard on a
-// remote oracle. The chunking never changes the refined query: every cut is
-// strict, so the winner does not depend on it.
+// Candidates are enumerated lazily, one chunk held at a time, and ranked in
+// chunks of 128: the (candidate, missing object) specs of one chunk share
+// ONE oracle call — one question per shard on a remote oracle. The chunking
+// never changes the refined query: every cut is strict, so the winner does
+// not depend on it.
 //
 // Work bounds (src/whynot/shard_primitives.h): both modes generate at most
 // kMaxKeywordCandidates candidates, then answer the best one generated and
-// set `stats.truncated`. In the optimized mode |U| <= kMaxKeywordUniverse
-// (U travels on the wire) and one fan-out carries at most kMaxProbeSpecs
-// (candidate, missing object) specs, so a chunk holds at most
-// kMaxProbeSpecs / |M| candidates; a larger U, or more missing objects than
-// one fan-out holds, is InvalidArgument. The basic scan has neither bound.
+// set `stats.truncated`; memory is bounded by one chunk. In the optimized
+// mode |U| <= kMaxKeywordUniverse (U travels on the wire) and one fan-out
+// carries at most kMaxProbeSpecs (candidate, missing object) specs, so a
+// chunk holds at most kMaxProbeSpecs / |M| candidates; a larger U, or more
+// missing objects than one fan-out holds, is InvalidArgument. The basic
+// scan has neither bound: its candidates travel as q.doc, which has no cap,
+// and a remote oracle splits its spec lists into requests under the cap.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/common/status.h"
@@ -55,15 +59,14 @@ class WhyNotOracle;  // src/whynot/whynot_oracle.h
 /// Algorithm selector for AdaptKeywords. Both modes cut by the D4 floor and
 /// return the same refined query.
 enum class KwAdaptMode {
-  kBasic,          // Exact rank by full scan per candidate.
-  kBoundAndPrune,  // Exact rank from keyword-mask groups (the name is the
-                   // KcR-tree search's that it replaced).
+  kBasic,      // Exact rank by full scan per candidate.
+  kOptimized,  // Exact rank by binary search per keyword-mask group.
 };
 
 struct KeywordAdaptOptions {
   /// The λ of Eqn. (4): weight of the ∆k term versus the ∆doc term.
   double lambda = 0.5;
-  KwAdaptMode mode = KwAdaptMode::kBoundAndPrune;
+  KwAdaptMode mode = KwAdaptMode::kOptimized;
 };
 
 /// Work counters (benchmarks E8/E9/E10 and the remote round-trip gate).
@@ -110,12 +113,15 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     const std::vector<ObjectId>& missing,
     const KeywordAdaptOptions& options = {});
 
-/// Enumerates all candidate keyword sets at edit distance exactly `distance`
-/// from `query_doc`, deleting only query keywords and inserting only keywords
-/// of `insertable` (= M.doc \ q.doc). Exposed for tests and benchmarks.
-std::vector<KeywordSet> GenerateCandidatesAtDistance(
-    const KeywordSet& query_doc, const KeywordSet& insertable,
-    size_t distance);
+/// Visits every non-empty candidate keyword set at edit distance exactly
+/// `distance` from `query_doc`, deleting only query keywords and inserting
+/// only keywords of `insertable` (= M.doc \ q.doc): by the number of
+/// deletions, then the deleted and the inserted index combinations in
+/// lexicographic order. Stops when `fn` returns false. Nothing is held
+/// beyond the candidate being visited.
+void ForEachCandidateAtDistance(const KeywordSet& query_doc,
+                                const KeywordSet& insertable, size_t distance,
+                                const std::function<bool(KeywordSet)>& fn);
 
 }  // namespace yask
 

@@ -14,6 +14,7 @@
 
 #include "src/common/trace.h"
 #include "src/query/ranking.h"
+#include "src/query/scoring.h"
 
 namespace yask {
 
@@ -31,10 +32,6 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
   if (!(wx >= wlo && wx <= whi)) return;
   events->push_back(wx);
 }
-
-/// Objects decoded per block by ShardScanOutscoring, so a scan's scratch
-/// stays a few KiB whatever the store size.
-constexpr ObjectId kScanBlock = 64;
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -56,136 +53,6 @@ std::optional<ObjectId> LocalOf(const OracleShardView& view, ObjectId global) {
   const auto it = std::lower_bound(ids.begin(), ids.end(), global);
   if (it == ids.end() || *it != global) return std::nullopt;
   return static_cast<ObjectId>(it - ids.begin());
-}
-
-// --- OutrankKernel -----------------------------------------------------------
-
-OutrankKernel::OutrankKernel(const OracleShardView& view,
-                             const std::vector<const Scorer*>& scorers)
-    : view_(&view) {
-  for (const Scorer* scorer : scorers) {
-    const KeywordSet& doc = scorer->query().doc;
-    terms_.insert(terms_.end(), doc.begin(), doc.end());
-  }
-  std::sort(terms_.begin(), terms_.end());
-  terms_.erase(std::unique(terms_.begin(), terms_.end()), terms_.end());
-  words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
-  for (TermId t : terms_) filter_[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
-
-  members_.reserve(scorers.size());
-  member_masks_.assign(scorers.size() * words_, 0);
-  for (size_t m = 0; m < scorers.size(); ++m) {
-    const Query& q = scorers[m]->query();
-    const Shape shape{q.loc, q.w.ws, scorers[m]->dist_norm()};
-    // Shapes are told apart by their bits: equal doubles with different
-    // bits (±0) must not share a spatial column.
-    size_t si = 0;
-    while (si < shapes_.size() &&
-           !(Bits(shapes_[si].loc.x) == Bits(shape.loc.x) &&
-             Bits(shapes_[si].loc.y) == Bits(shape.loc.y) &&
-             Bits(shapes_[si].ws) == Bits(shape.ws) &&
-             Bits(shapes_[si].dist_norm) == Bits(shape.dist_norm))) {
-      ++si;
-    }
-    if (si == shapes_.size()) shapes_.push_back(shape);
-    members_.push_back(Member{si, q.doc.size(), q.w.wt});
-    for (TermId t : q.doc) {
-      const size_t bit =
-          std::lower_bound(terms_.begin(), terms_.end(), t) - terms_.begin();
-      member_masks_[m * words_ + bit / 64] |= uint64_t{1} << (bit % 64);
-    }
-  }
-}
-
-void OutrankKernel::Resize(size_t count) {
-  gid_.resize(count);
-  len_.resize(count);
-  masks_.assign(count * words_, 0);
-  spatial_.resize(count * shapes_.size());
-}
-
-void OutrankKernel::Decode(size_t i, ObjectId local) {
-  const SpatialObject& o = view_->store->Get(local);
-  gid_[i] = view_->to_global != nullptr ? (*view_->to_global)[local] : local;
-  len_[i] = static_cast<uint32_t>(o.doc.size());
-  uint64_t* mask = &masks_[i * words_];
-  auto t = terms_.begin();
-  for (TermId id : o.doc) {
-    // Most object keywords are outside the union: one filter probe rejects
-    // them before the search.
-    if ((filter_[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
-    t = std::lower_bound(t, terms_.end(), id);
-    if (t == terms_.end()) break;
-    if (*t == id) {
-      const size_t bit = t - terms_.begin();
-      mask[bit / 64] |= uint64_t{1} << (bit % 64);
-    }
-  }
-  // ws · (1 − SDist): the left operand of Scorer::Score's sum.
-  double* spatial = &spatial_[i * shapes_.size()];
-  for (const Shape& shape : shapes_) {
-    *spatial++ =
-        shape.ws *
-        (1.0 - NormalizedSpatialDistance(o.loc, shape.loc, shape.dist_norm));
-  }
-}
-
-void OutrankKernel::DecodeRange(ObjectId first, ObjectId last) {
-  Resize(last - first);
-  for (ObjectId id = first; id < last; ++id) Decode(id - first, id);
-}
-
-double OutrankKernel::Score(size_t m, size_t i) const {
-  const Member& member = members_[m];
-  const uint64_t* object_mask = &masks_[i * words_];
-  const uint64_t* member_mask = &member_masks_[m * words_];
-  size_t inter = 0;
-  for (size_t w = 0; w < words_; ++w) {
-    inter += std::popcount(object_mask[w] & member_mask[w]);
-  }
-  return spatial_[i * shapes_.size() + member.shape] +
-         member.wt * JaccardOf(inter, member.qlen, len_[i]);
-}
-
-size_t OutrankKernel::CountOutranking(size_t m, double target_score,
-                                      ObjectId target, size_t* scored) const {
-  size_t above = 0;
-  size_t skipped = 0;
-  for (size_t i = 0; i < gid_.size(); ++i) {
-    if (gid_[i] == target) {
-      ++skipped;
-      continue;
-    }
-    if (OutranksTarget(Score(m, i), gid_[i], target_score, target)) ++above;
-  }
-  *scored += gid_.size() - skipped;
-  return above;
-}
-
-std::vector<size_t> ShardScanOutscoring(
-    const OracleShardView& view, double dist_norm,
-    const std::vector<ScanTarget>& targets) {
-  if (targets.empty()) return {};
-  std::vector<Scorer> scorers;
-  scorers.reserve(targets.size());
-  std::vector<const Scorer*> members;
-  members.reserve(targets.size());
-  for (const ScanTarget& t : targets) {
-    scorers.emplace_back(*view.store, *t.query, dist_norm);
-    members.push_back(&scorers.back());
-  }
-  OutrankKernel kernel(view, members);
-  std::vector<size_t> counts(targets.size(), 0);
-  size_t scored = 0;  // Callers count a scan as the whole store per target.
-  const ObjectId n = static_cast<ObjectId>(view.store->size());
-  for (ObjectId first = 0; first < n; first += kScanBlock) {
-    kernel.DecodeRange(first, std::min<ObjectId>(n, first + kScanBlock));
-    for (size_t m = 0; m < targets.size(); ++m) {
-      counts[m] += kernel.CountOutranking(m, targets[m].target_score,
-                                          targets[m].target, &scored);
-    }
-  }
-  return counts;
 }
 
 // --- Question columns ---------------------------------------------------------
@@ -468,11 +335,23 @@ size_t QuestionColumns::CountOutscoring(const ScanTarget& target) const {
   for (size_t g = 0; g < groups_.size(); ++g) {
     const double text = TextOf(&group_masks_[g * words_], groups_[g].len,
                                qmask.data(), q.doc.size(), wt);
-    count += CountSlice(groups_[g].begin, groups_[g].end, gid_.data(),
-                        target.target_score, target.target,
-                        [&](uint32_t i) { return ws * gx_[i] + text; });
+    auto score = [&](uint32_t i) { return ws * gx_[i] + text; };
+    if (optimized_) {
+      count += CountSlice(groups_[g].begin, groups_[g].end, gid_.data(),
+                          target.target_score, target.target, score);
+      continue;
+    }
+    // Basic: every object scored, the target skipped by its global id.
+    for (uint32_t i = groups_[g].begin; i < groups_[g].end; ++i) {
+      if (gid_[i] != target.target &&
+          OutranksTarget(score(i), gid_[i], target.target_score,
+                         target.target)) {
+        ++count;
+      }
+    }
   }
-  // The target never outranks itself; the walk above counted it only if
+  if (!optimized_) return count;
+  // The target never outranks itself; the search above counted it only if
   // its own score exceeds the threshold it was given.
   if (const std::optional<ObjectId> local = LocalOf(view_, target.target)) {
     const SpatialObject& o = view_.store->Get(*local);
@@ -662,11 +541,6 @@ Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
 }
 
 // --- LocalOracleShard --------------------------------------------------------
-
-Result<std::vector<size_t>> LocalOracleShard::CountOutscoring(
-    const std::vector<ScanTarget>& targets) const {
-  return ShardScanOutscoring(view_, dist_norm_, targets);
-}
 
 double LocalOracleShard::RootDistance(const Point& loc) const {
   assert(view_.setr != nullptr && "top-k requires the SetR-tree");

@@ -4,7 +4,7 @@
 // the same code on a shard's data.
 //
 // OracleShard is that half as an interface; LocalOracleShard, its in-process
-// implementation, is the one caller of the kernels. The in-process oracles
+// implementation, is the one caller of the kernel. The in-process oracles
 // run one per shard view, and ShardService runs one behind HTTP for a remote
 // coordinator, so every layout computes a shard's share with the same code;
 // FanOutWhyNotOracle merges the shares. The cross-layout bit-identity
@@ -13,11 +13,11 @@
 // is guaranteed here by having exactly one implementation of each per-shard
 // primitive, keyed on GLOBAL ids and the GLOBAL SDist normaliser.
 //
-// There are two kernels. The full scan (ShardScanOutscoring) is basic
-// keyword adaption's baseline. Every other rank, count and crossing runs
-// through a question (OracleShard::OpenQuestion, QuestionColumns in
-// process), whether the engine opened it for a /whynot or the oracle opened
-// it for one call.
+// There is one kernel. Every rank, count and crossing runs through a
+// question (OracleShard::OpenQuestion, QuestionColumns in process), whether
+// the engine opened it for a /whynot or the oracle opened it for one call.
+// A basic question (the paper's baselines: basic preference adjustment and
+// basic keyword adaption) answers by full scan over the same columns.
 
 #ifndef YASK_WHYNOT_SHARD_PRIMITIVES_H_
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
@@ -31,7 +31,6 @@
 #include "src/common/status.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
-#include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/object_store.h"
 #include "src/whynot/preference_adjustment.h"
@@ -57,8 +56,7 @@ inline constexpr size_t kMaxKeywordUniverse = 64;
 /// reports as the keyword block's "truncated".
 inline constexpr size_t kMaxKeywordCandidates = 500000;
 
-/// Most (query, target) specs one /shard/plane/rank or /shard/count request
-/// may carry (2^15: a 256 KiB response). A shard answers 400 above it;
+/// Most (query, target) specs one /shard/plane/rank request may carry (2^15: a 256 KiB response). A shard answers 400 above it;
 /// AdaptKeywords sizes its rank chunks to stay within it, and a remote
 /// oracle splits larger batches into requests under it.
 inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
@@ -73,93 +71,16 @@ struct OracleShardView {
   const SetRTree* setr = nullptr;
 };
 
-/// The shard-side scan loop that counts the objects outranking a target
-/// (the basic keyword-adaption baseline). It is bound to a list of members,
-/// each a scorer (candidate query + SDist normaliser) over the view's store,
-/// and works on small slices of the store. A slice is decoded ONCE for
-/// every member: per object its global id, |o.doc|, a bitmask over the
-/// union of the members' query keywords (several 64-bit words when the
-/// union exceeds 64), and ws·(1 − SDist) per distinct (loc, ws, dist_norm)
-/// query shape. A member's score of a decoded object is then
-///
-///   spatial + wt · inter / (|q'| + |o.doc| − inter),
-///   inter = popcount(object mask & member mask),
-///
-/// the same IEEE operations on the same operands as Scorer::Score, so every
-/// score is bit-identical to it (the build disables FMA contraction, which
-/// could fuse the final multiply-add differently in the two places).
-/// Scratch is sized to the largest block decoded; nothing scales with the
-/// store.
-class OutrankKernel {
- public:
-  /// `scorers` must be bound to `view.store` (the kernel copies what it
-  /// needs from them); `view` must outlive the kernel.
-  OutrankKernel(const OracleShardView& view,
-                const std::vector<const Scorer*>& scorers);
-
-  /// Replaces the decoded block with local ids [first, last).
-  void DecodeRange(ObjectId first, ObjectId last);
-
-  size_t decoded() const { return gid_.size(); }
-  ObjectId global_id(size_t i) const { return gid_[i]; }
-
-  /// Member `m`'s score of decoded object `i`.
-  double Score(size_t m, size_t i) const;
-
-  /// Tie-aware count of decoded objects outranking a target of member `m`
-  /// scoring `target_score` (D6 order on GLOBAL ids); the target itself is
-  /// skipped, every other object adds one to `*scored`.
-  size_t CountOutranking(size_t m, double target_score, ObjectId target,
-                         size_t* scored) const;
-
- private:
-  struct Shape {
-    Point loc;
-    double ws = 0.0;
-    double dist_norm = 0.0;
-  };
-  struct Member {
-    size_t shape = 0;
-    size_t qlen = 0;  // |q'.doc|.
-    double wt = 0.0;
-  };
-
-  void Resize(size_t count);
-  void Decode(size_t i, ObjectId local);
-
-  const OracleShardView* view_;
-  std::vector<TermId> terms_;  // Sorted union of the members' keywords.
-  uint64_t filter_[4] = {};    // Bit t % 256 set for every t in terms_.
-  size_t words_ = 1;           // 64-bit mask words per object / member.
-  std::vector<Shape> shapes_;
-  std::vector<Member> members_;
-  std::vector<uint64_t> member_masks_;  // members_.size() × words_.
-  // The decoded block, one column per field.
-  std::vector<ObjectId> gid_;
-  std::vector<uint32_t> len_;
-  std::vector<uint64_t> masks_;  // decoded() × words_.
-  std::vector<double> spatial_;  // decoded() × shapes_.size(), object-major.
-};
-
 /// The view's local id of a global id; nullopt when the shard does not hold
 /// it. Shards hold their objects in ascending global id order.
 std::optional<ObjectId> LocalOf(const OracleShardView& view, ObjectId global);
 
-/// One target of a shard scan: the query it is ranked under and its score.
+/// One target of a rank count: the query it is ranked under and its score.
 struct ScanTarget {
   const Query* query = nullptr;
   double target_score = 0.0;
   ObjectId target = kInvalidObject;  // Global id.
 };
-
-/// Tie-aware scan counts of the objects in one shard outscoring each
-/// target under `dist_norm`: score > target_score, or == with global id <
-/// target (D6). A target (present in at most one shard) is skipped by
-/// global id. One pass over the store serves every target through
-/// OutrankKernel.
-std::vector<size_t> ShardScanOutscoring(const OracleShardView& view,
-                                        double dist_norm,
-                                        const std::vector<ScanTarget>& targets);
 
 /// True when a question at `question`'s location whose ranks range over
 /// `universe` (q.doc ∪ U, sorted) answers `target`: the same location,
@@ -254,15 +175,17 @@ class OracleShardQuestion {
 ///
 /// Every score is the same IEEE arithmetic on the same operands as
 /// Scorer::Score and PlanePoint::ScoreAt (the build disables FMA
-/// contraction), so counts are exact. The universe may span any number of
-/// 64-bit mask words; the wire caps U at kMaxKeywordUniverse. Immutable
-/// once built, so calls may overlap.
+/// contraction), so counts are exact. A basic question (the paper's
+/// baselines) scores every object instead of searching: its rank counts
+/// walk every group whole and its plane every column whole. The universe
+/// may span any number of 64-bit mask words; the wire caps U at
+/// kMaxKeywordUniverse. Immutable once built, so calls may overlap.
 class QuestionColumns final : public OracleShardQuestion {
  public:
   /// `view` must outlive the columns. `universe` lists the keywords beyond
-  /// query.doc that covered targets may use. The Eqn. (3) plane is answered
-  /// by binary search per TSim column when `optimized`, else by full scan
-  /// (basic mode, the paper's baseline).
+  /// query.doc that covered targets may use. Rank counts and the Eqn. (3)
+  /// plane are answered by binary search per group and per TSim column when
+  /// `optimized`, else by full scan (basic mode, the paper's baselines).
   QuestionColumns(const OracleShardView& view, double dist_norm,
                   const Query& query, const KeywordSet& universe,
                   bool optimized);
@@ -343,11 +266,6 @@ class OracleShard {
   virtual Result<TopKResult> TopK(const Query& query, double prune_below,
                                   TopKStats* stats) const = 0;
 
-  /// Tie-aware counts of the shard's objects outscoring each target by full
-  /// scan (ShardScanOutscoring, basic keyword adaption) — one per target.
-  virtual Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets) const = 0;
-
   /// The shard's state for a question on `query` (plane: optimized or
   /// basic), whose ranks may use the keywords of query.doc ∪ `universe`
   /// (|universe| ≤ kMaxKeywordUniverse). `query` must be valid.
@@ -356,7 +274,7 @@ class OracleShard {
       bool optimized) const = 0;
 };
 
-/// The in-process shard: the kernels above and SetRTopKEngine over a view,
+/// The in-process shard: QuestionColumns and SetRTopKEngine over a view,
 /// under the GLOBAL SDist normaliser. Never fails.
 class LocalOracleShard final : public OracleShard {
  public:
@@ -369,8 +287,6 @@ class LocalOracleShard final : public OracleShard {
   double RootDistance(const Point& loc) const override;
   Result<TopKResult> TopK(const Query& query, double prune_below,
                           TopKStats* stats) const override;
-  Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets) const override;
   /// Records a "shard/question" span detailing the columns' shape.
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
       const Query& query, const KeywordSet& universe,

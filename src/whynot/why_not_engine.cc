@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "src/common/trace.h"
-#include "src/corpus/sharded_whynot_oracle.h"
+#include "src/corpus/sharded_corpus.h"
 #include "src/query/ranking.h"
 
 namespace yask {
@@ -37,7 +37,7 @@ WhyNotEngine::WhyNotEngine(const Corpus& corpus)
     : oracle_(std::make_unique<LocalWhyNotOracle>(corpus)) {}
 
 WhyNotEngine::WhyNotEngine(const ShardedCorpus& corpus)
-    : oracle_(std::make_unique<ShardedWhyNotOracle>(corpus)) {}
+    : oracle_(std::make_unique<LocalWhyNotOracle>(corpus)) {}
 
 WhyNotEngine::WhyNotEngine(std::unique_ptr<const WhyNotOracle> oracle)
     : oracle_(std::move(oracle)) {}

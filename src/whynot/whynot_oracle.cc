@@ -11,6 +11,7 @@
 
 #include "src/common/trace.h"
 #include "src/corpus/corpus.h"
+#include "src/corpus/sharded_corpus.h"
 
 namespace yask {
 
@@ -305,19 +306,6 @@ std::vector<ScanTarget> FanOutWhyNotOracle::ResolveTargets(
   return targets;
 }
 
-std::vector<size_t> FanOutWhyNotOracle::SumCounts(
-    const std::vector<size_t>& shards, size_t items,
-    const std::function<Result<std::vector<size_t>>(size_t)>& count) const {
-  std::vector<std::vector<size_t>> counts(shards_.size());
-  const std::vector<size_t> answered = FanOutShards(shards, [&](size_t s) {
-    Result<std::vector<size_t>> shard_counts = count(s);
-    if (!shard_counts.ok()) return shard_counts.status();
-    counts[s] = std::move(shard_counts).value();
-    return Status::OK();
-  });
-  return SumOver(answered, counts, items);
-}
-
 std::shared_ptr<ShardQuestionSet> FanOutWhyNotOracle::OpenShardQuestions(
     const Query& query, const KeywordSet& universe, bool optimized) const {
   auto questions = std::make_shared<ShardQuestionSet>();
@@ -337,9 +325,52 @@ std::shared_ptr<ShardQuestionSet> FanOutWhyNotOracle::OpenShardQuestions(
 
 std::vector<size_t> FanOutWhyNotOracle::SumQuestionCounts(
     ShardQuestionSet* questions, const std::vector<ScanTarget>& targets) const {
-  return SumCounts(questions->live, targets.size(), [&](size_t s) {
-    return questions->shards[s]->CountOutscoring(targets);
-  });
+  std::vector<std::vector<size_t>> counts(shards_.size());
+  const std::vector<size_t> answered =
+      FanOutShards(questions->live, [&](size_t s) {
+        Result<std::vector<size_t>> shard_counts =
+            questions->shards[s]->CountOutscoring(targets);
+        if (!shard_counts.ok()) return shard_counts.status();
+        counts[s] = std::move(shard_counts).value();
+        return Status::OK();
+      });
+  return SumOver(answered, counts, targets.size());
+}
+
+std::vector<size_t> FanOutWhyNotOracle::CountByLocation(
+    const std::vector<OracleTargetSpec>& specs, bool optimized) const {
+  // The specs by the bits of their location, in first-seen order.
+  std::vector<std::vector<size_t>> locations;
+  std::map<std::pair<uint64_t, uint64_t>, size_t> location_of;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Point& loc = specs[i].query->loc;
+    const auto [it, fresh] = location_of.try_emplace(
+        {std::bit_cast<uint64_t>(loc.x), std::bit_cast<uint64_t>(loc.y)},
+        locations.size());
+    if (fresh) locations.emplace_back();
+    locations[it->second].push_back(i);
+  }
+  const std::vector<ScanTarget> targets = ResolveTargets(specs);
+  std::vector<size_t> counts(specs.size());
+  for (const std::vector<size_t>& members : locations) {
+    // A one-call question per location whose doc covers every member's:
+    // q.doc has no cap on the wire, so neither has the batch.
+    Query question = *specs[members.front()].query;
+    std::vector<ScanTarget> located;
+    located.reserve(members.size());
+    for (const size_t i : members) {
+      question.doc = KeywordSet::Union(question.doc, specs[i].query->doc);
+      located.push_back(targets[i]);
+    }
+    const std::shared_ptr<ShardQuestionSet> questions =
+        OpenShardQuestions(question, KeywordSet(), optimized);
+    const std::vector<size_t> located_counts =
+        SumQuestionCounts(questions.get(), located);
+    for (size_t j = 0; j < members.size(); ++j) {
+      counts[members[j]] = located_counts[j];
+    }
+  }
+  return counts;
 }
 
 std::unique_ptr<ScorePlaneSession> FanOutWhyNotOracle::PrepareScorePlane(
@@ -354,47 +385,15 @@ std::vector<size_t> FanOutWhyNotOracle::OutscoringCountBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_ * specs.size();
-  const std::vector<ScanTarget> targets = ResolveTargets(specs);
-  return SumCounts(all_shards_, specs.size(), [&](size_t s) {
-    return shards_[s]->CountOutscoring(targets);
-  });
+  return CountByLocation(specs, /*optimized=*/false);
 }
 
 std::unique_ptr<RankProbeBatch> FanOutWhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_;
-  // The specs by the bits of their location, in first-seen order.
-  std::vector<std::vector<size_t>> locations;
-  std::map<std::pair<uint64_t, uint64_t>, size_t> location_of;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const Point& loc = specs[i].query->loc;
-    const auto [it, fresh] = location_of.try_emplace(
-        {std::bit_cast<uint64_t>(loc.x), std::bit_cast<uint64_t>(loc.y)},
-        locations.size());
-    if (fresh) locations.emplace_back();
-    locations[it->second].push_back(i);
-  }
-  const std::vector<ScanTarget> targets = ResolveTargets(specs);
-  std::vector<size_t> ranks(specs.size());
-  for (const std::vector<size_t>& members : locations) {
-    // A one-call question per location whose doc covers every member's:
-    // q.doc has no cap on the wire, so neither has the batch.
-    Query question = *specs[members.front()].query;
-    std::vector<ScanTarget> located;
-    located.reserve(members.size());
-    for (const size_t i : members) {
-      question.doc = KeywordSet::Union(question.doc, specs[i].query->doc);
-      located.push_back(targets[i]);
-    }
-    const std::shared_ptr<ShardQuestionSet> questions =
-        OpenShardQuestions(question, KeywordSet(), /*optimized=*/true);
-    const std::vector<size_t> counts =
-        SumQuestionCounts(questions.get(), located);
-    for (size_t j = 0; j < members.size(); ++j) {
-      ranks[members[j]] = counts[j] + 1;
-    }
-  }
+  std::vector<size_t> ranks = CountByLocation(specs, /*optimized=*/true);
+  for (size_t& rank : ranks) ++rank;
   return std::make_unique<ExactRankBatch>(std::move(ranks));
 }
 
@@ -440,6 +439,20 @@ std::vector<std::unique_ptr<const OracleShard>> OneShard(
   return shards;
 }
 
+std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
+    const ShardedCorpus& corpus) {
+  std::vector<std::unique_ptr<const OracleShard>> shards;
+  shards.reserve(corpus.num_shards());
+  for (size_t s = 0; s < corpus.num_shards(); ++s) {
+    const Corpus& shard = corpus.shard(s);
+    shards.push_back(std::make_unique<LocalOracleShard>(
+        OracleShardView{&shard.store(), &corpus.shard_global_ids(s),
+                        &shard.setr()},
+        corpus.dist_norm()));
+  }
+  return shards;
+}
+
 }  // namespace
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
@@ -450,5 +463,14 @@ LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
 
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
     : LocalWhyNotOracle(corpus.store(), &corpus.setr()) {}
+
+LocalWhyNotOracle::LocalWhyNotOracle(const ShardedCorpus& corpus)
+    : FanOutWhyNotOracle(ShardsOf(corpus), corpus.dist_norm(), corpus.pool()),
+      sharded_(&corpus) {}
+
+const SpatialObject& LocalWhyNotOracle::Object(ObjectId global_id) const {
+  return sharded_ != nullptr ? sharded_->Object(global_id)
+                             : store_->Get(global_id);
+}
 
 }  // namespace yask

@@ -27,16 +27,16 @@
 // sweep and the Eqn. (4) ranks are all answered from them. A rank batch or
 // a plane asked for outside a question opens a one-call question of its own
 // (one per distinct location of a batch), so the question is the one route
-// to a shard's ranks; only basic keyword adaption's full scan bypasses it.
+// to a shard's ranks; the basic baselines open basic questions, which
+// answer by full scan.
 //
 // WhyNotOracle captures exactly those primitives, and the algorithms run
 // unchanged over any implementation. The fan-out and the merge above are
 // written once, in FanOutWhyNotOracle, and so is the top-k query's
 // threshold-broadcast fan-out; a layout supplies only each shard's half
-// through OracleShard: LocalOracleShard in process (one store for
-// LocalWhyNotOracle, N for ShardedWhyNotOracle in
-// src/corpus/sharded_whynot_oracle.h), or a remote shard's replicas
-// (RemoteShardOracle, src/corpus/remote_whynot_oracle.h). Determinism
+// through OracleShard: LocalOracleShard in process (LocalWhyNotOracle, one
+// per store of an unsharded or a sharded corpus), or a remote shard's
+// replicas (RemoteShardOracle, src/corpus/remote_whynot_oracle.h). Determinism
 // argument: docs/architecture.md, "Distributed why-not".
 
 #ifndef YASK_WHYNOT_WHYNOT_ORACLE_H_
@@ -60,6 +60,7 @@
 namespace yask {
 
 class Corpus;
+class ShardedCorpus;
 
 /// SDist / TSim / ST(o, q) of one object, normalised by `dist_norm` — the
 /// exact floating-point arithmetic Scorer uses, evaluable from an object
@@ -227,9 +228,9 @@ class WhyNotOracle {
 
   /// Tie-aware exact counts of objects outscoring each spec's target under
   /// its query (== Rank − 1), by full scan — the paper's basic keyword
-  /// adaption baseline. One fan-out for the whole batch (one round-trip per
-  /// shard for a remote oracle); `stats->objects_scored` grows by the
-  /// dataset size per spec.
+  /// adaption baseline: one one-call basic question per distinct location
+  /// of the specs, as ProbeRankBatch opens optimized ones.
+  /// `stats->objects_scored` grows by the dataset size per spec.
   virtual std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const = 0;
@@ -280,13 +281,13 @@ struct ShardQuestionSet;  // One open question's per-shard states (.cc).
 /// pool, and merges by partition-sum (counts) or partition-union
 /// (crossings), keeping the work counters; TopK merges the shards' rows. A
 /// shard that fails has its error recorded and adds nothing.
-/// LocalWhyNotOracle, ShardedWhyNotOracle and RemoteShardOracle differ only
-/// in their shards, pool and Object().
+/// LocalWhyNotOracle and RemoteShardOracle differ only in their shards, pool
+/// and Object().
 ///
-/// Outside an open question, PrepareScorePlane and ProbeRankBatch open
-/// one-call questions (a question opened for a single oracle call and closed
-/// after it), so every rank, count and crossing outside basic keyword
-/// adaption's scan runs through OracleShard::OpenQuestion either way.
+/// Outside an open question, PrepareScorePlane, OutscoringCountBatch and
+/// ProbeRankBatch open one-call questions (a question opened for a single
+/// oracle call and closed after it), so every rank, count and crossing runs
+/// through OracleShard::OpenQuestion either way.
 class FanOutWhyNotOracle : public WhyNotOracle {
  public:
   size_t size() const override { return size_; }
@@ -339,12 +340,6 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   std::vector<ScanTarget> ResolveTargets(
       const std::vector<OracleTargetSpec>& specs) const;
 
-  /// Partition-sum over the listed shards of `count(s)`, `items` counts
-  /// per shard.
-  std::vector<size_t> SumCounts(
-      const std::vector<size_t>& shards, size_t items,
-      const std::function<Result<std::vector<size_t>>(size_t)>& count) const;
-
   /// Every shard's question on `query` (ranks over query.doc ∪ `universe`).
   std::shared_ptr<ShardQuestionSet> OpenShardQuestions(
       const Query& query, const KeywordSet& universe, bool optimized) const;
@@ -354,6 +349,12 @@ class FanOutWhyNotOracle : public WhyNotOracle {
       ShardQuestionSet* questions,
       const std::vector<ScanTarget>& targets) const;
 
+  /// Every spec's count outside a question: one one-call question per
+  /// distinct location of the specs (told apart by their bits, in
+  /// first-seen order), whose doc is the union of the docs there.
+  std::vector<size_t> CountByLocation(
+      const std::vector<OracleTargetSpec>& specs, bool optimized) const;
+
   std::vector<std::unique_ptr<const OracleShard>> shards_;
   std::vector<size_t> all_shards_;  // 0..shards_.size()-1.
   size_t size_ = 0;
@@ -362,19 +363,24 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   std::function<void(const Status&)> record_error_;
 };
 
-/// The oracle over one unsharded store — one in-process shard, no pool.
-/// A null `setr` is allowed for callers that never call TopK().
+/// The in-process oracle: one LocalOracleShard per store. Over one
+/// unsharded store it runs inline (no pool), and a null `setr` is allowed
+/// for callers that never call TopK(). Over a ShardedCorpus its fan-outs run
+/// on the corpus's shared worker pool; the merge compares GLOBAL ids and
+/// scores under the GLOBAL SDist normaliser, so the sharded answers are
+/// bit-identical to the unsharded ones. The store or corpus must outlive
+/// the oracle.
 class LocalWhyNotOracle : public FanOutWhyNotOracle {
  public:
   LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr);
   explicit LocalWhyNotOracle(const Corpus& corpus);
+  explicit LocalWhyNotOracle(const ShardedCorpus& corpus);
 
-  const SpatialObject& Object(ObjectId global_id) const override {
-    return store_->Get(global_id);
-  }
+  const SpatialObject& Object(ObjectId global_id) const override;
 
  private:
-  const ObjectStore* store_;
+  const ObjectStore* store_ = nullptr;     // Unsharded.
+  const ShardedCorpus* sharded_ = nullptr;  // Sharded.
 };
 
 }  // namespace yask

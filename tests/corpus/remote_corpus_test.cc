@@ -16,7 +16,6 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/server/http_server.h"
 #include "src/server/shard_protocol.h"
@@ -24,6 +23,7 @@
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -148,7 +148,7 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     const WhyNotEngine local_engine(sharded);
-    const ShardedWhyNotOracle local_oracle(sharded);
+    const LocalWhyNotOracle local_oracle(sharded);
 
     ShardFleet fleet(sharded);
     auto connected = RemoteCorpus::Connect(fleet.endpoints);

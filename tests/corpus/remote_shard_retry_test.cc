@@ -120,7 +120,7 @@ TEST(RemoteShardRetryTest, HalfCloseRetriesExactlyOnceThenBumpsEpoch) {
   HalfCloseServer server(/*drop_first=*/1000);  // Every connection drops.
   RemoteShard shard("127.0.0.1", server.port(), FastOptions(/*retries=*/1));
 
-  auto result = shard.Call("POST", "/shard/count", "");
+  auto result = shard.Call("POST", "/shard/topk", "");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   // retries=1: the initial attempt plus exactly one fresh-connection retry.
@@ -130,7 +130,7 @@ TEST(RemoteShardRetryTest, HalfCloseRetriesExactlyOnceThenBumpsEpoch) {
   EXPECT_EQ(shard.error_epoch(), 1u);
 
   // A second call repeats the contract and counts a second failure.
-  result = shard.Call("POST", "/shard/count", "");
+  result = shard.Call("POST", "/shard/topk", "");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(shard.requests(), 4u);
   EXPECT_EQ(shard.error_epoch(), 2u);
@@ -140,7 +140,7 @@ TEST(RemoteShardRetryTest, SuccessfulRetryLeavesEpochUntouched) {
   HalfCloseServer server(/*drop_first=*/1);  // First connection drops.
   RemoteShard shard("127.0.0.1", server.port(), FastOptions(/*retries=*/1));
 
-  auto result = shard.Call("POST", "/shard/count", "");
+  auto result = shard.Call("POST", "/shard/topk", "");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, "ok");
   EXPECT_EQ(shard.requests(), 2u);   // Dropped attempt + successful retry.

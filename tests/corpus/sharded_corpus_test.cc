@@ -9,9 +9,9 @@
 #include <set>
 #include <string>
 
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -102,8 +102,8 @@ TEST(ShardedCorpusTest, SaveLoadRoundTripServesIdenticalResults) {
   EXPECT_DOUBLE_EQ(loaded->dist_norm(), original.dist_norm());
   EXPECT_EQ(loaded->router_description(), original.router_description());
 
-  const ShardedWhyNotOracle original_oracle(original);
-  const ShardedWhyNotOracle loaded_oracle(*loaded);
+  const LocalWhyNotOracle original_oracle(original);
+  const LocalWhyNotOracle loaded_oracle(*loaded);
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     Query q;

@@ -1,5 +1,5 @@
 // The fan-out worker pool is owned by the ShardedCorpus and SHARED by every
-// oracle over it: each ShardedWhyNotOracle — whose fan-outs answer /query's
+// oracle over it: each LocalWhyNotOracle — whose fan-outs answer /query's
 // top-k and /whynot alike — must borrow the corpus's pool instead of
 // spinning up its own: one pool per serving corpus, however many engines the
 // server wires up.
@@ -12,9 +12,9 @@
 #include <thread>
 
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -48,11 +48,11 @@ TEST(ShardedPoolReuseTest, EnginesShareTheCorpusPool) {
     EXPECT_EQ(sharded.pool()->num_threads(), ExpectedThreads(4));
   }
 
-  const ShardedWhyNotOracle oracle(sharded);
+  const LocalWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
 
   // A second oracle still shares the same pool (no per-engine pools).
-  const ShardedWhyNotOracle oracle2(sharded);
+  const LocalWhyNotOracle oracle2(sharded);
   EXPECT_EQ(oracle2.pool(), sharded.pool());
 
   // Top-k and why-not both actually work over the shared pool (or inline).
@@ -75,7 +75,7 @@ TEST(ShardedPoolReuseTest, SingleShardCorpusHasNoPool) {
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1));
   EXPECT_EQ(sharded.pool(), nullptr);
-  const ShardedWhyNotOracle oracle(sharded);
+  const LocalWhyNotOracle oracle(sharded);
   EXPECT_EQ(oracle.pool(), nullptr);
   // The inline fan-out still answers: one shard, searched on this thread.
   Rng rng(6);
@@ -98,8 +98,8 @@ TEST(ShardedPoolReuseTest, AutoSizingFollowsTheHost) {
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
   // Whatever the host decided, the oracles borrow exactly that.
-  const ShardedWhyNotOracle oracle(sharded);
-  const ShardedWhyNotOracle oracle2(sharded);
+  const LocalWhyNotOracle oracle(sharded);
+  const LocalWhyNotOracle oracle2(sharded);
   EXPECT_EQ(oracle.pool(), sharded.pool());
   EXPECT_EQ(oracle2.pool(), sharded.pool());
 }
@@ -116,7 +116,7 @@ TEST(ShardedPoolReuseTest, LoadedCorpusOwnsAPoolToo) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->pool() == nullptr ? 0 : loaded->pool()->num_threads(),
             ExpectedThreads(3));
-  const ShardedWhyNotOracle oracle(*loaded);
+  const LocalWhyNotOracle oracle(*loaded);
   EXPECT_EQ(oracle.pool(), loaded->pool());
   for (uint32_t s = 0; s < 3; ++s) {
     std::remove(ShardedCorpus::ShardFilePath(prefix, s).c_str());

@@ -22,7 +22,6 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
@@ -117,7 +116,7 @@ void CheckLayout(const WhyNotOracle& oracle, const ObjectStore& store,
     const Question& q = questions[i];
     const std::string tag = layout + " question " + std::to_string(i);
     for (const KwAdaptMode mode :
-         {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
+         {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
       KeywordAdaptOptions opts;
       opts.lambda = q.lambda;
       opts.mode = mode;
@@ -165,7 +164,7 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
           ShardedCorpus::Partition(store, std::move(router));
-      CheckLayout(ShardedWhyNotOracle(sharded), store, questions, label);
+      CheckLayout(LocalWhyNotOracle(sharded), store, questions, label);
     }
   }
 

@@ -23,7 +23,6 @@
 #include "src/corpus/corpus.h"
 #include "src/corpus/reshard.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/preference_adjustment.h"
@@ -108,7 +107,7 @@ TEST(ReshardPropertyTest, RoundTripAnswersStayByteIdentical) {
               << label << " id " << id;
         }
 
-        const ShardedWhyNotOracle oracle(resharded);
+        const LocalWhyNotOracle oracle(resharded);
         Rng rng(1139);
         for (int trial = 0; trial < 6; ++trial) {
           Query q;

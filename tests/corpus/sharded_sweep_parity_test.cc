@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -122,7 +121,7 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
     const std::string label = router->Describe();
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, std::move(router));
-    const ShardedWhyNotOracle oracle(sharded);
+    const LocalWhyNotOracle oracle(sharded);
 
     for (size_t t = 0; t < trials.size(); ++t) {
       const Trial& trial = trials[t];
@@ -214,7 +213,7 @@ TEST(ShardedSweepParityTest, LambdaExtremesAgree) {
   const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
-  const ShardedWhyNotOracle oracle(sharded);
+  const LocalWhyNotOracle oracle(sharded);
 
   Rng rng(316);
   for (const double lambda : {0.05, 0.5, 0.95}) {

@@ -15,7 +15,6 @@
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_service.h"
 #include "src/storage/dataset_generator.h"
@@ -57,7 +56,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
           ShardedCorpus::Partition(store, std::move(router), options);
-      const ShardedWhyNotOracle oracle(sharded);
+      const LocalWhyNotOracle oracle(sharded);
 
       Rng rng(query_seed);
       for (int trial = 0; trial < 12; ++trial) {
@@ -119,7 +118,7 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
   const CorpusOptions options;
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
-  const ShardedWhyNotOracle oracle(sharded);
+  const LocalWhyNotOracle oracle(sharded);
   Rng rng(5);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -149,7 +148,7 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
         << label;
   };
   expect_engine_work(LocalWhyNotOracle(corpus), "local");
-  expect_engine_work(ShardedWhyNotOracle(one), "1 shard");
+  expect_engine_work(LocalWhyNotOracle(one), "1 shard");
 }
 
 // --- One driver, every layout -----------------------------------------------
@@ -247,7 +246,7 @@ TEST(TopKLayoutParityTest, EveryLayoutAnswersTheReferenceRows) {
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     const std::string label = std::to_string(shards) + " shards";
-    ExpectReferenceRows(ShardedWhyNotOracle(sharded), store, label);
+    ExpectReferenceRows(LocalWhyNotOracle(sharded), store, label);
     if (shards == 4) {
       ExpectRemoteReferenceRows(sharded, store, "remote " + label);
     }
@@ -257,7 +256,7 @@ TEST(TopKLayoutParityTest, EveryLayoutAnswersTheReferenceRows) {
   const ShardedCorpus two_of_three =
       ShardedCorpus::Partition(store, std::make_unique<TwoOfThreeRouter>());
   ASSERT_EQ(two_of_three.shard(2).size(), 0u);
-  ExpectReferenceRows(ShardedWhyNotOracle(two_of_three), store,
+  ExpectReferenceRows(LocalWhyNotOracle(two_of_three), store,
                       "two of three");
   ExpectRemoteReferenceRows(two_of_three, store, "remote two of three");
 }

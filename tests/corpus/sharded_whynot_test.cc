@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -246,7 +246,7 @@ TEST(ShardedWhyNotPropertyTest, BasicModesAgreeWithSharding) {
   for (const uint32_t shards : {1u, 4u}) {
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
-    const ShardedWhyNotOracle oracle(sharded);
+    const LocalWhyNotOracle oracle(sharded);
     Rng rng(305);
     for (int trial = 0; trial < 3; ++trial) {
       Query q;

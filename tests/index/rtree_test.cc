@@ -10,6 +10,11 @@
 namespace yask {
 namespace {
 
+/// True if `p` lies inside `r` or on its boundary.
+bool Contains(const Rect& r, const Point& p) {
+  return p.x >= r.min_x && p.x <= r.max_x && p.y >= r.min_y && p.y <= r.max_y;
+}
+
 ObjectStore MakeStore(size_t n, uint64_t seed = 42,
                       SpatialDistribution dist = SpatialDistribution::kUniform) {
   DatasetSpec spec;
@@ -97,7 +102,7 @@ TEST(RTreeTest, BulkLoadPlacesEveryObjectOnceInsideItsAncestors) {
               const Point p = store.Get(e.id).loc;
               EXPECT_EQ(e.rect, Rect::FromPoint(p)) << tag;
               for (const Rect& r : path) {
-                EXPECT_TRUE(r.Contains(p)) << tag << " object " << e.id;
+                EXPECT_TRUE(Contains(r, p)) << tag << " object " << e.id;
               }
             } else {
               std::vector<Rect> child_path = path;

@@ -49,14 +49,6 @@ TEST_F(ScorerTest, ExplicitNormalizerOverride) {
   EXPECT_DOUBLE_EQ(scorer.SDist(Point{3, 4}), 0.5);
 }
 
-TEST_F(ScorerTest, ScoreFromPartsConsistent) {
-  Scorer scorer(store_, query_);
-  const SpatialObject& o = store_.Get(1);
-  EXPECT_DOUBLE_EQ(scorer.Score(o),
-                   scorer.ScoreFromParts(scorer.SDist(o.loc),
-                                         scorer.TSim(o.doc)));
-}
-
 TEST_F(ScorerTest, SpatialComponentBoundCoversObjects) {
   Scorer scorer(store_, query_);
   const Rect mbr = Rect::FromBounds(1, 1, 4, 5);
@@ -86,25 +78,6 @@ TEST(ScorerPropertyTest, ScoresAlwaysInUnitInterval) {
       EXPECT_LE(scorer.SDist(o.loc), 1.0);
     }
   }
-}
-
-TEST(ScorerPropertyTest, ScoreMonotoneInWeightForFixedParts) {
-  // With SDist < TSim... the weight trade-off: increasing ws favours nearer
-  // objects. Check directional consistency via ScoreFromParts.
-  ObjectStore store;
-  store.Add(Point{0, 0}, KeywordSet());
-  Query qa;
-  qa.loc = Point{0, 0};
-  qa.k = 1;
-  qa.w = Weights::FromWs(0.3);
-  Query qb = qa;
-  qb.w = Weights::FromWs(0.7);
-  Scorer sa(store, qa, 1.0);
-  Scorer sb(store, qb, 1.0);
-  // Near-but-textually-poor part set: sdist 0.1, tsim 0.2.
-  EXPECT_LT(sa.ScoreFromParts(0.1, 0.2), sb.ScoreFromParts(0.1, 0.2));
-  // Far-but-textually-rich: sdist 0.9, tsim 0.9.
-  EXPECT_GT(sa.ScoreFromParts(0.9, 0.9), sb.ScoreFromParts(0.9, 0.9));
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // compares the engine with itself.
 //
 //   * TopK — the first k rows by full scan (D6 tie order).
-//   * Rank / RankOfSet — rank by full scan (D6 tie order).
+//   * OutrankingCount / Rank / RankOfSet — rank by full scan (D6 tie
+//     order), OutrankingCount also over one shard's store.
 //   * SolveKeywords — Eqn. (4) by enumerating EVERY non-empty subset of
 //     q.doc ∪ M.doc; the winner under the module's documented order (lower
 //     penalty, then smaller ∆doc, then lexicographically smaller ids).
@@ -43,20 +44,35 @@ namespace reference {
 inline constexpr double kStepPastCrossing = 1e-7;
 inline constexpr double kPreferenceSlack = 2e-7;
 
+/// The objects of `store` outranking a target of global id `target` that
+/// scores `target_score` under `query` (scores normalised by `dist_norm`):
+/// those scoring strictly higher, or equal with a smaller global id. The
+/// target itself never counts. `to_global` maps the store's ids to global
+/// ids (null: they are global already), so `store` may be one shard and the
+/// target absent from it.
+inline size_t OutrankingCount(const ObjectStore& store,
+                              const std::vector<ObjectId>* to_global,
+                              double dist_norm, const Query& query,
+                              ObjectId target, double target_score) {
+  const Scorer scorer(store, query, dist_norm);
+  size_t above = 0;
+  for (const SpatialObject& o : store.objects()) {
+    const ObjectId gid = to_global != nullptr ? (*to_global)[o.id] : o.id;
+    if (gid == target) continue;
+    const double s = scorer.Score(o);
+    if (s > target_score || (s == target_score && gid < target)) ++above;
+  }
+  return above;
+}
+
 /// Rank of `target` under `query`: 1 + the objects scoring strictly higher,
 /// or equal with a smaller id. `store` is the whole (unsharded) dataset, so
 /// its ids are the global ids every layout reports.
 inline size_t Rank(const ObjectStore& store, const Query& query,
                    ObjectId target) {
-  const Scorer scorer(store, query);
-  const double target_score = scorer.Score(target);
-  size_t above = 0;
-  for (const SpatialObject& o : store.objects()) {
-    if (o.id == target) continue;
-    const double s = scorer.Score(o);
-    if (s > target_score || (s == target_score && o.id < target)) ++above;
-  }
-  return above + 1;
+  const double dist_norm = store.BoundsDiagonal();
+  return 1 + OutrankingCount(store, nullptr, dist_norm, query, target,
+                             Scorer(store, query, dist_norm).Score(target));
 }
 
 /// The first min(k, |D|) objects under `query`: score descending, ties by

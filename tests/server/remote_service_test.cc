@@ -6,8 +6,8 @@
 // network hop legitimately changes). Plus the remote-only failure modes:
 // 503 when a shard dies mid-serving, /health topology reporting, and 404
 // for stale query ids. And the shards' own /metrics show what one /whynot
-// costs them: one question session per shard, every rank answered from it,
-// no /shard/count request.
+// costs them: one question session per shard, every rank answered from
+// it.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -283,9 +283,9 @@ TEST(RemoteServiceTest, OneQuestionSessionPerShardPerWhyNot) {
   ASSERT_TRUE(answer.ok() && answer->keyword.has_value());
   const uint64_t rank_fanouts = answer->keyword->stats.probe_fanouts;
 
-  const std::vector<const char*> routes = {
-      shardrpc::kPlaneOpenPath, shardrpc::kPlaneRankPath,
-      shardrpc::kPlaneClosePath, shardrpc::kCountPath};
+  const std::vector<const char*> routes = {shardrpc::kPlaneOpenPath,
+                                           shardrpc::kPlaneRankPath,
+                                           shardrpc::kPlaneClosePath};
   for (int round = 0; round < 2; ++round) {
     std::vector<std::vector<uint64_t>> before;
     for (const auto& service : fleet.services) {
@@ -310,7 +310,6 @@ TEST(RemoteServiceTest, OneQuestionSessionPerShardPerWhyNot) {
       // adaption's rank fan-outs.
       EXPECT_EQ(served(1), 1 + rank_fanouts) << tag << " session ranks";
       EXPECT_EQ(served(2), 1u) << tag << " closes";
-      EXPECT_EQ(served(3), 0u) << tag << " counts";
     }
   }
   remote.Stop();

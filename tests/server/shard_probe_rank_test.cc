@@ -1,17 +1,21 @@
-// The shardrpc /shard/count boundaries, both directions, and the
-// coordinator's side of the plane routes, which answer every rank batch.
+// The shardrpc rank-spec boundaries of /shard/plane/rank, both directions,
+// and the coordinator's side of the plane routes, which answer every rank
+// batch.
 //
-// /shard/count answers 400 to a truncated body or trailing bytes (a v6 body
-// with a method byte after its spec among them), a non-finite target score,
-// a query Query::Validate rejects, or more than kMaxProbeSpecs specs, and
-// answers exactly at the cap; a coordinator splits a larger batch into
-// requests under the cap. /shard/probe/rank is gone since shardrpc v7 (404).
-// A coordinator that gets a malformed /shard/plane/rank,
-// /shard/plane/count_batch or /shard/plane/crossings reply records a shard
-// error, and its /whynot answers 503 or its rank batch outside a question
-// adds nothing; nothing is read out of bounds. So does a /shard/plane/topk
-// reply with more rows than asked for, rows out of the ScoredObject order,
-// a non-finite score or an unknown id.
+// /shard/plane/rank answers each spec as if alone, from an optimized and a
+// basic session alike (the basic one by full scan, as basic keyword
+// adaption asks), with the reference's counts. It answers 400 to a
+// truncated body or trailing bytes, a non-finite target score, a query
+// Query::Validate rejects, or more than kMaxProbeSpecs specs, and answers
+// exactly at the cap; a coordinator splits a larger batch into requests
+// under the cap. The stateless rank routes are gone: /shard/probe/rank
+// since shardrpc v7 and /shard/count since v8 (404). A coordinator that
+// gets a malformed /shard/plane/rank, /shard/plane/count_batch or
+// /shard/plane/crossings reply records a shard error, and its /whynot
+// answers 503 or its rank batch outside a question adds nothing; nothing is
+// read out of bounds. So does a /shard/plane/topk reply with more rows than
+// asked for, rows out of the ScoredObject order, a non-finite score or an
+// unknown id.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +40,7 @@
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
 #include "src/whynot/whynot_oracle.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -50,8 +55,8 @@ struct Spec {
   double target_score = 0.0;
 };
 
-/// A /shard/count body.
-std::string EncodeCount(const std::vector<Spec>& specs) {
+/// A spec list: varu64 N, then N × (query, u32 target, F64 target score).
+std::string EncodeSpecs(const std::vector<Spec>& specs) {
   BufWriter req;
   req.PutVarU64(specs.size());
   for (const Spec& spec : specs) {
@@ -60,6 +65,13 @@ std::string EncodeCount(const std::vector<Spec>& specs) {
     req.PutF64(spec.target_score);
   }
   return req.data();
+}
+
+/// A /shard/plane/rank body: the session id, then the spec list.
+std::string RankBody(uint64_t session, const std::vector<Spec>& specs) {
+  BufWriter req;
+  req.PutU64(session);
+  return req.data() + EncodeSpecs(specs);
 }
 
 std::vector<uint64_t> DecodeCounts(const std::string& body) {
@@ -85,14 +97,17 @@ class ProbeRankTest : public ::testing::Test {
     service_ = std::make_unique<ShardService>(
         *corpus_, ShardService::StandaloneInfo(*corpus_));
     ASSERT_TRUE(service_->Start().ok());
+    optimized_ = Open(/*optimized=*/true);
+    basic_ = Open(/*optimized=*/false);
   }
 
   void TearDown() override { service_->Stop(); }
 
-  /// A spec ranking `target` under a query at `near`'s location with `doc`.
-  Spec MakeSpec(ObjectId near, ObjectId target, KeywordSet doc) const {
+  /// A spec ranking `target` under a query at object 17's location with
+  /// `doc`.
+  Spec MakeSpec(ObjectId target, KeywordSet doc) const {
     Spec spec;
-    spec.query.loc = corpus_->store().Get(near).loc;
+    spec.query.loc = corpus_->store().Get(17).loc;
     spec.query.doc = std::move(doc);
     spec.target = target;
     spec.target_score = Scorer(corpus_->store(), spec.query,
@@ -108,28 +123,48 @@ class ProbeRankTest : public ::testing::Test {
     return response.ok() ? *response : std::string();
   }
 
-  int CountStatus(const std::string& body) {
+  /// Opens a session at object 17's location whose docs cover every spec
+  /// below (q.doc = {0, 1, 2, 3}); returns its id.
+  uint64_t Open(bool optimized) {
+    Query query;
+    query.loc = corpus_->store().Get(17).loc;
+    query.doc = KeywordSet({0, 1, 2, 3});
+    BufWriter req;
+    shardrpc::PutQuery(&req, query);
+    req.PutU8(optimized ? 1 : 0);
+    req.PutDeltaIds({});
     int status = 0;
-    Post(shardrpc::kCountPath, body, &status);
+    const std::string body = Post(shardrpc::kPlaneOpenPath, req.data(),
+                                  &status);
+    EXPECT_EQ(status, 200);
+    BufReader in(body.data(), body.size());
+    return in.GetU64();
+  }
+
+  int RankStatus(const std::string& body) {
+    int status = 0;
+    Post(shardrpc::kPlaneRankPath, body, &status);
     return status;
   }
 
-  /// POSTs one /shard/count request.
-  std::vector<uint64_t> Scan(const std::vector<Spec>& specs, int* status) {
+  /// POSTs one /shard/plane/rank request to `session`.
+  std::vector<uint64_t> Rank(uint64_t session, const std::vector<Spec>& specs,
+                             int* status) {
     const std::string body =
-        Post(shardrpc::kCountPath, EncodeCount(specs), status);
+        Post(shardrpc::kPlaneRankPath, RankBody(session, specs), status);
     return *status == 200 ? DecodeCounts(body) : std::vector<uint64_t>{};
   }
 
-  int ScanStatus(const std::vector<Spec>& specs) {
+  int RankStatus(const std::vector<Spec>& specs) {
     int status = 0;
-    Scan(specs, &status);
+    Rank(optimized_, specs, &status);
     return status;
   }
 
-  std::vector<uint64_t> ScanCounts(const std::vector<Spec>& specs) {
+  std::vector<uint64_t> RankCounts(uint64_t session,
+                                   const std::vector<Spec>& specs) {
     int status = 0;
-    const std::vector<uint64_t> counts = Scan(specs, &status);
+    const std::vector<uint64_t> counts = Rank(session, specs, &status);
     EXPECT_EQ(status, 200);
     return counts;
   }
@@ -137,45 +172,60 @@ class ProbeRankTest : public ::testing::Test {
   /// Three specs; the last one's target is not held by the shard (it
   /// carries the score of object 2024).
   std::vector<Spec> SomeSpecs() const {
-    std::vector<Spec> specs = {MakeSpec(17, 17, KeywordSet({0, 1, 2})),
-                               MakeSpec(17, 2024, KeywordSet({0, 3})),
-                               MakeSpec(17, 2024, KeywordSet({1}))};
+    std::vector<Spec> specs = {MakeSpec(17, KeywordSet({0, 1, 2})),
+                               MakeSpec(2024, KeywordSet({0, 3})),
+                               MakeSpec(2024, KeywordSet({1}))};
     specs.back().target = 99999;
     return specs;
   }
 
+  /// Requests the shard has served on `route`.
+  uint64_t Served(const char* route) const {
+    return service_->metrics()
+        .GetHistogram("yask_shard_request_ms", {{"endpoint", route}})
+        ->count();
+  }
+
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<ShardService> service_;
+  uint64_t optimized_ = 0;  // An optimized session.
+  uint64_t basic_ = 0;      // A basic session, which scans.
 };
 
-TEST_F(ProbeRankTest, CountAnswersEachSpecAsAlone) {
-  const std::vector<Spec> specs = {MakeSpec(17, 17, KeywordSet({0, 1, 2})),
-                                   MakeSpec(2024, 2024, KeywordSet({0, 1, 2}))};
+TEST_F(ProbeRankTest, RankAnswersEachSpecAsAloneInBothPlanes) {
+  std::vector<Spec> specs = SomeSpecs();
+  specs.push_back(MakeSpec(2024, KeywordSet({0, 1, 2})));
   std::vector<uint64_t> alone;
   for (const Spec& spec : specs) {
-    const std::vector<uint64_t> scan = ScanCounts({spec});
-    ASSERT_EQ(scan.size(), 1u);
-    alone.push_back(scan[0]);
+    const uint64_t want = reference::OutrankingCount(
+        corpus_->store(), nullptr, corpus_->store().BoundsDiagonal(),
+        spec.query, spec.target, spec.target_score);
+    for (const uint64_t session : {optimized_, basic_}) {
+      EXPECT_EQ(RankCounts(session, {spec}), std::vector<uint64_t>{want});
+    }
+    alone.push_back(want);
   }
-  EXPECT_NE(alone[0], alone[1]);
-  EXPECT_EQ(ScanCounts({specs[1], specs[0], specs[1]}),
-            (std::vector<uint64_t>{alone[1], alone[0], alone[1]}));
-  EXPECT_EQ(ScanCounts({}), std::vector<uint64_t>{});
+  EXPECT_NE(alone[0], alone[3]);
+  for (const uint64_t session : {optimized_, basic_}) {
+    EXPECT_EQ(RankCounts(session, {specs[3], specs[0], specs[3]}),
+              (std::vector<uint64_t>{alone[3], alone[0], alone[3]}));
+    EXPECT_EQ(RankCounts(session, {}), std::vector<uint64_t>{});
+  }
 }
 
 TEST_F(ProbeRankTest, TruncatedBodiesAndTrailingBytesAre400) {
-  const std::string body = EncodeCount(SomeSpecs());
-  for (size_t cut : {size_t{0}, size_t{1}, body.size() / 2, body.size() - 1}) {
-    EXPECT_EQ(CountStatus(body.substr(0, cut)), 400) << "cut at " << cut;
+  const std::string body = RankBody(optimized_, SomeSpecs());
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{8}, body.size() / 2,
+                     body.size() - 1}) {
+    EXPECT_EQ(RankStatus(body.substr(0, cut)), 400) << "cut at " << cut;
   }
-  EXPECT_EQ(CountStatus(body + '\0'), 400);
-  // A v6 body: one spec followed by its method byte (kScan).
-  EXPECT_EQ(CountStatus(EncodeCount({SomeSpecs()[0]}) + '\0'), 400);
+  EXPECT_EQ(RankStatus(body + '\0'), 400);
   // A count far beyond the bytes that follow it.
   BufWriter huge;
+  huge.PutU64(optimized_);
   huge.PutVarU64(uint64_t{1} << 40);
-  EXPECT_EQ(CountStatus(huge.data()), 400);
-  EXPECT_EQ(CountStatus(body), 200);
+  EXPECT_EQ(RankStatus(huge.data()), 400);
+  EXPECT_EQ(RankStatus(body), 200);
 }
 
 TEST_F(ProbeRankTest, QueriesValidateRejectsAre400) {
@@ -189,38 +239,47 @@ TEST_F(ProbeRankTest, QueriesValidateRejectsAre400) {
   for (size_t i = 0; i < breakers.size(); ++i) {
     std::vector<Spec> specs = SomeSpecs();
     breakers[i](&specs.back().query);
-    EXPECT_EQ(CountStatus(EncodeCount(specs)), 400) << "breaker " << i;
+    EXPECT_EQ(RankStatus(specs), 400) << "breaker " << i;
   }
 }
 
 TEST_F(ProbeRankTest, ProbeRankRouteIsGone) {
   int status = 0;
-  Post("/shard/probe/rank", EncodeCount(SomeSpecs()), &status);
+  Post("/shard/probe/rank", EncodeSpecs(SomeSpecs()), &status);
   EXPECT_EQ(status, 404);
 }
 
-TEST_F(ProbeRankTest, CountSpecCap) {
-  const Spec one = MakeSpec(17, 2024, KeywordSet({0, 3}));
-  const uint64_t want = ScanCounts({one}).front();
+TEST_F(ProbeRankTest, CountRouteIsGone) {
+  // A v7 /shard/count body, well-formed: the route itself is gone.
+  int status = 0;
+  Post(shardrpc::kCountPath, EncodeSpecs(SomeSpecs()), &status);
+  EXPECT_EQ(status, 404);
+  EXPECT_EQ(Served(shardrpc::kCountPath), 0u);
+}
+
+TEST_F(ProbeRankTest, RankSpecCap) {
+  const Spec one = MakeSpec(2024, KeywordSet({0, 3}));
+  const uint64_t want = RankCounts(optimized_, {one}).front();
   std::vector<Spec> specs(kMaxProbeSpecs, one);
-  EXPECT_EQ(ScanCounts(specs), std::vector<uint64_t>(kMaxProbeSpecs, want));
+  EXPECT_EQ(RankCounts(optimized_, specs),
+            std::vector<uint64_t>(kMaxProbeSpecs, want));
   specs.push_back(one);
-  EXPECT_EQ(ScanStatus(specs), 400);
+  EXPECT_EQ(RankStatus(specs), 400);
 }
 
 TEST_F(ProbeRankTest, NonFiniteTargetScoresAre400) {
   for (const double bad : {kNaN, kInf, -kInf}) {
     std::vector<Spec> specs = SomeSpecs();
     specs[1].target_score = bad;
-    EXPECT_EQ(ScanStatus(specs), 400) << bad;
+    EXPECT_EQ(RankStatus(specs), 400) << bad;
   }
-  EXPECT_EQ(ScanStatus(SomeSpecs()), 200);
+  EXPECT_EQ(RankStatus(SomeSpecs()), 200);
 }
 
-TEST_F(ProbeRankTest, CoordinatorSplitsCountBatchesAtTheCap) {
-  // A full request scans the corpus kMaxProbeSpecs times; on a sanitizer
-  // build that can outlast the default deadline, and the retry it forces
-  // would add a request that is not a split.
+TEST_F(ProbeRankTest, CoordinatorSplitsRankBatchesAtTheCap) {
+  // A full basic request scans the corpus kMaxProbeSpecs times; on a
+  // sanitizer build that can outlast the default deadline, and the retry it
+  // forces would add a request that is not a split.
   RemoteShardOptions options;
   options.call_deadline_ms = 300000;
   auto connected = RemoteCorpus::Connect(
@@ -230,29 +289,43 @@ TEST_F(ProbeRankTest, CoordinatorSplitsCountBatchesAtTheCap) {
   const RemoteShardOracle oracle(remote);
   const LocalWhyNotOracle local(*corpus_);
 
-  // Basic keyword adaption may ask for more specs than one request carries.
+  // Keyword adaption may ask for more specs than one request carries: the
+  // basic mode always may, as its chunks are not sized by the cap.
   std::vector<Query> queries(3);
   for (size_t i = 0; i < queries.size(); ++i) {
     queries[i].loc = corpus_->store().Get(17).loc;
     queries[i].doc = KeywordSet({static_cast<TermId>(i), 3});
   }
   std::vector<OracleTargetSpec> specs;
-  std::vector<ObjectId> targets;
   for (size_t i = 0; i <= kMaxProbeSpecs; ++i) {
     specs.push_back(OracleTargetSpec{&queries[i % queries.size()],
                                      static_cast<ObjectId>(i % 3000)});
-    targets.push_back(specs.back().target);
   }
-  remote.Prefetch(targets);  // So that only count requests are counted.
-  const uint64_t requests = remote.total_requests();
   const uint64_t errors = remote.error_epoch();
+
+  // Basic: one one-call basic session (one location), two rank requests.
+  uint64_t opens = Served(shardrpc::kPlaneOpenPath);
+  uint64_t ranks = Served(shardrpc::kPlaneRankPath);
   KeywordAdaptStats remote_stats;
   KeywordAdaptStats local_stats;
-  EXPECT_EQ(oracle.OutscoringCountBatch(specs, &remote_stats),
-            local.OutscoringCountBatch(specs, &local_stats));
-  EXPECT_EQ(remote.total_requests() - requests, 2u);
-  EXPECT_EQ(remote.error_epoch(), errors);
+  const std::vector<size_t> counts =
+      oracle.OutscoringCountBatch(specs, &remote_stats);
+  EXPECT_EQ(counts, local.OutscoringCountBatch(specs, &local_stats));
+  EXPECT_EQ(Served(shardrpc::kPlaneOpenPath) - opens, 1u);
+  EXPECT_EQ(Served(shardrpc::kPlaneRankPath) - ranks, 2u);
   EXPECT_EQ(remote_stats.objects_scored, local_stats.objects_scored);
+
+  // Optimized: the same split, and the same counts plus one.
+  opens = Served(shardrpc::kPlaneOpenPath);
+  ranks = Served(shardrpc::kPlaneRankPath);
+  const auto batch = oracle.ProbeRankBatch(specs, &remote_stats);
+  EXPECT_EQ(Served(shardrpc::kPlaneOpenPath) - opens, 1u);
+  EXPECT_EQ(Served(shardrpc::kPlaneRankPath) - ranks, 2u);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_EQ(batch->lower(i), counts[i] + 1) << "spec " << i;
+  }
+  EXPECT_EQ(remote.error_epoch(), errors);
+  EXPECT_EQ(service_->open_sessions(), 2u);  // The fixture's own two.
 }
 
 /// A shard server that forwards every route to a real one, and passes the
@@ -381,11 +454,17 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
     // Through the front door: the question fails with 503.
     EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503) << "reply " << r;
     EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
-    // Outside a question: the batch still holds one rank per spec.
+    // Outside a question: the batch still holds one rank per spec, and a
+    // basic count batch one count per spec.
     before = remote.error_epoch();
     KeywordAdaptStats stats;
     const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
     ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
+    EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
+    before = remote.error_epoch();
+    EXPECT_EQ(oracle.OutscoringCountBatch(oracle_specs, &stats).size(),
+              oracle_specs.size())
+        << "reply " << r;
     EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
   }
 
@@ -400,6 +479,8 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
     EXPECT_EQ(batch->lower(i),
               local.Rank(*oracle_specs[i].query, oracle_specs[i].target));
   }
+  EXPECT_EQ(oracle.OutscoringCountBatch(oracle_specs, &stats),
+            local.OutscoringCountBatch(oracle_specs, &stats));
   EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 200);
   EXPECT_EQ(remote.error_epoch(), before);
   coordinator.Stop();

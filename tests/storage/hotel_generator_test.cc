@@ -5,6 +5,11 @@
 namespace yask {
 namespace {
 
+/// True if `p` lies inside `r` or on its boundary.
+bool Contains(const Rect& r, const Point& p) {
+  return p.x >= r.min_x && p.x <= r.max_x && p.y >= r.min_y && p.y <= r.max_y;
+}
+
 TEST(HotelGeneratorTest, DefaultIs539Hotels) {
   // §4: "The data set ... contains some 539 hotels."
   const ObjectStore store = GenerateHotelDataset();
@@ -15,7 +20,7 @@ TEST(HotelGeneratorTest, LocationsInsideHongKongFrame) {
   const ObjectStore store = GenerateHotelDataset();
   const Rect frame = HongKongBounds();
   for (const SpatialObject& o : store.objects()) {
-    EXPECT_TRUE(frame.Contains(o.loc))
+    EXPECT_TRUE(Contains(frame, o.loc))
         << "hotel " << o.id << " at (" << o.loc.x << "," << o.loc.y << ")";
   }
 }

@@ -39,22 +39,33 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
   return missing;
 }
 
+/// Every candidate ForEachCandidateAtDistance visits, in its order.
+std::vector<KeywordSet> CandidatesAt(const KeywordSet& qdoc,
+                                     const KeywordSet& ins, size_t distance) {
+  std::vector<KeywordSet> out;
+  ForEachCandidateAtDistance(qdoc, ins, distance, [&](KeywordSet cand) {
+    out.push_back(std::move(cand));
+    return true;
+  });
+  return out;
+}
+
 TEST(GenerateCandidatesTest, CountsMatchBinomials) {
   const KeywordSet qdoc({0, 1, 2});
   const KeywordSet ins({10, 11});
   // Distance 1: delete one of 3, or insert one of 2 => 5 candidates.
-  EXPECT_EQ(GenerateCandidatesAtDistance(qdoc, ins, 1).size(), 5u);
+  EXPECT_EQ(CandidatesAt(qdoc, ins, 1).size(), 5u);
   // Distance 2: C(3,2) + C(3,1)*C(2,1) + C(2,2) = 3 + 6 + 1 = 10.
-  EXPECT_EQ(GenerateCandidatesAtDistance(qdoc, ins, 2).size(), 10u);
+  EXPECT_EQ(CandidatesAt(qdoc, ins, 2).size(), 10u);
   // Distance 3: C(3,3)[empty, dropped] + C(3,2)*2 + C(3,1)*1 = 0+6+3 = 9.
-  EXPECT_EQ(GenerateCandidatesAtDistance(qdoc, ins, 3).size(), 9u);
+  EXPECT_EQ(CandidatesAt(qdoc, ins, 3).size(), 9u);
 }
 
 TEST(GenerateCandidatesTest, AllAtCorrectEditDistance) {
   const KeywordSet qdoc({0, 1, 2, 3});
   const KeywordSet ins({10, 11, 12});
   for (size_t e = 1; e <= 4; ++e) {
-    for (const KeywordSet& c : GenerateCandidatesAtDistance(qdoc, ins, e)) {
+    for (const KeywordSet& c : CandidatesAt(qdoc, ins, e)) {
       EXPECT_EQ(KeywordSet::EditDistance(qdoc, c), e);
       EXPECT_FALSE(c.empty());
       // Inserted keywords come only from the insertable pool.
@@ -69,10 +80,28 @@ TEST(GenerateCandidatesTest, NoDuplicates) {
   const KeywordSet qdoc({0, 1, 2});
   const KeywordSet ins({5, 6, 7});
   for (size_t e = 1; e <= 5; ++e) {
-    const auto cands = GenerateCandidatesAtDistance(qdoc, ins, e);
+    const auto cands = CandidatesAt(qdoc, ins, e);
     std::set<std::vector<TermId>> unique;
     for (const KeywordSet& c : cands) unique.insert(c.ids());
     EXPECT_EQ(unique.size(), cands.size()) << "distance " << e;
+  }
+}
+
+TEST(GenerateCandidatesTest, VisitStopsWhenTheVisitorSaysSo) {
+  const KeywordSet qdoc({0, 1, 2});
+  const KeywordSet ins({5, 6, 7});
+  const std::vector<KeywordSet> all = CandidatesAt(qdoc, ins, 2);
+  ASSERT_EQ(all.size(), 15u);
+  // Stopping at every position: the visit ends there, having seen exactly
+  // the prefix of the full order.
+  for (size_t stop = 1; stop <= all.size(); ++stop) {
+    std::vector<KeywordSet> seen;
+    ForEachCandidateAtDistance(qdoc, ins, 2, [&](KeywordSet cand) {
+      seen.push_back(std::move(cand));
+      return seen.size() < stop;
+    });
+    EXPECT_EQ(seen, std::vector<KeywordSet>(all.begin(), all.begin() + stop))
+        << "stop " << stop;
   }
 }
 
@@ -237,7 +266,7 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
   ASSERT_EQ(want.doc.ids(), (std::vector<TermId>{a, m_doc[1]}));
   ASSERT_EQ(want.rank, 1u);
   for (const KwAdaptMode mode :
-       {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
+       {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
     KeywordAdaptOptions opts;
     opts.mode = mode;
     auto got = AdaptKeywords(oracle, q, {missing}, opts);
@@ -271,7 +300,7 @@ TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
     basic.mode = KwAdaptMode::kBasic;
     KeywordAdaptOptions pruned;
     pruned.lambda = lambda;
-    pruned.mode = KwAdaptMode::kBoundAndPrune;
+    pruned.mode = KwAdaptMode::kOptimized;
 
     auto rb = AdaptKeywords(oracle, q, missing, basic);
     auto rp = AdaptKeywords(oracle, q, missing, pruned);
@@ -316,7 +345,7 @@ TEST_P(KwReferenceAgrees, BothModesMatchReference) {
         reference::SolveKeywords(store, q, missing, lambda);
 
     for (const KwAdaptMode mode :
-         {KwAdaptMode::kBoundAndPrune, KwAdaptMode::kBasic}) {
+         {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
       KeywordAdaptOptions opts;
       opts.lambda = lambda;
       opts.mode = mode;
@@ -329,7 +358,7 @@ TEST_P(KwReferenceAgrees, BothModesMatchReference) {
       reference::ExpectKeywordAnswer(*got, want, label);
       const KeywordAdaptStats& st = got->stats;
       EXPECT_FALSE(st.truncated) << label;
-      if (mode == KwAdaptMode::kBoundAndPrune) {
+      if (mode == KwAdaptMode::kOptimized) {
         EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size())
             << label;
       } else {
@@ -406,7 +435,7 @@ TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
   // best; at λ = 0.02 the ∆doc floor cuts from ∆doc = 2, leaving the 63
   // insertions of ∆doc = 1, one per high mask bit.
   opts.lambda = 0.02;
-  opts.mode = KwAdaptMode::kBoundAndPrune;
+  opts.mode = KwAdaptMode::kOptimized;
   auto columns = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
   ASSERT_TRUE(columns.ok()) << columns.status().ToString();
   opts.mode = KwAdaptMode::kBasic;
@@ -449,8 +478,9 @@ TEST(AdaptKeywordsTest, CandidateBoundTruncatesTheSearch) {
 }
 
 TEST(AdaptKeywordsTest, BasicModeHasNoKeywordUniverseCap) {
-  // The scan kernel takes masks of several words: past the columns' cap the
-  // basic mode still answers, with the reference's ranks.
+  // A basic question's masks span several words, and U travels as q.doc:
+  // past the optimized mode's cap the basic mode still answers, with the
+  // reference's ranks.
   const WideUniverse wide(kMaxKeywordUniverse + 10);
   const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
   KeywordAdaptOptions opts;

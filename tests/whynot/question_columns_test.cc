@@ -44,7 +44,6 @@
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/shard_router.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/corpus/sharded_whynot_oracle.h"
 #include "src/query/ranking.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_protocol.h"
@@ -160,10 +159,11 @@ std::vector<double> ScanCrossings(const std::vector<PlanePoint>& pts,
   return events;
 }
 
-/// Checks one question's columns against the scans: rank counts of targets
-/// at several weights and docs drawn from the universe (targets the view
-/// holds, at their own scores, and absent ids at the scores of objects it
-/// holds), and the plane's counts in both modes and its crossings.
+/// Checks one question's columns against the scans: rank counts in both
+/// modes of targets at several weights and docs drawn from the universe
+/// (targets the view holds, at their own scores, and absent ids at the
+/// scores of objects it holds), and the plane's counts in both modes and
+/// its crossings.
 void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                         const Query& q, const KeywordSet& universe,
                         uint64_t seed, const std::string& label) {
@@ -207,15 +207,22 @@ void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                       view.to_global->begin())
                 : target;
         const double score = scorer.Score(local);
+        const size_t want = ScanCount(view, dist_norm, t, target, score);
         EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, target}),
-                  ScanCount(view, dist_norm, t, target, score))
+                  want)
             << label << " ws " << ws << " target " << target;
+        EXPECT_EQ(basic.CountOutscoring(ScanTarget{&t, score, target}), want)
+            << label << " basic ws " << ws << " target " << target;
         // An id the view does not hold, at a held object's score: only the
         // D6 tie-break on ids decides inside the equal-score run.
         const ObjectId absent = kInvalidObject - 1;
+        const size_t want_absent = ScanCount(view, dist_norm, t, absent, score);
         EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, absent}),
-                  ScanCount(view, dist_norm, t, absent, score))
+                  want_absent)
             << label << " ws " << ws << " absent at " << target;
+        EXPECT_EQ(basic.CountOutscoring(ScanTarget{&t, score, absent}),
+                  want_absent)
+            << label << " basic ws " << ws << " absent at " << target;
       }
     }
   }
@@ -678,7 +685,7 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
     }
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, std::move(router));
-    CheckQuestions(ShardedWhyNotOracle(sharded), store, questions,
+    CheckQuestions(LocalWhyNotOracle(sharded), store, questions,
                    sharded.router_description());
   }
   const ShardedCorpus sharded =
@@ -718,7 +725,7 @@ TEST(QuestionLayoutsTest, EmptyShardAndKPastEveryShard) {
       ShardedCorpus::Partition(store, std::make_unique<TwoOfThreeRouter>());
   ASSERT_EQ(sharded.shard(2).size(), 0u);
   ASSERT_LT(sharded.shard(0).size(), store.size());
-  CheckQuestions(ShardedWhyNotOracle(sharded), store, questions,
+  CheckQuestions(LocalWhyNotOracle(sharded), store, questions,
                  "two of three");
   ShardFleet fleet(sharded);
   auto connected = RemoteCorpus::Connect(fleet.endpoints);
@@ -784,7 +791,7 @@ TEST(QuestionLayoutsTest, UniverseOverTheCapStillAnswersPreference) {
   CheckWideQuestion(LocalWhyNotOracle(corpus), wide, "local");
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(wide.store, GridShardRouter::Fit(wide.store, 2));
-  CheckWideQuestion(ShardedWhyNotOracle(sharded), wide, "sharded");
+  CheckWideQuestion(LocalWhyNotOracle(sharded), wide, "sharded");
   ShardFleet fleet(sharded);
   auto connected = RemoteCorpus::Connect(fleet.endpoints);
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
@@ -807,7 +814,7 @@ TEST(QuestionLayoutsTest, PreferenceAndKeywordShareOneQuestionFromTwoThreads) {
   ASSERT_FALSE(questions.empty());
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
-  const ShardedWhyNotOracle in_process(sharded);
+  const LocalWhyNotOracle in_process(sharded);
   ShardFleet fleet(sharded);
   auto connected = RemoteCorpus::Connect(fleet.endpoints);
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
@@ -857,10 +864,6 @@ class CountingShard final : public OracleShard {
                           TopKStats* stats) const override {
     ++*setr_searches_;
     return inner_.TopK(query, prune_below, stats);
-  }
-  Result<std::vector<size_t>> CountOutscoring(
-      const std::vector<ScanTarget>& targets) const override {
-    return inner_.CountOutscoring(targets);
   }
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
       const Query& query, const KeywordSet& universe,
@@ -956,8 +959,8 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(setr_searches.load(), shards);
   }
   // Remote: one /shard/plane/open per shard per /whynot, every rank and
-  // top-k from the session, and no stateless count or top-k request. A rank
-  // batch falling outside the question would open a second session.
+  // top-k from the session, and no stateless top-k request. A rank batch
+  // falling outside the question would open a second session.
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
   ShardFleet fleet(sharded);
@@ -969,8 +972,7 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     const uint64_t opens = fleet.Served(shardrpc::kPlaneOpenPath);
     const uint64_t ranks = fleet.Served(shardrpc::kPlaneRankPath);
     const uint64_t topks = fleet.Served(shardrpc::kPlaneTopKPath);
-    const uint64_t stateless =
-        fleet.Served(shardrpc::kCountPath) + fleet.Served(shardrpc::kTopKPath);
+    const uint64_t stateless = fleet.Served(shardrpc::kTopKPath);
     auto answer = engine.Answer(q.query, q.missing);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneOpenPath) - opens, 2u);
@@ -979,9 +981,7 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneRankPath) - ranks,
               2 * (1 + answer->keyword->stats.probe_fanouts));
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneTopKPath) - topks, 2u * 2);
-    EXPECT_EQ(
-        fleet.Served(shardrpc::kCountPath) + fleet.Served(shardrpc::kTopKPath),
-        stateless);
+    EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), stateless);
     // A combined question sends no /shard/topk either.
     const uint64_t setr_topks = fleet.Served(shardrpc::kTopKPath);
     auto combined = engine.CombineRefinements(q.query, q.missing);
@@ -1117,7 +1117,6 @@ void RunStatelessLayouts(const ObjectStore& store,
   for (const auto& service : fleet.services) {
     EXPECT_EQ(service->open_sessions(), 0u);
   }
-  EXPECT_EQ(fleet.Served(shardrpc::kCountPath), 0u);
   EXPECT_EQ(remote.error_epoch(), 0u);
 }
 

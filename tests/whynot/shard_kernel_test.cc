@@ -1,15 +1,17 @@
-// Property tests of the shard-side counting kernels: the scan kernel
-// (OutrankKernel behind ShardScanOutscoring) and the question columns
-// (QuestionColumns), here as a one-call question per location of a batch
-// whose doc is the union of that location's query docs.
+// Property tests of the one shard-side counting kernel, the question
+// columns (QuestionColumns), here as a one-call question per location of a
+// batch whose doc is the union of that location's query docs: optimized
+// (one binary search per keyword-mask group) and basic (every object of
+// every group scored, the target skipped by its global id — basic keyword
+// adaption's baseline).
 //
-// The reference is an independent full scan: Scorer::Score over
-// store.objects() with the D6 tie order written out here, and no kernel
-// code. Both kernels must equal it exactly, on random and tie-heavy data,
-// for targets inside a tie run and targets the shard does not hold, for
-// objects sharing no keyword with the batch, with a 64-keyword universe,
-// with two query shapes in one batch, and over sharded id mappings; every
-// scan-kernel score must be bit-for-bit Scorer::Score.
+// The reference is the brute-force scan of tests/reference: Scorer::Score
+// over store.objects() with the D6 tie order, and no kernel code. Both
+// planes must equal it exactly, on random and tie-heavy data, for targets
+// inside a tie run and targets the shard does not hold, for objects sharing
+// no keyword with the batch, with a universe of exactly 64 keywords and of
+// more, with two query locations in one batch, and over sharded id
+// mappings, whose counts sum to the global count.
 
 #include "src/whynot/shard_primitives.h"
 
@@ -24,6 +26,7 @@
 #include "src/corpus/shard_router.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/storage/dataset_generator.h"
+#include "tests/reference/whynot_reference.h"
 
 namespace yask {
 namespace {
@@ -112,32 +115,6 @@ std::vector<Member> RandomMembers(const ObjectStore& whole, double dist_norm,
   return members;
 }
 
-/// The reference: objects of `store` outranking the member's target, by a
-/// plain scan with the D6 order on global ids.
-size_t ScanCount(const ObjectStore& store,
-                 const std::vector<ObjectId>* to_global, double dist_norm,
-                 const Member& m) {
-  const Scorer scorer(store, m.query, dist_norm);
-  size_t above = 0;
-  for (const SpatialObject& o : store.objects()) {
-    const ObjectId gid = to_global != nullptr ? (*to_global)[o.id] : o.id;
-    if (gid == m.target) continue;
-    const double s = scorer.Score(o);
-    if (s > m.target_score || (s == m.target_score && gid < m.target)) {
-      ++above;
-    }
-  }
-  return above;
-}
-
-std::vector<ScanTarget> TargetsOf(const std::vector<Member>& members) {
-  std::vector<ScanTarget> targets;
-  for (const Member& m : members) {
-    targets.push_back(ScanTarget{&m.query, m.target_score, m.target});
-  }
-  return targets;
-}
-
 /// The union of the members' query docs.
 KeywordSet UnionOf(const std::vector<Member>& members) {
   KeywordSet terms;
@@ -151,7 +128,8 @@ KeywordSet UnionOf(const std::vector<Member>& members) {
 /// bits), one QuestionColumns whose doc is the union of the docs there.
 std::vector<size_t> QuestionCounts(const OracleShardView& view,
                                    double dist_norm,
-                                   const std::vector<Member>& members) {
+                                   const std::vector<Member>& members,
+                                   bool optimized) {
   auto same_loc = [](const Point& a, const Point& b) {
     return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
            std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y);
@@ -169,7 +147,7 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
       done[i] = true;
     }
     const QuestionColumns columns(view, dist_norm, question, KeywordSet(),
-                                  /*optimized=*/true);
+                                  optimized);
     for (const size_t i : here) {
       counts[i] = columns.CountOutscoring(ScanTarget{
           &members[i].query, members[i].target_score, members[i].target});
@@ -178,51 +156,25 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
   return counts;
 }
 
-/// The column counts, the scan counts and the reference must agree exactly
-/// for every member. Returns the counts.
-std::vector<size_t> ExpectKernelsMatch(const OracleShardView& view,
-                                       double dist_norm,
-                                       const std::vector<Member>& members,
-                                       const std::string& label) {
-  const std::vector<size_t> columns = QuestionCounts(view, dist_norm, members);
-  const std::vector<size_t> scan =
-      ShardScanOutscoring(view, dist_norm, TargetsOf(members));
-  EXPECT_EQ(columns.size(), members.size()) << label;
-  EXPECT_EQ(scan.size(), members.size()) << label;
-  for (size_t i = 0; i < members.size() && i < columns.size(); ++i) {
-    const size_t want =
-        ScanCount(*view.store, view.to_global, dist_norm, members[i]);
-    EXPECT_EQ(columns[i], want) << label << " member " << i;
-    EXPECT_EQ(scan[i], want) << label << " member " << i;
+/// The optimized and the basic question counts and the reference must
+/// agree exactly for every member. Returns the counts.
+std::vector<size_t> ExpectCountsMatch(const OracleShardView& view,
+                                      double dist_norm,
+                                      const std::vector<Member>& members,
+                                      const std::string& label) {
+  const std::vector<size_t> optimized =
+      QuestionCounts(view, dist_norm, members, /*optimized=*/true);
+  const std::vector<size_t> basic =
+      QuestionCounts(view, dist_norm, members, /*optimized=*/false);
+  for (size_t i = 0; i < members.size(); ++i) {
+    const Member& m = members[i];
+    const size_t want = reference::OutrankingCount(
+        *view.store, view.to_global, dist_norm, m.query, m.target,
+        m.target_score);
+    EXPECT_EQ(optimized[i], want) << label << " member " << i;
+    EXPECT_EQ(basic[i], want) << label << " basic member " << i;
   }
-  return columns;
-}
-
-/// Every scan-kernel score of every decoded object is bit-for-bit
-/// Scorer::Score.
-void ExpectBitIdenticalScores(const OracleShardView& view, double dist_norm,
-                              const std::vector<Member>& members,
-                              const std::string& label) {
-  std::vector<Scorer> scorers;
-  for (const Member& m : members) {
-    scorers.emplace_back(*view.store, m.query, dist_norm);
-  }
-  std::vector<const Scorer*> pointers;
-  for (const Scorer& s : scorers) pointers.push_back(&s);
-  OutrankKernel kernel(view, pointers);
-  const ObjectId n = static_cast<ObjectId>(view.store->size());
-  kernel.DecodeRange(0, n);
-  ASSERT_EQ(kernel.decoded(), n);
-  for (ObjectId local = 0; local < n; ++local) {
-    const ObjectId gid =
-        view.to_global != nullptr ? (*view.to_global)[local] : local;
-    ASSERT_EQ(kernel.global_id(local), gid) << label;
-    for (size_t m = 0; m < members.size(); ++m) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(kernel.Score(m, local)),
-                std::bit_cast<uint64_t>(scorers[m].Score(local)))
-          << label << " member " << m << " object " << local;
-    }
-  }
+  return basic;
 }
 
 /// A store viewed as an unsharded shard.
@@ -239,18 +191,17 @@ struct Unsharded {
   double dist_norm = 0.0;
 };
 
-TEST(ShardKernelTest, RandomCorpusMatchesScan) {
+TEST(ShardKernelTest, RandomCorpusMatchesTheReference) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const Unsharded u(RandomStore(3000, 60, seed));
     const auto members = RandomMembers(u.store, u.dist_norm, 40, 4, 60,
                                        /*shapes=*/1, seed * 7);
     const std::string label = "random seed " + std::to_string(seed);
-    ExpectKernelsMatch(u.view, u.dist_norm, members, label);
-    ExpectBitIdenticalScores(u.view, u.dist_norm, members, label);
+    ExpectCountsMatch(u.view, u.dist_norm, members, label);
   }
 }
 
-TEST(ShardKernelTest, TieHeavyGridsMatchScan) {
+TEST(ShardKernelTest, TieHeavyGridsMatchTheReference) {
   // x on a 16- and a 256-value grid: each (mask, |doc|) group repeats every
   // x value many times, so equal scores across ids decide most counts.
   for (const size_t grid : {size_t{16}, size_t{256}}) {
@@ -259,8 +210,7 @@ TEST(ShardKernelTest, TieHeavyGridsMatchScan) {
                                        /*shapes=*/1, grid + 1,
                                        /*origin=*/true);
     const std::string label = "grid " + std::to_string(grid);
-    ExpectKernelsMatch(u.view, u.dist_norm, members, label);
-    ExpectBitIdenticalScores(u.view, u.dist_norm, members, label);
+    ExpectCountsMatch(u.view, u.dist_norm, members, label);
   }
 }
 
@@ -288,13 +238,13 @@ TEST(ShardKernelTest, TargetInsideATieRun) {
     if (below > 0 && above > 0) ++inside;
   }
   ASSERT_GT(inside, members.size() / 2);
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "tie run");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "tie run");
 
   // A target given a threshold below its own score (it would outrank
   // itself) and one given exactly the score of a tie run it is not in.
   std::vector<Member> shifted = members;
   for (Member& m : shifted) m.target_score -= 0.01;
-  ExpectKernelsMatch(u.view, u.dist_norm, shifted, "target above threshold");
+  ExpectCountsMatch(u.view, u.dist_norm, shifted, "target above threshold");
 }
 
 TEST(ShardKernelTest, TargetAbsentFromTheShard) {
@@ -312,7 +262,7 @@ TEST(ShardKernelTest, TargetAbsentFromTheShard) {
     members.push_back(Member{q, n + id, scorer.Score(id)});
     members.push_back(Member{q, kInvalidObject - 1, scorer.Score(id)});
   }
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "absent target");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "absent target");
 }
 
 TEST(ShardKernelTest, ObjectsSharingNoKeywordWithTheBatch) {
@@ -336,7 +286,7 @@ TEST(ShardKernelTest, ObjectsSharingNoKeywordWithTheBatch) {
   const Unsharded u(std::move(store));
   const auto members = RandomMembers(u.store, u.dist_norm, 30, 3, 6,
                                      /*shapes=*/1, 82);
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "mask 0");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "mask 0");
 }
 
 TEST(ShardKernelTest, UniverseOfSixtyFourKeywords) {
@@ -367,18 +317,17 @@ TEST(ShardKernelTest, UniverseOfSixtyFourKeywords) {
           Scorer(u.store, m.query, u.dist_norm).Score(m.target);
     }
   }
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "64 keywords");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "64 keywords");
 }
 
-TEST(ShardKernelTest, TwoShapesInOneBatch) {
+TEST(ShardKernelTest, TwoLocationsInOneBatch) {
   const Unsharded u(RandomStore(3000, 40, 31));
   const auto members = RandomMembers(u.store, u.dist_norm, 32, 4, 40,
                                      /*shapes=*/2, 32);
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "two shapes");
-  ExpectBitIdenticalScores(u.view, u.dist_norm, members, "two shapes");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "two locations");
 }
 
-TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
+TEST(ShardKernelTest, ShardedViewsSumToTheGlobalCount) {
   const ObjectStore whole = RandomStore(4000, 50, 41);
   for (const bool hash : {false, true}) {
     std::unique_ptr<ShardRouter> router;
@@ -401,38 +350,38 @@ TEST(ShardKernelTest, ShardedViewsSumToTheGlobalScan) {
       // an absent target.
       const std::string label = sharded.router_description() + " shard " +
                                 std::to_string(s);
-      const auto counts = ExpectKernelsMatch(view, dist_norm, members, label);
+      const auto counts = ExpectCountsMatch(view, dist_norm, members, label);
       for (size_t i = 0; i < members.size(); ++i) summed[i] += counts[i];
-      ExpectBitIdenticalScores(view, dist_norm, members, label);
     }
     for (size_t i = 0; i < members.size(); ++i) {
-      EXPECT_EQ(summed[i], ScanCount(whole, nullptr, dist_norm, members[i]))
+      EXPECT_EQ(summed[i],
+                reference::OutrankingCount(whole, nullptr, dist_norm,
+                                           members[i].query, members[i].target,
+                                           members[i].target_score))
           << "member " << i;
     }
   }
 }
 
 TEST(ShardKernelTest, UnionsWiderThanOneMaskWord) {
-  // Neither kernel caps the union: several mask words.
+  // Neither plane caps the union: several mask words.
   const Unsharded u(RandomStore(2500, 300, 21));
   const auto members = RandomMembers(u.store, u.dist_norm, 24, 30, 300,
                                      /*shapes=*/1, 22);
   ASSERT_GT(UnionOf(members).size(), 128u);
-  ExpectKernelsMatch(u.view, u.dist_norm, members, "wide union");
-  ExpectBitIdenticalScores(u.view, u.dist_norm, members, "wide union");
+  ExpectCountsMatch(u.view, u.dist_norm, members, "wide union");
 }
 
 TEST(ShardKernelTest, EmptyBatchAndEmptyShard) {
   const Unsharded u(RandomStore(100, 10, 7));
-  EXPECT_TRUE(QuestionCounts(u.view, u.dist_norm, {}).empty());
-  EXPECT_TRUE(ShardScanOutscoring(u.view, u.dist_norm, {}).empty());
   const Unsharded empty{ObjectStore()};
   const auto members = RandomMembers(u.store, u.dist_norm, 5, 2, 10,
                                      /*shapes=*/1, 8);
-  EXPECT_EQ(QuestionCounts(empty.view, u.dist_norm, members),
-            std::vector<size_t>(members.size(), 0));
-  EXPECT_EQ(ShardScanOutscoring(empty.view, u.dist_norm, TargetsOf(members)),
-            std::vector<size_t>(members.size(), 0));
+  for (const bool optimized : {true, false}) {
+    EXPECT_TRUE(QuestionCounts(u.view, u.dist_norm, {}, optimized).empty());
+    EXPECT_EQ(QuestionCounts(empty.view, u.dist_norm, members, optimized),
+              std::vector<size_t>(members.size(), 0));
+  }
 }
 
 }  // namespace
