@@ -10,15 +10,22 @@
 // question, BM_RankComputation_Question) plus one top-k; far/rare objects
 // are classified too-far / keyword-mismatch, near-misses as
 // narrowly-outranked.
+//
+// BM_QuestionBuild times the layer under all of it: one shard's
+// QuestionColumns build for servebench-shaped questions (3 keywords, one
+// missing object just past the top-10, universe q.doc ∪ M.doc), reporting
+// objects placed per second and the keyword postings' bytes per object.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/query/ranking.h"
 #include "src/whynot/explanation.h"
+#include "src/whynot/shard_primitives.h"
 #include "src/whynot/whynot_oracle.h"
 
 namespace yask {
@@ -82,6 +89,39 @@ void BM_RankComputation_Question(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankComputation_Question)->ArgName("N")->Arg(10000)->Arg(100000);
+
+void BM_QuestionBuild(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const ObjectStore& store = SharedDataset(n);
+  const OracleShardView view{&store, nullptr};
+  const KeywordPostings postings(store);
+  struct Question {
+    Query query;
+    KeywordSet universe;
+  };
+  std::vector<Question> questions;
+  Rng rng(53);
+  while (questions.size() < 64) {
+    const Query q = MakeQuery(store, &rng, 3, 10);
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1, 4);
+    if (missing.empty()) continue;
+    questions.push_back(
+        Question{q, KeywordSet::Union(q.doc, store.Get(missing[0]).doc)});
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Question& question = questions[i++ % questions.size()];
+    const QuestionColumns columns(view, postings, store.BoundsDiagonal(),
+                                  question.query, question.universe,
+                                  /*optimized=*/true);
+    benchmark::DoNotOptimize(columns.shape().groups);
+  }
+  state.counters["objects_per_s"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["postings_bytes_per_object"] =
+      static_cast<double>(postings.bytes()) / static_cast<double>(n);
+}
+BENCHMARK(BM_QuestionBuild)->ArgName("N")->Arg(50000)->Arg(100000);
 
 void BM_RankComputation_Scan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -12,12 +12,11 @@
 // questions: rescans/query (full O(n) rescans, basic mode: one per
 // evaluated (weight, anchor) pair) and fanouts/query (count fan-outs).
 //
-// Kernel rows time the optimized mode's question columns (TSim columns,
-// binary search per column) alone: BM_QuestionColumns_Build builds one
-// query's columns over the whole store (x, masks, one sort, both scatters),
-// and BM_QuestionColumns_CountAbove answers one tie-aware count per
-// iteration, so its time is ns per (weight, anchor) pair, over the weights
-// the sweep evaluates for MakeQuery queries.
+// The kernel row times the optimized mode's question columns (TSim
+// columns, binary search per column) alone: BM_QuestionColumns_CountAbove
+// answers one tie-aware count per iteration, so its time is ns per
+// (weight, anchor) pair, over the weights the sweep evaluates for MakeQuery
+// queries. The columns' build is bench_explanation's BM_QuestionBuild.
 
 #include <benchmark/benchmark.h>
 
@@ -126,25 +125,12 @@ PlanePoint PointOf(const ObjectStore& store, const Query& q, ObjectId id) {
   return PlanePoint{1.0 - parts.sdist, parts.tsim, id};
 }
 
-void BM_QuestionColumns_Build(benchmark::State& state) {
-  const PlaneWorkload workload =
-      MakePlaneWorkload(static_cast<size_t>(state.range(0)));
-  const OracleShardView view{workload.store, nullptr};
-  size_t i = 0;
-  for (auto _ : state) {
-    const size_t qi = i++ % workload.queries.size();
-    QuestionColumns columns(view, workload.store->BoundsDiagonal(),
-                            workload.queries[qi], workload.universes[qi],
-                            /*optimized=*/true);
-    benchmark::DoNotOptimize(columns.shape().groups);
-  }
-}
-
 void BM_QuestionColumns_CountAbove(benchmark::State& state) {
   const PlaneWorkload workload =
       MakePlaneWorkload(static_cast<size_t>(state.range(0)));
   const ObjectStore& store = *workload.store;
   const OracleShardView view{&store, nullptr};
+  const KeywordPostings postings(store);
   // Sweep-shaped pairs: per query, the missing object's anchor at w0 and at
   // the 64 crossings of its line nearest to w0, each with the 1e-7 step
   // past it on the far side from w0.
@@ -158,7 +144,7 @@ void BM_QuestionColumns_CountAbove(benchmark::State& state) {
   for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
     const Query& q = workload.queries[qi];
     planes.push_back(std::make_unique<QuestionColumns>(
-        view, store.BoundsDiagonal(), q, workload.universes[qi],
+        view, postings, store.BoundsDiagonal(), q, workload.universes[qi],
         /*optimized=*/true));
     const PlanePoint anchor = PointOf(store, q, workload.missing[qi]);
     const double w0 = q.w.ws;
@@ -192,7 +178,6 @@ void BM_QuestionColumns_CountAbove(benchmark::State& state) {
   state.counters["pairs"] = static_cast<double>(pairs.size());
 }
 
-BENCHMARK(BM_QuestionColumns_Build)->ArgName("N")->Arg(50000);
 BENCHMARK(BM_QuestionColumns_CountAbove)->ArgName("N")->Arg(50000);
 
 // E4: vary k at N = 100k (optimized) / 20k (basic: quadratic, kept small).

@@ -38,7 +38,12 @@ EXACTNESS_GATED = {
 
 
 def load_rows(directory):
-    """{bench file name: {row name: (real_time, time_unit)}}."""
+    """{bench file name: {row name: (real_time, time_unit)}}.
+
+    A google-benchmark file written with --benchmark_repetitions carries
+    aggregate rows; a row's median (`<name>_median`) stands for it under its
+    plain name and the other aggregates are dropped, so such a file compares
+    row for row with an older file of single runs."""
     rows = {}
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
         name = os.path.basename(path)
@@ -52,12 +57,19 @@ def load_rows(directory):
                   file=sys.stderr)
             continue
         bench_rows = {}
+        medians = {}
         for row in doc.get("benchmarks", []):
             try:
-                bench_rows[row["name"]] = (float(row["real_time"]),
-                                           str(row.get("time_unit", "")))
+                value = (float(row["real_time"]),
+                         str(row.get("time_unit", "")))
+                if row.get("run_type") == "aggregate":
+                    if row.get("aggregate_name") == "median":
+                        medians[str(row["run_name"])] = value
+                    continue
+                bench_rows[row["name"]] = value
             except (KeyError, TypeError, ValueError):
                 continue
+        bench_rows.update(medians)
         rows[name] = bench_rows
     return rows
 

@@ -26,7 +26,9 @@
 #                                 # bench_refinement_quality, bench_topk,
 #                                 # bench_ablation and bench_index_build,
 #                                 # each with a short
-#                                 # min-time and its JSON in
+#                                 # min-time, five repetitions reported as
+#                                 # aggregates (bench_compare.py reads the
+#                                 # medians) and its JSON in
 #                                 # BENCH_<name>.json (their printed tables
 #                                 # go to stderr)
 #   scripts/check.sh --fleet      # additionally run scripts/fleet_smoke.sh:
@@ -138,7 +140,7 @@ if [[ "$run_bench" -eq 1 ]]; then
       refinement_quality topk ablation index_build; do
     if [[ -x "${build_dir}/bench_${name}" ]]; then
       run_phase "bench-${name//_/-}" env -C "$build_dir" sh -c \
-        "./bench_${name} --benchmark_format=json --benchmark_min_time=0.05 > BENCH_${name}.json"
+        "./bench_${name} --benchmark_format=json --benchmark_min_time=0.05 --benchmark_repetitions=5 --benchmark_report_aggregates_only=true > BENCH_${name}.json"
     fi
   done
 fi

@@ -9,7 +9,6 @@
 #include <ranges>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/trace.h"
@@ -63,45 +62,51 @@ bool SameBits(const Point& a, const Point& b) {
   return Bits(a.x) == Bits(b.x) && Bits(a.y) == Bits(b.y);
 }
 
-/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
-/// order among equal x: an LSD radix sort over the bytes of an
-/// order-preserving key of x, with every byte's histogram counted in one
-/// pass, the bytes every entry shares skipped, and the scatters alternating
-/// between the two buffers; an insertion sort for short runs. `xs_tmp` and
-/// `ids_tmp` are scratch for n entries.
-void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
-             size_t n) {
-  if (n < 32) {
-    // Eight 256-bucket histograms would dwarf a short run's sort.
-    for (size_t i = 1; i < n; ++i) {
-      const double x = xs[i];
-      const ObjectId id = ids[i];
-      size_t j = i;
-      for (; j > 0 && xs[j - 1] > x; --j) {
-        xs[j] = xs[j - 1];
-        ids[j] = ids[j - 1];
-      }
-      xs[j] = x;
-      ids[j] = id;
+/// An order-preserving key of x: keys compare as the doubles do.
+uint64_t SortKey(double x) {
+  const uint64_t bits = Bits(x);
+  return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+/// Runs at most this long are sorted by insertion: eight 256-bucket
+/// histograms would dwarf them, and insertion stays linear per entry.
+constexpr size_t kShortRun = 32;
+
+/// Stable insertion sort of xs[0, n) by key, permuting ids alike.
+void InsertionSortByX(double* xs, ObjectId* ids, size_t n) {
+  for (size_t i = 1; i < n; ++i) {
+    const double x = xs[i];
+    const uint64_t key = SortKey(x);
+    const ObjectId id = ids[i];
+    size_t j = i;
+    for (; j > 0 && SortKey(xs[j - 1]) > key; --j) {
+      xs[j] = xs[j - 1];
+      ids[j] = ids[j - 1];
     }
-    return;
+    xs[j] = x;
+    ids[j] = id;
   }
-  auto key = [](double x) {
-    const uint64_t bits = Bits(x);
-    return bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
-  };
+}
+
+/// Stable LSD radix sort of xs[0, n) on the key's bytes from `first_byte`
+/// up, permuting ids alike: every byte's histogram is counted in one pass,
+/// the bytes every entry shares are skipped, and the scatters alternate
+/// between the two buffers. `xs_tmp` and `ids_tmp` are scratch for n
+/// entries.
+void RadixSortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
+                  size_t n, int first_byte) {
   std::array<std::array<size_t, 256>, 8> counts{};
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t k = key(xs[i]);
-    for (int d = 0; d < 8; ++d) ++counts[d][(k >> (8 * d)) & 255];
+    const uint64_t k = SortKey(xs[i]);
+    for (int d = first_byte; d < 8; ++d) ++counts[d][(k >> (8 * d)) & 255];
   }
   double* from_x = xs;
   ObjectId* from_id = ids;
   double* to_x = xs_tmp;
   ObjectId* to_id = ids_tmp;
-  for (int d = 0; d < 8; ++d) {
+  for (int d = first_byte; d < 8; ++d) {
     const int shift = 8 * d;
-    auto digit = [&](double x) { return (key(x) >> shift) & 255; };
+    auto digit = [&](double x) { return (SortKey(x) >> shift) & 255; };
     std::array<size_t, 256>& offsets = counts[d];
     if (offsets[digit(from_x[0])] == n) continue;  // A shared byte.
     size_t sum = 0;
@@ -117,6 +122,33 @@ void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
   if (from_x != xs) {
     std::copy_n(from_x, n, xs);
     std::copy_n(from_id, n, ids);
+  }
+}
+
+/// Sorts xs[0, n) ascending and permutes ids[0, n) alike, keeping input
+/// order among equal x. A radix sort on the key's top 32 bits leaves each
+/// run of equal high bits in input order; a short run is then finished by
+/// insertion, a longer one by a radix sort on all its bytes, so no input
+/// makes the sort quadratic. `xs_tmp` and `ids_tmp` are scratch for n
+/// entries.
+void SortByX(double* xs, ObjectId* ids, double* xs_tmp, ObjectId* ids_tmp,
+             size_t n) {
+  if (n <= kShortRun) {
+    InsertionSortByX(xs, ids, n);
+    return;
+  }
+  RadixSortByX(xs, ids, xs_tmp, ids_tmp, n, /*first_byte=*/4);
+  for (size_t begin = 0; begin < n;) {
+    const uint64_t high = SortKey(xs[begin]) >> 32;
+    size_t end = begin + 1;
+    while (end < n && SortKey(xs[end]) >> 32 == high) ++end;
+    if (end - begin > kShortRun) {
+      RadixSortByX(xs + begin, ids + begin, xs_tmp, ids_tmp, end - begin,
+                   /*first_byte=*/0);
+    } else {
+      InsertionSortByX(xs + begin, ids + begin, end - begin);
+    }
+    begin = end;
   }
 }
 
@@ -167,54 +199,92 @@ std::string DescribeQuestion(const QuestionShape& shape) {
          " universe=" + std::to_string(shape.universe);
 }
 
-QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
-                                 const Query& query, const KeywordSet& universe,
-                                 bool optimized)
+KeywordPostings::KeywordPostings(const ObjectStore& store) {
+  // Counts land one slot ahead, so the prefix sum leaves each term's
+  // begin in its own slot; the fill then advances it to the next's.
+  for (const SpatialObject& o : store.objects()) {
+    if (!o.doc.empty() && o.doc.ids().back() + size_t{2} > offsets_.size()) {
+      offsets_.resize(o.doc.ids().back() + size_t{2}, 0);
+    }
+    for (TermId t : o.doc) ++offsets_[t + 1];
+  }
+  for (size_t t = 1; t < offsets_.size(); ++t) offsets_[t] += offsets_[t - 1];
+  if (offsets_.empty()) return;
+  ids_.resize(offsets_.back());
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const SpatialObject& o : store.objects()) {
+    for (TermId t : o.doc) ids_[cursor[t]++] = o.id;
+  }
+}
+
+std::span<const ObjectId> KeywordPostings::Of(TermId term) const {
+  if (size_t{term} + 1 >= offsets_.size()) return {};
+  return std::span<const ObjectId>(ids_.data() + offsets_[term],
+                                   offsets_[term + 1] - offsets_[term]);
+}
+
+size_t KeywordPostings::bytes() const {
+  return offsets_.size() * sizeof(size_t) + ids_.size() * sizeof(ObjectId);
+}
+
+QuestionColumns::QuestionColumns(const OracleShardView& view,
+                                 const KeywordPostings& postings,
+                                 double dist_norm, const Query& query,
+                                 const KeywordSet& universe, bool optimized)
     : view_(view), dist_norm_(dist_norm), loc_(query.loc),
       optimized_(optimized) {
   terms_ = KeywordSet::Union(query.doc, universe).ids();
   words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
-  for (TermId t : terms_) filter_[(t >> 6) & 3] |= uint64_t{1} << (t & 63);
+
+  // Every object's mask over the universe: bit b of its words for each
+  // terms_[b] it holds, ORed from that term's postings.
+  const ObjectStore& store = *view_.store;
+  const ObjectId n = static_cast<ObjectId>(store.size());
+  std::vector<uint64_t> masks(size_t{n} * words_, 0);
+  for (size_t b = 0; b < terms_.size(); ++b) {
+    const uint64_t bit = uint64_t{1} << (b % 64);
+    uint64_t* word = masks.data() + b / 64;
+    for (ObjectId local : postings.Of(terms_[b])) word[local * words_] |= bit;
+  }
 
   // One pass: every object's x and its group, in first-seen order. An
   // object holding no keyword of the universe (on servebench's catalogue
-  // 43% of them) finds its group by |o.doc| in `unmatched`. Any other object's (mask, |o.doc|) is written as a
-  // would-be new group at the end of groups_ and group_masks_, and taken
-  // back when the set already holds an equal group.
-  const ObjectStore& store = *view_.store;
-  const ObjectId n = static_cast<ObjectId>(store.size());
-  auto key_hash = [this](uint32_t g) {
-    uint64_t h = groups_[g].len;
+  // 43% of them) finds its group by |o.doc| in `unmatched`; any other finds
+  // its (mask, |o.doc|) in `table`, an open-addressing table of group ids
+  // (linear probing, grown at half load).
+  constexpr uint32_t kNoGroup = ~uint32_t{0};
+  std::vector<uint32_t> table(64, kNoGroup);
+  int table_shift = 64 - 6;  // The hash's top log2(table.size()) bits.
+  size_t table_used = 0;
+  // The slot holding the group of (mask, len), else the free slot it takes.
+  auto slot_of = [&](const uint64_t* mask, uint32_t len) {
+    uint64_t h = len;
     for (size_t w = 0; w < words_; ++w) {
-      h = (h ^ group_masks_[g * words_ + w]) * 0x9E3779B97F4A7C15ull;
+      h = (h ^ mask[w]) * 0x9E3779B97F4A7C15ull;
     }
-    return static_cast<size_t>(h ^ (h >> 29));
+    size_t slot = h >> table_shift;
+    for (;; slot = (slot + 1) & (table.size() - 1)) {
+      const uint32_t g = table[slot];
+      if (g == kNoGroup ||
+          (groups_[g].len == len &&
+           std::equal(mask, mask + words_, &group_masks_[g * words_]))) {
+        return slot;
+      }
+    }
   };
-  auto key_eq = [this](uint32_t a, uint32_t b) {
-    const uint64_t* mask = group_masks_.data();
-    return groups_[a].len == groups_[b].len &&
-           std::equal(mask + a * words_, mask + (a + 1) * words_,
-                      mask + b * words_);
-  };
-  std::unordered_set<uint32_t, decltype(key_hash), decltype(key_eq)> known(
-      64, key_hash, key_eq);
   // x lands in gx_ by local id, the sort's input; cx_ and cid_ are its
   // scratch.
   gx_.resize(n);
-  constexpr uint32_t kNoGroup = ~uint32_t{0};
   std::vector<uint32_t> unmatched;  // By |o.doc|: the group of mask 0.
-  std::vector<uint64_t> mask(words_);
   std::vector<uint32_t> group_of(n);
   for (ObjectId local = 0; local < n; ++local) {
     const SpatialObject& o = store.Get(local);
     gx_[local] = 1.0 - NormalizedSpatialDistance(o.loc, loc_, dist_norm_);
     const uint32_t len = static_cast<uint32_t>(o.doc.size());
-    std::fill(mask.begin(), mask.end(), 0);
-    MaskOf(o.doc, mask.data());
+    const uint64_t* mask = masks.data() + size_t{local} * words_;
     const uint32_t fresh = static_cast<uint32_t>(groups_.size());
     uint32_t g;
-    if (std::all_of(mask.begin(), mask.end(),
-                    [](uint64_t w) { return w == 0; })) {
+    if (std::all_of(mask, mask + words_, [](uint64_t w) { return w == 0; })) {
       if (len >= unmatched.size()) unmatched.resize(len + 1, kNoGroup);
       if (unmatched[len] == kNoGroup) {
         unmatched[len] = fresh;
@@ -223,12 +293,22 @@ QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
       }
       g = unmatched[len];
     } else {
-      groups_.push_back(Group{len, 0, 0});
-      group_masks_.insert(group_masks_.end(), mask.begin(), mask.end());
-      g = *known.insert(fresh).first;
-      if (g != fresh) {
-        groups_.pop_back();
-        group_masks_.resize(group_masks_.size() - words_);
+      const size_t slot = slot_of(mask, len);
+      g = table[slot];
+      if (g == kNoGroup) {
+        g = table[slot] = fresh;
+        groups_.push_back(Group{len, 0, 0});
+        group_masks_.insert(group_masks_.end(), mask, mask + words_);
+        if (2 * ++table_used > table.size()) {  // Grow at half load.
+          const std::vector<uint32_t> old = std::exchange(
+              table, std::vector<uint32_t>(2 * table.size(), kNoGroup));
+          --table_shift;
+          for (const uint32_t group : old) {
+            if (group == kNoGroup) continue;
+            table[slot_of(&group_masks_[group * words_], groups_[group].len)] =
+                group;
+          }
+        }
       }
     }
     ++groups_[g].end;  // A size until the offsets below.
@@ -295,9 +375,6 @@ QuestionColumns::QuestionColumns(const OracleShardView& view, double dist_norm,
 void QuestionColumns::MaskOf(const KeywordSet& doc, uint64_t* mask) const {
   auto t = terms_.begin();
   for (TermId id : doc) {
-    // Most object keywords are outside the universe: one filter probe
-    // rejects them before the search.
-    if ((filter_[(id >> 6) & 3] >> (id & 63) & 1) == 0) continue;
     t = std::lower_bound(t, terms_.end(), id);
     if (t == terms_.end()) break;
     if (*t == id) {
@@ -565,8 +642,8 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
 Result<std::unique_ptr<OracleShardQuestion>> LocalOracleShard::OpenQuestion(
     const Query& query, const KeywordSet& universe, bool optimized) const {
   ScopedSpan span("shard/question");
-  auto question = std::make_unique<QuestionColumns>(view_, dist_norm_, query,
-                                                    universe, optimized);
+  auto question = std::make_unique<QuestionColumns>(
+      view_, postings_, dist_norm_, query, universe, optimized);
   if (span.active()) span.set_detail(DescribeQuestion(question->shape()));
   return std::unique_ptr<OracleShardQuestion>(std::move(question));
 }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,27 @@ struct OracleShardView {
   const ObjectStore* store = nullptr;
   const std::vector<ObjectId>* to_global = nullptr;
   const SetRTree* setr = nullptr;
+};
+
+/// One store's keyword postings in CSR form: each term's local ids in
+/// ascending order. LocalOracleShard builds them once; a question ORs the
+/// postings of its universe's terms into per-object keyword masks, so an
+/// object holding none of them never has its keyword list read.
+class KeywordPostings {
+ public:
+  /// One counting sort over the store's keyword lists.
+  explicit KeywordPostings(const ObjectStore& store);
+
+  /// The ascending local ids holding `term`; empty past the store's largest
+  /// term.
+  std::span<const ObjectId> Of(TermId term) const;
+
+  /// Bytes held by the offsets and the ids.
+  size_t bytes() const;
+
+ private:
+  std::vector<size_t> offsets_;  // Largest term + 2 entries (or none).
+  std::vector<ObjectId> ids_;    // Term-major, ascending within a term.
 };
 
 /// The view's local id of a global id; nullopt when the shard does not hold
@@ -150,14 +172,15 @@ class OracleShardQuestion {
 };
 
 /// The one per-shard kernel of a why-not question (docs/architecture.md,
-/// "Question columns"). One pass over the shard computes each object's
+/// "Question columns"). Every object's keyword mask over the universe
+/// q.doc ∪ U is ORed from the shard's postings of the universe's terms;
+/// one pass over the shard then computes each object's
 ///
 ///   x = 1 − SDist(o, q.loc)
 ///
-/// (the double Scorer::Score multiplies by ws) and its group: its keyword
-/// mask over the universe q.doc ∪ U and |o.doc|. One stable sort by x (ties
-/// in ascending id order) is then scattered two ways, so every slice below
-/// is sorted by x:
+/// (the double Scorer::Score multiplies by ws) and its group: its mask and
+/// |o.doc|. One stable sort by x (ties in ascending id order) is then
+/// scattered two ways, so every slice below is sorted by x:
 ///
 ///   * into the mask groups. Under any query at q.loc with a doc ⊆ the
 ///     universe, at any ws, an object scores ws·x + wt·J(inter, |q'|,
@@ -182,13 +205,14 @@ class OracleShardQuestion {
 /// kMaxKeywordUniverse. Immutable once built, so calls may overlap.
 class QuestionColumns final : public OracleShardQuestion {
  public:
-  /// `view` must outlive the columns. `universe` lists the keywords beyond
-  /// query.doc that covered targets may use. Rank counts and the Eqn. (3)
+  /// `view` must outlive the columns; `postings` are its store's, read only
+  /// while building. `universe` lists the keywords beyond query.doc that
+  /// covered targets may use. Rank counts and the Eqn. (3)
   /// plane are answered by binary search per group and per TSim column when
   /// `optimized`, else by full scan (basic mode, the paper's baselines).
-  QuestionColumns(const OracleShardView& view, double dist_norm,
-                  const Query& query, const KeywordSet& universe,
-                  bool optimized);
+  QuestionColumns(const OracleShardView& view, const KeywordPostings& postings,
+                  double dist_norm, const Query& query,
+                  const KeywordSet& universe, bool optimized);
 
   QuestionShape shape() const override;
 
@@ -221,7 +245,8 @@ class QuestionColumns final : public OracleShardQuestion {
     uint32_t end = 0;
   };
 
-  /// `doc`'s mask over the universe, `words_` words at `mask`.
+  /// `doc`'s mask over the universe, ORed into `words_` words at `mask`
+  /// (the query's and the targets' docs; objects' masks come from postings).
   void MaskOf(const KeywordSet& doc, uint64_t* mask) const;
   /// wt · J(inter, qlen, len) of a doc with mask `mask` and `len` keywords
   /// under a query doc with mask `qmask` and `qlen` keywords.
@@ -235,7 +260,6 @@ class QuestionColumns final : public OracleShardQuestion {
   Point loc_;
   bool optimized_;
   std::vector<TermId> terms_;  // The universe, sorted.
-  uint64_t filter_[4] = {};    // Bit t % 256 set for every t in terms_.
   size_t words_ = 1;           // 64-bit mask words per group.
   std::vector<Group> groups_;
   std::vector<uint64_t> group_masks_;  // groups_.size() × words_.
@@ -275,12 +299,13 @@ class OracleShard {
 };
 
 /// The in-process shard: QuestionColumns and SetRTopKEngine over a view,
-/// under the GLOBAL SDist normaliser. Never fails.
+/// under the GLOBAL SDist normaliser, with the view's keyword postings
+/// built once. Never fails.
 class LocalOracleShard final : public OracleShard {
  public:
   /// `view` must outlive the shard.
   LocalOracleShard(const OracleShardView& view, double dist_norm)
-      : view_(view), dist_norm_(dist_norm) {}
+      : view_(view), dist_norm_(dist_norm), postings_(*view.store) {}
 
   size_t size() const override { return view_.store->size(); }
   /// Require view.setr.
@@ -295,6 +320,7 @@ class LocalOracleShard final : public OracleShard {
  private:
   OracleShardView view_;
   double dist_norm_;
+  KeywordPostings postings_;
 };
 
 }  // namespace yask

@@ -6,6 +6,10 @@
 //     stores, equal-score tie runs, objects with empty docs or no keyword of
 //     the universe, ±0.0 query locations, a 64-keyword universe and one
 //     wider than a mask word, over unsharded and sharded id mappings;
+//   * the build's sort on adversarial input (x values sharing the top 32
+//     bits of their sort key, in descending-x id order, with tie runs) and
+//     the keyword postings its masks come from (terms no object holds,
+//     terms past the store's largest, empty docs, local ids ≠ global ids);
 //   * every layout (local, grid and hash shards, remote over loopback): an
 //     open question's ranks, explanations and both refinements equal the
 //     reference;
@@ -34,6 +38,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +50,7 @@
 #include "src/corpus/shard_router.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/query/ranking.h"
+#include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_protocol.h"
 #include "src/server/shard_service.h"
@@ -103,14 +109,15 @@ KeywordSet RandomDoc(size_t count, size_t vocabulary, Rng* rng) {
   return KeywordSet(std::move(ids));
 }
 
-/// A store viewed as one unsharded shard.
+/// A store viewed as one unsharded shard, with its postings.
 struct Unsharded {
   explicit Unsharded(ObjectStore s)
       : store(std::move(s)), view{&store, nullptr},
-        dist_norm(store.BoundsDiagonal()) {}
+        dist_norm(store.BoundsDiagonal()), postings(store) {}
   ObjectStore store;
   OracleShardView view;
   double dist_norm;
+  KeywordPostings postings;
 };
 
 /// The reference count: objects of the view outranking a target of score
@@ -167,8 +174,11 @@ std::vector<double> ScanCrossings(const std::vector<PlanePoint>& pts,
 void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                         const Query& q, const KeywordSet& universe,
                         uint64_t seed, const std::string& label) {
-  QuestionColumns optimized(view, dist_norm, q, universe, /*optimized=*/true);
-  QuestionColumns basic(view, dist_norm, q, universe, /*optimized=*/false);
+  const KeywordPostings postings(*view.store);
+  QuestionColumns optimized(view, postings, dist_norm, q, universe,
+                            /*optimized=*/true);
+  QuestionColumns basic(view, postings, dist_norm, q, universe,
+                        /*optimized=*/false);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
   const QuestionShape shape = optimized.shape();
   EXPECT_EQ(shape.objects, view.store->size()) << label;
@@ -305,7 +315,9 @@ void ExpectTopKExact(const OracleShardView& view, double dist_norm,
                      const ObjectStore& whole, const Query& q,
                      const KeywordSet& universe, uint64_t seed,
                      const std::string& label) {
-  QuestionColumns columns(view, dist_norm, q, universe, /*optimized=*/true);
+  const KeywordPostings postings(*view.store);
+  QuestionColumns columns(view, postings, dist_norm, q, universe,
+                          /*optimized=*/true);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
   std::vector<bool> held(whole.size(), view.to_global == nullptr);
   if (view.to_global != nullptr) {
@@ -468,7 +480,8 @@ TEST(QuestionColumnsTest, EmptyShardAnswersZero) {
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
   for (const bool optimized : {false, true}) {
-    QuestionColumns columns(u.view, 1.0, q, KeywordSet({2}), optimized);
+    QuestionColumns columns(u.view, u.postings, 1.0, q, KeywordSet({2}),
+                            optimized);
     EXPECT_EQ(columns.shape().objects, 0u);
     EXPECT_EQ(columns.shape().groups, 0u);
     EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
@@ -500,7 +513,7 @@ TEST(QuestionColumnsTest, OptimizedPlaneSearchesFewerPointsThanAScan) {
   q.loc = u.store.Get(3).loc;
   q.doc = KeywordSet({0, 1, 2});
   q.w = Weights::FromWs(0.5);
-  QuestionColumns columns(u.view, u.dist_norm, q, KeywordSet(),
+  QuestionColumns columns(u.view, u.postings, u.dist_norm, q, KeywordSet(),
                           /*optimized=*/true);
   const PlanePoint anchor = PlanePoints(u.view, u.dist_norm, q)[17];
   std::vector<size_t> count(1);
@@ -511,6 +524,162 @@ TEST(QuestionColumnsTest, OptimizedPlaneSearchesFewerPointsThanAScan) {
   evals = 0;
   ASSERT_TRUE(columns.CollectCrossings(anchor, 0.45, 0.55, &events, &evals).ok());
   EXPECT_LT(evals, u.store.size() / 4);
+}
+
+/// The top 32 bits of x's order-preserving sort key (x ≥ 0: its bits with
+/// the sign set), x = 1 − SDist from the origin.
+uint64_t HighKeyBits(const ObjectStore& store, ObjectId id, double dist_norm) {
+  const double x = 1.0 - NormalizedSpatialDistance(store.Get(id).loc,
+                                                   Point{0.0, 0.0}, dist_norm);
+  return (std::bit_cast<uint64_t>(x) | (uint64_t{1} << 63)) >> 32;
+}
+
+/// `count` objects on the x axis in clusters of `cluster`, placed in
+/// descending-x id order: within a cluster every x = 1 − SDist from the
+/// origin shares its top 32 sort-key bits (x just below 0.5 − c·2^-21, so
+/// in one 2^-22 bucket), in equal-x runs of 1 to 4 and, every seventh run,
+/// of 40 (longer than the sort's insertion run). Two corner objects (ids 0
+/// and 1) fix the bounds to the unit segment. Docs cycle over {t0},
+/// {t0, t1} and {}.
+ObjectStore SharedHighBitsStore(size_t count, size_t cluster) {
+  ObjectStore store;
+  const TermId t0 = store.mutable_vocab()->Intern("t0");
+  const TermId t1 = store.mutable_vocab()->Intern("t1");
+  store.Add(Point{0.0, 0.0}, KeywordSet({t0}));
+  store.Add(Point{1.0, 0.0}, KeywordSet({t1}));
+  for (size_t c = 1; store.size() < count + 2; ++c) {
+    size_t placed = 0;
+    for (size_t run = 0; placed < cluster && store.size() < count + 2;
+         ++run) {
+      const double d = 0.5 + std::ldexp(static_cast<double>(c), -21) +
+                       std::ldexp(static_cast<double>(run + 1), -40);
+      const size_t length = run % 7 == 6 ? 40 : 1 + run % 4;
+      for (size_t i = 0; i < length && placed < cluster &&
+                         store.size() < count + 2;
+           ++i, ++placed) {
+        const size_t pick = (run + i) % 3;
+        store.Add(Point{d, 0.0}, pick == 0   ? KeywordSet({t0})
+                                 : pick == 1 ? KeywordSet({t0, t1})
+                                             : KeywordSet());
+      }
+    }
+  }
+  return store;
+}
+
+TEST(QuestionColumnsTest, SortSurvivesSharedHighKeyBitsAndTieRuns) {
+  // One cluster of 12,000 (a run the sort finishes by radix) and 500 of 24
+  // (runs it finishes by insertion).
+  for (const size_t cluster : {size_t{12000}, size_t{24}}) {
+    const Unsharded u(SharedHighBitsStore(12000, cluster));
+    const std::string label = "cluster " + std::to_string(cluster);
+    ASSERT_EQ(u.dist_norm, 1.0);
+    for (ObjectId id = 2; id < u.store.size(); ++id) {
+      const ObjectId first = static_cast<ObjectId>(2 + (id - 2) / cluster *
+                                                           cluster);
+      ASSERT_EQ(HighKeyBits(u.store, id, u.dist_norm),
+                HighKeyBits(u.store, first, u.dist_norm))
+          << label << " id " << id;
+    }
+    Query q;
+    q.loc = Point{0.0, 0.0};
+    q.doc = KeywordSet({0});
+    q.w = Weights::FromWs(0.5);
+    ExpectColumnsExact(u.view, u.dist_norm, q, KeywordSet({1}), 71, label);
+    ExpectTopKExact(u.view, u.dist_norm, u.store, q, KeywordSet({1}), 72,
+                    "top-k " + label);
+  }
+}
+
+TEST(QuestionColumnsTest, PostingsListEachTermsLocalIdsInOrder) {
+  const ObjectStore whole = RandomStore(3000, 80, 61);
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(whole, std::make_unique<HashShardRouter>(3));
+  std::vector<const ObjectStore*> stores = {&whole};
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    stores.push_back(&sharded.shard(s).store());
+  }
+  for (const ObjectStore* store : stores) {
+    const KeywordPostings postings(*store);
+    TermId largest = 0;
+    size_t held = 0;
+    for (const SpatialObject& o : store->objects()) {
+      if (!o.doc.empty()) largest = std::max(largest, o.doc.ids().back());
+      held += o.doc.size();
+    }
+    for (TermId t = 0; t <= largest + 3; ++t) {
+      std::vector<ObjectId> want;
+      for (const SpatialObject& o : store->objects()) {
+        if (o.doc.Contains(t)) want.push_back(o.id);
+      }
+      const std::span<const ObjectId> got = postings.Of(t);
+      EXPECT_EQ(std::vector<ObjectId>(got.begin(), got.end()), want) << t;
+    }
+    EXPECT_TRUE(postings.Of(~TermId{0}).empty());
+    EXPECT_EQ(postings.bytes(), (size_t{largest} + 2) * sizeof(size_t) +
+                                    held * sizeof(ObjectId));
+  }
+  EXPECT_EQ(KeywordPostings(ObjectStore()).bytes(), 0u);
+}
+
+TEST(QuestionColumnsTest, PostingsEdgeCasesMatchTheScans) {
+  // Empty docs (every seventh object), a universe term no object holds
+  // ("unheld" is interned but never placed) and term ids past the store's
+  // largest.
+  ObjectStore store = TieStore(1800, 32, 17);
+  const TermId unheld = store.mutable_vocab()->Intern("unheld");
+  store.Add(Point{0.3, 0.0}, KeywordSet());
+  const Unsharded u(std::move(store));
+  Query q;
+  q.loc = Point{0.25, 0.0};
+  q.doc = KeywordSet({1, 4});
+  q.w = Weights::FromWs(0.45);
+  const KeywordSet universe({0, unheld, 9000, 123456});
+  ExpectColumnsExact(u.view, u.dist_norm, q, universe, 81, "edge postings");
+  ExpectTopKExact(u.view, u.dist_norm, u.store, q, universe, 82,
+                  "top-k edge postings");
+  // A question doc past the largest term: its bit is never set.
+  Query far = q;
+  far.doc = KeywordSet({2, 70000});
+  ExpectColumnsExact(u.view, u.dist_norm, far, KeywordSet({3}), 83,
+                     "doc past the largest term");
+
+  // Only empty docs: no postings at all.
+  ObjectStore empty_docs;
+  for (int i = 0; i < 40; ++i) {
+    empty_docs.Add(Point{0.01 * i, 0.5}, KeywordSet());
+  }
+  const Unsharded e(std::move(empty_docs));
+  ExpectColumnsExact(e.view, e.dist_norm, q, KeywordSet({0, 7}), 84,
+                     "empty docs only");
+  ExpectTopKExact(e.view, e.dist_norm, e.store, q, KeywordSet({0, 7}), 85,
+                  "top-k empty docs only");
+
+  // A universe wider than a mask word on sharded views (local ids differ
+  // from global ids), holding terms some shards never see.
+  const ObjectStore whole = RandomStore(2400, 120, 86, /*max_keywords=*/16);
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(whole, GridShardRouter::Fit(whole, 3));
+  Rng rng(87);
+  Query wide;
+  wide.loc = SampleQueryLocation(whole, &rng);
+  wide.doc = SampleQueryKeywords(whole, 3, &rng);
+  wide.w = Weights::FromWs(0.55);
+  KeywordSet wide_universe({119, 500, 4000});
+  while (wide_universe.size() < 90) {
+    wide_universe.Insert(static_cast<TermId>(rng.NextBounded(120)));
+  }
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    const OracleShardView view{&sharded.shard(s).store(),
+                               &sharded.shard_global_ids(s)};
+    const std::vector<ObjectId>& global = sharded.shard_global_ids(s);
+    ASSERT_NE(global.back() + 1, global.size()) << "local ids are global";
+    const std::string label = "wide sharded shard " + std::to_string(s);
+    ExpectColumnsExact(view, sharded.dist_norm(), wide, wide_universe, 88 + s,
+                       label);
+    ExpectTopKExact(view, sharded.dist_norm(), whole, wide, wide_universe,
+                    91 + s, "top-k " + label);
+  }
 }
 
 // --- Every layout -------------------------------------------------------------

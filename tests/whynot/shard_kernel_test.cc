@@ -134,6 +134,7 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
     return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
            std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y);
   };
+  const KeywordPostings postings(*view.store);
   std::vector<size_t> counts(members.size(), 0);
   std::vector<bool> done(members.size(), false);
   for (size_t first = 0; first < members.size(); ++first) {
@@ -146,8 +147,8 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
       here.push_back(i);
       done[i] = true;
     }
-    const QuestionColumns columns(view, dist_norm, question, KeywordSet(),
-                                  optimized);
+    const QuestionColumns columns(view, postings, dist_norm, question,
+                                  KeywordSet(), optimized);
     for (const size_t i : here) {
       counts[i] = columns.CountOutscoring(ScanTarget{
           &members[i].query, members[i].target_score, members[i].target});
