@@ -1,4 +1,4 @@
-#include "src/index/ir_tree.h"
+#include "bench/baselines/ir_tree.h"
 
 #include <queue>
 
@@ -21,39 +21,20 @@ double UpperBoundCosineScore(const CosineScorer& scorer, const Rect& mbr,
          q.w.wt * UpperBoundCosineTSim(s, scorer);
 }
 
-namespace {
-
-/// Max-heap element; same discipline as the SetR engine (nodes before
-/// objects at equal key, objects by ascending id).
-struct QueueEntry {
-  double key = 0.0;
-  bool is_object = false;
-  uint32_t id = 0;
-
-  bool operator<(const QueueEntry& other) const {
-    if (key != other.key) return key < other.key;
-    if (is_object != other.is_object) return is_object;
-    if (is_object) return id > other.id;
-    return id < other.id;
-  }
-};
-
-}  // namespace
-
 TopKResult IrTopKEngine::Query(const ::yask::Query& query,
                                TopKStats* stats) const {
   CosineScorer scorer(*store_, *idf_, query);
   TopKResult result;
   if (store_->empty() || query.k == 0 || tree_->empty()) return result;
 
-  std::priority_queue<QueueEntry> pq;
+  std::priority_queue<BestFirstEntry> pq;
   {
     const auto& root = tree_->node(tree_->root());
-    pq.push(QueueEntry{UpperBoundCosineScore(scorer, root.rect, root.summary),
+    pq.push(BestFirstEntry{UpperBoundCosineScore(scorer, root.rect, root.summary),
                        false, tree_->root()});
   }
   while (!pq.empty() && result.size() < query.k) {
-    const QueueEntry top = pq.top();
+    const BestFirstEntry top = pq.top();
     pq.pop();
     if (top.is_object) {
       result.push_back(ScoredObject{top.id, top.key});
@@ -64,12 +45,12 @@ TopKResult IrTopKEngine::Query(const ::yask::Query& query,
     if (node.is_leaf) {
       for (const auto& e : node.entries) {
         if (stats != nullptr) ++stats->objects_scored;
-        pq.push(QueueEntry{scorer.Score(e.id), true, e.id});
+        pq.push(BestFirstEntry{scorer.Score(e.id), true, e.id});
       }
     } else {
       for (const auto& e : node.entries) {
         const auto& child = tree_->node(e.id);
-        pq.push(QueueEntry{
+        pq.push(BestFirstEntry{
             UpperBoundCosineScore(scorer, child.rect, child.summary), false,
             e.id});
       }

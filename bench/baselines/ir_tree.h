@@ -6,7 +6,7 @@
 // textual relevance of any object below the node.
 //
 // With binary term frequencies and a global idf weighting (the text model in
-// src/query/text_model.h), the per-term maximum weight below a node is
+// bench/baselines/text_model.h), the per-term maximum weight below a node is
 // simply idf(t) whenever t occurs anywhere below — so the pseudo-document
 // reduces to the union term set plus the minimum positive document norm
 // below the node (for the cosine denominator). This keeps the IR-tree node
@@ -21,14 +21,14 @@
 // does not transfer to Jaccard similarity (§3.3); both are provided so that
 // the trade-off is reproducible (bench_topk).
 
-#ifndef YASK_INDEX_IR_TREE_H_
-#define YASK_INDEX_IR_TREE_H_
+#ifndef YASK_BENCH_BASELINES_IR_TREE_H_
+#define YASK_BENCH_BASELINES_IR_TREE_H_
 
 #include <limits>
 
 #include "src/common/keyword_set.h"
 #include "src/index/rtree.h"
-#include "src/query/text_model.h"
+#include "bench/baselines/text_model.h"
 #include "src/query/topk_engine.h"
 
 namespace yask {
@@ -116,4 +116,4 @@ extern template class RTreeT<IrSummary>;
 
 }  // namespace yask
 
-#endif  // YASK_INDEX_IR_TREE_H_
+#endif  // YASK_BENCH_BASELINES_IR_TREE_H_

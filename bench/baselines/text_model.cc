@@ -1,4 +1,4 @@
-#include "src/query/text_model.h"
+#include "bench/baselines/text_model.h"
 
 #include <algorithm>
 #include <cmath>

@@ -12,10 +12,10 @@
 //
 // By Cauchy-Schwarz the similarity lies in [0, 1], so it drops into Eqn. (1)
 // unchanged. CosineScorer mirrors Scorer for this model; the IR-tree
-// (src/index/ir_tree.h) provides the matching node score bounds.
+// (bench/baselines/ir_tree.h) provides the matching node score bounds.
 
-#ifndef YASK_QUERY_TEXT_MODEL_H_
-#define YASK_QUERY_TEXT_MODEL_H_
+#ifndef YASK_BENCH_BASELINES_TEXT_MODEL_H_
+#define YASK_BENCH_BASELINES_TEXT_MODEL_H_
 
 #include <vector>
 
@@ -95,4 +95,4 @@ TopKResult CosineTopKScan(const ObjectStore& store, const IdfTable& idf,
 
 }  // namespace yask
 
-#endif  // YASK_QUERY_TEXT_MODEL_H_
+#endif  // YASK_BENCH_BASELINES_TEXT_MODEL_H_

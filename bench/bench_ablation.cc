@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/query/ranking.h"
 
 namespace yask {
 namespace bench {

@@ -22,8 +22,8 @@
 #include <map>
 #include <vector>
 
+#include "bench/baselines/scan_oracle.h"
 #include "bench/bench_util.h"
-#include "src/query/ranking.h"
 #include "src/whynot/explanation.h"
 #include "src/whynot/shard_primitives.h"
 #include "src/whynot/whynot_oracle.h"
@@ -112,8 +112,7 @@ void BM_QuestionBuild(benchmark::State& state) {
   for (auto _ : state) {
     const Question& question = questions[i++ % questions.size()];
     const QuestionColumns columns(view, postings, store.BoundsDiagonal(),
-                                  question.query, question.universe,
-                                  /*optimized=*/true);
+                                  question.query, question.universe);
     benchmark::DoNotOptimize(columns.shape().groups);
   }
   state.counters["objects_per_s"] = benchmark::Counter(

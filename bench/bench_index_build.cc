@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/baselines/inverted_index.h"
 #include "bench/bench_util.h"
 
 namespace yask {

@@ -2,24 +2,31 @@
 // why-not module.
 //
 // Regenerates the ICDE'16-style sweeps behind §3.3's keyword-adaption module:
-// the basic baseline (exact rank by full scan per candidate, over basic
-// question columns) against the optimized mode (exact rank by binary search
-// per (mask, |doc|) group of the same columns, docs/architecture.md), swept
-// over k (E8), |q.doc| and |M| (E9), and dataset size N (E10). Every row
-// runs both modes on the same questions; both return the same refined
-// queries.
+// the basic baseline (AdaptKeywords over ScanOracle,
+// bench/baselines/scan_oracle.h: every object scored once per candidate,
+// and exact rank by a full scan of those scores per (candidate, missing
+// object) pair) against the optimized search (exact rank
+// by binary search per (mask, |doc|) group of one rank fan-out's question
+// columns, docs/architecture.md), swept over k (E8), |q.doc| and |M| (E9),
+// and dataset size N (E10). Every row runs both on the same questions; both
+// return the same refined queries.
 //
-// Expected shape: both build the columns once per rank fan-out (O(N));
-// basic then grows as N × candidates × |M|, the optimized mode as
+// Expected shape: basic grows as N × candidates × |M|; the optimized
+// search builds the columns once per rank fan-out (O(N)) and then spends
 // O(groups · log N) per candidate, so it wins at every N by a margin that
 // widens with the candidate space. `objects_scored/query` counts the
-// objects each mode reads.
+// objects each reads. The basic rows in bench/results/pr24 and pr25 timed
+// a different baseline (rank counts over keyword-mask groups of the
+// question columns, one multiply per object and one text term per group);
+// these rows score every object with a Jaccard per candidate, so they are
+// not comparable with those.
 //
 //   bench_kw_adapt --benchmark_filter='N:100000/k:10/M:2'
 //   bench_kw_adapt --benchmark_format=json --benchmark_min_time=0.05
 
 #include <benchmark/benchmark.h>
 
+#include "bench/baselines/scan_oracle.h"
 #include "bench/bench_util.h"
 #include "src/whynot/keyword_adaption.h"
 #include "src/whynot/whynot_oracle.h"
@@ -28,13 +35,12 @@ namespace yask {
 namespace bench {
 namespace {
 
-void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
-  const size_t n = static_cast<size_t>(state.range(0));
+/// One row over `oracle`, which serves SharedDataset(state.range(0)).
+void RunAdapt(benchmark::State& state, const WhyNotOracle& oracle) {
   const uint32_t k = static_cast<uint32_t>(state.range(1));
   const size_t m_count = static_cast<size_t>(state.range(2));
   const size_t query_keywords = static_cast<size_t>(state.range(3));
-  const ObjectStore& store = SharedDataset(n);
-  const LocalWhyNotOracle oracle(SharedCorpus(n));
+  const ObjectStore& store = SharedDataset(state.range(0));
 
   Rng rng(11);
   std::vector<std::pair<Query, std::vector<ObjectId>>> workload;
@@ -48,7 +54,6 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
 
   KeywordAdaptOptions options;
   options.lambda = 0.5;
-  options.mode = mode;
 
   size_t i = 0;
   double penalty_sum = 0.0;
@@ -84,13 +89,13 @@ void RunAdapt(benchmark::State& state, KwAdaptMode mode) {
 }
 
 void BM_KwAdapt_Basic(benchmark::State& state) {
-  RunAdapt(state, KwAdaptMode::kBasic);
+  RunAdapt(state, ScanOracle(SharedDataset(state.range(0))));
 }
 void BM_KwAdapt_MaskColumns(benchmark::State& state) {
-  RunAdapt(state, KwAdaptMode::kOptimized);
+  RunAdapt(state, LocalWhyNotOracle(SharedCorpus(state.range(0))));
 }
 
-/// The sweep, run by both modes.
+/// The sweep, run by both.
 void Rows(benchmark::internal::Benchmark* b) {
   b->ArgNames({"N", "k", "M", "qkw"});
   // E8: vary k at N = 100k.

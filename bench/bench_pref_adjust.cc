@@ -1,18 +1,22 @@
 // Experiments E4, E5, E7 (DESIGN.md): the preference-adjusted why-not module.
 //
 // Regenerates the ICDE'15-style sweeps behind §3.3's preference-adjustment
-// module: optimized (score-plane index + penalty-floor pruning) versus the
-// basic baseline (crossing enumeration + full rescan per candidate), swept
-// over k (E4), the number of missing objects |M| (E5) and the dataset size N
-// (E7).
+// module: optimized (AdjustPreference over the question columns' TSim
+// column searches) versus the basic baseline (the same search over
+// ScanOracle, bench/baselines/scan_oracle.h: crossing enumeration + a full
+// rescan per (weight, missing object) pair), swept over k (E4), the number
+// of missing objects |M| (E5) and the dataset size N (E7). Both run the
+// same doubling sweep schedule and return the same refinement.
 //
 // Expected shape (paper): optimized beats basic by 1-3 orders of magnitude
 // and the gap widens with N; runtimes grow mildly with k and |M|. Each
 // PrefAdjust row also reports the sweep's work over one pass of its eight
-// questions: rescans/query (full O(n) rescans, basic mode: one per
-// evaluated (weight, anchor) pair) and fanouts/query (count fan-outs).
+// questions: rescans/query (plane score evaluations in units of N: for the
+// basic row one full rescan per counted (weight, anchor) pair, for the
+// columns the evaluations of their binary searches and crossing ranges)
+// and fanouts/query (count fan-outs).
 //
-// The kernel row times the optimized mode's question columns (TSim
+// The kernel row times the question columns (TSim
 // columns, binary search per column) alone: BM_QuestionColumns_CountAbove
 // answers one tie-aware count per iteration, so its time is ns per
 // (weight, anchor) pair, over the weights the sweep evaluates for MakeQuery
@@ -22,6 +26,7 @@
 
 #include <cmath>
 
+#include "bench/baselines/scan_oracle.h"
 #include "bench/bench_util.h"
 #include "src/whynot/preference_adjustment.h"
 #include "src/whynot/whynot_oracle.h"
@@ -30,12 +35,11 @@ namespace yask {
 namespace bench {
 namespace {
 
-void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
-  const size_t n = static_cast<size_t>(state.range(0));
+/// One row over `oracle`, which serves SharedDataset(state.range(0)).
+void RunAdjust(benchmark::State& state, const WhyNotOracle& oracle) {
   const uint32_t k = static_cast<uint32_t>(state.range(1));
   const size_t m_count = static_cast<size_t>(state.range(2));
-  const ObjectStore& store = SharedDataset(n);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const ObjectStore& store = SharedDataset(state.range(0));
 
   // Pre-generate a deterministic workload of (query, missing) pairs.
   Rng rng(7);
@@ -50,7 +54,6 @@ void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
 
   PreferenceAdjustOptions options;
   options.lambda = 0.5;
-  options.mode = mode;
 
   size_t i = 0;
   double penalty_sum = 0.0;
@@ -73,25 +76,26 @@ void RunAdjust(benchmark::State& state, PrefAdjustMode mode) {
   }
   // Sweep work over exactly one pass of the workload, so these repeat
   // whatever the iteration count.
-  size_t rescans = 0;
+  size_t evaluations = 0;
   size_t fanouts = 0;
   for (const auto& [q, missing] : workload) {
     auto result = AdjustPreference(oracle, q, missing, options);
     if (!result.ok()) continue;
-    rescans += result->stats.full_rescans;
+    evaluations += result->stats.index_nodes_visited;
     fanouts += result->stats.sweep_fanouts;
   }
-  state.counters["rescans/query"] =
-      benchmark::Counter(static_cast<double>(rescans) / workload.size());
+  state.counters["rescans/query"] = benchmark::Counter(
+      static_cast<double>(evaluations) / store.size() / workload.size());
   state.counters["fanouts/query"] =
       benchmark::Counter(static_cast<double>(fanouts) / workload.size());
 }
 
 void BM_PrefAdjust_Optimized(benchmark::State& state) {
-  RunAdjust(state, PrefAdjustMode::kOptimized);
+  RunAdjust(state, LocalWhyNotOracle(SharedDataset(state.range(0)),
+                                     /*setr=*/nullptr));
 }
 void BM_PrefAdjust_Basic(benchmark::State& state) {
-  RunAdjust(state, PrefAdjustMode::kBasic);
+  RunAdjust(state, ScanOracle(SharedDataset(state.range(0))));
 }
 
 /// 8 MakeQuery queries (3 keywords, k = 10), each query's first missing
@@ -144,8 +148,7 @@ void BM_QuestionColumns_CountAbove(benchmark::State& state) {
   for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
     const Query& q = workload.queries[qi];
     planes.push_back(std::make_unique<QuestionColumns>(
-        view, postings, store.BoundsDiagonal(), q, workload.universes[qi],
-        /*optimized=*/true));
+        view, postings, store.BoundsDiagonal(), q, workload.universes[qi]));
     const PlanePoint anchor = PointOf(store, q, workload.missing[qi]);
     const double w0 = q.w.ws;
     std::vector<double> crossings;

@@ -359,8 +359,7 @@ int main(int argc, char** argv) {
       const uint64_t requests = remote.total_requests();
       const RouteCounts before = RouteCounts::Take(fleet);
       auto rb = [&] {
-        const auto question = oracle.OpenQuestion(q.query, q.missing,
-                                                  PrefAdjustMode::kOptimized);
+        const auto question = oracle.OpenQuestion(q.query, q.missing);
         return AdaptKeywords(*question, q.query, q.missing);
       }();
       const RouteCounts after = RouteCounts::Take(fleet);

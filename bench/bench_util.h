@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/corpus/corpus.h"
-#include "src/index/inverted_index.h"
 #include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
@@ -40,7 +39,7 @@ inline DatasetSpec SharedDatasetSpec(size_t n) {
 }
 
 /// The benchmark corpus family: the shared dataset plus its SetR-tree, as
-/// one owned Corpus. Heavier indexes (plain R-tree, inverted) stay in their
+/// one owned Corpus. Heavier indexes (the plain R-tree) stay in their
 /// own lazy caches below so a bench only pays for what it uses.
 inline const Corpus& SharedCorpus(size_t n) {
   static std::map<size_t, std::unique_ptr<Corpus>>* cache =
@@ -69,17 +68,6 @@ inline const RTree& SharedRTree(size_t n) {
     auto tree = std::make_unique<RTree>(&SharedDataset(n));
     tree->BulkLoad();
     it = cache->emplace(n, std::move(tree)).first;
-  }
-  return *it->second;
-}
-
-inline const InvertedIndex& SharedInverted(size_t n) {
-  static std::map<size_t, std::unique_ptr<InvertedIndex>>* cache =
-      new std::map<size_t, std::unique_ptr<InvertedIndex>>();
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    it = cache->emplace(n, std::make_unique<InvertedIndex>(SharedDataset(n)))
-             .first;
   }
   return *it->second;
 }

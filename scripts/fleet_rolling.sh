@@ -275,6 +275,9 @@ for round in $(seq 1 "$rounds"); do
       eval "port=\${port_state4_${s}_${r}}"
       echo "fleet_rolling: rolling restart ${idx}: shard ${s} replica ${r} (:${port})"
       kill -9 "$pid"
+      # kill returns before the replica has exited; until it has, its
+      # listening socket still holds the port and the restart's bind fails.
+      while kill -0 "$pid" 2>/dev/null; do sleep 0.05; done
       start_replica state4 "$s" "$r" "$port"
       ;;
   esac

@@ -353,11 +353,9 @@ class RemoteOracleShard final : public OracleShard {
   }
 
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
-      const Query& query, const KeywordSet& universe,
-      bool optimized) const override {
+      const Query& query, const KeywordSet& universe) const override {
     BufWriter req;
     shardrpc::PutQuery(&req, query);
-    req.PutU8(optimized ? 1 : 0);
     req.PutDeltaIds(universe.ids());
     auto question = std::make_unique<ShardSessionChannel>(*corpus_, shard_);
     if (!question->Open(req.data(),

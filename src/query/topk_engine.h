@@ -8,9 +8,9 @@
 // unfold it and put its children into Q. The process continues until k
 // objects are retrieved."
 //
-// Two baselines accompany it for experiment E2: a full linear scan, and an
-// inverted-index + R-tree hybrid (text candidates merged with a best-first
-// spatial sweep that covers zero-similarity objects).
+// The full linear scan is its reference. The other baselines of experiment
+// E2 (the inverted-index + R-tree hybrid and the IR-tree) live with the
+// benches, in bench/baselines/, and reuse BestFirstEntry.
 //
 // The served /query reaches SetRTopKEngine through each shard's
 // OracleShard::TopK (src/whynot/shard_primitives.h); inside a /whynot the
@@ -20,11 +20,10 @@
 #define YASK_QUERY_TOPK_ENGINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "src/common/status.h"
-#include "src/index/inverted_index.h"
-#include "src/index/rtree.h"
 #include "src/index/setr_tree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
@@ -36,6 +35,23 @@ namespace yask {
 struct TopKStats {
   size_t nodes_popped = 0;    // Internal/leaf nodes expanded.
   size_t objects_scored = 0;  // Exact score evaluations.
+};
+
+/// Priority-queue element of a best-first search: a node or an object.
+/// Ordering (via `operator<` for a max-heap): higher key first; at equal key
+/// nodes before objects (a node may hide an equal-scored smaller-id object);
+/// at equal key among objects, smaller id first.
+struct BestFirstEntry {
+  double key = 0.0;
+  bool is_object = false;
+  uint32_t id = 0;  // NodeId or ObjectId.
+
+  bool operator<(const BestFirstEntry& other) const {
+    if (key != other.key) return key < other.key;        // Max-heap.
+    if (is_object != other.is_object) return is_object;  // Nodes first.
+    if (is_object) return id > other.id;                 // Small id first.
+    return id < other.id;
+  }
 };
 
 /// Reference implementation: scores every object, partial-sorts. O(n log k).
@@ -86,23 +102,6 @@ class SetRTopKEngine {
   const SetRTree* tree_;
   SetRBoundVariant variant_ = SetRBoundVariant::kLengthTightened;
   double dist_norm_ = -1.0;  // < 0: use the store's own diagonal.
-};
-
-/// Baseline engine: inverted index for the textual side plus a best-first
-/// R-tree sweep for objects with no matching keyword (those can still enter
-/// the top-k on spatial score alone).
-class InvertedTopKEngine {
- public:
-  InvertedTopKEngine(const ObjectStore& store, const InvertedIndex& inverted,
-                     const RTree& rtree)
-      : store_(&store), inverted_(&inverted), rtree_(&rtree) {}
-
-  TopKResult Query(const Query& query, TopKStats* stats = nullptr) const;
-
- private:
-  const ObjectStore* store_;
-  const InvertedIndex* inverted_;
-  const RTree* rtree_;
 };
 
 }  // namespace yask

@@ -531,7 +531,11 @@ bool HttpServer::ReadReady(Conn* c) {
       }
       continue;
     }
-    if (n == 0) return false;  // EOF.
+    if (n == 0) {
+      // EOF: answer a request the peer completed before it half-closed
+      // (what it left unfinished can never complete).
+      return AdvanceRead(c) && c->state != Conn::State::kReading;
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     return false;

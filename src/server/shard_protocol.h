@@ -27,8 +27,7 @@
 //                          and Eqn. (4) ranks, the top-k of the query and
 //                          of its refinements, and the Eqn. (3) sweep; also
 //                          the one-call sessions a rank batch or plane
-//                          outside a question opens (basic sessions, which
-//                          scan, for the paper's baselines)
+//                          outside a question opens
 //   GET  /shard/trace?id=…  JSON spans recorded under a propagated trace id
 //   GET  /metrics           Prometheus text exposition (docs/observability.md)
 
@@ -74,14 +73,17 @@ namespace shardrpc {
 /// v8: POST /shard/count is gone: a basic session (u8 optimized = 0 at
 /// /shard/plane/open) answers /shard/plane/rank by full scan, so basic
 /// keyword adaption opens one-call basic sessions.
-inline constexpr uint32_t kProtocolVersion = 8;
+/// v9: /shard/plane/open drops the u8 optimized byte: every session answers
+/// by the columns' binary searches (the paper's scanning baselines run over
+/// one store, outside the wire).
+inline constexpr uint32_t kProtocolVersion = 9;
 
 /// Oldest shard-server version this coordinator speaks. One version: the
 /// coordinator refuses older shards, and also any shard newer than its own
 /// kProtocolVersion, so a protocol bump cannot be rolled in replica by
 /// replica — the coordinator and its fleet move to the new version together
 /// (docs/operations.md, "Protocol upgrades").
-inline constexpr uint32_t kMinSupportedProtocolVersion = 8;
+inline constexpr uint32_t kMinSupportedProtocolVersion = 9;
 
 inline constexpr char kHealthPath[] = "/health";
 inline constexpr char kMetaPath[] = "/shard/meta";
@@ -95,11 +97,10 @@ inline constexpr char kTopKPath[] = "/shard/topk";
 /// Not served since v8; declared only because servebench/servebench.cc
 /// lists it.
 inline constexpr char kCountPath[] = "/shard/count";
-/// v5+. Request: query (valid), u8 optimized, delta-coded ids of the keyword
-/// universe U (≤ kMaxKeywordUniverse). Response: u64 session id, varu64
-/// objects, groups and columns (QuestionShape). The session answers ranks of
-/// specs at the query's location with a doc ⊆ q.doc ∪ U, and the plane of
-/// the query; a basic session (optimized = 0) answers both by full scan.
+/// v5+. Request: query (valid), delta-coded ids of the keyword universe U
+/// (≤ kMaxKeywordUniverse). Response: u64 session id, varu64 objects, groups
+/// and columns (QuestionShape). The session answers ranks of specs at the
+/// query's location with a doc ⊆ q.doc ∪ U, and the plane of the query.
 inline constexpr char kPlaneOpenPath[] = "/shard/plane/open";
 /// v5+. Request: u64 session slot, then the spec list, varu64 N ≤
 /// kMaxProbeSpecs, then N × (query, u32 global target id, raw-F64 finite

@@ -8,7 +8,6 @@
 
 #include "src/common/timer.h"
 #include "src/common/version.h"
-#include "src/query/ranking.h"
 #include "src/server/json.h"
 #include "src/server/shard_protocol.h"
 #include "src/server/trace_json.h"
@@ -407,7 +406,6 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
 HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   BufReader in(req.body.data(), req.body.size());
   const Query query = shardrpc::GetQuery(&in);
-  const bool optimized = in.GetU8() != 0;
   const KeywordSet universe = KeywordSet::FromSortedUnique(in.GetDeltaIds());
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
   if (Status s = query.Validate(); !s.ok()) {
@@ -422,7 +420,7 @@ HttpResponse ShardService::HandlePlaneOpen(const HttpRequest& req) {
   auto session = std::make_shared<PlaneSession>();
   session->query = query;
   session->universe = KeywordSet::Union(query.doc, universe);
-  session->question = shard_.OpenQuestion(query, universe, optimized).value();
+  session->question = shard_.OpenQuestion(query, universe).value();
   const QuestionShape shape = session->question->shape();
   BufWriter out;
   out.PutU64(AddSession(std::move(session)));

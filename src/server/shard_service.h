@@ -21,8 +21,7 @@
 // closed by the coordinator, and LRU-capped so a leaking or dead client
 // cannot pin memory. A rank batch outside a question is a session too: the
 // coordinator opens a one-call session per location of the batch, ranks on
-// it and closes it. A basic session (the paper's baselines) answers its
-// ranks and plane by full scan; there is no stateless count route.
+// it and closes it. There is no stateless count route.
 
 #ifndef YASK_SERVER_SHARD_SERVICE_H_
 #define YASK_SERVER_SHARD_SERVICE_H_

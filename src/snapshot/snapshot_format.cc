@@ -10,7 +10,7 @@ const char* SectionIdToString(SectionId id) {
       return "vocabulary";
     case SectionId::kObjectStore:
       return "object_store";
-    case SectionId::kInvertedIndex:
+    case SectionId::kRetiredInvertedIndex:
       return "inverted_index";
     case SectionId::kSetRTree:
       return "setr_tree";

@@ -34,7 +34,10 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 enum class SectionId : uint32_t {
   kVocabulary = 1,
   kObjectStore = 2,
-  kInvertedIndex = 3,
+  /// Retired: the inverted index (now a bench baseline,
+  /// bench/baselines/inverted_index.h). Readers skip it and writers never
+  /// emit it; the id is never reused.
+  kRetiredInvertedIndex = 3,
   kSetRTree = 4,
   /// Retired: the KcR-tree. Readers skip it and writers never emit it; the
   /// id is never reused.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/query/ranking.h"
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/whynot/whynot_oracle.h"

@@ -85,9 +85,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     }
   }
   const size_t m = m_ids.size();
-  const bool columns = options.mode == KwAdaptMode::kOptimized;
-  // The work bounds are the columns'; the basic scan has none.
-  if (columns && m > kMaxProbeSpecs) {
+  if (m > kMaxProbeSpecs) {
     return Status::InvalidArgument(
         "keyword adaption ranks at most " + std::to_string(kMaxProbeSpecs) +
         " missing objects, got " + std::to_string(m));
@@ -106,7 +104,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   const KeywordSet universe = KeywordSet::Union(query.doc, m_doc);
   const KeywordSet insertable = KeywordSet::Difference(m_doc, query.doc);
   const size_t doc_norm = universe.size();
-  if (columns && doc_norm > kMaxKeywordUniverse) {
+  if (doc_norm > kMaxKeywordUniverse) {
     return Status::InvalidArgument(
         "q.doc and the missing objects' documents hold " +
         std::to_string(doc_norm) + " distinct keywords; keyword adaption "
@@ -114,9 +112,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   }
   // Candidates per rank fan-out. Every spec's query is `query` with another
   // doc: one location, so one question answers the whole batch.
-  const size_t chunk_size =
-      columns ? std::min(kCandidatesPerChunk, kMaxProbeSpecs / m)
-              : kCandidatesPerChunk;
+  const size_t chunk_size = std::min(kCandidatesPerChunk, kMaxProbeSpecs / m);
 
   // R(M, q') of each keyword set: the exact tie-aware rank of the worst
   // missing object, for every (set, missing object) pair in ONE fan-out.
@@ -132,18 +128,10 @@ Result<RefinedKeywordQuery> AdaptKeywords(
     }
     std::vector<size_t> ranks(docs.size(), 0);
     ++stats.probe_fanouts;
-    if (columns) {
-      const std::unique_ptr<RankProbeBatch> batch =
-          oracle.ProbeRankBatch(specs, &stats);
-      for (size_t i = 0; i < specs.size(); ++i) {
-        ranks[i / m] = std::max(ranks[i / m], batch->lower(i));
-      }
-    } else {
-      const std::vector<size_t> counts =
-          oracle.OutscoringCountBatch(specs, &stats);
-      for (size_t i = 0; i < specs.size(); ++i) {
-        ranks[i / m] = std::max(ranks[i / m], counts[i] + 1);
-      }
+    const std::unique_ptr<RankProbeBatch> batch =
+        oracle.ProbeRankBatch(specs, &stats);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ranks[i / m] = std::max(ranks[i / m], batch->lower(i));
     }
     return ranks;
   };
@@ -155,8 +143,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
                : (1.0 - lambda) * static_cast<double>(delta_doc) / doc_norm;
   };
 
-  // --- R(M, q) under the original query. With the columns, it rides the
-  // fan-out of the first ∆doc = 1 chunk whenever that chunk is expected to
+  // --- R(M, q) under the original query. It rides the fan-out of the first ∆doc = 1 chunk whenever that chunk is expected to
   // be evaluated: the level-1 cut compares (1−λ)/|U| with the seed penalty
   // λ, which does not depend on R(M, q). The ranks are kept and used only if
   // the search later asks for exactly that chunk, so the guess never changes
@@ -164,7 +151,7 @@ Result<RefinedKeywordQuery> AdaptKeywords(
   std::vector<KeywordSet> prefetched;
   std::vector<size_t> prefetched_ranks;
   size_t r0 = 0;
-  if (columns && e_cap >= 1 && floor_of(1) < lambda &&
+  if (e_cap >= 1 && floor_of(1) < lambda &&
       (chunk_size + 1) * m <= kMaxProbeSpecs) {
     std::vector<KeywordSet> first = {query.doc};
     ForEachCandidateAtDistance(query.doc, insertable, 1, [&](KeywordSet cand) {

@@ -18,12 +18,11 @@
 // Ranks come from the question's columns (QuestionColumns,
 // docs/architecture.md "Question columns"): every candidate shares q.loc, w
 // and U, so one pass groups the objects by (mask over U, |o.doc|) and sorts
-// each group by 1 − SDist. The optimized mode, an exact alternative to ref
-// [6]'s KcR-tree bounds, then answers any candidate's rank with one binary
-// search per group. The basic baseline scores every object per candidate,
-// as in the paper's evaluation of ref [6]: its ranks come from basic
-// one-call questions, which scan the same columns. One chunk of candidates
-// is one rank fan-out.
+// each group by 1 − SDist. Any candidate's rank is then one binary search
+// per group, an exact alternative to ref [6]'s KcR-tree bounds. The paper's
+// basic baseline, which scores every object per candidate, is the same
+// search over another oracle layout (bench/baselines/scan_oracle.h). One
+// chunk of candidates is one rank fan-out.
 //
 // Candidates are enumerated lazily, one chunk held at a time, and ranked in
 // chunks of 128: the (candidate, missing object) specs of one chunk share
@@ -31,15 +30,14 @@
 // never changes the refined query: every cut is strict, so the winner does
 // not depend on it.
 //
-// Work bounds (src/whynot/shard_primitives.h): both modes generate at most
-// kMaxKeywordCandidates candidates, then answer the best one generated and
-// set `stats.truncated`; memory is bounded by one chunk. In the optimized
-// mode |U| <= kMaxKeywordUniverse (U travels on the wire) and one fan-out
-// carries at most kMaxProbeSpecs (candidate, missing object) specs, so a
-// chunk holds at most kMaxProbeSpecs / |M| candidates; a larger U, or more
-// missing objects than one fan-out holds, is InvalidArgument. The basic
-// scan has neither bound: its candidates travel as q.doc, which has no cap,
-// and a remote oracle splits its spec lists into requests under the cap.
+// Work bounds (src/whynot/shard_primitives.h): at most
+// kMaxKeywordCandidates candidates are generated; past that the search
+// answers the best one generated and sets `stats.truncated`. Memory is
+// bounded by one chunk. |U| <= kMaxKeywordUniverse (U travels on the wire),
+// and one fan-out carries at most kMaxProbeSpecs (candidate, missing
+// object) specs, so a chunk holds at most kMaxProbeSpecs / |M| candidates;
+// a larger U, or more missing objects than one fan-out holds, is
+// InvalidArgument.
 
 #ifndef YASK_WHYNOT_KEYWORD_ADAPTION_H_
 #define YASK_WHYNOT_KEYWORD_ADAPTION_H_
@@ -56,17 +54,9 @@ namespace yask {
 
 class WhyNotOracle;  // src/whynot/whynot_oracle.h
 
-/// Algorithm selector for AdaptKeywords. Both modes cut by the D4 floor and
-/// return the same refined query.
-enum class KwAdaptMode {
-  kBasic,      // Exact rank by full scan per candidate.
-  kOptimized,  // Exact rank by binary search per keyword-mask group.
-};
-
 struct KeywordAdaptOptions {
   /// The λ of Eqn. (4): weight of the ∆k term versus the ∆doc term.
   double lambda = 0.5;
-  KwAdaptMode mode = KwAdaptMode::kOptimized;
 };
 
 /// Work counters (benchmarks E8/E9/E10 and the remote round-trip gate).
@@ -75,10 +65,9 @@ struct KeywordAdaptStats {
   size_t candidates_generated = 0;
   size_t candidates_pruned_floor = 0;   // Cut by the ∆doc floor alone.
   size_t candidates_resolved = 0;       // Evaluated to an exact penalty.
-  /// Objects read per rank fan-out, summed: the dataset size per
-  /// (candidate, missing object) spec for a basic-mode scan, and the
-  /// dataset size per fan-out for the keyword-mask groups (the objects a
-  /// fan-out's columns hold).
+  /// Objects read per rank fan-out, summed: the dataset size per fan-out
+  /// for the keyword-mask groups (the objects a fan-out's columns hold), or
+  /// per (candidate, missing object) spec for an oracle that ranks by scan.
   size_t objects_scored = 0;
   /// Rank fan-outs issued (one oracle call per chunk, plus R(M, q) when it
   /// does not ride the first chunk) — at most one round-trip per shard each
@@ -106,8 +95,7 @@ struct RefinedKeywordQuery {
 /// search offers every candidate the floor does not cut to the running
 /// best with its exact rank (the floor cut is strict), so the refined query
 /// — including the deterministic tie order: smaller ∆doc, then
-/// lexicographically smaller keyword ids — is bit-identical across layouts
-/// and modes.
+/// lexicographically smaller keyword ids — is bit-identical across layouts.
 Result<RefinedKeywordQuery> AdaptKeywords(
     const WhyNotOracle& oracle, const Query& query,
     const std::vector<ObjectId>& missing,

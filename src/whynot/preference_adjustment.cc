@@ -99,7 +99,7 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   // question on this query); the counts and crossings it serves are exact
   // partition-sums/unions, so everything downstream is layout-independent.
   const std::unique_ptr<ScorePlaneSession> session =
-      oracle.PrepareScorePlane(query, options.mode);
+      oracle.PrepareScorePlane(query, PrefAdjustMode::kOptimized);
   std::vector<PlanePoint> anchors;
   anchors.reserve(m_ids.size());
   for (ObjectId id : m_ids) anchors.push_back(session->Anchor(id));
@@ -158,8 +158,8 @@ Result<RefinedPreferenceQuery> AdjustPreference(
 
   // --- Step 4: evaluate candidates nearest-to-w0 first; stop when the ∆w
   // floor alone exceeds the best penalty (DESIGN.md D2/D3). Ranks are
-  // computed exactly (index-accelerated in optimized mode), so both modes
-  // return identical refinements. Each crossing also spawns a candidate just
+  // computed exactly, so every oracle layout returns the identical
+  // refinement. Each crossing also spawns a candidate just
   // past it on the far side from w0 (see kStepPastCrossing), where rank
   // drops whose tie resolves against a missing object materialise.
   std::sort(events.begin(), events.end(), [&](double a, double b) {
@@ -180,18 +180,15 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   //     cut are discarded deterministically, never offered;
   //   * candidates outside (kMinW, kMaxW) are dropped when the segment is
   //     built, so candidates_evaluated counts the same evaluations.
-  // The schedule is the same in every layout. Optimized mode doubles the
-  // segment from the session's first size (8, 16, 32, …): E consumed
-  // events cost ⌈log2(E/8 + 1)⌉ fan-outs, and the over-fetch past the cut
-  // is at most E + 8 events. Basic mode keeps one event per segment: there
-  // every over-fetched pair is a full O(n) rescan. Every segment's
-  // weights × anchors stay within kMaxCountBatchPairs (≥ 1 event, checked
-  // on entry).
+  // The schedule is the same in every layout: the segment doubles from the
+  // session's first size (8, 16, 32, …), so E consumed events cost
+  // ⌈log2(E/8 + 1)⌉ fan-outs, and the over-fetch past the cut is at most
+  // E + 8 events. Every segment's weights × anchors stay within
+  // kMaxCountBatchPairs (≥ 1 event, checked on entry).
   const size_t num_anchors = anchors.size();
   const size_t max_segment = kMaxCountBatchPairs / (3 * num_anchors);
-  const bool doubling = options.mode == PrefAdjustMode::kOptimized;
-  size_t segment = doubling ? session->PreferredSweepBatch() : 1;
-  segment = std::clamp<size_t>(segment, 1, max_segment);
+  size_t segment =
+      std::clamp<size_t>(session->PreferredSweepBatch(), 1, max_segment);
 
   auto offer = [&](double w, const std::vector<size_t>& counts, size_t base) {
     size_t rank = 0;
@@ -209,7 +206,7 @@ Result<RefinedPreferenceQuery> AdjustPreference(
   while (next < events.size()) {
     if (floor_of(events[next]) >= best.penalty().value) break;
     const size_t seg_end = std::min(events.size(), next + segment);
-    if (doubling) segment = std::min(2 * segment, max_segment);
+    segment = std::min(2 * segment, max_segment);
 
     weights.clear();
     event_starts.assign(seg_end - next + 1, 0);

@@ -16,13 +16,10 @@
 //      outside which the ∆w term alone exceeds the best penalty (D3);
 //   3. finds all crossings of missing objects' lines inside the interval —
 //      the paper's "two range queries", answered by binary searches per
-//      TSim column of the question's columns (optimized), or by brute force
-//      (basic);
+//      TSim column of the question's columns;
 //   4. evaluates candidate weights nearest-to-w0 first, stopping as soon as
 //      the ∆w penalty floor alone exceeds the best penalty found; candidate
-//      ranks are computed exactly — by one binary search per TSim column
-//      (optimized) or by a full rescan per candidate (the paper's basic
-//      baseline);
+//      ranks are computed exactly, by one binary search per TSim column;
 //   5. returns the candidate with the lowest penalty; ties prefer smaller
 //      |w − w0|, then smaller w.
 //
@@ -35,6 +32,11 @@
 // evaluated with the same floating-point score semantics the top-k engine
 // uses, so the refinement's k' is guaranteed sufficient to revive M, and
 // the result is optimal over all w up to that ∆w resolution.
+//
+// The paper's basic baseline (brute-force crossings, a full rescan per
+// candidate) is not a mode of this module: it is the same search over
+// another oracle layout, bench/baselines/scan_oracle.h, whose plane session
+// answers every count and crossing by scanning the objects' points.
 
 #ifndef YASK_WHYNOT_PREFERENCE_ADJUSTMENT_H_
 #define YASK_WHYNOT_PREFERENCE_ADJUSTMENT_H_
@@ -64,32 +66,22 @@ struct PlanePoint {
   double ScoreAt(double w) const { return w * x + (1.0 - w) * y; }
 };
 
-/// Algorithm selector for AdjustPreference.
-enum class PrefAdjustMode {
-  kBasic,      // Brute-force crossings + full rescan per candidate (O(C·n)).
-  kOptimized,  // TSim-column searches + incremental rank-update sweep.
-};
+/// The plane's parameter type on WhyNotOracle::PrepareScorePlane. Nothing
+/// reads it: one enumerator, kept only because servebench/tracing.h
+/// overrides PrepareScorePlane with this signature (ROADMAP item 2 deletes
+/// it once item 1 retires tracing.h).
+enum class PrefAdjustMode { kOptimized };
 
 struct PreferenceAdjustOptions {
   /// The λ of Eqn. (3): weight of the ∆k term versus the ∆w term.
   double lambda = 0.5;
-  /// Also sets the Step-4 sweep schedule. The sweep fetches the counts of
-  /// the next segment of nearest-to-w0 events in one
-  /// ScorePlaneSession::CountAboveBatch fan-out: optimized segments double
-  /// from 8 events, basic segments hold one event (each over-fetched pair
-  /// would be a full rescan). The refinement and the crossing/candidate
-  /// counters do not depend on the schedule: the ∆w floor is monotone in
-  /// the nearest-first event order, so the floor cut is re-applied while
-  /// consuming a segment and counts fetched past it are discarded.
-  PrefAdjustMode mode = PrefAdjustMode::kOptimized;
 };
 
 /// Work counters (benchmarks E4/E5/E7).
 struct PreferenceAdjustStats {
   size_t crossings_found = 0;       // Candidate events inside the interval.
   size_t candidates_evaluated = 0;  // Penalty evaluations.
-  size_t index_nodes_visited = 0;   // TSim-column score evaluations.
-  size_t full_rescans = 0;          // O(n) rank scans (basic mode).
+  size_t index_nodes_visited = 0;   // Plane score evaluations.
   size_t sweep_fanouts = 0;         // Oracle count fan-outs in the sweep.
 };
 

@@ -12,16 +12,10 @@
 #include <utility>
 
 #include "src/common/trace.h"
-#include "src/query/ranking.h"
 #include "src/query/scoring.h"
 
 namespace yask {
 
-namespace {
-
-/// Appends the crossing weight of the anchor's line with p's line when it
-/// exists and falls inside [wlo, whi] — the shared re-filter every layout
-/// runs, so a crossing's weight is the same double wherever it is computed.
 void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
                           double whi, std::vector<double>* events) {
   if (p.id == m.id) return;
@@ -31,6 +25,8 @@ void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
   if (!(wx >= wlo && wx <= whi)) return;
   events->push_back(wx);
 }
+
+namespace {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -230,9 +226,8 @@ size_t KeywordPostings::bytes() const {
 QuestionColumns::QuestionColumns(const OracleShardView& view,
                                  const KeywordPostings& postings,
                                  double dist_norm, const Query& query,
-                                 const KeywordSet& universe, bool optimized)
-    : view_(view), dist_norm_(dist_norm), loc_(query.loc),
-      optimized_(optimized) {
+                                 const KeywordSet& universe)
+    : view_(view), dist_norm_(dist_norm), loc_(query.loc) {
   terms_ = KeywordSet::Union(query.doc, universe).ids();
   words_ = std::max<size_t>(1, (terms_.size() + 63) / 64);
 
@@ -412,22 +407,10 @@ size_t QuestionColumns::CountOutscoring(const ScanTarget& target) const {
   for (size_t g = 0; g < groups_.size(); ++g) {
     const double text = TextOf(&group_masks_[g * words_], groups_[g].len,
                                qmask.data(), q.doc.size(), wt);
-    auto score = [&](uint32_t i) { return ws * gx_[i] + text; };
-    if (optimized_) {
-      count += CountSlice(groups_[g].begin, groups_[g].end, gid_.data(),
-                          target.target_score, target.target, score);
-      continue;
-    }
-    // Basic: every object scored, the target skipped by its global id.
-    for (uint32_t i = groups_[g].begin; i < groups_[g].end; ++i) {
-      if (gid_[i] != target.target &&
-          OutranksTarget(score(i), gid_[i], target.target_score,
-                         target.target)) {
-        ++count;
-      }
-    }
+    count += CountSlice(groups_[g].begin, groups_[g].end, gid_.data(),
+                        target.target_score, target.target,
+                        [&](uint32_t i) { return ws * gx_[i] + text; });
   }
-  if (!optimized_) return count;
   // The target never outranks itself; the search above counted it only if
   // its own score exceeds the threshold it was given.
   if (const std::optional<ObjectId> local = LocalOf(view_, target.target)) {
@@ -538,21 +521,8 @@ Status QuestionColumns::CountAboveBatch(const std::vector<double>& weights,
     for (size_t a = 0; a < na; ++a) {
       const PlanePoint& anchor = anchors[a];
       const double threshold = anchor.ScoreAt(w);
-      size_t& count = (*counts)[wi * na + a];
-      if (optimized_) {
-        count = CountAbove(w, threshold, anchor.id, nodes_visited);
-        continue;
-      }
-      count = 0;
-      for (const Column& c : columns_) {
-        for (uint32_t i = c.begin; i < c.end; ++i) {
-          if (cid_[i] == anchor.id) continue;
-          if (OutranksTarget(PlanePoint{cx_[i], c.y}.ScoreAt(w), cid_[i],
-                             threshold, anchor.id)) {
-            ++count;
-          }
-        }
-      }
+      (*counts)[wi * na + a] =
+          CountAbove(w, threshold, anchor.id, nodes_visited);
     }
   }
   return Status::OK();
@@ -563,15 +533,6 @@ Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
                                          std::vector<double>* events,
                                          size_t* nodes_visited) {
   assert(0.0 <= wlo && wlo <= whi);
-  if (!optimized_) {
-    for (const Column& c : columns_) {
-      for (uint32_t i = c.begin; i < c.end; ++i) {
-        AppendCrossingWeight(anchor, PlanePoint{cx_[i], c.y, cid_[i]}, wlo,
-                             whi, events);
-      }
-    }
-    return Status::OK();
-  }
   const double a_lo = anchor.ScoreAt(wlo);
   const double a_hi = anchor.ScoreAt(whi);
   // Slack absorbs floating-point disagreement between the endpoint sign test
@@ -640,10 +601,10 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
 }
 
 Result<std::unique_ptr<OracleShardQuestion>> LocalOracleShard::OpenQuestion(
-    const Query& query, const KeywordSet& universe, bool optimized) const {
+    const Query& query, const KeywordSet& universe) const {
   ScopedSpan span("shard/question");
-  auto question = std::make_unique<QuestionColumns>(
-      view_, postings_, dist_norm_, query, universe, optimized);
+  auto question = std::make_unique<QuestionColumns>(view_, postings_,
+                                                    dist_norm_, query, universe);
   if (span.active()) span.set_detail(DescribeQuestion(question->shape()));
   return std::unique_ptr<OracleShardQuestion>(std::move(question));
 }

@@ -16,8 +16,6 @@
 // There is one kernel. Every rank, count and crossing runs through a
 // question (OracleShard::OpenQuestion, QuestionColumns in process), whether
 // the engine opened it for a /whynot or the oracle opened it for one call.
-// A basic question (the paper's baselines: basic preference adjustment and
-// basic keyword adaption) answers by full scan over the same columns.
 
 #ifndef YASK_WHYNOT_SHARD_PRIMITIVES_H_
 #define YASK_WHYNOT_SHARD_PRIMITIVES_H_
@@ -97,6 +95,13 @@ class KeywordPostings {
 /// it. Shards hold their objects in ascending global id order.
 std::optional<ObjectId> LocalOf(const OracleShardView& view, ObjectId global);
 
+/// Appends the crossing weight of the anchor `m`'s score line with `p`'s
+/// when the lines cross inside [wlo, whi] and p is not m — the one re-filter
+/// every plane runs, so a crossing's weight is the same double wherever it
+/// is computed.
+void AppendCrossingWeight(const PlanePoint& m, const PlanePoint& p, double wlo,
+                          double whi, std::vector<double>* events);
+
 /// One target of a rank count: the query it is ranked under and its score.
 struct ScanTarget {
   const Query* query = nullptr;
@@ -157,7 +162,7 @@ class OracleShardQuestion {
   /// (*counts)[wi * anchors.size() + a] compares against the threshold
   /// anchors[a].ScoreAt(weights[wi]) — the same double every layout
   /// computes. `counts` must be pre-sized to weights.size() * anchors.size().
-  /// `nodes_visited` accumulates score evaluations (optimized mode only).
+  /// `nodes_visited` accumulates score evaluations.
   virtual Status CountAboveBatch(const std::vector<double>& weights,
                                  const std::vector<PlanePoint>& anchors,
                                  std::vector<size_t>* counts,
@@ -198,21 +203,17 @@ class OracleShardQuestion {
 ///
 /// Every score is the same IEEE arithmetic on the same operands as
 /// Scorer::Score and PlanePoint::ScoreAt (the build disables FMA
-/// contraction), so counts are exact. A basic question (the paper's
-/// baselines) scores every object instead of searching: its rank counts
-/// walk every group whole and its plane every column whole. The universe
-/// may span any number of 64-bit mask words; the wire caps U at
-/// kMaxKeywordUniverse. Immutable once built, so calls may overlap.
+/// contraction), so counts are exact. The universe may span any number of
+/// 64-bit mask words; the wire caps U at kMaxKeywordUniverse. Immutable once
+/// built, so calls may overlap.
 class QuestionColumns final : public OracleShardQuestion {
  public:
   /// `view` must outlive the columns; `postings` are its store's, read only
   /// while building. `universe` lists the keywords beyond query.doc that
-  /// covered targets may use. Rank counts and the Eqn. (3)
-  /// plane are answered by binary search per group and per TSim column when
-  /// `optimized`, else by full scan (basic mode, the paper's baselines).
+  /// covered targets may use.
   QuestionColumns(const OracleShardView& view, const KeywordPostings& postings,
                   double dist_norm, const Query& query,
-                  const KeywordSet& universe, bool optimized);
+                  const KeywordSet& universe);
 
   QuestionShape shape() const override;
 
@@ -258,7 +259,6 @@ class QuestionColumns final : public OracleShardQuestion {
   OracleShardView view_;
   double dist_norm_;
   Point loc_;
-  bool optimized_;
   std::vector<TermId> terms_;  // The universe, sorted.
   size_t words_ = 1;           // 64-bit mask words per group.
   std::vector<Group> groups_;
@@ -290,12 +290,11 @@ class OracleShard {
   virtual Result<TopKResult> TopK(const Query& query, double prune_below,
                                   TopKStats* stats) const = 0;
 
-  /// The shard's state for a question on `query` (plane: optimized or
-  /// basic), whose ranks may use the keywords of query.doc ∪ `universe`
-  /// (|universe| ≤ kMaxKeywordUniverse). `query` must be valid.
+  /// The shard's state for a question on `query`, whose ranks may use the
+  /// keywords of query.doc ∪ `universe` (|universe| ≤ kMaxKeywordUniverse).
+  /// `query` must be valid.
   virtual Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
-      const Query& query, const KeywordSet& universe,
-      bool optimized) const = 0;
+      const Query& query, const KeywordSet& universe) const = 0;
 };
 
 /// The in-process shard: QuestionColumns and SetRTopKEngine over a view,
@@ -314,8 +313,7 @@ class LocalOracleShard final : public OracleShard {
                           TopKStats* stats) const override;
   /// Records a "shard/question" span detailing the columns' shape.
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
-      const Query& query, const KeywordSet& universe,
-      bool optimized) const override;
+      const Query& query, const KeywordSet& universe) const override;
 
  private:
   OracleShardView view_;

@@ -5,7 +5,6 @@
 
 #include "src/common/trace.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/query/ranking.h"
 
 namespace yask {
 namespace {
@@ -48,7 +47,7 @@ Result<WhyNotAnswer> WhyNotEngine::Answer(
   WhyNotAnswer answer;
   // One question for every stage: each shard builds its columns once.
   const std::unique_ptr<const WhyNotOracle> question =
-      oracle_->OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
+      oracle_->OpenQuestion(query, missing);
   const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Stage spans are recorded in EVERY corpus layout (local, sharded,
@@ -154,7 +153,7 @@ Result<CombinedRefinement> WhyNotEngine::CombineRefinements(
   // weights; the preference step after keyword adaption sweeps another
   // doc's plane, which opens its own.
   const std::unique_ptr<const WhyNotOracle> question =
-      oracle_->OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
+      oracle_->OpenQuestion(query, missing);
   const WhyNotOracle& oracle = question != nullptr ? *question : *oracle_;
 
   // Order A: preference first, keyword adaption on the adjusted query.

@@ -37,9 +37,9 @@ namespace yask {
 
 class ShardedCorpus;  // src/corpus/sharded_corpus.h
 
-/// Which refinement models to run. The engine always runs their optimized
-/// modes; the paper's basic baselines stay reachable through
-/// AdjustPreference and AdaptKeywords.
+/// Which refinement models to run. Each runs over the engine's oracle; the
+/// paper's basic baselines are the same modules over a scanning oracle
+/// (bench/baselines/scan_oracle.h), not an option here.
 struct WhyNotOptions {
   double lambda = 0.5;
   bool run_preference_adjustment = true;
@@ -87,7 +87,8 @@ class WhyNotEngine {
   /// Distributed engine: oracle calls fan out over the shard pool; answers
   /// are bit-identical to the unsharded engine over the same objects.
   explicit WhyNotEngine(const ShardedCorpus& corpus);
-  /// Over any oracle implementation (tests, custom layouts).
+  /// Over any oracle implementation (tests, custom layouts, the scanning
+  /// baseline).
   explicit WhyNotEngine(std::unique_ptr<const WhyNotOracle> oracle);
 
   /// Runs the initial top-k query (the demo's query mode, Fig. 3).

@@ -49,7 +49,6 @@ void MergeTopK(const TopKResult& part, size_t k, TopKResult* merged) {
 struct ShardQuestionSet {
   Query query;          // The question's query: its location and plane.
   KeywordSet universe;  // query.doc ∪ U: the docs its ranks may use.
-  bool optimized = true;
   std::vector<std::unique_ptr<OracleShardQuestion>> shards;
   std::vector<size_t> live;  // Shards whose question opened.
 };
@@ -86,8 +85,6 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
                                                         &counts[s], &nodes[s]);
         });
     for (const size_t s : answered) stats->index_nodes_visited += nodes[s];
-    // One logical dataset rescan per (weight, anchor) pair in basic mode.
-    if (!questions_->optimized) stats->full_rescans += pairs;
     return SumOver(answered, counts, pairs);
   }
 
@@ -122,9 +119,8 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
 class FanOutQuestion final : public WhyNotOracle {
  public:
   FanOutQuestion(const FanOutWhyNotOracle* oracle,
-                 std::shared_ptr<ShardQuestionSet> questions,
-                 PrefAdjustMode mode)
-      : oracle_(oracle), questions_(std::move(questions)), mode_(mode) {}
+                 std::shared_ptr<ShardQuestionSet> questions)
+      : oracle_(oracle), questions_(std::move(questions)) {}
 
   size_t size() const override { return oracle_->size(); }
   double dist_norm() const override { return oracle_->dist_norm(); }
@@ -160,18 +156,11 @@ class FanOutQuestion final : public WhyNotOracle {
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override {
     // The plane is the question query's: its location and doc.
-    if (mode != mode_ || !Covers(query) ||
-        query.doc != questions_->query.doc) {
+    if (!Covers(query) || query.doc != questions_->query.doc) {
       return oracle_->PrepareScorePlane(query, mode);
     }
     return std::make_unique<FanOutScorePlaneSession>(oracle_, &query,
                                                      questions_);
-  }
-
-  std::vector<size_t> OutscoringCountBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override {
-    return oracle_->OutscoringCountBatch(specs, stats);
   }
 
   std::unique_ptr<RankProbeBatch> ProbeRankBatch(
@@ -194,7 +183,6 @@ class FanOutQuestion final : public WhyNotOracle {
 
   const FanOutWhyNotOracle* oracle_;
   std::shared_ptr<ShardQuestionSet> questions_;
-  PrefAdjustMode mode_;
 };
 
 FanOutWhyNotOracle::FanOutWhyNotOracle(
@@ -307,15 +295,14 @@ std::vector<ScanTarget> FanOutWhyNotOracle::ResolveTargets(
 }
 
 std::shared_ptr<ShardQuestionSet> FanOutWhyNotOracle::OpenShardQuestions(
-    const Query& query, const KeywordSet& universe, bool optimized) const {
+    const Query& query, const KeywordSet& universe) const {
   auto questions = std::make_shared<ShardQuestionSet>();
   questions->query = query;
   questions->universe = KeywordSet::Union(query.doc, universe);
-  questions->optimized = optimized;
   questions->shards.resize(shards_.size());
   questions->live = FanOutShards(all_shards_, [&](size_t s) {
     Result<std::unique_ptr<OracleShardQuestion>> question =
-        shards_[s]->OpenQuestion(query, universe, optimized);
+        shards_[s]->OpenQuestion(query, universe);
     if (!question.ok()) return question.status();
     questions->shards[s] = std::move(question).value();
     return Status::OK();
@@ -338,7 +325,7 @@ std::vector<size_t> FanOutWhyNotOracle::SumQuestionCounts(
 }
 
 std::vector<size_t> FanOutWhyNotOracle::CountByLocation(
-    const std::vector<OracleTargetSpec>& specs, bool optimized) const {
+    const std::vector<OracleTargetSpec>& specs) const {
   // The specs by the bits of their location, in first-seen order.
   std::vector<std::vector<size_t>> locations;
   std::map<std::pair<uint64_t, uint64_t>, size_t> location_of;
@@ -363,7 +350,7 @@ std::vector<size_t> FanOutWhyNotOracle::CountByLocation(
       located.push_back(targets[i]);
     }
     const std::shared_ptr<ShardQuestionSet> questions =
-        OpenShardQuestions(question, KeywordSet(), optimized);
+        OpenShardQuestions(question, KeywordSet());
     const std::vector<size_t> located_counts =
         SumQuestionCounts(questions.get(), located);
     for (size_t j = 0; j < members.size(); ++j) {
@@ -374,32 +361,22 @@ std::vector<size_t> FanOutWhyNotOracle::CountByLocation(
 }
 
 std::unique_ptr<ScorePlaneSession> FanOutWhyNotOracle::PrepareScorePlane(
-    const Query& query, PrefAdjustMode mode) const {
+    const Query& query, PrefAdjustMode /*mode*/) const {
   return std::make_unique<FanOutScorePlaneSession>(
-      this, &query,
-      OpenShardQuestions(query, KeywordSet(),
-                         mode == PrefAdjustMode::kOptimized));
-}
-
-std::vector<size_t> FanOutWhyNotOracle::OutscoringCountBatch(
-    const std::vector<OracleTargetSpec>& specs,
-    KeywordAdaptStats* stats) const {
-  stats->objects_scored += size_ * specs.size();
-  return CountByLocation(specs, /*optimized=*/false);
+      this, &query, OpenShardQuestions(query, KeywordSet()));
 }
 
 std::unique_ptr<RankProbeBatch> FanOutWhyNotOracle::ProbeRankBatch(
     const std::vector<OracleTargetSpec>& specs,
     KeywordAdaptStats* stats) const {
   stats->objects_scored += size_;
-  std::vector<size_t> ranks = CountByLocation(specs, /*optimized=*/true);
+  std::vector<size_t> ranks = CountByLocation(specs);
   for (size_t& rank : ranks) ++rank;
   return std::make_unique<ExactRankBatch>(std::move(ranks));
 }
 
 std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
-    const Query& query, const std::vector<ObjectId>& missing,
-    PrefAdjustMode mode) const {
+    const Query& query, const std::vector<ObjectId>& missing) const {
   if (!query.Validate().ok() || missing.empty()) return nullptr;
   KeywordSet universe = query.doc;
   for (const ObjectId id : missing) {
@@ -412,7 +389,7 @@ std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
 
   ScopedSpan span("whynot/question");
   std::shared_ptr<ShardQuestionSet> questions =
-      OpenShardQuestions(query, universe, mode == PrefAdjustMode::kOptimized);
+      OpenShardQuestions(query, universe);
   if (span.active()) {
     QuestionShape total;
     total.universe = questions->universe.size();
@@ -424,7 +401,7 @@ std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
     }
     span.set_detail(DescribeQuestion(total));
   }
-  return std::make_unique<FanOutQuestion>(this, std::move(questions), mode);
+  return std::make_unique<FanOutQuestion>(this, std::move(questions));
 }
 
 // --- LocalWhyNotOracle -------------------------------------------------------

@@ -27,8 +27,7 @@
 // sweep and the Eqn. (4) ranks are all answered from them. A rank batch or
 // a plane asked for outside a question opens a one-call question of its own
 // (one per distinct location of a batch), so the question is the one route
-// to a shard's ranks; the basic baselines open basic questions, which
-// answer by full scan.
+// to a shard's ranks.
 //
 // WhyNotOracle captures exactly those primitives, and the algorithms run
 // unchanged over any implementation. The fan-out and the merge above are
@@ -37,7 +36,10 @@
 // through OracleShard: LocalOracleShard in process (LocalWhyNotOracle, one
 // per store of an unsharded or a sharded corpus), or a remote shard's
 // replicas (RemoteShardOracle, src/corpus/remote_whynot_oracle.h). Determinism
-// argument: docs/architecture.md, "Distributed why-not".
+// argument: docs/architecture.md, "Distributed why-not". The paper's basic
+// baselines are one more layout, outside src/: ScanOracle
+// (bench/baselines/scan_oracle.h) answers every rank, count and crossing by
+// scanning one store.
 
 #ifndef YASK_WHYNOT_WHYNOT_ORACLE_H_
 #define YASK_WHYNOT_WHYNOT_ORACLE_H_
@@ -222,18 +224,23 @@ class WhyNotOracle {
   }
 
   /// Builds the per-query score-plane state for Eqn. (3). `query` must
-  /// outlive the returned session.
+  /// outlive the returned session. Nothing reads the mode; the parameter is
+  /// kept only because servebench/tracing.h overrides this signature.
   virtual std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const = 0;
 
   /// Tie-aware exact counts of objects outscoring each spec's target under
-  /// its query (== Rank − 1), by full scan — the paper's basic keyword
-  /// adaption baseline: one one-call basic question per distinct location
-  /// of the specs, as ProbeRankBatch opens optimized ones.
-  /// `stats->objects_scored` grows by the dataset size per spec.
+  /// its query: ProbeRankBatch's ranks − 1. The algorithms never call it.
+  /// Virtual only because servebench/tracing.h overrides it (ROADMAP item 2
+  /// deletes it once item 1 retires tracing.h).
   virtual std::vector<size_t> OutscoringCountBatch(
       const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const = 0;
+      KeywordAdaptStats* stats) const {
+    const std::unique_ptr<RankProbeBatch> batch = ProbeRankBatch(specs, stats);
+    std::vector<size_t> counts(batch->size());
+    for (size_t i = 0; i < counts.size(); ++i) counts[i] = batch->lower(i) - 1;
+    return counts;
+  }
 
   /// Exact tie-aware ranks (count + 1) of every spec's target, by keyword-
   /// mask groups: from the open question's columns, or outside a question
@@ -248,13 +255,12 @@ class WhyNotOracle {
   /// Rank, PrepareScorePlane and ProbeRankBatch from per-shard question
   /// columns built once, for every query the question covers (q's location,
   /// a doc within q.doc ∪ M.doc, any weights — for TopK finite and ≥ 0 —
-  /// and any k; the plane for q itself in `mode`);
+  /// and any k; the plane for q itself);
   /// every other call passes through to this oracle, which must outlive it.
   /// Null when this oracle opens no questions, or when (q, M) is invalid —
   /// the stages then run over this oracle and report why.
   virtual std::unique_ptr<const WhyNotOracle> OpenQuestion(
-      const Query& /*query*/, const std::vector<ObjectId>& /*missing*/,
-      PrefAdjustMode /*mode*/) const {
+      const Query& /*query*/, const std::vector<ObjectId>& /*missing*/) const {
     return nullptr;
   }
 
@@ -284,8 +290,8 @@ struct ShardQuestionSet;  // One open question's per-shard states (.cc).
 /// LocalWhyNotOracle and RemoteShardOracle differ only in their shards, pool
 /// and Object().
 ///
-/// Outside an open question, PrepareScorePlane, OutscoringCountBatch and
-/// ProbeRankBatch open one-call questions (a question opened for a single
+/// Outside an open question, PrepareScorePlane and ProbeRankBatch open
+/// one-call questions (a question opened for a single
 /// oracle call and closed after it), so every rank, count and crossing runs
 /// through OracleShard::OpenQuestion either way.
 class FanOutWhyNotOracle : public WhyNotOracle {
@@ -304,16 +310,13 @@ class FanOutWhyNotOracle : public WhyNotOracle {
                   TopKStats* stats = nullptr) const override;
   std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
       const Query& query, PrefAdjustMode mode) const override;
-  std::vector<size_t> OutscoringCountBatch(
-      const std::vector<OracleTargetSpec>& specs,
-      KeywordAdaptStats* stats) const override;
   std::unique_ptr<RankProbeBatch> ProbeRankBatch(
       const std::vector<OracleTargetSpec>& specs,
       KeywordAdaptStats* stats) const override;
   /// Records a "whynot/question" span detailing the shards' columns summed.
   std::unique_ptr<const WhyNotOracle> OpenQuestion(
-      const Query& query, const std::vector<ObjectId>& missing,
-      PrefAdjustMode mode) const override;
+      const Query& query,
+      const std::vector<ObjectId>& missing) const override;
 
   /// The fan-out pool (null = fan-outs run inline on the calling thread).
   const ThreadPool* pool() const { return pool_; }
@@ -342,7 +345,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
 
   /// Every shard's question on `query` (ranks over query.doc ∪ `universe`).
   std::shared_ptr<ShardQuestionSet> OpenShardQuestions(
-      const Query& query, const KeywordSet& universe, bool optimized) const;
+      const Query& query, const KeywordSet& universe) const;
 
   /// Partition-sum of every target's count over an open question.
   std::vector<size_t> SumQuestionCounts(
@@ -353,7 +356,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
   /// distinct location of the specs (told apart by their bits, in
   /// first-seen order), whose doc is the union of the docs there.
   std::vector<size_t> CountByLocation(
-      const std::vector<OracleTargetSpec>& specs, bool optimized) const;
+      const std::vector<OracleTargetSpec>& specs) const;
 
   std::vector<std::unique_ptr<const OracleShard>> shards_;
   std::vector<size_t> all_shards_;  // 0..shards_.size()-1.

@@ -1,4 +1,4 @@
-#include "src/index/ir_tree.h"
+#include "bench/baselines/ir_tree.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "src/query/ranking.h"
+#include "bench/baselines/scan_oracle.h"
 
 #include <gtest/gtest.h>
 

@@ -1,23 +1,29 @@
-// Reference-backed property suite for every serving layout: the why-not
+// Reference-backed property suite for every layout: the why-not
 // refinements of the local oracle, the in-process sharded oracle (1/2/4
-// shards, grid and hash routers) and the remote oracle over loopback shard
-// servers, in both modes of each model, are checked against the index-free
+// shards, grid and hash routers), the remote oracle over loopback shard
+// servers and the paper's scanning baseline (ScanOracle,
+// bench/baselines/scan_oracle.h) are checked against the index-free
 // brute-force reference (tests/reference/whynot_reference.h) on random and
-// tie-heavy corpora:
+// tie-heavy corpora, and against each other bit for bit:
 //   * Eqn. (4): refined keywords, k, ranks and penalty bits equal the
 //     reference's exhaustive-subset answer exactly;
 //   * Eqn. (3): a full scan confirms the returned (w', k'), the penalty is
 //     Eqn. (3) recomputed from that rank, and no reference candidate beats
-//     it by more than the documented 2e-7 slack.
+//     it by more than the documented 2e-7 slack;
+//   * top-k rows of the question's query at ws = 0 and at wt = 0, and of
+//     both refined queries, equal the reference scan's.
 // The reference shares no code with the per-shard kernels, so a bug there
 // cannot pass by agreeing with itself across layouts.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/baselines/scan_oracle.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
@@ -108,40 +114,88 @@ std::vector<Question> MakeQuestions(const ObjectStore& store, uint64_t seed,
   return questions;
 }
 
-/// Checks every question through `oracle` in both modes of each model.
-void CheckLayout(const WhyNotOracle& oracle, const ObjectStore& store,
-                 const std::vector<Question>& questions,
-                 const std::string& layout) {
+/// What one layout answers for one question, every double as its bits:
+/// both refinements, their search counters and the top-k rows CheckLayout
+/// asks for. Layouts must produce the same string.
+std::string Fingerprint(const RefinedKeywordQuery& kw,
+                        const RefinedPreferenceQuery& pref,
+                        const std::vector<TopKResult>& rows) {
+  std::string out;
+  const auto put = [&out](uint64_t v) { out += std::to_string(v) + " "; };
+  const auto bits = [&put](double v) { put(std::bit_cast<uint64_t>(v)); };
+  for (const TermId t : kw.refined.doc) put(t);
+  put(kw.refined.k);
+  put(kw.original_rank);
+  put(kw.refined_rank);
+  bits(kw.penalty.value);
+  put(kw.stats.candidates_resolved);
+  bits(pref.refined.w.ws);
+  bits(pref.refined.w.wt);
+  put(pref.refined.k);
+  put(pref.original_rank);
+  put(pref.refined_rank);
+  bits(pref.penalty.value);
+  put(pref.stats.crossings_found);
+  put(pref.stats.candidates_evaluated);
+  put(pref.stats.sweep_fanouts);
+  for (const TopKResult& r : rows) {
+    out += "| ";
+    for (const ScoredObject& row : r) {
+      put(row.id);
+      bits(row.score);
+    }
+  }
+  return out;
+}
+
+/// Checks every question through `oracle` against the reference and
+/// returns each answer's Fingerprint, for the comparison across layouts. The
+/// top-k rows come from the question the oracle opens (from the oracle
+/// itself when it opens none): the query at ws = 0 and at wt = 0, and the
+/// two refined queries.
+std::vector<std::string> CheckLayout(const WhyNotOracle& oracle,
+                                     const ObjectStore& store,
+                                     const std::vector<Question>& questions,
+                                     const std::string& layout) {
+  std::vector<std::string> answers;
   for (size_t i = 0; i < questions.size(); ++i) {
     const Question& q = questions[i];
     const std::string tag = layout + " question " + std::to_string(i);
-    for (const KwAdaptMode mode :
-         {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
-      KeywordAdaptOptions opts;
-      opts.lambda = q.lambda;
-      opts.mode = mode;
-      auto got = AdaptKeywords(oracle, q.query, q.missing, opts);
-      ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
-      reference::ExpectKeywordAnswer(
-          *got, q.keyword,
-          tag + " kw mode " + std::to_string(static_cast<int>(mode)));
+    KeywordAdaptOptions kw_opts;
+    kw_opts.lambda = q.lambda;
+    auto kw = AdaptKeywords(oracle, q.query, q.missing, kw_opts);
+    EXPECT_TRUE(kw.ok()) << tag << ": " << kw.status().ToString();
+    if (!kw.ok()) return {};
+    reference::ExpectKeywordAnswer(*kw, q.keyword, tag + " kw");
+    PreferenceAdjustOptions pref_opts;
+    pref_opts.lambda = q.lambda;
+    auto pref = AdjustPreference(oracle, q.query, q.missing, pref_opts);
+    EXPECT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
+    if (!pref.ok()) return {};
+    reference::ExpectPreferenceAnswer(store, q.query, q.missing, q.lambda,
+                                      *pref, q.preference, tag + " pref");
+
+    const auto opened = oracle.OpenQuestion(q.query, q.missing);
+    const WhyNotOracle& question = opened != nullptr ? *opened : oracle;
+    std::vector<Query> queries(2, q.query);
+    queries[0].w = Weights{0.0, 1.0};
+    queries[1].w = Weights{1.0, 0.0};
+    queries.push_back(kw->refined);
+    queries.push_back(pref->refined);
+    std::vector<TopKResult> rows;
+    for (size_t t = 0; t < queries.size(); ++t) {
+      rows.push_back(question.TopK(queries[t], nullptr));
+      EXPECT_EQ(rows.back(), reference::TopK(store, queries[t]))
+          << tag << " top-k " << t;
     }
-    for (const PrefAdjustMode mode :
-         {PrefAdjustMode::kOptimized, PrefAdjustMode::kBasic}) {
-      PreferenceAdjustOptions opts;
-      opts.lambda = q.lambda;
-      opts.mode = mode;
-      auto got = AdjustPreference(oracle, q.query, q.missing, opts);
-      ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
-      reference::ExpectPreferenceAnswer(
-          store, q.query, q.missing, q.lambda, *got, q.preference,
-          tag + " pref mode " + std::to_string(static_cast<int>(mode)));
-    }
+    answers.push_back(Fingerprint(*kw, *pref, rows));
   }
+  return answers;
 }
 
-/// Local, sharded (1/2/4 shards, grid and hash routers) and remote
-/// loopback (2 and 4 shards) layouts over one store.
+/// Local, scanning, sharded (1/2/4 shards, grid and hash routers) and
+/// remote loopback (2 and 4 shards) layouts over one store, each checked
+/// against the reference and against the local layout.
 void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
   const std::vector<Question> questions = MakeQuestions(store, seed, count);
   size_t refined = 0;
@@ -151,7 +205,10 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
   ASSERT_GT(refined, 0u) << "no question needs a refinement";
 
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
-  CheckLayout(LocalWhyNotOracle(corpus), store, questions, "local");
+  const std::vector<std::string> local =
+      CheckLayout(LocalWhyNotOracle(corpus), store, questions, "local");
+  ASSERT_EQ(local.size(), questions.size());
+  EXPECT_EQ(CheckLayout(ScanOracle(store), store, questions, "scan"), local);
 
   for (const bool hash : {false, true}) {
     for (const uint32_t shards : {1u, 2u, 4u}) {
@@ -164,7 +221,10 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
           ShardedCorpus::Partition(store, std::move(router));
-      CheckLayout(LocalWhyNotOracle(sharded), store, questions, label);
+      EXPECT_EQ(
+          CheckLayout(LocalWhyNotOracle(sharded), store, questions, label),
+          local)
+          << label;
     }
   }
 
@@ -175,8 +235,10 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
     auto connected = RemoteCorpus::Connect(fleet.endpoints);
     ASSERT_TRUE(connected.ok()) << connected.status().ToString();
     const RemoteCorpus remote = std::move(connected).value();
-    CheckLayout(RemoteShardOracle(remote), store, questions,
-                "remote " + std::to_string(shards) + " shards");
+    const std::string label = "remote " + std::to_string(shards) + " shards";
+    EXPECT_EQ(CheckLayout(RemoteShardOracle(remote), store, questions, label),
+              local)
+        << label;
     EXPECT_EQ(remote.error_epoch(), 0u);
   }
 }

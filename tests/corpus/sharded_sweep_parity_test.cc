@@ -1,11 +1,12 @@
 // Eqn. (3) sweep parity across layouts: for randomized datasets, shard
-// counts (1/2/4/8), routers and modes, the segmented sweep (one
-// ScorePlaneSession::CountAboveBatch fan-out per segment; optimized segments
-// double from 8 events, basic ones hold one) over a ShardedCorpus must
-// return the BYTE-identical refinement the unsharded oracle returns — every
-// refined-query field, every penalty term compared with ==, and identical
-// crossing/candidate/fan-out/rescan counters — and that refinement must pass
-// the index-free reference audit (tests/reference/whynot_reference.h).
+// counts (1/2/4/8) and routers, the segmented sweep (one
+// ScorePlaneSession::CountAboveBatch fan-out per segment; segments double
+// from 8 events) over a ShardedCorpus, and over the scanning baseline
+// (ScanOracle), must return the BYTE-identical refinement the unsharded
+// oracle returns — every refined-query field, every penalty term compared
+// with ==, and identical crossing/candidate/fan-out counters — and that
+// refinement must pass the index-free reference audit
+// (tests/reference/whynot_reference.h).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/baselines/scan_oracle.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
@@ -39,7 +41,7 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 }
 
 /// The layouts run the same schedule over the same partition-sums, so every
-/// refinement field and every counter but the per-shard column work
+/// refinement field and every counter but each layout's own plane work
 /// (index_nodes_visited) matches the unsharded oracle's exactly.
 void ExpectSameRefinement(const RefinedPreferenceQuery& sharded,
                           const RefinedPreferenceQuery& unsharded,
@@ -64,15 +66,12 @@ void ExpectSameRefinement(const RefinedPreferenceQuery& sharded,
       << label;
   EXPECT_EQ(sharded.stats.sweep_fanouts, unsharded.stats.sweep_fanouts)
       << label;
-  EXPECT_EQ(sharded.stats.full_rescans, unsharded.stats.full_rescans)
-      << label;
 }
 
 struct ParityOptions {
   std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
   bool use_hash_router = false;
   int trials = 4;
-  PrefAdjustMode mode = PrefAdjustMode::kOptimized;
 };
 
 struct Trial {
@@ -83,8 +82,7 @@ struct Trial {
 
 void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
                           const ParityOptions& popt = {}) {
-  PreferenceAdjustOptions options;
-  options.mode = popt.mode;
+  const PreferenceAdjustOptions options;
   const double lambda = options.lambda;
   const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
   std::vector<Trial> trials;
@@ -109,6 +107,15 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
         "unsharded trial " + std::to_string(trial));
     trials.push_back(
         Trial{q, std::move(missing), std::move(baseline).value()});
+  }
+
+  const ScanOracle scan(store);
+  for (size_t t = 0; t < trials.size(); ++t) {
+    const Trial& trial = trials[t];
+    auto result = AdjustPreference(scan, trial.query, trial.missing, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameRefinement(*result, trial.unsharded,
+                         "scan trial " + std::to_string(t));
   }
 
   for (const uint32_t shards : popt.shard_counts) {
@@ -157,22 +164,6 @@ TEST(ShardedSweepParityTest, HashRouterScatter) {
   popt.use_hash_router = true;
   popt.shard_counts = {2, 4, 8};
   RunSweepParityTrials(GenerateDataset(spec), /*query_seed=*/312, popt);
-}
-
-TEST(ShardedSweepParityTest, BasicModeAgrees) {
-  // The paper's baseline (full rescan per candidate) batches too — and its
-  // full_rescans meter must count the same logical rescans per pair.
-  DatasetSpec spec;
-  spec.num_objects = 400;
-  spec.vocabulary_size = 30;
-  spec.min_keywords = 2;
-  spec.max_keywords = 4;
-  spec.seed = 283;
-  ParityOptions popt;
-  popt.mode = PrefAdjustMode::kBasic;
-  popt.shard_counts = {1, 4};
-  popt.trials = 3;
-  RunSweepParityTrials(GenerateDataset(spec), /*query_seed=*/313, popt);
 }
 
 TEST(ShardedSweepParityTest, TieHeavyDegenerateDataset) {

@@ -10,14 +10,9 @@
 namespace yask {
 namespace {
 
-struct EngineFixtureParam {
-  size_t n;
-  uint64_t seed;
-  SpatialDistribution dist;
-};
-
-/// All engines must return exactly what the reference scan returns, for a
-/// sweep of dataset shapes, ks and weights (experiment E2's correctness leg).
+/// The SetR-tree engine must return exactly what the reference scan
+/// returns, for a sweep of dataset shapes, ks and weights (experiment E2's
+/// correctness leg; the baselines' leg is tests/baselines/).
 class TopKEngineAgreement
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 
@@ -31,12 +26,7 @@ TEST_P(TopKEngineAgreement, AllEnginesMatchScan) {
 
   SetRTree setr(&store);
   setr.BulkLoad();
-  RTree rtree(&store);
-  rtree.BulkLoad();
-  InvertedIndex inverted(store);
-
   SetRTopKEngine engine(store, setr);
-  InvertedTopKEngine baseline(store, inverted, rtree);
 
   Rng rng(seed ^ 0x5EED);
   for (uint32_t k : {1u, 5u, 10u, 50u}) {
@@ -49,17 +39,11 @@ TEST_P(TopKEngineAgreement, AllEnginesMatchScan) {
 
       const TopKResult expected = TopKScan(store, q);
       const TopKResult got_setr = engine.Query(q);
-      const TopKResult got_inv = baseline.Query(q);
       ASSERT_EQ(got_setr.size(), expected.size());
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(got_setr[i].id, expected[i].id)
             << "SetR engine rank " << i << " (k=" << k << ")";
         EXPECT_DOUBLE_EQ(got_setr[i].score, expected[i].score);
-      }
-      ASSERT_EQ(got_inv.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(got_inv[i].id, expected[i].id)
-            << "inverted engine rank " << i << " (k=" << k << ")";
       }
     }
   }
@@ -139,32 +123,6 @@ TEST(TopKEngineTest, PrunesNodesComparedToScan) {
   TopKStats stats;
   engine.Query(q, &stats);
   EXPECT_LT(stats.objects_scored, store.size() / 4);
-}
-
-TEST(TopKEngineTest, SpatialOnlyWinnersSurfaceInInvertedBaseline) {
-  // An object sharing no query keyword but sitting on the query point must
-  // still win when ws is large (phase 2 of the hybrid baseline).
-  ObjectStore store;
-  Vocabulary* v = store.mutable_vocab();
-  const TermId match = v->Intern("match");
-  const TermId other = v->Intern("other");
-  store.Add(Point{1.0, 1.0}, KeywordSet({match}), "far-match");
-  store.Add(Point{0.0, 0.0}, KeywordSet({other}), "near-nomatch");
-  RTree rtree(&store);
-  rtree.BulkLoad();
-  InvertedIndex inverted(store);
-  InvertedTopKEngine baseline(store, inverted, rtree);
-
-  Query q;
-  q.loc = Point{0.0, 0.0};
-  q.doc = KeywordSet({match});
-  q.k = 1;
-  q.w = Weights::FromWs(0.9);
-  const TopKResult r = baseline.Query(q);
-  ASSERT_EQ(r.size(), 1u);
-  // score(near-nomatch) = 0.9 * 1 = 0.9; score(far-match) = 0.1 * 1 = 0.1.
-  EXPECT_EQ(r[0].id, 1u);
-  EXPECT_EQ(r[0], TopKScan(store, q)[0]);
 }
 
 TEST(TopKEngineTest, EmptyStore) {

@@ -236,6 +236,10 @@ inline PreferenceAudit AuditPreference(const ObjectStore& store,
       if (o.id == m) continue;
       const double xo = 1.0 - scorer.SDist(o.loc);
       const double yo = scorer.TSim(o.doc);
+      // Lines with the same x (objects equally far from q) meet at w = 1
+      // exactly, outside (0, 1); the gap below can round that weight to
+      // 1 − 4e-16, so such pairs are skipped before it is computed.
+      if (xm == xo) continue;
       const double slope_gap = (xm - ym) - (xo - yo);
       if (slope_gap == 0.0) continue;  // Parallel (or identical) lines.
       const double w = (yo - ym) / slope_gap;

@@ -379,7 +379,7 @@ TEST(ReplicaFailoverTest, QuestionRanksFailOverWithReplay) {
   query.k = 3;
   const std::vector<ObjectId> missing = {81, 120};
   const auto question =
-      oracle.OpenQuestion(query, missing, PrefAdjustMode::kOptimized);
+      oracle.OpenQuestion(query, missing);
   ASSERT_NE(question, nullptr);
   auto ranks = [&] {
     std::vector<size_t> rows;

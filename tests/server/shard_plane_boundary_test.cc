@@ -9,8 +9,9 @@
 // the shard's object count (so does /shard/topk). Each bad request answers
 // 400, an unknown session 404, and the session still answers the valid
 // request that follows it. Seed-driven mutations of valid /shard/plane/open,
-// /shard/plane/rank and /shard/plane/topk bodies (the JsonFuzz pattern of
-// json_test.cc) answer 200, 400 or 404 and never crash the shard.
+// /shard/plane/rank, /shard/plane/topk, /shard/plane/count_batch and
+// /shard/plane/crossings bodies (the JsonFuzz pattern of json_test.cc)
+// answer 200, 400 or 404 and never crash the shard.
 
 #include <gtest/gtest.h>
 
@@ -66,10 +67,10 @@ class ShardPlaneBoundaryTest : public ::testing::Test {
     return status;
   }
 
+  /// A /shard/plane/open body (shardrpc v9: the query, then U).
   static std::string OpenBody(const Query& query, const KeywordSet& universe) {
     BufWriter req;
     shardrpc::PutQuery(&req, query);
-    req.PutU8(1);  // Optimized: binary searches per TSim column.
     req.PutDeltaIds(universe.ids());
     return req.data();
   }
@@ -124,25 +125,40 @@ class ShardPlaneBoundaryTest : public ::testing::Test {
     return id;
   }
 
-  int CountBatchStatus(uint64_t id, const std::vector<double>& weights,
-                       const std::vector<PlanePoint>& anchors) {
+  /// A /shard/plane/count_batch body.
+  static std::string CountBatchBody(uint64_t id,
+                                    const std::vector<double>& weights,
+                                    const std::vector<PlanePoint>& anchors) {
     BufWriter req;
     req.PutU64(id);
     req.PutVarU64(weights.size());
     for (double w : weights) req.PutF64(w);
     req.PutVarU64(anchors.size());
     for (const PlanePoint& a : anchors) shardrpc::PutPlanePoint(&req, a);
-    return Post(shardrpc::kPlaneCountBatchPath, req.data());
+    return req.data();
   }
 
-  int CrossingsStatus(uint64_t id, const PlanePoint& anchor, double wlo,
-                      double whi) {
+  /// A /shard/plane/crossings body.
+  static std::string CrossingsBody(uint64_t id, const PlanePoint& anchor,
+                                   double wlo, double whi) {
     BufWriter req;
     req.PutU64(id);
     shardrpc::PutPlanePoint(&req, anchor);
     req.PutF64(wlo);
     req.PutF64(whi);
-    return Post(shardrpc::kPlaneCrossingsPath, req.data());
+    return req.data();
+  }
+
+  int CountBatchStatus(uint64_t id, const std::vector<double>& weights,
+                       const std::vector<PlanePoint>& anchors) {
+    return Post(shardrpc::kPlaneCountBatchPath,
+                CountBatchBody(id, weights, anchors));
+  }
+
+  int CrossingsStatus(uint64_t id, const PlanePoint& anchor, double wlo,
+                      double whi) {
+    return Post(shardrpc::kPlaneCrossingsPath,
+                CrossingsBody(id, anchor, wlo, whi));
   }
 
   std::unique_ptr<Corpus> corpus_;
@@ -316,9 +332,12 @@ TEST_P(ShardPlaneFuzz, MutatedQuestionBodiesAnswerWithoutCrashing) {
       {shardrpc::kPlaneRankPath, RankBody(id, {query_, other})},
       {shardrpc::kPlaneTopKPath,
        TopKBody(id, Weights::FromWs(0.3), KeywordSet({0, 4}), 12)},
+      {shardrpc::kPlaneCountBatchPath,
+       CountBatchBody(id, {0.2, 0.45, 0.8}, {anchor_, anchor_})},
+      {shardrpc::kPlaneCrossingsPath, CrossingsBody(id, anchor_, 0.1, 0.9)},
   };
   Rng rng(GetParam());
-  for (int iter = 0; iter < 300; ++iter) {
+  for (int iter = 0; iter < 500; ++iter) {
     const auto& [path, base] = bases[iter % bases.size()];
     std::string body = base;
     const size_t mutations = 1 + rng.NextBounded(4);
@@ -342,6 +361,8 @@ TEST_P(ShardPlaneFuzz, MutatedQuestionBodiesAnswerWithoutCrashing) {
         << path << " iteration " << iter << " answered " << status;
   }
   EXPECT_EQ(Post(shardrpc::kPlaneRankPath, RankBody(id, {query_})), 200);
+  EXPECT_EQ(CountBatchStatus(id, {0.3, 0.7}, {anchor_}), 200);
+  EXPECT_EQ(CrossingsStatus(id, anchor_, 0.2, 0.8), 200);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardPlaneFuzz, ::testing::Values(1, 2, 3));

@@ -2,9 +2,8 @@
 // and the coordinator's side of the plane routes, which answer every rank
 // batch.
 //
-// /shard/plane/rank answers each spec as if alone, from an optimized and a
-// basic session alike (the basic one by full scan, as basic keyword
-// adaption asks), with the reference's counts. It answers 400 to a
+// /shard/plane/rank answers each spec as if alone, with the reference's
+// counts. It answers 400 to a
 // truncated body or trailing bytes, a non-finite target score, a query
 // Query::Validate rejects, or more than kMaxProbeSpecs specs, and answers
 // exactly at the cap; a coordinator splits a larger batch into requests
@@ -97,8 +96,7 @@ class ProbeRankTest : public ::testing::Test {
     service_ = std::make_unique<ShardService>(
         *corpus_, ShardService::StandaloneInfo(*corpus_));
     ASSERT_TRUE(service_->Start().ok());
-    optimized_ = Open(/*optimized=*/true);
-    basic_ = Open(/*optimized=*/false);
+    session_ = Open();
   }
 
   void TearDown() override { service_->Stop(); }
@@ -125,13 +123,12 @@ class ProbeRankTest : public ::testing::Test {
 
   /// Opens a session at object 17's location whose docs cover every spec
   /// below (q.doc = {0, 1, 2, 3}); returns its id.
-  uint64_t Open(bool optimized) {
+  uint64_t Open() {
     Query query;
     query.loc = corpus_->store().Get(17).loc;
     query.doc = KeywordSet({0, 1, 2, 3});
     BufWriter req;
     shardrpc::PutQuery(&req, query);
-    req.PutU8(optimized ? 1 : 0);
     req.PutDeltaIds({});
     int status = 0;
     const std::string body = Post(shardrpc::kPlaneOpenPath, req.data(),
@@ -157,7 +154,7 @@ class ProbeRankTest : public ::testing::Test {
 
   int RankStatus(const std::vector<Spec>& specs) {
     int status = 0;
-    Rank(optimized_, specs, &status);
+    Rank(session_, specs, &status);
     return status;
   }
 
@@ -188,11 +185,10 @@ class ProbeRankTest : public ::testing::Test {
 
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<ShardService> service_;
-  uint64_t optimized_ = 0;  // An optimized session.
-  uint64_t basic_ = 0;      // A basic session, which scans.
+  uint64_t session_ = 0;  // The fixture's session.
 };
 
-TEST_F(ProbeRankTest, RankAnswersEachSpecAsAloneInBothPlanes) {
+TEST_F(ProbeRankTest, RankAnswersEachSpecAsAlone) {
   std::vector<Spec> specs = SomeSpecs();
   specs.push_back(MakeSpec(2024, KeywordSet({0, 1, 2})));
   std::vector<uint64_t> alone;
@@ -200,21 +196,17 @@ TEST_F(ProbeRankTest, RankAnswersEachSpecAsAloneInBothPlanes) {
     const uint64_t want = reference::OutrankingCount(
         corpus_->store(), nullptr, corpus_->store().BoundsDiagonal(),
         spec.query, spec.target, spec.target_score);
-    for (const uint64_t session : {optimized_, basic_}) {
-      EXPECT_EQ(RankCounts(session, {spec}), std::vector<uint64_t>{want});
-    }
+    EXPECT_EQ(RankCounts(session_, {spec}), std::vector<uint64_t>{want});
     alone.push_back(want);
   }
   EXPECT_NE(alone[0], alone[3]);
-  for (const uint64_t session : {optimized_, basic_}) {
-    EXPECT_EQ(RankCounts(session, {specs[3], specs[0], specs[3]}),
-              (std::vector<uint64_t>{alone[3], alone[0], alone[3]}));
-    EXPECT_EQ(RankCounts(session, {}), std::vector<uint64_t>{});
-  }
+  EXPECT_EQ(RankCounts(session_, {specs[3], specs[0], specs[3]}),
+            (std::vector<uint64_t>{alone[3], alone[0], alone[3]}));
+  EXPECT_EQ(RankCounts(session_, {}), std::vector<uint64_t>{});
 }
 
 TEST_F(ProbeRankTest, TruncatedBodiesAndTrailingBytesAre400) {
-  const std::string body = RankBody(optimized_, SomeSpecs());
+  const std::string body = RankBody(session_, SomeSpecs());
   for (size_t cut : {size_t{0}, size_t{1}, size_t{8}, body.size() / 2,
                      body.size() - 1}) {
     EXPECT_EQ(RankStatus(body.substr(0, cut)), 400) << "cut at " << cut;
@@ -222,7 +214,7 @@ TEST_F(ProbeRankTest, TruncatedBodiesAndTrailingBytesAre400) {
   EXPECT_EQ(RankStatus(body + '\0'), 400);
   // A count far beyond the bytes that follow it.
   BufWriter huge;
-  huge.PutU64(optimized_);
+  huge.PutU64(session_);
   huge.PutVarU64(uint64_t{1} << 40);
   EXPECT_EQ(RankStatus(huge.data()), 400);
   EXPECT_EQ(RankStatus(body), 200);
@@ -259,9 +251,9 @@ TEST_F(ProbeRankTest, CountRouteIsGone) {
 
 TEST_F(ProbeRankTest, RankSpecCap) {
   const Spec one = MakeSpec(2024, KeywordSet({0, 3}));
-  const uint64_t want = RankCounts(optimized_, {one}).front();
+  const uint64_t want = RankCounts(session_, {one}).front();
   std::vector<Spec> specs(kMaxProbeSpecs, one);
-  EXPECT_EQ(RankCounts(optimized_, specs),
+  EXPECT_EQ(RankCounts(session_, specs),
             std::vector<uint64_t>(kMaxProbeSpecs, want));
   specs.push_back(one);
   EXPECT_EQ(RankStatus(specs), 400);
@@ -277,20 +269,15 @@ TEST_F(ProbeRankTest, NonFiniteTargetScoresAre400) {
 }
 
 TEST_F(ProbeRankTest, CoordinatorSplitsRankBatchesAtTheCap) {
-  // A full basic request scans the corpus kMaxProbeSpecs times; on a
-  // sanitizer build that can outlast the default deadline, and the retry it
-  // forces would add a request that is not a split.
-  RemoteShardOptions options;
-  options.call_deadline_ms = 300000;
   auto connected = RemoteCorpus::Connect(
-      {"127.0.0.1:" + std::to_string(service_->port())}, options);
+      {"127.0.0.1:" + std::to_string(service_->port())});
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   const RemoteCorpus remote = std::move(connected).value();
   const RemoteShardOracle oracle(remote);
   const LocalWhyNotOracle local(*corpus_);
 
-  // Keyword adaption may ask for more specs than one request carries: the
-  // basic mode always may, as its chunks are not sized by the cap.
+  // A rank batch outside a question may carry more specs than one request
+  // does.
   std::vector<Query> queries(3);
   for (size_t i = 0; i < queries.size(); ++i) {
     queries[i].loc = corpus_->store().Get(17).loc;
@@ -303,29 +290,22 @@ TEST_F(ProbeRankTest, CoordinatorSplitsRankBatchesAtTheCap) {
   }
   const uint64_t errors = remote.error_epoch();
 
-  // Basic: one one-call basic session (one location), two rank requests.
-  uint64_t opens = Served(shardrpc::kPlaneOpenPath);
-  uint64_t ranks = Served(shardrpc::kPlaneRankPath);
+  // One one-call session (one location), two rank requests, the local
+  // oracle's ranks.
+  const uint64_t opens = Served(shardrpc::kPlaneOpenPath);
+  const uint64_t ranks = Served(shardrpc::kPlaneRankPath);
   KeywordAdaptStats remote_stats;
   KeywordAdaptStats local_stats;
-  const std::vector<size_t> counts =
-      oracle.OutscoringCountBatch(specs, &remote_stats);
-  EXPECT_EQ(counts, local.OutscoringCountBatch(specs, &local_stats));
-  EXPECT_EQ(Served(shardrpc::kPlaneOpenPath) - opens, 1u);
-  EXPECT_EQ(Served(shardrpc::kPlaneRankPath) - ranks, 2u);
-  EXPECT_EQ(remote_stats.objects_scored, local_stats.objects_scored);
-
-  // Optimized: the same split, and the same counts plus one.
-  opens = Served(shardrpc::kPlaneOpenPath);
-  ranks = Served(shardrpc::kPlaneRankPath);
   const auto batch = oracle.ProbeRankBatch(specs, &remote_stats);
   EXPECT_EQ(Served(shardrpc::kPlaneOpenPath) - opens, 1u);
   EXPECT_EQ(Served(shardrpc::kPlaneRankPath) - ranks, 2u);
+  const auto want = local.ProbeRankBatch(specs, &local_stats);
   for (size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_EQ(batch->lower(i), counts[i] + 1) << "spec " << i;
+    ASSERT_EQ(batch->lower(i), want->lower(i)) << "spec " << i;
   }
+  EXPECT_EQ(remote_stats.objects_scored, local_stats.objects_scored);
   EXPECT_EQ(remote.error_epoch(), errors);
-  EXPECT_EQ(service_->open_sessions(), 2u);  // The fixture's own two.
+  EXPECT_EQ(service_->open_sessions(), 1u);  // The fixture's own one.
 }
 
 /// A shard server that forwards every route to a real one, and passes the
@@ -454,17 +434,11 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
     // Through the front door: the question fails with 503.
     EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 503) << "reply " << r;
     EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
-    // Outside a question: the batch still holds one rank per spec, and a
-    // basic count batch one count per spec.
+    // Outside a question: the batch still holds one rank per spec.
     before = remote.error_epoch();
     KeywordAdaptStats stats;
     const auto batch = oracle.ProbeRankBatch(oracle_specs, &stats);
     ASSERT_EQ(batch->size(), oracle_specs.size()) << "reply " << r;
-    EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
-    before = remote.error_epoch();
-    EXPECT_EQ(oracle.OutscoringCountBatch(oracle_specs, &stats).size(),
-              oracle_specs.size())
-        << "reply " << r;
     EXPECT_GT(remote.error_epoch(), before) << "reply " << r;
   }
 
@@ -479,8 +453,6 @@ TEST_F(ProbeRankTest, CoordinatorFailsCleanlyOnMalformedReplies) {
     EXPECT_EQ(batch->lower(i),
               local.Rank(*oracle_specs[i].query, oracle_specs[i].target));
   }
-  EXPECT_EQ(oracle.OutscoringCountBatch(oracle_specs, &stats),
-            local.OutscoringCountBatch(oracle_specs, &stats));
   EXPECT_EQ(AskWhyNot(coordinator, "keyword"), 200);
   EXPECT_EQ(remote.error_epoch(), before);
   coordinator.Stop();

@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
-#include "src/index/inverted_index.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
@@ -291,12 +291,13 @@ TEST_F(SnapshotBundleTest, RetiredInvertedIndexSectionIsSkipped) {
   SnapshotWriter writer;
   SaveVocabulary(store_->vocab(), writer.AddSection(SectionId::kVocabulary));
   SaveObjectStore(*store_, writer.AddSection(SectionId::kObjectStore));
-  const InvertedIndex inverted(*store_);
-  BufWriter* postings = writer.AddSection(SectionId::kInvertedIndex);
-  postings->PutVarU64(store_->vocab().size());
-  for (TermId t = 0; t < store_->vocab().size(); ++t) {
-    postings->PutDeltaIds(inverted.Postings(t));
+  std::vector<std::vector<ObjectId>> lists(store_->vocab().size());
+  for (const SpatialObject& o : store_->objects()) {
+    for (const TermId t : o.doc) lists[t].push_back(o.id);
   }
+  BufWriter* postings = writer.AddSection(SectionId::kRetiredInvertedIndex);
+  postings->PutVarU64(lists.size());
+  for (const std::vector<ObjectId>& list : lists) postings->PutDeltaIds(list);
   SaveSetRTree(*setr_, writer.AddSection(SectionId::kSetRTree));
   uint64_t bytes = 0;
   ASSERT_TRUE(writer.WriteTo(path, &bytes).ok());

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 
-#include "src/query/ranking.h"
+#include "bench/baselines/scan_oracle.h"
+
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
@@ -24,6 +27,18 @@ ObjectStore MakeStore(size_t n, uint64_t seed) {
   spec.min_keywords = 2;
   spec.max_keywords = 6;
   return GenerateDataset(spec);
+}
+
+/// MakeStore's objects moved onto a 4 × 4 grid of points: objects sharing
+/// a point and a keyword overlap with the query tie in score across ids.
+ObjectStore TieStore(size_t n, uint64_t seed) {
+  const ObjectStore random = MakeStore(n, seed);
+  ObjectStore store(random.shared_vocab());
+  for (const SpatialObject& o : random.objects()) {
+    store.Add(Point{std::round(o.loc.x * 3) / 3, std::round(o.loc.y * 3) / 3},
+              o.doc);
+  }
+  return store;
 }
 
 std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
@@ -265,74 +280,67 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
       reference::SolveKeywords(store, q, {missing}, 0.5);
   ASSERT_EQ(want.doc.ids(), (std::vector<TermId>{a, m_doc[1]}));
   ASSERT_EQ(want.rank, 1u);
-  for (const KwAdaptMode mode :
-       {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
-    KeywordAdaptOptions opts;
-    opts.mode = mode;
-    auto got = AdaptKeywords(oracle, q, {missing}, opts);
+  const ScanOracle scan(store);
+  for (const WhyNotOracle* layout :
+       {static_cast<const WhyNotOracle*>(&oracle),
+        static_cast<const WhyNotOracle*>(&scan)}) {
+    auto got = AdaptKeywords(*layout, q, {missing});
     ASSERT_TRUE(got.ok());
-    reference::ExpectKeywordAnswer(
-        *got, want, "mode=" + std::to_string(static_cast<int>(mode)));
+    reference::ExpectKeywordAnswer(*got, want,
+                                   layout == &scan ? "scan" : "columns");
     // All 18 candidates at ∆doc = 1 and all 152 at ∆doc = 2 are ranked.
     EXPECT_EQ(got->stats.candidates_resolved, 18u + 152u);
   }
 }
 
-// Basic and the mask columns must return identical refinements.
-class KwModesAgree
-    : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
-
-TEST_P(KwModesAgree, BasicEqualsBoundAndPrune) {
-  const auto [seed, lambda, m_count] = GetParam();
-  const ObjectStore store = MakeStore(250, seed);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Rng rng(seed * 7 + 1);
-  for (int trial = 0; trial < 3; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 1 + rng.NextBounded(3), &rng);
-    q.k = 3 + static_cast<uint32_t>(rng.NextBounded(4));
-    const std::vector<ObjectId> missing = PickMissing(store, q, m_count);
-    if (missing.size() != m_count) continue;
-
-    KeywordAdaptOptions basic;
-    basic.lambda = lambda;
-    basic.mode = KwAdaptMode::kBasic;
-    KeywordAdaptOptions pruned;
-    pruned.lambda = lambda;
-    pruned.mode = KwAdaptMode::kOptimized;
-
-    auto rb = AdaptKeywords(oracle, q, missing, basic);
-    auto rp = AdaptKeywords(oracle, q, missing, pruned);
-    ASSERT_TRUE(rb.ok());
-    ASSERT_TRUE(rp.ok());
-    EXPECT_EQ(rb->already_in_result, rp->already_in_result);
-    if (rb->already_in_result) continue;
-    EXPECT_NEAR(rb->penalty.value, rp->penalty.value, 1e-12)
-        << "seed=" << seed << " λ=" << lambda << " trial=" << trial;
-    EXPECT_EQ(rb->refined.doc.ids(), rp->refined.doc.ids());
-    EXPECT_EQ(rb->refined.k, rp->refined.k);
+/// Runs AdaptKeywords over the columns and over the scanning baseline and
+/// checks both against the reference: the same refinement bit for bit, the
+/// same search (every counter but objects_scored), and objects_scored read
+/// as n per rank fan-out (columns) or n per (candidate, missing object)
+/// spec (scan).
+void ExpectBothLayoutsMatchReference(const ObjectStore& store, const Query& q,
+                                     const std::vector<ObjectId>& missing,
+                                     double lambda, const std::string& label) {
+  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const ScanOracle scan(store);
+  const reference::KeywordAnswer want =
+      reference::SolveKeywords(store, q, missing, lambda);
+  KeywordAdaptOptions opts;
+  opts.lambda = lambda;
+  auto rc = AdaptKeywords(columns, q, missing, opts);
+  auto rs = AdaptKeywords(scan, q, missing, opts);
+  ASSERT_TRUE(rc.ok()) << label;
+  ASSERT_TRUE(rs.ok()) << label;
+  reference::ExpectKeywordAnswer(*rc, want, label + " columns");
+  reference::ExpectKeywordAnswer(*rs, want, label + " scan");
+  const KeywordAdaptStats& c = rc->stats;
+  const KeywordAdaptStats& sc = rs->stats;
+  EXPECT_EQ(c.candidates_generated, sc.candidates_generated) << label;
+  EXPECT_EQ(c.candidates_pruned_floor, sc.candidates_pruned_floor) << label;
+  EXPECT_EQ(c.candidates_resolved, sc.candidates_resolved) << label;
+  EXPECT_EQ(c.probe_fanouts, sc.probe_fanouts) << label;
+  EXPECT_FALSE(c.truncated || sc.truncated) << label;
+  EXPECT_EQ(c.objects_scored, c.probe_fanouts * store.size()) << label;
+  if (!rs->already_in_result) {
+    // R(M, q) plus every resolved candidate, one scan per spec.
+    EXPECT_EQ(sc.objects_scored,
+              (sc.candidates_resolved + 1) * missing.size() * store.size())
+        << label;
   }
+  EXPECT_EQ(c.refine_levels + sc.refine_levels, 0u) << label;
+  EXPECT_EQ(c.candidates_pruned_bounds + sc.candidates_pruned_bounds, 0u)
+      << label;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, KwModesAgree,
-    ::testing::Combine(::testing::Values(3, 11, 23),
-                       ::testing::Values(0.3, 0.5, 0.7),
-                       ::testing::Values(1u, 2u)));
-
-// The search, in both modes, must return exactly the refinement the
-// index-free reference finds by enumerating every keyword subset, while the
-// work counters keep their meaning: one rank fan-out per chunk, reading the
-// dataset once per fan-out (mask columns) or once per (candidate, missing
-// object) spec (basic).
+// The search over the columns and over the scanning baseline must return
+// exactly the refinement the index-free reference finds by enumerating
+// every keyword subset.
 class KwReferenceAgrees
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
-TEST_P(KwReferenceAgrees, BothModesMatchReference) {
+TEST_P(KwReferenceAgrees, BothLayoutsMatchReference) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(250, seed);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 3; ++trial) {
     Query q;
@@ -341,43 +349,66 @@ TEST_P(KwReferenceAgrees, BothModesMatchReference) {
     q.k = 3 + static_cast<uint32_t>(rng.NextBounded(4));
     const std::vector<ObjectId> missing = PickMissing(store, q, m_count);
     if (missing.size() != m_count) continue;
-    const reference::KeywordAnswer want =
-        reference::SolveKeywords(store, q, missing, lambda);
-
-    for (const KwAdaptMode mode :
-         {KwAdaptMode::kOptimized, KwAdaptMode::kBasic}) {
-      KeywordAdaptOptions opts;
-      opts.lambda = lambda;
-      opts.mode = mode;
-      auto got = AdaptKeywords(oracle, q, missing, opts);
-      ASSERT_TRUE(got.ok());
-      const std::string label =
-          "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
-          " trial=" + std::to_string(trial) + " mode=" +
-          std::to_string(static_cast<int>(mode));
-      reference::ExpectKeywordAnswer(*got, want, label);
-      const KeywordAdaptStats& st = got->stats;
-      EXPECT_FALSE(st.truncated) << label;
-      if (mode == KwAdaptMode::kOptimized) {
-        EXPECT_EQ(st.objects_scored, st.probe_fanouts * store.size())
-            << label;
-      } else {
-        // R(M, q) plus every resolved candidate, one scan per spec.
-        EXPECT_EQ(st.objects_scored,
-                  (st.candidates_resolved + 1) * m_count * store.size())
-            << label;
-      }
-      EXPECT_EQ(st.refine_levels, 0u) << label;
-      EXPECT_EQ(st.candidates_pruned_bounds, 0u) << label;
-    }
+    ExpectBothLayoutsMatchReference(
+        store, q, missing, lambda,
+        "seed=" + std::to_string(seed) + " λ=" + std::to_string(lambda) +
+            " trial=" + std::to_string(trial));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KwReferenceAgrees,
-    ::testing::Combine(::testing::Values(5, 17, 29),
+    ::testing::Combine(::testing::Values(3, 5, 11, 17, 23, 29),
                        ::testing::Values(0.3, 0.5, 0.7),
                        ::testing::Values(1u, 2u)));
+
+// A denser vocabulary (25 terms, 2–4 per object) over fewer objects: the
+// reference's exhaustive subset search must again be matched exactly.
+class KwOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
+  DatasetSpec spec;
+  spec.num_objects = 120;
+  spec.seed = GetParam();
+  spec.vocabulary_size = 25;
+  spec.min_keywords = 2;
+  spec.max_keywords = 4;
+  const ObjectStore store = GenerateDataset(spec);
+  Rng rng(GetParam() ^ 0xF00D);
+  for (int trial = 0; trial < 3; ++trial) {
+    Query q;
+    q.loc = SampleQueryLocation(store, &rng);
+    q.doc = SampleQueryKeywords(store, 2, &rng);
+    q.k = 3;
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1);
+    if (missing.empty()) continue;
+    ExpectBothLayoutsMatchReference(
+        store, q, missing, 0.5,
+        "seed=" + std::to_string(GetParam()) +
+            " trial=" + std::to_string(trial));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KwOptimalityAudit,
+                         ::testing::Values(5, 17, 41));
+
+TEST(AdaptKeywordsTest, BothLayoutsMatchReferenceOnTies) {
+  // Query points on the grid itself and between its points, over objects
+  // that tie in location and keywords.
+  const ObjectStore store = TieStore(300, 41);
+  Rng rng(43);
+  for (int trial = 0; trial < 8; ++trial) {
+    Query q;
+    q.loc = trial % 2 == 0 ? store.Get(rng.NextBounded(store.size())).loc
+                           : Point{0.3, 0.55};
+    q.doc = SampleQueryKeywords(store, 1 + trial % 2, &rng);
+    q.k = 3 + static_cast<uint32_t>(trial % 3);
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
+    if (missing.empty()) continue;
+    ExpectBothLayoutsMatchReference(store, q, missing, 0.5,
+                                    "ties trial=" + std::to_string(trial));
+  }
+}
 
 TEST(AdaptKeywordsTest, PruningStatsShowWork) {
   const ObjectStore store = MakeStore(600, 6);
@@ -428,18 +459,18 @@ struct WideUniverse {
 TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
   const WideUniverse wide(kMaxKeywordUniverse - 1);
   const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
-  // Too wide for the reference's subset enumeration: the two kernels must
-  // agree, and the ranks must be the scan reference's.
+  // Too wide for the reference's subset enumeration: the columns and the
+  // scanning baseline must agree, and the ranks must be the scan
+  // reference's.
   KeywordAdaptOptions opts;
   // No candidate lifts m over the crowd, so the pure-k seed λ stays the
   // best; at λ = 0.02 the ∆doc floor cuts from ∆doc = 2, leaving the 63
   // insertions of ∆doc = 1, one per high mask bit.
   opts.lambda = 0.02;
-  opts.mode = KwAdaptMode::kOptimized;
   auto columns = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
   ASSERT_TRUE(columns.ok()) << columns.status().ToString();
-  opts.mode = KwAdaptMode::kBasic;
-  auto basic = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
+  auto basic = AdaptKeywords(ScanOracle(wide.store), wide.query,
+                             {wide.missing}, opts);
   ASSERT_TRUE(basic.ok()) << basic.status().ToString();
   EXPECT_EQ(columns->stats.candidates_resolved, kMaxKeywordUniverse - 1);
   EXPECT_EQ(columns->refined.doc.ids(), basic->refined.doc.ids());
@@ -453,11 +484,18 @@ TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
 }
 
 TEST(AdaptKeywordsTest, KeywordUniverseOverCapIsInvalidArgument) {
+  // The bound is the search's, whichever oracle ranks: the scanning
+  // baseline refuses the same question.
   const WideUniverse wide(kMaxKeywordUniverse);
   const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
-  auto got = AdaptKeywords(oracle, wide.query, {wide.missing});
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  const ScanOracle scan(wide.store);
+  for (const WhyNotOracle* layout :
+       {static_cast<const WhyNotOracle*>(&oracle),
+        static_cast<const WhyNotOracle*>(&scan)}) {
+    auto got = AdaptKeywords(*layout, wide.query, {wide.missing});
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdaptKeywordsTest, CandidateBoundTruncatesTheSearch) {
@@ -475,24 +513,6 @@ TEST(AdaptKeywordsTest, CandidateBoundTruncatesTheSearch) {
   EXPECT_EQ(got->refined_rank,
             reference::RankOfSet(wide.store, got->refined, {wide.missing}));
   EXPECT_EQ(got->refined.k, got->original_rank);
-}
-
-TEST(AdaptKeywordsTest, BasicModeHasNoKeywordUniverseCap) {
-  // A basic question's masks span several words, and U travels as q.doc:
-  // past the optimized mode's cap the basic mode still answers, with the
-  // reference's ranks.
-  const WideUniverse wide(kMaxKeywordUniverse + 10);
-  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
-  KeywordAdaptOptions opts;
-  opts.mode = KwAdaptMode::kBasic;
-  opts.lambda = 0.02;  // Only ∆doc = 1 passes the floor, as above.
-  auto got = AdaptKeywords(oracle, wide.query, {wide.missing}, opts);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->stats.candidates_resolved, kMaxKeywordUniverse + 10);
-  EXPECT_EQ(got->original_rank,
-            reference::RankOfSet(wide.store, wide.query, {wide.missing}));
-  EXPECT_EQ(got->refined_rank,
-            reference::RankOfSet(wide.store, got->refined, {wide.missing}));
 }
 
 TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
@@ -525,45 +545,6 @@ TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
 }
-
-// Exhaustive optimality audit: on a small dataset, the reference enumerates
-// EVERY keyword subset of q.doc ∪ M.doc and ranks by full scan; AdaptKeywords
-// must return its refinement exactly — keywords, k, ranks and penalty.
-class KwOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(KwOptimalityAudit, MatchesExhaustiveSearch) {
-  DatasetSpec spec;
-  spec.num_objects = 120;
-  spec.seed = GetParam();
-  spec.vocabulary_size = 25;
-  spec.min_keywords = 2;
-  spec.max_keywords = 4;
-  const ObjectStore store = GenerateDataset(spec);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Rng rng(GetParam() ^ 0xF00D);
-
-  for (int trial = 0; trial < 3; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 2, &rng);
-    q.k = 3;
-    const std::vector<ObjectId> missing = PickMissing(store, q, 1);
-    if (missing.empty()) continue;
-
-    const double lambda = 0.5;
-    KeywordAdaptOptions opts;
-    opts.lambda = lambda;
-    auto result = AdaptKeywords(oracle, q, missing, opts);
-    ASSERT_TRUE(result.ok());
-    reference::ExpectKeywordAnswer(
-        *result, reference::SolveKeywords(store, q, missing, lambda),
-        "seed=" + std::to_string(GetParam()) +
-            " trial=" + std::to_string(trial));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KwOptimalityAudit,
-                         ::testing::Values(5, 17, 41));
 
 TEST(AdaptKeywordsTest, RefinedDocOnlyUsesAllowedKeywords) {
   const ObjectStore store = MakeStore(400, 8);

@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "bench/baselines/scan_oracle.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 #include "src/whynot/shard_primitives.h"
@@ -24,7 +29,18 @@ ObjectStore MakeStore(size_t n, uint64_t seed) {
   return GenerateDataset(spec);
 }
 
-/// Picks a missing-object set: objects ranked just outside the top-k.
+/// MakeStore's objects moved onto a 4 × 4 grid of points: objects sharing
+/// a point and a keyword overlap with the query tie in score across ids.
+ObjectStore TieStore(size_t n, uint64_t seed) {
+  const ObjectStore random = MakeStore(n, seed);
+  ObjectStore store(random.shared_vocab());
+  for (const SpatialObject& o : random.objects()) {
+    store.Add(Point{std::round(o.loc.x * 3) / 3, std::round(o.loc.y * 3) / 3},
+              o.doc);
+  }
+  return store;
+}
+
 /// Every object's score-plane point (1 − SDist, TSim) under `q`, by id.
 std::vector<PlanePoint> PlanePoints(const ObjectStore& store, const Query& q) {
   const Scorer scorer(store, q);
@@ -36,6 +52,7 @@ std::vector<PlanePoint> PlanePoints(const ObjectStore& store, const Query& q) {
   return pts;
 }
 
+/// Picks a missing-object set: objects ranked just outside the top-k.
 std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
                                   size_t count, size_t offset = 3) {
   Query probe = q;
@@ -47,6 +64,39 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
     missing.push_back(wide[i].id);
   }
   return missing;
+}
+
+/// Runs AdjustPreference over the columns and over the scanning baseline and
+/// checks both against the reference audit: the same refinement bit for
+/// bit, and the same search (every counter but index_nodes_visited, which
+/// counts each layout's own evaluations).
+void ExpectBothLayoutsMatchReference(const ObjectStore& store, const Query& q,
+                                     const std::vector<ObjectId>& missing,
+                                     double lambda, const std::string& tag) {
+  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const ScanOracle scan(store);
+  PreferenceAdjustOptions opts;
+  opts.lambda = lambda;
+  auto rc = AdjustPreference(columns, q, missing, opts);
+  auto rs = AdjustPreference(scan, q, missing, opts);
+  ASSERT_TRUE(rc.ok()) << tag;
+  ASSERT_TRUE(rs.ok()) << tag;
+  const reference::PreferenceAudit audit =
+      reference::AuditPreference(store, q, missing, lambda);
+  reference::ExpectPreferenceAnswer(store, q, missing, lambda, *rc, audit,
+                                    tag + " columns");
+  reference::ExpectPreferenceAnswer(store, q, missing, lambda, *rs, audit,
+                                    tag + " scan");
+  EXPECT_EQ(rc->already_in_result, rs->already_in_result) << tag;
+  EXPECT_EQ(rc->original_rank, rs->original_rank) << tag;
+  EXPECT_EQ(rc->refined_rank, rs->refined_rank) << tag;
+  EXPECT_EQ(rc->refined.w, rs->refined.w) << tag;
+  EXPECT_EQ(rc->refined.k, rs->refined.k) << tag;
+  EXPECT_EQ(rc->penalty.value, rs->penalty.value) << tag;
+  EXPECT_EQ(rc->stats.crossings_found, rs->stats.crossings_found) << tag;
+  EXPECT_EQ(rc->stats.candidates_evaluated, rs->stats.candidates_evaluated)
+      << tag;
+  EXPECT_EQ(rc->stats.sweep_fanouts, rs->stats.sweep_fanouts) << tag;
 }
 
 TEST(AdjustPreferenceTest, RejectsInvalidInput) {
@@ -210,15 +260,15 @@ TEST(AdjustPreferenceTest, RefinedRankConsistent) {
             std::max<size_t>(q.k, result->refined_rank));
 }
 
-// The paper's basic and optimized algorithms must return identical
-// refinements across shapes, λs and |M|.
-class PrefModesAgree
+// The columns and the scanning baseline (the paper's basic algorithm) must
+// return identical refinements across shapes, λs and |M|, and both must pass
+// the reference audit.
+class PrefLayoutsAgree
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, size_t>> {};
 
-TEST_P(PrefModesAgree, BasicEqualsOptimized) {
+TEST_P(PrefLayoutsAgree, ScanEqualsColumns) {
   const auto [seed, lambda, m_count] = GetParam();
   const ObjectStore store = MakeStore(400, seed);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Rng rng(seed * 13 + 5);
   for (int trial = 0; trial < 4; ++trial) {
     Query q;
@@ -228,34 +278,37 @@ TEST_P(PrefModesAgree, BasicEqualsOptimized) {
     q.w = Weights::FromWs(rng.NextDouble(0.2, 0.8));
     const std::vector<ObjectId> missing = PickMissing(store, q, m_count);
     if (missing.size() != m_count) continue;
-
-    PreferenceAdjustOptions basic;
-    basic.lambda = lambda;
-    basic.mode = PrefAdjustMode::kBasic;
-    PreferenceAdjustOptions optimized;
-    optimized.lambda = lambda;
-    optimized.mode = PrefAdjustMode::kOptimized;
-
-    auto rb = AdjustPreference(oracle, q, missing, basic);
-    auto ro = AdjustPreference(oracle, q, missing, optimized);
-    ASSERT_TRUE(rb.ok());
-    ASSERT_TRUE(ro.ok());
-    EXPECT_EQ(rb->already_in_result, ro->already_in_result);
-    if (rb->already_in_result) continue;
-    EXPECT_EQ(rb->original_rank, ro->original_rank);
-    EXPECT_NEAR(rb->penalty.value, ro->penalty.value, 1e-12)
-        << "seed=" << seed << " lambda=" << lambda << " trial=" << trial;
-    EXPECT_DOUBLE_EQ(rb->refined.w.ws, ro->refined.w.ws);
-    EXPECT_EQ(rb->refined.k, ro->refined.k);
-    EXPECT_EQ(rb->refined_rank, ro->refined_rank);
+    ExpectBothLayoutsMatchReference(
+        store, q, missing, lambda,
+        "seed=" + std::to_string(seed) + " lambda=" + std::to_string(lambda) +
+            " trial=" + std::to_string(trial));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, PrefModesAgree,
+    Sweep, PrefLayoutsAgree,
     ::testing::Combine(::testing::Values(1, 7, 21),
                        ::testing::Values(0.2, 0.5, 0.8),
                        ::testing::Values(1u, 2u, 3u)));
+
+TEST(AdjustPreferenceTest, BothLayoutsMatchReferenceOnTies) {
+  // Query points on the grid itself and between its points: many objects
+  // share one plane point, so crossings and counts tie across ids.
+  const ObjectStore store = TieStore(400, 31);
+  Rng rng(37);
+  for (int trial = 0; trial < 8; ++trial) {
+    Query q;
+    q.loc = trial % 2 == 0 ? store.Get(rng.NextBounded(store.size())).loc
+                           : Point{0.3, 0.55};
+    q.doc = SampleQueryKeywords(store, 1 + trial % 2, &rng);
+    q.k = 3 + static_cast<uint32_t>(trial % 3);
+    q.w = Weights::FromWs(trial < 4 ? 0.5 : 0.25);
+    const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
+    if (missing.empty()) continue;
+    ExpectBothLayoutsMatchReference(store, q, missing, 0.5,
+                                    "ties trial=" + std::to_string(trial));
+  }
+}
 
 // Global optimality audit: the returned penalty must not beat any candidate
 // on a dense grid of weights (each grid point evaluated exactly).
@@ -302,7 +355,7 @@ TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefOptimalityAudit,
                          ::testing::Values(2, 13, 29));
 
-TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
+TEST(AdjustPreferenceTest, StatsPopulated) {
   const ObjectStore store = MakeStore(500, 8);
   const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
   Query q;
@@ -315,56 +368,99 @@ TEST(AdjustPreferenceTest, StatsPopulatedInOptimizedMode) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.candidates_evaluated, 0u);
   EXPECT_GT(result->stats.index_nodes_visited, 0u);
-  EXPECT_EQ(result->stats.full_rescans, 0u);
 }
 
-TEST(AdjustPreferenceTest, OneScheduleMatchesReferenceInBothModes) {
-  // The sweep runs one schedule: optimized segments double from 8 events and
-  // may fetch (and discard) counts past the floor cut; basic segments hold
-  // one event and fetch exactly what the sweep evaluates. Both must return
-  // the byte-identical refinement with identical crossing/candidate
-  // counters, and that refinement must pass the index-free reference audit.
-  const ObjectStore store = MakeStore(600, 10);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Rng rng(17);
-  for (double lambda : {0.2, 0.5, 0.8}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      Query q;
-      q.loc = SampleQueryLocation(store, &rng);
-      q.doc = SampleQueryKeywords(store, 2, &rng);
-      q.k = 4;
-      const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
-      if (missing.empty()) continue;
-      const std::string tag = "lambda=" + std::to_string(lambda) +
-                              " trial=" + std::to_string(trial);
+// The sweep's weight bounds and its step past a crossing, as defined in
+// preference_adjustment.cc.
+constexpr double kMinW = 1e-9;
+constexpr double kMaxW = 1.0 - 1e-9;
+constexpr double kStepPastCrossing = 1e-7;
 
-      PreferenceAdjustOptions basic;
-      basic.lambda = lambda;
-      basic.mode = PrefAdjustMode::kBasic;
-      PreferenceAdjustOptions optimized = basic;
-      optimized.mode = PrefAdjustMode::kOptimized;
-      auto rb = AdjustPreference(oracle, q, missing, basic);
-      auto ro = AdjustPreference(oracle, q, missing, optimized);
-      ASSERT_TRUE(rb.ok());
-      ASSERT_TRUE(ro.ok());
-      reference::ExpectPreferenceAnswer(
-          store, q, missing, lambda, *ro,
-          reference::AuditPreference(store, q, missing, lambda), tag);
-      EXPECT_EQ(ro->refined.w.ws, rb->refined.w.ws) << tag;
-      EXPECT_EQ(ro->refined.k, rb->refined.k) << tag;
-      EXPECT_EQ(ro->refined_rank, rb->refined_rank) << tag;
-      EXPECT_EQ(ro->penalty.value, rb->penalty.value) << tag;
-      EXPECT_EQ(ro->stats.crossings_found, rb->stats.crossings_found) << tag;
-      EXPECT_EQ(ro->stats.candidates_evaluated,
-                rb->stats.candidates_evaluated)
-          << tag;
-      EXPECT_LE(ro->stats.sweep_fanouts, rb->stats.sweep_fanouts) << tag;
-    }
+/// A score-plane session that forwards to `inner` and records what the sweep
+/// asks of it: every crossing weight it collects and the weights of every
+/// CountAboveBatch fan-out, in call order.
+class RecordingSession final : public ScorePlaneSession {
+ public:
+  RecordingSession(std::unique_ptr<ScorePlaneSession> inner,
+                   std::vector<double>* crossings,
+                   std::vector<std::vector<double>>* fanouts)
+      : inner_(std::move(inner)), crossings_(crossings), fanouts_(fanouts) {}
+
+  PlanePoint Anchor(ObjectId global_id) const override {
+    return inner_->Anchor(global_id);
   }
+  void CollectCrossings(const PlanePoint& anchor, double wlo, double whi,
+                        std::vector<double>* events,
+                        PreferenceAdjustStats* stats) const override {
+    const size_t before = events->size();
+    inner_->CollectCrossings(anchor, wlo, whi, events, stats);
+    crossings_->insert(crossings_->end(), events->begin() + before,
+                       events->end());
+  }
+  std::vector<size_t> CountAboveBatch(
+      const std::vector<double>& weights,
+      const std::vector<PlanePoint>& anchors,
+      PreferenceAdjustStats* stats) const override {
+    fanouts_->push_back(weights);
+    return inner_->CountAboveBatch(weights, anchors, stats);
+  }
+  size_t PreferredSweepBatch() const override {
+    return inner_->PreferredSweepBatch();
+  }
+
+ private:
+  std::unique_ptr<ScorePlaneSession> inner_;
+  std::vector<double>* crossings_;
+  std::vector<std::vector<double>>* fanouts_;
+};
+
+/// An oracle that forwards to `inner` and wraps its score-plane sessions in
+/// RecordingSession.
+class RecordingOracle final : public WhyNotOracle {
+ public:
+  explicit RecordingOracle(const WhyNotOracle& inner) : inner_(inner) {}
+
+  size_t size() const override { return inner_.size(); }
+  double dist_norm() const override { return inner_.dist_norm(); }
+  const SpatialObject& Object(ObjectId global_id) const override {
+    return inner_.Object(global_id);
+  }
+  TopKResult TopK(const Query& query, TopKStats* stats) const override {
+    return inner_.TopK(query, stats);
+  }
+  std::unique_ptr<ScorePlaneSession> PrepareScorePlane(
+      const Query& query, PrefAdjustMode mode) const override {
+    return std::make_unique<RecordingSession>(
+        inner_.PrepareScorePlane(query, mode), &crossings, &fanouts);
+  }
+  std::unique_ptr<RankProbeBatch> ProbeRankBatch(
+      const std::vector<OracleTargetSpec>& specs,
+      KeywordAdaptStats* stats) const override {
+    return inner_.ProbeRankBatch(specs, stats);
+  }
+
+  mutable std::vector<double> crossings;
+  mutable std::vector<std::vector<double>> fanouts;
+
+ private:
+  const WhyNotOracle& inner_;
+};
+
+/// The candidate weights the sweep evaluates for event `e`: e itself and
+/// the step past it on its far side from w0, inside [kMinW, kMaxW].
+std::vector<double> EventWeights(double e, double w0) {
+  std::vector<double> ws;
+  auto push = [&](double w) {
+    if (w >= kMinW && w <= kMaxW) ws.push_back(w);
+  };
+  push(e);
+  if (e <= w0) push(e - kStepPastCrossing);
+  if (e >= w0) push(e + kStepPastCrossing);
+  return ws;
 }
 
-/// Segment fan-outs the optimized schedule (segments of 8, 16, 32, …
-/// events) spends to consume `events` events: ⌈log2(events/8 + 1)⌉.
+/// Segment fan-outs the sweep (segments of 8, 16, 32, … events) spends to
+/// consume `events` events: ⌈log2(events/8 + 1)⌉.
 size_t DoublingSegments(size_t events) {
   size_t segments = 0;
   for (size_t covered = 0, size = 8; covered < events; size *= 2) {
@@ -374,13 +470,15 @@ size_t DoublingSegments(size_t events) {
   return segments;
 }
 
-TEST(AdjustPreferenceTest, OptimizedSweepDoublesItsSegments) {
-  // Basic mode spends one Step-1 fan-out plus one per event it consumes (E),
-  // and the floor cut lands on the same event in both modes. The optimized
-  // schedule consumes the same E events in exactly 1 + ⌈log2(E/8 + 1)⌉
-  // fan-outs.
+TEST(AdjustPreferenceTest, SweepDoublesItsSegments) {
+  // Step 1 is one fan-out at w0 alone. Sweep segment j (from 1) then fetches
+  // the next 8·2^(j−1) events in nearest-to-w0 order, each as its
+  // EventWeights; only the last segment may hold fewer. The E events whose
+  // candidates were evaluated cost exactly 1 + ⌈log2(E/8 + 1)⌉ fan-outs.
+  // Both layouts must fetch the identical weights.
   const ObjectStore store = MakeStore(800, 11);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const ScanOracle scan(store);
   Rng rng(23);
   size_t doubled = 0;
   for (int trial = 0; trial < 8; ++trial) {
@@ -390,49 +488,77 @@ TEST(AdjustPreferenceTest, OptimizedSweepDoublesItsSegments) {
     q.k = 4;
     const std::vector<ObjectId> missing = PickMissing(store, q, 2);
     if (missing.size() != 2) continue;
+    const double w0 = q.w.ws;
 
-    PreferenceAdjustOptions basic;
-    basic.mode = PrefAdjustMode::kBasic;
-    auto rb = AdjustPreference(oracle, q, missing, basic);
-    auto ro = AdjustPreference(oracle, q, missing);
-    ASSERT_TRUE(rb.ok());
-    ASSERT_TRUE(ro.ok());
-    if (rb->already_in_result) continue;
-    EXPECT_EQ(ro->penalty.value, rb->penalty.value);
-    const size_t events = rb->stats.sweep_fanouts - 1;
-    EXPECT_EQ(ro->stats.sweep_fanouts, 1 + DoublingSegments(events))
-        << "events consumed=" << events;
-    if (events > 8) ++doubled;  // Reached a second, doubled segment.
+    std::vector<std::vector<double>> layout_fanouts;
+    for (const WhyNotOracle* inner :
+         {static_cast<const WhyNotOracle*>(&columns),
+          static_cast<const WhyNotOracle*>(&scan)}) {
+      const RecordingOracle oracle(*inner);
+      auto r = AdjustPreference(oracle, q, missing);
+      ASSERT_TRUE(r.ok());
+      if (r->already_in_result) break;
+      ASSERT_EQ(oracle.fanouts.size(), r->stats.sweep_fanouts);
+      ASSERT_GE(oracle.fanouts.size(), 1u);
+      EXPECT_EQ(oracle.fanouts.front(), std::vector<double>{w0});
+
+      // The sweep's event order: deduplicated, nearest to w0 first.
+      std::vector<double> events = oracle.crossings;
+      std::sort(events.begin(), events.end());
+      events.erase(std::unique(events.begin(), events.end()), events.end());
+      std::sort(events.begin(), events.end(), [&](double a, double b) {
+        const double da = std::abs(a - w0);
+        const double db = std::abs(b - w0);
+        if (da != db) return da < db;
+        return a < b;
+      });
+      ASSERT_EQ(r->stats.crossings_found, events.size());
+
+      size_t next = 0;
+      for (size_t j = 1; j < oracle.fanouts.size(); ++j) {
+        const std::vector<double>& fetched = oracle.fanouts[j];
+        std::vector<double> expected;
+        size_t taken = 0;
+        while (expected.size() < fetched.size() && next < events.size()) {
+          for (double w : EventWeights(events[next], w0)) {
+            expected.push_back(w);
+          }
+          ++next;
+          ++taken;
+        }
+        ASSERT_EQ(fetched, expected) << "segment " << j;
+        const size_t full = size_t{8} << (j - 1);
+        if (j + 1 < oracle.fanouts.size()) {
+          EXPECT_EQ(taken, full) << "segment " << j;
+        } else {
+          EXPECT_GE(taken, 1u);
+          EXPECT_LE(taken, full);
+        }
+      }
+
+      // E: the events whose candidates were evaluated, in order.
+      size_t consumed = 0;
+      size_t evaluated = 0;
+      while (evaluated < r->stats.candidates_evaluated) {
+        ASSERT_LT(consumed, events.size());
+        evaluated += EventWeights(events[consumed++], w0).size();
+      }
+      ASSERT_EQ(evaluated, r->stats.candidates_evaluated);
+      EXPECT_EQ(r->stats.sweep_fanouts, 1 + DoublingSegments(consumed))
+          << "events consumed=" << consumed;
+      if (inner == &scan && consumed > 8) ++doubled;  // Reached segment 2.
+
+      std::vector<double> all;
+      for (const auto& f : oracle.fanouts) {
+        all.insert(all.end(), f.begin(), f.end());
+      }
+      layout_fanouts.push_back(std::move(all));
+    }
+    if (layout_fanouts.size() == 2) {
+      EXPECT_EQ(layout_fanouts[0], layout_fanouts[1]);
+    }
   }
   EXPECT_GT(doubled, 0u);
-}
-
-TEST(AdjustPreferenceTest, BasicSweepFetchesOnlyWhatItEvaluates) {
-  // In basic mode every fetched pair is a full rescan, so segments hold one
-  // event and nothing is fetched past the floor cut: the rescans are exactly
-  // R(M, q)'s plus one per evaluated candidate, for every anchor.
-  const ObjectStore store = MakeStore(600, 12);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
-  Rng rng(31);
-  size_t checked = 0;
-  for (int trial = 0; trial < 4; ++trial) {
-    Query q;
-    q.loc = SampleQueryLocation(store, &rng);
-    q.doc = SampleQueryKeywords(store, 2, &rng);
-    q.k = 4;
-    const std::vector<ObjectId> missing = PickMissing(store, q, 1 + trial % 2);
-    if (missing.empty()) continue;
-
-    PreferenceAdjustOptions basic;
-    basic.mode = PrefAdjustMode::kBasic;
-    auto rb = AdjustPreference(oracle, q, missing, basic);
-    ASSERT_TRUE(rb.ok());
-    if (rb->already_in_result) continue;
-    EXPECT_EQ(rb->stats.full_rescans,
-              missing.size() * (1 + rb->stats.candidates_evaluated));
-    ++checked;
-  }
-  EXPECT_GT(checked, 0u);
 }
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {

@@ -2,7 +2,7 @@
 // kernel of a why-not question, against the index-free brute-force
 // reference (tests/reference/whynot_reference.h) and plain scans:
 //   * the kernel alone: rank counts of covered targets at several weights,
-//     the Eqn. (3) plane's counts (both modes) and crossings, on random
+//     the Eqn. (3) plane's counts and crossings, on random
 //     stores, equal-score tie runs, objects with empty docs or no keyword of
 //     the universe, ±0.0 query locations, a 64-keyword universe and one
 //     wider than a mask word, over unsharded and sharded id mappings;
@@ -10,8 +10,9 @@
 //     bits of their sort key, in descending-x id order, with tie runs) and
 //     the keyword postings its masks come from (terms no object holds,
 //     terms past the store's largest, empty docs, local ids ≠ global ids);
-//   * every layout (local, grid and hash shards, remote over loopback): an
-//     open question's ranks, explanations and both refinements equal the
+//   * every layout (local, grid and hash shards, remote over loopback, and
+//     the scanning baseline ScanOracle, which opens no question): an open
+//     question's ranks, explanations, both refinements and top-k equal the
 //     reference;
 //   * questions whose q.doc ∪ M.doc exceeds kMaxKeywordUniverse still answer
 //     the preference model and the explanations exactly; only keyword
@@ -49,7 +50,7 @@
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/shard_router.h"
 #include "src/corpus/sharded_corpus.h"
-#include "src/query/ranking.h"
+#include "bench/baselines/scan_oracle.h"
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
 #include "src/server/shard_protocol.h"
@@ -166,21 +167,17 @@ std::vector<double> ScanCrossings(const std::vector<PlanePoint>& pts,
   return events;
 }
 
-/// Checks one question's columns against the scans: rank counts in both
-/// modes of targets at several weights and docs drawn from the universe
-/// (targets the view holds, at their own scores, and absent ids at the
-/// scores of objects it holds), and the plane's counts in both modes and
-/// its crossings.
+/// Checks one question's columns against the scans: rank counts of targets
+/// at several weights and docs drawn from the universe (targets the view
+/// holds, at their own scores, and absent ids at the scores of objects it
+/// holds), and the plane's counts and crossings.
 void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                         const Query& q, const KeywordSet& universe,
                         uint64_t seed, const std::string& label) {
   const KeywordPostings postings(*view.store);
-  QuestionColumns optimized(view, postings, dist_norm, q, universe,
-                            /*optimized=*/true);
-  QuestionColumns basic(view, postings, dist_norm, q, universe,
-                        /*optimized=*/false);
+  QuestionColumns columns(view, postings, dist_norm, q, universe);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
-  const QuestionShape shape = optimized.shape();
+  const QuestionShape shape = columns.shape();
   EXPECT_EQ(shape.objects, view.store->size()) << label;
   EXPECT_EQ(shape.universe, all.size()) << label;
   EXPECT_LE(shape.columns, std::max<size_t>(shape.groups, 1)) << label;
@@ -218,21 +215,16 @@ void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
                 : target;
         const double score = scorer.Score(local);
         const size_t want = ScanCount(view, dist_norm, t, target, score);
-        EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, target}),
+        EXPECT_EQ(columns.CountOutscoring(ScanTarget{&t, score, target}),
                   want)
             << label << " ws " << ws << " target " << target;
-        EXPECT_EQ(basic.CountOutscoring(ScanTarget{&t, score, target}), want)
-            << label << " basic ws " << ws << " target " << target;
         // An id the view does not hold, at a held object's score: only the
         // D6 tie-break on ids decides inside the equal-score run.
         const ObjectId absent = kInvalidObject - 1;
         const size_t want_absent = ScanCount(view, dist_norm, t, absent, score);
-        EXPECT_EQ(optimized.CountOutscoring(ScanTarget{&t, score, absent}),
+        EXPECT_EQ(columns.CountOutscoring(ScanTarget{&t, score, absent}),
                   want_absent)
             << label << " ws " << ws << " absent at " << target;
-        EXPECT_EQ(basic.CountOutscoring(ScanTarget{&t, score, absent}),
-                  want_absent)
-            << label << " basic ws " << ws << " absent at " << target;
       }
     }
   }
@@ -247,12 +239,8 @@ void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
   }
   const std::vector<double> weights = {1e-9, 0.2, q.w.ws, 0.61, 1 - 1e-9};
   std::vector<size_t> fast(weights.size() * anchors.size());
-  std::vector<size_t> slow(fast.size());
   size_t evals = 0;
-  size_t basic_evals = 0;
-  ASSERT_TRUE(optimized.CountAboveBatch(weights, anchors, &fast, &evals).ok());
-  ASSERT_TRUE(basic.CountAboveBatch(weights, anchors, &slow, &basic_evals).ok());
-  EXPECT_EQ(basic_evals, 0u) << label;
+  ASSERT_TRUE(columns.CountAboveBatch(weights, anchors, &fast, &evals).ok());
   for (size_t wi = 0; wi < weights.size(); ++wi) {
     for (size_t a = 0; a < anchors.size(); ++a) {
       const double threshold = anchors[a].ScoreAt(weights[wi]);
@@ -266,29 +254,19 @@ void ExpectColumnsExact(const OracleShardView& view, double dist_norm,
       }
       EXPECT_EQ(fast[wi * anchors.size() + a], want)
           << label << " w " << weights[wi] << " anchor " << anchors[a].id;
-      EXPECT_EQ(slow[wi * anchors.size() + a], want)
-          << label << " w " << weights[wi] << " anchor " << anchors[a].id;
     }
   }
   for (const auto& [wlo, whi] : std::vector<std::pair<double, double>>{
            {0.0, 1.0}, {0.2, 0.4}, {q.w.ws, q.w.ws}, {0.45, 0.9}}) {
     for (const PlanePoint& anchor : anchors) {
-      std::vector<double> got_fast;
-      std::vector<double> got_slow;
+      std::vector<double> got;
       size_t unused = 0;
       ASSERT_TRUE(
-          optimized.CollectCrossings(anchor, wlo, whi, &got_fast, &unused)
-              .ok());
-      ASSERT_TRUE(
-          basic.CollectCrossings(anchor, wlo, whi, &got_slow, &unused).ok());
-      for (auto* events : {&got_fast, &got_slow}) {
-        std::sort(events->begin(), events->end());
-        events->erase(std::unique(events->begin(), events->end()),
-                      events->end());
-      }
-      const std::vector<double> want = ScanCrossings(pts, anchor, wlo, whi);
-      EXPECT_EQ(got_fast, want) << label << " [" << wlo << ", " << whi << "]";
-      EXPECT_EQ(got_slow, want) << label << " [" << wlo << ", " << whi << "]";
+          columns.CollectCrossings(anchor, wlo, whi, &got, &unused).ok());
+      std::sort(got.begin(), got.end());
+      got.erase(std::unique(got.begin(), got.end()), got.end());
+      EXPECT_EQ(got, ScanCrossings(pts, anchor, wlo, whi))
+          << label << " [" << wlo << ", " << whi << "]";
     }
   }
 }
@@ -316,8 +294,7 @@ void ExpectTopKExact(const OracleShardView& view, double dist_norm,
                      const KeywordSet& universe, uint64_t seed,
                      const std::string& label) {
   const KeywordPostings postings(*view.store);
-  QuestionColumns columns(view, postings, dist_norm, q, universe,
-                          /*optimized=*/true);
+  QuestionColumns columns(view, postings, dist_norm, q, universe);
   const KeywordSet all = KeywordSet::Union(q.doc, universe);
   std::vector<bool> held(whole.size(), view.to_global == nullptr);
   if (view.to_global != nullptr) {
@@ -479,42 +456,38 @@ TEST(QuestionColumnsTest, EmptyShardAnswersZero) {
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
-  for (const bool optimized : {false, true}) {
-    QuestionColumns columns(u.view, u.postings, 1.0, q, KeywordSet({2}),
-                            optimized);
-    EXPECT_EQ(columns.shape().objects, 0u);
-    EXPECT_EQ(columns.shape().groups, 0u);
-    EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
-    for (const uint32_t k : {uint32_t{1}, kMaxK + 1}) {
-      Query t = q;
-      t.k = k;
-      EXPECT_TRUE(columns.TopK(t, nullptr)->empty());
-    }
-    std::vector<size_t> counts(2, 99);
-    size_t evals = 0;
-    ASSERT_TRUE(columns
-                    .CountAboveBatch({0.3, 0.7}, {PlanePoint{0.5, 0.5, 7}},
-                                     &counts, &evals)
-                    .ok());
-    EXPECT_EQ(counts, (std::vector<size_t>{0, 0}));
-    std::vector<double> events;
-    ASSERT_TRUE(columns
-                    .CollectCrossings(PlanePoint{0.5, 0.5, 7}, 0.0, 1.0,
-                                      &events, &evals)
-                    .ok());
-    EXPECT_TRUE(events.empty());
-    EXPECT_EQ(evals, 0u);
+  QuestionColumns columns(u.view, u.postings, 1.0, q, KeywordSet({2}));
+  EXPECT_EQ(columns.shape().objects, 0u);
+  EXPECT_EQ(columns.shape().groups, 0u);
+  EXPECT_EQ(columns.CountOutscoring(ScanTarget{&q, 0.25, 7}), 0u);
+  for (const uint32_t k : {uint32_t{1}, kMaxK + 1}) {
+    Query t = q;
+    t.k = k;
+    EXPECT_TRUE(columns.TopK(t, nullptr)->empty());
   }
+  std::vector<size_t> counts(2, 99);
+  size_t evals = 0;
+  ASSERT_TRUE(columns
+                  .CountAboveBatch({0.3, 0.7}, {PlanePoint{0.5, 0.5, 7}},
+                                   &counts, &evals)
+                  .ok());
+  EXPECT_EQ(counts, (std::vector<size_t>{0, 0}));
+  std::vector<double> events;
+  ASSERT_TRUE(columns
+                  .CollectCrossings(PlanePoint{0.5, 0.5, 7}, 0.0, 1.0,
+                                    &events, &evals)
+                  .ok());
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(evals, 0u);
 }
 
-TEST(QuestionColumnsTest, OptimizedPlaneSearchesFewerPointsThanAScan) {
+TEST(QuestionColumnsTest, PlaneSearchesFewerPointsThanAScan) {
   const Unsharded u(RandomStore(5000, 40, 7));
   Query q;
   q.loc = u.store.Get(3).loc;
   q.doc = KeywordSet({0, 1, 2});
   q.w = Weights::FromWs(0.5);
-  QuestionColumns columns(u.view, u.postings, u.dist_norm, q, KeywordSet(),
-                          /*optimized=*/true);
+  QuestionColumns columns(u.view, u.postings, u.dist_norm, q, KeywordSet());
   const PlanePoint anchor = PlanePoints(u.view, u.dist_norm, q)[17];
   std::vector<size_t> count(1);
   size_t evals = 0;
@@ -789,52 +762,46 @@ void CheckQuestionTopK(const WhyNotOracle& oracle, const WhyNotOracle& question,
   }
 }
 
-/// Runs every stage over one open question of `oracle` and checks it
+/// Runs every stage over one open question of `oracle` (over `oracle`
+/// itself when it opens none, as the scanning baseline) and checks it
 /// against the reference: ranks at other weights and docs, explanations,
-/// and both refinements (the preference model in both plane modes).
+/// both refinements and the top-k.
 void CheckQuestions(const WhyNotOracle& oracle, const ObjectStore& store,
                     const std::vector<Question>& questions,
                     const std::string& layout) {
   for (size_t i = 0; i < questions.size(); ++i) {
     const Question& q = questions[i];
     const std::string tag = layout + " question " + std::to_string(i);
-    for (const PrefAdjustMode mode :
-         {PrefAdjustMode::kOptimized, PrefAdjustMode::kBasic}) {
-      const auto question = oracle.OpenQuestion(q.query, q.missing, mode);
-      ASSERT_NE(question, nullptr) << tag;
-      PreferenceAdjustOptions po;
-      po.mode = mode;
-      auto pref = AdjustPreference(*question, q.query, q.missing, po);
-      ASSERT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
-      reference::ExpectPreferenceAnswer(store, q.query, q.missing, 0.5, *pref,
-                                        q.preference, tag);
-      if (mode == PrefAdjustMode::kBasic) continue;
-
-      auto kw = AdaptKeywords(*question, q.query, q.missing);
-      ASSERT_TRUE(kw.ok()) << tag << ": " << kw.status().ToString();
-      reference::ExpectKeywordAnswer(*kw, q.keyword, tag);
-      auto explained = ExplainMissing(*question, q.query, q.missing);
-      ASSERT_TRUE(explained.ok()) << tag;
-      for (size_t m = 0; m < q.missing.size(); ++m) {
-        EXPECT_EQ((*explained)[m].rank,
-                  reference::Rank(store, q.query, q.missing[m]))
-            << tag;
-      }
-      CheckQuestionTopK(oracle, *question, store,
-                        {q.query, pref->refined, kw->refined}, tag);
-      // Ranks at other weights and with docs from q.doc ∪ M.doc.
-      KeywordSet universe = q.query.doc;
+    const auto opened = oracle.OpenQuestion(q.query, q.missing);
+    const WhyNotOracle& question = opened != nullptr ? *opened : oracle;
+    auto pref = AdjustPreference(question, q.query, q.missing);
+    ASSERT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
+    reference::ExpectPreferenceAnswer(store, q.query, q.missing, 0.5, *pref,
+                                      q.preference, tag);
+    auto kw = AdaptKeywords(question, q.query, q.missing);
+    ASSERT_TRUE(kw.ok()) << tag << ": " << kw.status().ToString();
+    reference::ExpectKeywordAnswer(*kw, q.keyword, tag);
+    auto explained = ExplainMissing(question, q.query, q.missing);
+    ASSERT_TRUE(explained.ok()) << tag;
+    for (size_t m = 0; m < q.missing.size(); ++m) {
+      EXPECT_EQ((*explained)[m].rank,
+                reference::Rank(store, q.query, q.missing[m]))
+          << tag;
+    }
+    CheckQuestionTopK(oracle, question, store,
+                      {q.query, pref->refined, kw->refined}, tag);
+    // Ranks at other weights and with docs from q.doc ∪ M.doc.
+    KeywordSet universe = q.query.doc;
+    for (const ObjectId m : q.missing) {
+      universe = KeywordSet::Union(universe, store.Get(m).doc);
+    }
+    for (const double ws : {0.15, 0.5, 0.85}) {
+      Query t = q.query;
+      t.w = Weights::FromWs(ws);
+      t.doc = KeywordSet({universe.ids().back()});
       for (const ObjectId m : q.missing) {
-        universe = KeywordSet::Union(universe, store.Get(m).doc);
-      }
-      for (const double ws : {0.15, 0.5, 0.85}) {
-        Query t = q.query;
-        t.w = Weights::FromWs(ws);
-        t.doc = KeywordSet({universe.ids().back()});
-        for (const ObjectId m : q.missing) {
-          EXPECT_EQ(question->Rank(t, m), reference::Rank(store, t, m))
-              << tag << " ws " << ws;
-        }
+        EXPECT_EQ(question.Rank(t, m), reference::Rank(store, t, m))
+            << tag << " ws " << ws;
       }
     }
   }
@@ -845,6 +812,7 @@ void RunAllLayouts(const ObjectStore& store, uint64_t seed, int count) {
   ASSERT_FALSE(questions.empty());
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
   CheckQuestions(LocalWhyNotOracle(corpus), store, questions, "local");
+  CheckQuestions(ScanOracle(store), store, questions, "scan");
   for (const bool hash : {false, true}) {
     std::unique_ptr<ShardRouter> router;
     if (hash) {
@@ -935,7 +903,7 @@ struct WideQuestion {
 void CheckWideQuestion(const WhyNotOracle& oracle, const WideQuestion& wide,
                        const std::string& tag) {
   const auto question =
-      oracle.OpenQuestion(wide.query, wide.missing, PrefAdjustMode::kOptimized);
+      oracle.OpenQuestion(wide.query, wide.missing);
   ASSERT_NE(question, nullptr) << tag;
   auto pref = AdjustPreference(*question, wide.query, wide.missing);
   ASSERT_TRUE(pref.ok()) << tag << ": " << pref.status().ToString();
@@ -993,8 +961,7 @@ TEST(QuestionLayoutsTest, PreferenceAndKeywordShareOneQuestionFromTwoThreads) {
        {static_cast<const WhyNotOracle*>(&in_process),
         static_cast<const WhyNotOracle*>(&remote)}) {
     for (const Question& q : questions) {
-      const auto question = oracle->OpenQuestion(q.query, q.missing,
-                                                 PrefAdjustMode::kOptimized);
+      const auto question = oracle->OpenQuestion(q.query, q.missing);
       ASSERT_NE(question, nullptr);
       for (int round = 0; round < 3; ++round) {
         std::optional<Result<RefinedKeywordQuery>> kw;
@@ -1035,10 +1002,9 @@ class CountingShard final : public OracleShard {
     return inner_.TopK(query, prune_below, stats);
   }
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
-      const Query& query, const KeywordSet& universe,
-      bool optimized) const override {
+      const Query& query, const KeywordSet& universe) const override {
     ++*opened_;
-    return inner_.OpenQuestion(query, universe, optimized);
+    return inner_.OpenQuestion(query, universe);
   }
 
  private:

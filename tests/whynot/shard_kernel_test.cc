@@ -1,13 +1,11 @@
 // Property tests of the one shard-side counting kernel, the question
 // columns (QuestionColumns), here as a one-call question per location of a
-// batch whose doc is the union of that location's query docs: optimized
-// (one binary search per keyword-mask group) and basic (every object of
-// every group scored, the target skipped by its global id — basic keyword
-// adaption's baseline).
+// batch whose doc is the union of that location's query docs (one binary
+// search per keyword-mask group).
 //
 // The reference is the brute-force scan of tests/reference: Scorer::Score
-// over store.objects() with the D6 tie order, and no kernel code. Both
-// planes must equal it exactly, on random and tie-heavy data, for targets
+// over store.objects() with the D6 tie order, and no kernel code. The
+// counts must equal it exactly, on random and tie-heavy data, for targets
 // inside a tie run and targets the shard does not hold, for objects sharing
 // no keyword with the batch, with a universe of exactly 64 keywords and of
 // more, with two query locations in one batch, and over sharded id
@@ -128,8 +126,7 @@ KeywordSet UnionOf(const std::vector<Member>& members) {
 /// bits), one QuestionColumns whose doc is the union of the docs there.
 std::vector<size_t> QuestionCounts(const OracleShardView& view,
                                    double dist_norm,
-                                   const std::vector<Member>& members,
-                                   bool optimized) {
+                                   const std::vector<Member>& members) {
   auto same_loc = [](const Point& a, const Point& b) {
     return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
            std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y);
@@ -148,7 +145,7 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
       done[i] = true;
     }
     const QuestionColumns columns(view, postings, dist_norm, question,
-                                  KeywordSet(), optimized);
+                                  KeywordSet());
     for (const size_t i : here) {
       counts[i] = columns.CountOutscoring(ScanTarget{
           &members[i].query, members[i].target_score, members[i].target});
@@ -157,25 +154,21 @@ std::vector<size_t> QuestionCounts(const OracleShardView& view,
   return counts;
 }
 
-/// The optimized and the basic question counts and the reference must
-/// agree exactly for every member. Returns the counts.
+/// The question counts and the reference must agree exactly for every
+/// member. Returns the counts.
 std::vector<size_t> ExpectCountsMatch(const OracleShardView& view,
                                       double dist_norm,
                                       const std::vector<Member>& members,
                                       const std::string& label) {
-  const std::vector<size_t> optimized =
-      QuestionCounts(view, dist_norm, members, /*optimized=*/true);
-  const std::vector<size_t> basic =
-      QuestionCounts(view, dist_norm, members, /*optimized=*/false);
+  const std::vector<size_t> counts = QuestionCounts(view, dist_norm, members);
   for (size_t i = 0; i < members.size(); ++i) {
     const Member& m = members[i];
     const size_t want = reference::OutrankingCount(
         *view.store, view.to_global, dist_norm, m.query, m.target,
         m.target_score);
-    EXPECT_EQ(optimized[i], want) << label << " member " << i;
-    EXPECT_EQ(basic[i], want) << label << " basic member " << i;
+    EXPECT_EQ(counts[i], want) << label << " member " << i;
   }
-  return basic;
+  return counts;
 }
 
 /// A store viewed as an unsharded shard.
@@ -378,11 +371,9 @@ TEST(ShardKernelTest, EmptyBatchAndEmptyShard) {
   const Unsharded empty{ObjectStore()};
   const auto members = RandomMembers(u.store, u.dist_norm, 5, 2, 10,
                                      /*shapes=*/1, 8);
-  for (const bool optimized : {true, false}) {
-    EXPECT_TRUE(QuestionCounts(u.view, u.dist_norm, {}, optimized).empty());
-    EXPECT_EQ(QuestionCounts(empty.view, u.dist_norm, members, optimized),
-              std::vector<size_t>(members.size(), 0));
-  }
+  EXPECT_TRUE(QuestionCounts(u.view, u.dist_norm, {}).empty());
+  EXPECT_EQ(QuestionCounts(empty.view, u.dist_norm, members),
+            std::vector<size_t>(members.size(), 0));
 }
 
 }  // namespace
