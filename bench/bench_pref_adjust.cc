@@ -10,11 +10,11 @@
 //
 // Expected shape (paper): optimized beats basic by 1-3 orders of magnitude
 // and the gap widens with N; runtimes grow mildly with k and |M|. Each
-// PrefAdjust row also reports the sweep's work over one pass of its eight
-// questions: rescans/query (plane score evaluations in units of N: for the
-// basic row one full rescan per counted (weight, anchor) pair, for the
-// columns the evaluations of their binary searches and crossing ranges)
-// and fanouts/query (count fan-outs).
+// PrefAdjust row reports its counters over one pass of its eight
+// questions: avg_penalty, crossings/query, rescans/query (plane score
+// evaluations in units of N: for the basic row one full rescan per counted
+// (weight, anchor) pair, for the columns the evaluations of their binary
+// searches and crossing ranges) and fanouts/query (count fan-outs).
 //
 // The kernel row times the question columns (TSim
 // columns, binary search per column) alone: BM_QuestionColumns_CountAbove
@@ -56,33 +56,31 @@ void RunAdjust(benchmark::State& state, const WhyNotOracle& oracle) {
   options.lambda = 0.5;
 
   size_t i = 0;
-  double penalty_sum = 0.0;
-  size_t crossings = 0;
-  size_t runs = 0;
   for (auto _ : state) {
     const auto& [q, missing] = workload[i++ % workload.size()];
     auto result = AdjustPreference(oracle, q, missing, options);
     benchmark::DoNotOptimize(result);
-    if (result.ok()) {
-      penalty_sum += result->penalty.value;
-      crossings += result->stats.crossings_found;
-      ++runs;
-    }
   }
-  if (runs > 0) {
-    state.counters["avg_penalty"] = benchmark::Counter(penalty_sum / runs);
-    state.counters["crossings/query"] =
-        benchmark::Counter(static_cast<double>(crossings) / runs);
-  }
-  // Sweep work over exactly one pass of the workload, so these repeat
-  // whatever the iteration count.
+  // Every counter over exactly one pass of the workload, so identical
+  // answers give identical counters whatever the iteration count.
+  double penalty_sum = 0.0;
+  size_t crossings = 0;
+  size_t runs = 0;
   size_t evaluations = 0;
   size_t fanouts = 0;
   for (const auto& [q, missing] : workload) {
     auto result = AdjustPreference(oracle, q, missing, options);
     if (!result.ok()) continue;
+    penalty_sum += result->penalty.value;
+    crossings += result->stats.crossings_found;
+    ++runs;
     evaluations += result->stats.index_nodes_visited;
     fanouts += result->stats.sweep_fanouts;
+  }
+  if (runs > 0) {
+    state.counters["avg_penalty"] = benchmark::Counter(penalty_sum / runs);
+    state.counters["crossings/query"] =
+        benchmark::Counter(static_cast<double>(crossings) / runs);
   }
   state.counters["rescans/query"] = benchmark::Counter(
       static_cast<double>(evaluations) / store.size() / workload.size());

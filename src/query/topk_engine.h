@@ -12,9 +12,13 @@
 // E2 (the inverted-index + R-tree hybrid and the IR-tree) live with the
 // benches, in bench/baselines/, and reuse BestFirstEntry.
 //
-// The served /query reaches SetRTopKEngine through each shard's
-// OracleShard::TopK (src/whynot/shard_primitives.h); inside a /whynot the
-// open question's columns answer the top-k instead.
+// No served path runs SetRTopKEngine: it is the reference the E2 and
+// ablation benches and the tests measure against. A /query runs each
+// shard's OracleShard::TopK (src/whynot/shard_primitives.h), a split
+// search that scores the holders of a query term from the shard's keyword
+// postings and finds the rest by a k-NN over the SetR-tree's MBRs, using
+// BestFirstEntry but no node's keyword summary; inside a /whynot the open
+// question's columns answer the top-k instead.
 
 #ifndef YASK_QUERY_TOPK_ENGINE_H_
 #define YASK_QUERY_TOPK_ENGINE_H_
@@ -78,9 +82,8 @@ class SetRTopKEngine {
   /// omitted from the result. Exactness contract: every indexed object with
   /// score >= prune_below that belongs to the top-k IS returned (the
   /// best-first frontier bound is admissible and the stop test is strict).
-  /// The sharded fan-out passes the k-th score of the most promising shard
-  /// here. The stop test is exact but prunes little: the node bounds are
-  /// loose, so a far shard's search rarely stops at its root, even when it
+  /// The stop test is exact but prunes little: the node bounds are loose,
+  /// so a far shard's search rarely stops at its root, even when it
   /// returns no row.
   TopKResult Query(const ::yask::Query& query, double prune_below,
                    TopKStats* stats = nullptr) const;
@@ -90,9 +93,9 @@ class SetRTopKEngine {
   /// amount of pruning differs.
   void set_bound_variant(SetRBoundVariant variant) { variant_ = variant; }
 
-  /// Overrides the SDist normaliser (default: the store's bounds diagonal).
-  /// A sharded corpus sets every shard engine to the *global* diagonal so
-  /// per-shard scores are bit-identical to the unsharded engine's.
+  /// Overrides the SDist normaliser (default: the store's bounds diagonal),
+  /// e.g. to a sharded corpus's *global* diagonal, so per-shard scores are
+  /// bit-identical to the unsharded engine's.
   void set_dist_norm(double norm) { dist_norm_ = norm; }
 
   const ObjectStore& store() const { return *store_; }

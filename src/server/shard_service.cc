@@ -395,6 +395,19 @@ HttpResponse ShardService::HandleTopK(const HttpRequest& req) {
   const double prune_below = in.GetF64();
   if (!in.ok() || !in.AtEnd()) return BadBody(in);
   if (auto bad = CheckK(query.k, corpus_->size())) return *bad;
+  // The k-NN half of the search keys nodes by ws·(1 − MinDist), a bound
+  // only for finite ws ≥ 0. Zero weights stay valid: a coordinator's top-k
+  // passes any weights a caller may ask of the engine.
+  if (!std::isfinite(query.loc.x) || !std::isfinite(query.loc.y)) {
+    return HttpResponse::Error(400, "query location must be finite");
+  }
+  if (!(std::isfinite(query.w.ws) && query.w.ws >= 0.0 &&
+        std::isfinite(query.w.wt) && query.w.wt >= 0.0)) {
+    return HttpResponse::Error(400, "weights must be finite and non-negative");
+  }
+  if (std::isnan(prune_below)) {
+    return HttpResponse::Error(400, "prune_below must not be NaN");
+  }
 
   TopKStats stats;
   const TopKResult rows = shard_.TopK(query, prune_below, &stats).value();

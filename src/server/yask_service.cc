@@ -708,8 +708,15 @@ HttpResponse YaskService::ComputeQuery(const Query& q, uint64_t epoch,
   Timer timer;
   TopKResult result;
   {
-    ScopedSpan span("query/topk", "k=" + std::to_string(q.k));
-    result = Engine().TopK(q);
+    ScopedSpan span("query/topk");
+    TopKStats stats;
+    result = Engine().TopK(q, span.active() ? &stats : nullptr);
+    if (span.active()) {
+      span.set_detail("k=" + std::to_string(q.k) +
+                      " nodes_popped=" + std::to_string(stats.nodes_popped) +
+                      " objects_scored=" +
+                      std::to_string(stats.objects_scored));
+    }
   }
   const double millis = timer.ElapsedMillis();
 

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <queue>
 #include <ranges>
 #include <string>
 #include <unordered_map>
@@ -170,6 +172,19 @@ size_t CountSlice(uint32_t begin, uint32_t end, const ObjectId* ids,
     if (ids[i] < tie_id) ++count;
   }
   return count + (end - i);
+}
+
+/// Keeps `best` the first k rows offered, as a heap whose front is the last
+/// of them in ScoredObject order.
+void KeepBest(const ScoredObject& row, size_t k, TopKResult* best) {
+  if (best->size() < k) {
+    best->push_back(row);
+    std::push_heap(best->begin(), best->end());
+  } else if (row < best->front()) {
+    std::pop_heap(best->begin(), best->end());
+    best->back() = row;
+    std::push_heap(best->begin(), best->end());
+  }
 }
 
 }  // namespace
@@ -453,10 +468,10 @@ Result<TopKResult> QuestionColumns::TopK(const Query& query,
   }
   std::sort(tails.begin(), tails.end(),
             [](const Tail& a, const Tail& b) { return a.best > b.best; });
-  // The best k rows so far as a heap whose front is the last of them in
-  // the ScoredObject order. A row scoring below it cannot enter; one tying
-  // it may, by a lower id (D6), so equal-score runs are walked through.
-  std::vector<ScoredObject> best;
+  // The best k rows so far (KeepBest's heap). A row scoring below its
+  // front cannot enter; one tying it may, by a lower id (D6), so
+  // equal-score runs are walked through.
+  TopKResult best;
   best.reserve(k);
   size_t opened = 0;
   size_t scored = 0;
@@ -467,17 +482,8 @@ Result<TopKResult> QuestionColumns::TopK(const Query& query,
     for (uint32_t i = g.end; i-- > g.begin;) {
       const ScoredObject row{gid_[i], ws * gx_[i] + tail.text};
       ++scored;
-      if (best.size() < k) {
-        best.push_back(row);
-        std::push_heap(best.begin(), best.end());
-        continue;
-      }
-      if (row.score < best.front().score) break;
-      if (row < best.front()) {
-        std::pop_heap(best.begin(), best.end());
-        best.back() = row;
-        std::push_heap(best.begin(), best.end());
-      }
+      if (best.size() == k && row.score < best.front().score) break;
+      KeepBest(row, k, &best);
     }
   }
   std::sort_heap(best.begin(), best.end());
@@ -591,11 +597,97 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
                                           double prune_below,
                                           TopKStats* stats) const {
   assert(view_.setr != nullptr && "top-k requires the SetR-tree");
-  SetRTopKEngine engine(*view_.store, *view_.setr);
-  engine.set_dist_norm(dist_norm_);
-  TopKResult rows = engine.Query(query, prune_below, stats);
+  assert(query.w.ws >= 0.0);
+  const ObjectStore& store = *view_.store;
+  const size_t k = std::min<size_t>(query.k, store.size());
+  if (k == 0) return TopKResult();
+  const double ws = query.w.ws;
+  const double wt = query.w.wt;
+  const size_t qlen = query.doc.size();
+  // Scorer::Score's expression on the same operands (NormalizedSpatialDistance
+  // and KeywordSet::Jaccard inlined), with |o.doc ∩ q.doc| given.
+  auto score = [&](const SpatialObject& o, size_t inter) {
+    const double dx = o.loc.x - query.loc.x;
+    const double dy = o.loc.y - query.loc.y;
+    const double sdist =
+        dist_norm_ <= 0.0
+            ? 0.0
+            : std::min(1.0, std::sqrt(dx * dx + dy * dy) / dist_norm_);
+    return ws * (1.0 - sdist) + wt * JaccardOf(inter, qlen, o.doc.size());
+  };
+
+  // Holders: every object holding a query term, with its count of them. A
+  // count is at most |o.doc|, so 32 bits never wrap. The counters live for
+  // one call: kept per thread, they would hold 4 bytes per object for every
+  // thread that ever served a top-k.
+  std::vector<uint32_t> matches(store.size(), 0);
+  std::vector<ObjectId> holders;
+  for (const TermId t : query.doc) {
+    for (const ObjectId local : postings_.Of(t)) {
+      if (matches[local]++ == 0) holders.push_back(local);
+    }
+  }
+  TopKResult held;
+  held.reserve(std::min(k, holders.size()));
+  for (const ObjectId local : holders) {
+    const ScoredObject row{local, score(store.Get(local), matches[local])};
+    if (row.score >= prune_below) KeepBest(row, k, &held);
+  }
+  std::sort_heap(held.begin(), held.end());
+  size_t scored = holders.size();
+
+  // Non-holders score ws·(1 − SDist) exactly: a best-first k-NN over the
+  // SetR-tree's MBRs finds them, stopping strictly below the k-th holder
+  // (or `prune_below`, if higher). Node keys bound every object beneath
+  // them, ties pop nodes first and then objects by ascending id.
+  const double floor = held.size() == k
+                           ? std::max(prune_below, held.back().score)
+                           : prune_below;
+  const SetRTree& tree = *view_.setr;
+  const Scorer scorer(store, query, dist_norm_);
+  auto node_key = [&](const Rect& rect) {
+    return ws * scorer.MaxSpatialComponent(rect);
+  };
+  TopKResult near;
+  std::priority_queue<BestFirstEntry> frontier;
+  size_t popped = 0;
+  if (!tree.empty()) {
+    const double key = node_key(tree.node(tree.root()).rect);
+    if (key >= floor) frontier.push(BestFirstEntry{key, false, tree.root()});
+  }
+  while (!frontier.empty() && near.size() < k) {
+    const BestFirstEntry top = frontier.top();
+    frontier.pop();
+    if (top.is_object) {
+      near.push_back(ScoredObject{top.id, top.key});
+      continue;
+    }
+    ++popped;
+    const SetRTree::Node& node = tree.node(top.id);
+    for (const auto& e : node.entries) {
+      if (node.is_leaf) {
+        if (matches[e.id] != 0) continue;
+        ++scored;
+        const double s = score(store.Get(e.id), 0);
+        if (s >= floor) frontier.push(BestFirstEntry{s, true, e.id});
+      } else {
+        const double key = node_key(e.rect);
+        if (key >= floor) frontier.push(BestFirstEntry{key, false, e.id});
+      }
+    }
+  }
+
+  TopKResult rows;
+  rows.reserve(std::min(k, held.size() + near.size()));
+  std::merge(held.begin(), held.end(), near.begin(), near.end(),
+             std::back_inserter(rows));
+  if (rows.size() > k) rows.resize(k);
   if (view_.to_global != nullptr) {
     for (ScoredObject& row : rows) row.id = (*view_.to_global)[row.id];
+  }
+  if (stats != nullptr) {
+    stats->nodes_popped += popped;
+    stats->objects_scored += scored;
   }
   return rows;
 }

@@ -63,7 +63,8 @@ inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
 /// i.e. the unsharded layout). `setr` indexes `store` for the shard's
-/// top-k (null for a shard that is never asked one).
+/// top-k, whose k-NN half walks its MBRs (null for a shard that is never
+/// asked one).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
   const std::vector<ObjectId>* to_global = nullptr;
@@ -73,7 +74,8 @@ struct OracleShardView {
 /// One store's keyword postings in CSR form: each term's local ids in
 /// ascending order. LocalOracleShard builds them once; a question ORs the
 /// postings of its universe's terms into per-object keyword masks, so an
-/// object holding none of them never has its keyword list read.
+/// object holding none of them never has its keyword list read, and the
+/// top-k counts each object's query terms from them.
 class KeywordPostings {
  public:
   /// One counting sort over the store's keyword lists.
@@ -284,9 +286,10 @@ class OracleShard {
   /// shard. The top-k fan-out searches the nearest shard first.
   virtual double RootDistance(const Point& loc) const = 0;
 
-  /// The shard's first min(k, size) rows under `query` by SetR-tree search
-  /// (ScoredObject order, GLOBAL ids), where rows scoring strictly below
-  /// `prune_below` may be left out. Work counters accumulate into `stats`.
+  /// The shard's first min(k, size) rows under `query` (ScoredObject
+  /// order, GLOBAL ids), where rows scoring strictly below `prune_below`
+  /// may be left out; `query` has finite weights ≥ 0. Work counters
+  /// accumulate into `stats`.
   virtual Result<TopKResult> TopK(const Query& query, double prune_below,
                                   TopKStats* stats) const = 0;
 
@@ -297,9 +300,22 @@ class OracleShard {
       const Query& query, const KeywordSet& universe) const = 0;
 };
 
-/// The in-process shard: QuestionColumns and SetRTopKEngine over a view,
+/// The in-process shard: QuestionColumns and the split top-k over a view,
 /// under the GLOBAL SDist normaliser, with the view's keyword postings
 /// built once. Never fails.
+///
+/// The split top-k (docs/architecture.md, "A shard's top-k") scores every
+/// object holding a term of q.doc — found, with its match count, from the
+/// postings — and keeps the best k scoring at least `prune_below`. Every
+/// other object scores exactly ws·(1 − SDist), so a best-first k-NN over
+/// the SetR-tree's MBRs (node key ws · MaxSpatialComponent) finds them,
+/// skipping holders and stopping strictly below max(prune_below, the k-th
+/// holder's score); the two lists merge. Every score is Scorer::Score's
+/// IEEE expression on the same operands. The SetR-tree's MBRs serve the
+/// k-NN and RootDistance; its keyword summaries serve no /query.
+/// `nodes_popped` counts the k-NN's node expansions; `objects_scored` the
+/// holders plus the non-holders the k-NN scored. The match counters live
+/// for one call, so concurrent calls are safe.
 class LocalOracleShard final : public OracleShard {
  public:
   /// `view` must outlive the shard.

@@ -124,31 +124,49 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
   q.loc = SampleQueryLocation(store, &rng);
   q.doc = SampleQueryKeywords(store, 3, &rng);
   q.k = 10;
+  size_t holders = 0;
+  for (const SpatialObject& o : store.objects()) {
+    if (o.doc.IntersectionSize(q.doc) > 0) ++holders;
+  }
+  ASSERT_GT(holders, 0u);
   TopKStats stats;
   const TopKResult r = oracle.TopK(q, &stats);
   EXPECT_EQ(r.size(), 10u);
-  EXPECT_GT(stats.nodes_popped, 0u);
-  EXPECT_GT(stats.objects_scored, 0u);
+  // Every shard scores each of its holders, whatever its threshold.
+  EXPECT_GE(stats.objects_scored, holders);
 
-  // A one-shard oracle does exactly the SetRTopKEngine's work, and the
-  // stats add up over repeated calls.
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
-  TopKStats engine_stats;
-  (void)SetRTopKEngine(corpus.store(), corpus.setr()).Query(q, &engine_stats);
   const ShardedCorpus one =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1), options);
-  auto expect_engine_work = [&](const WhyNotOracle& single,
-                                const std::string& label) {
+  // One shard's split search on q: its k-th holder outscores ws·1, the best
+  // any non-holder can reach, so the k-NN pops no node and exactly the
+  // holders are scored. The stats add up over repeated calls.
+  ASSERT_GT(reference::TopK(store, q).back().score, q.w.ws);
+  // A query term no object holds: no holders, so the split search is the
+  // SetR-tree's best-first search with a text bound of 0, pop for pop.
+  Query unheld = q;
+  unheld.doc = KeywordSet({static_cast<TermId>(store.vocab().size() + 7)});
+  TopKStats engine_stats;
+  (void)SetRTopKEngine(corpus.store(), corpus.setr())
+      .Query(unheld, &engine_stats);
+  ASSERT_GT(engine_stats.nodes_popped, 0u);
+  auto expect_split_work = [&](const WhyNotOracle& single,
+                               const std::string& label) {
     TopKStats one_stats;
     (void)single.TopK(q, &one_stats);
-    EXPECT_EQ(one_stats.nodes_popped, engine_stats.nodes_popped) << label;
-    EXPECT_EQ(one_stats.objects_scored, engine_stats.objects_scored) << label;
+    EXPECT_EQ(one_stats.nodes_popped, 0u) << label;
+    EXPECT_EQ(one_stats.objects_scored, holders) << label;
     (void)single.TopK(q, &one_stats);
-    EXPECT_EQ(one_stats.objects_scored, 2 * engine_stats.objects_scored)
+    EXPECT_EQ(one_stats.objects_scored, 2 * holders) << label;
+
+    TopKStats unheld_stats;
+    (void)single.TopK(unheld, &unheld_stats);
+    EXPECT_EQ(unheld_stats.nodes_popped, engine_stats.nodes_popped) << label;
+    EXPECT_EQ(unheld_stats.objects_scored, engine_stats.objects_scored)
         << label;
   };
-  expect_engine_work(LocalWhyNotOracle(corpus), "local");
-  expect_engine_work(LocalWhyNotOracle(one), "1 shard");
+  expect_split_work(LocalWhyNotOracle(corpus), "local");
+  expect_split_work(LocalWhyNotOracle(one), "1 shard");
 }
 
 // --- One driver, every layout -----------------------------------------------

@@ -5,6 +5,8 @@
 //     tracing always on — instrumentation must not leak into the contract;
 //   * every layout records the same engine-level span skeleton (query/topk,
 //     whynot/*, kw/refine_level) for the same request shape;
+//   * the query/topk span's detail is WhyNotEngine::TopK's work counters
+//     (k, nodes popped, objects scored) for the same query in each layout;
 //   * one whynot/question span per /whynot details the question's columns,
 //     with one shard/question span per shard in every layout;
 //   * the whynot/preference and whynot/keyword spans carry the stage's work
@@ -32,6 +34,7 @@
 #include "src/common/text.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/remote_corpus.h"
+#include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
 #include "src/server/json.h"
 #include "src/server/shard_protocol.h"
@@ -310,6 +313,24 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   // The query trace carries the top-k stage in every layout.
   const JsonValue query_trace = FetchTrace(single, single_run.query_trace_id);
   EXPECT_EQ(Skeleton(query_trace).count("query/topk"), 1u);
+  // Its detail is WhyNotEngine::TopK's work on the same query, per layout.
+  auto topk_fields = [&](const WhyNotEngine& engine) {
+    TopKStats stats;
+    (void)engine.TopK(question, &stats);
+    return std::map<std::string, size_t>{
+        {"k", question.k},
+        {"nodes_popped", stats.nodes_popped},
+        {"objects_scored", stats.objects_scored}};
+  };
+  EXPECT_EQ(StageFields(query_trace, "query/topk"),
+            topk_fields(WhyNotEngine(corpus)));
+  EXPECT_EQ(StageFields(FetchTrace(local, local_run.query_trace_id),
+                        "query/topk"),
+            topk_fields(WhyNotEngine(sharded)));
+  EXPECT_EQ(StageFields(FetchTrace(remote, remote_run.query_trace_id),
+                        "query/topk"),
+            topk_fields(WhyNotEngine(
+                std::make_unique<RemoteShardOracle>(remote_corpus))));
 
   // Remote-only structure: rpc spans on the coordinator, shard-side child
   // spans stitched under them by the propagated trace id.

@@ -6,7 +6,9 @@
 // exact only for w ≥ 0) and at most kMaxCountBatchPairs (weight, anchor)
 // pairs; a crossing query takes an interval 0 ≤ wlo ≤ whi ≤ 1; a top-k
 // takes finite weights ≥ 0, a doc inside q.doc ∪ U and a k within kMaxK or
-// the shard's object count (so does /shard/topk). Each bad request answers
+// the shard's object count (so does /shard/topk, which also takes only a
+// finite location, finite weights ≥ 0 and a threshold that is not NaN).
+// Each bad request answers
 // 400, an unknown session 404, and the session still answers the valid
 // request that follows it. Seed-driven mutations of valid /shard/plane/open,
 // /shard/plane/rank, /shard/plane/topk, /shard/plane/count_batch and
@@ -316,6 +318,41 @@ TEST_F(ShardPlaneBoundaryTest, ShardTopKBoundsK) {
   EXPECT_EQ(status_at(kMaxK), 200);
   EXPECT_EQ(status_at(kMaxK + 1), 400);
   EXPECT_EQ(status_at(~uint32_t{0}), 400);
+}
+
+TEST_F(ShardPlaneBoundaryTest, ShardTopKRefusesOutOfDomainInput) {
+  const auto status_of = [&](const Query& q, double prune_below) {
+    BufWriter req;
+    shardrpc::PutQuery(&req, q);
+    req.PutF64(prune_below);
+    return Post(shardrpc::kTopKPath, req.data());
+  };
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    Query q = query_;
+    q.loc.x = bad;
+    EXPECT_EQ(status_of(q, -kInf), 400) << "loc.x " << bad;
+    q = query_;
+    q.loc.y = bad;
+    EXPECT_EQ(status_of(q, -kInf), 400) << "loc.y " << bad;
+  }
+  for (const double bad : {kNaN, kInf, -kInf, -0.5}) {
+    Query q = query_;
+    q.w.ws = bad;
+    EXPECT_EQ(status_of(q, -kInf), 400) << "ws " << bad;
+    q = query_;
+    q.w.wt = bad;
+    EXPECT_EQ(status_of(q, -kInf), 400) << "wt " << bad;
+  }
+  EXPECT_EQ(status_of(query_, kNaN), 400);
+  // Zero weights and any non-NaN threshold are valid.
+  Query zero = query_;
+  zero.w = Weights{0.0, 0.0};
+  EXPECT_EQ(status_of(zero, -kInf), 200);
+  zero.w = Weights{0.0, 1.0};
+  EXPECT_EQ(status_of(zero, 0.25), 200);
+  zero.w = Weights{1.0, 0.0};
+  EXPECT_EQ(status_of(zero, kInf), 200);
+  EXPECT_EQ(status_of(query_, -kInf), 200);
 }
 
 /// Seed-driven byte mutations of valid question bodies: the shard answers
