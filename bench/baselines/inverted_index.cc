@@ -4,6 +4,8 @@
 #include <queue>
 #include <unordered_set>
 
+#include "src/query/scoring.h"
+
 namespace yask {
 
 InvertedIndex::InvertedIndex(const ObjectStore& store) {

@@ -1,6 +1,7 @@
-#include "src/index/setr_tree.h"
+#include "bench/baselines/setr_tree.h"
 
 #include <algorithm>
+#include <queue>
 
 namespace yask {
 
@@ -30,6 +31,45 @@ double UpperBoundScore(const Scorer& scorer, const Rect& mbr,
   const Query& q = scorer.query();
   return q.w.ws * scorer.MaxSpatialComponent(mbr) +
          q.w.wt * UpperBoundTSim(s, q.doc, variant);
+}
+
+TopKResult SetRTopKEngine::Query(const ::yask::Query& query,
+                                 TopKStats* stats) const {
+  Scorer scorer(*store_, query);
+  TopKResult result;
+  if (store_->empty() || query.k == 0 || tree_->empty()) return result;
+
+  std::priority_queue<BestFirstEntry> pq;
+  {
+    const auto& root = tree_->node(tree_->root());
+    pq.push(BestFirstEntry{
+        UpperBoundScore(scorer, root.rect, root.summary, variant_), false,
+        tree_->root()});
+  }
+  while (!pq.empty() && result.size() < query.k) {
+    const BestFirstEntry top = pq.top();
+    pq.pop();
+    if (top.is_object) {
+      result.push_back(ScoredObject{top.id, top.key});
+      continue;
+    }
+    const auto& node = tree_->node(top.id);
+    if (stats != nullptr) ++stats->nodes_popped;
+    if (node.is_leaf) {
+      for (const auto& e : node.entries) {
+        if (stats != nullptr) ++stats->objects_scored;
+        pq.push(BestFirstEntry{scorer.Score(e.id), true, e.id});
+      }
+    } else {
+      for (const auto& e : node.entries) {
+        const auto& child = tree_->node(e.id);
+        pq.push(BestFirstEntry{
+            UpperBoundScore(scorer, child.rect, child.summary, variant_),
+            false, e.id});
+      }
+    }
+  }
+  return result;
 }
 
 template class RTreeT<SetSummary>;

@@ -11,13 +11,29 @@
 //   ⇒ |o.doc ∩ q| ≤ |U ∩ q|      and   |o.doc ∪ q| ≥ |I ∪ q|
 //   ⇒ TSim(o,q)  ≤ min(1, |U ∩ q| / |I ∪ q|)
 // Combined with MINDIST on the node MBR it bounds ST(o, q) from above.
+//
+// SetRTopKEngine is the paper's engine on it, following Cong et al. [4]
+// with the IR-tree swapped for the SetR-tree: "we maintain a priority queue
+// Q initialized with the SetR-tree root node. In each iteration we pop the
+// first element; report it if it is an object; otherwise unfold it and put
+// its children into Q. The process continues until k objects are
+// retrieved."
+//
+// No served path builds the SetR-tree: a shard's top-k scores the holders
+// of a query term from its keyword postings and finds the rest by a k-NN
+// over a plain R-tree (src/whynot/shard_primitives.h). The SetR-tree is the
+// reference experiment E2 and ablation D1 measure, like the IR-tree next to
+// it.
 
-#ifndef YASK_INDEX_SETR_TREE_H_
-#define YASK_INDEX_SETR_TREE_H_
+#ifndef YASK_BENCH_BASELINES_SETR_TREE_H_
+#define YASK_BENCH_BASELINES_SETR_TREE_H_
 
 #include "src/common/keyword_set.h"
 #include "src/index/rtree.h"
+#include "src/query/query.h"
 #include "src/query/scoring.h"
+#include "src/query/topk_engine.h"
+#include "src/storage/object_store.h"
 
 namespace yask {
 
@@ -104,8 +120,33 @@ double UpperBoundScore(
     const Scorer& scorer, const Rect& mbr, const SetSummary& s,
     SetRBoundVariant variant = SetRBoundVariant::kLengthTightened);
 
+/// The paper's engine: best-first search over the SetR-tree.
+///
+/// Determinism: equal-priority entries pop nodes before objects and objects
+/// by ascending id, so results obey the ScoredObject ordering (D6) exactly.
+class SetRTopKEngine {
+ public:
+  /// Both references must outlive the engine; the tree must index `store`.
+  SetRTopKEngine(const ObjectStore& store, const SetRTree& tree)
+      : store_(&store), tree_(&tree) {}
+
+  /// Runs q against the index. Returns min(k, |D|) objects.
+  TopKResult Query(const ::yask::Query& query,
+                   TopKStats* stats = nullptr) const;
+
+  /// Selects the node-bound flavour (default: length-tightened). Exposed for
+  /// the D1 ablation benchmark; results are identical either way, only the
+  /// amount of pruning differs.
+  void set_bound_variant(SetRBoundVariant variant) { variant_ = variant; }
+
+ private:
+  const ObjectStore* store_;
+  const SetRTree* tree_;
+  SetRBoundVariant variant_ = SetRBoundVariant::kLengthTightened;
+};
+
 extern template class RTreeT<SetSummary>;
 
 }  // namespace yask
 
-#endif  // YASK_INDEX_SETR_TREE_H_
+#endif  // YASK_BENCH_BASELINES_SETR_TREE_H_

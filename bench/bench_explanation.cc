@@ -37,7 +37,7 @@ namespace {
 void PrintVerdictDistribution() {
   const size_t n = 100000;
   const ObjectStore& store = SharedDataset(n);
-  const LocalWhyNotOracle oracle(store, &SharedSetR(n));
+  const LocalWhyNotOracle oracle(store, &SharedRTree(n));
   Rng rng(41);
   std::map<MissingReason, size_t> verdicts;
   size_t trials = 0;
@@ -65,7 +65,7 @@ void PrintVerdictDistribution() {
 void BM_ExplainMissing(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const ObjectStore& store = SharedDataset(n);
-  const LocalWhyNotOracle oracle(store, &SharedSetR(n));
+  const LocalWhyNotOracle oracle(store, &SharedRTree(n));
   Rng rng(43);
   const Query q = MakeQuery(store, &rng, 3, 10);
   const std::vector<ObjectId> missing = PickMissing(store, q, 1, 10);
@@ -79,7 +79,7 @@ BENCHMARK(BM_ExplainMissing)->ArgName("N")->Arg(10000)->Arg(100000);
 void BM_RankComputation_Question(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const ObjectStore& store = SharedDataset(n);
-  const LocalWhyNotOracle oracle(store, &SharedSetR(n));
+  const LocalWhyNotOracle oracle(store, &SharedRTree(n));
   Rng rng(47);
   const Query q = MakeQuery(store, &rng, 3, 10);
   const ObjectId target = PickMissing(store, q, 1, 10)[0];

@@ -1,15 +1,17 @@
 // Experiment E3 (DESIGN.md): index construction cost and footprint.
 //
 // Regenerates the index substrate comparison: STR bulk load of the plain
-// R-tree and the SetR-tree (the only way either is built), with the
-// per-index memory footprint as counters.
+// R-tree (the served index) and the paper's SetR-tree (a baseline, in
+// bench/baselines/), the only way either is built, with the per-index
+// memory footprint as counters.
 //
 // Expected shape: the SetR-tree costs more memory (keyword sets at every
-// node) than the plain R-tree.
+// node) and build time than the plain R-tree.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/baselines/inverted_index.h"
+#include "bench/baselines/setr_tree.h"
 #include "bench/bench_util.h"
 
 namespace yask {

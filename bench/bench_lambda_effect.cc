@@ -100,7 +100,7 @@ void PrintLambdaTable() {
 void BM_LambdaSweep_Preference(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 10.0;
   const ObjectStore& store = SharedDataset(kN);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Rng rng(29);
   Query q = MakeQuery(store, &rng, 3, kK);
   std::vector<ObjectId> missing = PickMissing(store, q, 1);

@@ -90,7 +90,7 @@ void RunAdjust(benchmark::State& state, const WhyNotOracle& oracle) {
 
 void BM_PrefAdjust_Optimized(benchmark::State& state) {
   RunAdjust(state, LocalWhyNotOracle(SharedDataset(state.range(0)),
-                                     /*setr=*/nullptr));
+                                     /*rtree=*/nullptr));
 }
 void BM_PrefAdjust_Basic(benchmark::State& state) {
   RunAdjust(state, ScanOracle(SharedDataset(state.range(0))));

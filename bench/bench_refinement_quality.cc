@@ -17,7 +17,6 @@
 #include <set>
 
 #include "bench/bench_util.h"
-#include "src/index/setr_tree.h"
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/why_not_engine.h"
 

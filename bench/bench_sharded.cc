@@ -3,10 +3,11 @@
 // Partitions the shared benchmark dataset into 1/2/4/8 spatial-grid shards
 // and runs the same randomized top-k workload through LocalWhyNotOracle's
 // top-k (the fan-out every layout runs) at each shard count. Every sharded
-// result is cross-checked for exact equality against the unsharded
-// SetRTopKEngine — the fan-out merge must be bit-identical, so a
+// result is cross-checked for exact equality against TopKScan over the
+// unsharded store — the fan-out merge must be bit-identical, so a
 // fast-but-wrong configuration fails the run (non-zero exit) rather than
-// entering the perf trajectory.
+// entering the perf trajectory. The "unsharded" row times the same top-k
+// over the whole store as one shard.
 //
 // Two timings per configuration:
 //   * wall      — LocalWhyNotOracle::TopK on this host as-is (home-shard
@@ -36,6 +37,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,19 +99,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The unsharded baseline engine and the reference answers.
+  // The reference answers and the unsharded baseline.
   const Corpus& baseline = SharedCorpus(n);
   const ObjectStore& store = baseline.store();
-  const SetRTopKEngine baseline_engine(baseline.store(), baseline.setr());
+  const LocalWhyNotOracle baseline_oracle(baseline);
   const std::vector<Query> workload = MakeWorkload(store, num_queries);
   std::vector<TopKResult> expected;
   expected.reserve(workload.size());
+  for (const Query& q : workload) expected.push_back(TopKScan(store, q));
+  bool baseline_match = true;
   double baseline_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    expected.clear();
     Timer timer;
-    for (const Query& q : workload) {
-      expected.push_back(baseline_engine.Query(q));
+    for (size_t i = 0; i < workload.size(); ++i) {
+      if (baseline_oracle.TopK(workload[i]) != expected[i]) {
+        baseline_match = false;
+      }
     }
     baseline_ms = std::min(baseline_ms, timer.ElapsedMillis());
   }
@@ -117,9 +123,10 @@ int main(int argc, char** argv) {
               n, workload.size(), std::thread::hardware_concurrency());
   std::printf("%-16s %11s %9s %11s %9s  %s\n", "engine", "wall ms/q",
               "wall qps", "scatter ms", "sct qps", "exact");
-  std::printf("%-16s %11.4f %9.0f %11s %9s  %s\n", "unsharded SetR",
+  std::printf("%-16s %11.4f %9.0f %11s %9s  %s\n", "unsharded",
               baseline_ms / workload.size(),
-              1000.0 * workload.size() / baseline_ms, "-", "-", "ref");
+              1000.0 * workload.size() / baseline_ms, "-", "-",
+              baseline_match ? "yes" : "NO — BUG");
 
   std::vector<ShardRun> runs;
   for (const size_t shards : {1, 2, 4, 8}) {
@@ -151,12 +158,15 @@ int main(int argc, char** argv) {
     // own core/node, so per-query latency is the slowest shard's full
     // search plus the merge. Each shard is timed individually — correct on
     // any host, parallel or not.
-    std::vector<SetRTopKEngine> shard_engines;
+    std::vector<std::unique_ptr<LocalOracleShard>> shard_engines;
     for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      shard_engines.emplace_back(sharded.shard(s).store(),
-                                 sharded.shard(s).setr());
-      shard_engines.back().set_dist_norm(sharded.dist_norm());
+      shard_engines.push_back(std::make_unique<LocalOracleShard>(
+          OracleShardView{&sharded.shard(s).store(),
+                          &sharded.shard_global_ids(s),
+                          &sharded.shard(s).rtree()},
+          sharded.dist_norm()));
     }
+    constexpr double kKeepAll = -std::numeric_limits<double>::infinity();
     run.scatter_ms = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
       double total = 0.0;
@@ -165,7 +175,7 @@ int main(int argc, char** argv) {
         double slowest = 0.0;
         for (size_t s = 0; s < sharded.num_shards(); ++s) {
           Timer shard_timer;
-          parts[s] = shard_engines[s].Query(q);
+          parts[s] = shard_engines[s]->TopK(q, kKeepAll, nullptr).value();
           slowest = std::max(slowest, shard_timer.ElapsedMillis());
         }
         // The coordinator's merge runs after the slowest shard returns.
@@ -173,8 +183,7 @@ int main(int argc, char** argv) {
         TopKResult merged;
         for (size_t s = 0; s < sharded.num_shards(); ++s) {
           for (const ScoredObject& so : parts[s]) {
-            merged.push_back(
-                ScoredObject{sharded.ToGlobal(s, so.id), so.score});
+            merged.push_back(so);
           }
         }
         std::sort(merged.begin(), merged.end());
@@ -210,7 +219,7 @@ int main(int argc, char** argv) {
               scatter_speedup, wall_speedup,
               std::thread::hardware_concurrency());
 
-  bool all_match = true;
+  bool all_match = baseline_match;
   for (const ShardRun& r : runs) all_match = all_match && r.results_match;
 
   JsonValue context = JsonValue::MakeObject();

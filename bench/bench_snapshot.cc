@@ -2,14 +2,14 @@
 //
 // Measures, on the shared benchmark dataset family, (a) what a cold start
 // from raw objects costs today — parsing the TSV dataset (re-interning every
-// keyword) plus bulk-loading the SetR-tree, with the index-build share
-// also reported on its own —
+// keyword) plus bulk-loading the R-tree, with the index-build share also
+// reported on its own —
 // (b) how large the snapshot of that warm state is and how long it takes to
 // write, and (c) how long a cold start that loads the snapshot takes
 // instead — the number that matters for restarting replicas.
-// The load path must also be *correct*: the harness cross-checks top-k
-// results between the rebuilt and the reloaded state and validates the
-// reloaded trees structurally before reporting.
+// The load path must also be *correct*: the harness cross-checks the served
+// top-k of the rebuilt and the reloaded state against TopKScan and
+// validates the reloaded tree structurally before reporting.
 //
 // Unlike the other harnesses this one does not use google-benchmark: it
 // needs one number per phase, not a sampling loop, and it must emit the
@@ -30,6 +30,7 @@
 #include "src/server/json.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/storage/dataset_io.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace bench {
@@ -65,7 +66,7 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
   // (a) Cold start from raw objects: what every process start pays today —
   // re-parse and re-intern the dataset, then rebuild every index over it.
   std::unique_ptr<ObjectStore> rebuilt_store;
-  std::unique_ptr<SetRTree> setr;
+  std::unique_ptr<RTree> rtree;
   t.rebuild_ms = t.parse_ms = t.index_build_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     Timer timer;
@@ -78,8 +79,8 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
     const double parse_ms = timer.ElapsedMillis();
     rebuilt_store = std::make_unique<ObjectStore>(std::move(parsed).value());
     Timer index_timer;
-    setr = std::make_unique<SetRTree>(rebuilt_store.get());
-    setr->BulkLoad();
+    rtree = std::make_unique<RTree>(rebuilt_store.get());
+    rtree->BulkLoad();
     t.index_build_ms = std::min(t.index_build_ms, index_timer.ElapsedMillis());
     t.parse_ms = std::min(t.parse_ms, parse_ms);
     t.rebuild_ms = std::min(t.rebuild_ms, timer.ElapsedMillis());
@@ -91,7 +92,7 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
   t.save_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     Timer timer;
-    auto bytes = WriteSnapshot(snap_path, *rebuilt_store, setr.get());
+    auto bytes = WriteSnapshot(snap_path, *rebuilt_store, rtree.get());
     if (!bytes.ok()) {
       std::fprintf(stderr, "save failed: %s\n",
                    bytes.status().ToString().c_str());
@@ -116,18 +117,25 @@ PhaseTimes RunOnce(size_t n, const std::string& snap_path) {
     bundle = std::move(loaded).value();
   }
 
-  // Correctness gate: the reloaded state must answer exactly like the
-  // rebuilt one, and the adopted arenas must pass the deep structural check.
-  if (Status s = bundle.setr->Validate(); !s.ok()) {
-    t.validate_error = "setr: " + s.ToString();
+  // Correctness gate: the served top-k of the rebuilt and of the reloaded
+  // state must both answer TopKScan's rows, and the adopted arena must pass
+  // the deep structural check.
+  if (bundle.rtree == nullptr) {
+    t.validate_error = "rtree: missing from the snapshot";
+    return t;
   }
-  SetRTopKEngine rebuilt_engine(*rebuilt_store, *setr);
-  SetRTopKEngine loaded_engine(*bundle.store, *bundle.setr);
+  if (Status s = bundle.rtree->Validate(); !s.ok()) {
+    t.validate_error = "rtree: " + s.ToString();
+  }
+  const LocalWhyNotOracle rebuilt_oracle(*rebuilt_store, rtree.get());
+  const LocalWhyNotOracle loaded_oracle(*bundle.store, bundle.rtree.get());
   Rng rng(7);
   for (size_t i = 0; i < kQueryChecks; ++i) {
     const Query q =
         MakeQuery(*rebuilt_store, &rng, /*num_keywords=*/3, /*k=*/10);
-    if (rebuilt_engine.Query(q) != loaded_engine.Query(q)) {
+    const TopKResult expected = TopKScan(*rebuilt_store, q);
+    if (rebuilt_oracle.TopK(q) != expected ||
+        loaded_oracle.TopK(q) != expected) {
       t.results_match = false;
       break;
     }

@@ -3,12 +3,18 @@
 // Regenerates the engine comparison underlying §3.3 / ref [4]: the SetR-tree
 // best-first engine versus the inverted-index + R-tree hybrid baseline versus
 // a full linear scan, swept over dataset size N and result size k, next to
-// the served kernel (BM_TopK_Served: keyword postings plus a spatial k-NN).
-// The baselines (the hybrid, the IR-tree) live in bench/baselines/.
+// the served kernel (BM_TopK_Served: keyword postings plus a spatial k-NN
+// over the plain R-tree). The baselines (the SetR-tree, the hybrid, the
+// IR-tree) live in bench/baselines/.
 //
 // Expected shape (paper): the index engines beat the scan by orders of
 // magnitude at large N; the SetR-tree engine touches a small fraction of the
 // corpus (see the objects_scored counter).
+//
+// The work counters come from one untimed pass over the first 32 queries of
+// the seeded stream, so they repeat whatever the timed iteration count; the
+// pass also gates each engine's rows against TopKScan (non-zero exit on a
+// difference).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +26,7 @@
 
 #include "bench/baselines/inverted_index.h"
 #include "bench/baselines/ir_tree.h"
+#include "bench/baselines/setr_tree.h"
 #include "bench/bench_util.h"
 #include "src/whynot/shard_primitives.h"
 
@@ -40,27 +47,46 @@ const InvertedIndex& SharedInverted(size_t n) {
   return *it->second;
 }
 
+/// One untimed pass over the stream's first queries: `run(q, &stats)` must
+/// answer TopKScan's rows bit for bit, or the run exits non-zero, and the
+/// per-query counters are this pass's work. `run` returns TopKResult.
+template <typename Run>
+void CountOneFixedPass(benchmark::State& state, const char* name,
+                       const ObjectStore& store, uint32_t k, Run run) {
+  constexpr int kChecked = 32;
+  Rng rng(1);
+  TopKStats stats;
+  for (int i = 0; i < kChecked; ++i) {
+    const Query q = MakeQuery(store, &rng, kQueryKeywords, k);
+    if (run(q, &stats) != TopKScan(store, q)) {
+      std::fprintf(stderr, "%s: query %d at N=%zu k=%u differs from "
+                   "TopKScan\n", name, i, store.size(), k);
+      std::exit(1);
+    }
+  }
+  state.counters["objects_scored/query"] =
+      benchmark::Counter(static_cast<double>(stats.objects_scored) / kChecked);
+  state.counters["nodes_popped/query"] =
+      benchmark::Counter(static_cast<double>(stats.nodes_popped) / kChecked);
+}
+
 void BM_TopK_SetRTree(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const uint32_t k = static_cast<uint32_t>(state.range(1));
   const ObjectStore& store = SharedDataset(n);
-  const SetRTree& tree = SharedSetR(n);
-  SetRTopKEngine engine(store, tree);
+  const SetRTopKEngine engine(store, SharedBaselineTree<SetRTree>(n));
+  CountOneFixedPass(state, "BM_TopK_SetRTree", store, k,
+                    [&](const Query& q, TopKStats* stats) {
+                      return engine.Query(q, stats);
+                    });
   Rng rng(1);
-  TopKStats stats;
-  size_t queries = 0;
   for (auto _ : state) {
     state.PauseTiming();
     const Query q = MakeQuery(store, &rng, kQueryKeywords, k);
     state.ResumeTiming();
-    TopKResult r = engine.Query(q, &stats);
+    TopKResult r = engine.Query(q);
     benchmark::DoNotOptimize(r);
-    ++queries;
   }
-  state.counters["objects_scored/query"] =
-      benchmark::Counter(static_cast<double>(stats.objects_scored) / queries);
-  state.counters["nodes_popped/query"] =
-      benchmark::Counter(static_cast<double>(stats.nodes_popped) / queries);
 }
 BENCHMARK(BM_TopK_SetRTree)
     ->ArgNames({"N", "k"})
@@ -82,7 +108,7 @@ const LocalOracleShard& SharedServedShard(size_t n) {
     const ObjectStore& store = SharedDataset(n);
     it = cache
              ->emplace(n, std::make_unique<LocalOracleShard>(
-                              OracleShardView{&store, nullptr, &SharedSetR(n)},
+                              OracleShardView{&store, nullptr, &SharedRTree(n)},
                               store.BoundsDiagonal()))
              .first;
   }
@@ -92,34 +118,18 @@ const LocalOracleShard& SharedServedShard(size_t n) {
 void BM_TopK_Served(benchmark::State& state) {
   // What a /query runs on each shard: holders of a query term scored from
   // the shard's keyword postings, the rest found by a k-NN over the
-  // SetR-tree's MBRs (LocalOracleShard::TopK). The holder pass is linear in
-  // the holders, so objects_scored grows with N.
+  // R-tree's MBRs (LocalOracleShard::TopK). The holder pass is linear in the
+  // holders, so objects_scored grows with N.
   const size_t n = static_cast<size_t>(state.range(0));
   const uint32_t k = static_cast<uint32_t>(state.range(1));
   const ObjectStore& store = SharedDataset(n);
   const LocalOracleShard& shard = SharedServedShard(n);
   constexpr double kKeepAll = -std::numeric_limits<double>::infinity();
-  // One untimed pass over the stream's first queries: each must answer
-  // TopKScan's rows bit for bit, or the run exits non-zero, and the
-  // counters are this pass's work, so they repeat whatever the iteration
-  // count.
-  constexpr int kChecked = 32;
-  Rng check_rng(1);
-  TopKStats stats;
-  for (int i = 0; i < kChecked; ++i) {
-    const Query q = MakeQuery(store, &check_rng, kQueryKeywords, k);
-    const Result<TopKResult> rows = shard.TopK(q, kKeepAll, &stats);
-    if (!rows.ok() || rows.value() != TopKScan(store, q)) {
-      std::fprintf(stderr, "BM_TopK_Served: query %d at N=%zu k=%u differs "
-                   "from TopKScan\n", i, n, k);
-      std::exit(1);
-    }
-  }
-  state.counters["objects_scored/query"] =
-      benchmark::Counter(static_cast<double>(stats.objects_scored) / kChecked);
-  state.counters["nodes_popped/query"] =
-      benchmark::Counter(static_cast<double>(stats.nodes_popped) / kChecked);
-
+  CountOneFixedPass(state, "BM_TopK_Served", store, k,
+                    [&](const Query& q, TopKStats* stats) {
+                      Result<TopKResult> rows = shard.TopK(q, kKeepAll, stats);
+                      return rows.ok() ? std::move(rows).value() : TopKResult();
+                    });
   Rng rng(1);
   for (auto _ : state) {
     state.PauseTiming();
@@ -146,19 +156,18 @@ void BM_TopK_InvertedHybrid(benchmark::State& state) {
   const InvertedIndex& inverted = SharedInverted(n);
   const RTree& rtree = SharedRTree(n);
   InvertedTopKEngine engine(store, inverted, rtree);
+  CountOneFixedPass(state, "BM_TopK_InvertedHybrid", store, k,
+                    [&](const Query& q, TopKStats* stats) {
+                      return engine.Query(q, stats);
+                    });
   Rng rng(1);
-  TopKStats stats;
-  size_t queries = 0;
   for (auto _ : state) {
     state.PauseTiming();
     const Query q = MakeQuery(store, &rng, kQueryKeywords, k);
     state.ResumeTiming();
-    TopKResult r = engine.Query(q, &stats);
+    TopKResult r = engine.Query(q);
     benchmark::DoNotOptimize(r);
-    ++queries;
   }
-  state.counters["objects_scored/query"] =
-      benchmark::Counter(static_cast<double>(stats.objects_scored) / queries);
 }
 BENCHMARK(BM_TopK_InvertedHybrid)
     ->ArgNames({"N", "k"})

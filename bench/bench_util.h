@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/corpus/corpus.h"
-#include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 
@@ -38,9 +37,10 @@ inline DatasetSpec SharedDatasetSpec(size_t n) {
   return spec;
 }
 
-/// The benchmark corpus family: the shared dataset plus its SetR-tree, as
-/// one owned Corpus. Heavier indexes (the plain R-tree) stay in their
-/// own lazy caches below so a bench only pays for what it uses.
+/// The benchmark corpus family: the shared dataset plus its R-tree (the
+/// served index), as one owned Corpus. The baselines' summarised trees stay
+/// in their own lazy caches (SharedBaselineTree) so a bench only pays for
+/// what it uses.
 inline const Corpus& SharedCorpus(size_t n) {
   static std::map<size_t, std::unique_ptr<Corpus>>* cache =
       new std::map<size_t, std::unique_ptr<Corpus>>();
@@ -58,14 +58,18 @@ inline const ObjectStore& SharedDataset(size_t n) {
   return SharedCorpus(n).store();
 }
 
-inline const SetRTree& SharedSetR(size_t n) { return SharedCorpus(n).setr(); }
+inline const RTree& SharedRTree(size_t n) { return SharedCorpus(n).rtree(); }
 
-inline const RTree& SharedRTree(size_t n) {
-  static std::map<size_t, std::unique_ptr<RTree>>* cache =
-      new std::map<size_t, std::unique_ptr<RTree>>();
+/// A baseline tree (an RTreeT over the shared dataset whose summary needs no
+/// context, e.g. the SetR-tree of bench/baselines/setr_tree.h), bulk-loaded
+/// once per N. The caller includes the tree's header.
+template <typename Tree>
+inline const Tree& SharedBaselineTree(size_t n) {
+  static std::map<size_t, std::unique_ptr<Tree>>* cache =
+      new std::map<size_t, std::unique_ptr<Tree>>();
   auto it = cache->find(n);
   if (it == cache->end()) {
-    auto tree = std::make_unique<RTree>(&SharedDataset(n));
+    auto tree = std::make_unique<Tree>(&SharedDataset(n));
     tree->BulkLoad();
     it = cache->emplace(n, std::move(tree)).first;
   }

@@ -4,7 +4,7 @@
 //   dataset_tool hotels <out.tsv>                the 539-hotel demo dataset
 //   dataset_tool stats <file.tsv>                corpus statistics
 //   dataset_tool build-snapshot <in.tsv> <out.snap>   TSV -> binary snapshot
-//                                                (store + SetR-tree)
+//                                                (store + R-tree)
 //   dataset_tool build-shards <in.tsv> <prefix> <shards>   TSV -> one
 //                                                snapshot file per shard
 //                                                (<prefix>.shard-<i>.snap)
@@ -184,9 +184,9 @@ int CmdInspectSnapshot(const std::string& path) {
   std::printf("file size     : %zu bytes\n",
               static_cast<size_t>(report->file_size));
   std::printf("sections      : %zu\n", report->sections.size());
-  std::printf("  %-16s %12s %10s  %s\n", "name", "bytes", "crc32", "items");
+  std::printf("  %-20s %12s %10s  %s\n", "name", "bytes", "crc32", "items");
   for (const SnapshotSectionReport& s : report->sections) {
-    std::printf("  %-16s %12zu   %08x  ", s.name.c_str(),
+    std::printf("  %-20s %12zu   %08x  ", s.name.c_str(),
                 static_cast<size_t>(s.size), s.crc32);
     if (s.item_count >= 0) {
       std::printf("%lld\n", static_cast<long long>(s.item_count));

@@ -4,8 +4,9 @@
 // threshold broadcast plus the four why-not oracle seams (outscoring counts,
 // rank-of-object, Eqn. (3) score-plane sessions, Eqn. (4) rank batches) —
 // to a coordinator running `yask_server_demo --remote-shards`. Every shard
-// serves why-not: the only index it needs is the SetR-tree, rebuilt at boot
-// if the file lacks it.
+// serves why-not: the only index it needs is the plain R-tree its top-k
+// k-NN walks, rebuilt at boot if the file lacks it (a file written before
+// the R-tree section carries the retired SetR-tree, which is skipped).
 //
 //   $ ./yask_shard_server --snapshot state.shard-0.snap [--port P]
 //                         [--workers N]

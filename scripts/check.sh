@@ -2,7 +2,13 @@
 # Tier-1 verify (ROADMAP.md), end to end: configure, build, run the test
 # suite. Run from anywhere; builds into <repo>/build.
 #
-#   scripts/check.sh              # configure + build + ctest
+#   scripts/check.sh              # configure + build + ctest, then
+#                                 # configure + build servebench/'s
+#                                 # standalone project (src/ plus
+#                                 # bench/bench_util.h) into
+#                                 # build/servebench, compile only, so a
+#                                 # change that breaks the serving
+#                                 # benchmark's build fails here
 #   scripts/check.sh --bench      # additionally run bench_snapshot,
 #                                 # bench_sharded, bench_whynot_sharded,
 #                                 # bench_remote_shards,
@@ -128,6 +134,9 @@ run_phase build cmake --build "$build_dir" -j "$(nproc)"
 # --no-tests=error: test registration is conditional on finding gtest, so a
 # runner image without it must FAIL the gate, not green-light zero tests.
 run_phase ctest env -C "$build_dir" ctest --output-on-failure --no-tests=error -j "$(nproc)"
+run_phase servebench-configure cmake -S "${repo_root}/servebench" \
+  -B "${build_dir}/servebench" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+run_phase servebench-build cmake --build "${build_dir}/servebench" -j "$(nproc)"
 
 if [[ "$run_bench" -eq 1 ]]; then
   run_phase bench-snapshot env -C "$build_dir" ./bench_snapshot --json=BENCH_snapshot.json

@@ -3,7 +3,7 @@
 //
 // Represented as a sorted vector of unique TermIds, which makes the set
 // algebra the scoring function needs (|A∩B|, |A∪B|, Jaccard, Eqn. (2)) linear
-// merges, and keeps SetR-tree node summaries compact.
+// merges, and keeps every object's keyword list compact.
 
 #ifndef YASK_COMMON_KEYWORD_SET_H_
 #define YASK_COMMON_KEYWORD_SET_H_

@@ -6,15 +6,14 @@ namespace yask {
 
 Result<uint64_t> Corpus::Save(const std::string& path,
                               const ShardManifest* shard) const {
-  return WriteSnapshot(path, *store_, setr_.get(), shard);
+  return WriteSnapshot(path, *store_, rtree_.get(), shard);
 }
 
 Corpus CorpusBuilder::Build(ObjectStore store) const {
   Corpus corpus;
   corpus.store_ = std::make_unique<ObjectStore>(std::move(store));
-  corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
-                                            options_.rtree);
-  corpus.setr_->BulkLoad();
+  corpus.rtree_ = std::make_unique<RTree>(corpus.store_.get());
+  corpus.rtree_->BulkLoad();
   return corpus;
 }
 
@@ -26,12 +25,11 @@ Result<Corpus> CorpusBuilder::FromSnapshot(
 
   Corpus corpus;
   corpus.store_ = std::move(bundle->store);
-  if (bundle->setr != nullptr) {
-    corpus.setr_ = std::move(bundle->setr);
+  if (bundle->rtree != nullptr) {
+    corpus.rtree_ = std::move(bundle->rtree);
   } else {
-    corpus.setr_ = std::make_unique<SetRTree>(corpus.store_.get(),
-                                              options_.rtree);
-    corpus.setr_->BulkLoad();
+    corpus.rtree_ = std::make_unique<RTree>(corpus.store_.get());
+    corpus.rtree_->BulkLoad();
   }
   if (manifest_out != nullptr) {
     *manifest_out = std::move(bundle->shard);

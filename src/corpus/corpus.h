@@ -3,17 +3,20 @@
 //
 // Before this layer existed, every binary that wanted to serve queries —
 // the server demo, each benchmark, the integration tests, YaskService —
-// hand-assembled the same pieces (ObjectStore + Vocabulary + SetR-tree)
-// and wired them together with borrowed references. A Corpus owns all of
-// it: the store (which owns the shared vocabulary) plus the index built over
-// it, with stable addresses (the store lives behind a unique_ptr, so moving
-// a Corpus never invalidates the tree's store pointers).
+// hand-assembled the same pieces (ObjectStore + Vocabulary + R-tree) and
+// wired them together with borrowed references. A Corpus owns all of it:
+// the store (which owns the shared vocabulary) plus the plain R-tree built
+// over it, with stable addresses (the store lives behind a unique_ptr, so
+// moving a Corpus never invalidates the tree's store pointers). The tree
+// carries no keyword summary: a shard's top-k reads its MBRs only (the
+// k-NN half of the split top-k and the root distance), and the keyword
+// half runs on the shard's postings.
 //
-// Build one with CorpusBuilder — from raw objects (bulk-loads the indexes)
-// or from a snapshot file (adopts the serialized arenas; missing indexes are
-// rebuilt). Save() writes the whole serving state back to one snapshot file;
-// for a partitioned corpus the per-shard file is the shippable unit (see
-// sharded_corpus.h).
+// Build one with CorpusBuilder — from raw objects (bulk-loads the tree) or
+// from a snapshot file (adopts the serialized arena, or rebuilds the tree
+// when the file has none). Save() writes the whole serving state back to
+// one snapshot file; for a partitioned corpus the per-shard file is the
+// shippable unit (see sharded_corpus.h).
 
 #ifndef YASK_CORPUS_CORPUS_H_
 #define YASK_CORPUS_CORPUS_H_
@@ -22,19 +25,13 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/index/setr_tree.h"
+#include "src/index/rtree.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/storage/object_store.h"
 
 namespace yask {
 
-/// What CorpusBuilder builds (and what Save() persists).
-struct CorpusOptions {
-  /// The SetR-tree is the one index (the top-k engine runs on it).
-  RTreeOptions rtree;
-};
-
-/// One shard's store + indexes, owned. Movable, not copyable.
+/// One shard's store + R-tree, owned. Movable, not copyable.
 class Corpus {
  public:
   Corpus(Corpus&&) = default;
@@ -42,14 +39,14 @@ class Corpus {
 
   const ObjectStore& store() const { return *store_; }
   const Vocabulary& vocab() const { return store_->vocab(); }
-  const SetRTree& setr() const { return *setr_; }
+  const RTree& rtree() const { return *rtree_; }
 
   size_t size() const { return store_->size(); }
 
-  /// Serialises the whole serving state (store + vocabulary + every built
-  /// index) into one snapshot file. `shard` tags the file as one shard of a
-  /// partitioned corpus (ShardedCorpus::Save passes it; standalone corpora
-  /// leave it null). Returns the file size in bytes.
+  /// Serialises the whole serving state (store + vocabulary + R-tree) into
+  /// one snapshot file. `shard` tags the file as one shard of a partitioned
+  /// corpus (ShardedCorpus::Save passes it; standalone corpora leave it
+  /// null). Returns the file size in bytes.
   Result<uint64_t> Save(const std::string& path,
                         const ShardManifest* shard = nullptr) const;
 
@@ -59,7 +56,7 @@ class Corpus {
   Corpus() = default;
 
   std::unique_ptr<ObjectStore> store_;
-  std::unique_ptr<SetRTree> setr_;
+  std::unique_ptr<RTree> rtree_;
 };
 
 /// Builds Corpus instances from raw objects or snapshot files.
@@ -68,29 +65,18 @@ class Corpus {
 ///   Result<Corpus> restored = CorpusBuilder().FromSnapshot("state.snap");
 class CorpusBuilder {
  public:
-  CorpusBuilder() = default;
-  explicit CorpusBuilder(CorpusOptions options) : options_(options) {}
-
-  CorpusBuilder& set_options(const CorpusOptions& options) {
-    options_ = options;
-    return *this;
-  }
-  const CorpusOptions& options() const { return options_; }
-
-  /// Takes ownership of the store and bulk-loads the configured indexes.
+  /// Takes ownership of the store and bulk-loads the R-tree.
   Corpus Build(ObjectStore store) const;
 
   /// Restores a corpus from a snapshot file (standalone or per-shard).
-  /// The SetR-tree is adopted from the file, or rebuilt if the file lacks
-  /// it; a retired section (an inverted index, a KcR-tree) is skipped.
+  /// The R-tree is adopted from the file, or rebuilt if the file lacks it
+  /// (a file written before section 7 carries only retired index sections,
+  /// which are skipped unread).
   /// When `manifest_out` is non-null, a per-shard file's manifest is moved
   /// there (callers that expect a standalone file can reject it).
   Result<Corpus> FromSnapshot(
       const std::string& path,
       std::unique_ptr<ShardManifest>* manifest_out = nullptr) const;
-
- private:
-  CorpusOptions options_;
 };
 
 }  // namespace yask

@@ -143,8 +143,8 @@ bool SameShardIdentity(const shardrpc::ShardMeta& a,
   return a.shard_index == b.shard_index && a.shard_count == b.shard_count &&
          a.object_count == b.object_count && a.dist_norm == b.dist_norm &&
          a.global_bounds == b.global_bounds &&
-         a.setr_empty == b.setr_empty &&
-         a.setr_root_mbr == b.setr_root_mbr && a.global_ids == b.global_ids;
+         a.tree_empty == b.tree_empty &&
+         a.root_mbr == b.root_mbr && a.global_ids == b.global_ids;
 }
 
 /// The Connect-time protocol handshake, shared with lazy validation.

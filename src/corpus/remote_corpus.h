@@ -18,7 +18,7 @@
 // Connect() dials every replica of every endpoint group ("host:port|host:port"
 // per shard, groups comma-joined by the caller), fetches each replica's meta
 // (identity, global bounds + SDist normaliser, local->global id map, index
-// availability, SetR root MBR) and the shared vocabulary, checks that the
+// availability, R-tree root MBR) and the shared vocabulary, checks that the
 // replicas of a group agree exactly (same snapshot ⇒ same identity — a
 // replica Connect cannot reach joins as "pending" and is checked on first
 // contact instead, so a rebooting replica never blocks coordinator boot), and

@@ -317,11 +317,11 @@ class RemoteOracleShard final : public OracleShard {
 
   size_t size() const override { return corpus_->meta(shard_).object_count; }
 
-  /// From the SetR root MBR that travelled in the shard's meta.
+  /// From the R-tree root MBR that travelled in the shard's meta.
   double RootDistance(const Point& loc) const override {
     const shardrpc::ShardMeta& meta = corpus_->meta(shard_);
-    return meta.setr_empty ? std::numeric_limits<double>::infinity()
-                           : meta.setr_root_mbr.MinDistance(loc);
+    return meta.tree_empty ? std::numeric_limits<double>::infinity()
+                           : meta.root_mbr.MinDistance(loc);
   }
 
   /// One /shard/topk call.

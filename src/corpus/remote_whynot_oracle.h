@@ -28,7 +28,7 @@
 // shard enforces, are split into requests.
 // A /query's top-k is one /shard/topk per shard: the home shard's first,
 // then the others with its k-th score as their prune threshold (the home
-// shard is picked from the SetR root MBRs in the shard metas).
+// shard is picked from the R-tree root MBRs in the shard metas).
 //
 // Failure model: every stateless call rides ReplicaSet::Call, which fails
 // over to a sibling replica mid-call; the question sessions are

@@ -21,7 +21,7 @@ Result<ReshardReport> ReshardSnapshots(const std::string& in_prefix,
         "survive until the new one is validated and cut over to");
   }
 
-  // The output shards get fresh indexes per options.corpus.
+  // The output shards get fresh R-trees.
   Result<ShardedCorpus> loaded = ShardedCorpus::Load(in_prefix);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
@@ -55,8 +55,7 @@ Result<ReshardReport> ReshardSnapshots(const std::string& in_prefix,
   report.objects = store.size();
   report.router = router->Describe();
 
-  const ShardedCorpus out =
-      ShardedCorpus::Partition(store, std::move(router), options.corpus);
+  const ShardedCorpus out = ShardedCorpus::Partition(store, std::move(router));
   Result<uint64_t> bytes = out.Save(out_prefix);
   if (!bytes.ok()) {
     return Status(bytes.status().code(), "reshard: saving '" + out_prefix +

@@ -38,9 +38,6 @@ struct ReshardOptions {
   /// Placement policy for the new layout: "grid" (equi-count quantile grid
   /// refitted to the data) or "hash".
   std::string router = "grid";
-  /// Index build options for the OUTPUT shards (the new files carry fully
-  /// rebuilt SetR/inverted indexes per these options).
-  CorpusOptions corpus;
 };
 
 struct ReshardReport {

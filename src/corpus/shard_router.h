@@ -7,7 +7,7 @@
 // locality. The default GridShardRouter learns an equi-count quantile grid
 // from the data (x-quantile columns, y-quantile cells per column, the STR
 // idea applied to partitioning), which keeps shards balanced and spatially
-// tight so per-shard SetR-tree MBRs stay small. HashShardRouter scatters by
+// tight so per-shard R-tree MBRs stay small. HashShardRouter scatters by
 // location hash: balanced but locality-free, useful as a worst-case
 // comparison and to prove the seam is pluggable.
 

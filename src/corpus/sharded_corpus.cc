@@ -7,8 +7,7 @@
 namespace yask {
 
 ShardedCorpus ShardedCorpus::Partition(const ObjectStore& source,
-                                       std::unique_ptr<ShardRouter> router,
-                                       const CorpusOptions& options) {
+                                       std::unique_ptr<ShardRouter> router) {
   assert(router != nullptr);
   ShardedCorpus sharded;
   const uint32_t n = std::max(1u, router->num_shards());
@@ -28,7 +27,7 @@ ShardedCorpus ShardedCorpus::Partition(const ObjectStore& source,
     sharded.locate_.emplace_back(s, local);
   }
 
-  const CorpusBuilder builder(options);
+  const CorpusBuilder builder;
   sharded.shards_.reserve(n);
   for (uint32_t s = 0; s < n; ++s) {
     sharded.shards_.push_back(builder.Build(std::move(stores[s])));
@@ -87,10 +86,9 @@ Result<uint64_t> ShardedCorpus::Save(const std::string& prefix) const {
   return total_bytes;
 }
 
-Result<ShardedCorpus> ShardedCorpus::Load(const std::string& prefix,
-                                          const CorpusOptions& options) {
+Result<ShardedCorpus> ShardedCorpus::Load(const std::string& prefix) {
   ShardedCorpus sharded;
-  const CorpusBuilder builder(options);
+  const CorpusBuilder builder;
   uint32_t shard_count = 1;
   uint64_t total_objects = 0;
   for (uint32_t s = 0; s < shard_count; ++s) {

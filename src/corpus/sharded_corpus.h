@@ -46,12 +46,11 @@ namespace yask {
 /// N-way partitioned serving state. Movable, not copyable.
 class ShardedCorpus {
  public:
-  /// Partitions `source` by `router` (each shard becomes a Corpus built
-  /// with `options`). Shard stores share the source's vocabulary instance.
-  /// The source store itself is not retained.
+  /// Partitions `source` by `router` (each shard becomes a Corpus with its
+  /// own R-tree). Shard stores share the source's vocabulary instance. The
+  /// source store itself is not retained.
   static ShardedCorpus Partition(const ObjectStore& source,
-                                 std::unique_ptr<ShardRouter> router,
-                                 const CorpusOptions& options = {});
+                                 std::unique_ptr<ShardRouter> router);
 
   ShardedCorpus(ShardedCorpus&&) = default;
   ShardedCorpus& operator=(ShardedCorpus&&) = default;
@@ -112,10 +111,8 @@ class ShardedCorpus {
   /// Reassembles a partitioned corpus from the files Save() wrote. The shard
   /// count comes from shard 0's manifest; every file's manifest is
   /// cross-checked (index, count, bounds, and that the global ids tile
-  /// 0..total-1 exactly). Indexes missing from a file are rebuilt per
-  /// `options`.
-  static Result<ShardedCorpus> Load(const std::string& prefix,
-                                    const CorpusOptions& options = {});
+  /// 0..total-1 exactly). A file without an R-tree has it rebuilt.
+  static Result<ShardedCorpus> Load(const std::string& prefix);
 
  private:
   ShardedCorpus() = default;

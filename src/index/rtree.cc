@@ -2,8 +2,8 @@
 
 namespace yask {
 
-// The plain spatial R-tree instantiation. The SetR-tree variant is
-// instantiated in its own translation unit.
+// The plain spatial R-tree instantiation, the served index. The baselines'
+// summarised variants are instantiated with them, in bench/baselines/.
 template class RTreeT<EmptySummary>;
 
 }  // namespace yask

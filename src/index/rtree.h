@@ -2,16 +2,18 @@
 // The R-tree core shared by every index in YASK (§3.3: "The algorithms inside
 // the engines employ R-tree based indexing techniques").
 //
-// RTreeT<Summary> is a static R-tree, built once by STR bulk loading or
-// adopted whole from a snapshot, templated on a node-summary policy:
-//
-//   * EmptySummary  -> plain R-tree (spatial only),
-//   * SetSummary    -> SetR-tree (per-node keyword union + intersection).
+// RTreeT<Summary> is a static R-tree, built once by STR bulk loading over
+// every object of its store or adopted whole from a snapshot, templated on a
+// node-summary policy. The served index is the plain R-tree, RTree
+// (EmptySummary: spatial only): a shard's top-k k-NN and its root distance
+// read only node MBRs. The paper's baselines (bench/baselines/) instantiate
+// it with keyword summaries: the paper's own tree (per-node keyword union +
+// intersection) and the IR-tree.
 //
 // Summaries are computed bottom-up during bulk load. The corpus a tree
 // indexes never changes once built, so there is no insert or delete.
 //
-// The node arena is public read-only: the top-k engines, the snapshot codec
+// The node arena is public read-only: the top-k searches, the snapshot codec
 // and Validate() walk it through root() and node().
 
 #ifndef YASK_INDEX_RTREE_H_
@@ -92,19 +94,12 @@ class RTreeT {
 
   /// Rebuilds the tree over every object in the store with STR bulk loading
   /// (sort-tile-recursive): O(n log n), produces near-full nodes.
-  void BulkLoad() {
-    std::vector<ObjectId> ids(store_->size());
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<ObjectId>(i);
-    BulkLoad(std::move(ids));
-  }
-
-  /// Rebuilds over the given object ids.
-  void BulkLoad(std::vector<ObjectId> ids);
+  void BulkLoad();
 
   /// Installs a fully-built node arena, replacing the current tree. This is
   /// the snapshot-load hook: the codec reconstructs nodes (rects, parents,
-  /// summaries, entries) from disk and hands them over wholesale, so a cold
-  /// start skips both the STR sort and the bottom-up summary recomputation.
+  /// entries) from disk and hands them over wholesale, so a cold start skips
+  /// the STR sorts.
   ///
   /// `nodes` must be structurally consistent (the codec validates while
   /// decoding; tests cross-check with Validate()). `options` restores the
@@ -195,7 +190,9 @@ void RTreeT<Summary>::RecomputeNode(NodeId id) {
 }
 
 template <typename Summary>
-void RTreeT<Summary>::BulkLoad(std::vector<ObjectId> ids) {
+void RTreeT<Summary>::BulkLoad() {
+  std::vector<ObjectId> ids(store_->size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<ObjectId>(i);
   nodes_.clear();
   size_ = ids.size();
 

@@ -105,8 +105,8 @@ void PutShardMeta(BufWriter* out, const ShardMeta& meta) {
   out->PutU64(meta.object_count);
   out->PutF64(meta.dist_norm);
   PutRect(out, meta.global_bounds);
-  out->PutU8(meta.setr_empty ? 1 : 0);
-  PutRect(out, meta.setr_root_mbr);
+  out->PutU8(meta.tree_empty ? 1 : 0);
+  PutRect(out, meta.root_mbr);
   out->PutString(meta.router);
   out->PutU8(meta.global_ids.empty() ? 1 : 0);  // 1 = identity mapping.
   if (!meta.global_ids.empty()) out->PutDeltaIds(meta.global_ids);
@@ -126,8 +126,8 @@ Result<ShardMeta> GetShardMeta(BufReader* in) {
   meta.object_count = in->GetU64();
   meta.dist_norm = in->GetF64();
   meta.global_bounds = GetRect(in);
-  meta.setr_empty = in->GetU8() != 0;
-  meta.setr_root_mbr = GetRect(in);
+  meta.tree_empty = in->GetU8() != 0;
+  meta.root_mbr = GetRect(in);
   meta.router = in->GetString();
   const bool identity = in->GetU8() != 0;
   if (!identity) meta.global_ids = in->GetDeltaIds();

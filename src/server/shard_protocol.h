@@ -142,9 +142,9 @@ struct ShardMeta {
   uint64_t object_count = 0;       // This shard's local store size.
   double dist_norm = 0.0;          // GLOBAL SDist normaliser.
   Rect global_bounds = Rect::Empty();
-  bool setr_empty = true;
-  Rect setr_root_mbr = Rect::Empty();  // Home-shard selection input.
-  std::string router;              // Informational placement description.
+  bool tree_empty = true;
+  Rect root_mbr = Rect::Empty();  // R-tree root; home-shard selection input.
+  std::string router;             // Informational placement description.
   /// Local->global id map; empty means ids are already global (a standalone
   /// corpus served as shard 0 of 1).
   std::vector<ObjectId> global_ids;

@@ -145,7 +145,7 @@ ShardService::ShardService(const Corpus& corpus, Info info,
       info_(std::move(info)),
       view_{&corpus.store(),
             info_.to_global.empty() ? nullptr : &info_.to_global,
-            &corpus.setr()},
+            &corpus.rtree()},
       shard_(view_, info_.dist_norm),
       server_(options.port, options.num_workers),
       max_sessions_(options.max_sessions == 0 ? 1 : options.max_sessions) {
@@ -320,9 +320,6 @@ HttpResponse ShardService::HandleHealth(const HttpRequest&) {
   build.Set("shardrpc_max",
             JsonValue(static_cast<size_t>(shardrpc::kProtocolVersion)));
   out.Set("build", std::move(build));
-  JsonValue indexes = JsonValue::MakeObject();
-  indexes.Set("setr", JsonValue(true));
-  out.Set("indexes", std::move(indexes));
   // Every shard serves its slice of /whynot refinement.
   out.Set("whynot", JsonValue(true));
   out.Set("open_sessions", JsonValue(open_sessions()));
@@ -336,9 +333,9 @@ HttpResponse ShardService::HandleMeta(const HttpRequest&) {
   meta.object_count = corpus_->size();
   meta.dist_norm = info_.dist_norm;
   meta.global_bounds = info_.global_bounds;
-  const SetRTree& tree = corpus_->setr();
-  meta.setr_empty = tree.empty();
-  if (!tree.empty()) meta.setr_root_mbr = tree.node(tree.root()).rect;
+  const RTree& tree = corpus_->rtree();
+  meta.tree_empty = tree.empty();
+  if (!tree.empty()) meta.root_mbr = tree.node(tree.root()).rect;
   meta.router = info_.router;
   meta.global_ids = info_.to_global;
   BufWriter out;

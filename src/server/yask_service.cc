@@ -1134,11 +1134,7 @@ HttpResponse YaskService::HandleHealth(const HttpRequest&) {
     out.Set("layout", LayoutJson());
   }
   out.Set("build", BuildInfoJson());
-  // Index availability — what this deployment can answer. Every layout
-  // answers /whynot: it needs no index beyond the SetR-tree.
-  JsonValue indexes = JsonValue::MakeObject();
-  indexes.Set("setr", JsonValue(true));
-  out.Set("indexes", std::move(indexes));
+  // Every layout answers /whynot.
   out.Set("whynot", JsonValue(true));
   return HttpResponse::Json(out.Dump());
 }

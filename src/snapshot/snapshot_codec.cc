@@ -209,57 +209,20 @@ Status LoadObjectStore(BufReader* in, ObjectStore* store) {
   return ReaderStatus(*in);
 }
 
-// --- R-tree summaries --------------------------------------------------------
-
-namespace {
-
-// SetSummary payload: delta-ids union | delta-ids inter | varu32 count
-//                   | varu32 min_len | varu32 max_len.
-void SaveSummary(const SetSummary& s, BufWriter* out) {
-  out->PutDeltaIds(s.union_set.ids());
-  out->PutDeltaIds(s.inter_set.ids());
-  out->PutVarU32(s.count);
-  out->PutVarU32(s.min_doc_len);
-  out->PutVarU32(s.max_doc_len);
-}
-
-void LoadSummary(BufReader* in, size_t vocab_size, SetSummary* s) {
-  std::vector<TermId> union_ids = in->GetDeltaIds();
-  std::vector<TermId> inter_ids = in->GetDeltaIds();
-  s->count = in->GetVarU32();
-  s->min_doc_len = in->GetVarU32();
-  s->max_doc_len = in->GetVarU32();
-  if (!in->ok()) return;
-  if ((!union_ids.empty() && union_ids.back() >= vocab_size) ||
-      (!inter_ids.empty() && inter_ids.back() >= vocab_size)) {
-    in->Fail("SetSummary keyword id outside vocabulary");
-    return;
-  }
-  if (s->min_doc_len > s->max_doc_len) {
-    in->Fail("SetSummary min_doc_len > max_doc_len");
-    return;
-  }
-  s->union_set = KeywordSet::FromSortedUnique(std::move(union_ids));
-  s->inter_set = KeywordSet::FromSortedUnique(std::move(inter_ids));
-}
-
-// --- R-tree structure --------------------------------------------------------
+// --- R-tree ------------------------------------------------------------------
 // Payload: varu32 node_count | varu32 root_index | varu64 object_count
 //        | varu32 max_entries | varu32 min_entries
 //        | node_count x node, children strictly before parents:
 //            u8 is_leaf | varu32 entry_count
 //          | entry_count x varu32 id   (ObjectId for leaves, else the child's
-//                                       position in this node stream)
-//          | summary.
+//                                       position in this node stream).
 //
 // Rects and parent pointers are NOT stored: leaf entry rects come from the
 // store's object points, node rects and internal entry rects fold up from
 // children (which, by the write order, are always decoded first).
 
-template <typename Summary>
-void SaveRTreeT(const RTreeT<Summary>& tree, BufWriter* out) {
-  using Tree = RTreeT<Summary>;
-  using NodeId = typename Tree::NodeId;
+void SaveRTree(const RTree& tree, BufWriter* out) {
+  using NodeId = RTree::NodeId;
 
   // Post-order DFS: emit children before their parent; the root comes last.
   std::vector<NodeId> order;
@@ -292,19 +255,15 @@ void SaveRTreeT(const RTreeT<Summary>& tree, BufWriter* out) {
     for (const auto& e : n.entries) {
       out->PutVarU32(n.is_leaf ? e.id : remap.at(e.id));
     }
-    SaveSummary(n.summary, out);
   }
 }
 
-template <typename Summary>
-Status LoadRTreeT(BufReader* in, RTreeT<Summary>* tree) {
-  using Tree = RTreeT<Summary>;
-  using Node = typename Tree::Node;
-  using Entry = typename Tree::Entry;
-  constexpr auto kNoNode = Tree::kNoNode;
+Status LoadRTree(BufReader* in, RTree* tree) {
+  using Node = RTree::Node;
+  using Entry = RTree::Entry;
+  constexpr auto kNoNode = RTree::kNoNode;
 
   const ObjectStore& store = tree->store();
-  const size_t vocab_size = store.vocab().size();
 
   const uint32_t node_count = in->GetVarU32();
   const uint32_t root_index = in->GetVarU32();
@@ -323,13 +282,17 @@ Status LoadRTreeT(BufReader* in, RTreeT<Summary>* tree) {
     return Status::InvalidArgument(
         "snapshot decode: r-tree fanout options violate min*2 <= max");
   }
-  if (object_count > store.size()) {
+  // The served top-k finds every non-holder through the tree, so a tree
+  // that misses an object answers wrong rows: it must index the whole store.
+  if (object_count != store.size()) {
     return Status::InvalidArgument(
         "snapshot decode: r-tree indexes " + std::to_string(object_count) +
         " objects but the store holds " + std::to_string(store.size()));
   }
 
   std::vector<Node> nodes(node_count);
+  // Per node: leaf depth below it (leaves are 1), uniform across children.
+  std::vector<uint32_t> height(node_count, 0);
   std::vector<bool> object_seen(store.size(), false);
   uint64_t objects_in_leaves = 0;
   for (uint32_t i = 0; i < node_count; ++i) {
@@ -357,6 +320,7 @@ Status LoadRTreeT(BufReader* in, RTreeT<Summary>* tree) {
     }
     n.rect = Rect::Empty();
     n.entries.reserve(entry_count);
+    if (n.is_leaf) height[i] = 1;
     for (uint32_t e = 0; e < entry_count; ++e) {
       const uint32_t id = in->GetVarU32();
       if (!in->ok()) return ReaderStatus(*in);
@@ -379,14 +343,23 @@ Status LoadRTreeT(BufReader* in, RTreeT<Summary>* tree) {
               "snapshot decode: r-tree child link " + std::to_string(id) +
               " breaks the children-before-parents order");
         }
+        if (e == 0) {
+          height[i] = height[id] + 1;
+        } else if (height[id] + 1 != height[i]) {
+          return Status::InvalidArgument(
+              "snapshot decode: r-tree leaves at uneven depths under node " +
+              std::to_string(i));
+        }
         nodes[id].parent = i;
         entry.rect = nodes[id].rect;
       }
       n.rect.Extend(entry.rect);
       n.entries.push_back(std::move(entry));
     }
-    LoadSummary(in, vocab_size, &n.summary);
-    if (!in->ok()) return ReaderStatus(*in);
+  }
+  if (!in->AtEnd()) {
+    return Status::InvalidArgument(
+        "snapshot decode: r-tree section has trailing bytes");
   }
   if (objects_in_leaves != object_count) {
     return Status::InvalidArgument(
@@ -404,16 +377,6 @@ Status LoadRTreeT(BufReader* in, RTreeT<Summary>* tree) {
   tree->AdoptArena(std::move(nodes), root_index,
                    static_cast<size_t>(object_count), options);
   return Status::OK();
-}
-
-}  // namespace
-
-void SaveSetRTree(const SetRTree& tree, BufWriter* out) {
-  SaveRTreeT(tree, out);
-}
-
-Status LoadSetRTree(BufReader* in, SetRTree* tree) {
-  return LoadRTreeT(in, tree);
 }
 
 // --- Shard manifest ----------------------------------------------------------
@@ -479,13 +442,13 @@ Result<ShardManifest> LoadShardManifest(BufReader* in) {
 // --- Bundle ------------------------------------------------------------------
 
 Result<uint64_t> WriteSnapshot(const std::string& path,
-                               const ObjectStore& store, const SetRTree* setr,
+                               const ObjectStore& store, const RTree* rtree,
                                const ShardManifest* shard) {
   SnapshotWriter writer;
   SaveVocabulary(store.vocab(), writer.AddSection(SectionId::kVocabulary));
   SaveObjectStore(store, writer.AddSection(SectionId::kObjectStore));
-  if (setr != nullptr) {
-    SaveSetRTree(*setr, writer.AddSection(SectionId::kSetRTree));
+  if (rtree != nullptr) {
+    SaveRTree(*rtree, writer.AddSection(SectionId::kRTree));
   }
   if (shard != nullptr) {
     SaveShardManifest(*shard, writer.AddSection(SectionId::kShardManifest));
@@ -521,13 +484,13 @@ Result<SnapshotBundle> LoadSnapshot(const std::string& path) {
     }
   }
 
-  // The SetR-tree is the one index section read. Retired sections (3, the
-  // inverted index; 5, the KcR-tree) are skipped unread.
-  if (reader->Has(SectionId::kSetRTree)) {
-    bundle.setr = std::make_unique<SetRTree>(bundle.store.get());
-    Result<BufReader> section = reader->OpenSection(SectionId::kSetRTree);
+  // The R-tree is the one index section read. Retired sections (3, 4 and 5;
+  // see SectionId) are skipped unread.
+  if (reader->Has(SectionId::kRTree)) {
+    bundle.rtree = std::make_unique<RTree>(bundle.store.get());
+    Result<BufReader> section = reader->OpenSection(SectionId::kRTree);
     if (!section.ok()) return section.status();
-    if (Status s = LoadSetRTree(&section.value(), bundle.setr.get()); !s.ok()) {
+    if (Status s = LoadRTree(&section.value(), bundle.rtree.get()); !s.ok()) {
       return s;
     }
   }

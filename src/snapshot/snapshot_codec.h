@@ -2,20 +2,20 @@
 // Per-component Save/Load codecs plus the whole-server bundle API.
 //
 // A snapshot captures the server's warm state — the object table D, the
-// shared Vocabulary, and the SetR-tree built over it — so a restarting
-// process (or a new replica) loads it in one sequential pass instead of
-// re-interning, re-sorting and re-summarising.
+// shared Vocabulary, and the R-tree built over it — so a restarting process
+// (or a new replica) loads it in one sequential pass instead of
+// re-interning and re-sorting.
 //
 // Sharing discipline: the vocabulary is serialised exactly once (its own
 // section); LoadSnapshot() deserialises it first and hands the *same*
 // shared_ptr<Vocabulary> to the restored ObjectStore, so no token is ever
 // re-interned and term ids are bit-identical to the saved process.
 //
-// R-tree encoding: node structure (leaf flags + child/object ids) and node
-// summaries are stored; rects and parent pointers are reconstructed from the
-// store's points while decoding (children are written before parents), which
-// halves the file size and still skips the expensive part of a rebuild — the
-// STR sorts and the bottom-up keyword-set merges.
+// R-tree encoding: only the node structure (leaf flags + child/object ids)
+// is stored; rects and parent pointers are reconstructed from the store's
+// points while decoding (children are written before parents), which keeps
+// the section small and still skips the expensive part of a rebuild — the
+// STR sorts.
 
 #ifndef YASK_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define YASK_SNAPSHOT_SNAPSHOT_CODEC_H_
@@ -28,7 +28,7 @@
 #include "src/common/geometry.h"
 #include "src/common/status.h"
 #include "src/common/vocabulary.h"
-#include "src/index/setr_tree.h"
+#include "src/index/rtree.h"
 #include "src/snapshot/snapshot_io.h"
 #include "src/storage/object_store.h"
 
@@ -48,10 +48,12 @@ Status LoadVocabulary(BufReader* in, Vocabulary* vocab);
 void SaveObjectStore(const ObjectStore& store, BufWriter* out);
 Status LoadObjectStore(BufReader* in, ObjectStore* store);
 
-/// The tree passed to a loader must be freshly constructed over the restored
-/// store; its arena is replaced wholesale (RTreeT::AdoptArena).
-void SaveSetRTree(const SetRTree& tree, BufWriter* out);
-Status LoadSetRTree(BufReader* in, SetRTree* tree);
+/// The tree passed to the loader must be freshly constructed over the
+/// restored store; its arena is replaced wholesale (RTreeT::AdoptArena). The
+/// loader accepts only a tree that indexes every object of the store once,
+/// with its leaves at one depth (what Validate() checks).
+void SaveRTree(const RTree& tree, BufWriter* out);
+Status LoadRTree(BufReader* in, RTree* tree);
 
 // --- Shard manifest ----------------------------------------------------------
 
@@ -80,22 +82,22 @@ Result<ShardManifest> LoadShardManifest(BufReader* in);
 /// the store lives behind a unique_ptr, its address is stable).
 struct SnapshotBundle {
   std::unique_ptr<ObjectStore> store;
-  std::unique_ptr<SetRTree> setr;
+  std::unique_ptr<RTree> rtree;
   /// Non-null only for per-shard snapshot files.
   std::unique_ptr<ShardManifest> shard;
 };
 
-/// Serialises the store (+ vocabulary) and the SetR-tree, when non-null,
-/// into one snapshot file. A non-null `shard` manifest marks the file as one
+/// Serialises the store (+ vocabulary) and the R-tree, when non-null, into
+/// one snapshot file. A non-null `shard` manifest marks the file as one
 /// shard of a partitioned corpus. Returns the file size in bytes.
 Result<uint64_t> WriteSnapshot(const std::string& path,
                                const ObjectStore& store,
-                               const SetRTree* setr = nullptr,
+                               const RTree* rtree = nullptr,
                                const ShardManifest* shard = nullptr);
 
-/// Loads a snapshot written by WriteSnapshot. The SetR-tree is left null
-/// when the file does not contain it; store and vocabulary are mandatory.
-/// Retired sections (an inverted index, a KcR-tree) are skipped unread.
+/// Loads a snapshot written by WriteSnapshot. The R-tree is left null when
+/// the file does not contain it; store and vocabulary are mandatory.
+/// Retired sections (3, 4 and 5) are skipped unread.
 Result<SnapshotBundle> LoadSnapshot(const std::string& path);
 
 // --- Inspection --------------------------------------------------------------

@@ -12,12 +12,14 @@ const char* SectionIdToString(SectionId id) {
       return "object_store";
     case SectionId::kRetiredInvertedIndex:
       return "inverted_index";
-    case SectionId::kSetRTree:
-      return "setr_tree";
+    case SectionId::kRetiredSetRTree:
+      return "setr_tree (retired)";
     case SectionId::kRetiredKcRTree:
       return "kcr_tree (retired)";
     case SectionId::kShardManifest:
       return "shard_manifest";
+    case SectionId::kRTree:
+      return "rtree";
   }
   return "unknown";
 }

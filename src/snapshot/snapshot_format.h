@@ -38,7 +38,10 @@ enum class SectionId : uint32_t {
   /// bench/baselines/inverted_index.h). Readers skip it and writers never
   /// emit it; the id is never reused.
   kRetiredInvertedIndex = 3,
-  kSetRTree = 4,
+  /// Retired: the SetR-tree, whose per-node keyword sets no served search
+  /// reads (now a bench baseline, bench/baselines/setr_tree.h). Readers skip
+  /// it and writers never emit it; the id is never reused.
+  kRetiredSetRTree = 4,
   /// Retired: the KcR-tree. Readers skip it and writers never emit it; the
   /// id is never reused.
   kRetiredKcRTree = 5,
@@ -46,6 +49,8 @@ enum class SectionId : uint32_t {
   /// file is, the partition's global bounds, and the shard's global object
   /// ids (the local->global id map). See docs/architecture.md.
   kShardManifest = 6,
+  /// The plain R-tree over the object store: node structure only.
+  kRTree = 7,
 };
 
 /// Stable lower-case name for logs and `dataset_tool inspect-snapshot`.

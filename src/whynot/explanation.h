@@ -1,10 +1,9 @@
 // Copyright (c) 2026 The YASK reproduction authors.
 // The explanation generator module (§3.3): "Given a missing object, this
 // module generates an explanation by analyzing its spatial proximity and
-// textual relevance with respect to the initial query based on the
-// SetR-tree. The reason can be that the missing object is too far away from
-// the query location or that the missing object is not so relevant to the
-// set of query keywords. The ranking of the missing object under the initial
+// textual relevance with respect to the initial query [...]. The reason can
+// be that the missing object is too far away from the query location or
+// that the missing object is not so relevant to the set of query keywords. The ranking of the missing object under the initial
 // query is also provided."
 
 #ifndef YASK_WHYNOT_EXPLANATION_H_

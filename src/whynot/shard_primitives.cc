@@ -587,8 +587,8 @@ Status QuestionColumns::CollectCrossings(const PlanePoint& anchor, double wlo,
 // --- LocalOracleShard --------------------------------------------------------
 
 double LocalOracleShard::RootDistance(const Point& loc) const {
-  assert(view_.setr != nullptr && "top-k requires the SetR-tree");
-  const SetRTree& tree = *view_.setr;
+  assert(view_.rtree != nullptr && "top-k requires the R-tree");
+  const RTree& tree = *view_.rtree;
   return tree.empty() ? std::numeric_limits<double>::infinity()
                       : tree.node(tree.root()).rect.MinDistance(loc);
 }
@@ -596,7 +596,7 @@ double LocalOracleShard::RootDistance(const Point& loc) const {
 Result<TopKResult> LocalOracleShard::TopK(const Query& query,
                                           double prune_below,
                                           TopKStats* stats) const {
-  assert(view_.setr != nullptr && "top-k requires the SetR-tree");
+  assert(view_.rtree != nullptr && "top-k requires the R-tree");
   assert(query.w.ws >= 0.0);
   const ObjectStore& store = *view_.store;
   const size_t k = std::min<size_t>(query.k, store.size());
@@ -637,13 +637,13 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
   size_t scored = holders.size();
 
   // Non-holders score ws·(1 − SDist) exactly: a best-first k-NN over the
-  // SetR-tree's MBRs finds them, stopping strictly below the k-th holder
+  // R-tree's MBRs finds them, stopping strictly below the k-th holder
   // (or `prune_below`, if higher). Node keys bound every object beneath
   // them, ties pop nodes first and then objects by ascending id.
   const double floor = held.size() == k
                            ? std::max(prune_below, held.back().score)
                            : prune_below;
-  const SetRTree& tree = *view_.setr;
+  const RTree& tree = *view_.rtree;
   const Scorer scorer(store, query, dist_norm_);
   auto node_key = [&](const Rect& rect) {
     return ws * scorer.MaxSpatialComponent(rect);
@@ -663,7 +663,7 @@ Result<TopKResult> LocalOracleShard::TopK(const Query& query,
       continue;
     }
     ++popped;
-    const SetRTree::Node& node = tree.node(top.id);
+    const RTree::Node& node = tree.node(top.id);
     for (const auto& e : node.entries) {
       if (node.is_leaf) {
         if (matches[e.id] != 0) continue;

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/index/setr_tree.h"
+#include "src/index/rtree.h"
 #include "src/query/query.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/object_store.h"
@@ -62,13 +62,13 @@ inline constexpr size_t kMaxProbeSpecs = size_t{1} << 15;
 
 /// One shard as the generic fan-out machinery sees it. `to_global` maps the
 /// shard store's local ids to global ids (null = ids are already global,
-/// i.e. the unsharded layout). `setr` indexes `store` for the shard's
+/// i.e. the unsharded layout). `rtree` indexes `store` for the shard's
 /// top-k, whose k-NN half walks its MBRs (null for a shard that is never
 /// asked one).
 struct OracleShardView {
   const ObjectStore* store = nullptr;
   const std::vector<ObjectId>* to_global = nullptr;
-  const SetRTree* setr = nullptr;
+  const RTree* rtree = nullptr;
 };
 
 /// One store's keyword postings in CSR form: each term's local ids in
@@ -282,7 +282,7 @@ class OracleShard {
   /// Objects the shard holds.
   virtual size_t size() const = 0;
 
-  /// MinDistance from `loc` to the shard's SetR root MBR; +∞ for an empty
+  /// MinDistance from `loc` to the shard's R-tree root MBR; +∞ for an empty
   /// shard. The top-k fan-out searches the nearest shard first.
   virtual double RootDistance(const Point& loc) const = 0;
 
@@ -308,11 +308,11 @@ class OracleShard {
 /// object holding a term of q.doc — found, with its match count, from the
 /// postings — and keeps the best k scoring at least `prune_below`. Every
 /// other object scores exactly ws·(1 − SDist), so a best-first k-NN over
-/// the SetR-tree's MBRs (node key ws · MaxSpatialComponent) finds them,
+/// the plain R-tree's MBRs (node key ws · MaxSpatialComponent) finds them,
 /// skipping holders and stopping strictly below max(prune_below, the k-th
 /// holder's score); the two lists merge. Every score is Scorer::Score's
-/// IEEE expression on the same operands. The SetR-tree's MBRs serve the
-/// k-NN and RootDistance; its keyword summaries serve no /query.
+/// IEEE expression on the same operands. The R-tree's MBRs serve the k-NN
+/// and RootDistance; no node carries a keyword summary.
 /// `nodes_popped` counts the k-NN's node expansions; `objects_scored` the
 /// holders plus the non-holders the k-NN scored. The match counters live
 /// for one call, so concurrent calls are safe.
@@ -323,7 +323,7 @@ class LocalOracleShard final : public OracleShard {
       : view_(view), dist_norm_(dist_norm), postings_(*view.store) {}
 
   size_t size() const override { return view_.store->size(); }
-  /// Require view.setr.
+  /// Require view.rtree.
   double RootDistance(const Point& loc) const override;
   Result<TopKResult> TopK(const Query& query, double prune_below,
                           TopKStats* stats) const override;

@@ -114,7 +114,7 @@ class FanOutScorePlaneSession : public ScorePlaneSession {
 
 /// The question-scoped oracle FanOutWhyNotOracle::OpenQuestion returns: the
 /// calls its question covers are answered from the open questions — ranks,
-/// the plane and top-k, with no SetR-tree search — and the rest pass
+/// the plane and top-k, with no R-tree search — and the rest pass
 /// through.
 class FanOutQuestion final : public WhyNotOracle {
  public:
@@ -409,10 +409,10 @@ std::unique_ptr<const WhyNotOracle> FanOutWhyNotOracle::OpenQuestion(
 namespace {
 
 std::vector<std::unique_ptr<const OracleShard>> OneShard(
-    const ObjectStore& store, const SetRTree* setr) {
+    const ObjectStore& store, const RTree* rtree) {
   std::vector<std::unique_ptr<const OracleShard>> shards;
   shards.push_back(std::make_unique<LocalOracleShard>(
-      OracleShardView{&store, nullptr, setr}, store.BoundsDiagonal()));
+      OracleShardView{&store, nullptr, rtree}, store.BoundsDiagonal()));
   return shards;
 }
 
@@ -424,7 +424,7 @@ std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
     const Corpus& shard = corpus.shard(s);
     shards.push_back(std::make_unique<LocalOracleShard>(
         OracleShardView{&shard.store(), &corpus.shard_global_ids(s),
-                        &shard.setr()},
+                        &shard.rtree()},
         corpus.dist_norm()));
   }
   return shards;
@@ -433,13 +433,13 @@ std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
 }  // namespace
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ObjectStore& store,
-                                     const SetRTree* setr)
-    : FanOutWhyNotOracle(OneShard(store, setr), store.BoundsDiagonal(),
+                                     const RTree* rtree)
+    : FanOutWhyNotOracle(OneShard(store, rtree), store.BoundsDiagonal(),
                          /*pool=*/nullptr),
       store_(&store) {}
 
 LocalWhyNotOracle::LocalWhyNotOracle(const Corpus& corpus)
-    : LocalWhyNotOracle(corpus.store(), &corpus.setr()) {}
+    : LocalWhyNotOracle(corpus.store(), &corpus.rtree()) {}
 
 LocalWhyNotOracle::LocalWhyNotOracle(const ShardedCorpus& corpus)
     : FanOutWhyNotOracle(ShardsOf(corpus), corpus.dist_norm(), corpus.pool()),

@@ -50,7 +50,7 @@
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
-#include "src/index/setr_tree.h"
+#include "src/index/rtree.h"
 #include "src/query/query.h"
 #include "src/query/scoring.h"
 #include "src/query/topk_engine.h"
@@ -367,7 +367,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
 };
 
 /// The in-process oracle: one LocalOracleShard per store. Over one
-/// unsharded store it runs inline (no pool), and a null `setr` is allowed
+/// unsharded store it runs inline (no pool), and a null `rtree` is allowed
 /// for callers that never call TopK(). Over a ShardedCorpus its fan-outs run
 /// on the corpus's shared worker pool; the merge compares GLOBAL ids and
 /// scores under the GLOBAL SDist normaliser, so the sharded answers are
@@ -375,7 +375,7 @@ class FanOutWhyNotOracle : public WhyNotOracle {
 /// the oracle.
 class LocalWhyNotOracle : public FanOutWhyNotOracle {
  public:
-  LocalWhyNotOracle(const ObjectStore& store, const SetRTree* setr);
+  LocalWhyNotOracle(const ObjectStore& store, const RTree* rtree);
   explicit LocalWhyNotOracle(const Corpus& corpus);
   explicit LocalWhyNotOracle(const ShardedCorpus& corpus);
 

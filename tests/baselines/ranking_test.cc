@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "src/index/setr_tree.h"
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
 
@@ -22,14 +21,11 @@ TEST(RankingTest, TopKObjectsHaveRanksOneThroughK) {
   DatasetSpec spec;
   spec.num_objects = 800;
   const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
-  SetRTopKEngine engine(store, tree);
   Query q;
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({0, 1});
   q.k = 10;
-  const TopKResult result = engine.Query(q);
+  const TopKResult result = TopKScan(store, q);
   ASSERT_EQ(result.size(), 10u);
   for (size_t i = 0; i < result.size(); ++i) {
     EXPECT_EQ(ComputeRankScan(store, q, result[i].id), i + 1)
@@ -42,14 +38,11 @@ TEST(RankingTest, RankMembershipConsistency) {
   DatasetSpec spec;
   spec.num_objects = 500;
   const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
-  tree.BulkLoad();
-  SetRTopKEngine engine(store, tree);
   Query q;
   q.loc = Point{0.7, 0.2};
   q.doc = KeywordSet({0, 2, 4});
   q.k = 20;
-  const TopKResult result = engine.Query(q);
+  const TopKResult result = TopKScan(store, q);
   std::set<ObjectId> in_result;
   for (const ScoredObject& so : result) in_result.insert(so.id);
   Rng rng(77);

@@ -10,6 +10,7 @@
 
 #include "src/query/topk_engine.h"
 #include "src/storage/dataset_generator.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -31,16 +32,16 @@ Query SomeQuery(const ObjectStore& store, uint32_t k = 10) {
   return q;
 }
 
-/// The SetR-tree top-k over the corpus's own store and tree.
+/// The served top-k over the corpus's own store and R-tree.
 TopKResult TopKOf(const Corpus& corpus, const Query& q) {
-  return SetRTopKEngine(corpus.store(), corpus.setr()).Query(q);
+  return LocalWhyNotOracle(corpus).TopK(q);
 }
 
 TEST(CorpusTest, BuildOwnsStoreAndIndexes) {
   const Corpus corpus = CorpusBuilder().Build(SmallDataset());
   EXPECT_EQ(corpus.size(), 500u);
-  EXPECT_EQ(corpus.setr().size(), 500u);
-  EXPECT_TRUE(corpus.setr().Validate().ok());
+  EXPECT_EQ(corpus.rtree().size(), 500u);
+  EXPECT_TRUE(corpus.rtree().Validate().ok());
 
   const Query q = SomeQuery(corpus.store());
   EXPECT_EQ(TopKOf(corpus, q), TopKScan(corpus.store(), q));
@@ -52,7 +53,7 @@ TEST(CorpusTest, MoveKeepsIndexStorePointersValid) {
   const TopKResult before = TopKOf(corpus, q);
   Corpus moved = std::move(corpus);
   EXPECT_EQ(TopKOf(moved, q), before);
-  EXPECT_EQ(&moved.setr().store(), &moved.store());
+  EXPECT_EQ(&moved.rtree().store(), &moved.store());
 }
 
 TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
@@ -65,7 +66,7 @@ TEST(CorpusTest, SnapshotRoundTripReproducesResults) {
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->size(), original.size());
-  EXPECT_TRUE(restored->setr().Validate().ok());
+  EXPECT_TRUE(restored->rtree().Validate().ok());
 
   const Query q = SomeQuery(original.store());
   EXPECT_EQ(TopKOf(*restored, q), TopKOf(original, q));
@@ -82,7 +83,7 @@ TEST(CorpusTest, FromSnapshotRebuildsMissingIndexes) {
 
   auto restored = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->setr().size(), store.size());
+  EXPECT_EQ(restored->rtree().size(), store.size());
   const Query q = SomeQuery(store);
   EXPECT_EQ(TopKOf(*restored, q), TopKScan(store, q));
   std::remove(path.c_str());

@@ -174,8 +174,7 @@ void RunRemoteTrials(const ObjectStore& store, uint64_t query_seed,
                               std::to_string(trial);
 
       // Top-k over the wire == in-process sharded == unsharded.
-      const TopKResult expected =
-          SetRTopKEngine(baseline.store(), baseline.setr()).Query(q);
+      const TopKResult expected = TopKScan(baseline.store(), q);
       ExpectSameResult(remote_oracle.TopK(q), expected, tag + " topk");
       ExpectSameResult(local_oracle.TopK(q), expected, tag + " local topk");
 

@@ -101,8 +101,7 @@ TEST(RemoteLazyConnectTest, DeadMinorityConnectsAndServes) {
   q.loc = Point{114.15, 22.28};
   q.doc = LookupKeywords("clean comfortable", remote.vocab());
   q.k = 5;
-  const TopKResult expected =
-      SetRTopKEngine(baseline.store(), baseline.setr()).Query(q);
+  const TopKResult expected = TopKScan(baseline.store(), q);
   const TopKResult actual = oracle.TopK(q);
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {

@@ -84,7 +84,7 @@ void RunSweepParityTrials(const ObjectStore& store, uint64_t query_seed,
                           const ParityOptions& popt = {}) {
   const PreferenceAdjustOptions options;
   const double lambda = options.lambda;
-  const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle unsharded(store, /*rtree=*/nullptr);
   std::vector<Trial> trials;
   Rng rng(query_seed);
   for (int trial = 0; trial < popt.trials; ++trial) {
@@ -201,7 +201,7 @@ TEST(ShardedSweepParityTest, LambdaExtremesAgree) {
   spec.vocabulary_size = 40;
   spec.seed = 284;
   const ObjectStore store = GenerateDataset(spec);
-  const LocalWhyNotOracle unsharded(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle unsharded(store, /*rtree=*/nullptr);
   const ShardedCorpus sharded =
       ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
   const LocalWhyNotOracle oracle(sharded);

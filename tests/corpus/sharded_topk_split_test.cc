@@ -1,7 +1,7 @@
 // Split top-k property suite. A shard's top-k (LocalOracleShard::TopK)
 // scores the objects holding a query term from the shard's keyword
 // postings, and finds the rest, which score ws·(1 − SDist) exactly, by a
-// best-first k-NN over the SetR-tree's MBRs. Through FanOutWhyNotOracle on
+// best-first k-NN over the R-tree's MBRs. Through FanOutWhyNotOracle on
 // 1, 2 and 4 shards (grid and hash routers) its rows must be bit-identical
 // to the index-free reference::TopK and to TopKScan where the two halves
 // meet: rare terms whose top-k is mostly non-holders, ws from 0 to 1, k
@@ -105,10 +105,10 @@ void ExpectEveryLayout(const ObjectStore& store,
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
   std::vector<ShardedCorpus> layouts;
   for (const uint32_t shards : {1u, 2u, 4u}) {
+    layouts.push_back(
+        ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards)));
     layouts.push_back(ShardedCorpus::Partition(
-        store, GridShardRouter::Fit(store, shards), CorpusOptions()));
-    layouts.push_back(ShardedCorpus::Partition(
-        store, std::make_unique<HashShardRouter>(shards), CorpusOptions()));
+        store, std::make_unique<HashShardRouter>(shards)));
   }
   std::vector<std::unique_ptr<LocalWhyNotOracle>> oracles;
   std::vector<std::string> labels;
@@ -235,7 +235,7 @@ TEST(SplitTopKTest, EmptyShardAnswersNothing) {
   spec.seed = 2707;
   const ObjectStore store = GenerateDataset(spec);
   const ShardedCorpus sharded = ShardedCorpus::Partition(
-      store, std::make_unique<TwoOfThreeRouter>(), CorpusOptions());
+      store, std::make_unique<TwoOfThreeRouter>());
   ASSERT_EQ(sharded.shard(2).size(), 0u);
   const LocalWhyNotOracle oracle(sharded);
   for (const Query& q : SuiteQueries(store, 2708)) {
@@ -244,7 +244,7 @@ TEST(SplitTopKTest, EmptyShardAnswersNothing) {
 
   const Corpus& empty = sharded.shard(2);
   const OracleShardView view{&empty.store(), &sharded.shard_global_ids(2),
-                             &empty.setr()};
+                             &empty.rtree()};
   const LocalOracleShard shard(view, sharded.dist_norm());
   Query q;
   q.doc = KeywordSet({0});
@@ -264,14 +264,14 @@ TEST(SplitTopKTest, ThresholdEqualToARowKeepsThatRow) {
   spec.vocabulary_size = 300;
   spec.seed = 2709;
   const ObjectStore store = GenerateDataset(spec);
-  const ShardedCorpus sharded = ShardedCorpus::Partition(
-      store, GridShardRouter::Fit(store, 2), CorpusOptions());
+  const ShardedCorpus sharded =
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 2));
   const std::vector<TermId> rare = TermsByRarity(store);
   Rng rng(2710);
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
     const Corpus& part = sharded.shard(s);
     const OracleShardView view{&part.store(), &sharded.shard_global_ids(s),
-                               &part.setr()};
+                               &part.rtree()};
     const LocalOracleShard shard(view, sharded.dist_norm());
     for (int trial = 0; trial < 12; ++trial) {
       Query q;

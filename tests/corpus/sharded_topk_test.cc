@@ -1,6 +1,6 @@
 // Fan-out top-k property test: for randomized datasets, shard counts,
 // routers and queries, FanOutWhyNotOracle::TopK — the one top-k driver of
-// every layout — must be BIT-IDENTICAL to the unsharded SetRTopKEngine and
+// every layout — must be BIT-IDENTICAL to the linear scan (TopKScan) and
 // to the index-free reference: same ids in the same order, and score doubles
 // that compare equal with ==. This is the acceptance gate of the sharding
 // layer: if it ever diverges, the merge (or the per-shard scoring
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/baselines/setr_tree.h"
 #include "src/corpus/remote_corpus.h"
 #include "src/corpus/remote_whynot_oracle.h"
 #include "src/corpus/sharded_corpus.h"
@@ -41,10 +42,6 @@ void ExpectBitIdentical(const TopKResult& sharded, const TopKResult& expected,
 }
 
 void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
-  const Corpus baseline = CorpusBuilder().Build(ObjectStore(store));
-  const SetRTopKEngine reference(baseline.store(), baseline.setr());
-
-  const CorpusOptions options;
   for (const uint32_t shards : {1u, 2u, 3u, 4u, 7u}) {
     for (const bool use_hash : {false, true}) {
       std::unique_ptr<ShardRouter> router;
@@ -55,7 +52,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
       }
       const std::string label = router->Describe();
       const ShardedCorpus sharded =
-          ShardedCorpus::Partition(store, std::move(router), options);
+          ShardedCorpus::Partition(store, std::move(router));
       const LocalWhyNotOracle oracle(sharded);
 
       Rng rng(query_seed);
@@ -67,7 +64,7 @@ void RunPropertyTrials(const ObjectStore& store, uint64_t query_seed) {
         const uint32_t ks[] = {1, 3, 10, 50,
                                static_cast<uint32_t>(store.size() + 5)};
         q.k = ks[trial % 5];
-        ExpectBitIdentical(oracle.TopK(q), reference.Query(q),
+        ExpectBitIdentical(oracle.TopK(q), TopKScan(store, q),
                            label + " trial " + std::to_string(trial));
       }
     }
@@ -115,9 +112,8 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
   spec.num_objects = 2000;
   spec.seed = 79;
   const ObjectStore store = GenerateDataset(spec);
-  const CorpusOptions options;
   const ShardedCorpus sharded =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4), options);
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 4));
   const LocalWhyNotOracle oracle(sharded);
   Rng rng(5);
   Query q;
@@ -137,18 +133,20 @@ TEST(ShardedTopKPropertyTest, StatsAreAccumulatedAcrossShards) {
 
   const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
   const ShardedCorpus one =
-      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1), options);
+      ShardedCorpus::Partition(store, GridShardRouter::Fit(store, 1));
   // One shard's split search on q: its k-th holder outscores ws·1, the best
   // any non-holder can reach, so the k-NN pops no node and exactly the
   // holders are scored. The stats add up over repeated calls.
   ASSERT_GT(reference::TopK(store, q).back().score, q.w.ws);
   // A query term no object holds: no holders, so the split search is the
-  // SetR-tree's best-first search with a text bound of 0, pop for pop.
+  // paper's SetR-tree best-first search (bench/baselines/) with a text
+  // bound of 0, pop for pop: both trees are STR bulk loads of one store.
   Query unheld = q;
   unheld.doc = KeywordSet({static_cast<TermId>(store.vocab().size() + 7)});
+  SetRTree setr(&corpus.store());
+  setr.BulkLoad();
   TopKStats engine_stats;
-  (void)SetRTopKEngine(corpus.store(), corpus.setr())
-      .Query(unheld, &engine_stats);
+  (void)SetRTopKEngine(corpus.store(), setr).Query(unheld, &engine_stats);
   ASSERT_GT(engine_stats.nodes_popped, 0u);
   auto expect_split_work = [&](const WhyNotOracle& single,
                                const std::string& label) {

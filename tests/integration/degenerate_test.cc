@@ -11,6 +11,7 @@
 #include "src/corpus/corpus.h"
 #include "src/query/topk_engine.h"
 #include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
 #include "tests/reference/whynot_reference.h"
 
 namespace yask {
@@ -40,13 +41,12 @@ class FullyDegenerateStore : public ::testing::Test {
 };
 
 TEST_F(FullyDegenerateStore, IndexesValidate) {
-  EXPECT_TRUE(corpus_->setr().Validate().ok())
-      << corpus_->setr().Validate().ToString();
+  EXPECT_TRUE(corpus_->rtree().Validate().ok())
+      << corpus_->rtree().Validate().ToString();
 }
 
 TEST_F(FullyDegenerateStore, TopKReturnsLowestIds) {
-  const SetRTopKEngine engine(corpus_->store(), corpus_->setr());
-  const TopKResult r = engine.Query(MakeQuery(7));
+  const TopKResult r = LocalWhyNotOracle(*corpus_).TopK(MakeQuery(7));
   ASSERT_EQ(r.size(), 7u);
   for (uint32_t i = 0; i < 7; ++i) EXPECT_EQ(r[i].id, i);
 }
@@ -78,12 +78,11 @@ TEST(DegenerateTest, SingleObjectStore) {
   const TermId kw = store.mutable_vocab()->Intern("solo");
   store.Add(Point{0.1, 0.9}, KeywordSet({kw}), "only");
   const Corpus corpus = CorpusBuilder().Build(std::move(store));
-  const SetRTopKEngine engine(corpus.store(), corpus.setr());
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({kw});
   q.k = 3;
-  const TopKResult r = engine.Query(q);
+  const TopKResult r = LocalWhyNotOracle(corpus).TopK(q);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].id, 0u);
   // A why-not question about the only object: it is trivially in the result.
@@ -100,14 +99,12 @@ TEST(DegenerateTest, ZeroSimilarityQueryStillRanksSpatially) {
   store.Add(Point{0.9, 0.9}, KeywordSet({a}), "far");
   store.Add(Point{0.2, 0.2}, KeywordSet({a}), "near");
   store.Add(Point{0.0, 1.0}, KeywordSet({a}), "corner");
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
+  const Corpus corpus = CorpusBuilder().Build(ObjectStore(store));
   Query q;
   q.loc = Point{0.2, 0.2};
   q.doc = KeywordSet({b});  // Matches nothing: pure spatial ranking.
   q.k = 2;
-  const TopKResult r = engine.Query(q);
+  const TopKResult r = LocalWhyNotOracle(corpus).TopK(q);
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].id, 1u);  // "near".
   EXPECT_EQ(r, TopKScan(store, q));
@@ -126,7 +123,7 @@ TEST(DegenerateTest, CollinearScorePlanePoints) {
   q.doc = KeywordSet({kw});
   q.k = 3;
   auto result =
-      AdjustPreference(LocalWhyNotOracle(store, /*setr=*/nullptr), q, {10});
+      AdjustPreference(LocalWhyNotOracle(store, /*rtree=*/nullptr), q, {10});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   EXPECT_EQ(result->refined.w, q.w);        // No weight can reorder ties.
@@ -148,7 +145,7 @@ TEST(DegenerateTest, MissingObjectWithEmptyDocument) {
   q.doc = KeywordSet({kw});
   q.k = 3;
   auto result =
-      AdaptKeywords(LocalWhyNotOracle(store, /*setr=*/nullptr), q, {mute});
+      AdaptKeywords(LocalWhyNotOracle(store, /*rtree=*/nullptr), q, {mute});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->already_in_result);
   // M.doc is empty: no insertable keywords; only deletions/pure-k remain.

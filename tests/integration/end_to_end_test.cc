@@ -22,7 +22,7 @@ void RunWorkflow(ObjectStore dataset, const Query& q, size_t missing_rank,
                  double lambda) {
   const Corpus corpus = CorpusBuilder().Build(std::move(dataset));
   const ObjectStore& store = corpus.store();
-  ASSERT_TRUE(corpus.setr().Validate().ok());
+  ASSERT_TRUE(corpus.rtree().Validate().ok());
   WhyNotEngine engine(corpus);
 
   // Step 1: initial top-k query.
@@ -135,7 +135,7 @@ TEST(EndToEndTest, ApplyingBothRefinementsSequentially) {
   probe.k = 25;
   const ObjectId expected = engine.TopK(probe)[20].id;
 
-  auto first = AdjustPreference(LocalWhyNotOracle(store, /*setr=*/nullptr), q,
+  auto first = AdjustPreference(LocalWhyNotOracle(store, /*rtree=*/nullptr), q,
                                 {expected});
   ASSERT_TRUE(first.ok());
   auto second =

@@ -3,137 +3,87 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
+#include <queue>
 
 #include "src/storage/dataset_generator.h"
 
 namespace yask {
 namespace {
 
-/// The SetR-tree engine must return exactly what the reference scan
-/// returns, for a sweep of dataset shapes, ks and weights (experiment E2's
-/// correctness leg; the baselines' leg is tests/baselines/).
-class TopKEngineAgreement
-    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+// The linear scan every engine is checked against, and the best-first queue
+// order the served k-NN and the baselines share. The engines' own agreement
+// with the scan is tested where they live: the served split top-k in
+// tests/corpus/sharded_topk_split_test.cc, the baselines in tests/baselines/.
 
-TEST_P(TopKEngineAgreement, AllEnginesMatchScan) {
-  const auto [n, seed] = GetParam();
-  DatasetSpec spec;
-  spec.num_objects = n;
-  spec.seed = seed;
-  spec.vocabulary_size = 80;
-  const ObjectStore store = GenerateDataset(spec);
-
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
-
-  Rng rng(seed ^ 0x5EED);
-  for (uint32_t k : {1u, 5u, 10u, 50u}) {
-    for (int trial = 0; trial < 5; ++trial) {
-      Query q;
-      q.loc = SampleQueryLocation(store, &rng);
-      q.doc = SampleQueryKeywords(store, 1 + rng.NextBounded(4), &rng);
-      q.k = k;
-      q.w = Weights::FromWs(rng.NextDouble(0.1, 0.9));
-
-      const TopKResult expected = TopKScan(store, q);
-      const TopKResult got_setr = engine.Query(q);
-      ASSERT_EQ(got_setr.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(got_setr[i].id, expected[i].id)
-            << "SetR engine rank " << i << " (k=" << k << ")";
-        EXPECT_DOUBLE_EQ(got_setr[i].score, expected[i].score);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, TopKEngineAgreement,
-    ::testing::Combine(::testing::Values(50, 500, 3000),
-                       ::testing::Values(1, 42, 777)));
-
-TEST(TopKEngineTest, KLargerThanDatasetReturnsEverything) {
+TEST(TopKScanTest, KLargerThanDatasetReturnsEverything) {
   DatasetSpec spec;
   spec.num_objects = 20;
   const ObjectStore store = GenerateDataset(spec);
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 100;
-  const TopKResult r = engine.Query(q);
+  TopKStats stats;
+  const TopKResult r = TopKScan(store, q, &stats);
   EXPECT_EQ(r.size(), 20u);
   EXPECT_TRUE(std::is_sorted(r.begin(), r.end()));
+  EXPECT_EQ(stats.objects_scored, 20u);
 }
 
-TEST(TopKEngineTest, ResultsSortedAndDeterministic) {
+TEST(TopKScanTest, ResultsSortedAndDeterministic) {
   DatasetSpec spec;
   spec.num_objects = 1000;
   const ObjectStore store = GenerateDataset(spec);
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1, 2});
   q.k = 25;
-  const TopKResult a = engine.Query(q);
-  const TopKResult b = engine.Query(q);
+  const TopKResult a = TopKScan(store, q);
   EXPECT_EQ(a.size(), 25u);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
+  EXPECT_EQ(a, TopKScan(store, q));
 }
 
-TEST(TopKEngineTest, TieBreakingByIdUnderUniformScores) {
+TEST(TopKScanTest, TieBreakingByIdUnderUniformScores) {
   // All objects identical => scores all equal => ids 0..k-1 win.
   ObjectStore store;
   store.mutable_vocab()->Intern("x");
   for (int i = 0; i < 40; ++i) store.Add(Point{0.5, 0.5}, KeywordSet({0}));
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
   q.k = 5;
-  const TopKResult r = engine.Query(q);
+  const TopKResult r = TopKScan(store, q);
   ASSERT_EQ(r.size(), 5u);
   for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(r[i].id, i);
 }
 
-TEST(TopKEngineTest, PrunesNodesComparedToScan) {
-  DatasetSpec spec;
-  spec.num_objects = 20000;
-  spec.vocabulary_size = 500;
-  const ObjectStore store = GenerateDataset(spec);
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
-  // A selective query (rare keywords): most subtrees have a zero textual
-  // upper bound and die on the spatial bound alone.
-  Query q;
-  q.loc = Point{0.5, 0.5};
-  q.doc = KeywordSet({400, 450});
-  q.k = 10;
-  TopKStats stats;
-  engine.Query(q, &stats);
-  EXPECT_LT(stats.objects_scored, store.size() / 4);
-}
-
-TEST(TopKEngineTest, EmptyStore) {
+TEST(TopKScanTest, EmptyStore) {
   ObjectStore store;
-  SetRTree setr(&store);
-  setr.BulkLoad();
-  SetRTopKEngine engine(store, setr);
   Query q;
   q.doc = KeywordSet({0});
   q.k = 3;
-  EXPECT_TRUE(engine.Query(q).empty());
+  EXPECT_TRUE(TopKScan(store, q).empty());
+}
+
+TEST(BestFirstEntryTest, PopsHigherKeyThenNodesThenSmallerObjectIds) {
+  std::priority_queue<BestFirstEntry> pq;
+  pq.push(BestFirstEntry{0.5, true, 9});
+  pq.push(BestFirstEntry{0.5, true, 2});
+  pq.push(BestFirstEntry{0.5, false, 4});
+  pq.push(BestFirstEntry{0.7, true, 30});
+  pq.push(BestFirstEntry{0.1, false, 1});
+  const BestFirstEntry expected[] = {
+      {0.7, true, 30}, {0.5, false, 4}, {0.5, true, 2},
+      {0.5, true, 9},  {0.1, false, 1}};
+  for (const BestFirstEntry& e : expected) {
+    ASSERT_FALSE(pq.empty());
+    EXPECT_EQ(pq.top().key, e.key);
+    EXPECT_EQ(pq.top().is_object, e.is_object);
+    EXPECT_EQ(pq.top().id, e.id);
+    pq.pop();
+  }
+  EXPECT_TRUE(pq.empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // An index-free brute-force reference for the two why-not refinement models,
 // for tests only. It shares no code with src/whynot/shard_primitives, the
-// SetR/KcR trees, the score-plane index or the rank oracle: every rank is a
+// R-tree, the score-plane index or the rank oracle: every rank is a
 // full scan with Scorer::Score, ties broken by (global) object id, so a bug
 // in the shared per-shard kernels cannot hide behind a parity suite that
 // compares the engine with itself.

@@ -16,7 +16,7 @@
 //     shard-side child spans stitched in by the propagated trace id, with
 //     each shard span's parent being a coordinator rpc span; a /whynot's
 //     top-ks are /shard/plane/topk rpcs under whynot/explain and
-//     whynot/refined_topk, and no /shard/topk (SetR-tree) rpc appears;
+//     whynot/refined_topk, and no /shard/topk (tree search) rpc appears;
 //   * GET /metrics exposes the expected families on the coordinator and on
 //     the shard server, and /log hands out the trace ids /trace serves;
 //   * a slow-trace threshold of 0 pins every trace.
@@ -355,7 +355,7 @@ TEST(ObservabilityTest, PayloadParityAndSpanSkeletonAcrossLayouts) {
   EXPECT_GT(rpc_spans, 0u);
   EXPECT_GT(shard_spans, 0u);
   // The question answers explain's top-k and the refined result: one
-  // /shard/plane/topk per shard under each stage, and no SetR-tree search
+  // /shard/plane/topk per shard under each stage, and no shard top-k search
   // (/shard/topk) anywhere in the /whynot.
   std::map<std::string, std::string> name_of;
   for (const JsonValue& span : remote_trace.Get("spans").array_items()) {

@@ -336,17 +336,15 @@ TEST(RemoteServiceTest, HealthReportsRemoteTopology) {
             store.size());
   EXPECT_EQ(health->Get("shards").as_number(), 2);
   EXPECT_EQ(health->Get("remote_shards").size(), 2u);
-  EXPECT_TRUE(health->Get("indexes").Get("setr").as_bool());
   EXPECT_TRUE(health->Get("whynot").as_bool());
 
-  // The shard servers' own /health reports per-shard index availability.
+  // The shard servers' own /health reports their role and why-not service.
   auto shard_health =
       HttpFetch(fleet.services[0]->port(), "GET", "/health", "", &status);
   ASSERT_TRUE(shard_health.ok());
   auto parsed = JsonValue::Parse(*shard_health);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Get("role").as_string(), "shard");
-  EXPECT_TRUE(parsed->Get("indexes").Get("setr").as_bool());
   EXPECT_TRUE(parsed->Get("whynot").as_bool());
 
   // A coordinator holds no state: /snapshot is a clear 501.
@@ -358,7 +356,7 @@ TEST(RemoteServiceTest, HealthReportsRemoteTopology) {
 }
 
 TEST(RemoteServiceTest, WhyNotIsAnsweredByShardsBootedFromSnapshotFiles) {
-  // Shard servers need no index beyond the SetR-tree: a fleet booted from
+  // Shard servers need no index beyond the R-tree: a fleet booted from
   // per-shard snapshot files answers /whynot like the in-process layout.
   const ObjectStore store = GenerateHotelDataset();
   const std::string prefix =
@@ -378,7 +376,7 @@ TEST(RemoteServiceTest, WhyNotIsAnsweredByShardsBootedFromSnapshotFiles) {
   YaskService service(*connected);
   ASSERT_TRUE(service.Start().ok());
 
-  // /query still works (top-k needs only the SetR-tree)...
+  // /query still works (top-k needs only the postings and the R-tree)...
   int status = 0;
   auto body = HttpFetch(
       service.port(), "POST", "/query",

@@ -460,7 +460,7 @@ TEST(ReplicaFailoverTest, BatchedSweepSegmentFailsOverWithReplay) {
   // must return the refinement the unsharded reference computes.
   auto remote_refined = AdjustPreference(oracle, query, {missing});
   auto local_refined = AdjustPreference(
-      LocalWhyNotOracle(store, /*setr=*/nullptr), query, {missing});
+      LocalWhyNotOracle(store, /*rtree=*/nullptr), query, {missing});
   ASSERT_TRUE(remote_refined.ok()) << remote_refined.status().ToString();
   ASSERT_TRUE(local_refined.ok());
   EXPECT_EQ(remote_refined->refined.w.ws, local_refined->refined.w.ws);

@@ -138,7 +138,7 @@ TEST(ServiceConcurrencyTest, ShardedServiceParallelQueries) {
     const Vocabulary& v = reference.vocab();
     q.doc = KeywordSet({v.Find("clean"), v.Find("comfortable")});
     q.k = 5;
-    return SetRTopKEngine(reference.store(), reference.setr()).Query(q);
+    return TopKScan(reference.store(), q);
   }();
 
   std::atomic<int> mismatches{0};

@@ -120,7 +120,6 @@ TEST(LayoutEndpointsTest, OneTableAcrossLayouts) {
               store.size());
     EXPECT_EQ(static_cast<size_t>(health.json.Get("vocabulary").as_number()),
               store.vocab().size());
-    EXPECT_TRUE(health.json.Get("indexes").Get("setr").as_bool());
     EXPECT_TRUE(health.json.Get("whynot").as_bool());
     if (layout.shards == 0) {
       EXPECT_FALSE(health.json.Has("shards"));

@@ -170,7 +170,7 @@ TEST_F(ShardedServiceWhyNotTest, ForgottenQueryIdIs404) {
 }
 
 TEST_F(ShardedServiceWhyNotTest, EveryLayoutAnswersWhyNot) {
-  // Why-not needs no index beyond the SetR-tree, so every corpus a service
+  // Why-not needs no index beyond the R-tree, so every corpus a service
   // can serve /query from also answers /whynot.
   const ShardedCorpus two = ShardedCorpus::Partition(
       corpus_->store(), GridShardRouter::Fit(corpus_->store(), 2));

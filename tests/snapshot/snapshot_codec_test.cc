@@ -17,6 +17,7 @@
 #include "src/storage/dataset_generator.h"
 #include "src/storage/hotel_generator.h"
 #include "src/whynot/why_not_engine.h"
+#include "src/whynot/whynot_oracle.h"
 
 namespace yask {
 namespace {
@@ -113,33 +114,32 @@ TEST(ObjectStoreCodecTest, KeywordOutsideVocabularyRejected) {
   EXPECT_FALSE(LoadObjectStore(&in, &loaded).ok());
 }
 
-template <typename Tree>
-void ExpectTreesEquivalent(const Tree& a, const Tree& b) {
+void ExpectTreesEquivalent(const RTree& a, const RTree& b) {
   EXPECT_EQ(b.size(), a.size());
   EXPECT_EQ(b.node_count(), a.node_count());
   EXPECT_EQ(b.height(), a.height());
   EXPECT_EQ(b.options().max_entries, a.options().max_entries);
   EXPECT_EQ(b.options().min_entries, a.options().min_entries);
-  EXPECT_TRUE(b.node(b.root()).summary.Equals(a.node(a.root()).summary));
+  EXPECT_EQ(b.node(b.root()).rect, a.node(a.root()).rect);
   Status valid = b.Validate();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
-TEST(RTreeCodecTest, SetRTreeRoundTripAnswersIdentically) {
+TEST(RTreeCodecTest, RoundTripAnswersIdentically) {
   const ObjectStore store = SyntheticStore(2000);
-  SetRTree original(&store);
+  RTree original(&store);
   original.BulkLoad();
   BufWriter out;
-  SaveSetRTree(original, &out);
+  SaveRTree(original, &out);
 
-  SetRTree loaded(&store);
+  RTree loaded(&store);
   BufReader in(out.data().data(), out.size());
-  ASSERT_TRUE(LoadSetRTree(&in, &loaded).ok());
+  ASSERT_TRUE(LoadRTree(&in, &loaded).ok());
   EXPECT_TRUE(in.AtEnd());
   ExpectTreesEquivalent(original, loaded);
 
-  SetRTopKEngine before(store, original);
-  SetRTopKEngine after(store, loaded);
+  const LocalWhyNotOracle before(store, &original);
+  const LocalWhyNotOracle after(store, &loaded);
   Rng rng(3);
   for (int i = 0; i < 20; ++i) {
     Query q;
@@ -147,31 +147,127 @@ TEST(RTreeCodecTest, SetRTreeRoundTripAnswersIdentically) {
     q.doc = SampleQueryKeywords(store, 3, &rng);
     q.k = 10;
     q.w = Weights::FromWs(0.5);
-    EXPECT_EQ(before.Query(q), after.Query(q));
+    EXPECT_EQ(after.TopK(q), before.TopK(q));
+    EXPECT_EQ(after.TopK(q), TopKScan(store, q));
   }
 }
 
 TEST(RTreeCodecTest, EmptyTreeRoundTrips) {
   ObjectStore store;
-  SetRTree original(&store);
+  RTree original(&store);
   original.BulkLoad();
   BufWriter out;
-  SaveSetRTree(original, &out);
-  SetRTree loaded(&store);
+  SaveRTree(original, &out);
+  RTree loaded(&store);
   BufReader in(out.data().data(), out.size());
-  ASSERT_TRUE(LoadSetRTree(&in, &loaded).ok());
+  ASSERT_TRUE(LoadRTree(&in, &loaded).ok());
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_TRUE(loaded.Validate().ok());
+}
+
+/// A hand-written r-tree payload (the SaveRTree layout, fanout 1..64):
+/// one leaf per entry of `leaves`, each holding those object ids, under one
+/// root; `extra_level` inserts an internal node above the first leaf only,
+/// so the leaves sit at uneven depths.
+std::string TreePayload(const std::vector<std::vector<ObjectId>>& leaves,
+                        bool extra_level = false) {
+  BufWriter out;
+  size_t objects = 0;
+  for (const auto& leaf : leaves) objects += leaf.size();
+  const uint32_t nodes = static_cast<uint32_t>(leaves.size()) + 1 +
+                         (extra_level ? 1 : 0);
+  out.PutVarU32(nodes);
+  out.PutVarU32(nodes - 1);
+  out.PutVarU64(objects);
+  out.PutVarU32(64);
+  out.PutVarU32(1);
+  for (const auto& leaf : leaves) {
+    out.PutU8(1);
+    out.PutVarU32(static_cast<uint32_t>(leaf.size()));
+    for (const ObjectId id : leaf) out.PutVarU32(id);
+  }
+  uint32_t first_child = 0;
+  if (extra_level) {
+    out.PutU8(0);
+    out.PutVarU32(1);
+    out.PutVarU32(0);
+    first_child = static_cast<uint32_t>(leaves.size());
+  }
+  out.PutU8(0);
+  out.PutVarU32(static_cast<uint32_t>(leaves.size()));
+  out.PutVarU32(first_child);
+  for (uint32_t i = 1; i < leaves.size(); ++i) out.PutVarU32(i);
+  return out.data();
+}
+
+TEST(RTreeCodecTest, TreeMustIndexTheWholeStore) {
+  // Every second object of the store in 25 leaves: a structurally sound
+  // tree, but the served top-k finds non-holders only through the tree, so
+  // it would answer wrong rows. The decoder refuses it.
+  const ObjectStore store = SyntheticStore(1000);
+  std::vector<std::vector<ObjectId>> half(25);
+  for (ObjectId id = 0; id < store.size(); id += 2) half[id / 40].push_back(id);
+  const std::string payload = TreePayload(half);
+  RTree tree(&store);
+  BufReader in(payload.data(), payload.size());
+  const Status status = LoadRTree(&in, &tree);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+
+  // Through a whole file too: the corpus does not load.
+  const std::string path = TestPath("half_tree");
+  SnapshotWriter writer;
+  SaveVocabulary(store.vocab(), writer.AddSection(SectionId::kVocabulary));
+  SaveObjectStore(store, writer.AddSection(SectionId::kObjectStore));
+  writer.AddSection(SectionId::kRTree)->PutRaw(payload);
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+  EXPECT_FALSE(CorpusBuilder().FromSnapshot(path).ok());
+  std::remove(path.c_str());
+
+  // The same layout over every object decodes, validates and answers.
+  std::vector<std::vector<ObjectId>> all(25);
+  for (ObjectId id = 0; id < store.size(); ++id) all[id / 40].push_back(id);
+  const std::string whole = TreePayload(all);
+  RTree full(&store);
+  BufReader whole_in(whole.data(), whole.size());
+  ASSERT_TRUE(LoadRTree(&whole_in, &full).ok());
+  EXPECT_TRUE(full.Validate().ok()) << full.Validate().ToString();
+}
+
+TEST(RTreeCodecTest, UnevenLeafDepthsRejected) {
+  const ObjectStore store = SyntheticStore(100);
+  std::vector<std::vector<ObjectId>> leaves(5);
+  for (ObjectId id = 0; id < store.size(); ++id) leaves[id / 20].push_back(id);
+  const std::string even = TreePayload(leaves);
+  RTree tree(&store);
+  BufReader even_in(even.data(), even.size());
+  ASSERT_TRUE(LoadRTree(&even_in, &tree).ok());
+
+  const std::string uneven = TreePayload(leaves, /*extra_level=*/true);
+  RTree bad(&store);
+  BufReader uneven_in(uneven.data(), uneven.size());
+  EXPECT_EQ(LoadRTree(&uneven_in, &bad).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RTreeCodecTest, TrailingBytesRejected) {
+  const ObjectStore store = SyntheticStore(100);
+  RTree original(&store);
+  original.BulkLoad();
+  BufWriter out;
+  SaveRTree(original, &out);
+  out.PutU8(0);
+  RTree loaded(&store);
+  BufReader in(out.data().data(), out.size());
+  EXPECT_EQ(LoadRTree(&in, &loaded).code(), StatusCode::kInvalidArgument);
 }
 
 class SnapshotBundleTest : public ::testing::Test {
  protected:
   void SetUp() override {
     store_ = std::make_unique<ObjectStore>(GenerateHotelDataset());
-    setr_ = std::make_unique<SetRTree>(store_.get());
-    setr_->BulkLoad();
+    rtree_ = std::make_unique<RTree>(store_.get());
+    rtree_->BulkLoad();
     path_ = TestPath("bundle");
-    auto bytes = WriteSnapshot(path_, *store_, setr_.get());
+    auto bytes = WriteSnapshot(path_, *store_, rtree_.get());
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     EXPECT_GT(*bytes, 0u);
   }
@@ -190,7 +286,7 @@ class SnapshotBundleTest : public ::testing::Test {
   }
 
   std::unique_ptr<ObjectStore> store_;
-  std::unique_ptr<SetRTree> setr_;
+  std::unique_ptr<RTree> rtree_;
   std::string path_;
 };
 
@@ -198,7 +294,7 @@ TEST_F(SnapshotBundleTest, TopKAndWhyNotAnswersIdenticalAfterReload) {
   auto bundle = LoadSnapshot(path_);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   ASSERT_NE(bundle->store, nullptr);
-  ASSERT_NE(bundle->setr, nullptr);
+  ASSERT_NE(bundle->rtree, nullptr);
 
   // The why-not engine runs over a Corpus; build one around each state
   // (bulk loading from the same store reproduces the identical trees).
@@ -255,7 +351,7 @@ TEST_F(SnapshotBundleTest, StoreOnlySnapshotLeavesIndexesNull) {
   auto bundle = LoadSnapshot(path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_NE(bundle->store, nullptr);
-  EXPECT_EQ(bundle->setr, nullptr);
+  EXPECT_EQ(bundle->rtree, nullptr);
   std::remove(path.c_str());
 }
 
@@ -266,7 +362,7 @@ TEST_F(SnapshotBundleTest, RetiredKcRSectionIsSkipped) {
   SnapshotWriter writer;
   SaveVocabulary(store_->vocab(), writer.AddSection(SectionId::kVocabulary));
   SaveObjectStore(*store_, writer.AddSection(SectionId::kObjectStore));
-  SaveSetRTree(*setr_, writer.AddSection(SectionId::kSetRTree));
+  SaveRTree(*rtree_, writer.AddSection(SectionId::kRTree));
   writer.AddSection(SectionId::kRetiredKcRTree)->PutString("old tree bytes");
   uint64_t bytes = 0;
   ASSERT_TRUE(writer.WriteTo(path, &bytes).ok());
@@ -274,12 +370,11 @@ TEST_F(SnapshotBundleTest, RetiredKcRSectionIsSkipped) {
   auto bundle = LoadSnapshot(path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->store->size(), store_->size());
-  ASSERT_NE(bundle->setr, nullptr);
+  ASSERT_NE(bundle->rtree, nullptr);
   auto corpus = CorpusBuilder().FromSnapshot(path);
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-  const SetRTopKEngine restored(corpus->store(), corpus->setr());
-  EXPECT_EQ(restored.Query(CarolQuery()),
-            SetRTopKEngine(*store_, *setr_).Query(CarolQuery()));
+  EXPECT_EQ(LocalWhyNotOracle(*corpus).TopK(CarolQuery()),
+            TopKScan(*store_, CarolQuery()));
   std::remove(path.c_str());
 }
 
@@ -298,7 +393,7 @@ TEST_F(SnapshotBundleTest, RetiredInvertedIndexSectionIsSkipped) {
   BufWriter* postings = writer.AddSection(SectionId::kRetiredInvertedIndex);
   postings->PutVarU64(lists.size());
   for (const std::vector<ObjectId>& list : lists) postings->PutDeltaIds(list);
-  SaveSetRTree(*setr_, writer.AddSection(SectionId::kSetRTree));
+  SaveRTree(*rtree_, writer.AddSection(SectionId::kRTree));
   uint64_t bytes = 0;
   ASSERT_TRUE(writer.WriteTo(path, &bytes).ok());
 
@@ -323,15 +418,55 @@ TEST_F(SnapshotBundleTest, RetiredInvertedIndexSectionIsSkipped) {
   std::remove(path.c_str());
 }
 
+TEST_F(SnapshotBundleTest, RetiredSetRSectionIsSkippedAndTreeRebuilt) {
+  // Files written before the R-tree section carry the SetR-tree as section
+  // 4 (the tree structure plus each node's keyword sets) and no section 7:
+  // readers skip section 4 unread, and the corpus rebuilds its R-tree.
+  const std::string path = TestPath("retired_setr");
+  SnapshotWriter writer;
+  SaveVocabulary(store_->vocab(), writer.AddSection(SectionId::kVocabulary));
+  SaveObjectStore(*store_, writer.AddSection(SectionId::kObjectStore));
+  writer.AddSection(SectionId::kRetiredSetRTree)->PutString("old tree bytes");
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+
+  auto bundle = LoadSnapshot(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->rtree, nullptr);
+  auto corpus = CorpusBuilder().FromSnapshot(path);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(corpus->rtree().size(), store_->size());
+  EXPECT_TRUE(corpus->rtree().Validate().ok());
+  const Corpus rebuilt = CorpusBuilder().Build(ObjectStore(*store_));
+  const WhyNotEngine before(rebuilt);
+  const WhyNotEngine after(*corpus);
+  const Query q = CarolQuery();
+  ASSERT_EQ(after.TopK(q), before.TopK(q));
+  const ObjectId missing = before.TopK(CarolQuery(25))[18].id;
+  auto before_answer = before.Answer(q, {missing});
+  auto after_answer = after.Answer(q, {missing});
+  ASSERT_TRUE(before_answer.ok() && after_answer.ok());
+  EXPECT_EQ(after_answer->explanations[0].text,
+            before_answer->explanations[0].text);
+  EXPECT_EQ(after_answer->refined_result, before_answer->refined_result);
+
+  // A file rewritten from the loaded corpus carries section 7, not 4.
+  ASSERT_TRUE(corpus->Save(path).ok());
+  auto reader = SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader->Has(SectionId::kRTree));
+  EXPECT_FALSE(reader->Has(SectionId::kRetiredSetRTree));
+  std::remove(path.c_str());
+}
+
 TEST_F(SnapshotBundleTest, CorruptTreeSectionFailsCleanly) {
   std::ifstream f(path_, std::ios::binary);
   std::string bytes(std::istreambuf_iterator<char>(f), {});
   f.close();
-  // Flip a byte inside the SetR-tree payload.
+  // Flip a byte inside the R-tree payload.
   auto reader = SnapshotReader::Open(path_);
   ASSERT_TRUE(reader.ok());
   for (const SnapshotSectionInfo& info : reader->sections()) {
-    if (info.id == SectionId::kSetRTree) {
+    if (info.id == SectionId::kRTree) {
       bytes[info.offset + info.size / 2] ^= 0x01;
     }
   }
@@ -348,7 +483,7 @@ TEST_F(SnapshotBundleTest, InspectReportsSections) {
   auto report = InspectSnapshot(path_);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->format_version, kSnapshotFormatVersion);
-  // Vocabulary, store, SetR-tree: no inverted index or KcR-tree section.
+  // Vocabulary, store, R-tree: no retired section.
   ASSERT_EQ(report->sections.size(), 3u);
   bool saw_store = false;
   for (const SnapshotSectionReport& s : report->sections) {

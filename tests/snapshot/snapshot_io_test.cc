@@ -50,7 +50,7 @@ TEST(SnapshotIoTest, RoundTripSections) {
   EXPECT_EQ(reader->sections().size(), 2u);
   EXPECT_TRUE(reader->Has(SectionId::kVocabulary));
   EXPECT_TRUE(reader->Has(SectionId::kObjectStore));
-  EXPECT_FALSE(reader->Has(SectionId::kSetRTree));
+  EXPECT_FALSE(reader->Has(SectionId::kRTree));
 
   auto section = reader->OpenSection(SectionId::kVocabulary);
   ASSERT_TRUE(section.ok());

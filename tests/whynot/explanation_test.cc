@@ -37,7 +37,7 @@ class ExplanationScenario : public ::testing::Test {
     store_.Add(Point{0.0, 0.0}, KeywordSet({coffee_}), "anchor0");
     store_.Add(Point{1.0, 1.0}, KeywordSet({coffee_}), "anchor1");
 
-    tree_ = std::make_unique<SetRTree>(&store_);
+    tree_ = std::make_unique<RTree>(&store_);
     tree_->BulkLoad();
     oracle_ = std::make_unique<LocalWhyNotOracle>(store_, tree_.get());
 
@@ -47,7 +47,7 @@ class ExplanationScenario : public ::testing::Test {
   }
 
   ObjectStore store_;
-  std::unique_ptr<SetRTree> tree_;
+  std::unique_ptr<RTree> tree_;
   std::unique_ptr<LocalWhyNotOracle> oracle_;
   Query query_;
   TermId coffee_, wifi_, pizza_;
@@ -91,8 +91,7 @@ TEST_F(ExplanationScenario, FarMismatchBlamesBoth) {
 }
 
 TEST_F(ExplanationScenario, InResultObjectReported) {
-  SetRTopKEngine engine(store_, *tree_);
-  const TopKResult top = engine.Query(query_);
+  const TopKResult top = TopKScan(store_, query_);
   auto result = ExplainMissing(*oracle_, query_, {top[0].id});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at(0).reason, MissingReason::kInResult);
@@ -129,7 +128,7 @@ TEST(ExplanationGenerated, WorksOnSyntheticDataset) {
   DatasetSpec spec;
   spec.num_objects = 1000;
   const ObjectStore store = GenerateDataset(spec);
-  SetRTree tree(&store);
+  RTree tree(&store);
   tree.BulkLoad();
   const LocalWhyNotOracle oracle(store, &tree);
   Rng rng(5);

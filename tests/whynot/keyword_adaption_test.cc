@@ -122,7 +122,7 @@ TEST(GenerateCandidatesTest, VisitStopsWhenTheVisitorSaysSo) {
 
 TEST(AdaptKeywordsTest, RejectsInvalidInput) {
   const ObjectStore store = MakeStore(100, 1);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
@@ -136,7 +136,7 @@ TEST(AdaptKeywordsTest, RejectsInvalidInput) {
 
 TEST(AdaptKeywordsTest, AlreadyInResult) {
   const ObjectStore store = MakeStore(300, 2);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
@@ -151,7 +151,7 @@ TEST(AdaptKeywordsTest, AlreadyInResult) {
 
 TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
   const ObjectStore store = MakeStore(800, 3);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.4};
   q.doc = KeywordSet({0, 1});
@@ -175,7 +175,7 @@ TEST(AdaptKeywordsTest, RefinedQueryRevivesMissing) {
 
 TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
   const ObjectStore store = MakeStore(400, 4);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Rng rng(17);
   for (double lambda : {0.2, 0.5, 0.8}) {
     Query q;
@@ -195,7 +195,7 @@ TEST(AdaptKeywordsTest, PenaltyNeverExceedsLambda) {
 TEST(AdaptKeywordsTest, LambdaZeroKeepsDoc) {
   // λ=0: editing doc is pure cost; keep doc, k'=R0, penalty 0.
   const ObjectStore store = MakeStore(300, 5);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.6, 0.6};
   q.doc = KeywordSet({0, 2});
@@ -216,7 +216,7 @@ TEST(AdaptKeywordsTest, LambdaOnePrefersDocEditsOverK) {
   // the best achievable rank through keyword edits alone, never settling for
   // the pure-k fallback if any candidate improves the rank.
   const ObjectStore store = MakeStore(300, 9);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1});
@@ -271,7 +271,7 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
   store.Add(Point{0, 0}, KeywordSet(rival_b), "rival b");
   store.Add(Point{0, 0}, KeywordSet(rival_a), "rival a");
   store.Add(Point{1, 1}, KeywordSet({vocab->Intern("far")}), "far");
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0, 0};
   q.doc = KeywordSet({a, b});
@@ -301,7 +301,7 @@ TEST(AdaptKeywordsTest, FloorTieAtTheSameDistanceStillCompetes) {
 void ExpectBothLayoutsMatchReference(const ObjectStore& store, const Query& q,
                                      const std::vector<ObjectId>& missing,
                                      double lambda, const std::string& label) {
-  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle columns(store, /*rtree=*/nullptr);
   const ScanOracle scan(store);
   const reference::KeywordAnswer want =
       reference::SolveKeywords(store, q, missing, lambda);
@@ -412,7 +412,7 @@ TEST(AdaptKeywordsTest, BothLayoutsMatchReferenceOnTies) {
 
 TEST(AdaptKeywordsTest, PruningStatsShowWork) {
   const ObjectStore store = MakeStore(600, 6);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.3, 0.7};
   q.doc = KeywordSet({0, 1, 2});
@@ -458,7 +458,7 @@ struct WideUniverse {
 
 TEST(AdaptKeywordsTest, KeywordUniverseAtCapIsAnswered) {
   const WideUniverse wide(kMaxKeywordUniverse - 1);
-  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(wide.store, /*rtree=*/nullptr);
   // Too wide for the reference's subset enumeration: the columns and the
   // scanning baseline must agree, and the ranks must be the scan
   // reference's.
@@ -487,7 +487,7 @@ TEST(AdaptKeywordsTest, KeywordUniverseOverCapIsInvalidArgument) {
   // The bound is the search's, whichever oracle ranks: the scanning
   // baseline refuses the same question.
   const WideUniverse wide(kMaxKeywordUniverse);
-  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(wide.store, /*rtree=*/nullptr);
   const ScanOracle scan(wide.store);
   for (const WhyNotOracle* layout :
        {static_cast<const WhyNotOracle*>(&oracle),
@@ -504,7 +504,7 @@ TEST(AdaptKeywordsTest, CandidateBoundTruncatesTheSearch) {
   // before the kMaxKeywordCandidates-th candidate (∆doc = 13): the search
   // stops there and answers the best candidate generated, the pure-k one.
   const WideUniverse wide(18);
-  const LocalWhyNotOracle oracle(wide.store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(wide.store, /*rtree=*/nullptr);
   auto got = AdaptKeywords(oracle, wide.query, {wide.missing});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->stats.truncated);
@@ -527,7 +527,7 @@ TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
     missing.push_back(store.Add(Point{0.5, 0.5}, KeywordSet({a}), "clone"));
   }
   store.Add(Point{0, 0}, KeywordSet({a}), "corner");
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({a});
@@ -548,7 +548,7 @@ TEST(AdaptKeywordsTest, MissingSetAtSpecCapIsAnsweredAndOverIsRejected) {
 
 TEST(AdaptKeywordsTest, RefinedDocOnlyUsesAllowedKeywords) {
   const ObjectStore store = MakeStore(400, 8);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.2, 0.2};
   q.doc = KeywordSet({0, 1});

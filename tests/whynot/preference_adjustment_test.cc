@@ -73,7 +73,7 @@ std::vector<ObjectId> PickMissing(const ObjectStore& store, const Query& q,
 void ExpectBothLayoutsMatchReference(const ObjectStore& store, const Query& q,
                                      const std::vector<ObjectId>& missing,
                                      double lambda, const std::string& tag) {
-  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle columns(store, /*rtree=*/nullptr);
   const ScanOracle scan(store);
   PreferenceAdjustOptions opts;
   opts.lambda = lambda;
@@ -101,7 +101,7 @@ void ExpectBothLayoutsMatchReference(const ObjectStore& store, const Query& q,
 
 TEST(AdjustPreferenceTest, RejectsInvalidInput) {
   const ObjectStore store = MakeStore(100, 1);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});
@@ -125,7 +125,7 @@ TEST(AdjustPreferenceTest, RejectsInvalidInput) {
 
 TEST(AdjustPreferenceTest, AlreadyInResult) {
   const ObjectStore store = MakeStore(200, 2);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0, 1});
@@ -141,7 +141,7 @@ TEST(AdjustPreferenceTest, AlreadyInResult) {
 
 TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
   const ObjectStore store = MakeStore(1000, 3);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.4, 0.6};
   q.doc = KeywordSet({0, 1, 2});
@@ -165,7 +165,7 @@ TEST(AdjustPreferenceTest, RefinedQueryRevivesMissingObject) {
 TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
   // The pure-k refinement costs exactly λ, so the optimum is <= λ.
   const ObjectStore store = MakeStore(500, 4);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Rng rng(11);
   for (double lambda : {0.1, 0.5, 0.9}) {
     Query q;
@@ -185,7 +185,7 @@ TEST(AdjustPreferenceTest, PenaltyNeverExceedsLambda) {
 TEST(AdjustPreferenceTest, LambdaZeroKeepsWeights) {
   // λ=0: modifying w is pure cost, enlarging k is free => keep w, k'=R0.
   const ObjectStore store = MakeStore(400, 5);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.3, 0.3};
   q.doc = KeywordSet({0, 1});
@@ -206,7 +206,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
   // optimum is the weight minimising the missing object's rank. The returned
   // rank must therefore be minimal over a dense weight grid.
   const ObjectStore store = MakeStore(300, 12);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.45, 0.55};
   q.doc = KeywordSet({0, 1});
@@ -243,7 +243,7 @@ TEST(AdjustPreferenceTest, LambdaOneSearchesTheFullInterval) {
 
 TEST(AdjustPreferenceTest, RefinedRankConsistent) {
   const ObjectStore store = MakeStore(600, 6);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.6, 0.4};
   q.doc = KeywordSet({1, 2});
@@ -316,7 +316,7 @@ class PrefOptimalityAudit : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrefOptimalityAudit, NoGridPointBeatsReturnedPenalty) {
   const ObjectStore store = MakeStore(300, GetParam());
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Rng rng(GetParam() ^ 0xA0A0);
   Query q;
   q.loc = SampleQueryLocation(store, &rng);
@@ -357,7 +357,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefOptimalityAudit,
 
 TEST(AdjustPreferenceTest, StatsPopulated) {
   const ObjectStore store = MakeStore(500, 8);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.2, 0.8};
   q.doc = KeywordSet({0, 3});
@@ -477,7 +477,7 @@ TEST(AdjustPreferenceTest, SweepDoublesItsSegments) {
   // candidates were evaluated cost exactly 1 + ⌈log2(E/8 + 1)⌉ fan-outs.
   // Both layouts must fetch the identical weights.
   const ObjectStore store = MakeStore(800, 11);
-  const LocalWhyNotOracle columns(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle columns(store, /*rtree=*/nullptr);
   const ScanOracle scan(store);
   Rng rng(23);
   size_t doubled = 0;
@@ -563,7 +563,7 @@ TEST(AdjustPreferenceTest, SweepDoublesItsSegments) {
 
 TEST(AdjustPreferenceTest, DuplicateMissingIdsAreDeduplicated) {
   const ObjectStore store = MakeStore(300, 9);
-  const LocalWhyNotOracle oracle(store, /*setr=*/nullptr);
+  const LocalWhyNotOracle oracle(store, /*rtree=*/nullptr);
   Query q;
   q.loc = Point{0.5, 0.5};
   q.doc = KeywordSet({0});

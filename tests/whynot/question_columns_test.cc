@@ -21,9 +21,9 @@
 //     and answer what they answer alone;
 //   * an open question's top-k (the query's, its refinements', at ws = 0
 //     or wt = 0, with k past a shard's size or n, over an empty shard)
-//     equals the reference scan, TopKScan and the SetR-tree top-k;
+//     equals the reference scan, TopKScan and the shards' own top-k;
 //   * one /whynot opens exactly one question per shard, in process and
-//     remote, and runs no SetR-tree top-k;
+//     remote, and runs no shard top-k search;
 //   * a rank batch outside any question (several locations, a doc wider than
 //     64 keywords, targets on other shards, tie-heavy data) answers the
 //     reference ranks on every layout, with one one-call question per shard
@@ -737,7 +737,7 @@ std::vector<Question> MakeQuestions(const ObjectStore& store, uint64_t seed,
 }
 
 /// Checks an open question's top-k of each query against the reference
-/// scan, and against the SetR-tree top-k of `oracle` (the unbound oracle)
+/// scan, and against the shard top-k of `oracle` (the unbound oracle)
 /// for valid queries: the queries as given, at ws = 0 and wt = 0, and with
 /// k past every shard's size and past n.
 void CheckQuestionTopK(const WhyNotOracle& oracle, const WhyNotOracle& question,
@@ -756,7 +756,7 @@ void CheckQuestionTopK(const WhyNotOracle& oracle, const WhyNotOracle& question,
       const TopKResult got = question.TopK(t, nullptr);
       ExpectSameRows(got, reference::TopK(store, t), label);
       if (t.Validate().ok()) {
-        ExpectSameRows(got, oracle.TopK(t, nullptr), label + " SetR");
+        ExpectSameRows(got, oracle.TopK(t, nullptr), label + " shard top-k");
       }
     }
   }
@@ -983,22 +983,22 @@ TEST(QuestionLayoutsTest, PreferenceAndKeywordShareOneQuestionFromTwoThreads) {
 // --- One question per shard per /whynot ----------------------------------------
 
 /// An in-process shard that counts the questions opened on it and its
-/// SetR-tree top-k searches.
+/// shard top-k searches (postings plus R-tree).
 class CountingShard final : public OracleShard {
  public:
   CountingShard(const OracleShardView& view, double dist_norm,
                 std::atomic<size_t>* opened,
-                std::atomic<size_t>* setr_searches)
+                std::atomic<size_t>* topk_searches)
       : inner_(view, dist_norm),
         opened_(opened),
-        setr_searches_(setr_searches) {}
+        topk_searches_(topk_searches) {}
   size_t size() const override { return inner_.size(); }
   double RootDistance(const Point& loc) const override {
     return inner_.RootDistance(loc);
   }
   Result<TopKResult> TopK(const Query& query, double prune_below,
                           TopKStats* stats) const override {
-    ++*setr_searches_;
+    ++*topk_searches_;
     return inner_.TopK(query, prune_below, stats);
   }
   Result<std::unique_ptr<OracleShardQuestion>> OpenQuestion(
@@ -1010,15 +1010,15 @@ class CountingShard final : public OracleShard {
  private:
   LocalOracleShard inner_;
   std::atomic<size_t>* opened_;
-  std::atomic<size_t>* setr_searches_;
+  std::atomic<size_t>* topk_searches_;
 };
 
 /// The sharded oracle over counting shards.
 class CountingOracle final : public FanOutWhyNotOracle {
  public:
   CountingOracle(const ShardedCorpus& corpus, std::atomic<size_t>* opened,
-                 std::atomic<size_t>* setr_searches)
-      : FanOutWhyNotOracle(ShardsOf(corpus, opened, setr_searches),
+                 std::atomic<size_t>* topk_searches)
+      : FanOutWhyNotOracle(ShardsOf(corpus, opened, topk_searches),
                            corpus.dist_norm(), corpus.pool()),
         corpus_(&corpus) {}
   const SpatialObject& Object(ObjectId global_id) const override {
@@ -1028,14 +1028,14 @@ class CountingOracle final : public FanOutWhyNotOracle {
  private:
   static std::vector<std::unique_ptr<const OracleShard>> ShardsOf(
       const ShardedCorpus& corpus, std::atomic<size_t>* opened,
-      std::atomic<size_t>* setr_searches) {
+      std::atomic<size_t>* topk_searches) {
     std::vector<std::unique_ptr<const OracleShard>> shards;
     for (size_t s = 0; s < corpus.num_shards(); ++s) {
       shards.push_back(std::make_unique<CountingShard>(
           OracleShardView{&corpus.shard(s).store(),
                           &corpus.shard_global_ids(s),
-                          &corpus.shard(s).setr()},
-          corpus.dist_norm(), opened, setr_searches));
+                          &corpus.shard(s).rtree()},
+          corpus.dist_norm(), opened, topk_searches));
     }
     return shards;
   }
@@ -1051,12 +1051,12 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     std::atomic<size_t> opened{0};
-    std::atomic<size_t> setr_searches{0};
+    std::atomic<size_t> topk_searches{0};
     const WhyNotEngine engine(
-        std::make_unique<CountingOracle>(sharded, &opened, &setr_searches));
+        std::make_unique<CountingOracle>(sharded, &opened, &topk_searches));
     for (const Question& q : questions) {
       // Every model: the question answers explain's top-k and the refined
-      // result, so no SetR-tree search runs.
+      // result, so no shard top-k search runs.
       for (const auto& [pref, kw] : {std::pair{true, true},
                                      std::pair{true, false},
                                      std::pair{false, true}}) {
@@ -1087,11 +1087,11 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
       ExpectSameRows(combined->refined_result,
                      reference::TopK(store, combined->refined), "combined");
     }
-    EXPECT_EQ(setr_searches.load(), 0u) << shards << " shards";
+    EXPECT_EQ(topk_searches.load(), 0u) << shards << " shards";
     // The counting shards do search the tree outside a question.
     const TopKResult rows = engine.TopK(questions[0].query);
     ExpectSameRows(rows, reference::TopK(store, questions[0].query), "query");
-    EXPECT_EQ(setr_searches.load(), shards);
+    EXPECT_EQ(topk_searches.load(), shards);
   }
   // Remote: one /shard/plane/open per shard per /whynot, every rank and
   // top-k from the session, and no stateless top-k request. A rank batch
@@ -1118,13 +1118,13 @@ TEST(QuestionLayoutsTest, OneQuestionPerShardPerWhyNot) {
     EXPECT_EQ(fleet.Served(shardrpc::kPlaneTopKPath) - topks, 2u * 2);
     EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), stateless);
     // A combined question sends no /shard/topk either.
-    const uint64_t setr_topks = fleet.Served(shardrpc::kTopKPath);
+    const uint64_t shard_topks = fleet.Served(shardrpc::kTopKPath);
     auto combined = engine.CombineRefinements(q.query, q.missing);
     ASSERT_TRUE(combined.ok()) << combined.status().ToString();
     ExpectSameRows(combined->refined_result,
                    reference::TopK(store, combined->refined),
                    "remote combined");
-    EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), setr_topks);
+    EXPECT_EQ(fleet.Served(shardrpc::kTopKPath), shard_topks);
   }
   EXPECT_EQ(remote.error_epoch(), 0u);
 }
@@ -1213,8 +1213,8 @@ void RunStatelessLayouts(const ObjectStore& store,
     const ShardedCorpus sharded =
         ShardedCorpus::Partition(store, GridShardRouter::Fit(store, shards));
     std::atomic<size_t> opened{0};
-    std::atomic<size_t> setr_searches{0};
-    const CountingOracle oracle(sharded, &opened, &setr_searches);
+    std::atomic<size_t> topk_searches{0};
+    const CountingOracle oracle(sharded, &opened, &topk_searches);
     // One one-call question per shard per location for the batch.
     KeywordAdaptStats stats;
     oracle.ProbeRankBatch(batch.specs, &stats);
